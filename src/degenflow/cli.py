@@ -26,6 +26,7 @@ from . import diagnostics as diag
 from .discretization import Field, build_grid, write_field_csv
 from .eigensolver import NORMALIZE_MASS, NORMALIZE_P_NORM, smallest_eigenpair
 from .errors import ConfigError, DegenflowError
+from .jsonio import write_json
 from .plap_operator import ReactionSpec
 from .timestepper import (
     KIND_BLOWUP,
@@ -281,23 +282,6 @@ def _config_payload(cfg):
     }
 
 
-def _write_json(path, payload):
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            obj = obj.item()
-        if isinstance(obj, float) and not math.isfinite(obj):
-            return None
-        return obj
-
-    with open(path, "w") as fh:
-        json.dump(clean(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _summary(cfg, body):
     payload = {"schema_version": SCHEMA_VERSION, "config": _config_payload(cfg)}
     payload.update(body)
@@ -453,7 +437,7 @@ def _cmd_eigen(cfg, out):
     pair = _solve_eigen(cfg, grid, weight)
     pair.to_csv(out / "eigenfunction.csv")
     pair.to_json(out / "eigenpair.json")
-    _write_json(out / "summary.json", _summary(cfg, {
+    write_json(out / "summary.json", _summary(cfg, {
         "lambda1": pair.eigenvalue,
         "residual": pair.residual,
         "iterations": pair.iterations,
@@ -539,7 +523,7 @@ def _cmd_solve(cfg, out):
     sweep = cfg.sections["sweep"]
     if sweep["parameter"] is None:
         outcome = _run_one(cfg, grid, weight, None, eigenpair, lambda1_ref, out)
-        _write_json(out / "summary.json",
+        write_json(out / "summary.json",
                     _summary(cfg, _solve_summary(cfg, outcome, eigenpair)))
         return EXIT_OK
 
@@ -565,7 +549,7 @@ def _cmd_solve(cfg, out):
                      "g0": oc.trajectory.weighted_mass[0],
                      "final_sup": oc.trajectory.sup_abs_u[-1],
                      "T_est": oc.t_est})
-    _write_json(out / "summary.json", _summary(cfg, {"runs": runs}))
+    write_json(out / "summary.json", _summary(cfg, {"runs": runs}))
     return EXIT_OK
 
 
@@ -665,7 +649,7 @@ def _cmd_blowup_scan(cfg, out):
             body["C_fit_error"] = str(exc)
         if a_hi / a_lo <= 1.0 + rel_tol:
             status = EXIT_OK
-    _write_json(out / "summary.json", _summary(cfg, body))
+    write_json(out / "summary.json", _summary(cfg, body))
     return status
 
 
@@ -742,7 +726,7 @@ def _cmd_verify_exact(cfg, out):
         (convergent if convergent else "none"),
         "sample_times": list(sample_times),
     }
-    _write_json(out / "summary.json", _summary(cfg, body))
+    write_json(out / "summary.json", _summary(cfg, body))
     return EXIT_OK
 
 
@@ -785,7 +769,7 @@ def _cmd_weights_check(cfg, out):
             "message": db.message,
         },
     }
-    _write_json(out / "summary.json", _summary(cfg, body))
+    write_json(out / "summary.json", _summary(cfg, body))
     return EXIT_OK
 
 
@@ -817,7 +801,7 @@ def _cmd_decay_fit(cfg, out):
     body["gap_to_beta"] = abs(fit["exponent"] - body["predicted_n_over_beta"])
     if body["predicted_n_over_k"] is not None:
         body["gap_to_k"] = abs(fit["exponent"] - body["predicted_n_over_k"])
-    _write_json(out / "summary.json", _summary(cfg, body))
+    write_json(out / "summary.json", _summary(cfg, body))
     return EXIT_OK
 
 
@@ -882,7 +866,7 @@ def _try_error_report(out_dir, kind, exc):
     try:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        _write_json(path / "error.json", {
+        write_json(path / "error.json", {
             "error_kind": kind,
             "error_type": type(exc).__name__,
             "message": str(exc),

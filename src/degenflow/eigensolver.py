@@ -16,7 +16,6 @@ increases R and steers toward the positive principal mode.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .discretization import (
     write_field_csv,
 )
 from .errors import ConfigError, ConvergenceError
+from .jsonio import write_json
 from .plap_operator import apply_plaplacian, energy, energy_hessian_matrix, variational_dot
 from .weight_models import WeightSpec  # noqa: F401  (re-export convenience)
 
@@ -57,9 +57,7 @@ class EigenPair:
             "grid_mode": self.eigenfunction.grid.mode,
             "extent": self.eigenfunction.grid.extent,
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
     def to_csv(self, path):
         write_field_csv(

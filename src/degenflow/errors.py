@@ -21,10 +21,6 @@ class DegenerateBallError(DegenflowError, ArithmeticError):
     """A ball carries zero weight mass, so a mass ratio is undefined."""
 
 
-class DegenerateFieldError(DegenflowError, ArithmeticError):
-    """A field norm that must be positive vanished."""
-
-
 class ShapeError(DegenflowError, ValueError):
     """Mismatched grids or array shapes."""
 

@@ -334,6 +334,63 @@ def energy_hessian_matrix(grid, weight):
     return k.tocsr()
 
 
+def face_coefficients(grid, weight):
+    """Face quadrature weight times face weight value, c_F * omega_F.
+
+    One array per axis, in the face order of face_difference_matrix.  The
+    values depend only on (grid, weight), so a caller that linearizes
+    repeatedly computes them once.
+    """
+    if grid.mode != MODE_TENSOR2D:
+        c, wf = _face_weights_1d(grid, weight)
+        return [c * wf]
+    return [c * wf for c, wf in (_tensor_face_data(grid, weight, axis) for axis in range(2))]
+
+
+def face_difference_matrix(grid):
+    """Sparse map A from nodal values to normal differences on every face.
+
+    Rows are the faces of all axes in turn, each axis raveled in C order;
+    columns are the nodes.
+    """
+    if grid.mode != MODE_TENSOR2D:
+        return _face_difference_matrix(grid.shape[0], grid.h[0])
+    nx, ny = grid.shape
+    hx, hy = grid.h
+    return sp.vstack([
+        sp.kron(_face_difference_matrix(nx, hx), sp.eye_array(ny)),
+        sp.kron(sp.eye_array(nx), _face_difference_matrix(ny, hy)),
+    ]).tocsr()
+
+
+def face_conductance(u, face_coef, p, linearization="newton", eps_reg=0.0):
+    """Face conductances kappa of the flux-linearized Jacobian.
+
+    The linearized stiffness is K = A^T diag(kappa) A with A from
+    face_difference_matrix, and diffusion_jacobian is -K divided by the
+    cell volumes.  face_coef is face_coefficients(grid, weight).  "newton"
+    takes the slope of the flux in the normal difference, with the
+    tangential part of the face gradient frozen on tensor grids; "picard"
+    takes the lagged coefficient |G|**(p-2).
+    """
+    grid = u.grid
+    v = u.values
+    e2 = eps_reg * eps_reg
+    if grid.mode != MODE_TENSOR2D:
+        fields, half = [(np.diff(v) / grid.h[0], 0.0)], 1.0
+    else:
+        fields, half = [_tensor_face_fields(v, grid, axis) for axis in range(2)], 0.5
+    kappa = []
+    for cw, (a, b) in zip(face_coef, fields):
+        s = a * a + b * b + e2
+        if linearization == "newton":
+            slope = _s_pow(s, (p - 4.0) / 2.0) * ((p - 1.0) * a * a + b * b + e2)
+        else:
+            slope = _s_pow(s, (p - 2.0) / 2.0)
+        kappa.append((half * cw * slope).ravel())
+    return np.concatenate(kappa)
+
+
 def diffusion_jacobian(u, weight, p, linearization="newton", eps_reg=0.0):
     """Sparse approximation of d(apply_plaplacian)/du over all nodes.
 
@@ -344,48 +401,19 @@ def diffusion_jacobian(u, weight, p, linearization="newton", eps_reg=0.0):
 
     linearization "picard" drops the (p-1) flux-slope factor and uses the
     lagged-coefficient matrix omega * |G|**(p-2) instead.
+
+    This is the reference form, -K / cell volumes with K assembled here as a
+    sparse product.  The time stepper solves the same linearization in the
+    symmetric form V + dt K on the interior nodes, assembled once per run
+    from face_conductance, and never calls this function.
     """
     _check_p(p)
     grid = u.grid
-    v = u.values
-    e2 = eps_reg * eps_reg
-
     if p == 2.0:
         k = energy_hessian_matrix(grid, weight)
-        inv_vol = sp.diags_array(1.0 / cell_volumes(grid).ravel())
-        return (-(inv_vol @ k)).tocsr()
-
-    if grid.mode != MODE_TENSOR2D:
-        m = grid.shape[0]
-        h = grid.h[0]
-        c, wf = _face_weights_1d(grid, weight)
-        g = np.diff(v) / h
-        s = g * g + e2
-        if linearization == "newton":
-            slope = _s_pow(s, (p - 4.0) / 2.0) * ((p - 1.0) * g * g + e2)
-        else:
-            slope = _s_pow(s, (p - 2.0) / 2.0)
-        kappa = c * wf * slope
-        d = _face_difference_matrix(m, h)
-        k = d.T @ sp.diags_array(kappa) @ d
     else:
-        nx, ny = grid.shape
-        hx, hy = grid.h
-        k = sp.csr_array((grid.n_nodes, grid.n_nodes))
-        for axis in range(2):
-            c, wf = _tensor_face_data(grid, weight, axis)
-            a, b = _tensor_face_fields(v, grid, axis)
-            s = a * a + b * b + e2
-            if linearization == "newton":
-                slope = _s_pow(s, (p - 4.0) / 2.0) * ((p - 1.0) * a * a + b * b + e2)
-            else:
-                slope = _s_pow(s, (p - 2.0) / 2.0)
-            kappa = 0.5 * c * wf * slope
-            if axis == 0:
-                a_mat = sp.kron(_face_difference_matrix(nx, hx), sp.eye_array(ny))
-            else:
-                a_mat = sp.kron(sp.eye_array(nx), _face_difference_matrix(ny, hy))
-            k = k + a_mat.T @ sp.diags_array(kappa.ravel()) @ a_mat
-
+        a = face_difference_matrix(grid)
+        kappa = face_conductance(u, face_coefficients(grid, weight), p, linearization, eps_reg)
+        k = a.T @ sp.diags_array(kappa) @ a
     inv_vol = sp.diags_array(1.0 / cell_volumes(grid).ravel())
     return (-(inv_vol @ k)).tocsr()

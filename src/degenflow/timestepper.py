@@ -6,6 +6,15 @@ Each step solves the backward-Euler residual
 
 on interior nodes by damped Newton with a sparse flux-linearized Jacobian,
 falling back to Picard (lagged diffusion coefficient) when Newton stalls.
+Each Newton update solves
+
+    (V + dt K - dt V f') delta = -V r,
+
+which is (I - dt J - dt f') delta = -r multiplied by V into symmetric form,
+with V the interior cell volumes and K the interior stiffness.  The
+matrix's sparsity pattern, the map from face conductances to its entries
+and the constant p = 2 stiffness are built once per run; an iteration only
+refills the entries of one CSC matrix.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
@@ -15,20 +24,23 @@ failure at dt_min while the sup norm is ramping.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import Field, integrate, weight_on_grid
+from .discretization import Field, cell_volumes, integrate, weight_on_grid
 from .errors import ConfigError, NumericalError
+from .jsonio import write_json
 from .plap_operator import (
     ReactionSpec,
     apply_plaplacian,
-    diffusion_jacobian,
     energy,
+    energy_hessian_matrix,
+    face_coefficients,
+    face_conductance,
+    face_difference_matrix,
     reaction_derivative,
     reaction_eval,
 )
@@ -162,31 +174,75 @@ class RunOutcome:
         }
         if extra:
             payload.update(extra)
-        payload = {
-            k: (None if isinstance(v, float) and not np.isfinite(v) else v)
-            for k, v in payload.items()
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 class _StepFailure(Exception):
     pass
 
 
-class _LinearCache:
-    """LU of (I - dt * J) reused across steps for state-independent Jacobians
-    (p = 2 without reaction)."""
+def _csc_with_diagonal(matrix):
+    """Canonical CSC form of a square matrix with every diagonal entry
+    stored, as (data, indices, indptr, column of each entry)."""
+    coo = sp.coo_array(matrix)
+    n = matrix.shape[0]
+    diag = np.arange(n)
+    full = sp.coo_array(
+        (
+            np.concatenate([coo.data, np.zeros(n)]),
+            (np.concatenate([coo.row, diag]), np.concatenate([coo.col, diag])),
+        ),
+        shape=(n, n),
+    ).tocsc()
+    full.sum_duplicates()
+    col = np.repeat(np.arange(n, dtype=full.indices.dtype), np.diff(full.indptr))
+    return full.data, full.indices, full.indptr, col
 
-    def __init__(self):
-        self.dt = None
-        self.solve = None
 
+class _NewtonSystem:
+    """Interior Newton matrix V (1 - dt f') + dt K of one (grid, weight, p).
 
-def _interior_solve(matrix, rhs, idx):
-    sub = matrix.tocsr()[idx][:, idx].tocsc()
-    return spla.splu(sub).solve(rhs)
+    The sparsity pattern is the Jacobian's own and fixed for the run: the
+    face-difference pattern for p > 2, whose entries are P @ kappa for face
+    conductances kappa through the precomputed sparse map P, and the pattern
+    of the constant energy Hessian for p = 2.  The SuperLU factor of the
+    linear p = 2 system is kept for the last dt it was built for.
+    """
+
+    def __init__(self, grid, weight, p):
+        self.p = p
+        self.idx = np.flatnonzero(~grid.boundary_mask.ravel())
+        self.vol = cell_volumes(grid).ravel()[self.idx]
+        self.lu_dt = None
+        self.lu = None
+        if p == 2.0:
+            k_int = energy_hessian_matrix(grid, weight).tocsr()[self.idx][:, self.idx]
+            self.k_data, self.indices, self.indptr, col = _csc_with_diagonal(k_int)
+        else:
+            self.face_coef = face_coefficients(grid, weight)
+            a_int = face_difference_matrix(grid).tocsc()[:, self.idx]
+            _, self.indices, self.indptr, col = _csc_with_diagonal(abs(a_int).T @ abs(a_int))
+            # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
+            self.conductance_map = a_int[:, self.indices].multiply(a_int[:, col]).T.tocsr()
+        self.diag = np.flatnonzero(self.indices == col)
+
+    def matrix(self, v, dt, drea, linearization="newton", eps_reg=0.0):
+        """The system at state v with interior reaction slopes drea."""
+        if self.p == 2.0:
+            data = dt * self.k_data
+        else:
+            kappa = face_conductance(v, self.face_coef, self.p, linearization, eps_reg)
+            data = dt * (self.conductance_map @ kappa)
+        data[self.diag] += self.vol * (1.0 - dt * drea)
+        n = len(self.idx)
+        return sp.csc_array((data, self.indices, self.indptr), shape=(n, n))
+
+    def linear_solve(self, dt, rhs):
+        """Solve (V + dt K) x = rhs for the state-independent p = 2 system."""
+        if self.lu_dt != dt:
+            self.lu = spla.splu(self.matrix(None, dt, 0.0), permc_spec="MMD_AT_PLUS_A")
+            self.lu_dt = dt
+        return self.lu.solve(rhs)
 
 
 def _residual(v_field, u_old, t_new, dt, spec):
@@ -197,18 +253,23 @@ def _residual(v_field, u_old, t_new, dt, spec):
     return r
 
 
-def step_implicit(u, t, dt, spec, cache=None, stats=None):
-    """One backward-Euler step from t to t + dt.  Raises on solver failure."""
+def step_implicit(u, t, dt, spec, system=None, stats=None):
+    """One backward-Euler step from t to t + dt.  Raises on solver failure.
+
+    system is the run's _NewtonSystem; one is built when none is given.
+    """
     grid = u.grid
     ctl = spec.controls
     if not ctl.dt_min <= dt <= ctl.dt_max:
         raise ConfigError(f"dt {dt} outside [{ctl.dt_min}, {ctl.dt_max}]")
     if not np.all(np.isfinite(u.values)):
         raise NumericalError("nonfinite state entering step")
+    if system is None:
+        system = _NewtonSystem(grid, spec.weight, spec.p)
 
     t_new = t + dt
     u_old = u.values
-    idx = np.flatnonzero(~grid.boundary_mask.ravel())
+    idx = system.idx
     scale = max(float(np.abs(u_old).max()), 1.0)
     tol = ctl.newton_tol * scale
 
@@ -217,14 +278,9 @@ def step_implicit(u, t, dt, spec, cache=None, stats=None):
         and spec.reaction.family == "none"
         and ctl.eps_reg == 0.0
     )
-    if linear_const and cache is not None:
-        if cache.dt != dt or cache.solve is None:
-            jac = diffusion_jacobian(u, spec.weight, 2.0)
-            system = sp.eye_array(grid.n_nodes, format="csr") - dt * jac
-            cache.dt = dt
-            cache.solve = spla.splu(system.tocsr()[idx][:, idx].tocsc()).solve
+    if linear_const:
         vals = u_old.copy().ravel()
-        vals[idx] = cache.solve(u_old.ravel()[idx])
+        vals[idx] = system.linear_solve(dt, system.vol * u_old.ravel()[idx])
         out = vals.reshape(grid.shape)
         out[grid.boundary_mask] = 0.0
         if stats is not None:
@@ -244,15 +300,11 @@ def step_implicit(u, t, dt, spec, cache=None, stats=None):
             stats["newton_iters"] = stats.get("newton_iters", 0) + 1
         if rnorm <= tol:
             return v
-        jac = diffusion_jacobian(v, spec.weight, spec.p, mode, ctl.eps_reg)
-        drea = reaction_derivative(spec.reaction, None, t_new, v.values)
-        system = (
-            sp.eye_array(grid.n_nodes, format="csr")
-            - dt * jac
-            - dt * sp.diags_array(drea.ravel())
-        )
+        drea = reaction_derivative(spec.reaction, None, t_new, v.values).ravel()[idx]
+        matrix = system.matrix(v, dt, drea, mode, ctl.eps_reg)
         try:
-            delta = _interior_solve(system, -r.ravel()[idx], idx)
+            lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+            delta = lu.solve(-system.vol * r.ravel()[idx])
         except RuntimeError as exc:  # singular factorization
             raise _StepFailure(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
@@ -320,7 +372,7 @@ def run_simulation(spec, eigenpair=None):
 
     traj = Trajectory()
     stats = {}
-    cache = _LinearCache()
+    system = _NewtonSystem(grid, spec.weight, spec.p)
 
     def record(t, dt, f):
         traj.append(
@@ -354,7 +406,7 @@ def run_simulation(spec, eigenpair=None):
 
         before = stats.get("newton_iters", 0)
         try:
-            u_new = step_implicit(u, t, dt, spec, cache=cache, stats=stats)
+            u_new = step_implicit(u, t, dt, spec, system=system, stats=stats)
         except _StepFailure:
             if dt > ctl.dt_min:
                 dt = max(dt * 0.5, ctl.dt_min)

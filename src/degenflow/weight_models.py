@@ -131,17 +131,6 @@ def eval_radial(spec, r):
     return np.interp(r, spec.positions, spec.values)
 
 
-def eval_weight(spec, x):
-    """Evaluate the weight at a point.
-
-    x is a scalar coordinate or a point given as a sequence; the weight
-    only sees the Euclidean distance |x| from the origin.
-    """
-    x = np.asarray(x, dtype=float)
-    r = abs(float(x)) if x.ndim == 0 else float(np.linalg.norm(x))
-    return float(eval_radial(spec, r))
-
-
 def _segment_power_integral(a, b, c0, c1, n):
     """Exact integral of (c0 + c1*r) * r**(n-1) over [a, b]."""
     return c0 * (b**n - a**n) / n + c1 * (b ** (n + 1) - a ** (n + 1)) / (n + 1)

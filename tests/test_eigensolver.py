@@ -154,3 +154,21 @@ def test_json_payload_keys(tmp_path):
     for key in ("lambda1", "residual", "iterations", "normalization"):
         assert key in payload
     assert payload["lambda1"] == pytest.approx(pair.eigenvalue)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_nonfinite_values_are_null(tmp_path):
+    """A pair with a non-finite residual, such as the best iterate a
+    ConvergenceError carries, still writes strict JSON."""
+    import json
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    g = build_grid("interval", 1.0, 8)
+    pair = EigenPair(float("nan"), Field.zeros(g), float("inf"), 0, 2.0)
+    path = tmp_path / "pair.json"
+    pair.to_json(path)
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    assert payload["lambda1"] is None
+    assert payload["residual"] is None

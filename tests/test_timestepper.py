@@ -12,11 +12,15 @@ from degenflow import (
     Trajectory,
     WeightSpec,
     build_grid,
+    cell_volumes,
+    diffusion_jacobian,
     energy,
     estimate_blowup_time,
+    reaction_derivative,
     run_simulation,
     step_implicit,
 )
+from degenflow.timestepper import _NewtonSystem
 
 PI2 = np.pi**2
 
@@ -61,6 +65,57 @@ class TestStepImplicit:
         spec = _sin_problem(p=3.0)
         u1 = step_implicit(spec.initial, 0.0, 1e-3, spec)
         assert energy(u1, None, 3.0) < energy(spec.initial, None, 3.0)
+
+
+@pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("linearization", ["newton", "picard"])
+@pytest.mark.parametrize("eps_reg", [0.0, 1e-3])
+def test_newton_system_matches_jacobian_form(mode, p, linearization, eps_reg):
+    """The assembled interior matrix is V (I - dt J - dt f') restricted to
+    the interior, with J from diffusion_jacobian."""
+    g = build_grid(mode, 1.0, 12, n=2)
+    weight = WeightSpec.power(1.0)
+    vals = np.random.default_rng(5).standard_normal(g.shape)
+    vals[g.boundary_mask] = 0.0
+    u = Field(g, vals)
+    dt, t_new = 3e-3, 0.1
+    drea = reaction_derivative(ReactionSpec.power(2.0, 2.5), None, t_new, vals).ravel()
+
+    system = _NewtonSystem(g, weight, p)
+    idx = system.idx
+    got = system.matrix(u, dt, drea[idx], linearization, eps_reg).toarray()
+    jac = diffusion_jacobian(u, weight, p, linearization, eps_reg).toarray()
+    vol = cell_volumes(g).ravel()
+    ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
+    ref = ref[np.ix_(idx, idx)]
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _tensor_p3_problem():
+    g = build_grid("tensor2d", 1.0, 16)
+    x, y = g.coordinates()
+    phi = Field(g, np.sin(np.pi * x) * np.sin(np.pi * y))
+    phi.values[g.boundary_mask] = 0.0
+    return ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=3.0,
+                       reaction=ReactionSpec.none(), initial=phi, t_end=0.02, dt0=1e-4)
+
+
+def _power_blowup_problem():
+    return _sin_problem(amplitude=100.0, resolution=48, t_end=2.0, dt0=1e-5,
+                        dt_max=1e-2, reaction=ReactionSpec.power(1.0, 2.0))
+
+
+@pytest.mark.parametrize("make_spec, kind, steps, newton_iters", [
+    (_tensor_p3_problem, "Completed", 89, 615),
+    (_power_blowup_problem, "BlowUp", 107, 691),
+])
+def test_step_and_newton_counts_pinned(make_spec, kind, steps, newton_iters):
+    """A rounding change in the Newton solve that flips an accept, reject or
+    dt-growth decision shows up in these counts."""
+    out = run_simulation(make_spec())
+    assert out.kind == kind
+    assert (out.steps, out.newton_iters_total) == (steps, newton_iters)
 
 
 def test_heat_equation_oracle_res128():
