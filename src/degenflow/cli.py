@@ -231,8 +231,12 @@ def parse_config(text, command_override=None):
     if (sweep["parameter"] is None) != (sweep["values"] is None):
         raise ConfigError("sweep needs both 'parameter' and 'values'")
     if sweep["parameter"] is not None:
+        if command != "solve":
+            raise ConfigError(f"[sweep] applies to solve only, not {command}")
         if sweep["parameter"] not in _SCHEMA["problem"]:
             raise ConfigError(f"sweep parameter {sweep['parameter']!r} is not a problem key")
+        if _SCHEMA["problem"][sweep["parameter"]][0] not in (_as_float, _as_int):
+            raise ConfigError(f"sweep parameter {sweep['parameter']!r} is not numeric")
         if not sweep["values"]:
             raise ConfigError("sweep values list is empty")
 

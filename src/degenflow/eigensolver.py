@@ -131,7 +131,8 @@ def smallest_eigenpair(
     idx = np.flatnonzero(interior.ravel())
 
     stiff = energy_hessian_matrix(grid, weight).tocsr()[idx][:, idx].tocsc()
-    solve = spla.factorized(stiff)
+    # a symmetric fill-reducing ordering suits the symmetric stiffness
+    solve = spla.splu(stiff, permc_spec="MMD_AT_PLUS_A").solve
     vol = cell_volumes(grid)
 
     if initial is not None:

@@ -14,7 +14,8 @@ which is (I - dt J - dt f') delta = -r multiplied by V into symmetric form,
 with V the interior cell volumes and K the interior stiffness.  The
 matrix's sparsity pattern, the map from face conductances to its entries
 and the constant p = 2 stiffness are built once per run; an iteration only
-refills the entries of one CSC matrix.
+refills a LAPACK band array and factors it by band LU with partial
+pivoting.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
+from scipy.linalg import lapack
 
 from .discretization import Field, cell_volumes, integrate, weight_on_grid
 from .errors import ConfigError, NumericalError
@@ -181,22 +183,12 @@ class _StepFailure(Exception):
     pass
 
 
-def _csc_with_diagonal(matrix):
-    """Canonical CSC form of a square matrix with every diagonal entry
-    stored, as (data, indices, indptr, column of each entry)."""
+def _entries(matrix):
+    """Stored entries of a sparse matrix, duplicates summed, as
+    (data, row, col)."""
     coo = sp.coo_array(matrix)
-    n = matrix.shape[0]
-    diag = np.arange(n)
-    full = sp.coo_array(
-        (
-            np.concatenate([coo.data, np.zeros(n)]),
-            (np.concatenate([coo.row, diag]), np.concatenate([coo.col, diag])),
-        ),
-        shape=(n, n),
-    ).tocsc()
-    full.sum_duplicates()
-    col = np.repeat(np.arange(n, dtype=full.indices.dtype), np.diff(full.indptr))
-    return full.data, full.indices, full.indptr, col
+    coo.sum_duplicates()
+    return coo.data, coo.row.astype(np.intp), coo.col.astype(np.intp)
 
 
 class _NewtonSystem:
@@ -205,8 +197,14 @@ class _NewtonSystem:
     The sparsity pattern is the Jacobian's own and fixed for the run: the
     face-difference pattern for p > 2, whose entries are P @ kappa for face
     conductances kappa through the precomputed sparse map P, and the pattern
-    of the constant energy Hessian for p = 2.  The SuperLU factor of the
-    linear p = 2 system is kept for the last dt it was built for.
+    of the constant energy Hessian for p = 2.  The matrix is held in LAPACK
+    general band storage, entry (i, j) at row 2 kd + i - j of a
+    (3 kd + 1, n) column-major array, with kd the half-bandwidth of the
+    pattern: 1 on interval and radial grids, resolution - 1 on tensor grids
+    in natural order.  It is factored by band LU with partial pivoting
+    (dgbtrf); Cholesky would not do, because the matrix is indefinite
+    wherever dt f' > 1.  The factor of the linear p = 2 system is kept for
+    the last dt it was built for.
     """
 
     def __init__(self, grid, weight, p):
@@ -217,32 +215,50 @@ class _NewtonSystem:
         self.lu = None
         if p == 2.0:
             k_int = energy_hessian_matrix(grid, weight).tocsr()[self.idx][:, self.idx]
-            self.k_data, self.indices, self.indptr, col = _csc_with_diagonal(k_int)
+            self.k_data, row, col = _entries(k_int)
         else:
             self.face_coef = face_coefficients(grid, weight)
             a_int = face_difference_matrix(grid).tocsc()[:, self.idx]
-            _, self.indices, self.indptr, col = _csc_with_diagonal(abs(a_int).T @ abs(a_int))
+            _, row, col = _entries(abs(a_int).T @ abs(a_int))
             # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
-            self.conductance_map = a_int[:, self.indices].multiply(a_int[:, col]).T.tocsr()
-        self.diag = np.flatnonzero(self.indices == col)
+            self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
+        self.kd = int(np.abs(row - col).max())
+        self.band_shape = (3 * self.kd + 1, len(self.idx))
+        self.band_pos = col * self.band_shape[0] + 2 * self.kd + row - col
 
     def matrix(self, v, dt, drea, linearization="newton", eps_reg=0.0):
-        """The system at state v with interior reaction slopes drea."""
+        """The system at state v with interior reaction slopes drea, as the
+        band array that factor() takes."""
         if self.p == 2.0:
             data = dt * self.k_data
         else:
             kappa = face_conductance(v, self.face_coef, self.p, linearization, eps_reg)
             data = dt * (self.conductance_map @ kappa)
-        data[self.diag] += self.vol * (1.0 - dt * drea)
-        n = len(self.idx)
-        return sp.csc_array((data, self.indices, self.indptr), shape=(n, n))
+        band = np.zeros(self.band_shape[0] * self.band_shape[1])
+        band[self.band_pos] = data
+        band = band.reshape(self.band_shape, order="F")
+        band[2 * self.kd] += self.vol * (1.0 - dt * drea)
+        return band
+
+    def factor(self, band):
+        """Band LU with partial pivoting of a matrix() result, overwriting it."""
+        lu, piv, info = lapack.dgbtrf(band, self.kd, self.kd, overwrite_ab=True)
+        if info > 0:
+            raise _StepFailure(f"linear solve failed: zero pivot in column {info - 1}")
+        return lu, piv
+
+    def solve(self, factor, rhs):
+        """Solve with a factor() result."""
+        lu, piv = factor
+        x, _info = lapack.dgbtrs(lu, self.kd, self.kd, rhs, piv)
+        return x
 
     def linear_solve(self, dt, rhs):
         """Solve (V + dt K) x = rhs for the state-independent p = 2 system."""
         if self.lu_dt != dt:
-            self.lu = spla.splu(self.matrix(None, dt, 0.0), permc_spec="MMD_AT_PLUS_A")
+            self.lu = self.factor(self.matrix(None, dt, 0.0))
             self.lu_dt = dt
-        return self.lu.solve(rhs)
+        return self.solve(self.lu, rhs)
 
 
 def _residual(v_field, u_old, t_new, dt, spec):
@@ -301,12 +317,8 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
         if rnorm <= tol:
             return v
         drea = reaction_derivative(spec.reaction, None, t_new, v.values).ravel()[idx]
-        matrix = system.matrix(v, dt, drea, mode, ctl.eps_reg)
-        try:
-            lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
-            delta = lu.solve(-system.vol * r.ravel()[idx])
-        except RuntimeError as exc:  # singular factorization
-            raise _StepFailure(f"linear solve failed: {exc}") from exc
+        lu = system.factor(system.matrix(v, dt, drea, mode, ctl.eps_reg))
+        delta = system.solve(lu, -system.vol * r.ravel()[idx])
         if not np.all(np.isfinite(delta)):
             raise _StepFailure("nonfinite Newton update")
 

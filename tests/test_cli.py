@@ -182,6 +182,23 @@ class TestMain:
         # both probes complete without decaying or blowing up: undecided
         assert main(["blowup-scan", "--config", str(path)]) == EXIT_UNDECIDED
 
+    @pytest.mark.parametrize("command, base, sweep", [
+        ("eigen", EIGEN_CFG, "parameter = p\nvalues = 2.0, 3.0\n"),
+        ("solve", SOLVE_CFG, "parameter = mode\nvalues = 1.0\n"),
+        ("solve", SOLVE_CFG, "parameter = snapshot_times\nvalues = 0.01\n"),
+    ], ids=["eigen", "string-key", "list-key"])
+    def test_unusable_sweep_is_config_error(self, tmp_path, command, base, sweep):
+        """A sweep the command would ignore, or over a key whose values are
+        not numbers, fails at parse time with exit 2 and error.json."""
+        path = tmp_path / "sw.cfg"
+        path.write_text(base.format(out=tmp_path / "cfg_out") + "\n[sweep]\n" + sweep)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert "sweep" in error["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
+
     def test_sweep_runs_are_separate(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         text = SOLVE_CFG.format(out="sw") + "\n[sweep]\nparameter = amplitude\nvalues = 0.5, 1.5\n"

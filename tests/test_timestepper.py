@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from degenflow import (
     ConfigError,
@@ -20,7 +21,7 @@ from degenflow import (
     run_simulation,
     step_implicit,
 )
-from degenflow.timestepper import _NewtonSystem
+from degenflow.timestepper import _NewtonSystem, _StepFailure
 
 PI2 = np.pi**2
 
@@ -67,13 +68,25 @@ class TestStepImplicit:
         assert energy(u1, None, 3.0) < energy(spec.initial, None, 3.0)
 
 
+def _band_to_dense(band, kd):
+    """Dense form of a LAPACK general band array, whose top kd rows are
+    the fill-in space of the factorization and must be empty."""
+    assert not band[:kd].any()
+    n = band.shape[1]
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= kd
+    dense = np.zeros((n, n))
+    dense[inside] = band[2 * kd + i[inside] - j[inside], j[inside]]
+    return dense
+
+
 @pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("linearization", ["newton", "picard"])
 @pytest.mark.parametrize("eps_reg", [0.0, 1e-3])
 def test_newton_system_matches_jacobian_form(mode, p, linearization, eps_reg):
-    """The assembled interior matrix is V (I - dt J - dt f') restricted to
-    the interior, with J from diffusion_jacobian."""
+    """The band array the stepper factors holds V (I - dt J - dt f')
+    restricted to the interior, with J from diffusion_jacobian."""
     g = build_grid(mode, 1.0, 12, n=2)
     weight = WeightSpec.power(1.0)
     vals = np.random.default_rng(5).standard_normal(g.shape)
@@ -84,12 +97,44 @@ def test_newton_system_matches_jacobian_form(mode, p, linearization, eps_reg):
 
     system = _NewtonSystem(g, weight, p)
     idx = system.idx
-    got = system.matrix(u, dt, drea[idx], linearization, eps_reg).toarray()
+    got = _band_to_dense(system.matrix(u, dt, drea[idx], linearization, eps_reg), system.kd)
     jac = diffusion_jacobian(u, weight, p, linearization, eps_reg).toarray()
     vol = cell_volumes(g).ravel()
     ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
     ref = ref[np.ix_(idx, idx)]
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_band_factor_solves_indefinite_system():
+    """Where dt f' > 1 the Newton matrix is indefinite, so banded Cholesky
+    fails on it; the pivoted band LU still solves it."""
+    g = build_grid("interval", 1.0, 32)
+    vals = 50.0 * np.sin(np.pi * g.axes[0])
+    vals[g.boundary_mask] = 0.0
+    dt = 0.05
+    system = _NewtonSystem(g, None, 2.0)
+    idx = system.idx
+    drea = reaction_derivative(ReactionSpec.power(1.0, 2.0), None, 0.0, vals).ravel()[idx]
+    assert (dt * drea > 1.0).any()
+    band = system.matrix(None, dt, drea)
+    dense = _band_to_dense(band, system.kd)
+    eigs = np.linalg.eigvalsh(dense)
+    assert eigs.min() < 0.0 < eigs.max()
+    upper = np.ascontiguousarray(band[system.kd:2 * system.kd + 1])
+    assert lapack.dpbtrf(upper)[1] > 0
+
+    rhs = np.random.default_rng(3).standard_normal(len(idx))
+    x = system.solve(system.factor(band), rhs)
+    expected = np.linalg.solve(dense, rhs)
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_singular_band_factor_is_step_failure():
+    """An exactly singular system fails the step, so the caller retries
+    with a smaller dt."""
+    system = _NewtonSystem(build_grid("tensor2d", 1.0, 8), None, 3.0)
+    with pytest.raises(_StepFailure, match="linear solve failed"):
+        system.factor(np.zeros(system.band_shape, order="F"))
 
 
 def _tensor_p3_problem():
