@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,6 +183,15 @@ def parse_config(text, command_override=None):
     with an in-file command when both are given.
     """
     sections = {name: dict() for name in _SCHEMA}
+    try:
+        return _parse_sections(text, sections, command_override)
+    except ConfigError as exc:
+        # lets main report the error into the output directory it names
+        exc.output_dir = sections[""].get("output_dir")
+        raise
+
+
+def _parse_sections(text, sections, command_override):
     current = ""
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -257,12 +265,6 @@ def _fmt_value(value):
 def resolved_config_text(cfg):
     """Canonical echo of the fully-resolved config (deterministic order)."""
     lines = [f"command = {cfg.command}", f"output_dir = {cfg.output_dir}"]
-    top = cfg.sections[""]
-    for key in sorted(top):
-        # jobs is invocation detail, not experiment identity
-        if key in ("command", "output_dir", "jobs") or top[key] is None:
-            continue
-        lines.append(f"{key} = {_fmt_value(top[key])}")
     for name in sorted(s for s in cfg.sections if s):
         body = {k: v for k, v in cfg.sections[name].items() if v is not None}
         if not body:
@@ -279,8 +281,7 @@ def _config_payload(cfg):
         "command": cfg.command,
         "output_dir": cfg.output_dir,
         "sections": {
-            name: {k: v for k, v in body.items()
-                   if v is not None and k != "jobs"}
+            name: {k: v for k, v in body.items() if v is not None}
             for name, body in cfg.sections.items()
         },
     }
@@ -532,10 +533,8 @@ def _cmd_solve(cfg, out):
         return EXIT_OK
 
     param = sweep["parameter"]
-    values = list(sweep["values"])
-    jobs = cfg.sections[""].get("jobs", 1)
-
-    def task(value):
+    runs = []
+    for value in sweep["values"]:
         sub = _with_problem_value(cfg, param, value)
         sub_grid = _build_grid(sub)
         sub_weight = _build_weight(sub)
@@ -543,12 +542,8 @@ def _cmd_solve(cfg, out):
         if param in ("p", "resolution", "extent", "mode", "n", "theta_w") and pair is not None:
             pair = _solve_eigen(sub, sub_grid, sub_weight)
             ref = pair.eigenvalue
-        return _run_one(sub, sub_grid, sub_weight, None, pair, ref,
-                        out / "runs" / f"{param}_{value:.8g}")
-
-    outcomes = _parallel_map(task, values, jobs)
-    runs = []
-    for value, oc in zip(values, outcomes):
+        oc = _run_one(sub, sub_grid, sub_weight, None, pair, ref,
+                      out / "runs" / f"{param}_{value:.8g}")
         runs.append({param: value, "kind": oc.kind,
                      "g0": oc.trajectory.weighted_mass[0],
                      "final_sup": oc.trajectory.sup_abs_u[-1],
@@ -566,13 +561,6 @@ def _with_problem_value(cfg, key, value):
     return ExperimentConfig(cfg.command, cfg.output_dir, sections)
 
 
-def _parallel_map(fn, values, jobs):
-    if jobs <= 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, values))
-
-
 def _cmd_blowup_scan(cfg, out):
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
@@ -586,22 +574,15 @@ def _cmd_blowup_scan(cfg, out):
     rel_tol = scan["rel_tol"]
     if not rel_tol > 0.0:
         raise ConfigError("scan rel_tol must be positive")
-    jobs = cfg.sections[""].get("jobs", 1)
 
     eigenpair = _solve_eigen(cfg, grid, weight)
     lam1 = eigenpair.eigenvalue
 
-    results = {}
-
     def probe(a):
-        oc = _run_one(cfg, grid, weight, a, eigenpair, lam1,
-                      out / "runs" / f"A_{a:.8g}")
-        return oc
+        return _run_one(cfg, grid, weight, a, eigenpair, lam1,
+                        out / "runs" / f"A_{a:.8g}")
 
-    probe_values = sorted(set(values))
-    outcomes = _parallel_map(probe, probe_values, jobs)
-    for a, oc in zip(probe_values, outcomes):
-        results[a] = oc
+    results = {a: probe(a) for a in sorted(set(values))}
 
     undecided_mid = None
     while True:
@@ -675,10 +656,8 @@ def _cmd_verify_exact(cfg, out):
         diag.VARIANT_VERBATIM: diag.barenblatt_exact,
         diag.VARIANT_CORRECTED: diag.barenblatt_corrected,
     }
-    jobs = cfg.sections[""].get("jobs", 1)
 
-    def residual_for(args):
-        res, name = args
+    def residual_for(res, name):
         fn = variants[name]
         grid = build_grid(prob["mode"], prob["extent"], res, n=prob["n"])
         exps = _exponents(cfg, grid)
@@ -688,17 +667,13 @@ def _cmd_verify_exact(cfg, out):
             initial=initial, t_end=prob["t_end"], dt0=prob["dt0"],
             controls=_build_controls(cfg),
         )
-        value = diag.residual_check(
+        return diag.residual_check(
             lambda g, t: fn(g.radius(), t, exps), spec, sample_times,
             front_margin=ver["front_margin"], dt_rel=ver["dt_rel"],
         )
-        return value
 
-    tasks = [(res, name) for name in sorted(variants) for res in resolutions]
-    values = _parallel_map(residual_for, tasks, jobs)
-    table = {name: [] for name in variants}
-    for (res, name), value in zip(tasks, values):
-        table[name].append((res, value))
+    table = {name: [(res, residual_for(res, name)) for res in resolutions]
+             for name in sorted(variants)}
 
     with open(out / "residuals.csv", "w") as fh:
         for line in _csv_header(cfg):
@@ -834,7 +809,8 @@ def main(argv=None):
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to config file")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent runs")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="must be 1: runs are sequential")
     parser.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
 
@@ -850,13 +826,12 @@ def main(argv=None):
         if args.out is not None:
             cfg.output_dir = args.out
         effective_out = cfg.output_dir
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
-        cfg.sections[""]["jobs"] = args.jobs
+        if args.jobs != 1:
+            raise ConfigError(f"--jobs must be 1 (runs are sequential), got {args.jobs}")
         return run_command(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        _try_error_report(effective_out, "config", exc)
+        _try_error_report(effective_out or getattr(exc, "output_dir", None), "config", exc)
         return EXIT_CONFIG
     except DegenflowError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -2,25 +2,36 @@
 
 The operator is defined as the exact negative gradient of a discrete
 energy, taken in the inner product weighted by the finite-volume node
-measures.  In 1d modes the energy is the midpoint-rule value of
-(1/p) * integral of omega * |u'|**p, with the flux omega*|u'|**(p-2)*u'
-living on half-nodes.  On tensor grids each face carries the full face
-gradient magnitude: the normal difference plus the tangential derivative
-averaged from the two neighboring centered differences.  The energy is the
-symmetrized face form
+measures.  One formulation serves every grid mode.  Each face F carries a
+coefficient cw_F = c_F * omega_F (quadrature weight times face weight
+value) and a face gradient G_F = (M_1 u, ..., M_k u)_F given by sparse face
+matrices M_k, built once per (grid, weight) by face_operator:
 
-    (1/(2p)) * sum over faces of c_F * omega_F * |G_F|**p,
+* interval and radial grids: k = 1, M_1 = A the normal difference on the
+  half-nodes, so the energy is the midpoint-rule value of
+  (1/p) * integral of omega * |u'|**p;
+* tensor grids: k = 2, A the normal difference and B the tangential
+  derivative averaged from the two neighboring centered differences.  The
+  faces of both axes are stacked and cw carries a factor 1/2, which makes
+  the energy the symmetrized face form.
+
+With s = sum_k (M_k u)**2 + eps**2 the energy is
+
+    (1/p) * sum over faces of cw_F * s_F**(p/2),
 
 which is convex for p >= 2, so implicit steps inherit the energy-decay
-inequality.  apply_plaplacian is the analytic gradient of exactly this
-energy; no separately discretized divergence is involved.
+inequality.  Its gradient is sum_k M_k^T (cw * s**((p-2)/2) * M_k u) and
+apply_plaplacian is exactly that gradient divided by the node measures; no
+separately discretized divergence is involved.  The p = 2 Hessian is
+sum_k M_k^T diag(cw) M_k.
 
-An optional regularization eps_reg replaces |G| by sqrt(|G|**2 + eps**2).
+The regularization eps_reg replaces |G| by sqrt(|G|**2 + eps**2).
 The default is 0 and every solver output reports the value used.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,93 +132,107 @@ def _check_p(p):
         raise ConfigError(f"diffusion exponent p must be at least 2, got {p}")
 
 
-def _face_weights_1d(grid, weight):
-    """Face quadrature weights c_f and face weight values."""
-    x = grid.axes[0]
-    h = grid.h[0]
-    mid = 0.5 * (x[:-1] + x[1:])
-    if weight is None:
-        wf = np.ones(mid.shape)
-    else:
-        wf = eval_radial(weight, np.abs(mid))
-    if grid.mode == MODE_RADIAL:
-        c = surface_area(grid.dim) * mid ** (grid.dim - 1) * h
-    else:
-        c = np.full(mid.shape, h)
-    return c, wf
+def _difference(m, h):
+    """(m - 1) x m forward difference (v[i + 1] - v[i]) / h."""
+    inv = np.full(m - 1, 1.0 / h)
+    return sp.diags_array([-inv, inv], offsets=[0, 1], shape=(m - 1, m))
 
 
-def _tensor_face_data(grid, weight, axis):
-    """Per-face quadrature weight and weight value along one axis."""
-    x, y = grid.axes
-    hx, hy = grid.h
-    twx = np.full(len(x), hx)
-    twx[0] = twx[-1] = hx / 2.0
-    twy = np.full(len(y), hy)
-    twy[0] = twy[-1] = hy / 2.0
-    if axis == 0:
+def _average(m):
+    """(m - 1) x m mean of neighboring values."""
+    half = np.full(m - 1, 0.5)
+    return sp.diags_array([half, half], offsets=[0, 1], shape=(m - 1, m))
+
+
+def _centered(m, h):
+    """m x m nodal derivative, the stencil of np.gradient(edge_order=1):
+    centered inside, one-sided at both ends."""
+    lower = np.full(m - 1, -0.5 / h)
+    upper = np.full(m - 1, 0.5 / h)
+    lower[-1] = -1.0 / h
+    upper[0] = 1.0 / h
+    main = np.zeros(m)
+    main[0], main[-1] = -1.0 / h, 1.0 / h
+    return sp.diags_array([lower, main, upper], offsets=[-1, 0, 1])
+
+
+@dataclass(frozen=True, eq=False)
+class FaceOperator:
+    """Face coefficients and face matrices of one (grid, weight).
+
+    cw holds c_F * omega_F per face (times 1/2 on tensor grids),
+    components the CSR face matrices with the normal difference A first,
+    and transposes their transposes, stored so that no call transposes.
+    Faces are ordered axis by axis, each axis raveled in C order; columns
+    are the raveled nodes.
+    """
+
+    cw: np.ndarray
+    components: tuple
+    transposes: tuple
+
+
+@functools.lru_cache(maxsize=8)
+def face_operator(grid, weight):
+    """The FaceOperator of (grid, weight), built once and then reused.
+
+    Grid and WeightSpec compare by identity and are frozen, so the cache
+    key is the pair of objects; the cache keeps at most eight of them.
+    """
+    if grid.mode != MODE_TENSOR2D:
+        x = grid.axes[0]
+        h = grid.h[0]
+        mid = 0.5 * (x[:-1] + x[1:])
+        if grid.mode == MODE_RADIAL:
+            c = surface_area(grid.dim) * mid ** (grid.dim - 1) * h
+        else:
+            c = np.full(mid.shape, h)
+        rad = np.abs(mid)
+        components = [_difference(len(x), h)]
+    else:
+        x, y = grid.axes
+        hx, hy = grid.h
+        eye_x, eye_y = sp.eye_array(len(x)), sp.eye_array(len(y))
+        # normal spacing times the trapezoid weight of the tangential node
+        twx = np.full(len(x), hx)
+        twx[0] = twx[-1] = hx / 2.0
+        twy = np.full(len(y), hy)
+        twy[0] = twy[-1] = hy / 2.0
+        c = 0.5 * np.concatenate([np.tile(hx * twy, len(x) - 1),
+                                  np.repeat(hy * twx, len(y) - 1)])
         fx = 0.5 * (x[:-1] + x[1:])
-        c = hx * twy[None, :] * np.ones((len(fx), 1))
-        rad = np.hypot(fx[:, None], y[None, :])
-    else:
         fy = 0.5 * (y[:-1] + y[1:])
-        c = hy * twx[:, None] * np.ones((1, len(fy)))
-        rad = np.hypot(x[:, None], fy[None, :])
-    wf = np.ones(rad.shape) if weight is None else eval_radial(weight, rad)
-    return c, wf
+        rad = np.concatenate([
+            np.hypot(fx[:, None], y[None, :]).ravel(),
+            np.hypot(x[:, None], fy[None, :]).ravel(),
+        ])
+        components = [
+            sp.vstack([sp.kron(_difference(len(x), hx), eye_y),
+                       sp.kron(eye_x, _difference(len(y), hy))]),
+            sp.vstack([sp.kron(_average(len(x)), _centered(len(y), hy)),
+                       sp.kron(_centered(len(x), hx), _average(len(y)))]),
+        ]
+    cw = c if weight is None else c * eval_radial(weight, rad)
+    components = tuple(sp.csr_array(m) for m in components)
+    transposes = tuple(m.T.tocsr() for m in components)
+    # every caller of the cache gets these same arrays
+    for values in (cw, *(m.data for m in components + transposes)):
+        values.flags.writeable = False
+    return FaceOperator(cw, components, transposes)
 
 
-def _nodal_deriv(v, h, axis):
-    return np.gradient(v, h, axis=axis, edge_order=1)
-
-
-def _nodal_deriv_adjoint(w, h, axis):
-    """Adjoint (plain transpose) of _nodal_deriv as a linear map."""
-    w = np.moveaxis(w, axis, -1)
-    out = np.zeros_like(w)
-    inv2 = 1.0 / (2.0 * h)
-    inv = 1.0 / h
-    out[..., 2:] += w[..., 1:-1] * inv2
-    out[..., :-2] -= w[..., 1:-1] * inv2
-    out[..., 0] -= w[..., 0] * inv
-    out[..., 1] += w[..., 0] * inv
-    out[..., -1] += w[..., -1] * inv
-    out[..., -2] -= w[..., -1] * inv
-    return np.moveaxis(out, -1, axis)
-
-
-def _tensor_face_fields(v, grid, axis):
-    """Normal difference a and averaged tangential derivative b on faces."""
-    hx, hy = grid.h
-    if axis == 0:
-        a = (v[1:, :] - v[:-1, :]) / hx
-        dy = _nodal_deriv(v, hy, axis=1)
-        b = 0.5 * (dy[:-1, :] + dy[1:, :])
-    else:
-        a = (v[:, 1:] - v[:, :-1]) / hy
-        dx = _nodal_deriv(v, hx, axis=0)
-        b = 0.5 * (dx[:, :-1] + dx[:, 1:])
-    return a, b
+def _face_gradient(op, v, eps_reg):
+    """Face gradient components M_k v and s = sum_k (M_k v)**2 + eps**2."""
+    g = [m @ v for m in op.components]
+    return g, sum(gk * gk for gk in g) + eps_reg * eps_reg
 
 
 def energy(u, weight, p, eps_reg=0.0):
     """Discrete diffusion energy (1/p) * integral of omega * |grad u|**p."""
     _check_p(p)
-    grid = u.grid
-    v = u.values
-    e2 = eps_reg * eps_reg
-    if grid.mode != MODE_TENSOR2D:
-        c, wf = _face_weights_1d(grid, weight)
-        g = np.diff(v) / grid.h[0]
-        s = g * g + e2
-        return float(np.sum(c * wf * s ** (p / 2.0)) / p)
-    total = 0.0
-    for axis in range(2):
-        c, wf = _tensor_face_data(grid, weight, axis)
-        a, b = _tensor_face_fields(v, grid, axis)
-        s = a * a + b * b + e2
-        total += np.sum(c * wf * s ** (p / 2.0))
-    return float(total / (2.0 * p))
+    op = face_operator(u.grid, weight)
+    _, s = _face_gradient(op, u.values.ravel(), eps_reg)
+    return float(np.sum(op.cw * s ** (p / 2.0)) / p)
 
 
 def _s_pow(s, expo):
@@ -220,54 +245,17 @@ def _s_pow(s, expo):
     return out
 
 
-def _energy_gradient(v, grid, weight, p, eps_reg):
-    """Analytic gradient of energy() with respect to the nodal values."""
-    e2 = eps_reg * eps_reg
-    if grid.mode != MODE_TENSOR2D:
-        h = grid.h[0]
-        c, wf = _face_weights_1d(grid, weight)
-        g = np.diff(v) / h
-        s = g * g + e2
-        flux = c * wf * _s_pow(s, (p - 2.0) / 2.0) * g
-        grad = np.zeros_like(v)
-        grad[1:] += flux / h
-        grad[:-1] -= flux / h
-        return grad
-
-    hx, hy = grid.h
-    grad = np.zeros_like(v)
-    for axis, h_n, h_t in ((0, hx, hy), (1, hy, hx)):
-        c, wf = _tensor_face_data(grid, weight, axis)
-        a, b = _tensor_face_fields(v, grid, axis)
-        s = a * a + b * b + e2
-        coef = 0.5 * c * wf * _s_pow(s, (p - 2.0) / 2.0)
-        ga = coef * a
-        gb = coef * b
-        if axis == 0:
-            grad[1:, :] += ga / h_n
-            grad[:-1, :] -= ga / h_n
-            spread = np.zeros_like(v)
-            spread[:-1, :] += 0.5 * gb
-            spread[1:, :] += 0.5 * gb
-            grad += _nodal_deriv_adjoint(spread, h_t, axis=1)
-        else:
-            grad[:, 1:] += ga / h_n
-            grad[:, :-1] -= ga / h_n
-            spread = np.zeros_like(v)
-            spread[:, :-1] += 0.5 * gb
-            spread[:, 1:] += 0.5 * gb
-            grad += _nodal_deriv_adjoint(spread, h_t, axis=0)
-    return grad
-
-
 def apply_plaplacian(u, weight, p, eps_reg=0.0):
     """div(omega * |grad u|**(p-2) * grad u) at the nodes, zero on Dirichlet
     nodes.  Equals minus the energy gradient in the cell-volume inner
     product, exactly at the discrete level."""
     _check_p(p)
     grid = u.grid
-    grad = _energy_gradient(u.values, grid, weight, p, eps_reg)
-    out = -grad / cell_volumes(grid)
+    op = face_operator(grid, weight)
+    g, s = _face_gradient(op, u.values.ravel(), eps_reg)
+    flux = op.cw * _s_pow(s, (p - 2.0) / 2.0)
+    grad = sum(mt @ (flux * gk) for mt, gk in zip(op.transposes, g))
+    out = -grad.reshape(grid.shape) / cell_volumes(grid)
     out[grid.boundary_mask] = 0.0
     return Field(grid, out)
 
@@ -278,142 +266,63 @@ def variational_dot(grid, a, b):
     return float(np.sum(cell_volumes(grid) * a * b))
 
 
-def _face_difference_matrix(m, h):
-    return sp.diags_array([-np.full(m - 1, 1.0 / h), np.full(m - 1, 1.0 / h)],
-                          offsets=[0, 1], shape=(m - 1, m)).tocsr()
-
-
-def _face_average_matrix(m):
-    return sp.diags_array([np.full(m - 1, 0.5), np.full(m - 1, 0.5)],
-                          offsets=[0, 1], shape=(m - 1, m)).tocsr()
-
-
-def _nodal_derivative_matrix(m, h):
-    d = sp.lil_array((m, m))
-    inv2 = 1.0 / (2.0 * h)
-    for j in range(1, m - 1):
-        d[j, j - 1] = -inv2
-        d[j, j + 1] = inv2
-    d[0, 0] = -1.0 / h
-    d[0, 1] = 1.0 / h
-    d[m - 1, m - 2] = -1.0 / h
-    d[m - 1, m - 1] = 1.0 / h
-    return d.tocsr()
-
-
 def energy_hessian_matrix(grid, weight):
-    """Exact Hessian of the p=2 energy as a sparse matrix over all nodes.
+    """Exact Hessian of the p=2 energy, sum_k M_k^T diag(cw) M_k, as a
+    sparse matrix over all nodes.
 
     This is the stiffness matrix of the weighted linear diffusion; it serves
     as the p=2 operator matrix, the Newton Jacobian at p=2, and the
     preconditioner for the eigensolver.
     """
-    if grid.mode != MODE_TENSOR2D:
-        m = grid.shape[0]
-        c, wf = _face_weights_1d(grid, weight)
-        d = _face_difference_matrix(m, grid.h[0])
-        return (d.T @ sp.diags_array(c * wf) @ d).tocsr()
-
-    nx, ny = grid.shape
-    hx, hy = grid.h
-    k = sp.csr_array((grid.n_nodes, grid.n_nodes))
-    for axis in range(2):
-        c, wf = _tensor_face_data(grid, weight, axis)
-        cw = sp.diags_array((c * wf).ravel())
-        if axis == 0:
-            a_mat = sp.kron(_face_difference_matrix(nx, hx), sp.eye_array(ny))
-            b_mat = sp.kron(_face_average_matrix(nx), sp.eye_array(ny)) @ sp.kron(
-                sp.eye_array(nx), _nodal_derivative_matrix(ny, hy)
-            )
-        else:
-            a_mat = sp.kron(sp.eye_array(nx), _face_difference_matrix(ny, hy))
-            b_mat = sp.kron(sp.eye_array(nx), _face_average_matrix(ny)) @ sp.kron(
-                _nodal_derivative_matrix(nx, hx), sp.eye_array(ny)
-            )
-        k = k + 0.5 * (a_mat.T @ cw @ a_mat) + 0.5 * (b_mat.T @ cw @ b_mat)
-    return k.tocsr()
+    op = face_operator(grid, weight)
+    cw = sp.diags_array(op.cw)
+    return sum(mt @ cw @ m for m, mt in zip(op.components, op.transposes)).tocsr()
 
 
-def face_coefficients(grid, weight):
-    """Face quadrature weight times face weight value, c_F * omega_F.
-
-    One array per axis, in the face order of face_difference_matrix.  The
-    values depend only on (grid, weight), so a caller that linearizes
-    repeatedly computes them once.
-    """
-    if grid.mode != MODE_TENSOR2D:
-        c, wf = _face_weights_1d(grid, weight)
-        return [c * wf]
-    return [c * wf for c, wf in (_tensor_face_data(grid, weight, axis) for axis in range(2))]
-
-
-def face_difference_matrix(grid):
-    """Sparse map A from nodal values to normal differences on every face.
-
-    Rows are the faces of all axes in turn, each axis raveled in C order;
-    columns are the nodes.
-    """
-    if grid.mode != MODE_TENSOR2D:
-        return _face_difference_matrix(grid.shape[0], grid.h[0])
-    nx, ny = grid.shape
-    hx, hy = grid.h
-    return sp.vstack([
-        sp.kron(_face_difference_matrix(nx, hx), sp.eye_array(ny)),
-        sp.kron(sp.eye_array(nx), _face_difference_matrix(ny, hy)),
-    ]).tocsr()
-
-
-def face_conductance(u, face_coef, p, linearization="newton", eps_reg=0.0):
+def face_conductance(u, weight, p, linearization="newton", eps_reg=0.0):
     """Face conductances kappa of the flux-linearized Jacobian.
 
-    The linearized stiffness is K = A^T diag(kappa) A with A from
-    face_difference_matrix, and diffusion_jacobian is -K divided by the
-    cell volumes.  face_coef is face_coefficients(grid, weight).  "newton"
-    takes the slope of the flux in the normal difference, with the
-    tangential part of the face gradient frozen on tensor grids; "picard"
-    takes the lagged coefficient |G|**(p-2).
+    The linearized stiffness is K = A^T diag(kappa) A with A the normal
+    difference, the first component of face_operator(grid, weight), and
+    diffusion_jacobian is -K divided by the cell volumes.  With
+    s = |G|**2 + eps**2, "newton" takes the slope of the flux in the normal
+    difference, kappa = cw * s**((p-4)/2) * ((p-2) (A u)**2 + s); on tensor
+    grids the tangential part of G is held fixed.  "picard" takes the
+    lagged coefficient, kappa = cw * s**((p-2)/2).
     """
-    grid = u.grid
-    v = u.values
-    e2 = eps_reg * eps_reg
-    if grid.mode != MODE_TENSOR2D:
-        fields, half = [(np.diff(v) / grid.h[0], 0.0)], 1.0
-    else:
-        fields, half = [_tensor_face_fields(v, grid, axis) for axis in range(2)], 0.5
-    kappa = []
-    for cw, (a, b) in zip(face_coef, fields):
-        s = a * a + b * b + e2
-        if linearization == "newton":
-            slope = _s_pow(s, (p - 4.0) / 2.0) * ((p - 1.0) * a * a + b * b + e2)
-        else:
-            slope = _s_pow(s, (p - 2.0) / 2.0)
-        kappa.append((half * cw * slope).ravel())
-    return np.concatenate(kappa)
+    op = face_operator(u.grid, weight)
+    g, s = _face_gradient(op, u.values.ravel(), eps_reg)
+    if linearization == "newton":
+        return op.cw * _s_pow(s, (p - 4.0) / 2.0) * ((p - 2.0) * g[0] * g[0] + s)
+    return op.cw * _s_pow(s, (p - 2.0) / 2.0)
 
 
 def diffusion_jacobian(u, weight, p, linearization="newton", eps_reg=0.0):
     """Sparse approximation of d(apply_plaplacian)/du over all nodes.
 
-    Exact in 1d modes (and everywhere at p = 2).  On tensor grids for p > 2
-    the tangential part of the face gradient is frozen, which keeps the
-    matrix at the compact stencil; the damped Newton loop tolerates the
-    mismatch and falls back to Picard when it does not.
+    Exact at p = 2, where it is minus the energy Hessian over the cell
+    volumes, and exact for every p on interval and radial grids, whose face
+    gradient is the normal difference alone.  For p > 2 it is
+    -A^T diag(kappa) A / cell volumes with kappa from face_conductance.  On
+    tensor grids that holds the tangential component B u fixed, which keeps
+    the matrix at the compact stencil of A; the damped Newton loop tolerates
+    the mismatch and falls back to Picard when it does not.
 
-    linearization "picard" drops the (p-1) flux-slope factor and uses the
+    linearization "picard" drops the flux-slope factor and uses the
     lagged-coefficient matrix omega * |G|**(p-2) instead.
 
-    This is the reference form, -K / cell volumes with K assembled here as a
-    sparse product.  The time stepper solves the same linearization in the
-    symmetric form V + dt K on the interior nodes, assembled once per run
-    from face_conductance, and never calls this function.
+    This is the reference form.  The time stepper solves the same
+    linearization in the symmetric form V + dt K on the interior nodes,
+    assembled once per run from face_conductance, and never calls this
+    function.
     """
     _check_p(p)
     grid = u.grid
     if p == 2.0:
         k = energy_hessian_matrix(grid, weight)
     else:
-        a = face_difference_matrix(grid)
-        kappa = face_conductance(u, face_coefficients(grid, weight), p, linearization, eps_reg)
-        k = a.T @ sp.diags_array(kappa) @ a
+        op = face_operator(grid, weight)
+        kappa = face_conductance(u, weight, p, linearization, eps_reg)
+        k = op.transposes[0] @ sp.diags_array(kappa) @ op.components[0]
     inv_vol = sp.diags_array(1.0 / cell_volumes(grid).ravel())
     return (-(inv_vol @ k)).tocsr()

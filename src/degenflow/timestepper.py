@@ -40,9 +40,8 @@ from .plap_operator import (
     apply_plaplacian,
     energy,
     energy_hessian_matrix,
-    face_coefficients,
     face_conductance,
-    face_difference_matrix,
+    face_operator,
     reaction_derivative,
     reaction_eval,
 )
@@ -208,6 +207,7 @@ class _NewtonSystem:
     """
 
     def __init__(self, grid, weight, p):
+        self.weight = weight
         self.p = p
         self.idx = np.flatnonzero(~grid.boundary_mask.ravel())
         self.vol = cell_volumes(grid).ravel()[self.idx]
@@ -217,8 +217,7 @@ class _NewtonSystem:
             k_int = energy_hessian_matrix(grid, weight).tocsr()[self.idx][:, self.idx]
             self.k_data, row, col = _entries(k_int)
         else:
-            self.face_coef = face_coefficients(grid, weight)
-            a_int = face_difference_matrix(grid).tocsc()[:, self.idx]
+            a_int = face_operator(grid, weight).components[0].tocsc()[:, self.idx]
             _, row, col = _entries(abs(a_int).T @ abs(a_int))
             # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
@@ -232,7 +231,7 @@ class _NewtonSystem:
         if self.p == 2.0:
             data = dt * self.k_data
         else:
-            kappa = face_conductance(v, self.face_coef, self.p, linearization, eps_reg)
+            kappa = face_conductance(v, self.weight, self.p, linearization, eps_reg)
             data = dt * (self.conductance_map @ kappa)
         band = np.zeros(self.band_shape[0] * self.band_shape[1])
         band[self.band_pos] = data

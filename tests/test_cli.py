@@ -124,10 +124,26 @@ class TestMain:
         assert main(["solve", "--config", "/definitely/not/here.cfg"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_config_error_exit(self, tmp_path, capsys):
+    def test_config_error_exit(self, tmp_path, monkeypatch):
+        """A config error found while parsing is reported in the output_dir
+        the config names, with no --out given."""
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "bad.cfg"
         path.write_text("command = solve\noutput_dir = o\n[problem]\np = 0.5\n")
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert "p must be" in error["message"]
+
+    def test_jobs_other_than_one_is_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "s.cfg"
+        path.write_text(SOLVE_CFG.format(out="jout"))
+        assert main(["solve", "--config", str(path), "--jobs", "2"]) == EXIT_CONFIG
+        error = json.loads((tmp_path / "jout" / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert "--jobs" in error["message"]
+        assert sorted(os.listdir(tmp_path / "jout")) == ["error.json"]
 
     def test_out_flag_overrides(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -204,7 +220,7 @@ class TestMain:
         text = SOLVE_CFG.format(out="sw") + "\n[sweep]\nparameter = amplitude\nvalues = 0.5, 1.5\n"
         path = tmp_path / "sw.cfg"
         path.write_text(text)
-        assert main(["solve", "--config", str(path), "--jobs", "2"]) == EXIT_OK
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
         summary = json.loads((tmp_path / "sw" / "summary.json").read_text())
         assert len(summary["runs"]) == 2
         assert (tmp_path / "sw" / "runs" / "amplitude_0.5" / "outcome.json").exists()

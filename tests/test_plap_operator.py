@@ -150,24 +150,145 @@ def test_hessian_matrix_symmetric_psd():
     assert eigs.min() > -1e-10
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_newton_jacobian_matches_fd_1d(p):
-    """Interval-mode Jacobian is the exact derivative of the operator."""
-    g = build_grid("interval", 1.0, 20)
+@pytest.mark.parametrize("mode,p", [
+    pytest.param("interval", 2.0, id="2.0"),
+    pytest.param("interval", 3.0, id="3.0"),
+    pytest.param("radial", 2.0, id="radial-2.0"),
+    pytest.param("radial", 3.0, id="radial-3.0"),
+    pytest.param("tensor2d", 2.0, id="tensor2d-2.0"),
+])
+def test_newton_jacobian_matches_fd_1d(mode, p):
+    """The Newton Jacobian is the exact derivative of the weighted operator
+    in the 1d modes at every p, and on tensor grids at p = 2.  (Tensor grids
+    at p > 2 hold the tangential gradient fixed and are not exact.)"""
+    g = dict(GRIDS)[mode]
+    w = WeightSpec.power(1.0)
     u = _random_interior_field(g, 77)
-    jac = diffusion_jacobian(u, None, p).toarray()
+    jac = diffusion_jacobian(u, w, p).toarray()
     eps = 1e-7
     interior = np.flatnonzero(g.interior_mask.ravel())
     rng = np.random.default_rng(0)
     for _ in range(5):
         d = rng.standard_normal(g.n_nodes)
         d[g.boundary_mask.ravel()] = 0.0
-        plus = apply_plaplacian(Field(g, (u.values.ravel() + eps * d).reshape(g.shape)), None, p)
-        minus = apply_plaplacian(Field(g, (u.values.ravel() - eps * d).reshape(g.shape)), None, p)
+        plus = apply_plaplacian(Field(g, (u.values.ravel() + eps * d).reshape(g.shape)), w, p)
+        minus = apply_plaplacian(Field(g, (u.values.ravel() - eps * d).reshape(g.shape)), w, p)
         fd = (plus.values.ravel() - minus.values.ravel()) / (2.0 * eps)
         jd = jac @ d
         err = np.max(np.abs(fd[interior] - jd[interior]))
         assert err < 2e-5 * max(1.0, np.max(np.abs(jd[interior])))
+
+
+# Reductions of the operator recorded from an independent implementation
+# (separate 1d and tensor code with hand-written adjoints): for every mode the
+# p = 2 Hessian (Frobenius norm, r . K q), and for every (p, eps_reg) the
+# energy, apply_plaplacian (norm, . r) and the newton and picard Jacobians
+# (Frobenius norm, r . J q each).  Power weight |x|, seeded field and probes.
+PINNED = {
+    ('interval', 'hessian'): (164.5007598766644, 60.40148723495232),
+    ('interval', 2.0, 0.0): (
+        250.0780933915804,
+        3743.7547858938424, 924.5284339887647,
+        4182.856440280972, -1683.233004039766,
+        4182.856440280972, -1683.233004039766,
+    ),
+    ('interval', 2.0, 0.001): (
+        250.07809364158038,
+        3743.7547858938424, 924.5284339887647,
+        4182.856440280972, -1683.233004039766,
+        4182.856440280972, -1683.233004039766,
+    ),
+    ('interval', 3.0, 0.0): (
+        7578.31271061532,
+        172136.5721965534, 89265.5158894988,
+        239599.74665675225, -299096.602067519,
+        119799.87332837612, -149548.3010337595,
+    ),
+    ('interval', 3.0, 0.001): (
+        7578.312717247799,
+        172136.5722411661, 89265.51587926532,
+        239599.74665675225, -299096.602067519,
+        119799.87341555845, -149548.3009529604,
+    ),
+    ('radial', 'hessian'): (794.8986868925126, 350.5696455200378),
+    ('radial', 2.0, 0.0): (
+        1032.7551799089806,
+        3747.7501520026603, 905.0521037384262,
+        4184.066684608491, -1652.8307003119064,
+        4184.066684608491, -1652.8307003119064,
+    ),
+    ('radial', 2.0, 0.001): (
+        1032.7551809557235,
+        3747.7501520026603, 905.0521037384262,
+        4184.066684608491, -1652.8307003119064,
+        4184.066684608491, -1652.8307003119064,
+    ),
+    ('radial', 3.0, 0.0): (
+        31485.52743047594,
+        172330.63689390253, 90361.67434669087,
+        239873.44689507468, -296604.3507390212,
+        119936.72344753733, -148302.1753695106,
+    ),
+    ('radial', 3.0, 0.001): (
+        31485.52745783875,
+        172330.6369385482, 90361.67433509575,
+        239873.44689507468, -296604.35073902115,
+        119936.72353463345, -148302.17528734717,
+    ),
+    ('tensor2d', 'hessian'): (19.21770404735028, 16.001315217121245),
+    ('tensor2d', 2.0, 0.0): (
+        71.43360558198053,
+        1892.8109984421292, -1268.1416387308773,
+        2388.5684985329776, -1305.605520772365,
+        2388.5684985329776, -1305.605520772365,
+    ),
+    ('tensor2d', 2.0, 0.001): (
+        71.43360596476505,
+        1892.8109984421292, -1268.1416387308773,
+        2388.5684985329776, -1305.605520772365,
+        2388.5684985329776, -1305.605520772365,
+    ),
+    ('tensor2d', 3.0, 0.0): (
+        1088.8736911543767,
+        49096.73363618426, -19853.716835378615,
+        49171.00248490461, -30901.225521176595,
+        26326.81696605721, -17447.033332233077,
+    ),
+    ('tensor2d', 3.0, 0.001): (
+        1088.8736953594362,
+        49096.73367854377, -19853.71688513178,
+        49171.002567712574, -30901.22543423133,
+        26326.817129122486, -17447.033257497456,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode,grid", GRIDS, ids=[m for m, _ in GRIDS])
+def test_operator_matches_pinned_values(mode, grid):
+    w = WeightSpec.power(1.0)
+    rng = np.random.default_rng(7)
+    r, q = rng.standard_normal(grid.n_nodes), rng.standard_normal(grid.n_nodes)
+
+    def reduce_matrix(m):
+        return [np.linalg.norm(m.toarray()), r @ (m @ q)]
+
+    np.testing.assert_allclose(
+        reduce_matrix(energy_hessian_matrix(grid, w)), PINNED[(mode, "hessian")],
+        rtol=1e-13, atol=0.0,
+    )
+    vals = np.random.default_rng(2024).standard_normal(grid.shape)
+    vals[grid.boundary_mask] = 0.0
+    u = Field(grid, vals)
+    for p in (2.0, 3.0):
+        for eps_reg in (0.0, 1e-3):
+            lap = apply_plaplacian(u, w, p, eps_reg).values.ravel()
+            got = [energy(u, w, p, eps_reg), np.linalg.norm(lap), lap @ r]
+            for linearization in ("newton", "picard"):
+                got += reduce_matrix(diffusion_jacobian(u, w, p, linearization, eps_reg))
+            np.testing.assert_allclose(
+                got, PINNED[(mode, p, eps_reg)], rtol=1e-13, atol=0.0,
+                err_msg=f"p={p} eps_reg={eps_reg}",
+            )
 
 
 def test_picard_jacobian_is_negative_semidefinite():
