@@ -71,26 +71,31 @@ class EigenPair:
         )
 
 
-def _p_mass(grid, wvals, values, p):
-    # cell-volume measure: keeps the quotient variationally paired with
-    # apply_plaplacian, so minimizers solve the nodewise eigenequation
-    return float(np.sum(cell_volumes(grid) * wvals * np.abs(values) ** p))
+def _p_mass(measure, values, p):
+    # measure is cell volume times weight: the cell-volume measure keeps the
+    # quotient variationally paired with apply_plaplacian, so minimizers
+    # solve the nodewise eigenequation
+    return float(np.sum(measure * np.abs(values) ** p))
 
 
-def rayleigh_quotient(u, weight, p, eps_reg=0.0):
-    """R(u) = p * energy(u) / integral(omega |u|^p).  Raises on zero field."""
-    wvals = weight_on_grid(weight, u.grid)
-    denom = _p_mass(u.grid, wvals, u.values, p)
+def _quotient(u, weight, p, eps_reg, measure):
+    denom = _p_mass(measure, u.values, p)
     if denom <= 0.0:
         raise ConfigError("Rayleigh quotient of a field with zero weighted p-norm")
     return float(p * energy(u, weight, p, eps_reg) / denom)
 
 
-def _normalize(values, grid, wvals, p, normalization):
+def rayleigh_quotient(u, weight, p, eps_reg=0.0):
+    """R(u) = p * energy(u) / integral(omega |u|^p).  Raises on zero field."""
+    measure = cell_volumes(u.grid) * weight_on_grid(weight, u.grid)
+    return _quotient(u, weight, p, eps_reg, measure)
+
+
+def _normalize(values, grid, measure, p, normalization):
     if normalization == NORMALIZE_MASS:
         scale = integrate(Field(grid, values))
     elif normalization == NORMALIZE_P_NORM:
-        scale = _p_mass(grid, wvals, values, p) ** (1.0 / p)
+        scale = _p_mass(measure, values, p) ** (1.0 / p)
     else:
         raise ConfigError(f"unknown normalization {normalization!r}")
     if not np.isfinite(scale) or scale == 0.0:
@@ -134,6 +139,7 @@ def smallest_eigenpair(
     # a symmetric fill-reducing ordering suits the symmetric stiffness
     solve = spla.splu(stiff, permc_spec="MMD_AT_PLUS_A").solve
     vol = cell_volumes(grid)
+    measure = vol * wvals
 
     if initial is not None:
         vals = np.array(initial.values, dtype=float)
@@ -141,17 +147,17 @@ def smallest_eigenpair(
         vals = np.where(interior, 1.0, 0.0).astype(float)
         # a few smoothing solves bend the flat start toward the ground mode
         for _ in range(3):
-            rhs = (vol * wvals * vals).ravel()[idx]
+            rhs = (measure * vals).ravel()[idx]
             vals = np.zeros(grid.n_nodes)
             vals[idx] = solve(rhs)
             vals = vals.reshape(grid.shape)
             vals /= np.abs(vals).max()
     vals[grid.boundary_mask] = 0.0
     vals = np.abs(vals)
-    vals = _normalize(vals, grid, wvals, p, normalization)
+    vals = _normalize(vals, grid, measure, p, normalization)
 
     def quotient(v):
-        return rayleigh_quotient(Field(grid, v), weight, p, eps_reg)
+        return _quotient(Field(grid, v), weight, p, eps_reg, measure)
 
     r_val = quotient(vals)
     best = (r_val, vals.copy(), np.inf, 0)
@@ -177,7 +183,7 @@ def smallest_eigenpair(
             trial = np.abs(trial)
             trial[grid.boundary_mask] = 0.0
             try:
-                trial = _normalize(trial, grid, wvals, p, normalization)
+                trial = _normalize(trial, grid, measure, p, normalization)
                 r_trial = quotient(trial)
             except (ConvergenceError, ConfigError):
                 tau *= 0.5

@@ -164,12 +164,14 @@ class FaceOperator:
     components the CSR face matrices with the normal difference A first,
     and transposes their transposes, stored so that no call transposes.
     Faces are ordered axis by axis, each axis raveled in C order; columns
-    are the raveled nodes.
+    are the raveled nodes.  vol holds the cell volumes of the grid, in its
+    shape.
     """
 
     cw: np.ndarray
     components: tuple
     transposes: tuple
+    vol: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,10 +217,11 @@ def face_operator(grid, weight):
     cw = c if weight is None else c * eval_radial(weight, rad)
     components = tuple(sp.csr_array(m) for m in components)
     transposes = tuple(m.T.tocsr() for m in components)
+    vol = cell_volumes(grid)
     # every caller of the cache gets these same arrays
-    for values in (cw, *(m.data for m in components + transposes)):
+    for values in (cw, vol, *(m.data for m in components + transposes)):
         values.flags.writeable = False
-    return FaceOperator(cw, components, transposes)
+    return FaceOperator(cw, components, transposes, vol)
 
 
 def _face_gradient(op, v, eps_reg):
@@ -255,7 +258,7 @@ def apply_plaplacian(u, weight, p, eps_reg=0.0):
     g, s = _face_gradient(op, u.values.ravel(), eps_reg)
     flux = op.cw * _s_pow(s, (p - 2.0) / 2.0)
     grad = sum(mt @ (flux * gk) for mt, gk in zip(op.transposes, g))
-    out = -grad.reshape(grid.shape) / cell_volumes(grid)
+    out = -grad.reshape(grid.shape) / op.vol
     out[grid.boundary_mask] = 0.0
     return Field(grid, out)
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .errors import (
     ConfigError,
@@ -165,6 +164,10 @@ def _radial_integral(spec, rho, n, transform=None):
             total += _segment_power_integral(pos[-1], rho, val[-1], 0.0, n)
         return total
 
+    # imported here: nothing else in the package needs scipy.integrate,
+    # which is slow to import
+    from scipy import integrate
+
     def integrand(r):
         return f(float(eval_radial(spec, r))) * r ** (n - 1)
 
@@ -173,7 +176,7 @@ def _radial_integral(spec, rho, n, transform=None):
         inside = spec.positions[(spec.positions > 0.0) & (spec.positions < rho)]
         if inside.size and inside.size <= 80:
             points = inside.tolist()
-    value, _ = _sciint.quad(
+    value, _ = integrate.quad(
         integrand, 0.0, rho, epsabs=0.0, epsrel=QUAD_RTOL, limit=400, points=points
     )
     return value

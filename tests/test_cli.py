@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import degenflow
 from degenflow.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -225,3 +229,14 @@ class TestMain:
         assert len(summary["runs"]) == 2
         assert (tmp_path / "sw" / "runs" / "amplitude_0.5" / "outcome.json").exists()
         assert (tmp_path / "sw" / "runs" / "amplitude_1.5" / "outcome.json").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """scipy.integrate is slow to import and only the weights-check
+    quadrature needs it, so importing the CLI must not load it."""
+    src = str(Path(degenflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, degenflow.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

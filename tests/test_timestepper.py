@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from degenflow import (
@@ -69,13 +71,20 @@ class TestStepImplicit:
 
 
 def _band_to_dense(band, kd):
-    """Dense form of a LAPACK general band array, whose top kd rows are
-    the fill-in space of the factorization and must be empty."""
-    assert not band[:kd].any()
+    """Dense form of a LAPACK band array in either storage: symmetric lower,
+    kd + 1 rows with entry (i, j), i >= j, at row i - j; or general,
+    3 kd + 1 rows with entry (i, j) at row 2 kd + i - j, whose top kd rows
+    are the fill-in space of the factorization and must be empty."""
     n = band.shape[1]
     i, j = np.indices((n, n))
-    inside = np.abs(i - j) <= kd
     dense = np.zeros((n, n))
+    if len(band) == kd + 1:
+        lower = (i >= j) & (i - j <= kd)
+        dense[lower] = band[i[lower] - j[lower], j[lower]]
+        return dense + np.tril(dense, -1).T
+    assert len(band) == 3 * kd + 1
+    assert not band[:kd].any()
+    inside = np.abs(i - j) <= kd
     dense[inside] = band[2 * kd + i[inside] - j[inside], j[inside]]
     return dense
 
@@ -130,11 +139,102 @@ def test_band_factor_solves_indefinite_system():
 
 
 def test_singular_band_factor_is_step_failure():
-    """An exactly singular system fails the step, so the caller retries
-    with a smaller dt."""
+    """An exactly singular system fails the step in either storage, so the
+    caller retries with a smaller dt."""
     system = _NewtonSystem(build_grid("tensor2d", 1.0, 8), None, 3.0)
-    with pytest.raises(_StepFailure, match="linear solve failed"):
-        system.factor(np.zeros(system.band_shape, order="F"))
+    for shape in (system.sym_shape, system.band_shape):
+        with pytest.raises(_StepFailure, match="linear solve failed"):
+            system.factor(np.zeros(shape, order="F"))
+
+
+def test_non_spd_symmetric_band_is_step_failure():
+    """Band Cholesky reports an indefinite matrix as a failed step rather
+    than returning a wrong factor."""
+    g = build_grid("interval", 1.0, 32)
+    vals = 50.0 * np.sin(np.pi * g.axes[0])
+    vals[g.boundary_mask] = 0.0
+    system = _NewtonSystem(g, None, 2.0)
+    drea = reaction_derivative(ReactionSpec.power(1.0, 2.0), None, 0.0, vals).ravel()
+    band = system.matrix(None, 0.05, drea[system.idx])
+    # rows 2 kd .. 3 kd of the general storage are the lower symmetric one
+    lower = np.asfortranarray(band[2 * system.kd:])
+    assert np.linalg.eigvalsh(_band_to_dense(lower, system.kd)).min() < 0.0
+    with pytest.raises(_StepFailure, match="not positive definite"):
+        system.factor(lower)
+
+
+class _LapackSpy:
+    """Stand-in for scipy.linalg.lapack that records the routines called."""
+
+    def __init__(self):
+        self.called = []
+
+    def __getattr__(self, name):
+        self.called.append(name)
+        return getattr(lapack, name)
+
+
+@pytest.mark.parametrize("mode, p", [("interval", 2.0), ("tensor2d", 3.0)])
+def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
+    """The matrix is held symmetric and factored by dpbtrf when dt f' < 1 at
+    every interior node, and by dgbtrf as soon as one node reaches 1."""
+    g = build_grid(mode, 1.0, 8)
+    vals = np.random.default_rng(7).standard_normal(g.shape)
+    vals[g.boundary_mask] = 0.0
+    u = Field(g, vals)
+    dt = 1e-2
+    system = _NewtonSystem(g, WeightSpec.power(1.0), p)
+    spy = _LapackSpy()
+    monkeypatch.setattr("degenflow.timestepper.lapack", spy)
+    rhs = np.ones(len(system.idx))
+    for top, routines, shape in [
+        (1.0 - 1e-9, ["dpbtrf", "dpbtrs"], system.sym_shape),
+        (1.0, ["dgbtrf", "dgbtrs"], system.band_shape),
+    ]:
+        drea = np.full(len(system.idx), 0.5 / dt)
+        drea[len(drea) // 2] = top / dt
+        band = system.matrix(u, dt, drea)
+        assert band.shape == shape
+        spy.called.clear()
+        system.solve(system.factor(band), rhs)
+        assert spy.called == routines
+    if p == 2.0:
+        spy.called.clear()
+        system.linear_solve(dt, rhs)
+        assert spy.called == ["dpbtrf", "dpbtrs"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["interval", "radial", "tensor2d"]),
+    p=st.sampled_from([2.0, 3.0]),
+    dt=st.floats(1e-4, 1e-1),
+    alpha0=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**16),
+)
+def test_newton_solve_matches_dense(mode, p, dt, alpha0, seed):
+    """Whichever factorization the system picks, its solve matches a dense
+    solve of the reference matrix V (I - dt J - dt f')."""
+    g = build_grid(mode, 1.0, 8, n=2)
+    weight = WeightSpec.power(1.0)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(g.shape)
+    vals[g.boundary_mask] = 0.0
+    u = Field(g, vals)
+    drea = reaction_derivative(ReactionSpec.power(alpha0, 2.0), None, 0.0, vals).ravel()
+    system = _NewtonSystem(g, weight, p)
+    idx = system.idx
+    jac = diffusion_jacobian(u, weight, p).toarray()
+    vol = cell_volumes(g).ravel()
+    ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
+    ref = ref[np.ix_(idx, idx)]
+    # a nearly singular draw (dt f' close to 1) tests conditioning, not the solve
+    assume(np.linalg.cond(ref) < 1e5)
+    event("cholesky" if np.all(dt * drea[idx] < 1.0) else "band LU")
+    rhs = rng.standard_normal(len(idx))
+    x = system.solve(system.factor(system.matrix(u, dt, drea[idx])), rhs)
+    expected = np.linalg.solve(ref, rhs)
+    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def _tensor_p3_problem():
