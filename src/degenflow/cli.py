@@ -67,15 +67,6 @@ def _as_str(raw):
     return raw
 
 
-def _as_bool(raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _as_float_list(raw):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -373,21 +364,6 @@ def _initial_values(cfg, grid, amplitude=None):
     raise ConfigError(f"unknown initial shape {prob['initial']!r}")
 
 
-def _build_controls(cfg):
-    c = cfg.sections["controls"]
-    return StepControls(
-        dt_min=c["dt_min"],
-        dt_max=c["dt_max"],
-        u_cap=c["u_cap"],
-        newton_tol=c["newton_tol"],
-        newton_max=c["newton_max"],
-        growth_factor=c["growth_factor"],
-        easy_iters=c["easy_iters"],
-        max_growth_per_step=c["max_growth_per_step"],
-        eps_reg=c["eps_reg"],
-    )
-
-
 def _build_reaction(cfg, lambda1_ref=0.0):
     prob = cfg.sections["problem"]
     family = prob["reaction"].lower()
@@ -414,7 +390,7 @@ def _build_problem(cfg, grid, weight, amplitude=None, lambda1_ref=0.0):
         initial=initial,
         t_end=prob["t_end"],
         dt0=prob["dt0"],
-        controls=_build_controls(cfg),
+        controls=StepControls(**cfg.sections["controls"]),
         snapshot_times=snaps,
     )
 
@@ -665,7 +641,7 @@ def _cmd_verify_exact(cfg, out):
         spec = ProblemSpec(
             grid=grid, weight=weight, p=prob["p"], reaction=ReactionSpec.none(),
             initial=initial, t_end=prob["t_end"], dt0=prob["dt0"],
-            controls=_build_controls(cfg),
+            controls=StepControls(**cfg.sections["controls"]),
         )
         return diag.residual_check(
             lambda g, t: fn(g.radius(), t, exps), spec, sample_times,

@@ -27,7 +27,6 @@ import numpy as np
 
 from .discretization import (
     MODE_INTERVAL,
-    MODE_RADIAL,
     MODE_TENSOR2D,
     Field,
     integrate,

@@ -8,10 +8,12 @@ boundary of
 computed with the same discrete energy the evolution operator derives
 from, so eigenpairs satisfy apply_plaplacian(u) + lam * omega * |u|**(p-2) * u = 0
 at the discrete level.  Minimization is projected preconditioned descent:
-the search direction solves a linear diffusion system (for p = 2 the
-iteration reduces to inverse power iteration), steps are backtracked until
-R decreases, and iterates are folded to their absolute value, which never
-increases R and steers toward the positive principal mode.
+the search direction solves the interior p = 2 stiffness system, factored
+once by band Cholesky (banded module; for p = 2 the iteration reduces to
+inverse power iteration), steps are backtracked until R decreases, and
+iterates are folded to their absolute value, which never increases R and
+steers toward the positive principal mode.  A weight that vanishes on a
+whole region makes that stiffness singular, which raises a NumericalError.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
 
+from .banded import BandPattern, lower_entries
 from .discretization import (
     Field,
     cell_volumes,
@@ -31,8 +33,7 @@ from .discretization import (
 )
 from .errors import ConfigError, ConvergenceError
 from .jsonio import write_json
-from .plap_operator import apply_plaplacian, energy, energy_hessian_matrix, variational_dot
-from .weight_models import WeightSpec  # noqa: F401  (re-export convenience)
+from .plap_operator import apply_plaplacian, energy, energy_hessian_matrix
 
 NORMALIZE_MASS = "unit_mass"
 NORMALIZE_P_NORM = "unit_p_norm"
@@ -135,9 +136,9 @@ def smallest_eigenpair(
     interior = ~grid.boundary_mask
     idx = np.flatnonzero(interior.ravel())
 
-    stiff = energy_hessian_matrix(grid, weight).tocsr()[idx][:, idx].tocsc()
-    # a symmetric fill-reducing ordering suits the symmetric stiffness
-    solve = spla.splu(stiff, permc_spec="MMD_AT_PLUS_A").solve
+    data, row, col = lower_entries(energy_hessian_matrix(grid, weight)[idx][:, idx])
+    band = BandPattern(row, col, len(idx))
+    factor = band.factor(band.fill(data, 0.0, symmetric=True))
     vol = cell_volumes(grid)
     measure = vol * wvals
 
@@ -149,7 +150,7 @@ def smallest_eigenpair(
         for _ in range(3):
             rhs = (measure * vals).ravel()[idx]
             vals = np.zeros(grid.n_nodes)
-            vals[idx] = solve(rhs)
+            vals[idx] = band.solve(factor, rhs)
             vals = vals.reshape(grid.shape)
             vals /= np.abs(vals).max()
     vals[grid.boundary_mask] = 0.0
@@ -173,7 +174,7 @@ def smallest_eigenpair(
         # residual of the Euler-Lagrange equation in the volume inner product
         g = vol * (lap + r_val * wvals * np.abs(vals) ** (p - 2.0) * vals)
         direction = np.zeros(grid.n_nodes)
-        direction[idx] = solve(g.ravel()[idx])
+        direction[idx] = band.solve(factor, g.ravel()[idx])
         direction = direction.reshape(grid.shape)
 
         tau = 1.0

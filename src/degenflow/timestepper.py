@@ -12,12 +12,12 @@ Each Newton update solves
 
 which is (I - dt J - dt f') delta = -r multiplied by V into symmetric form,
 with V the interior cell volumes and K the interior stiffness.  The
-matrix's sparsity pattern, the map from face conductances to its entries
-and the constant p = 2 stiffness are built once per run, for the lower
-triangle only; an iteration only refills a LAPACK band array and factors
-it.  K is positive semidefinite, so the matrix is positive definite when
-dt f' < 1 at every interior node and is then factored by band Cholesky;
-otherwise it is factored by band LU with partial pivoting.
+matrix's lower-triangle pattern, the map from face conductances to its
+entries and the constant p = 2 stiffness are built once per run; an
+iteration only refills a band array and factors it (banded module).  K is
+positive semidefinite, so the matrix is positive definite when dt f' < 1 at
+every interior node and is then factored by band Cholesky; otherwise it is
+factored by band LU with partial pivoting.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
-from scipy.linalg import lapack
 
+from .banded import BandPattern, FactorError, lower_entries
 from .discretization import Field, integrate, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
@@ -184,35 +183,17 @@ class _StepFailure(Exception):
     pass
 
 
-def _lower_entries(matrix):
-    """Stored entries of a sparse matrix on and below the diagonal,
-    duplicates summed, as (data, row, col)."""
-    coo = sp.coo_array(matrix)
-    coo.sum_duplicates()
-    lower = coo.row >= coo.col
-    return coo.data[lower], coo.row[lower].astype(np.intp), coo.col[lower].astype(np.intp)
-
-
-class _NewtonSystem:
+class _NewtonSystem(BandPattern):
     """Interior Newton matrix V (1 - dt f') + dt K of one (grid, weight, p).
 
-    The sparsity pattern is the Jacobian's own and fixed for the run: the
-    face-difference pattern for p > 2, whose entries are P @ kappa for face
-    conductances kappa through the precomputed sparse map P, and the pattern
-    of the constant energy Hessian for p = 2.  K is symmetric, so only the
-    entries on and below the diagonal are stored and computed.  kd is the
-    half-bandwidth of the pattern: 1 on interval and radial grids,
-    resolution - 1 on tensor grids in natural order.
-
-    K = sum A^T diag(kappa) A with kappa >= 0 is positive semidefinite and V
-    is positive, so the matrix is positive definite whenever dt f' < 1 at
-    every interior node.  Then it is held in LAPACK symmetric band storage,
-    lower form, entry (i, j), i >= j, at row i - j of a (kd + 1, n)
-    column-major array, and factored by band Cholesky (dpbtrf).  Otherwise
-    it may be indefinite and is held in general band storage, entry (i, j)
-    at row 2 kd + i - j of a (3 kd + 1, n) array, and factored by band LU
-    with partial pivoting (dgbtrf).  The factor of the linear p = 2 system
-    is kept for the last dt it was built for.
+    The lower-triangle pattern is the Jacobian's own and fixed for the run:
+    the face-difference pattern for p > 2, whose entries are P @ kappa for
+    face conductances kappa through the precomputed sparse map P, and the
+    pattern of the constant energy Hessian for p = 2.  K = sum A^T diag(kappa) A
+    with kappa >= 0 is positive semidefinite and V is positive, so the matrix
+    is positive definite, and goes to band Cholesky, whenever dt f' < 1 at
+    every interior node.  The factor of the linear p = 2 system is kept for
+    the last dt it was built for.
     """
 
     def __init__(self, grid, weight, p):
@@ -225,20 +206,13 @@ class _NewtonSystem:
         self.linear_factor = None
         if p == 2.0:
             k_int = energy_hessian_matrix(grid, weight).tocsr()[self.idx][:, self.idx]
-            self.k_data, row, col = _lower_entries(k_int)
+            self.k_data, row, col = lower_entries(k_int)
         else:
             a_int = op.components[0].tocsc()[:, self.idx]
-            _, row, col = _lower_entries(abs(a_int).T @ abs(a_int))
+            _, row, col = lower_entries(abs(a_int).T @ abs(a_int))
             # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
-        self.kd = kd = int((row - col).max())
-        n = len(self.idx)
-        self.sym_shape = (kd + 1, n)
-        self.band_shape = (3 * kd + 1, n)
-        self.sym_pos = col * (kd + 1) + row - col
-        # each stored entry (i, j) and its mirror (j, i)
-        self.band_pos = col * self.band_shape[0] + 2 * kd + row - col
-        self.mirror_pos = row * self.band_shape[0] + 2 * kd + col - row
+        super().__init__(row, col, len(self.idx))
 
     def matrix(self, v, dt, drea, linearization="newton", eps_reg=0.0):
         """The system at state v with interior reaction slopes drea, as the
@@ -249,42 +223,7 @@ class _NewtonSystem:
         else:
             kappa = face_conductance(v, self.weight, self.p, linearization, eps_reg)
             data = dt * (self.conductance_map @ kappa)
-        if np.all(dt * drea < 1.0):
-            shape, diag_row = self.sym_shape, 0
-            band = np.zeros(shape[0] * shape[1])
-            band[self.sym_pos] = data
-        else:
-            shape, diag_row = self.band_shape, 2 * self.kd
-            band = np.zeros(shape[0] * shape[1])
-            band[self.band_pos] = data
-            band[self.mirror_pos] = data
-        band = band.reshape(shape, order="F")
-        band[diag_row] += self.vol * (1.0 - dt * drea)
-        return band
-
-    def factor(self, band):
-        """Factor a matrix() result, overwriting it: band Cholesky for the
-        symmetric storage, band LU with partial pivoting for the general one."""
-        if len(band) == self.kd + 1:
-            chol, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-            if info > 0:
-                raise _StepFailure(
-                    f"linear solve failed: not positive definite at column {info - 1}"
-                )
-            return chol, None
-        lu, piv, info = lapack.dgbtrf(band, self.kd, self.kd, overwrite_ab=True)
-        if info > 0:
-            raise _StepFailure(f"linear solve failed: zero pivot in column {info - 1}")
-        return lu, piv
-
-    def solve(self, factor, rhs):
-        """Solve with a factor() result."""
-        band, piv = factor
-        if piv is None:
-            x, _info = lapack.dpbtrs(band, rhs, lower=1)
-        else:
-            x, _info = lapack.dgbtrs(band, self.kd, self.kd, rhs, piv)
-        return x
+        return self.fill(data, self.vol * (1.0 - dt * drea), np.all(dt * drea < 1.0))
 
     def linear_solve(self, dt, rhs):
         """Solve (V + dt K) x = rhs for the state-independent p = 2 system,
@@ -453,7 +392,7 @@ def run_simulation(spec, eigenpair=None):
         before = stats.get("newton_iters", 0)
         try:
             u_new = step_implicit(u, t, dt, spec, system=system, stats=stats)
-        except _StepFailure:
+        except (_StepFailure, FactorError):
             if dt > ctl.dt_min:
                 dt = max(dt * 0.5, ctl.dt_min)
                 continue

@@ -11,6 +11,7 @@ import pytest
 import degenflow
 from degenflow.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNDECIDED,
     main,
@@ -218,6 +219,27 @@ class TestMain:
         assert error["error_kind"] == "config"
         assert "sweep" in error["message"]
         assert sorted(os.listdir(out)) == ["error.json"]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("eigen", ""),
+        ("solve", "reaction = power\ninitial = sin\nt_end = 0.05\ndt0 = 1e-3\n"),
+    ], ids=["eigen", "solve"])
+    def test_singular_stiffness_is_numerical_error(self, tmp_path, command, extra):
+        """A tabulated weight that vanishes on part of the domain makes the
+        interior stiffness singular: exit 3 with a numerical error.json."""
+        csv = tmp_path / "w.csv"
+        csv.write_text("0,1\n0.3,1\n0.4,0\n1,0\n")
+        path = tmp_path / "z.cfg"
+        path.write_text(
+            f"command = {command}\noutput_dir = {tmp_path / 'zout'}\n[problem]\n"
+            f"mode = interval\nresolution = 32\np = 2.0\n"
+            f"weight = tabulated\nweight_csv = {csv}\n{extra}"
+        )
+        assert main([command, "--config", str(path)]) == EXIT_NUMERICAL
+        error = json.loads((tmp_path / "zout" / "error.json").read_text())
+        assert error["error_kind"] == "numerical"
+        assert error["error_type"] == "FactorError"
+        assert "not positive definite" in error["message"]
 
     def test_sweep_runs_are_separate(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -9,10 +9,13 @@ from degenflow import (
     ConfigError,
     EigenPair,
     Field,
+    ProblemSpec,
+    ReactionSpec,
     WeightSpec,
     build_grid,
     integrate,
     rayleigh_quotient,
+    run_simulation,
     smallest_eigenpair,
 )
 
@@ -172,3 +175,23 @@ def test_json_nonfinite_values_are_null(tmp_path):
     payload = json.loads(path.read_text(), parse_constant=reject)
     assert payload["lambda1"] is None
     assert payload["residual"] is None
+
+
+def test_no_superlu_factorization(monkeypatch):
+    """Every factorization goes through the band module: the eigensolver
+    and a reaction run still work with SuperLU unusable."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SuperLU called")
+
+    for name in ("splu", "factorized", "spsolve"):
+        monkeypatch.setattr(f"scipy.sparse.linalg.{name}", refuse)
+    g = build_grid("tensor2d", 1.0, 12)
+    pair = smallest_eigenpair(g, WeightSpec.power(1.0), 3.0)
+    assert pair.residual <= 1e-4
+
+    g = build_grid("interval", 1.0, 32)
+    phi = Field(g, 5.0 * np.sin(np.pi * g.axes[0]))
+    spec = ProblemSpec(grid=g, weight=None, p=2.0, reaction=ReactionSpec.power(1.0, 2.0),
+                       initial=phi, t_end=0.05, dt0=1e-3)
+    assert run_simulation(spec).steps > 0

@@ -9,6 +9,7 @@ from scipy.linalg import lapack
 from degenflow import (
     ConfigError,
     Field,
+    NumericalError,
     ProblemSpec,
     ReactionSpec,
     StepControls,
@@ -18,12 +19,14 @@ from degenflow import (
     cell_volumes,
     diffusion_jacobian,
     energy,
+    energy_hessian_matrix,
     estimate_blowup_time,
     reaction_derivative,
     run_simulation,
     step_implicit,
 )
-from degenflow.timestepper import _NewtonSystem, _StepFailure
+from degenflow.banded import BandPattern, FactorError, lower_entries
+from degenflow.timestepper import _NewtonSystem
 
 PI2 = np.pi**2
 
@@ -114,53 +117,78 @@ def test_newton_system_matches_jacobian_form(mode, p, linearization, eps_reg):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_band_factor_solves_indefinite_system():
-    """Where dt f' > 1 the Newton matrix is indefinite, so banded Cholesky
-    fails on it; the pivoted band LU still solves it."""
+def _indefinite_newton_band(symmetric):
+    """The 1d p = 2 Newton matrix V (1 - dt f') + dt K with a power reaction
+    and dt f' up to 5, built from the stiffness by the band module."""
     g = build_grid("interval", 1.0, 32)
     vals = 50.0 * np.sin(np.pi * g.axes[0])
     vals[g.boundary_mask] = 0.0
     dt = 0.05
-    system = _NewtonSystem(g, None, 2.0)
-    idx = system.idx
+    idx = np.flatnonzero(~g.boundary_mask.ravel())
     drea = reaction_derivative(ReactionSpec.power(1.0, 2.0), None, 0.0, vals).ravel()[idx]
     assert (dt * drea > 1.0).any()
-    band = system.matrix(None, dt, drea)
-    dense = _band_to_dense(band, system.kd)
+    data, row, col = lower_entries(energy_hessian_matrix(g, None).tocsr()[idx][:, idx])
+    pattern = BandPattern(row, col, len(idx))
+    diag = cell_volumes(g).ravel()[idx] * (1.0 - dt * drea)
+    return pattern, pattern.fill(dt * data, diag, symmetric)
+
+
+def test_band_factor_solves_indefinite_system():
+    """Where dt f' > 1 the Newton matrix is indefinite, so banded Cholesky
+    fails on it; the pivoted band LU still solves it."""
+    pattern, band = _indefinite_newton_band(symmetric=False)
+    dense = _band_to_dense(band, pattern.kd)
     eigs = np.linalg.eigvalsh(dense)
     assert eigs.min() < 0.0 < eigs.max()
-    upper = np.ascontiguousarray(band[system.kd:2 * system.kd + 1])
+    upper = np.ascontiguousarray(band[pattern.kd:2 * pattern.kd + 1])
     assert lapack.dpbtrf(upper)[1] > 0
 
-    rhs = np.random.default_rng(3).standard_normal(len(idx))
-    x = system.solve(system.factor(band), rhs)
+    rhs = np.random.default_rng(3).standard_normal(band.shape[1])
+    x = pattern.solve(pattern.factor(band), rhs)
     expected = np.linalg.solve(dense, rhs)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_singular_band_factor_is_step_failure():
-    """An exactly singular system fails the step in either storage, so the
-    caller retries with a smaller dt."""
-    system = _NewtonSystem(build_grid("tensor2d", 1.0, 8), None, 3.0)
-    for shape in (system.sym_shape, system.band_shape):
-        with pytest.raises(_StepFailure, match="linear solve failed"):
-            system.factor(np.zeros(shape, order="F"))
+    """An exactly singular system fails the factorization in either storage
+    with a FactorError, a NumericalError that run_simulation takes as a
+    failed step and retries with a smaller dt."""
+    g = build_grid("tensor2d", 1.0, 8)
+    idx = np.flatnonzero(~g.boundary_mask.ravel())
+    _, row, col = lower_entries(energy_hessian_matrix(g, None).tocsr()[idx][:, idx])
+    pattern = BandPattern(row, col, len(idx))
+    assert issubclass(FactorError, NumericalError)
+    for shape in (pattern.sym_shape, pattern.band_shape):
+        with pytest.raises(FactorError, match="linear solve failed"):
+            pattern.factor(np.zeros(shape, order="F"))
 
 
 def test_non_spd_symmetric_band_is_step_failure():
     """Band Cholesky reports an indefinite matrix as a failed step rather
     than returning a wrong factor."""
-    g = build_grid("interval", 1.0, 32)
-    vals = 50.0 * np.sin(np.pi * g.axes[0])
-    vals[g.boundary_mask] = 0.0
-    system = _NewtonSystem(g, None, 2.0)
-    drea = reaction_derivative(ReactionSpec.power(1.0, 2.0), None, 0.0, vals).ravel()
-    band = system.matrix(None, 0.05, drea[system.idx])
-    # rows 2 kd .. 3 kd of the general storage are the lower symmetric one
-    lower = np.asfortranarray(band[2 * system.kd:])
-    assert np.linalg.eigvalsh(_band_to_dense(lower, system.kd)).min() < 0.0
-    with pytest.raises(_StepFailure, match="not positive definite"):
-        system.factor(lower)
+    pattern, band = _indefinite_newton_band(symmetric=True)
+    assert np.linalg.eigvalsh(_band_to_dense(band, pattern.kd)).min() < 0.0
+    with pytest.raises(FactorError, match="not positive definite"):
+        pattern.factor(band)
+
+
+def test_factor_error_halves_dt(monkeypatch):
+    """A FactorError from the band module fails the step, and run_simulation
+    retries it with half the step size."""
+    spec = _sin_problem(t_end=5e-3, dt0=1e-3)
+    factor = BandPattern.factor
+    calls = []
+
+    def fail_first(self, band):
+        calls.append(band.shape)
+        if len(calls) == 1:
+            raise FactorError("linear solve failed: injected")
+        return factor(self, band)
+
+    monkeypatch.setattr(BandPattern, "factor", fail_first)
+    outcome = run_simulation(spec)
+    assert outcome.kind == "Completed"
+    assert outcome.trajectory.dt_used[1] == pytest.approx(5e-4)
 
 
 class _LapackSpy:
@@ -185,7 +213,7 @@ def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
     dt = 1e-2
     system = _NewtonSystem(g, WeightSpec.power(1.0), p)
     spy = _LapackSpy()
-    monkeypatch.setattr("degenflow.timestepper.lapack", spy)
+    monkeypatch.setattr("degenflow.banded.lapack", spy)
     rhs = np.ones(len(system.idx))
     for top, routines, shape in [
         (1.0 - 1e-9, ["dpbtrf", "dpbtrs"], system.sym_shape),
