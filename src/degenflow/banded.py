@@ -12,6 +12,8 @@ with partial pivoting (dgbtrf) for any other.  A factorization that fails
 (info > 0) raises FactorError.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
@@ -37,13 +39,22 @@ class BandPattern:
     n x n matrix, with the fill, factorization and solve that use them."""
 
     def __init__(self, row, col, n):
+        self.row, self.col = row, col
         self.kd = kd = int((row - col).max())
         self.sym_shape = (kd + 1, n)
         self.band_shape = (3 * kd + 1, n)
         self.sym_pos = col * (kd + 1) + row - col
-        # each stored entry (i, j) and its mirror (j, i)
-        self.band_pos = col * self.band_shape[0] + 2 * kd + row - col
-        self.mirror_pos = row * self.band_shape[0] + 2 * kd + col - row
+
+    # general-storage positions of each stored entry (i, j) and its mirror
+    # (j, i), built on the first general fill: a pattern only ever filled
+    # symmetric never holds them
+    @cached_property
+    def band_pos(self):
+        return self.col * self.band_shape[0] + 2 * self.kd + self.row - self.col
+
+    @cached_property
+    def mirror_pos(self):
+        return self.row * self.band_shape[0] + 2 * self.kd + self.col - self.row
 
     def fill(self, data, diag, symmetric):
         """The matrix with lower entries data plus diag on the diagonal, in

@@ -177,10 +177,16 @@ def weight_on_grid(spec, grid):
 
 def integrate(field, weight=None):
     """Weighted integral of a field by composite trapezoid quadrature."""
-    vals = field.values
+    grid = field.grid
+    return quadrature_sum(quad_weights(grid) * weight_on_grid(weight, grid), field.values)
+
+
+def quadrature_sum(nodal_weights, vals):
+    """integrate with its node weights, quad_weights times the weight,
+    computed once by the caller."""
     if not np.all(np.isfinite(vals)):
         raise NumericalError("field contains non-finite values")
-    return float(np.sum(quad_weights(field.grid) * weight_on_grid(weight, field.grid) * vals))
+    return float(np.sum(nodal_weights * vals))
 
 
 def nodal_gradient(field):

@@ -7,18 +7,22 @@ boundary of
 
 computed with the same discrete energy the evolution operator derives
 from, so eigenpairs satisfy apply_plaplacian(u) + lam * omega * |u|**(p-2) * u = 0
-at the discrete level.  Minimization is projected preconditioned descent:
-the search direction solves the interior p = 2 stiffness system, factored
-once by band Cholesky (banded module; for p = 2 the iteration reduces to
-inverse power iteration), steps are backtracked until R decreases, and
+at the discrete level.  Minimization is preconditioned nonlinear conjugate
+gradients: the preconditioner solves the interior p = 2 stiffness system,
+factored once by band Cholesky (banded module), and the search direction
+is the Polak-Ribiere+ combination of the preconditioned gradient with the
+previous direction, restarted from the preconditioned gradient whenever it
+is not a descent direction.  Steps are backtracked until R decreases, and
 iterates are folded to their absolute value, which never increases R and
-steers toward the positive principal mode.  A weight that vanishes on a
-whole region makes that stiffness singular, which raises a NumericalError.
+steers toward the positive principal mode.  A solve whose best residual
+stops improving, as it does once R moves only at round-off, ends with a
+ConvergenceError.  A weight that vanishes on a whole region makes the
+stiffness singular, which raises a NumericalError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
@@ -27,7 +31,8 @@ from .banded import BandPattern, lower_entries
 from .discretization import (
     Field,
     cell_volumes,
-    integrate,
+    quad_weights,
+    quadrature_sum,
     weight_on_grid,
     write_field_csv,
 )
@@ -38,6 +43,11 @@ from .plap_operator import apply_plaplacian, energy, energy_hessian_matrix
 NORMALIZE_MASS = "unit_mass"
 NORMALIZE_P_NORM = "unit_p_norm"
 
+# iterations without a new best residual after which a solve counts as
+# stalled: once R moves only at round-off, steps keep being accepted
+# without lowering the residual
+STALL_ITERATIONS = 40
+
 
 @dataclass
 class EigenPair:
@@ -47,12 +57,18 @@ class EigenPair:
     iterations: int
     p: float
     normalization: str = NORMALIZE_MASS
+    # residual of every iterate, the last one included, and the number of
+    # iterations whose direction fell back to the preconditioned gradient
+    residual_history: list = field(default_factory=list)
+    restarts: int = 0
 
     def to_json(self, path):
         payload = {
             "lambda1": self.eigenvalue,
             "residual": self.residual,
             "iterations": self.iterations,
+            "residual_history": list(self.residual_history),
+            "restarts": self.restarts,
             "normalization": self.normalization,
             "p": self.p,
             "grid_mode": self.eigenfunction.grid.mode,
@@ -92,9 +108,9 @@ def rayleigh_quotient(u, weight, p, eps_reg=0.0):
     return _quotient(u, weight, p, eps_reg, measure)
 
 
-def _normalize(values, grid, measure, p, normalization):
+def _normalize(values, qw, measure, p, normalization):
     if normalization == NORMALIZE_MASS:
-        scale = integrate(Field(grid, values))
+        scale = quadrature_sum(qw, values)
     elif normalization == NORMALIZE_P_NORM:
         scale = _p_mass(measure, values, p) ** (1.0 / p)
     else:
@@ -124,11 +140,15 @@ def smallest_eigenpair(
     eps_reg=0.0,
     initial=None,
 ):
-    """Principal Dirichlet eigenpair by preconditioned projected descent.
+    """Principal Dirichlet eigenpair by preconditioned Polak-Ribiere+
+    conjugate gradients on the Rayleigh quotient, with restart.
 
     Returns an EigenPair whose residual is || L u + lam w |u|^{p-2} u || /
-    || lam w |u|^{p-2} u || over all nodes.  Raises ConvergenceError with
-    the best iterate attached when the residual target is not met.
+    || lam w |u|^{p-2} u || over all nodes, with the residual of every
+    iterate and the restart count.  Raises ConvergenceError with the best
+    iterate attached when the residual target is not met: the line search
+    fails, max_iter is spent, or STALL_ITERATIONS pass without a new best
+    residual.
     """
     if tol is None:
         tol = 1e-6 if p == 2.0 else 1e-4
@@ -141,6 +161,7 @@ def smallest_eigenpair(
     factor = band.factor(band.fill(data, 0.0, symmetric=True))
     vol = cell_volumes(grid)
     measure = vol * wvals
+    qw = quad_weights(grid)
 
     if initial is not None:
         vals = np.array(initial.values, dtype=float)
@@ -155,26 +176,45 @@ def smallest_eigenpair(
             vals /= np.abs(vals).max()
     vals[grid.boundary_mask] = 0.0
     vals = np.abs(vals)
-    vals = _normalize(vals, grid, measure, p, normalization)
+    vals = _normalize(vals, qw, measure, p, normalization)
 
     def quotient(v):
         return _quotient(Field(grid, v), weight, p, eps_reg, measure)
 
     r_val = quotient(vals)
     best = (r_val, vals.copy(), np.inf, 0)
+    history = []
+    restarts = 0
     for it in range(1, max_iter + 1):
         u = Field(grid, vals)
         lap = apply_plaplacian(u, weight, p, eps_reg).values
         res = _residual_norm(grid, lap, r_val, wvals, vals, p)
+        history.append(res)
         if res < best[2]:
             best = (r_val, vals.copy(), res, it - 1)
         if res <= tol:
-            return EigenPair(r_val, Field(grid, vals), res, it - 1, p, normalization)
+            return EigenPair(r_val, Field(grid, vals), res, it - 1, p, normalization,
+                             history, restarts)
+        if it - 1 - best[3] >= STALL_ITERATIONS:
+            break
 
-        # residual of the Euler-Lagrange equation in the volume inner product
-        g = vol * (lap + r_val * wvals * np.abs(vals) ** (p - 2.0) * vals)
+        # residual of the Euler-Lagrange equation in the volume inner product,
+        # a descent direction of R, on the interior unknowns
+        g = (vol * (lap + r_val * wvals * np.abs(vals) ** (p - 2.0) * vals)).ravel()[idx]
+        pg = band.solve(factor, g)
+        if it == 1:
+            step = pg
+        else:
+            # Polak-Ribiere+ conjugate direction, restarted when it is not
+            # a descent direction
+            beta = max(0.0, float(g @ (pg - pg_prev)) / float(g_prev @ pg_prev))
+            step = pg + beta * step
+            if beta == 0.0 or g @ step <= 0.0:
+                step = pg
+                restarts += 1
+        g_prev, pg_prev = g, pg
         direction = np.zeros(grid.n_nodes)
-        direction[idx] = band.solve(factor, g.ravel()[idx])
+        direction[idx] = step
         direction = direction.reshape(grid.shape)
 
         tau = 1.0
@@ -184,7 +224,7 @@ def smallest_eigenpair(
             trial = np.abs(trial)
             trial[grid.boundary_mask] = 0.0
             try:
-                trial = _normalize(trial, grid, measure, p, normalization)
+                trial = _normalize(trial, qw, measure, p, normalization)
                 r_trial = quotient(trial)
             except (ConvergenceError, ConfigError):
                 tau *= 0.5
@@ -201,7 +241,7 @@ def smallest_eigenpair(
     raise ConvergenceError(
         f"eigensolver stalled at residual {res:.3e} (target {tol:.1e}) "
         f"after {its} accepted iterations",
-        best=EigenPair(lam, Field(grid, bv), res, its, p, normalization),
+        best=EigenPair(lam, Field(grid, bv), res, its, p, normalization, history, restarts),
         residual=res,
         iterations=its,
     )

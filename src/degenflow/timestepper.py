@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
 
 from .banded import BandPattern, FactorError, lower_entries
-from .discretization import Field, integrate, weight_on_grid
+from .discretization import Field, quad_weights, quadrature_sum, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
 from .plap_operator import (
@@ -351,6 +351,9 @@ def run_simulation(spec, eigenpair=None):
     ctl = spec.controls
     wvals = weight_on_grid(spec.weight, grid)
     gweight = wvals if eigenpair is None else wvals * eigenpair.eigenfunction.values
+    # integrate's node weights for the two recorded integrals, built once
+    qw = quad_weights(grid)
+    qw_g = qw * gweight
     cap = spec.cap_value()
     sup0 = float(np.abs(spec.initial.values).max())
     decay_floor = 1e-8 * sup0
@@ -364,8 +367,8 @@ def run_simulation(spec, eigenpair=None):
             t,
             dt,
             float(np.abs(f.values).max()),
-            integrate(f),
-            integrate(f, weight=gweight),
+            quadrature_sum(qw, f.values),
+            quadrature_sum(qw_g, f.values),
             energy(f, spec.weight, spec.p, ctl.eps_reg),
         )
 

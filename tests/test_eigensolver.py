@@ -5,8 +5,10 @@ import pytest
 from scipy import integrate as sint
 from scipy import optimize as sopt
 
+import degenflow.eigensolver as eigensolver
 from degenflow import (
     ConfigError,
+    ConvergenceError,
     EigenPair,
     Field,
     ProblemSpec,
@@ -18,6 +20,8 @@ from degenflow import (
     run_simulation,
     smallest_eigenpair,
 )
+from degenflow.banded import BandPattern
+from degenflow.plap_operator import apply_plaplacian
 
 PI2 = np.pi**2
 
@@ -154,8 +158,11 @@ def test_json_payload_keys(tmp_path):
     path = tmp_path / "pair.json"
     pair.to_json(path)
     payload = json.loads(path.read_text())
-    for key in ("lambda1", "residual", "iterations", "normalization"):
+    for key in ("lambda1", "residual", "iterations", "normalization",
+                "residual_history", "restarts"):
         assert key in payload
+    assert len(payload["residual_history"]) == pair.iterations + 1
+    assert payload["residual_history"][-1] == pair.residual
     assert payload["lambda1"] == pytest.approx(pair.eigenvalue)
     assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -195,3 +202,64 @@ def test_no_superlu_factorization(monkeypatch):
     spec = ProblemSpec(grid=g, weight=None, p=2.0, reaction=ReactionSpec.power(1.0, 2.0),
                        initial=phi, t_end=0.05, dt0=1e-3)
     assert run_simulation(spec).steps > 0
+
+
+@pytest.mark.parametrize("resolution", [32, 64])
+def test_cg_iteration_count(resolution):
+    """The conjugate direction needs about half the iterations of
+    preconditioned steepest descent (35 at resolution 32, 37 at 64)."""
+    g = build_grid("tensor2d", 1.0, resolution)
+    pair = smallest_eigenpair(g, WeightSpec.power(1.0), 3.0, tol=1e-4)
+    assert pair.residual <= 1e-4
+    assert pair.iterations <= 22
+
+
+def test_tight_tolerance_converges():
+    """tol 1e-7 on tensor2d 64, p = 3, converges (steepest descent stalls
+    there), to the same eigenvalue as the tol 1e-6 solve."""
+    g = build_grid("tensor2d", 1.0, 64)
+    w = WeightSpec.power(1.0)
+    tight = smallest_eigenpair(g, w, 3.0, tol=1e-7)
+    assert tight.residual <= 1e-7
+    loose = smallest_eigenpair(g, w, 3.0, tol=1e-6)
+    assert tight.eigenvalue == pytest.approx(loose.eigenvalue, rel=1e-10)
+
+
+def test_stalled_solve_fails_fast(monkeypatch):
+    """A target below round-off stops STALL_ITERATIONS past the best
+    iterate, not at max_iter, and raises with that iterate attached."""
+    calls = []
+
+    def counting_apply(*args, **kwargs):
+        calls.append(1)
+        return apply_plaplacian(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "apply_plaplacian", counting_apply)
+    g = build_grid("tensor2d", 1.0, 16)
+    with pytest.raises(ConvergenceError) as info:
+        smallest_eigenpair(g, WeightSpec.power(1.0), 3.0, tol=1e-12)
+    err = info.value
+    history = err.best.residual_history
+    assert len(calls) == len(history) <= err.iterations + eigensolver.STALL_ITERATIONS + 1
+    assert len(calls) < 500
+    assert err.residual == err.best.residual == min(history) == history[err.iterations]
+
+
+def test_symmetric_band_pattern_builds_no_general_positions(monkeypatch):
+    """The eigensolver fills only symmetric band storage, so its pattern
+    never builds the general-storage positions."""
+    patterns = []
+
+    class RecordingPattern(BandPattern):
+        def __init__(self, *args):
+            super().__init__(*args)
+            patterns.append(self)
+
+    monkeypatch.setattr(eigensolver, "BandPattern", RecordingPattern)
+    g = build_grid("tensor2d", 1.0, 12)
+    assert smallest_eigenpair(g, WeightSpec.power(1.0), 3.0).residual <= 1e-4
+    assert len(patterns) == 1
+    assert "band_pos" not in vars(patterns[0])
+    assert "mirror_pos" not in vars(patterns[0])
+    patterns[0].fill(np.ones(len(patterns[0].row)), 0.0, symmetric=False)
+    assert "band_pos" in vars(patterns[0]) and "mirror_pos" in vars(patterns[0])
