@@ -11,7 +11,6 @@ decay-rate fits).
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DataError,
     DegenerateBallError,
     DegenflowError,
     DivergenceError,
@@ -37,10 +36,7 @@ from .discretization import (
     build_grid,
     cell_volumes,
     integrate,
-    nodal_gradient,
     quad_weights,
-    read_field_csv,
-    sobolev_norm,
     weight_on_grid,
     write_field_csv,
 )
@@ -57,7 +53,7 @@ from .plap_operator import (
     variational_dot,
 )
 from .jsonio import write_json
-from .eigensolver import EigenPair, rayleigh_quotient, smallest_eigenpair
+from .eigensolver import EigenPair, smallest_eigenpair
 from .timestepper import (
     ProblemSpec,
     RunOutcome,
@@ -72,18 +68,13 @@ from .diagnostics import (
     OdeParams,
     barenblatt_corrected,
     barenblatt_exact,
-    barenblatt_front,
     bernoulli_blowup,
     blowup_threshold,
-    condition_star,
     decay_exponent_fit,
     exp_forced_bound,
     fit_bernoulli_constant,
     fit_exp_forced_constant,
-    g_functional,
-    phi_r_characteristic,
     residual_check,
-    triple_norm,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ConvergenceError",
-    "DataError",
     "DegenerateBallError",
     "DegenflowError",
     "DivergenceError",
@@ -113,10 +103,7 @@ __all__ = [
     "build_grid",
     "cell_volumes",
     "integrate",
-    "nodal_gradient",
     "quad_weights",
-    "read_field_csv",
-    "sobolev_norm",
     "weight_on_grid",
     "write_field_csv",
     "ReactionSpec",
@@ -131,7 +118,6 @@ __all__ = [
     "variational_dot",
     "write_json",
     "EigenPair",
-    "rayleigh_quotient",
     "smallest_eigenpair",
     "ProblemSpec",
     "RunOutcome",
@@ -144,17 +130,12 @@ __all__ = [
     "OdeParams",
     "barenblatt_corrected",
     "barenblatt_exact",
-    "barenblatt_front",
     "bernoulli_blowup",
     "blowup_threshold",
-    "condition_star",
     "decay_exponent_fit",
     "exp_forced_bound",
     "fit_bernoulli_constant",
     "fit_exp_forced_constant",
-    "g_functional",
-    "phi_r_characteristic",
     "residual_check",
-    "triple_norm",
     "__version__",
 ]

@@ -67,15 +67,19 @@ def _as_str(raw):
     return raw
 
 
-def _as_float_list(raw):
+def _list_items(raw):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a nonempty comma-separated list")
-    return [float(p) for p in parts]
+    return parts
+
+
+def _as_float_list(raw):
+    return [float(p) for p in _list_items(raw)]
 
 
 def _as_int_list(raw):
-    return [_as_int(p) for p in raw.split(",") if p.strip()]
+    return [_as_int(p) for p in _list_items(raw)]
 
 
 # Section schema: key -> (converter, default).  None default means optional
@@ -300,11 +304,7 @@ def _build_weight(cfg):
     if kind == "none":
         return None
     if kind == "power":
-        return WeightSpec.power(
-            theta_w=prob["theta_w"],
-            theta_mk=prob["theta_mk"],
-            mu=prob["mu"] if prob["mu"] is not None else 1.0,
-        )
+        return WeightSpec.power(theta_w=prob["theta_w"], theta_mk=prob["theta_mk"])
     if kind == "tabulated":
         if not prob["weight_csv"]:
             raise ConfigError("weight = tabulated needs weight_csv")
@@ -691,8 +691,14 @@ def _cmd_weights_check(cfg, out):
     weight = _build_weight(cfg)
     if weight is None:
         weight = WeightSpec.constant()
-    n = prob["n"] if prob["n"] is not None else (
-        2 if prob["mode"] == "tensor2d" else 1)
+    if prob["mode"] == "radial":
+        # rejects a radial problem without an integer n >= 2, as every
+        # command that builds the grid does
+        n = _build_grid(cfg).dim
+    elif prob["n"] is not None:
+        n = prob["n"]
+    else:
+        n = 2 if prob["mode"] == "tensor2d" else 1
     radii = wts["radii"] or [prob["extent"] * f for f in (0.125, 0.25, 0.5, 1.0)]
     pair_list = wts["radius_pairs"]
     if pair_list:

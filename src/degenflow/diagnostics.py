@@ -1,6 +1,6 @@
 """Derived quantities for run analysis: scaling exponents, the comparison
-ODE and its thresholds, radial characteristics, self-similar reference
-solutions, residual verification, and trajectory fits.
+ODE and its thresholds, self-similar reference solutions, residual
+verification, and trajectory fits.
 
 The comparison ODE g' = -lambda1 g + C g^sigma is solved in closed form
 through the substitution h = g^{1-sigma}, which turns it into a linear
@@ -25,18 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    MODE_INTERVAL,
-    MODE_TENSOR2D,
-    Field,
-    integrate,
-    nodal_gradient,
-    quad_weights,
-    weight_on_grid,
-)
-from .errors import ConfigError, DataError, FitError, OutOfRangeError, ShapeError
+from .discretization import Field
+from .errors import ConfigError, FitError, OutOfRangeError
 from .plap_operator import apply_plaplacian
-from .weight_models import ball_mass, surface_area
 
 
 # ---------------------------------------------------------------- exponents
@@ -163,140 +154,6 @@ def exp_forced_bound(psi0, C8, sigma):
     return psi0 ** (1.0 - sigma) / (C8 * (sigma - 1.0))
 
 
-# ------------------------------------------------------------- functionals
-
-
-def g_functional(u, eig, weight):
-    """Weighted projection integral(omega * u0 * u) by trapezoid quadrature."""
-    if eig.eigenfunction.grid is not u.grid:
-        raise ShapeError("field and eigenfunction live on different grids")
-    wvals = weight_on_grid(weight, u.grid)
-    return integrate(u, weight=wvals * eig.eigenfunction.values)
-
-
-def condition_star(u, eig, weight, p):
-    """Discrete value of the cross-monotonicity integral
-
-        I = integral omega * sum_i (|grad u|^{p-2} d_i u
-                                    - |grad u0|^{p-2} d_i u0) * d_i(u0 omega)
-
-    with nodal centered gradients.  No sign is guaranteed; callers record
-    the value per run and check I >= 0 where the theory assumes it.
-    """
-    grid = u.grid
-    if eig.eigenfunction.grid is not grid:
-        raise ShapeError("field and eigenfunction live on different grids")
-    wvals = weight_on_grid(weight, grid)
-    u0 = eig.eigenfunction.values
-
-    du = nodal_gradient(u)
-    du0 = nodal_gradient(eig.eigenfunction)
-    dprod = nodal_gradient(Field(grid, u0 * wvals))
-
-    mag_u = np.sqrt(sum(d * d for d in du))
-    mag_u0 = np.sqrt(sum(d * d for d in du0))
-    coef_u = mag_u ** (p - 2.0)
-    coef_u0 = mag_u0 ** (p - 2.0)
-
-    integrand = np.zeros(grid.shape)
-    for d_u, d_u0, d_w in zip(du, du0, dprod):
-        integrand += (coef_u * d_u - coef_u0 * d_u0) * d_w
-    return integrate(Field(grid, integrand * wvals))
-
-
-# ----------------------------------------------------- radial characteristics
-
-
-def _radius_grid(r, extent, points_per_octave):
-    if not r > 0.0:
-        raise ConfigError(f"base radius must be positive, got {r}")
-    if r > extent:
-        raise ConfigError(f"base radius {r} exceeds domain extent {extent}")
-    step = 2.0 ** (1.0 / points_per_octave)
-    radii = []
-    rho = r
-    while rho < extent * (1.0 - 1e-12):
-        radii.append(rho)
-        rho *= step
-    radii.append(extent)
-    return np.array(radii)
-
-
-def _ball_dimension(grid):
-    return 1 if grid.mode == MODE_INTERVAL else grid.dim
-
-
-def _sup_on_ball(field, rho):
-    rad = field.grid.radius()
-    mask = rad <= rho + 1e-12
-    if not mask.any():
-        return 0.0
-    return float(np.abs(field.values[mask]).max())
-
-
-def _integral_on_ball(field, rho):
-    """integral of u over the ball of radius rho (n-dimensional measure)."""
-    grid = field.grid
-    if grid.mode == MODE_TENSOR2D:
-        mask = grid.radius() <= rho + 1e-12
-        return float(np.sum(quad_weights(grid) * field.values * mask))
-    r = grid.axes[0]
-    v = field.values
-    n = _ball_dimension(grid)
-    sn = surface_area(n)
-    integrand = v * r ** (n - 1)
-    inside = r <= rho + 1e-12
-    m = int(inside.sum())
-    if m < 1:
-        return 0.0
-    total = np.trapezoid(integrand[:m], r[:m]) if m > 1 else 0.0
-    if m < len(r) and rho > r[m - 1]:
-        # partial cell up to rho, integrand interpolated linearly
-        frac = (rho - r[m - 1]) / (r[m] - r[m - 1])
-        end_val = integrand[m - 1] + frac * (integrand[m] - integrand[m - 1])
-        total += 0.5 * (integrand[m - 1] + end_val) * (rho - r[m - 1])
-    return float(sn * total)
-
-
-def phi_r_characteristic(traj, r, t, exps, weight, points_per_octave=2):
-    """Double supremum over stored snapshot times in (0, t] and a geometric
-    radius grid of (mass(B_rho)/rho^{n+p})^{1/(p-2)} * sup_{B_rho} |u|."""
-    if not exps.p > 2.0:
-        raise ConfigError("phi_r characteristic needs p > 2")
-    snaps = {ts: f for ts, f in traj.snapshots.items() if 0.0 < ts <= t + 1e-12}
-    if not snaps:
-        raise DataError("no snapshots stored in (0, t]")
-    grid = next(iter(snaps.values())).grid
-    radii = _radius_grid(r, grid.extent, points_per_octave)
-    n = _ball_dimension(grid)
-    expo = 1.0 / (exps.p - 2.0)
-
-    best = 0.0
-    factors = [(rho, (ball_mass(weight, rho, n) / rho ** (n + exps.p)) ** expo)
-               for rho in radii]
-    for f in snaps.values():
-        for rho, fac in factors:
-            best = max(best, fac * _sup_on_ball(f, rho))
-    return best
-
-
-def triple_norm(u, r, exps, weight, points_per_octave=2):
-    """sup over the radius grid of
-    rho^{-k/(p-2)} * (mass(B_rho)/rho^{n mu})^{1/(p-2)} * integral_{B_rho} u."""
-    if not exps.p > 2.0:
-        raise ConfigError("triple norm needs p > 2")
-    grid = u.grid
-    radii = _radius_grid(r, grid.extent, points_per_octave)
-    n = _ball_dimension(grid)
-    expo = 1.0 / (exps.p - 2.0)
-    best = -np.inf
-    for rho in radii:
-        fac = rho ** (-exps.k / (exps.p - 2.0))
-        fac *= (ball_mass(weight, rho, n) / rho ** (n * exps.mu)) ** expo
-        best = max(best, fac * _integral_on_ball(u, rho))
-    return float(best)
-
-
 # ------------------------------------------------------- reference solutions
 
 VARIANT_VERBATIM = "verbatim"
@@ -347,18 +204,10 @@ def barenblatt_corrected(x, t, exps):
     return out if out.shape else float(out)
 
 
-def barenblatt_front(t, exps, variant=VARIANT_CORRECTED):
-    """Support radius of the chosen variant at time t."""
-    _check_barenblatt_args(t, exps)
-    gamma = (exps.p - exps.theta_w) / (exps.p - 1.0)
-    base = exps.n if variant == VARIANT_VERBATIM else 1.0
-    const = ((exps.p - 2.0) / (exps.p - exps.theta_w)) * (
-        base / exps.beta
-    ) ** (1.0 / (exps.p - 1.0))
-    return float(const ** (-1.0 / gamma) * t ** (1.0 / exps.beta))
-
-
 # ------------------------------------------------------------ residual check
+
+
+GUARD_CELLS = 2
 
 
 def _erode(mask, cells):
@@ -382,12 +231,11 @@ def _fill_edge(arr, axis, index, value):
     arr[tuple(sl)] = value
 
 
-def residual_check(candidate, spec, sample_times, front_margin=1e-3,
-                   dt_rel=1e-4, guard_cells=2):
+def residual_check(candidate, spec, sample_times, front_margin=1e-3, dt_rel=1e-4):
     """Max discrete residual |u_t - L_p u| of a space-time candidate.
 
     candidate(grid, t) must return nodal values.  u_t is centered
-    differencing with half-width dt_rel * t.  Nodes closer than guard_cells
+    differencing with half-width dt_rel * t.  Nodes closer than GUARD_CELLS
     to the region where the candidate is below front_margin are excluded,
     as is the Dirichlet boundary; the free boundary is not a classical
     point of the equation.
@@ -406,7 +254,7 @@ def residual_check(candidate, spec, sample_times, front_margin=1e-3,
             Field(grid, vals), spec.weight, spec.p, spec.controls.eps_reg
         ).values
         res = np.abs(ut - lap)
-        mask = _erode(vals > front_margin, guard_cells) & ~grid.boundary_mask
+        mask = _erode(vals > front_margin, GUARD_CELLS) & ~grid.boundary_mask
         if mask.any():
             worst = max(worst, float(res[mask].max()))
     return worst
@@ -470,17 +318,20 @@ def _centered_rates(times, values):
     return (v[2:] - v[:-2]) / (t[2:] - t[:-2])
 
 
-def fit_bernoulli_constant(traj, lambda1, sigma, early_factor=1.5):
+EARLY_FACTOR = 1.5
+
+
+def fit_bernoulli_constant(traj, lambda1, sigma):
     """Reaction constant C of g' = -lambda1 g + C g^sigma, by least squares
     through the origin of (g' + lambda1 g) against g^sigma over the early
-    window g <= early_factor * g(0).  Returns {"C", "samples"}."""
+    window g <= EARLY_FACTOR * g(0).  Returns {"C", "samples"}."""
     g = np.asarray(traj.weighted_mass, dtype=float)
     t = np.asarray(traj.times, dtype=float)
     if len(g) < 3:
         raise FitError("trajectory too short to fit the comparison constant")
     rate = _centered_rates(t, g)
     gi = g[1:-1]
-    sel = (gi > 0.0) & (gi <= early_factor * g[0])
+    sel = (gi > 0.0) & (gi <= EARLY_FACTOR * g[0])
     if sel.sum() < 3:
         raise FitError("no early-window samples available for the fit")
     y = rate[sel] + lambda1 * gi[sel]

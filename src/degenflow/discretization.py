@@ -119,19 +119,6 @@ class Field:
     def zeros(grid):
         return Field(grid, np.zeros(grid.shape))
 
-    @staticmethod
-    def from_function(grid, fn):
-        """Sample fn at the nodes.  fn takes a scalar coordinate in 1d modes
-        and an (x, y) pair on tensor grids."""
-        if grid.mode == MODE_TENSOR2D:
-            x, y = grid.coordinates()
-            vals = np.array(
-                [[fn((xi, yi)) for xi, yi in zip(rowx, rowy)] for rowx, rowy in zip(x, y)]
-            )
-        else:
-            vals = np.array([fn(xi) for xi in grid.axes[0]])
-        return Field(grid, vals)
-
 
 def _trap_1d(m, h):
     w = np.full(m, h)
@@ -189,30 +176,6 @@ def quadrature_sum(nodal_weights, vals):
     return float(np.sum(nodal_weights * vals))
 
 
-def nodal_gradient(field):
-    """Per-axis nodal derivatives: centered inside, one-sided at the ends."""
-    grid = field.grid
-    out = []
-    for axis, h in enumerate(grid.h):
-        out.append(np.gradient(field.values, h, axis=axis, edge_order=1))
-    return out
-
-
-def sobolev_norm(field, weight=None, p=2.0):
-    """Weighted norm (integral of omega * (|u|**p + |grad u|**p)) ** (1/p)."""
-    if not p > 1.0:
-        raise ConfigError(f"norm exponent must exceed 1, got {p}")
-    grads = nodal_gradient(field)
-    grad_sq = np.zeros(field.grid.shape)
-    for g in grads:
-        grad_sq += g * g
-    dens = np.abs(field.values) ** p + grad_sq ** (p / 2.0)
-    total = np.sum(quad_weights(field.grid) * weight_on_grid(weight, field.grid) * dens)
-    if not np.isfinite(total):
-        raise NumericalError("non-finite Sobolev integrand")
-    return float(total ** (1.0 / p))
-
-
 def write_field_csv(field, path, header_lines=()):
     """One row per node: coordinates then value."""
     grid = field.grid
@@ -229,31 +192,3 @@ def write_field_csv(field, path, header_lines=()):
             fh.write(f"{name},value\n")
             for xi, vi in zip(grid.axes[0], field.values):
                 fh.write(f"{xi:.17g},{vi:.17g}\n")
-
-
-def read_field_csv(path, grid):
-    """Read a field written by write_field_csv back onto the same grid."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError:
-                continue  # header row
-    data = np.asarray(rows)
-    if data.shape[0] != grid.n_nodes:
-        raise ShapeError(f"{path}: {data.shape[0]} rows for {grid.n_nodes} nodes")
-    coords = data[:, :-1]
-    vals = data[:, -1]
-    if grid.mode == MODE_TENSOR2D:
-        x, y = grid.coordinates()
-        expect = np.column_stack([x.ravel(), y.ravel()])
-    else:
-        expect = grid.axes[0][:, None]
-    if not np.allclose(coords, expect, atol=1e-12):
-        raise ShapeError(f"{path}: node coordinates do not match the grid")
-    return Field(grid, vals.reshape(grid.shape))

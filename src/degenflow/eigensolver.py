@@ -95,17 +95,11 @@ def _p_mass(measure, values, p):
     return float(np.sum(measure * np.abs(values) ** p))
 
 
-def _quotient(u, weight, p, eps_reg, measure):
+def _quotient(u, weight, p, measure):
     denom = _p_mass(measure, u.values, p)
     if denom <= 0.0:
         raise ConfigError("Rayleigh quotient of a field with zero weighted p-norm")
-    return float(p * energy(u, weight, p, eps_reg) / denom)
-
-
-def rayleigh_quotient(u, weight, p, eps_reg=0.0):
-    """R(u) = p * energy(u) / integral(omega |u|^p).  Raises on zero field."""
-    measure = cell_volumes(u.grid) * weight_on_grid(weight, u.grid)
-    return _quotient(u, weight, p, eps_reg, measure)
+    return float(p * energy(u, weight, p) / denom)
 
 
 def _normalize(values, qw, measure, p, normalization):
@@ -137,11 +131,14 @@ def smallest_eigenpair(
     tol=None,
     max_iter=50_000,
     normalization=NORMALIZE_MASS,
-    eps_reg=0.0,
-    initial=None,
 ):
     """Principal Dirichlet eigenpair by preconditioned Polak-Ribiere+
     conjugate gradients on the Rayleigh quotient, with restart.
+
+    The start is the flat interior field after three preconditioner
+    solves, and the energy is the unregularized one (eps_reg = 0).  tol
+    defaults to 1e-6 at p = 2 and 1e-4 otherwise; normalization is
+    NORMALIZE_MASS or NORMALIZE_P_NORM.
 
     Returns an EigenPair whose residual is || L u + lam w |u|^{p-2} u || /
     || lam w |u|^{p-2} u || over all nodes, with the residual of every
@@ -163,23 +160,18 @@ def smallest_eigenpair(
     measure = vol * wvals
     qw = quad_weights(grid)
 
-    if initial is not None:
-        vals = np.array(initial.values, dtype=float)
-    else:
-        vals = np.where(interior, 1.0, 0.0).astype(float)
-        # a few smoothing solves bend the flat start toward the ground mode
-        for _ in range(3):
-            rhs = (measure * vals).ravel()[idx]
-            vals = np.zeros(grid.n_nodes)
-            vals[idx] = band.solve(factor, rhs)
-            vals = vals.reshape(grid.shape)
-            vals /= np.abs(vals).max()
-    vals[grid.boundary_mask] = 0.0
-    vals = np.abs(vals)
-    vals = _normalize(vals, qw, measure, p, normalization)
+    vals = np.where(interior, 1.0, 0.0)
+    # a few smoothing solves bend the flat start toward the ground mode
+    for _ in range(3):
+        rhs = (measure * vals).ravel()[idx]
+        vals = np.zeros(grid.n_nodes)
+        vals[idx] = band.solve(factor, rhs)
+        vals = vals.reshape(grid.shape)
+        vals /= np.abs(vals).max()
+    vals = _normalize(np.abs(vals), qw, measure, p, normalization)
 
     def quotient(v):
-        return _quotient(Field(grid, v), weight, p, eps_reg, measure)
+        return _quotient(Field(grid, v), weight, p, measure)
 
     r_val = quotient(vals)
     best = (r_val, vals.copy(), np.inf, 0)
@@ -187,7 +179,7 @@ def smallest_eigenpair(
     restarts = 0
     for it in range(1, max_iter + 1):
         u = Field(grid, vals)
-        lap = apply_plaplacian(u, weight, p, eps_reg).values
+        lap = apply_plaplacian(u, weight, p).values
         res = _residual_norm(grid, lap, r_val, wvals, vals, p)
         history.append(res)
         if res < best[2]:

@@ -25,10 +25,6 @@ class ShapeError(DegenflowError, ValueError):
     """Mismatched grids or array shapes."""
 
 
-class DataError(DegenflowError, ValueError):
-    """Required data (snapshots, samples) is missing or unusable."""
-
-
 class FitError(DegenflowError, ArithmeticError):
     """A regression could not be performed on the supplied data."""
 

@@ -106,9 +106,9 @@ def _coefficient(spec, t):
     return 0.0
 
 
-def reaction_eval(spec, x, t, u):
-    """Evaluate f(x, t, u); u may be an array.  x is accepted for interface
-    uniformity, the built-in families are space-independent."""
+def reaction_eval(spec, t, u):
+    """Evaluate f(t, u); u may be an array.  The built-in families are
+    space-independent."""
     if t < 0.0:
         raise ConfigError(f"reaction time must be nonnegative, got {t}")
     u = np.asarray(u, dtype=float)
@@ -117,7 +117,7 @@ def reaction_eval(spec, x, t, u):
     return _coefficient(spec, t) * np.abs(u) ** (spec.sigma - 1.0) * u
 
 
-def reaction_derivative(spec, x, t, u):
+def reaction_derivative(spec, t, u):
     """Pointwise derivative of the reaction with respect to u."""
     if t < 0.0:
         raise ConfigError(f"reaction time must be nonnegative, got {t}")

@@ -236,7 +236,7 @@ class _NewtonSystem(BandPattern):
 
 def _residual(v_field, u_old, t_new, dt, spec):
     lap = apply_plaplacian(v_field, spec.weight, spec.p, spec.controls.eps_reg).values
-    rea = reaction_eval(spec.reaction, None, t_new, v_field.values)
+    rea = reaction_eval(spec.reaction, t_new, v_field.values)
     r = v_field.values - u_old - dt * (lap + rea)
     r[v_field.grid.boundary_mask] = 0.0
     return r
@@ -289,7 +289,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
             stats["newton_iters"] = stats.get("newton_iters", 0) + 1
         if rnorm <= tol:
             return v
-        drea = reaction_derivative(spec.reaction, None, t_new, v.values).ravel()[idx]
+        drea = reaction_derivative(spec.reaction, t_new, v.values).ravel()[idx]
         lu = system.factor(system.matrix(v, dt, drea, mode, ctl.eps_reg))
         delta = system.solve(lu, -system.vol * r.ravel()[idx])
         if not np.all(np.isfinite(delta)):

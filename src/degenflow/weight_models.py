@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateBallError,
-    DivergenceError,
-    OutOfRangeError,
-)
+from .errors import ConfigError, DegenerateBallError, DivergenceError
 
 KIND_CONSTANT = "constant"
 KIND_POWER = "power"
@@ -37,6 +32,14 @@ KIND_TABULATED = "tabulated"
 _KINDS = (KIND_CONSTANT, KIND_POWER, KIND_TABULATED)
 
 QUAD_RTOL = 1e-8
+
+# the class checks extend their radius grid by this many octaves, and fail
+# when the Muckenhoupt constant grows there by more than TREND_TOL
+# (relative) or the normalized doubling ratio has a log-log slope above
+# SLOPE_TOL
+EXTENSION_OCTAVES = 3
+TREND_TOL = 0.05
+SLOPE_TOL = 0.02
 
 
 def surface_area(n):
@@ -51,19 +54,15 @@ class WeightSpec:
     """Description of a radial weight omega(x) = w(|x|).
 
     theta_mk is the exponent used by the Muckenhoupt-type check (> 1).
-    mu is the doubling exponent the weight is claimed to satisfy.
     Tabulated weights interpolate linearly between samples; outside the
-    tabulated range they extend by the boundary value unless extend=False,
-    in which case evaluation there raises OutOfRangeError.
+    tabulated range they extend by the boundary value.
     """
 
     kind: str
     theta_w: float = 0.0
     theta_mk: float = 2.0
-    mu: float = 1.0
     positions: np.ndarray | None = None
     values: np.ndarray | None = None
-    extend: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -85,23 +84,16 @@ class WeightSpec:
             object.__setattr__(self, "values", val)
 
     @staticmethod
-    def constant(theta_mk=2.0, mu=1.0):
-        return WeightSpec(KIND_CONSTANT, theta_mk=theta_mk, mu=mu)
+    def constant(theta_mk=2.0):
+        return WeightSpec(KIND_CONSTANT, theta_mk=theta_mk)
 
     @staticmethod
-    def power(theta_w, theta_mk=2.0, mu=1.0):
-        return WeightSpec(KIND_POWER, theta_w=float(theta_w), theta_mk=theta_mk, mu=mu)
+    def power(theta_w, theta_mk=2.0):
+        return WeightSpec(KIND_POWER, theta_w=float(theta_w), theta_mk=theta_mk)
 
     @staticmethod
-    def tabulated(positions, values, theta_mk=2.0, mu=1.0, extend=True):
-        return WeightSpec(
-            KIND_TABULATED,
-            theta_mk=theta_mk,
-            mu=mu,
-            positions=positions,
-            values=values,
-            extend=extend,
-        )
+    def tabulated(positions, values, theta_mk=2.0):
+        return WeightSpec(KIND_TABULATED, theta_mk=theta_mk, positions=positions, values=values)
 
     def natural_mu(self, n):
         """Doubling exponent at which a power weight doubles exactly."""
@@ -121,12 +113,6 @@ def eval_radial(spec, r):
         with np.errstate(divide="ignore"):
             out = np.abs(r) ** spec.theta_w
         return out
-    if not spec.extend:
-        lo, hi = spec.positions[0], spec.positions[-1]
-        if np.any(r < lo - 1e-15) or np.any(r > hi + 1e-15):
-            raise OutOfRangeError(
-                f"radius outside tabulated range [{lo}, {hi}] with extend=False"
-            )
     return np.interp(r, spec.positions, spec.values)
 
 
@@ -247,7 +233,7 @@ class MuckenhouptReport:
     message: str = ""
 
 
-def check_muckenhoupt(spec, n, radii, cap=1e6, extension_octaves=3, trend_tol=0.05):
+def check_muckenhoupt(spec, n, radii, cap=1e6):
     """Check the ball-mass / dual-mass product condition on a radius grid.
 
     For each radius r the constant is
@@ -255,7 +241,7 @@ def check_muckenhoupt(spec, n, radii, cap=1e6, extension_octaves=3, trend_tol=0.
         mass(B_r) * dual_mass(B_r)**(theta_mk - 1) / r**(n * theta_mk),
 
     and the essential-supremum bound ess sup omega <= c * r**(-n) * mass(B_r)
-    is checked alongside.  The grid is extended by extension_octaves halvings
+    is checked alongside.  The grid is extended by EXTENSION_OCTAVES halvings
     below and doublings above; an upward trend there fails the check.
     """
     radii = sorted(float(r) for r in radii)
@@ -282,8 +268,8 @@ def check_muckenhoupt(spec, n, radii, cap=1e6, extension_octaves=3, trend_tol=0.
         worst = max(worst, const)
         worst_ess = max(worst_ess, ratio)
 
-    ext_r = [radii[0] / 2**j for j in range(1, extension_octaves + 1)]
-    ext_r += [radii[-1] * 2**j for j in range(1, extension_octaves + 1)]
+    ext_r = [radii[0] / 2**j for j in range(1, EXTENSION_OCTAVES + 1)]
+    ext_r += [radii[-1] * 2**j for j in range(1, EXTENSION_OCTAVES + 1)]
     ext_consts = []
     for r in ext_r:
         const, _ = constant_at(r)
@@ -298,14 +284,14 @@ def check_muckenhoupt(spec, n, radii, cap=1e6, extension_octaves=3, trend_tol=0.
         all_finite
         and worst <= cap
         and worst_ess <= cap
-        and tail_growth <= 1.0 + trend_tol
+        and tail_growth <= 1.0 + TREND_TOL
     )
     msg = "ok"
     if not all_finite:
         msg = "mass or dual mass diverges"
     elif worst > cap or worst_ess > cap:
         msg = "constant exceeds cap"
-    elif tail_growth > 1.0 + trend_tol:
+    elif tail_growth > 1.0 + TREND_TOL:
         msg = "constant grows under radius-grid extension"
     return MuckenhouptReport(
         passes=passes,
@@ -326,7 +312,7 @@ class DoublingReport:
     message: str = ""
 
 
-def check_doubling(spec, n, mu, radius_pairs, cap=1e6, extension_octaves=3, slope_tol=0.02):
+def check_doubling(spec, n, mu, radius_pairs, cap=1e6):
     """Check mass(B_s) <= c * (s/h)**(n*mu) * mass(B_h) over radius pairs.
 
     Ratios are normalized by (s/h)**(n*mu); the pair list is extended toward
@@ -354,15 +340,15 @@ def check_doubling(spec, n, mu, radius_pairs, cap=1e6, extension_octaves=3, slop
         worst = max(worst, ratio)
 
     s_big, h_big = max(pairs, key=lambda sh: sh[0] / sh[1])
-    ext_seps = [(s_big / h_big) * 2**j for j in range(extension_octaves + 1)]
+    ext_seps = [(s_big / h_big) * 2**j for j in range(EXTENSION_OCTAVES + 1)]
     ext_ratios = [normalized(h_big * sep, h_big) for sep in ext_seps]
     tail_slope = _trend_slope(ext_seps, ext_ratios)
 
-    passes = worst <= cap and max(ext_ratios) <= cap and tail_slope <= slope_tol
+    passes = worst <= cap and max(ext_ratios) <= cap and tail_slope <= SLOPE_TOL
     msg = "ok"
     if worst > cap or max(ext_ratios) > cap:
         msg = "ratio exceeds cap"
-    elif tail_slope > slope_tol:
+    elif tail_slope > SLOPE_TOL:
         msg = "normalized ratio grows with scale separation"
     return DoublingReport(
         passes=passes,
@@ -373,7 +359,7 @@ def check_doubling(spec, n, mu, radius_pairs, cap=1e6, extension_octaves=3, slop
     )
 
 
-def load_weight_csv(path, theta_mk=2.0, mu=1.0, extend=True):
+def load_weight_csv(path, theta_mk=2.0):
     """Load a tabulated weight from a two-column CSV (position, value).
 
     A non-numeric first row is treated as a header and skipped.  Positions
@@ -397,4 +383,4 @@ def load_weight_csv(path, theta_mk=2.0, mu=1.0, extend=True):
             values.append(val)
     if len(positions) < 2:
         raise ConfigError(f"{path}: need at least two samples")
-    return WeightSpec.tabulated(positions, values, theta_mk=theta_mk, mu=mu, extend=extend)
+    return WeightSpec.tabulated(positions, values, theta_mk=theta_mk)

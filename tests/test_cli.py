@@ -97,6 +97,14 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert cfg.sections["problem"]["snapshot_times"] == [0.1, 0.2, 0.4]
 
+    @pytest.mark.parametrize("key", ["resolutions", "sample_times"])
+    def test_empty_list_reports_line(self, key):
+        """An empty list is rejected, not read as "use the defaults"."""
+        text = f"command = verify-exact\noutput_dir = o\n[verify]\n{key} =\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "line 4" in str(err.value)
+
 
 def _run(tmp_path, name, text, *argv):
     path = tmp_path / name
@@ -185,6 +193,30 @@ class TestMain:
         summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
         assert summary["muckenhoupt"]["passes"] is True
         assert summary["doubling"]["passes"] is True
+
+    @pytest.mark.parametrize("problem, n", [
+        ("mode = interval\n", 1),
+        ("mode = tensor2d\n", 2),
+        ("mode = radial\nn = 3\n", 3),
+        ("mode = radial\n", None),
+    ], ids=["interval", "tensor2d", "radial", "radial-without-n"])
+    def test_weights_check_dimension(self, tmp_path, problem, n):
+        """weights-check runs in the grid's dimension; a radial problem
+        without n fails as it does for every other command."""
+        path = tmp_path / "w.cfg"
+        path.write_text(
+            f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n"
+            f"[problem]\n{problem}extent = 4.0\nweight = power\ntheta_w = 1.0\n"
+        )
+        code = main(["weights-check", "--config", str(path)])
+        if n is None:
+            assert code == EXIT_CONFIG
+            error = json.loads((tmp_path / "wout" / "error.json").read_text())
+            assert "n >= 2" in error["message"]
+        else:
+            assert code == EXIT_OK
+            summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
+            assert summary["n"] == n
 
     def test_undecided_scan_exit_code(self, tmp_path, monkeypatch):
         """A scan whose bracket cannot reach the tolerance in the probe

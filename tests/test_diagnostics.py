@@ -1,5 +1,5 @@
-"""Closed-form ODE comparisons, radial characteristics, reference
-solutions, and the trajectory fits."""
+"""Closed-form ODE comparisons, reference solutions, and the trajectory
+fits."""
 
 import math
 
@@ -9,8 +9,6 @@ from scipy.integrate import solve_ivp
 
 from degenflow import (
     ConfigError,
-    DataError,
-    EigenPair,
     Exponents,
     Field,
     FitError,
@@ -18,26 +16,18 @@ from degenflow import (
     OutOfRangeError,
     ProblemSpec,
     ReactionSpec,
-    ShapeError,
     StepControls,
     Trajectory,
-    WeightSpec,
     barenblatt_corrected,
     barenblatt_exact,
-    barenblatt_front,
     bernoulli_blowup,
     blowup_threshold,
     build_grid,
-    condition_star,
     decay_exponent_fit,
     exp_forced_bound,
     fit_bernoulli_constant,
     fit_exp_forced_constant,
-    g_functional,
-    phi_r_characteristic,
     residual_check,
-    smallest_eigenpair,
-    triple_norm,
 )
 
 
@@ -153,80 +143,14 @@ def test_exp_forced_bound_values():
         exp_forced_bound(0.0, 1.0, 2.0)
 
 
-def _unit_eigpair(grid, values):
-    return EigenPair(1.0, Field(grid, values), 0.0, 0, 2.0)
-
-
-def test_g_functional_hand_value():
-    g = build_grid("interval", 1.0, 512)
-    x = g.axes[0]
-    eig = _unit_eigpair(g, np.sin(np.pi * x))
-    u = Field(g, np.sin(np.pi * x))
-    # integral sin^2(pi x) = 1/2
-    assert g_functional(u, eig, None) == pytest.approx(0.5, rel=1e-5)
-
-
-def test_g_functional_grid_mismatch():
-    g1 = build_grid("interval", 1.0, 16)
-    g2 = build_grid("interval", 1.0, 16)
-    eig = _unit_eigpair(g1, np.zeros(g1.shape))
-    with pytest.raises(ShapeError):
-        g_functional(Field(g2, np.zeros(g2.shape)), eig, None)
-
-
-def test_condition_star_vanishes_at_eigenfunction():
-    g = build_grid("interval", 1.0, 64)
-    pair = smallest_eigenpair(g, None, 2.0)
-    val = condition_star(pair.eigenfunction, pair, None, 2.0)
-    assert abs(val) < 1e-12
-
-
-def test_condition_star_positive_for_scaled_state():
-    # u = 2 u0: integrand reduces to |grad u0|^{p-2}(2^{p-1}-1)|grad u0|^2 >= 0
-    g = build_grid("interval", 1.0, 64)
-    pair = smallest_eigenpair(g, None, 3.0)
-    u = Field(g, 2.0 * pair.eigenfunction.values)
-    assert condition_star(u, pair, None, 3.0) > 0.0
-
-
-class TestPhiR:
-    def test_constant_field_hand_value(self):
-        """On the disk with a constant snapshot the factor is
-        (pi rho^2 / rho^6)^{1/2} * sup = sqrt(pi)/rho^2 * sup, maximized
-        at the base radius."""
-        g = build_grid("radial", 2.0, 32, n=2)
-        traj = Trajectory()
-        traj.snapshots[0.5] = Field(g, np.full(g.shape, 3.0))
-        exps = Exponents(n=2, p=4.0)
-        got = phi_r_characteristic(traj, 1.0, 1.0, exps, WeightSpec.constant())
-        assert got == pytest.approx(3.0 * math.sqrt(math.pi), rel=1e-12)
-
-    def test_requires_snapshot_in_window(self):
-        g = build_grid("radial", 2.0, 16, n=2)
-        traj = Trajectory()
-        traj.snapshots[5.0] = Field(g, np.ones(g.shape))
-        with pytest.raises(DataError):
-            phi_r_characteristic(traj, 1.0, 1.0, Exponents(2, 4.0), WeightSpec.constant())
-
-    def test_requires_p_above_two(self):
-        with pytest.raises(ConfigError):
-            phi_r_characteristic(Trajectory(), 1.0, 1.0, Exponents(2, 2.0), None)
-
-
-def test_triple_norm_hand_value():
-    # u = 1, omega = 1, n=2, p=3, mu=1: factor * integral = pi^2 rho^{-3},
-    # maximized at the base radius rho = 1
-    g = build_grid("radial", 2.0, 64, n=2)
-    u = Field(g, np.ones(g.shape))
-    exps = Exponents(n=2, p=3.0, mu=1.0)
-    got = triple_norm(u, 1.0, exps, WeightSpec.constant())
-    assert got == pytest.approx(math.pi**2, rel=1e-10)
-
-
-def test_triple_norm_requires_p_above_two():
-    g = build_grid("radial", 1.0, 16, n=2)
-    with pytest.raises(ConfigError):
-        triple_norm(Field.zeros(g), 0.5, Exponents(2, 2.0), None)
+def _corrected_front(t, exps):
+    """Support radius of barenblatt_corrected at time t: where
+    c xi^gamma = 1, with c, gamma and xi = r / t^{1/beta} as in its
+    docstring."""
+    p, theta, beta = exps.p, exps.theta_w, exps.beta
+    gamma = (p - theta) / (p - 1.0)
+    c = ((p - 2.0) / (p - theta)) * (1.0 / beta) ** (1.0 / (p - 1.0))
+    return c ** (-1.0 / gamma) * t ** (1.0 / beta)
 
 
 class TestBarenblatt:
@@ -238,19 +162,10 @@ class TestBarenblatt:
         assert barenblatt_corrected(0.0, 2.0, self.EXPS0) == pytest.approx(2.0 ** (-0.4))
         assert barenblatt_exact(0.0, 2.0, self.EXPS0) == pytest.approx(1.0)
 
-    def test_front_values(self):
-        # hand-computed support radii
-        assert barenblatt_front(1.0, self.EXPS0, "corrected") == pytest.approx(3.556893, rel=1e-5)
-        assert barenblatt_front(1.0, self.EXPS0, "verbatim") == pytest.approx(2.823108, rel=1e-5)
-        assert barenblatt_front(1.0, self.EXPS1, "corrected") == pytest.approx(4.0, rel=1e-12)
-        assert barenblatt_front(10.0, self.EXPS1, "corrected") == pytest.approx(
-            4.0 * 10.0**0.25, rel=1e-12
-        )
-
     def test_support_matches_front(self):
         exps = self.EXPS0
         t = 2.0
-        rf = barenblatt_front(t, exps, "corrected")
+        rf = _corrected_front(t, exps)
         assert barenblatt_corrected(rf * 1.001, t, exps) == 0.0
         assert barenblatt_corrected(rf * 0.98, t, exps) > 0.0
 
@@ -259,7 +174,7 @@ class TestBarenblatt:
         for exps in (self.EXPS0, self.EXPS1):
             masses = []
             for t in (1.0, 2.0, 4.0):
-                rf = barenblatt_front(t, exps, "corrected")
+                rf = _corrected_front(t, exps)
                 r = np.linspace(0.0, rf, 4000)
                 u = barenblatt_corrected(r, t, exps)
                 masses.append(2.0 * np.pi * np.trapezoid(u * r, r))

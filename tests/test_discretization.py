@@ -1,6 +1,4 @@
-"""Grids, fields, quadrature, and field CSV round-trips."""
-
-import math
+"""Grids, fields, quadrature, and field CSV output."""
 
 import numpy as np
 import pytest
@@ -15,10 +13,7 @@ from degenflow import (
     build_grid,
     cell_volumes,
     integrate,
-    nodal_gradient,
     quad_weights,
-    read_field_csv,
-    sobolev_norm,
     surface_area,
     weight_on_grid,
     write_field_csv,
@@ -133,28 +128,6 @@ def test_weight_on_grid_variants():
         weight_on_grid(np.zeros(5), g)
 
 
-def test_nodal_gradient_linear_exact():
-    g = build_grid("tensor2d", 1.0, 8)
-    x, y = g.coordinates()
-    f = Field(g, 3.0 * x - 2.0 * y)
-    gx, gy = nodal_gradient(f)
-    np.testing.assert_allclose(gx, 3.0, atol=1e-13)
-    np.testing.assert_allclose(gy, -2.0, atol=1e-13)
-
-
-def test_sobolev_norm_hand_value():
-    # u = x on [0,1]: integral(|u|^2 + |u'|^2) = 1/3 + 1 = 4/3
-    g = build_grid("interval", 1.0, 256)
-    f = Field(g, g.axes[0].copy())
-    assert sobolev_norm(f) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-5)
-
-
-def test_sobolev_norm_rejects_bad_exponent():
-    g = build_grid("interval", 1.0, 8)
-    with pytest.raises(ConfigError):
-        sobolev_norm(Field.zeros(g), p=1.0)
-
-
 @pytest.mark.parametrize("mode,kw", [("interval", {}), ("radial", {"n": 2}), ("tensor2d", {})])
 def test_field_csv_roundtrip(tmp_path, mode, kw):
     g = build_grid(mode, 1.0, 6, **kw)
@@ -162,22 +135,10 @@ def test_field_csv_roundtrip(tmp_path, mode, kw):
     f = Field(g, rng.standard_normal(g.shape))
     path = tmp_path / "field.csv"
     write_field_csv(f, path, header_lines=("example",))
-    back = read_field_csv(path, g)
-    np.testing.assert_allclose(back.values, f.values, atol=1e-15)
-
-
-def test_field_csv_grid_mismatch(tmp_path):
-    g = build_grid("interval", 1.0, 6)
-    f = Field(g, np.zeros(g.shape))
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    other = build_grid("interval", 1.0, 8)
-    with pytest.raises(ShapeError):
-        read_field_csv(path, other)
-
-
-def test_from_function_tensor():
-    g = build_grid("tensor2d", 1.0, 4)
-    f = Field.from_function(g, lambda xy: xy[0] + 10.0 * xy[1])
-    x, y = g.coordinates()
-    np.testing.assert_allclose(f.values, x + 10.0 * y)
+    lines = path.read_text().splitlines()
+    coords = "x,y" if mode == "tensor2d" else ("x" if mode == "interval" else "r")
+    assert lines[:2] == ["# example", f"{coords},value"]
+    # 17 significant digits read back to the same doubles
+    data = np.loadtxt(path, delimiter=",", skiprows=2)
+    expect = [c.ravel() for c in g.coordinates()] + [f.values.ravel()]
+    np.testing.assert_array_equal(data, np.column_stack(expect))

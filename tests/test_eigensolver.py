@@ -7,7 +7,6 @@ from scipy import optimize as sopt
 
 import degenflow.eigensolver as eigensolver
 from degenflow import (
-    ConfigError,
     ConvergenceError,
     EigenPair,
     Field,
@@ -15,8 +14,9 @@ from degenflow import (
     ReactionSpec,
     WeightSpec,
     build_grid,
+    cell_volumes,
+    energy,
     integrate,
-    rayleigh_quotient,
     run_simulation,
     smallest_eigenpair,
 )
@@ -103,24 +103,15 @@ def test_eigenfunction_properties():
     assert np.max(np.abs(vals - ref)) < 1e-3
 
 
-def test_rayleigh_quotient_at_exact_mode():
-    g = build_grid("interval", 1.0, 512)
-    u = Field(g, np.sin(np.pi * g.axes[0]))
-    assert rayleigh_quotient(u, None, 2.0) == pytest.approx(PI2, rel=1e-4)
-
-
-def test_rayleigh_quotient_rejects_zero_field():
-    g = build_grid("interval", 1.0, 16)
-    with pytest.raises(ConfigError):
-        rayleigh_quotient(Field.zeros(g), None, 2.0)
-
-
 def test_rayleigh_bounds_eigenvalue_from_above():
     g = build_grid("interval", 1.0, 128)
     pair = smallest_eigenpair(g, None, 2.0)
     x = g.axes[0]
     trial = Field(g, x * (1.0 - x))
-    assert rayleigh_quotient(trial, None, 2.0) >= pair.eigenvalue - 1e-10
+    # R(trial) = p * energy(trial) / sum(vol * |trial|^p), the quotient the
+    # solver minimizes
+    quotient = 2.0 * energy(trial, None, 2.0) / np.sum(cell_volumes(g) * trial.values**2)
+    assert quotient >= pair.eigenvalue - 1e-10
 
 
 def test_weighted_problem_shifts_eigenvalue():
@@ -141,13 +132,6 @@ def test_eigenvalue_scales_inverse_p_with_extent():
     lam1 = smallest_eigenpair(g1, None, p).eigenvalue
     lam2 = smallest_eigenpair(g2, None, p).eigenvalue
     assert lam2 == pytest.approx(lam1 / 2.0**p, rel=1e-6)
-
-
-def test_initial_guess_accepted():
-    g = build_grid("interval", 1.0, 64)
-    init = Field(g, np.sin(np.pi * g.axes[0]))
-    pair = smallest_eigenpair(g, None, 2.0, initial=init)
-    assert pair.eigenvalue == pytest.approx(PI2, rel=1e-2)
 
 
 def test_json_payload_keys(tmp_path):

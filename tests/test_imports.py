@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every public function or class is reached from the package itself."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,31 @@ def test_module_imports_are_used(path):
             if name not in used:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused
+
+
+# public names that only tests call: they are the oracles the Newton-system
+# and acceptance tests compare against
+TEST_ORACLES = {"diffusion_jacobian", "variational_dot", "integrate"}
+
+
+def test_public_functions_are_reached():
+    """A public top-level function or class that no module of the package
+    names (as a bare name or an attribute) fails, unless it is a test
+    oracle: exporting it from __init__ does not count as a use."""
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreached = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced | TEST_ORACLES
+    ]
+    assert not unreached

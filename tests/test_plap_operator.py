@@ -323,35 +323,35 @@ class TestReactionSpec:
     def test_none_is_zero(self):
         spec = ReactionSpec.none()
         u = np.array([1.0, -2.0])
-        assert np.all(reaction_eval(spec, None, 0.5, u) == 0.0)
-        assert np.all(reaction_derivative(spec, None, 0.5, u) == 0.0)
+        assert np.all(reaction_eval(spec, 0.5, u) == 0.0)
+        assert np.all(reaction_derivative(spec, 0.5, u) == 0.0)
 
     def test_power_family_odd(self):
         spec = ReactionSpec.power(2.0, 2.0)
         u = np.array([3.0, -3.0])
-        out = reaction_eval(spec, None, 0.0, u)
+        out = reaction_eval(spec, 0.0, u)
         np.testing.assert_allclose(out, [18.0, -18.0])
 
     def test_bounded_power_time_dependence(self):
         spec = ReactionSpec.bounded_power(c3=1.0, c4=2.0, m=2.0, sigma=2.0)
         u = np.array([1.0])
-        assert reaction_eval(spec, None, 0.0, u)[0] == pytest.approx(1.0)
-        assert reaction_eval(spec, None, 3.0, u)[0] == pytest.approx(1.0 + 2.0 * 9.0)
+        assert reaction_eval(spec, 0.0, u)[0] == pytest.approx(1.0)
+        assert reaction_eval(spec, 3.0, u)[0] == pytest.approx(1.0 + 2.0 * 9.0)
 
     def test_exp_forced_growth(self):
         spec = ReactionSpec.exp_forced(c6=1.0, sigma=2.0, lambda1_ref=1.0)
         u = np.array([1.0])
         t = 0.7
-        assert reaction_eval(spec, None, t, u)[0] == pytest.approx(np.exp(2.0 * t))
+        assert reaction_eval(spec, t, u)[0] == pytest.approx(np.exp(2.0 * t))
 
     def test_derivative_matches_fd(self):
         spec = ReactionSpec.power(1.5, 3.0)
         u = np.linspace(-2.0, 2.0, 9)
         eps = 1e-6
         fd = (
-            reaction_eval(spec, None, 1.0, u + eps) - reaction_eval(spec, None, 1.0, u - eps)
+            reaction_eval(spec, 1.0, u + eps) - reaction_eval(spec, 1.0, u - eps)
         ) / (2.0 * eps)
-        np.testing.assert_allclose(reaction_derivative(spec, None, 1.0, u), fd, atol=1e-5)
+        np.testing.assert_allclose(reaction_derivative(spec, 1.0, u), fd, atol=1e-5)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -364,4 +364,4 @@ class TestReactionSpec:
     def test_negative_time_rejected(self):
         spec = ReactionSpec.power(1.0, 2.0)
         with pytest.raises(ConfigError):
-            reaction_eval(spec, None, -0.1, np.array([1.0]))
+            reaction_eval(spec, -0.1, np.array([1.0]))

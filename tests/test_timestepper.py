@@ -105,7 +105,7 @@ def test_newton_system_matches_jacobian_form(mode, p, linearization, eps_reg):
     vals[g.boundary_mask] = 0.0
     u = Field(g, vals)
     dt, t_new = 3e-3, 0.1
-    drea = reaction_derivative(ReactionSpec.power(2.0, 2.5), None, t_new, vals).ravel()
+    drea = reaction_derivative(ReactionSpec.power(2.0, 2.5), t_new, vals).ravel()
 
     system = _NewtonSystem(g, weight, p)
     idx = system.idx
@@ -125,7 +125,7 @@ def _indefinite_newton_band(symmetric):
     vals[g.boundary_mask] = 0.0
     dt = 0.05
     idx = np.flatnonzero(~g.boundary_mask.ravel())
-    drea = reaction_derivative(ReactionSpec.power(1.0, 2.0), None, 0.0, vals).ravel()[idx]
+    drea = reaction_derivative(ReactionSpec.power(1.0, 2.0), 0.0, vals).ravel()[idx]
     assert (dt * drea > 1.0).any()
     data, row, col = lower_entries(energy_hessian_matrix(g, None).tocsr()[idx][:, idx])
     pattern = BandPattern(row, col, len(idx))
@@ -249,7 +249,7 @@ def test_newton_solve_matches_dense(mode, p, dt, alpha0, seed):
     vals = rng.standard_normal(g.shape)
     vals[g.boundary_mask] = 0.0
     u = Field(g, vals)
-    drea = reaction_derivative(ReactionSpec.power(alpha0, 2.0), None, 0.0, vals).ravel()
+    drea = reaction_derivative(ReactionSpec.power(alpha0, 2.0), 0.0, vals).ravel()
     system = _NewtonSystem(g, weight, p)
     idx = system.idx
     jac = diffusion_jacobian(u, weight, p).toarray()

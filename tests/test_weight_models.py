@@ -8,7 +8,6 @@ import pytest
 from degenflow import (
     ConfigError,
     DivergenceError,
-    OutOfRangeError,
     WeightSpec,
     ball_mass,
     check_doubling,
@@ -50,11 +49,6 @@ class TestEvalRadial:
         np.testing.assert_allclose(eval_radial(spec, [1.5]), [3.0])
         # constant extension on both sides
         np.testing.assert_allclose(eval_radial(spec, [0.0, 10.0]), [2.0, 4.0])
-
-    def test_tabulated_no_extend_raises(self):
-        spec = WeightSpec.tabulated([1.0, 2.0], [2.0, 4.0], extend=False)
-        with pytest.raises(OutOfRangeError):
-            eval_radial(spec, np.array([3.0]))
 
     def test_tabulated_validation(self):
         with pytest.raises(ConfigError):
