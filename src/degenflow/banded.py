@@ -2,14 +2,17 @@
 
 A BandPattern is fixed by the positions (row, col), row >= col, of a
 symmetric matrix's entries on and below the diagonal; kd = max(row - col) is
-its half-bandwidth (1 on interval and radial grids, resolution - 1 on tensor
-grids in natural order).  Values go into one of two column-major LAPACK band
-storages: symmetric lower, entry (i, j), i >= j, at row i - j of a
-(kd + 1, n) array, factored by band Cholesky (dpbtrf) for a positive
-definite matrix; or general, entry (i, j) at row 2 kd + i - j of a
-(3 kd + 1, n) array whose top kd rows hold the fill-in, factored by band LU
-with partial pivoting (dgbtrf) for any other.  A factorization that fails
-(info > 0) raises FactorError.
+its half-bandwidth.  It is 1 on interval and radial grids.  On tensor grids
+in natural order it is resolution - 1 for the 5-point pattern of the normal
+difference (the eigensolver's preconditioner, the p > 2 Newton systems), and
+2 (resolution - 1) + 1 for the full p = 2 Hessian of the p = 2 Newton
+systems, whose tangential term couples diagonal neighbours.  Values go into
+one of two column-major LAPACK band storages: symmetric lower, entry (i, j),
+i >= j, at row i - j of a (kd + 1, n) array, factored by band Cholesky
+(dpbtrf) for a positive definite matrix; or general, entry (i, j) at row
+2 kd + i - j of a (3 kd + 1, n) array whose top kd rows hold the fill-in,
+factored by band LU with partial pivoting (dgbtrf) for any other.  A
+factorization that fails (info > 0) raises FactorError.
 """
 
 from functools import cached_property

@@ -5,17 +5,24 @@ boundary of
 
     R(u) = integral(omega * |grad u|**p) / integral(omega * |u|**p),
 
-computed with the same discrete energy the evolution operator derives
-from, so eigenpairs satisfy apply_plaplacian(u) + lam * omega * |u|**(p-2) * u = 0
+computed with the same discrete energy the evolution operator derives from,
+so eigenpairs satisfy apply_plaplacian(u) + lam * omega * |u|**(p-2) * u = 0
 at the discrete level.  Minimization is preconditioned nonlinear conjugate
-gradients: the preconditioner solves the interior p = 2 stiffness system,
-factored once by band Cholesky (banded module), and the search direction
-is the Polak-Ribiere+ combination of the preconditioned gradient with the
+gradients.  The preconditioner solves the interior 5-point stiffness
+A^T diag(k cw) A, with A the normal difference of the face operator and k
+its number of gradient components, factored once by band Cholesky (banded
+module).  On tensor grids that is the weighted 5-point Laplacian, spectrally
+equivalent to the p = 2 Hessian but without its tangential term
+B^T diag(cw) B, whose diagonal couplings double the bandwidth.  On interval
+and radial grids it is the p = 2 Hessian itself.  The search direction is
+the Polak-Ribiere+ combination of the preconditioned gradient with the
 previous direction, restarted from the preconditioned gradient whenever it
-is not a descent direction.  Steps are backtracked until R decreases, and
-iterates are folded to their absolute value, which never increases R and
-steers toward the positive principal mode.  A solve whose best residual
-stops improving, as it does once R moves only at round-off, ends with a
+is not a descent direction.  Steps are backtracked until R decreases; then
+one interpolation step evaluates R at the minimizer of the quadratic through
+R(0), R'(0) and R(tau) and keeps that point if R is lower there.  Iterates
+are folded to their absolute value, which never increases R and steers
+toward the positive principal mode.  A solve whose best residual stops
+improving, as it does once R moves only at round-off, ends with a
 ConvergenceError.  A weight that vanishes on a whole region makes the
 stiffness singular, which raises a NumericalError.
 """
@@ -25,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
 
 from .banded import BandPattern, lower_entries
 from .discretization import (
     Field,
-    cell_volumes,
     quad_weights,
     quadrature_sum,
     weight_on_grid,
@@ -38,7 +45,7 @@ from .discretization import (
 )
 from .errors import ConfigError, ConvergenceError
 from .jsonio import write_json
-from .plap_operator import apply_plaplacian, energy, energy_hessian_matrix
+from .plap_operator import apply_plaplacian, energy, face_operator
 
 NORMALIZE_MASS = "unit_mass"
 NORMALIZE_P_NORM = "unit_p_norm"
@@ -61,6 +68,10 @@ class EigenPair:
     # iterations whose direction fell back to the preconditioned gradient
     residual_history: list = field(default_factory=list)
     restarts: int = 0
+    # Rayleigh-quotient evaluations, and line searches whose interpolated
+    # point was kept
+    quotient_evals: int = 0
+    interpolated_steps: int = 0
 
     def to_json(self, path):
         payload = {
@@ -69,6 +80,8 @@ class EigenPair:
             "iterations": self.iterations,
             "residual_history": list(self.residual_history),
             "restarts": self.restarts,
+            "quotient_evals": self.quotient_evals,
+            "interpolated_steps": self.interpolated_steps,
             "normalization": self.normalization,
             "p": self.p,
             "grid_mode": self.eigenfunction.grid.mode,
@@ -135,17 +148,24 @@ def smallest_eigenpair(
     """Principal Dirichlet eigenpair by preconditioned Polak-Ribiere+
     conjugate gradients on the Rayleigh quotient, with restart.
 
-    The start is the flat interior field after three preconditioner
-    solves, and the energy is the unregularized one (eps_reg = 0).  tol
-    defaults to 1e-6 at p = 2 and 1e-4 otherwise; normalization is
-    NORMALIZE_MASS or NORMALIZE_P_NORM.
+    The preconditioner is the interior 5-point stiffness, half-bandwidth
+    resolution - 1 on tensor grids.  The start is the flat interior field
+    after three preconditioner solves, and the energy is the unregularized
+    one (eps_reg = 0).  Each line search halves tau from 1 until R
+    decreases, then tries the minimizer tau* of the quadratic through
+    R(0), R'(0) = -(p / M) <g, d> and R(tau), M the p-mass of the iterate,
+    g the Euler-Lagrange residual and d the direction; the point at tau*
+    is kept when 0 < tau* <= 4 tau and R is lower there.  tol defaults to
+    1e-6 at p = 2 and 1e-4 otherwise; normalization is NORMALIZE_MASS or
+    NORMALIZE_P_NORM.
 
     Returns an EigenPair whose residual is || L u + lam w |u|^{p-2} u || /
     || lam w |u|^{p-2} u || over all nodes, with the residual of every
-    iterate and the restart count.  Raises ConvergenceError with the best
-    iterate attached when the residual target is not met: the line search
-    fails, max_iter is spent, or STALL_ITERATIONS pass without a new best
-    residual.
+    iterate, the restart count, the number of quotient evaluations and
+    the number of kept interpolation steps.  Raises ConvergenceError with
+    the best iterate attached when the residual target is not met: the
+    line search fails, max_iter is spent, or STALL_ITERATIONS pass without
+    a new best residual.
     """
     if tol is None:
         tol = 1e-6 if p == 2.0 else 1e-4
@@ -153,10 +173,14 @@ def smallest_eigenpair(
     interior = ~grid.boundary_mask
     idx = np.flatnonzero(interior.ravel())
 
-    data, row, col = lower_entries(energy_hessian_matrix(grid, weight)[idx][:, idx])
+    # 5-point stiffness A^T diag(k cw) A: on tensor grids cw carries the
+    # symmetrization 1/2 of the k = 2 gradient components
+    op = face_operator(grid, weight)
+    a = op.components[0][:, idx]
+    data, row, col = lower_entries(a.T @ sp.diags_array(len(op.components) * op.cw) @ a)
     band = BandPattern(row, col, len(idx))
     factor = band.factor(band.fill(data, 0.0, symmetric=True))
-    vol = cell_volumes(grid)
+    vol = op.vol
     measure = vol * wvals
     qw = quad_weights(grid)
 
@@ -170,13 +194,32 @@ def smallest_eigenpair(
         vals /= np.abs(vals).max()
     vals = _normalize(np.abs(vals), qw, measure, p, normalization)
 
+    evals = 0
+
     def quotient(v):
+        nonlocal evals
+        evals += 1
         return _quotient(Field(grid, v), weight, p, measure)
+
+    def point(vals, direction, tau):
+        # the folded, normalized iterate vals + tau * direction and its R,
+        # or R = inf when that iterate is zero
+        trial = np.abs(vals + tau * direction)
+        trial[grid.boundary_mask] = 0.0
+        try:
+            trial = _normalize(trial, qw, measure, p, normalization)
+            return trial, quotient(trial)
+        except (ConvergenceError, ConfigError):
+            return None, np.inf
+
+    def pair(lam, v, res, its):
+        return EigenPair(lam, Field(grid, v), res, its, p, normalization, history,
+                         restarts, evals, interpolated)
 
     r_val = quotient(vals)
     best = (r_val, vals.copy(), np.inf, 0)
     history = []
-    restarts = 0
+    restarts = interpolated = 0
     for it in range(1, max_iter + 1):
         u = Field(grid, vals)
         lap = apply_plaplacian(u, weight, p).values
@@ -185,8 +228,7 @@ def smallest_eigenpair(
         if res < best[2]:
             best = (r_val, vals.copy(), res, it - 1)
         if res <= tol:
-            return EigenPair(r_val, Field(grid, vals), res, it - 1, p, normalization,
-                             history, restarts)
+            return pair(r_val, vals, res, it - 1)
         if it - 1 - best[3] >= STALL_ITERATIONS:
             break
 
@@ -210,30 +252,30 @@ def smallest_eigenpair(
         direction = direction.reshape(grid.shape)
 
         tau = 1.0
-        accepted = False
         for _ in range(40):
-            trial = vals + tau * direction
-            trial = np.abs(trial)
-            trial[grid.boundary_mask] = 0.0
-            try:
-                trial = _normalize(trial, qw, measure, p, normalization)
-                r_trial = quotient(trial)
-            except (ConvergenceError, ConfigError):
-                tau *= 0.5
-                continue
+            trial, r_trial = point(vals, direction, tau)
             if r_trial <= r_val + 1e-15 * abs(r_val):
-                vals, r_val = trial, r_trial
-                accepted = True
                 break
             tau *= 0.5
-        if not accepted:
+        else:
             break
+        # one interpolation step: the minimizer of the quadratic through
+        # R(0), R'(0) = -(p / M) <g, d> and R(tau), kept if R is lower there
+        slope = -p / _p_mass(measure, vals, p) * float(g @ step)
+        curvature = (r_trial - r_val - slope * tau) / tau**2
+        tau_q = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
+        if tau_q <= 4.0 * tau:
+            trial_q, r_q = point(vals, direction, tau_q)
+            if r_q < r_trial:
+                trial, r_trial = trial_q, r_q
+                interpolated += 1
+        vals, r_val = trial, r_trial
 
     lam, bv, res, its = best
     raise ConvergenceError(
         f"eigensolver stalled at residual {res:.3e} (target {tol:.1e}) "
         f"after {its} accepted iterations",
-        best=EigenPair(lam, Field(grid, bv), res, its, p, normalization, history, restarts),
+        best=pair(lam, bv, res, its),
         residual=res,
         iterations=its,
     )

@@ -274,8 +274,7 @@ def energy_hessian_matrix(grid, weight):
     sparse matrix over all nodes.
 
     This is the stiffness matrix of the weighted linear diffusion; it serves
-    as the p=2 operator matrix, the Newton Jacobian at p=2, and the
-    preconditioner for the eigensolver.
+    as the p=2 operator matrix and the Newton Jacobian at p=2.
     """
     op = face_operator(grid, weight)
     cw = sp.diags_array(op.cw)

@@ -218,6 +218,20 @@ class TestMain:
             summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
             assert summary["n"] == n
 
+    def test_weights_check_tabulated(self, tmp_path):
+        """A tabulated weight's check verdicts are numpy bools; they are
+        written as JSON bools and the run exits 0 with a whole summary."""
+        csv = tmp_path / "w.csv"
+        csv.write_text("0,1\n0.5,2\n1,3\n")
+        path = tmp_path / "w.cfg"
+        path.write_text(
+            f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n[problem]\n"
+            f"mode = radial\nn = 2\nweight = tabulated\nweight_csv = {csv}\n"
+        )
+        assert main(["weights-check", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
+        assert isinstance(summary["muckenhoupt"]["passes"], bool)
+
     def test_undecided_scan_exit_code(self, tmp_path, monkeypatch):
         """A scan whose bracket cannot reach the tolerance in the probe
         budget exits with the undecided code."""

@@ -21,7 +21,7 @@ from degenflow import (
     smallest_eigenpair,
 )
 from degenflow.banded import BandPattern
-from degenflow.plap_operator import apply_plaplacian
+from degenflow.plap_operator import apply_plaplacian, energy_hessian_matrix
 
 PI2 = np.pi**2
 
@@ -143,8 +143,13 @@ def test_json_payload_keys(tmp_path):
     pair.to_json(path)
     payload = json.loads(path.read_text())
     for key in ("lambda1", "residual", "iterations", "normalization",
-                "residual_history", "restarts"):
+                "residual_history", "restarts", "quotient_evals", "interpolated_steps"):
         assert key in payload
+    assert 1 <= payload["interpolated_steps"] == pair.interpolated_steps <= pair.iterations
+    # the start, one trial point per iteration and each kept interpolated
+    # point are evaluated
+    assert (payload["quotient_evals"] == pair.quotient_evals
+            >= 1 + pair.iterations + pair.interpolated_steps)
     assert len(payload["residual_history"]) == pair.iterations + 1
     assert payload["residual_history"][-1] == pair.residual
     assert payload["lambda1"] == pytest.approx(pair.eigenvalue)
@@ -190,8 +195,9 @@ def test_no_superlu_factorization(monkeypatch):
 
 @pytest.mark.parametrize("resolution", [32, 64])
 def test_cg_iteration_count(resolution):
-    """The conjugate direction needs about half the iterations of
-    preconditioned steepest descent (35 at resolution 32, 37 at 64)."""
+    """The conjugate direction with the interpolation step needs about half
+    the iterations of preconditioned steepest descent: 15 at resolution 32
+    and 19 at 64, against 35 and 37."""
     g = build_grid("tensor2d", 1.0, resolution)
     pair = smallest_eigenpair(g, WeightSpec.power(1.0), 3.0, tol=1e-4)
     assert pair.residual <= 1e-4
@@ -205,6 +211,20 @@ def test_tight_tolerance_converges():
     w = WeightSpec.power(1.0)
     tight = smallest_eigenpair(g, w, 3.0, tol=1e-7)
     assert tight.residual <= 1e-7
+    loose = smallest_eigenpair(g, w, 3.0, tol=1e-6)
+    assert tight.eigenvalue == pytest.approx(loose.eigenvalue, rel=1e-10)
+
+
+def test_tight_tolerance_converges_128():
+    """tol 1e-7 on tensor2d 128, p = 3, converges in about 50 iterations:
+    the interpolation step keeps lowering R where a plain backtracking
+    search stalled on round-off of the quotient, failing or needing 85
+    iterations depending on the BLAS summation order."""
+    g = build_grid("tensor2d", 1.0, 128)
+    w = WeightSpec.power(1.0)
+    tight = smallest_eigenpair(g, w, 3.0, tol=1e-7)
+    assert tight.residual <= 1e-7
+    assert tight.iterations <= 60
     loose = smallest_eigenpair(g, w, 3.0, tol=1e-6)
     assert tight.eigenvalue == pytest.approx(loose.eigenvalue, rel=1e-10)
 
@@ -247,3 +267,41 @@ def test_symmetric_band_pattern_builds_no_general_positions(monkeypatch):
     assert "mirror_pos" not in vars(patterns[0])
     patterns[0].fill(np.ones(len(patterns[0].row)), 0.0, symmetric=False)
     assert "band_pos" in vars(patterns[0]) and "mirror_pos" in vars(patterns[0])
+
+
+@pytest.mark.parametrize("mode, resolution, kd", [
+    ("tensor2d", 12, 11),
+    ("tensor2d", 20, 19),
+    ("interval", 32, 1),
+])
+def test_preconditioner_is_five_point_stiffness(monkeypatch, mode, resolution, kd):
+    """The preconditioner has half-bandwidth resolution - 1 on tensor grids,
+    where the full p = 2 Hessian has 2 (resolution - 1) + 1, and 1 on an
+    interval.  Without a weight it is the standard 5-point Laplacian on a
+    tensor grid (4 on the diagonal, -1 to each grid neighbour, for square
+    cells) and the p = 2 Hessian itself on an interval."""
+    filled = []
+
+    class RecordingPattern(BandPattern):
+        def fill(self, data, diag, symmetric):
+            filled.append((self, data))
+            return super().fill(data, diag, symmetric)
+
+    monkeypatch.setattr(eigensolver, "BandPattern", RecordingPattern)
+    g = build_grid(mode, 1.0, resolution)
+    assert smallest_eigenpair(g, None, 2.0).residual <= 1e-6
+    (band, data), = filled
+    row, col = band.row, band.col
+    assert band.kd == kd
+    if mode == "tensor2d":
+        assert np.allclose(data[row == col], 4.0, rtol=1e-14)
+        assert np.allclose(data[row != col], -1.0, rtol=1e-14)
+        # neighbours along a grid line, and across lines kd apart, never
+        # the last node of one line and the first of the next
+        assert set(row - col) == {0, 1, kd}
+        assert np.all((row - col != 1) | (row % kd != 0))
+    else:
+        idx = np.flatnonzero(g.interior_mask.ravel())
+        hessian = energy_hessian_matrix(g, None)[idx][:, idx].toarray()
+        assert np.array_equal(data, hessian[row, col])
+        assert np.count_nonzero(np.tril(hessian)) == len(data)
