@@ -454,6 +454,7 @@ def _solve_summary(cfg, outcome, eigenpair):
         "rate_fit": outcome.rate_fit,
         "steps": outcome.steps,
         "newton_iters_total": outcome.newton_iters_total,
+        "factorizations": outcome.factorizations,
         "final_sup": outcome.trajectory.sup_abs_u[-1],
         "g0": outcome.trajectory.weighted_mass[0],
     }

@@ -176,19 +176,21 @@ def quadrature_sum(nodal_weights, vals):
     return float(np.sum(nodal_weights * vals))
 
 
+def _g17(values):
+    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
 def write_field_csv(field, path, header_lines=()):
-    """One row per node: coordinates then value."""
+    """One row per node: coordinates then value, each axis formatted once."""
     grid = field.grid
+    if grid.mode == MODE_TENSOR2D:
+        names = "x,y"
+        xs, ys = (_g17(a) for a in grid.axes)
+        coords = [f"{xi},{yi}" for xi in xs for yi in ys]  # C order of values
+    else:
+        names = "x" if grid.mode == MODE_INTERVAL else "r"
+        coords = _g17(grid.axes[0])
+    head = "".join(f"# {line}\n" for line in header_lines) + f"{names},value\n"
+    rows = "".join(f"{c},{v}\n" for c, v in zip(coords, _g17(field.values)))
     with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        if grid.mode == MODE_TENSOR2D:
-            fh.write("x,y,value\n")
-            x, y = grid.coordinates()
-            for xi, yi, vi in zip(x.ravel(), y.ravel(), field.values.ravel()):
-                fh.write(f"{xi:.17g},{yi:.17g},{vi:.17g}\n")
-        else:
-            name = "x" if grid.mode == MODE_INTERVAL else "r"
-            fh.write(f"{name},value\n")
-            for xi, vi in zip(grid.axes[0], field.values):
-                fh.write(f"{xi:.17g},{vi:.17g}\n")
+        fh.write(head + rows)

@@ -13,11 +13,17 @@ Each Newton update solves
 which is (I - dt J - dt f') delta = -r multiplied by V into symmetric form,
 with V the interior cell volumes and K the interior stiffness.  The
 matrix's lower-triangle pattern, the map from face conductances to its
-entries and the constant p = 2 stiffness are built once per run; an
-iteration only refills a band array and factors it (banded module).  K is
-positive semidefinite, so the matrix is positive definite when dt f' < 1 at
-every interior node and is then factored by band Cholesky; otherwise it is
-factored by band LU with partial pivoting.
+entries and the constant p = 2 stiffness are built once per run; a
+factorization only refills a band array and factors it (banded module).  K
+is positive semidefinite, so the matrix is positive definite when dt f' < 1
+at every interior node and is then factored by band Cholesky; otherwise it
+is factored by band LU with partial pivoting.  Where the matrix is the exact
+Jacobian (interval and radial grids, and p = 2) every iteration factors it
+afresh and Newton converges quadratically.  On tensor grids at p > 2 it is
+the frozen-tangential approximation, which converges only linearly however
+fresh it is, so a step reuses one factor (the chord iteration) and refactors
+only after a damped update, a reused factor that did not lower the
+residual, or the switch to Picard.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
@@ -159,6 +165,7 @@ class RunOutcome:
     rate_fit: float = float("nan")
     steps: int = 0
     newton_iters_total: int = 0
+    factorizations: int = 0
     eps_reg: float = 0.0
 
     def to_json(self, path, extra=None):
@@ -170,6 +177,7 @@ class RunOutcome:
             "rate_fit": self.rate_fit,
             "steps": self.steps,
             "newton_iters_total": self.newton_iters_total,
+            "factorizations": self.factorizations,
             "eps_reg": self.eps_reg,
             "final_time": self.trajectory.times[-1] if self.trajectory.times else None,
             "final_sup": self.trajectory.sup_abs_u[-1] if self.trajectory.times else None,
@@ -193,7 +201,10 @@ class _NewtonSystem(BandPattern):
     with kappa >= 0 is positive semidefinite and V is positive, so the matrix
     is positive definite, and goes to band Cholesky, whenever dt f' < 1 at
     every interior node.  The factor of the linear p = 2 system is kept for
-    the last dt it was built for.
+    the last dt it was built for.  exact says whether the matrix is the
+    Jacobian of the residual: it is on interval and radial grids and at
+    p = 2, but on tensor grids at p > 2 it drops the tangential part of the
+    flux derivative (plap_operator.diffusion_jacobian).
     """
 
     def __init__(self, grid, weight, p):
@@ -201,6 +212,7 @@ class _NewtonSystem(BandPattern):
         self.p = p
         self.idx = np.flatnonzero(~grid.boundary_mask.ravel())
         op = face_operator(grid, weight)
+        self.exact = p == 2.0 or len(op.components) == 1
         self.vol = op.vol.ravel()[self.idx]
         self.linear_dt = None
         self.linear_factor = None
@@ -225,13 +237,19 @@ class _NewtonSystem(BandPattern):
             data = dt * (self.conductance_map @ kappa)
         return self.fill(data, self.vol * (1.0 - dt * drea), np.all(dt * drea < 1.0))
 
-    def linear_solve(self, dt, rhs):
+    def linear_solve(self, dt, rhs, stats=None):
         """Solve (V + dt K) x = rhs for the state-independent p = 2 system,
         which is positive definite and so always factored by Cholesky."""
         if self.linear_dt != dt:
+            _count(stats, "factorizations")
             self.linear_factor = self.factor(self.matrix(None, dt, 0.0))
             self.linear_dt = dt
         return self.solve(self.linear_factor, rhs)
+
+
+def _count(stats, key):
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + 1
 
 
 def _residual(v_field, u_old, t_new, dt, spec):
@@ -246,6 +264,11 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     """One backward-Euler step from t to t + dt.  Raises on solver failure.
 
     system is the run's _NewtonSystem; one is built when none is given.
+    stats, when given, counts "newton_iters" and "factorizations".  An exact
+    Newton matrix is factored at every iteration.  An inexact one is factored
+    at the first iteration and then reused until an update needs damping,
+    a reused factor fails to lower the residual (retried once with a fresh
+    factor before the switch to Picard) or the iteration switches to Picard.
     """
     grid = u.grid
     ctl = spec.controls
@@ -269,11 +292,10 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     )
     if linear_const:
         vals = u_old.copy().ravel()
-        vals[idx] = system.linear_solve(dt, system.vol * u_old.ravel()[idx])
+        vals[idx] = system.linear_solve(dt, system.vol * u_old.ravel()[idx], stats)
         out = vals.reshape(grid.shape)
         out[grid.boundary_mask] = 0.0
-        if stats is not None:
-            stats["newton_iters"] = stats.get("newton_iters", 0) + 1
+        _count(stats, "newton_iters")
         result = Field(grid, out)
         rnorm = np.abs(_residual(result, u_old, t_new, dt, spec)).max()
         if rnorm > max(tol, 1e-9 * scale):
@@ -284,13 +306,16 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     r = _residual(v, u_old, t_new, dt, spec)
     rnorm = np.abs(r).max()
     mode = "newton"
+    lu = None
     for it in range(ctl.newton_max):
-        if stats is not None:
-            stats["newton_iters"] = stats.get("newton_iters", 0) + 1
+        _count(stats, "newton_iters")
         if rnorm <= tol:
             return v
-        drea = reaction_derivative(spec.reaction, t_new, v.values).ravel()[idx]
-        lu = system.factor(system.matrix(v, dt, drea, mode, ctl.eps_reg))
+        fresh = lu is None
+        if fresh:
+            drea = reaction_derivative(spec.reaction, t_new, v.values).ravel()[idx]
+            _count(stats, "factorizations")
+            lu = system.factor(system.matrix(v, dt, drea, mode, ctl.eps_reg))
         delta = system.solve(lu, -system.vol * r.ravel()[idx])
         if not np.all(np.isfinite(delta)):
             raise _StepFailure("nonfinite Newton update")
@@ -309,10 +334,15 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
                 break
             damping *= 0.5
         if not improved:
+            lu = None
+            if not fresh:
+                continue  # the reused factor went stale: retry with a fresh one
             if mode == "newton":
                 mode = "picard"  # lagged coefficient is globally gentler
                 continue
             raise _StepFailure(f"stalled at residual {rnorm:.2e} (tol {tol:.2e})")
+        if system.exact or damping < 1.0:
+            lu = None
     if rnorm <= tol:
         return v
     raise _StepFailure(f"no convergence in {ctl.newton_max} iterations "
@@ -444,8 +474,12 @@ def run_simulation(spec, eigenpair=None):
         if iters <= ctl.easy_iters:
             dt = min(dt * ctl.growth_factor, ctl.dt_max)
 
-    n_steps = len(traj.times) - 1
-    total_newton = stats.get("newton_iters", 0)
+    counts = dict(
+        steps=len(traj.times) - 1,
+        newton_iters_total=stats.get("newton_iters", 0),
+        factorizations=stats.get("factorizations", 0),
+        eps_reg=ctl.eps_reg,
+    )
 
     if outcome == KIND_BLOWUP:
         sigma = spec.reaction.sigma if spec.reaction.family != "none" else 2.0
@@ -454,19 +488,12 @@ def run_simulation(spec, eigenpair=None):
         t_est = min(max(t_est, t_lo), spec.t_end)
         t_hi = min(max(t_hi, t_est), spec.t_end)
         return RunOutcome(
-            KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi,
-            steps=n_steps, newton_iters_total=total_newton, eps_reg=ctl.eps_reg,
+            KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **counts
         )
     if outcome == KIND_DECAYED or traj.sup_abs_u[-1] < decay_floor:
         rate = _fit_exponential_rate(traj.times, traj.sup_abs_u, sup0)
-        return RunOutcome(
-            KIND_DECAYED, traj, rate_fit=rate,
-            steps=n_steps, newton_iters_total=total_newton, eps_reg=ctl.eps_reg,
-        )
-    return RunOutcome(
-        KIND_COMPLETED, traj,
-        steps=n_steps, newton_iters_total=total_newton, eps_reg=ctl.eps_reg,
-    )
+        return RunOutcome(KIND_DECAYED, traj, rate_fit=rate, **counts)
+    return RunOutcome(KIND_COMPLETED, traj, **counts)
 
 
 def estimate_blowup_time(traj, sigma, t_end=float("inf")):

@@ -142,3 +142,20 @@ def test_field_csv_roundtrip(tmp_path, mode, kw):
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     expect = [c.ravel() for c in g.coordinates()] + [f.values.ravel()]
     np.testing.assert_array_equal(data, np.column_stack(expect))
+
+
+@pytest.mark.parametrize("mode", ["interval", "tensor2d"])
+def test_field_csv_bytes_match_per_row_format(tmp_path, mode):
+    """The writer formats each axis once and writes one string; its bytes
+    are those of formatting every row's coordinates and value with .17g."""
+    g = build_grid(mode, 3.0, 6)
+    vals = np.random.default_rng(2).standard_normal(g.shape).ravel()
+    vals[:5] = [-0.0, 1e-300, 5e-324, 1e17, -1e17]
+    f = Field(g, vals.reshape(g.shape))
+    path = tmp_path / "field.csv"
+    write_field_csv(f, path, header_lines=("a = 1", "b"))
+    coords = "x,y" if mode == "tensor2d" else "x"
+    expected = f"# a = 1\n# b\n{coords},value\n"
+    for row in zip(*(c.ravel() for c in g.coordinates()), f.values.ravel()):
+        expected += ",".join(f"{v:.17g}" for v in row) + "\n"
+    assert path.read_bytes() == expected.encode()

@@ -25,8 +25,9 @@ from degenflow import (
     run_simulation,
     step_implicit,
 )
+from degenflow import timestepper
 from degenflow.banded import BandPattern, FactorError, lower_entries
-from degenflow.timestepper import _NewtonSystem
+from degenflow.timestepper import _NewtonSystem, _StepFailure
 
 PI2 = np.pi**2
 
@@ -279,16 +280,93 @@ def _power_blowup_problem():
                         dt_max=1e-2, reaction=ReactionSpec.power(1.0, 2.0))
 
 
-@pytest.mark.parametrize("make_spec, kind, steps, newton_iters", [
-    (_tensor_p3_problem, "Completed", 89, 615),
-    (_power_blowup_problem, "BlowUp", 107, 691),
+@pytest.mark.parametrize("make_spec, kind, steps, newton_iters, factorizations", [
+    (_tensor_p3_problem, "Completed", 88, 608, 88),
+    (_power_blowup_problem, "BlowUp", 107, 691, 566),
 ])
-def test_step_and_newton_counts_pinned(make_spec, kind, steps, newton_iters):
+def test_step_and_newton_counts_pinned(make_spec, kind, steps, newton_iters, factorizations):
     """A rounding change in the Newton solve that flips an accept, reject or
-    dt-growth decision shows up in these counts."""
+    dt-growth decision, or a change in when the Newton matrix is refactored,
+    shows up in these counts."""
     out = run_simulation(make_spec())
     assert out.kind == kind
-    assert (out.steps, out.newton_iters_total) == (steps, newton_iters)
+    assert (out.steps, out.newton_iters_total, out.factorizations) == (
+        steps, newton_iters, factorizations)
+
+
+def _newton_iterations(monkeypatch, system):
+    """Spy on one step's Newton loop.  Returns the list that the step fills
+    with one [linearization factored or None, residual evaluations] entry per
+    update: None when the update reused the previous factor, and more than
+    one evaluation when the update was damped or failed."""
+    log = []
+    residual, matrix, solve = timestepper._residual, system.matrix, system.solve
+
+    def spy_residual(*args):
+        if log:
+            log[-1][1] += 1
+        return residual(*args)
+
+    def spy_matrix(v, dt, drea, linearization="newton", eps_reg=0.0):
+        log.append([linearization, 0])
+        return matrix(v, dt, drea, linearization, eps_reg)
+
+    def spy_solve(lu, rhs):
+        if not log or log[-1][1]:
+            log.append([None, 0])
+        return solve(lu, rhs)
+
+    monkeypatch.setattr(timestepper, "_residual", spy_residual)
+    monkeypatch.setattr(system, "matrix", spy_matrix)
+    monkeypatch.setattr(system, "solve", spy_solve)
+    return log
+
+
+@pytest.mark.parametrize("state", ["smooth", "rough"])
+@pytest.mark.parametrize("mode, p, exact", [
+    ("interval", 3.0, True),
+    ("radial", 3.0, True),
+    ("tensor2d", 2.0, True),
+    ("tensor2d", 3.0, False),
+])
+def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, state):
+    """An exact Newton matrix is factored at every iteration.  The inexact
+    tensor p > 2 matrix is factored at the first iteration of a step and
+    again only after an update that needed damping or failed; a failed
+    update with a reused factor is retried with a fresh Newton factor before
+    the switch to Picard."""
+    g = build_grid(mode, 1.0, 6, n=2)
+    if state == "smooth":
+        vals = np.prod([np.sin(np.pi * c) for c in g.coordinates()], axis=0)
+        reaction, dt = ReactionSpec.power(1.0, 2.0), 1e-3
+    else:
+        vals = 10.0 * np.random.default_rng(1).standard_normal(g.shape)
+        reaction, dt = ReactionSpec.power(10.0, 3.0), 1e-2
+    vals[g.boundary_mask] = 0.0
+    spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=p, reaction=reaction,
+                       initial=Field(g, vals), t_end=1.0, dt0=dt,
+                       controls=StepControls(dt_max=1.0))
+    system = _NewtonSystem(g, spec.weight, p)
+    assert system.exact == exact
+    log = _newton_iterations(monkeypatch, system)
+    stats = {}
+    try:
+        step_implicit(spec.initial, 0.0, dt, spec, system=system, stats=stats)
+    except (_StepFailure, FactorError):
+        assert state == "rough"
+
+    factored = [lin for lin, _ in log]
+    assert factored[0] == "newton"
+    for (lin, _), (prev_lin, prev_evals) in zip(log[1:], log):
+        assert (lin is not None) == (exact or prev_evals > 1)
+        if lin == "picard" and prev_lin != "picard":
+            assert prev_lin == "newton"  # the stall was with a fresh factor
+    assert stats["factorizations"] == sum(lin is not None for lin in factored)
+    if state == "smooth":
+        assert len(log) >= 2 and all(evals == 1 for _, evals in log)
+    elif not exact:
+        assert None in factored[1:] and "picard" in factored
+        assert any(1 < evals < 4 for _, evals in log)  # a damped, accepted update
 
 
 def test_heat_equation_oracle_res128():
@@ -359,8 +437,10 @@ def test_outcome_json_contract(tmp_path):
     path = tmp_path / "outcome.json"
     out.to_json(path)
     payload = json.loads(path.read_text())
-    for key in ("kind", "T_est", "T_lo", "T_hi", "rate_fit", "steps", "newton_iters_total"):
+    for key in ("kind", "T_est", "T_lo", "T_hi", "rate_fit", "steps", "newton_iters_total",
+                "factorizations"):
         assert key in payload
+    assert payload["factorizations"] == out.factorizations > 0
     assert payload["kind"] == "Completed"
     assert payload["T_est"] is None  # NaN sanitized for strict JSON
 
