@@ -2,11 +2,12 @@
 
 A BandPattern is fixed by the positions (row, col), row >= col, of a
 symmetric matrix's entries on and below the diagonal; kd = max(row - col) is
-its half-bandwidth.  It is 1 on interval and radial grids.  On tensor grids
-in natural order it is resolution - 1 for the 5-point pattern of the normal
-difference (the eigensolver's preconditioner, the p > 2 Newton systems), and
-2 (resolution - 1) + 1 for the full p = 2 Hessian of the p = 2 Newton
-systems, whose tangential term couples diagonal neighbours.  Values go into
+its half-bandwidth.  It is 1 on interval and radial grids (the Newton
+systems and the eigensolver's preconditioner).  On tensor grids in natural
+order it is resolution - 1 for the 5-point pattern of the normal difference
+(the p > 2 Newton systems), and 2 (resolution - 1) + 1 for the full p = 2
+Hessian of the p = 2 Newton systems, whose tangential term couples diagonal
+neighbours.  Values go into
 one of two column-major LAPACK band storages: symmetric lower, entry (i, j),
 i >= j, at row i - j of a (kd + 1, n) array, factored by band Cholesky
 (dpbtrf) for a positive definite matrix; or general, entry (i, j) at row

@@ -8,13 +8,17 @@ boundary of
 computed with the same discrete energy the evolution operator derives from,
 so eigenpairs satisfy apply_plaplacian(u) + lam * omega * |u|**(p-2) * u = 0
 at the discrete level.  Minimization is preconditioned nonlinear conjugate
-gradients.  The preconditioner solves the interior 5-point stiffness
-A^T diag(k cw) A, with A the normal difference of the face operator and k
-its number of gradient components, factored once by band Cholesky (banded
-module).  On tensor grids that is the weighted 5-point Laplacian, spectrally
-equivalent to the p = 2 Hessian but without its tangential term
-B^T diag(cw) B, whose diagonal couplings double the bandwidth.  On interval
-and radial grids it is the p = 2 Hessian itself.  The search direction is
+gradients.  On interval and radial grids the preconditioner solves the
+p = 2 Hessian A^T diag(cw) A, A the difference of the face operator, by its
+tridiagonal band Cholesky factor (banded module).  On tensor grids it is
+P = S L0^{-1} S, with L0 the constant-coefficient interior 5-point
+stiffness (4 on the diagonal, -1 to each grid neighbour) and
+S = diag(omega^{-1/2}) at the interior nodes: an operator equivalent to the
+weighted 5-point stiffness and the p = 2 Hessian (Faber, Manteuffel &
+Parter, Adv. Appl. Math. 1990).  L0 is solved exactly by the type-I sine
+transform, which diagonalizes it (Buzbee, Golub & Nielson, SIAM J. Numer.
+Anal. 1970), in O(n log n) work and O(n) memory where a band factor costs
+resolution**4 and resolution**3.  The search direction is
 the Polak-Ribiere+ combination of the preconditioned gradient with the
 previous direction, restarted from the preconditioned gradient whenever it
 is not a descent direction.  Steps are backtracked until R decreases; then
@@ -23,8 +27,11 @@ R(0), R'(0) and R(tau) and keeps that point if R is lower there.  Iterates
 are folded to their absolute value, which never increases R and steers
 toward the positive principal mode.  A solve whose best residual stops
 improving, as it does once R moves only at round-off, ends with a
-ConvergenceError.  A weight that vanishes on a whole region makes the
-stiffness singular, which raises a NumericalError.
+ConvergenceError.  Inner products and norms are numpy sums, not BLAS
+calls, so the result does not depend on the BLAS thread count.  A weight
+that vanishes on a whole region makes the Hessian singular, and one that
+vanishes at an interior node of a tensor grid leaves S undefined; both
+raise a FactorError, a NumericalError.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
 
-from .banded import BandPattern, lower_entries
+from .banded import BandPattern, FactorError, lower_entries
 from .discretization import (
+    MODE_TENSOR2D,
     Field,
     quad_weights,
     quadrature_sum,
@@ -130,11 +138,35 @@ def _normalize(values, qw, measure, p, normalization):
 def _residual_norm(grid, lap, lam, wvals, u, p):
     zero_order = lam * wvals * np.abs(u) ** (p - 2.0) * u
     zero_order[grid.boundary_mask] = 0.0
-    num = np.linalg.norm((lap + zero_order).ravel())
-    den = np.linalg.norm(zero_order.ravel())
+    total = lap + zero_order
+    num = np.sqrt(np.sum(total * total))
+    den = np.sqrt(np.sum(zero_order * zero_order))
     if den == 0.0:
         return float("inf")
     return float(num / den)
+
+
+def _sine_transform_solve(w):
+    """x -> S L0^{-1} S x for x on the m x m interior nodes of a tensor grid
+    in natural order, with L0 the constant-coefficient 5-point stiffness
+    and S = diag(w^{-1/2}) for the m x m interior weights w."""
+    import scipy.fft  # only tensor eigensolves need it; keeps the CLI import fast
+
+    bad = np.flatnonzero(~(w > 0.0))
+    if len(bad):
+        raise FactorError(f"linear solve failed: not positive definite at column {bad[0]}")
+    m = len(w)
+    # the type-I sine transform diagonalizes the 1d stiffness tridiag(-1, 2, -1)
+    # with eigenvalues mu_k = 2 - 2 cos(k pi / (m + 1)), k = 1..m
+    mu = 2.0 - 2.0 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+    eig = mu[:, None] + mu[None, :]
+    s = 1.0 / np.sqrt(w)
+
+    def solve(x):
+        y = scipy.fft.dstn(s * x.reshape(m, m), type=1)
+        return (s * scipy.fft.idstn(y / eig, type=1)).ravel()
+
+    return solve
 
 
 def smallest_eigenpair(
@@ -148,10 +180,11 @@ def smallest_eigenpair(
     """Principal Dirichlet eigenpair by preconditioned Polak-Ribiere+
     conjugate gradients on the Rayleigh quotient, with restart.
 
-    The preconditioner is the interior 5-point stiffness, half-bandwidth
-    resolution - 1 on tensor grids.  The start is the flat interior field
-    after three preconditioner solves, and the energy is the unregularized
-    one (eps_reg = 0).  Each line search halves tau from 1 until R
+    The preconditioner is the sine-transform solve S L0^{-1} S on tensor
+    grids and the band Cholesky factor of the p = 2 Hessian on interval and
+    radial grids.  The start is the flat interior field after three
+    preconditioner solves, and the energy is the unregularized one
+    (eps_reg = 0).  Each line search halves tau from 1 until R
     decreases, then tries the minimizer tau* of the quadratic through
     R(0), R'(0) = -(p / M) <g, d> and R(tau), M the p-mass of the iterate,
     g the Euler-Lagrange residual and d the direction; the point at tau*
@@ -165,7 +198,8 @@ def smallest_eigenpair(
     the number of kept interpolation steps.  Raises ConvergenceError with
     the best iterate attached when the residual target is not met: the
     line search fails, max_iter is spent, or STALL_ITERATIONS pass without
-    a new best residual.
+    a new best residual.  Raises FactorError when the weight leaves the
+    preconditioner singular or, on tensor grids, undefined.
     """
     if tol is None:
         tol = 1e-6 if p == 2.0 else 1e-4
@@ -173,13 +207,19 @@ def smallest_eigenpair(
     interior = ~grid.boundary_mask
     idx = np.flatnonzero(interior.ravel())
 
-    # 5-point stiffness A^T diag(k cw) A: on tensor grids cw carries the
-    # symmetrization 1/2 of the k = 2 gradient components
     op = face_operator(grid, weight)
-    a = op.components[0][:, idx]
-    data, row, col = lower_entries(a.T @ sp.diags_array(len(op.components) * op.cw) @ a)
-    band = BandPattern(row, col, len(idx))
-    factor = band.factor(band.fill(data, 0.0, symmetric=True))
+    if grid.mode == MODE_TENSOR2D:
+        solve = _sine_transform_solve(wvals[1:-1, 1:-1])
+    else:
+        # the p = 2 Hessian A^T diag(cw) A, tridiagonal
+        a = op.components[0][:, idx]
+        data, row, col = lower_entries(a.T @ sp.diags_array(op.cw) @ a)
+        band = BandPattern(row, col, len(idx))
+        factor = band.factor(band.fill(data, 0.0, symmetric=True))
+
+        def solve(x):
+            return band.solve(factor, x)
+
     vol = op.vol
     measure = vol * wvals
     qw = quad_weights(grid)
@@ -189,7 +229,7 @@ def smallest_eigenpair(
     for _ in range(3):
         rhs = (measure * vals).ravel()[idx]
         vals = np.zeros(grid.n_nodes)
-        vals[idx] = band.solve(factor, rhs)
+        vals[idx] = solve(rhs)
         vals = vals.reshape(grid.shape)
         vals /= np.abs(vals).max()
     vals = _normalize(np.abs(vals), qw, measure, p, normalization)
@@ -235,15 +275,15 @@ def smallest_eigenpair(
         # residual of the Euler-Lagrange equation in the volume inner product,
         # a descent direction of R, on the interior unknowns
         g = (vol * (lap + r_val * wvals * np.abs(vals) ** (p - 2.0) * vals)).ravel()[idx]
-        pg = band.solve(factor, g)
+        pg = solve(g)
         if it == 1:
             step = pg
         else:
             # Polak-Ribiere+ conjugate direction, restarted when it is not
             # a descent direction
-            beta = max(0.0, float(g @ (pg - pg_prev)) / float(g_prev @ pg_prev))
+            beta = max(0.0, float(np.sum(g * (pg - pg_prev)) / np.sum(g_prev * pg_prev)))
             step = pg + beta * step
-            if beta == 0.0 or g @ step <= 0.0:
+            if beta == 0.0 or np.sum(g * step) <= 0.0:
                 step = pg
                 restarts += 1
         g_prev, pg_prev = g, pg
@@ -261,7 +301,7 @@ def smallest_eigenpair(
             break
         # one interpolation step: the minimizer of the quadratic through
         # R(0), R'(0) = -(p / M) <g, d> and R(tau), kept if R is lower there
-        slope = -p / _p_mass(measure, vals, p) * float(g @ step)
+        slope = -p / _p_mass(measure, vals, p) * float(np.sum(g * step))
         curvature = (r_trial - r_val - slope * tau) / tau**2
         tau_q = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
         if tau_q <= 4.0 * tau:

@@ -266,19 +266,21 @@ class TestMain:
         assert "sweep" in error["message"]
         assert sorted(os.listdir(out)) == ["error.json"]
 
-    @pytest.mark.parametrize("command, extra", [
-        ("eigen", ""),
-        ("solve", "reaction = power\ninitial = sin\nt_end = 0.05\ndt0 = 1e-3\n"),
-    ], ids=["eigen", "solve"])
-    def test_singular_stiffness_is_numerical_error(self, tmp_path, command, extra):
+    @pytest.mark.parametrize("command, mode, extra", [
+        ("eigen", "interval", ""),
+        ("solve", "interval", "reaction = power\ninitial = sin\nt_end = 0.05\ndt0 = 1e-3\n"),
+        ("eigen", "tensor2d", ""),
+    ], ids=["eigen", "solve", "eigen-tensor2d"])
+    def test_singular_stiffness_is_numerical_error(self, tmp_path, command, mode, extra):
         """A tabulated weight that vanishes on part of the domain makes the
-        interior stiffness singular: exit 3 with a numerical error.json."""
+        interior stiffness singular, or on tensor grids the eigensolver's
+        weight scaling undefined: exit 3 with a numerical error.json."""
         csv = tmp_path / "w.csv"
         csv.write_text("0,1\n0.3,1\n0.4,0\n1,0\n")
         path = tmp_path / "z.cfg"
         path.write_text(
             f"command = {command}\noutput_dir = {tmp_path / 'zout'}\n[problem]\n"
-            f"mode = interval\nresolution = 32\np = 2.0\n"
+            f"mode = {mode}\nresolution = 32\np = 2.0\n"
             f"weight = tabulated\nweight_csv = {csv}\n{extra}"
         )
         assert main([command, "--config", str(path)]) == EXIT_NUMERICAL
@@ -299,12 +301,50 @@ class TestMain:
         assert (tmp_path / "sw" / "runs" / "amplitude_1.5" / "outcome.json").exists()
 
 
+def _src_env(**extra):
+    src = str(Path(degenflow.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **extra)
+
+
+def _loaded_by_cli_import(module):
+    code = f"import sys, degenflow.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     """scipy.integrate is slow to import and only the weights-check
     quadrature needs it, so importing the CLI must not load it."""
-    src = str(Path(degenflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, degenflow.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    """scipy.fft costs about 0.1 s to import and only tensor eigensolves
+    need it, so it must not land in every command's start-up."""
+    assert not _loaded_by_cli_import("scipy.fft")
+
+
+def test_tensor_eigen_is_blas_thread_independent(tmp_path):
+    """A tensor eigensolve writes the same eigenpair.json with one BLAS thread
+    as with two.  At 103 x 103 unknowns OpenBLAS splits a dot product across
+    its threads, so BLAS inner products there changed the iteration count
+    with the thread count."""
+    path = tmp_path / "e.cfg"
+    path.write_text(
+        "command = eigen\noutput_dir = e\n[problem]\nmode = tensor2d\nresolution = 104\n"
+        "p = 3.0\nweight = power\ntheta_w = 1.0\n[eigen]\ntol = 1e-7\n"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        env = _src_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads_{threads}"
+        args = [sys.executable, "-m", "degenflow", "eigen", "--config", str(path),
+                "--out", str(out)]
+        runs.append((subprocess.Popen(args, env=env, stdout=subprocess.DEVNULL), out))
+    for proc, _ in runs:
+        assert proc.wait(timeout=120) == EXIT_OK
+    one, two = ((out / "eigenpair.json").read_bytes() for _, out in runs)
+    assert one == two

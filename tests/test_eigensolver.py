@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import integrate as sint
 from scipy import optimize as sopt
 
@@ -21,7 +22,8 @@ from degenflow import (
     smallest_eigenpair,
 )
 from degenflow.banded import BandPattern
-from degenflow.plap_operator import apply_plaplacian, energy_hessian_matrix
+from degenflow.discretization import weight_on_grid
+from degenflow.plap_operator import apply_plaplacian, energy_hessian_matrix, face_operator
 
 PI2 = np.pi**2
 
@@ -260,7 +262,7 @@ def test_symmetric_band_pattern_builds_no_general_positions(monkeypatch):
             patterns.append(self)
 
     monkeypatch.setattr(eigensolver, "BandPattern", RecordingPattern)
-    g = build_grid("tensor2d", 1.0, 12)
+    g = build_grid("interval", 1.0, 32)
     assert smallest_eigenpair(g, WeightSpec.power(1.0), 3.0).residual <= 1e-4
     assert len(patterns) == 1
     assert "band_pos" not in vars(patterns[0])
@@ -270,16 +272,11 @@ def test_symmetric_band_pattern_builds_no_general_positions(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, resolution, kd", [
-    ("tensor2d", 12, 11),
-    ("tensor2d", 20, 19),
     ("interval", 32, 1),
 ])
 def test_preconditioner_is_five_point_stiffness(monkeypatch, mode, resolution, kd):
-    """The preconditioner has half-bandwidth resolution - 1 on tensor grids,
-    where the full p = 2 Hessian has 2 (resolution - 1) + 1, and 1 on an
-    interval.  Without a weight it is the standard 5-point Laplacian on a
-    tensor grid (4 on the diagonal, -1 to each grid neighbour, for square
-    cells) and the p = 2 Hessian itself on an interval."""
+    """On an interval the preconditioner is the band Cholesky factor of the
+    p = 2 Hessian itself, tridiagonal."""
     filled = []
 
     class RecordingPattern(BandPattern):
@@ -293,15 +290,36 @@ def test_preconditioner_is_five_point_stiffness(monkeypatch, mode, resolution, k
     (band, data), = filled
     row, col = band.row, band.col
     assert band.kd == kd
-    if mode == "tensor2d":
-        assert np.allclose(data[row == col], 4.0, rtol=1e-14)
-        assert np.allclose(data[row != col], -1.0, rtol=1e-14)
-        # neighbours along a grid line, and across lines kd apart, never
-        # the last node of one line and the first of the next
-        assert set(row - col) == {0, 1, kd}
-        assert np.all((row - col != 1) | (row % kd != 0))
-    else:
-        idx = np.flatnonzero(g.interior_mask.ravel())
-        hessian = energy_hessian_matrix(g, None)[idx][:, idx].toarray()
-        assert np.array_equal(data, hessian[row, col])
-        assert np.count_nonzero(np.tril(hessian)) == len(data)
+    idx = np.flatnonzero(g.interior_mask.ravel())
+    hessian = energy_hessian_matrix(g, None)[idx][:, idx].toarray()
+    assert np.array_equal(data, hessian[row, col])
+    assert np.count_nonzero(np.tril(hessian)) == len(data)
+
+
+@pytest.mark.parametrize("resolution, extent", [(12, 1.0), (20, 1.0), (17, 2.5)])
+def test_tensor_preconditioner_inverts_scaled_five_point_stiffness(resolution, extent):
+    """On tensor grids the preconditioner P = S L0^{-1} S is the exact inverse
+    of S^{-1} L0 S^{-1}, with L0 the interior 5-point stiffness of the
+    unweighted face operator (4 on the diagonal, -1 to each grid neighbour,
+    for the square cells of every tensor grid) and S = diag(w^{-1/2}) at
+    the interior nodes."""
+    g = build_grid("tensor2d", extent, resolution)
+    idx = np.flatnonzero(g.interior_mask.ravel())
+    op = face_operator(g, None)
+    a = op.components[0][:, idx]
+    l0 = (a.T @ sp.diags_array(len(op.components) * op.cw) @ a).toarray()
+    m = resolution - 1
+    assert np.allclose(np.diag(l0), 4.0, rtol=1e-14)
+    offdiag = l0[~np.eye(len(idx), dtype=bool)]
+    assert np.allclose(offdiag[offdiag != 0.0], -1.0, rtol=1e-14)
+    assert np.count_nonzero(l0) == m * m + 4 * m * (m - 1)
+
+    w = weight_on_grid(WeightSpec.power(1.0), g)[1:-1, 1:-1]
+    s = np.diag(1.0 / np.sqrt(w.ravel()))
+    p_inv = np.linalg.inv(s) @ l0 @ np.linalg.inv(s)
+    solve = eigensolver._sine_transform_solve(w)
+    rng = np.random.default_rng(resolution)
+    for x in rng.standard_normal((3, len(idx))):
+        assert np.allclose(solve(p_inv @ x), x, rtol=0.0, atol=1e-10 * np.abs(x).max())
+        assert np.allclose(p_inv @ solve(x), x, rtol=0.0, atol=1e-10 * np.abs(x).max())
+
