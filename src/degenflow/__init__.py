@@ -16,7 +16,6 @@ from .errors import (
     DivergenceError,
     FitError,
     NumericalError,
-    OutOfRangeError,
     ShapeError,
 )
 from .weight_models import (
@@ -87,7 +86,6 @@ __all__ = [
     "DivergenceError",
     "FitError",
     "NumericalError",
-    "OutOfRangeError",
     "ShapeError",
     "DoublingReport",
     "MuckenhouptReport",

@@ -166,9 +166,6 @@ class ExperimentConfig:
     output_dir: str
     sections: dict = field(default_factory=dict)
 
-    def get(self, section, key):
-        return self.sections[section][key]
-
 
 def parse_config(text, command_override=None):
     """Parse a config document into an ExperimentConfig.
@@ -238,10 +235,13 @@ def _parse_sections(text, sections, command_override):
             raise ConfigError(f"[sweep] applies to solve only, not {command}")
         if sweep["parameter"] not in _SCHEMA["problem"]:
             raise ConfigError(f"sweep parameter {sweep['parameter']!r} is not a problem key")
-        if _SCHEMA["problem"][sweep["parameter"]][0] not in (_as_float, _as_int):
+        converter = _SCHEMA["problem"][sweep["parameter"]][0]
+        if converter not in (_as_float, _as_int):
             raise ConfigError(f"sweep parameter {sweep['parameter']!r} is not numeric")
-        if not sweep["values"]:
-            raise ConfigError("sweep values list is empty")
+        try:
+            sweep["values"] = [converter(value) for value in sweep["values"]]
+        except ValueError as exc:
+            raise ConfigError(f"bad sweep value for {sweep['parameter']!r}: {exc}") from exc
 
     out = sections[""]["output_dir"] or "degenflow-out"
     return ExperimentConfig(command=command, output_dir=out, sections=sections)
@@ -516,7 +516,7 @@ def _cmd_solve(cfg, out):
         sub_grid = _build_grid(sub)
         sub_weight = _build_weight(sub)
         pair, ref = eigenpair, lambda1_ref
-        if param in ("p", "resolution", "extent", "mode", "n", "theta_w") and pair is not None:
+        if param in ("p", "resolution", "extent", "n", "theta_w") and pair is not None:
             pair = _solve_eigen(sub, sub_grid, sub_weight)
             ref = pair.eigenvalue
         oc = _run_one(sub, sub_grid, sub_weight, None, pair, ref,
@@ -531,9 +531,6 @@ def _cmd_solve(cfg, out):
 
 def _with_problem_value(cfg, key, value):
     sections = {name: dict(body) for name, body in cfg.sections.items()}
-    converter, _default = _SCHEMA["problem"][key]
-    if converter is _as_int:
-        value = int(value)
     sections["problem"][key] = value
     return ExperimentConfig(cfg.command, cfg.output_dir, sections)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Field
-from .errors import ConfigError, FitError, OutOfRangeError
+from .errors import ConfigError, FitError
 from .plap_operator import apply_plaplacian
 
 
@@ -52,10 +52,6 @@ class Exponents:
     @property
     def k(self):
         return self.n * (self.p - 1.0 - self.mu) + self.p
-
-    @property
-    def lambda_exp(self):
-        return self.n * (2.0 * self.p - 2.0 - self.p * self.mu) + self.p * self.p
 
     @property
     def beta(self):
@@ -169,7 +165,7 @@ def _barenblatt_profile(xi, exps, constant):
 
 def _check_barenblatt_args(t, exps):
     if t <= 0.0:
-        raise OutOfRangeError(f"reference solution needs t > 0, got {t}")
+        raise ConfigError(f"reference solution needs t > 0, got {t}")
     if not exps.p > 2.0:
         raise ConfigError("reference solution needs p > 2")
     if not 0.0 <= exps.theta_w < exps.p:

@@ -47,23 +47,12 @@ class Grid:
     def n_nodes(self):
         return int(np.prod(self.shape))
 
-    @property
-    def interior_mask(self):
-        return ~self.boundary_mask
-
     def radius(self):
         """Distance of every node from the origin, shaped like the grid."""
         if self.mode == MODE_TENSOR2D:
             x, y = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
             return np.hypot(x, y)
         return np.abs(self.axes[0])
-
-    def coordinates(self):
-        """Per-axis nodal coordinates broadcast to the grid shape."""
-        if self.mode == MODE_TENSOR2D:
-            x, y = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-            return (x, y)
-        return (self.axes[0],)
 
 
 def build_grid(mode, extent, resolution, n=None):
@@ -114,10 +103,6 @@ class Field:
 
     def copy(self):
         return Field(self.grid, self.values.copy())
-
-    @staticmethod
-    def zeros(grid):
-        return Field(grid, np.zeros(grid.shape))
 
 
 def _trap_1d(m, h):

@@ -9,10 +9,6 @@ class ConfigError(DegenflowError, ValueError):
     """Invalid parameter, precondition, or configuration input."""
 
 
-class OutOfRangeError(DegenflowError, ValueError):
-    """Evaluation requested outside the supported range."""
-
-
 class DivergenceError(DegenflowError, ArithmeticError):
     """An integral or iteration diverges."""
 

@@ -281,25 +281,22 @@ def energy_hessian_matrix(grid, weight):
     return sum(mt @ cw @ m for m, mt in zip(op.components, op.transposes)).tocsr()
 
 
-def face_conductance(u, weight, p, linearization="newton", eps_reg=0.0):
+def face_conductance(u, weight, p, eps_reg=0.0):
     """Face conductances kappa of the flux-linearized Jacobian.
 
     The linearized stiffness is K = A^T diag(kappa) A with A the normal
     difference, the first component of face_operator(grid, weight), and
     diffusion_jacobian is -K divided by the cell volumes.  With
-    s = |G|**2 + eps**2, "newton" takes the slope of the flux in the normal
+    s = |G|**2 + eps**2, kappa is the slope of the flux in the normal
     difference, kappa = cw * s**((p-4)/2) * ((p-2) (A u)**2 + s); on tensor
-    grids the tangential part of G is held fixed.  "picard" takes the
-    lagged coefficient, kappa = cw * s**((p-2)/2).
+    grids the tangential part of G is held fixed.
     """
     op = face_operator(u.grid, weight)
     g, s = _face_gradient(op, u.values.ravel(), eps_reg)
-    if linearization == "newton":
-        return op.cw * _s_pow(s, (p - 4.0) / 2.0) * ((p - 2.0) * g[0] * g[0] + s)
-    return op.cw * _s_pow(s, (p - 2.0) / 2.0)
+    return op.cw * _s_pow(s, (p - 4.0) / 2.0) * ((p - 2.0) * g[0] * g[0] + s)
 
 
-def diffusion_jacobian(u, weight, p, linearization="newton", eps_reg=0.0):
+def diffusion_jacobian(u, weight, p, eps_reg=0.0):
     """Sparse approximation of d(apply_plaplacian)/du over all nodes.
 
     Exact at p = 2, where it is minus the energy Hessian over the cell
@@ -308,13 +305,10 @@ def diffusion_jacobian(u, weight, p, linearization="newton", eps_reg=0.0):
     -A^T diag(kappa) A / cell volumes with kappa from face_conductance.  On
     tensor grids that holds the tangential component B u fixed, which keeps
     the matrix at the compact stencil of A; the damped Newton loop tolerates
-    the mismatch and falls back to Picard when it does not.
-
-    linearization "picard" drops the flux-slope factor and uses the
-    lagged-coefficient matrix omega * |G|**(p-2) instead.
+    the mismatch, and a step it cannot converge is retried with a smaller dt.
 
     This is the reference form.  The time stepper solves the same
-    linearization in the symmetric form V + dt K on the interior nodes,
+    Jacobian in the symmetric form V + dt K on the interior nodes,
     assembled once per run from face_conductance, and never calls this
     function.
     """
@@ -324,7 +318,7 @@ def diffusion_jacobian(u, weight, p, linearization="newton", eps_reg=0.0):
         k = energy_hessian_matrix(grid, weight)
     else:
         op = face_operator(grid, weight)
-        kappa = face_conductance(u, weight, p, linearization, eps_reg)
+        kappa = face_conductance(u, weight, p, eps_reg)
         k = op.transposes[0] @ sp.diags_array(kappa) @ op.components[0]
     inv_vol = sp.diags_array(1.0 / cell_volumes(grid).ravel())
     return (-(inv_vol @ k)).tocsr()

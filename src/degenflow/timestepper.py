@@ -4,9 +4,9 @@ Each step solves the backward-Euler residual
 
     v - u_old - dt * (L_p v + f(x, t + dt, v)) = 0
 
-on interior nodes by damped Newton with a sparse flux-linearized Jacobian,
-falling back to Picard (lagged diffusion coefficient) when Newton stalls.
-Each Newton update solves
+on interior nodes by damped Newton with a sparse flux-linearized Jacobian.
+A step whose update cannot lower the residual fails, and run_simulation
+retries it with half the dt.  Each Newton update solves
 
     (V + dt K - dt V f') delta = -V r,
 
@@ -22,8 +22,8 @@ Jacobian (interval and radial grids, and p = 2) every iteration factors it
 afresh and Newton converges quadratically.  On tensor grids at p > 2 it is
 the frozen-tangential approximation, which converges only linearly however
 fresh it is, so a step reuses one factor (the chord iteration) and refactors
-only after a damped update, a reused factor that did not lower the
-residual, or the switch to Picard.
+only after a damped update or a reused factor that did not lower the
+residual.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
@@ -226,14 +226,14 @@ class _NewtonSystem(BandPattern):
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
         super().__init__(row, col, len(self.idx))
 
-    def matrix(self, v, dt, drea, linearization="newton", eps_reg=0.0):
+    def matrix(self, v, dt, drea, eps_reg=0.0):
         """The system at state v with interior reaction slopes drea, as the
         band array that factor() takes: symmetric storage when dt f' < 1
         everywhere, general storage otherwise."""
         if self.p == 2.0:
             data = dt * self.k_data
         else:
-            kappa = face_conductance(v, self.weight, self.p, linearization, eps_reg)
+            kappa = face_conductance(v, self.weight, self.p, eps_reg)
             data = dt * (self.conductance_map @ kappa)
         return self.fill(data, self.vol * (1.0 - dt * drea), np.all(dt * drea < 1.0))
 
@@ -266,9 +266,10 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     system is the run's _NewtonSystem; one is built when none is given.
     stats, when given, counts "newton_iters" and "factorizations".  An exact
     Newton matrix is factored at every iteration.  An inexact one is factored
-    at the first iteration and then reused until an update needs damping,
-    a reused factor fails to lower the residual (retried once with a fresh
-    factor before the switch to Picard) or the iteration switches to Picard.
+    at the first iteration and then reused until an update needs damping or
+    a reused factor fails to lower the residual, which is retried once with
+    a fresh factor.  An update from a fresh factor that cannot lower the
+    residual raises at once.
     """
     grid = u.grid
     ctl = spec.controls
@@ -305,7 +306,6 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     v = Field(grid, u_old.copy())
     r = _residual(v, u_old, t_new, dt, spec)
     rnorm = np.abs(r).max()
-    mode = "newton"
     lu = None
     for it in range(ctl.newton_max):
         _count(stats, "newton_iters")
@@ -315,7 +315,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
         if fresh:
             drea = reaction_derivative(spec.reaction, t_new, v.values).ravel()[idx]
             _count(stats, "factorizations")
-            lu = system.factor(system.matrix(v, dt, drea, mode, ctl.eps_reg))
+            lu = system.factor(system.matrix(v, dt, drea, ctl.eps_reg))
         delta = system.solve(lu, -system.vol * r.ravel()[idx])
         if not np.all(np.isfinite(delta)):
             raise _StepFailure("nonfinite Newton update")
@@ -334,13 +334,10 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
                 break
             damping *= 0.5
         if not improved:
-            lu = None
-            if not fresh:
-                continue  # the reused factor went stale: retry with a fresh one
-            if mode == "newton":
-                mode = "picard"  # lagged coefficient is globally gentler
-                continue
-            raise _StepFailure(f"stalled at residual {rnorm:.2e} (tol {tol:.2e})")
+            if fresh:
+                raise _StepFailure(f"stalled at residual {rnorm:.2e} (tol {tol:.2e})")
+            lu = None  # the reused factor went stale: retry with a fresh one
+            continue
         if system.exact or damping < 1.0:
             lu = None
     if rnorm <= tol:

@@ -253,10 +253,12 @@ class TestMain:
         ("eigen", EIGEN_CFG, "parameter = p\nvalues = 2.0, 3.0\n"),
         ("solve", SOLVE_CFG, "parameter = mode\nvalues = 1.0\n"),
         ("solve", SOLVE_CFG, "parameter = snapshot_times\nvalues = 0.01\n"),
-    ], ids=["eigen", "string-key", "list-key"])
+        ("solve", SOLVE_CFG, "parameter = resolution\nvalues = 16.5, 32\n"),
+    ], ids=["eigen", "string-key", "list-key", "non-integer"])
     def test_unusable_sweep_is_config_error(self, tmp_path, command, base, sweep):
-        """A sweep the command would ignore, or over a key whose values are
-        not numbers, fails at parse time with exit 2 and error.json."""
+        """A sweep the command would ignore, over a key whose values are not
+        numbers, or with a value the key does not accept fails at parse time
+        with exit 2 and error.json."""
         path = tmp_path / "sw.cfg"
         path.write_text(base.format(out=tmp_path / "cfg_out") + "\n[sweep]\n" + sweep)
         out = tmp_path / "out"
@@ -288,6 +290,21 @@ class TestMain:
         assert error["error_kind"] == "numerical"
         assert error["error_type"] == "FactorError"
         assert "not positive definite" in error["message"]
+
+    def test_barenblatt_at_time_zero_is_config_error(self, tmp_path):
+        """The self-similar initial profile is undefined at reference time
+        0: exit 2 with a config error.json."""
+        path = tmp_path / "b.cfg"
+        path.write_text(
+            f"command = solve\noutput_dir = {tmp_path / 'bout'}\n[problem]\n"
+            "mode = radial\nn = 2\nextent = 4.0\nresolution = 32\np = 3.0\n"
+            "initial = barenblatt\ninitial_time = 0.0\nt_end = 0.05\ndt0 = 1e-3\n"
+        )
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((tmp_path / "bout" / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert error["error_type"] == "ConfigError"
+        assert "t > 0" in error["message"]
 
     def test_sweep_runs_are_separate(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

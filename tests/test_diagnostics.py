@@ -13,7 +13,6 @@ from degenflow import (
     Field,
     FitError,
     OdeParams,
-    OutOfRangeError,
     ProblemSpec,
     ReactionSpec,
     StepControls,
@@ -36,7 +35,6 @@ class TestExponents:
         e = Exponents(n=2, p=3.0)
         assert e.k == 5.0
         assert e.beta == 5.0
-        assert e.lambda_exp == 11.0
 
     def test_theta_shifts_beta_only(self):
         e = Exponents(n=2, p=3.0, theta_w=1.0)
@@ -182,7 +180,7 @@ class TestBarenblatt:
             assert masses[2] == pytest.approx(masses[0], rel=1e-6)
 
     def test_argument_validation(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ConfigError, match="t > 0"):
             barenblatt_corrected(0.0, 0.0, self.EXPS0)
         with pytest.raises(ConfigError):
             barenblatt_corrected(0.0, 1.0, Exponents(n=2, p=2.0))

@@ -20,6 +20,11 @@ from degenflow import (
 )
 
 
+def _node_coordinates(g):
+    """Per-axis nodal coordinates broadcast to the grid shape."""
+    return np.meshgrid(*g.axes, indexing="ij")
+
+
 def test_interval_grid_layout():
     g = build_grid("interval", 1.0, 8)
     assert g.shape == (9,)
@@ -91,7 +96,7 @@ def test_quadrature_radial_measures_ball():
 
 def test_quadrature_tensor_separable():
     g = build_grid("tensor2d", 1.0, 32)
-    x, y = g.coordinates()
+    x, y = _node_coordinates(g)
     f = Field(g, x * y)
     assert integrate(f) == pytest.approx(0.25, rel=1e-12)
 
@@ -140,7 +145,7 @@ def test_field_csv_roundtrip(tmp_path, mode, kw):
     assert lines[:2] == ["# example", f"{coords},value"]
     # 17 significant digits read back to the same doubles
     data = np.loadtxt(path, delimiter=",", skiprows=2)
-    expect = [c.ravel() for c in g.coordinates()] + [f.values.ravel()]
+    expect = [c.ravel() for c in _node_coordinates(g)] + [f.values.ravel()]
     np.testing.assert_array_equal(data, np.column_stack(expect))
 
 
@@ -156,6 +161,6 @@ def test_field_csv_bytes_match_per_row_format(tmp_path, mode):
     write_field_csv(f, path, header_lines=("a = 1", "b"))
     coords = "x,y" if mode == "tensor2d" else "x"
     expected = f"# a = 1\n# b\n{coords},value\n"
-    for row in zip(*(c.ravel() for c in g.coordinates()), f.values.ravel()):
+    for row in zip(*(c.ravel() for c in _node_coordinates(g)), f.values.ravel()):
         expected += ",".join(f"{v:.17g}" for v in row) + "\n"
     assert path.read_bytes() == expected.encode()

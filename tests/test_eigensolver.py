@@ -96,7 +96,7 @@ def test_eigenfunction_properties():
     pair = smallest_eigenpair(g, None, 2.0)
     vals = pair.eigenfunction.values
     # positive inside, zero on the boundary, unit mass
-    assert np.all(vals[g.interior_mask] > 0.0)
+    assert np.all(vals[~g.boundary_mask] > 0.0)
     assert np.all(vals[g.boundary_mask] == 0.0)
     assert integrate(pair.eigenfunction) == pytest.approx(1.0, rel=1e-12)
     # shape matches sin(pi x) up to the mass normalization (pi/2 factor)
@@ -167,7 +167,7 @@ def test_json_nonfinite_values_are_null(tmp_path):
         raise ValueError(f"non-standard JSON token {token}")
 
     g = build_grid("interval", 1.0, 8)
-    pair = EigenPair(float("nan"), Field.zeros(g), float("inf"), 0, 2.0)
+    pair = EigenPair(float("nan"), Field(g, np.zeros(g.shape)), float("inf"), 0, 2.0)
     path = tmp_path / "pair.json"
     pair.to_json(path)
     payload = json.loads(path.read_text(), parse_constant=reject)
@@ -290,7 +290,7 @@ def test_preconditioner_is_five_point_stiffness(monkeypatch, mode, resolution, k
     (band, data), = filled
     row, col = band.row, band.col
     assert band.kd == kd
-    idx = np.flatnonzero(g.interior_mask.ravel())
+    idx = np.flatnonzero(~g.boundary_mask.ravel())
     hessian = energy_hessian_matrix(g, None)[idx][:, idx].toarray()
     assert np.array_equal(data, hessian[row, col])
     assert np.count_nonzero(np.tril(hessian)) == len(data)
@@ -304,7 +304,7 @@ def test_tensor_preconditioner_inverts_scaled_five_point_stiffness(resolution, e
     for the square cells of every tensor grid) and S = diag(w^{-1/2}) at
     the interior nodes."""
     g = build_grid("tensor2d", extent, resolution)
-    idx = np.flatnonzero(g.interior_mask.ravel())
+    idx = np.flatnonzero(~g.boundary_mask.ravel())
     op = face_operator(g, None)
     a = op.components[0][:, idx]
     l0 = (a.T @ sp.diags_array(len(op.components) * op.cw) @ a).toarray()

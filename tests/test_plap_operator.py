@@ -61,7 +61,7 @@ def test_energy_scaling_homogeneity():
 
 def test_energy_nonnegative_and_zero_on_zero():
     for _, g in GRIDS:
-        assert energy(Field.zeros(g), None, 3.0) == 0.0
+        assert energy(Field(g, np.zeros(g.shape)), None, 3.0) == 0.0
         u = _random_interior_field(g, 11)
         assert energy(u, None, 3.0) > 0.0
 
@@ -136,7 +136,7 @@ def test_hessian_matrix_matches_operator_p2():
         k = energy_hessian_matrix(g, None)
         direct = apply_plaplacian(u, None, 2.0).values
         via_matrix = -(k @ u.values.ravel()) / cell_volumes(g).ravel()
-        interior = g.interior_mask.ravel()
+        interior = ~g.boundary_mask.ravel()
         np.testing.assert_allclose(
             via_matrix[interior], direct.ravel()[interior], rtol=1e-12, atol=1e-12
         )
@@ -166,7 +166,7 @@ def test_newton_jacobian_matches_fd_1d(mode, p):
     u = _random_interior_field(g, 77)
     jac = diffusion_jacobian(u, w, p).toarray()
     eps = 1e-7
-    interior = np.flatnonzero(g.interior_mask.ravel())
+    interior = np.flatnonzero(~g.boundary_mask.ravel())
     rng = np.random.default_rng(0)
     for _ in range(5):
         d = rng.standard_normal(g.n_nodes)
@@ -182,83 +182,71 @@ def test_newton_jacobian_matches_fd_1d(mode, p):
 # Reductions of the operator recorded from an independent implementation
 # (separate 1d and tensor code with hand-written adjoints): for every mode the
 # p = 2 Hessian (Frobenius norm, r . K q), and for every (p, eps_reg) the
-# energy, apply_plaplacian (norm, . r) and the newton and picard Jacobians
-# (Frobenius norm, r . J q each).  Power weight |x|, seeded field and probes.
+# energy, apply_plaplacian (norm, . r) and the Newton Jacobian
+# (Frobenius norm, r . J q).  Power weight |x|, seeded field and probes.
 PINNED = {
     ('interval', 'hessian'): (164.5007598766644, 60.40148723495232),
     ('interval', 2.0, 0.0): (
         250.0780933915804,
         3743.7547858938424, 924.5284339887647,
         4182.856440280972, -1683.233004039766,
-        4182.856440280972, -1683.233004039766,
     ),
     ('interval', 2.0, 0.001): (
         250.07809364158038,
         3743.7547858938424, 924.5284339887647,
-        4182.856440280972, -1683.233004039766,
         4182.856440280972, -1683.233004039766,
     ),
     ('interval', 3.0, 0.0): (
         7578.31271061532,
         172136.5721965534, 89265.5158894988,
         239599.74665675225, -299096.602067519,
-        119799.87332837612, -149548.3010337595,
     ),
     ('interval', 3.0, 0.001): (
         7578.312717247799,
         172136.5722411661, 89265.51587926532,
         239599.74665675225, -299096.602067519,
-        119799.87341555845, -149548.3009529604,
     ),
     ('radial', 'hessian'): (794.8986868925126, 350.5696455200378),
     ('radial', 2.0, 0.0): (
         1032.7551799089806,
         3747.7501520026603, 905.0521037384262,
         4184.066684608491, -1652.8307003119064,
-        4184.066684608491, -1652.8307003119064,
     ),
     ('radial', 2.0, 0.001): (
         1032.7551809557235,
         3747.7501520026603, 905.0521037384262,
-        4184.066684608491, -1652.8307003119064,
         4184.066684608491, -1652.8307003119064,
     ),
     ('radial', 3.0, 0.0): (
         31485.52743047594,
         172330.63689390253, 90361.67434669087,
         239873.44689507468, -296604.3507390212,
-        119936.72344753733, -148302.1753695106,
     ),
     ('radial', 3.0, 0.001): (
         31485.52745783875,
         172330.6369385482, 90361.67433509575,
         239873.44689507468, -296604.35073902115,
-        119936.72353463345, -148302.17528734717,
     ),
     ('tensor2d', 'hessian'): (19.21770404735028, 16.001315217121245),
     ('tensor2d', 2.0, 0.0): (
         71.43360558198053,
         1892.8109984421292, -1268.1416387308773,
         2388.5684985329776, -1305.605520772365,
-        2388.5684985329776, -1305.605520772365,
     ),
     ('tensor2d', 2.0, 0.001): (
         71.43360596476505,
         1892.8109984421292, -1268.1416387308773,
-        2388.5684985329776, -1305.605520772365,
         2388.5684985329776, -1305.605520772365,
     ),
     ('tensor2d', 3.0, 0.0): (
         1088.8736911543767,
         49096.73363618426, -19853.716835378615,
         49171.00248490461, -30901.225521176595,
-        26326.81696605721, -17447.033332233077,
     ),
     ('tensor2d', 3.0, 0.001): (
         1088.8736953594362,
         49096.73367854377, -19853.71688513178,
         49171.002567712574, -30901.22543423133,
-        26326.817129122486, -17447.033257497456,
     ),
 }
 
@@ -283,18 +271,18 @@ def test_operator_matches_pinned_values(mode, grid):
         for eps_reg in (0.0, 1e-3):
             lap = apply_plaplacian(u, w, p, eps_reg).values.ravel()
             got = [energy(u, w, p, eps_reg), np.linalg.norm(lap), lap @ r]
-            for linearization in ("newton", "picard"):
-                got += reduce_matrix(diffusion_jacobian(u, w, p, linearization, eps_reg))
+            got += reduce_matrix(diffusion_jacobian(u, w, p, eps_reg))
             np.testing.assert_allclose(
                 got, PINNED[(mode, p, eps_reg)], rtol=1e-13, atol=0.0,
                 err_msg=f"p={p} eps_reg={eps_reg}",
             )
 
 
-def test_picard_jacobian_is_negative_semidefinite():
+def test_newton_jacobian_is_negative_semidefinite():
+    """J = -A^T diag(kappa) A / V with every face conductance kappa >= 0."""
     g = build_grid("interval", 1.0, 20)
     u = _random_interior_field(g, 3)
-    j = diffusion_jacobian(u, None, 3.0, linearization="picard").toarray()
+    j = diffusion_jacobian(u, None, 3.0).toarray()
     vol = cell_volumes(g)
     # symmetrize back to the energy form before the spectral check
     k = -np.diag(vol) @ j
@@ -304,7 +292,7 @@ def test_picard_jacobian_is_negative_semidefinite():
 
 def test_p_below_two_rejected():
     g = build_grid("interval", 1.0, 8)
-    u = Field.zeros(g)
+    u = Field(g, np.zeros(g.shape))
     with pytest.raises(ConfigError):
         apply_plaplacian(u, None, 1.5)
     with pytest.raises(ConfigError):

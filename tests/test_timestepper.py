@@ -32,6 +32,11 @@ from degenflow.timestepper import _NewtonSystem, _StepFailure
 PI2 = np.pi**2
 
 
+def _node_coordinates(g):
+    """Per-axis nodal coordinates broadcast to the grid shape."""
+    return np.meshgrid(*g.axes, indexing="ij")
+
+
 def _sin_problem(amplitude=1.0, resolution=64, t_end=0.3, dt0=1e-3, dt_max=5e-3,
                  reaction=None, p=2.0, **ctl_kw):
     g = build_grid("interval", 1.0, resolution)
@@ -95,9 +100,8 @@ def _band_to_dense(band, kd):
 
 @pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
-@pytest.mark.parametrize("linearization", ["newton", "picard"])
-@pytest.mark.parametrize("eps_reg", [0.0, 1e-3])
-def test_newton_system_matches_jacobian_form(mode, p, linearization, eps_reg):
+@pytest.mark.parametrize("eps_reg", [0.0, 1e-3], ids=lambda e: f"{e}-newton")
+def test_newton_system_matches_jacobian_form(mode, p, eps_reg):
     """The band array the stepper factors holds V (I - dt J - dt f')
     restricted to the interior, with J from diffusion_jacobian."""
     g = build_grid(mode, 1.0, 12, n=2)
@@ -110,8 +114,8 @@ def test_newton_system_matches_jacobian_form(mode, p, linearization, eps_reg):
 
     system = _NewtonSystem(g, weight, p)
     idx = system.idx
-    got = _band_to_dense(system.matrix(u, dt, drea[idx], linearization, eps_reg), system.kd)
-    jac = diffusion_jacobian(u, weight, p, linearization, eps_reg).toarray()
+    got = _band_to_dense(system.matrix(u, dt, drea[idx], eps_reg), system.kd)
+    jac = diffusion_jacobian(u, weight, p, eps_reg).toarray()
     vol = cell_volumes(g).ravel()
     ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
     ref = ref[np.ix_(idx, idx)]
@@ -266,9 +270,62 @@ def test_newton_solve_matches_dense(mode, p, dt, alpha0, seed):
     assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["interval", "radial", "tensor2d"]),
+    p=st.floats(2.0, 5.0),
+    theta_frac=st.floats(0.0, 1.0, exclude_max=True),
+    log_dt=st.floats(-4.0, -1.0),
+    log_amplitude=st.floats(-1.0, 1.0),
+    rough=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_step_satisfies_energy_inequality(mode, p, theta_frac, log_dt, log_amplitude,
+                                          rough, seed):
+    """A converged backward-Euler step without reaction dissipates energy:
+    E(u1) + sum V (u1 - u0)**2 / dt <= E(u0).
+
+    The step solves V (u1 - u0) = -dt grad E(u1) + V r with residual r, and
+    the convexity of E gives E(u0) >= E(u1) + grad E(u1) . (u0 - u1), so the
+    inequality holds up to sum V r (u1 - u0) / dt.  An accepted step has
+    |r| <= newton_tol * scale, or 1e-9 * scale on the linear p = 2 path, with
+    scale = max(sup |u0|, 1); that bound times sum V |u1 - u0| / dt is the
+    slack, plus 1e-12 E(u0) for the rounding of the energy sums.  A step that
+    does not converge is counted as an event, not filtered out."""
+    g = build_grid(mode, 1.0, 8, n=2)
+    weight = WeightSpec.power(theta_frac * p)
+    amplitude = 10.0**log_amplitude
+    if rough:
+        vals = amplitude * np.random.default_rng(seed).standard_normal(g.shape)
+    elif mode == "radial":
+        vals = amplitude * np.cos(0.5 * np.pi * g.axes[0])
+    else:
+        vals = amplitude * np.prod([np.sin(np.pi * c) for c in _node_coordinates(g)], axis=0)
+    vals[g.boundary_mask] = 0.0
+    dt = 10.0**log_dt
+    spec = ProblemSpec(grid=g, weight=weight, p=p, reaction=ReactionSpec.none(),
+                       initial=Field(g, vals), t_end=1.0, dt0=dt)
+    label = f"{mode}, p {'= 2' if p == 2.0 else '> 2'}"
+    try:
+        u1 = step_implicit(spec.initial, 0.0, dt, spec)
+    except (_StepFailure, FactorError):
+        event(f"{label}: unconverged")
+        return
+    event(f"{label}: converged")
+
+    tol = max(spec.controls.newton_tol, 1e-9) * max(np.abs(vals).max(), 1.0)
+    r = timestepper._residual(u1, vals, dt, dt, spec)
+    assert np.abs(r).max() <= tol
+    vol = cell_volumes(g)
+    step = u1.values - vals
+    e0, e1 = energy(spec.initial, weight, p), energy(u1, weight, p)
+    slack = tol * np.sum(vol * np.abs(step)) / dt + 1e-12 * e0
+    assert e1 + np.sum(vol * step * step) / dt <= e0 + slack
+
+
 def _tensor_p3_problem():
     g = build_grid("tensor2d", 1.0, 16)
-    x, y = g.coordinates()
+    x, y = _node_coordinates(g)
     phi = Field(g, np.sin(np.pi * x) * np.sin(np.pi * y))
     phi.values[g.boundary_mask] = 0.0
     return ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=3.0,
@@ -282,7 +339,7 @@ def _power_blowup_problem():
 
 @pytest.mark.parametrize("make_spec, kind, steps, newton_iters, factorizations", [
     (_tensor_p3_problem, "Completed", 88, 608, 88),
-    (_power_blowup_problem, "BlowUp", 107, 691, 566),
+    (_power_blowup_problem, "BlowUp", 107, 662, 537),
 ])
 def test_step_and_newton_counts_pinned(make_spec, kind, steps, newton_iters, factorizations):
     """A rounding change in the Newton solve that flips an accept, reject or
@@ -296,9 +353,9 @@ def test_step_and_newton_counts_pinned(make_spec, kind, steps, newton_iters, fac
 
 def _newton_iterations(monkeypatch, system):
     """Spy on one step's Newton loop.  Returns the list that the step fills
-    with one [linearization factored or None, residual evaluations] entry per
-    update: None when the update reused the previous factor, and more than
-    one evaluation when the update was damped or failed."""
+    with one [fresh, residual evaluations] entry per update: fresh is False
+    when the update reused the previous factor, and more than one
+    evaluation means the update was damped or failed."""
     log = []
     residual, matrix, solve = timestepper._residual, system.matrix, system.solve
 
@@ -307,13 +364,13 @@ def _newton_iterations(monkeypatch, system):
             log[-1][1] += 1
         return residual(*args)
 
-    def spy_matrix(v, dt, drea, linearization="newton", eps_reg=0.0):
-        log.append([linearization, 0])
-        return matrix(v, dt, drea, linearization, eps_reg)
+    def spy_matrix(*args):
+        log.append([True, 0])
+        return matrix(*args)
 
     def spy_solve(lu, rhs):
         if not log or log[-1][1]:
-            log.append([None, 0])
+            log.append([False, 0])
         return solve(lu, rhs)
 
     monkeypatch.setattr(timestepper, "_residual", spy_residual)
@@ -332,12 +389,13 @@ def _newton_iterations(monkeypatch, system):
 def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, state):
     """An exact Newton matrix is factored at every iteration.  The inexact
     tensor p > 2 matrix is factored at the first iteration of a step and
-    again only after an update that needed damping or failed; a failed
-    update with a reused factor is retried with a fresh Newton factor before
-    the switch to Picard."""
+    again only after an update that needed damping or failed, so a failed
+    update with a reused factor is retried with a fresh one.  A failed
+    update with a fresh factor raises _StepFailure and factors nothing
+    more."""
     g = build_grid(mode, 1.0, 6, n=2)
     if state == "smooth":
-        vals = np.prod([np.sin(np.pi * c) for c in g.coordinates()], axis=0)
+        vals = np.prod([np.sin(np.pi * c) for c in _node_coordinates(g)], axis=0)
         reaction, dt = ReactionSpec.power(1.0, 2.0), 1e-3
     else:
         vals = 10.0 * np.random.default_rng(1).standard_normal(g.shape)
@@ -350,23 +408,33 @@ def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, stat
     assert system.exact == exact
     log = _newton_iterations(monkeypatch, system)
     stats = {}
+    failure = None
     try:
         step_implicit(spec.initial, 0.0, dt, spec, system=system, stats=stats)
-    except (_StepFailure, FactorError):
+    except (_StepFailure, FactorError) as exc:
+        failure = exc
         assert state == "rough"
 
-    factored = [lin for lin, _ in log]
-    assert factored[0] == "newton"
-    for (lin, _), (prev_lin, prev_evals) in zip(log[1:], log):
-        assert (lin is not None) == (exact or prev_evals > 1)
-        if lin == "picard" and prev_lin != "picard":
-            assert prev_lin == "newton"  # the stall was with a fresh factor
-    assert stats["factorizations"] == sum(lin is not None for lin in factored)
+    fresh = [f for f, _ in log]
+    assert fresh[0]
+    for f, (_, prev_evals) in zip(fresh[1:], log):
+        assert f == (exact or prev_evals > 1)
+    assert stats["factorizations"] == sum(fresh)
+    if isinstance(failure, _StepFailure) and "stalled" in str(failure):
+        assert log[-1] == [True, 4]  # every damping of a fresh update failed
     if state == "smooth":
         assert len(log) >= 2 and all(evals == 1 for _, evals in log)
     elif not exact:
-        assert None in factored[1:] and "picard" in factored
+        assert not all(fresh[1:])
         assert any(1 < evals < 4 for _, evals in log)  # a damped, accepted update
+
+    # an update that cannot lower the residual, from a fresh factor
+    monkeypatch.setattr(system, "solve", lambda lu, rhs: np.zeros_like(rhs))
+    log.clear()
+    stats.clear()
+    with pytest.raises(_StepFailure, match="stalled"):
+        step_implicit(spec.initial, 0.0, dt, spec, system=system, stats=stats)
+    assert log == [[True, 4]] and stats["factorizations"] == 1
 
 
 def test_heat_equation_oracle_res128():
