@@ -203,7 +203,11 @@ def barenblatt_corrected(x, t, exps):
 # ------------------------------------------------------------ residual check
 
 
+# residual_check differences u_t over half-width DT_REL * t and excludes
+# nodes within GUARD_CELLS of where the candidate is below FRONT_MARGIN
 GUARD_CELLS = 2
+FRONT_MARGIN = 1e-3
+DT_REL = 1e-4
 
 
 def _erode(mask, cells):
@@ -227,30 +231,27 @@ def _fill_edge(arr, axis, index, value):
     arr[tuple(sl)] = value
 
 
-def residual_check(candidate, spec, sample_times, front_margin=1e-3, dt_rel=1e-4):
-    """Max discrete residual |u_t - L_p u| of a space-time candidate.
+def residual_check(candidate, grid, weight, p, sample_times):
+    """Max discrete residual |u_t - L_p u| of a space-time candidate on grid.
 
     candidate(grid, t) must return nodal values.  u_t is centered
-    differencing with half-width dt_rel * t.  Nodes closer than GUARD_CELLS
-    to the region where the candidate is below front_margin are excluded,
+    differencing with half-width DT_REL * t.  Nodes closer than GUARD_CELLS
+    to the region where the candidate is below FRONT_MARGIN are excluded,
     as is the Dirichlet boundary; the free boundary is not a classical
     point of the equation.
     """
-    grid = spec.grid
     worst = 0.0
     for t in sample_times:
         if t <= 0.0:
             raise ConfigError("sample times must be positive")
-        delta = dt_rel * t
+        delta = DT_REL * t
         vals = np.asarray(candidate(grid, t), dtype=float)
         before = np.asarray(candidate(grid, t - delta), dtype=float)
         after = np.asarray(candidate(grid, t + delta), dtype=float)
         ut = (after - before) / (2.0 * delta)
-        lap = apply_plaplacian(
-            Field(grid, vals), spec.weight, spec.p, spec.controls.eps_reg
-        ).values
+        lap = apply_plaplacian(Field(grid, vals), weight, p).values
         res = np.abs(ut - lap)
-        mask = _erode(vals > front_margin, GUARD_CELLS) & ~grid.boundary_mask
+        mask = _erode(vals > FRONT_MARGIN, GUARD_CELLS) & ~grid.boundary_mask
         if mask.any():
             worst = max(worst, float(res[mask].max()))
     return worst

@@ -62,6 +62,7 @@ NORMALIZE_P_NORM = "unit_p_norm"
 # stalled: once R moves only at round-off, steps keep being accepted
 # without lowering the residual
 STALL_ITERATIONS = 40
+MAX_ITERATIONS = 50_000
 
 
 @dataclass
@@ -174,7 +175,6 @@ def smallest_eigenpair(
     weight,
     p,
     tol=None,
-    max_iter=50_000,
     normalization=NORMALIZE_MASS,
 ):
     """Principal Dirichlet eigenpair by preconditioned Polak-Ribiere+
@@ -183,8 +183,7 @@ def smallest_eigenpair(
     The preconditioner is the sine-transform solve S L0^{-1} S on tensor
     grids and the band Cholesky factor of the p = 2 Hessian on interval and
     radial grids.  The start is the flat interior field after three
-    preconditioner solves, and the energy is the unregularized one
-    (eps_reg = 0).  Each line search halves tau from 1 until R
+    preconditioner solves.  Each line search halves tau from 1 until R
     decreases, then tries the minimizer tau* of the quadratic through
     R(0), R'(0) = -(p / M) <g, d> and R(tau), M the p-mass of the iterate,
     g the Euler-Lagrange residual and d the direction; the point at tau*
@@ -197,9 +196,9 @@ def smallest_eigenpair(
     iterate, the restart count, the number of quotient evaluations and
     the number of kept interpolation steps.  Raises ConvergenceError with
     the best iterate attached when the residual target is not met: the
-    line search fails, max_iter is spent, or STALL_ITERATIONS pass without
-    a new best residual.  Raises FactorError when the weight leaves the
-    preconditioner singular or, on tensor grids, undefined.
+    line search fails, MAX_ITERATIONS are spent, or STALL_ITERATIONS pass
+    without a new best residual.  Raises FactorError when the weight leaves
+    the preconditioner singular or, on tensor grids, undefined.
     """
     if tol is None:
         tol = 1e-6 if p == 2.0 else 1e-4
@@ -260,7 +259,7 @@ def smallest_eigenpair(
     best = (r_val, vals.copy(), np.inf, 0)
     history = []
     restarts = interpolated = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         u = Field(grid, vals)
         lap = apply_plaplacian(u, weight, p).values
         res = _residual_norm(grid, lap, r_val, wvals, vals, p)

@@ -15,7 +15,7 @@ matrices M_k, built once per (grid, weight) by face_operator:
   faces of both axes are stacked and cw carries a factor 1/2, which makes
   the energy the symmetrized face form.
 
-With s = sum_k (M_k u)**2 + eps**2 the energy is
+With s = sum_k (M_k u)**2 the energy is
 
     (1/p) * sum over faces of cw_F * s_F**(p/2),
 
@@ -24,9 +24,6 @@ inequality.  Its gradient is sum_k M_k^T (cw * s**((p-2)/2) * M_k u) and
 apply_plaplacian is exactly that gradient divided by the node measures; no
 separately discretized divergence is involved.  The p = 2 Hessian is
 sum_k M_k^T diag(cw) M_k.
-
-The regularization eps_reg replaces |G| by sqrt(|G|**2 + eps**2).
-The default is 0 and every solver output reports the value used.
 """
 
 from __future__ import annotations
@@ -224,17 +221,17 @@ def face_operator(grid, weight):
     return FaceOperator(cw, components, transposes, vol)
 
 
-def _face_gradient(op, v, eps_reg):
-    """Face gradient components M_k v and s = sum_k (M_k v)**2 + eps**2."""
+def _face_gradient(op, v):
+    """Face gradient components M_k v and s = sum_k (M_k v)**2."""
     g = [m @ v for m in op.components]
-    return g, sum(gk * gk for gk in g) + eps_reg * eps_reg
+    return g, sum(gk * gk for gk in g)
 
 
-def energy(u, weight, p, eps_reg=0.0):
+def energy(u, weight, p):
     """Discrete diffusion energy (1/p) * integral of omega * |grad u|**p."""
     _check_p(p)
     op = face_operator(u.grid, weight)
-    _, s = _face_gradient(op, u.values.ravel(), eps_reg)
+    _, s = _face_gradient(op, u.values.ravel())
     return float(np.sum(op.cw * s ** (p / 2.0)) / p)
 
 
@@ -248,14 +245,14 @@ def _s_pow(s, expo):
     return out
 
 
-def apply_plaplacian(u, weight, p, eps_reg=0.0):
+def apply_plaplacian(u, weight, p):
     """div(omega * |grad u|**(p-2) * grad u) at the nodes, zero on Dirichlet
     nodes.  Equals minus the energy gradient in the cell-volume inner
     product, exactly at the discrete level."""
     _check_p(p)
     grid = u.grid
     op = face_operator(grid, weight)
-    g, s = _face_gradient(op, u.values.ravel(), eps_reg)
+    g, s = _face_gradient(op, u.values.ravel())
     flux = op.cw * _s_pow(s, (p - 2.0) / 2.0)
     grad = sum(mt @ (flux * gk) for mt, gk in zip(op.transposes, g))
     out = -grad.reshape(grid.shape) / op.vol
@@ -281,22 +278,22 @@ def energy_hessian_matrix(grid, weight):
     return sum(mt @ cw @ m for m, mt in zip(op.components, op.transposes)).tocsr()
 
 
-def face_conductance(u, weight, p, eps_reg=0.0):
+def face_conductance(u, weight, p):
     """Face conductances kappa of the flux-linearized Jacobian.
 
     The linearized stiffness is K = A^T diag(kappa) A with A the normal
     difference, the first component of face_operator(grid, weight), and
-    diffusion_jacobian is -K divided by the cell volumes.  With
-    s = |G|**2 + eps**2, kappa is the slope of the flux in the normal
-    difference, kappa = cw * s**((p-4)/2) * ((p-2) (A u)**2 + s); on tensor
-    grids the tangential part of G is held fixed.
+    diffusion_jacobian is -K divided by the cell volumes.  With s = |G|**2,
+    kappa is the slope of the flux in the normal difference,
+    kappa = cw * s**((p-4)/2) * ((p-2) (A u)**2 + s); on tensor grids the
+    tangential part of G is held fixed.
     """
     op = face_operator(u.grid, weight)
-    g, s = _face_gradient(op, u.values.ravel(), eps_reg)
+    g, s = _face_gradient(op, u.values.ravel())
     return op.cw * _s_pow(s, (p - 4.0) / 2.0) * ((p - 2.0) * g[0] * g[0] + s)
 
 
-def diffusion_jacobian(u, weight, p, eps_reg=0.0):
+def diffusion_jacobian(u, weight, p):
     """Sparse approximation of d(apply_plaplacian)/du over all nodes.
 
     Exact at p = 2, where it is minus the energy Hessian over the cell
@@ -318,7 +315,7 @@ def diffusion_jacobian(u, weight, p, eps_reg=0.0):
         k = energy_hessian_matrix(grid, weight)
     else:
         op = face_operator(grid, weight)
-        kappa = face_conductance(u, weight, p, eps_reg)
+        kappa = face_conductance(u, weight, p)
         k = op.transposes[0] @ sp.diags_array(kappa) @ op.components[0]
     inv_vol = sp.diags_array(1.0 / cell_volumes(grid).ravel())
     return (-(inv_vol @ k)).tocsr()

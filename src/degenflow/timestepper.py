@@ -59,6 +59,14 @@ KIND_BLOWUP = "BlowUp"
 
 _CSV_COLUMNS = ("t", "dt", "sup_abs_u", "mass", "g", "energy")
 
+NEWTON_MAX = 30  # Newton iterations per step attempt
+# dt grows by GROWTH_FACTOR after a step that took at most EASY_ITERS Newton
+# iterations
+EASY_ITERS = 6
+GROWTH_FACTOR = 1.2
+# a step that multiplies sup|u| by more than this is redone with half the dt
+MAX_GROWTH_PER_STEP = 1.5
+
 
 @dataclass(frozen=True)
 class StepControls:
@@ -66,19 +74,10 @@ class StepControls:
     dt_max: float = 0.1
     u_cap: float = 0.0  # 0 means "derive from initial data"
     newton_tol: float = 1e-10
-    newton_max: int = 30
-    growth_factor: float = 1.2
-    easy_iters: int = 6
-    max_growth_per_step: float = 1.5
-    eps_reg: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.dt_min <= self.dt_max:
             raise ConfigError("need 0 < dt_min <= dt_max")
-        if self.newton_max < 1:
-            raise ConfigError("newton_max must be at least 1")
-        if not self.max_growth_per_step > 1.0:
-            raise ConfigError("max_growth_per_step must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,6 @@ class RunOutcome:
     steps: int = 0
     newton_iters_total: int = 0
     factorizations: int = 0
-    eps_reg: float = 0.0
 
     def to_json(self, path, extra=None):
         payload = {
@@ -178,7 +176,6 @@ class RunOutcome:
             "steps": self.steps,
             "newton_iters_total": self.newton_iters_total,
             "factorizations": self.factorizations,
-            "eps_reg": self.eps_reg,
             "final_time": self.trajectory.times[-1] if self.trajectory.times else None,
             "final_sup": self.trajectory.sup_abs_u[-1] if self.trajectory.times else None,
         }
@@ -226,14 +223,14 @@ class _NewtonSystem(BandPattern):
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
         super().__init__(row, col, len(self.idx))
 
-    def matrix(self, v, dt, drea, eps_reg=0.0):
+    def matrix(self, v, dt, drea):
         """The system at state v with interior reaction slopes drea, as the
         band array that factor() takes: symmetric storage when dt f' < 1
         everywhere, general storage otherwise."""
         if self.p == 2.0:
             data = dt * self.k_data
         else:
-            kappa = face_conductance(v, self.weight, self.p, eps_reg)
+            kappa = face_conductance(v, self.weight, self.p)
             data = dt * (self.conductance_map @ kappa)
         return self.fill(data, self.vol * (1.0 - dt * drea), np.all(dt * drea < 1.0))
 
@@ -253,7 +250,7 @@ def _count(stats, key):
 
 
 def _residual(v_field, u_old, t_new, dt, spec):
-    lap = apply_plaplacian(v_field, spec.weight, spec.p, spec.controls.eps_reg).values
+    lap = apply_plaplacian(v_field, spec.weight, spec.p).values
     rea = reaction_eval(spec.reaction, t_new, v_field.values)
     r = v_field.values - u_old - dt * (lap + rea)
     r[v_field.grid.boundary_mask] = 0.0
@@ -286,12 +283,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     scale = max(float(np.abs(u_old).max()), 1.0)
     tol = ctl.newton_tol * scale
 
-    linear_const = (
-        spec.p == 2.0
-        and spec.reaction.family == "none"
-        and ctl.eps_reg == 0.0
-    )
-    if linear_const:
+    if spec.p == 2.0 and spec.reaction.family == "none":
         vals = u_old.copy().ravel()
         vals[idx] = system.linear_solve(dt, system.vol * u_old.ravel()[idx], stats)
         out = vals.reshape(grid.shape)
@@ -307,7 +299,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     r = _residual(v, u_old, t_new, dt, spec)
     rnorm = np.abs(r).max()
     lu = None
-    for it in range(ctl.newton_max):
+    for it in range(NEWTON_MAX):
         _count(stats, "newton_iters")
         if rnorm <= tol:
             return v
@@ -315,7 +307,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
         if fresh:
             drea = reaction_derivative(spec.reaction, t_new, v.values).ravel()[idx]
             _count(stats, "factorizations")
-            lu = system.factor(system.matrix(v, dt, drea, ctl.eps_reg))
+            lu = system.factor(system.matrix(v, dt, drea))
         delta = system.solve(lu, -system.vol * r.ravel()[idx])
         if not np.all(np.isfinite(delta)):
             raise _StepFailure("nonfinite Newton update")
@@ -342,7 +334,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
             lu = None
     if rnorm <= tol:
         return v
-    raise _StepFailure(f"no convergence in {ctl.newton_max} iterations "
+    raise _StepFailure(f"no convergence in {NEWTON_MAX} iterations "
                        f"(residual {rnorm:.2e}, tol {tol:.2e})")
 
 
@@ -396,7 +388,7 @@ def run_simulation(spec, eigenpair=None):
             float(np.abs(f.values).max()),
             quadrature_sum(qw, f.values),
             quadrature_sum(qw_g, f.values),
-            energy(f, spec.weight, spec.p, ctl.eps_reg),
+            energy(f, spec.weight, spec.p),
         )
 
     u = spec.initial.copy()
@@ -442,14 +434,14 @@ def run_simulation(spec, eigenpair=None):
             raise NumericalError("nonfinite state produced", trajectory=traj)
 
         # keep the discrete trajectory on the physical branch: a step that
-        # multiplies the sup norm by more than the growth cap is redone
+        # multiplies the sup norm by more than MAX_GROWTH_PER_STEP is redone
         # smaller, so the tail keeps resolving the approach to a singularity
         sup_old = float(np.abs(u.values).max())
         sup_new = float(np.abs(u_new.values).max())
         if (
             dt > ctl.dt_min
             and sup_old > 0.0
-            and sup_new > ctl.max_growth_per_step * sup_old
+            and sup_new > MAX_GROWTH_PER_STEP * sup_old
         ):
             dt = max(dt * 0.5, ctl.dt_min)
             continue
@@ -468,14 +460,13 @@ def run_simulation(spec, eigenpair=None):
         if sup < decay_floor:
             outcome = KIND_DECAYED
             break
-        if iters <= ctl.easy_iters:
-            dt = min(dt * ctl.growth_factor, ctl.dt_max)
+        if iters <= EASY_ITERS:
+            dt = min(dt * GROWTH_FACTOR, ctl.dt_max)
 
     counts = dict(
         steps=len(traj.times) - 1,
         newton_iters_total=stats.get("newton_iters", 0),
         factorizations=stats.get("factorizations", 0),
-        eps_reg=ctl.eps_reg,
     )
 
     if outcome == KIND_BLOWUP:

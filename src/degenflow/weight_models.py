@@ -33,6 +33,10 @@ _KINDS = (KIND_CONSTANT, KIND_POWER, KIND_TABULATED)
 
 QUAD_RTOL = 1e-8
 
+# the class checks fail when a Muckenhoupt constant, an essential-supremum
+# ratio or a normalized doubling ratio exceeds CAP
+CAP = 1e6
+
 # the class checks extend their radius grid by this many octaves, and fail
 # when the Muckenhoupt constant grows there by more than TREND_TOL
 # (relative) or the normalized doubling ratio has a log-log slope above
@@ -233,7 +237,7 @@ class MuckenhouptReport:
     message: str = ""
 
 
-def check_muckenhoupt(spec, n, radii, cap=1e6):
+def check_muckenhoupt(spec, n, radii):
     """Check the ball-mass / dual-mass product condition on a radius grid.
 
     For each radius r the constant is
@@ -282,14 +286,14 @@ def check_muckenhoupt(spec, n, radii, cap=1e6):
         tail_growth = max(ext_consts) / worst
     passes = (
         all_finite
-        and worst <= cap
-        and worst_ess <= cap
+        and worst <= CAP
+        and worst_ess <= CAP
         and tail_growth <= 1.0 + TREND_TOL
     )
     msg = "ok"
     if not all_finite:
         msg = "mass or dual mass diverges"
-    elif worst > cap or worst_ess > cap:
+    elif worst > CAP or worst_ess > CAP:
         msg = "constant exceeds cap"
     elif tail_growth > 1.0 + TREND_TOL:
         msg = "constant grows under radius-grid extension"
@@ -312,7 +316,7 @@ class DoublingReport:
     message: str = ""
 
 
-def check_doubling(spec, n, mu, radius_pairs, cap=1e6):
+def check_doubling(spec, n, mu, radius_pairs):
     """Check mass(B_s) <= c * (s/h)**(n*mu) * mass(B_h) over radius pairs.
 
     Ratios are normalized by (s/h)**(n*mu); the pair list is extended toward
@@ -344,9 +348,9 @@ def check_doubling(spec, n, mu, radius_pairs, cap=1e6):
     ext_ratios = [normalized(h_big * sep, h_big) for sep in ext_seps]
     tail_slope = _trend_slope(ext_seps, ext_ratios)
 
-    passes = worst <= cap and max(ext_ratios) <= cap and tail_slope <= SLOPE_TOL
+    passes = worst <= CAP and max(ext_ratios) <= CAP and tail_slope <= SLOPE_TOL
     msg = "ok"
-    if worst > cap or max(ext_ratios) > cap:
+    if worst > CAP or max(ext_ratios) > CAP:
         msg = "ratio exceeds cap"
     elif tail_slope > SLOPE_TOL:
         msg = "normalized ratio grows with scale separation"

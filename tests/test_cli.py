@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,15 @@ class TestParseConfig:
                 "snapshot_times = 0.1, 0.2, 0.4\n")
         cfg = parse_config(text)
         assert cfg.sections["problem"]["snapshot_times"] == [0.1, 0.2, 0.4]
+
+    def test_readme_configs_parse(self):
+        """Every ini block of the README is a config parse_config accepts, so
+        the documented examples cannot keep a key the schema dropped."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(block)
 
     @pytest.mark.parametrize("key", ["resolutions", "sample_times"])
     def test_empty_list_reports_line(self, key):
@@ -305,6 +315,45 @@ class TestMain:
         assert error["error_kind"] == "config"
         assert error["error_type"] == "ConfigError"
         assert "t > 0" in error["message"]
+
+    @pytest.mark.parametrize("section, key", [
+        ("controls", "newton_max"),
+        ("controls", "growth_factor"),
+        ("controls", "easy_iters"),
+        ("controls", "max_growth_per_step"),
+        ("controls", "eps_reg"),
+        ("eigen", "max_iter"),
+        ("verify", "front_margin"),
+        ("verify", "dt_rel"),
+        ("verify", "reference_time"),
+        ("weights", "cap"),
+    ])
+    def test_solver_constant_is_not_a_key(self, tmp_path, section, key):
+        """The Newton limit, the step-size growth rule, the eigensolver
+        iteration limit, the residual-check margins and the weight-class cap
+        are constants of their modules: a config that sets one exits 2 with
+        error.json naming the line."""
+        text = EIGEN_CFG.format(out=tmp_path / "out") + f"\n[{section}]\n{key} = 1\n"
+        path = tmp_path / "k.cfg"
+        path.write_text(text)
+        assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((tmp_path / "out" / "error.json").read_text())
+        lineno = text.splitlines().index(f"{key} = 1") + 1
+        assert f"line {lineno}: unknown key {key!r}" in error["message"]
+        assert sorted(os.listdir(tmp_path / "out")) == ["error.json"]
+
+    def test_verify_exact_reads_no_step_controls(self, tmp_path):
+        """verify-exact takes no time step, so a [controls] dt_max below the
+        default dt0 does not stop it; sample_times default to 1, 3 and 10."""
+        path = tmp_path / "v.cfg"
+        path.write_text(
+            f"command = verify-exact\noutput_dir = {tmp_path / 'vout'}\n[problem]\n"
+            "mode = radial\nn = 2\nextent = 8.0\np = 3.0\n"
+            "[verify]\nresolutions = 16, 32, 64\n[controls]\ndt_max = 1e-5\n"
+        )
+        assert main(["verify-exact", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "vout" / "summary.json").read_text())
+        assert summary["sample_times"] == [1.0, 3.0, 10.0]
 
     def test_sweep_runs_are_separate(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -233,7 +233,7 @@ def test_tight_tolerance_converges_128():
 
 def test_stalled_solve_fails_fast(monkeypatch):
     """A target below round-off stops STALL_ITERATIONS past the best
-    iterate, not at max_iter, and raises with that iterate attached."""
+    iterate, not at MAX_ITERATIONS, and raises with that iterate attached."""
     calls = []
 
     def counting_apply(*args, **kwargs):

@@ -50,7 +50,7 @@ def test_energy_linear_ramp_1d():
 
 
 def test_energy_scaling_homogeneity():
-    # E(c u) = |c|^p E(u) when eps_reg = 0
+    # E(c u) = |c|^p E(u)
     g = build_grid("tensor2d", 1.0, 8)
     u = _random_interior_field(g, 7)
     for p in (2.0, 3.0, 4.0):
@@ -181,72 +181,42 @@ def test_newton_jacobian_matches_fd_1d(mode, p):
 
 # Reductions of the operator recorded from an independent implementation
 # (separate 1d and tensor code with hand-written adjoints): for every mode the
-# p = 2 Hessian (Frobenius norm, r . K q), and for every (p, eps_reg) the
-# energy, apply_plaplacian (norm, . r) and the Newton Jacobian
-# (Frobenius norm, r . J q).  Power weight |x|, seeded field and probes.
+# p = 2 Hessian (Frobenius norm, r . K q), and for every p the energy,
+# apply_plaplacian (norm, . r) and the Newton Jacobian (Frobenius norm,
+# r . J q).  Power weight |x|, seeded field and probes.
 PINNED = {
     ('interval', 'hessian'): (164.5007598766644, 60.40148723495232),
-    ('interval', 2.0, 0.0): (
+    ('interval', 2.0): (
         250.0780933915804,
         3743.7547858938424, 924.5284339887647,
         4182.856440280972, -1683.233004039766,
     ),
-    ('interval', 2.0, 0.001): (
-        250.07809364158038,
-        3743.7547858938424, 924.5284339887647,
-        4182.856440280972, -1683.233004039766,
-    ),
-    ('interval', 3.0, 0.0): (
+    ('interval', 3.0): (
         7578.31271061532,
         172136.5721965534, 89265.5158894988,
         239599.74665675225, -299096.602067519,
     ),
-    ('interval', 3.0, 0.001): (
-        7578.312717247799,
-        172136.5722411661, 89265.51587926532,
-        239599.74665675225, -299096.602067519,
-    ),
     ('radial', 'hessian'): (794.8986868925126, 350.5696455200378),
-    ('radial', 2.0, 0.0): (
+    ('radial', 2.0): (
         1032.7551799089806,
         3747.7501520026603, 905.0521037384262,
         4184.066684608491, -1652.8307003119064,
     ),
-    ('radial', 2.0, 0.001): (
-        1032.7551809557235,
-        3747.7501520026603, 905.0521037384262,
-        4184.066684608491, -1652.8307003119064,
-    ),
-    ('radial', 3.0, 0.0): (
+    ('radial', 3.0): (
         31485.52743047594,
         172330.63689390253, 90361.67434669087,
         239873.44689507468, -296604.3507390212,
     ),
-    ('radial', 3.0, 0.001): (
-        31485.52745783875,
-        172330.6369385482, 90361.67433509575,
-        239873.44689507468, -296604.35073902115,
-    ),
     ('tensor2d', 'hessian'): (19.21770404735028, 16.001315217121245),
-    ('tensor2d', 2.0, 0.0): (
+    ('tensor2d', 2.0): (
         71.43360558198053,
         1892.8109984421292, -1268.1416387308773,
         2388.5684985329776, -1305.605520772365,
     ),
-    ('tensor2d', 2.0, 0.001): (
-        71.43360596476505,
-        1892.8109984421292, -1268.1416387308773,
-        2388.5684985329776, -1305.605520772365,
-    ),
-    ('tensor2d', 3.0, 0.0): (
+    ('tensor2d', 3.0): (
         1088.8736911543767,
         49096.73363618426, -19853.716835378615,
         49171.00248490461, -30901.225521176595,
-    ),
-    ('tensor2d', 3.0, 0.001): (
-        1088.8736953594362,
-        49096.73367854377, -19853.71688513178,
-        49171.002567712574, -30901.22543423133,
     ),
 }
 
@@ -268,14 +238,12 @@ def test_operator_matches_pinned_values(mode, grid):
     vals[grid.boundary_mask] = 0.0
     u = Field(grid, vals)
     for p in (2.0, 3.0):
-        for eps_reg in (0.0, 1e-3):
-            lap = apply_plaplacian(u, w, p, eps_reg).values.ravel()
-            got = [energy(u, w, p, eps_reg), np.linalg.norm(lap), lap @ r]
-            got += reduce_matrix(diffusion_jacobian(u, w, p, eps_reg))
-            np.testing.assert_allclose(
-                got, PINNED[(mode, p, eps_reg)], rtol=1e-13, atol=0.0,
-                err_msg=f"p={p} eps_reg={eps_reg}",
-            )
+        lap = apply_plaplacian(u, w, p).values.ravel()
+        got = [energy(u, w, p), np.linalg.norm(lap), lap @ r]
+        got += reduce_matrix(diffusion_jacobian(u, w, p))
+        np.testing.assert_allclose(
+            got, PINNED[(mode, p)], rtol=1e-13, atol=0.0, err_msg=f"p={p}",
+        )
 
 
 def test_newton_jacobian_is_negative_semidefinite():
@@ -297,14 +265,6 @@ def test_p_below_two_rejected():
         apply_plaplacian(u, None, 1.5)
     with pytest.raises(ConfigError):
         energy(u, None, 1.9)
-
-
-def test_eps_reg_regularizes_but_vanishes():
-    g = build_grid("interval", 1.0, 16)
-    u = _random_interior_field(g, 2)
-    base = apply_plaplacian(u, None, 3.0).values
-    reg = apply_plaplacian(u, None, 3.0, eps_reg=1e-8).values
-    assert np.max(np.abs(base - reg)) < 1e-6
 
 
 class TestReactionSpec:

@@ -100,8 +100,7 @@ def _band_to_dense(band, kd):
 
 @pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
-@pytest.mark.parametrize("eps_reg", [0.0, 1e-3], ids=lambda e: f"{e}-newton")
-def test_newton_system_matches_jacobian_form(mode, p, eps_reg):
+def test_newton_system_matches_jacobian_form(mode, p):
     """The band array the stepper factors holds V (I - dt J - dt f')
     restricted to the interior, with J from diffusion_jacobian."""
     g = build_grid(mode, 1.0, 12, n=2)
@@ -114,8 +113,8 @@ def test_newton_system_matches_jacobian_form(mode, p, eps_reg):
 
     system = _NewtonSystem(g, weight, p)
     idx = system.idx
-    got = _band_to_dense(system.matrix(u, dt, drea[idx], eps_reg), system.kd)
-    jac = diffusion_jacobian(u, weight, p, eps_reg).toarray()
+    got = _band_to_dense(system.matrix(u, dt, drea[idx]), system.kd)
+    jac = diffusion_jacobian(u, weight, p).toarray()
     vol = cell_volumes(g).ravel()
     ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
     ref = ref[np.ix_(idx, idx)]
@@ -294,33 +293,83 @@ def test_step_satisfies_energy_inequality(mode, p, theta_frac, log_dt, log_ampli
     does not converge is counted as an event, not filtered out."""
     g = build_grid(mode, 1.0, 8, n=2)
     weight = WeightSpec.power(theta_frac * p)
-    amplitude = 10.0**log_amplitude
+    vals = _drawn_state(g, 10.0**log_amplitude, rough, seed)
+    dt = 10.0**log_dt
+    stepped = _converged_step(g, weight, p, vals, dt)
+    if stepped is None:
+        return
+    u1, tol = stepped
+    vol = cell_volumes(g)
+    step = u1.values - vals
+    e0, e1 = energy(Field(g, vals), weight, p), energy(u1, weight, p)
+    slack = tol * np.sum(vol * np.abs(step)) / dt + 1e-12 * e0
+    assert e1 + np.sum(vol * step * step) / dt <= e0 + slack
+
+
+def _drawn_state(g, amplitude, rough, seed):
+    """Smooth (the principal sine or cosine shape) or rough (seeded normal)
+    nodal data of the given amplitude, zero on the boundary."""
     if rough:
         vals = amplitude * np.random.default_rng(seed).standard_normal(g.shape)
-    elif mode == "radial":
+    elif g.mode == "radial":
         vals = amplitude * np.cos(0.5 * np.pi * g.axes[0])
     else:
         vals = amplitude * np.prod([np.sin(np.pi * c) for c in _node_coordinates(g)], axis=0)
     vals[g.boundary_mask] = 0.0
-    dt = 10.0**log_dt
+    return vals
+
+
+def _converged_step(g, weight, p, vals, dt):
+    """One backward-Euler step without reaction from vals, with the bound tol
+    its residual must meet: newton_tol * scale, or 1e-9 * scale on the
+    linear p = 2 path, with scale = max(sup |vals|, 1).  Returns None, after
+    counting the draw as an unconverged event, when the step fails."""
     spec = ProblemSpec(grid=g, weight=weight, p=p, reaction=ReactionSpec.none(),
                        initial=Field(g, vals), t_end=1.0, dt0=dt)
-    label = f"{mode}, p {'= 2' if p == 2.0 else '> 2'}"
+    label = f"{g.mode}, p {'= 2' if p == 2.0 else '> 2'}"
     try:
         u1 = step_implicit(spec.initial, 0.0, dt, spec)
     except (_StepFailure, FactorError):
         event(f"{label}: unconverged")
-        return
+        return None
     event(f"{label}: converged")
-
     tol = max(spec.controls.newton_tol, 1e-9) * max(np.abs(vals).max(), 1.0)
     r = timestepper._residual(u1, vals, dt, dt, spec)
     assert np.abs(r).max() <= tol
-    vol = cell_volumes(g)
-    step = u1.values - vals
-    e0, e1 = energy(spec.initial, weight, p), energy(u1, weight, p)
-    slack = tol * np.sum(vol * np.abs(step)) / dt + 1e-12 * e0
-    assert e1 + np.sum(vol * step * step) / dt <= e0 + slack
+    return u1, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["interval", "radial"]),
+    resolution=st.integers(4, 32),
+    p=st.floats(2.0, 5.0),
+    theta_frac=st.floats(0.0, 1.0, exclude_max=True),
+    log_dt=st.floats(-4.0, -1.0),
+    log_amplitude=st.floats(-1.0, 1.0),
+    rough=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_step_satisfies_maximum_principle(mode, resolution, p, theta_frac, log_dt,
+                                          log_amplitude, rough, seed):
+    """A converged backward-Euler step without reaction on an interval or
+    radial grid creates no new extremum:
+    max u1 <= max(max u0, 0) and min u1 >= min(min u0, 0), up to the
+    residual bound tol.
+
+    At an interior node i where u1 is largest, every face difference toward
+    a neighbour is <= 0, so the flux form gives (L_p u1)_i <= 0 and
+    u1_i = u0_i + dt (L_p u1)_i + r_i <= max u0 + tol; a largest value on the
+    Dirichlet boundary is 0.  The minimum is the mirror case.  A step that
+    does not converge is counted as an event, not filtered out."""
+    g = build_grid(mode, 1.0, resolution, n=2)
+    vals = _drawn_state(g, 10.0**log_amplitude, rough, seed)
+    stepped = _converged_step(g, WeightSpec.power(theta_frac * p), p, vals, 10.0**log_dt)
+    if stepped is None:
+        return
+    u1, tol = stepped
+    assert u1.values.max() <= max(vals.max(), 0.0) + tol
+    assert u1.values.min() >= min(vals.min(), 0.0) - tol
 
 
 def _tensor_p3_problem():
