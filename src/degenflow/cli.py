@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .discretization import Field, build_grid, write_field_csv
-from .eigensolver import NORMALIZE_MASS, NORMALIZE_P_NORM, smallest_eigenpair
+from .eigensolver import smallest_eigenpair
 from .errors import ConfigError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
@@ -53,11 +53,14 @@ EXIT_UNDECIDED = 4
 
 
 def _as_float(raw):
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_int(raw):
-    value = float(raw)
+    value = _as_float(raw)
     if value != int(value):
         raise ValueError(f"expected an integer, got {raw!r}")
     return int(value)
@@ -75,7 +78,7 @@ def _list_items(raw):
 
 
 def _as_float_list(raw):
-    return [float(p) for p in _list_items(raw)]
+    return [_as_float(p) for p in _list_items(raw)]
 
 
 def _as_int_list(raw):
@@ -122,7 +125,6 @@ _SCHEMA = {
     },
     "eigen": {
         "tol": (_as_float, None),
-        "normalization": (_as_str, NORMALIZE_MASS),
     },
     "scan": {
         "values": (_as_float_list, None),
@@ -141,11 +143,6 @@ _SCHEMA = {
     "weights": {
         "radii": (_as_float_list, None),
         "radius_pairs": (_as_float_list, None),
-        "mu": (_as_float, None),
-    },
-    "sweep": {
-        "parameter": (_as_str, None),
-        "values": (_as_float_list, None),
     },
 }
 
@@ -217,21 +214,6 @@ def _parse_sections(text, sections, command_override):
 
     if not sections["problem"]["p"] >= 2.0:
         raise ConfigError(f"p must be >= 2, got {sections['problem']['p']}")
-    sweep = sections["sweep"]
-    if (sweep["parameter"] is None) != (sweep["values"] is None):
-        raise ConfigError("sweep needs both 'parameter' and 'values'")
-    if sweep["parameter"] is not None:
-        if command != "solve":
-            raise ConfigError(f"[sweep] applies to solve only, not {command}")
-        if sweep["parameter"] not in _SCHEMA["problem"]:
-            raise ConfigError(f"sweep parameter {sweep['parameter']!r} is not a problem key")
-        converter = _SCHEMA["problem"][sweep["parameter"]][0]
-        if converter not in (_as_float, _as_int):
-            raise ConfigError(f"sweep parameter {sweep['parameter']!r} is not numeric")
-        try:
-            sweep["values"] = [converter(value) for value in sweep["values"]]
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep value for {sweep['parameter']!r}: {exc}") from exc
 
     out = sections[""]["output_dir"] or "degenflow-out"
     return ExperimentConfig(command=command, output_dir=out, sections=sections)
@@ -307,14 +289,9 @@ def _build_grid(cfg):
     return build_grid(prob["mode"], prob["extent"], prob["resolution"], n=prob["n"])
 
 
-def _ambient_dimension(grid):
-    return 1 if grid.mode == "interval" else grid.dim
-
-
-def _exponents(cfg, grid):
+def _exponents(cfg, grid, weight):
     prob = cfg.sections["problem"]
-    n = _ambient_dimension(grid)
-    weight = _build_weight(cfg)
+    n = grid.dim
     if prob["mu"] is not None:
         mu = prob["mu"]
     elif weight is not None:
@@ -325,13 +302,11 @@ def _exponents(cfg, grid):
     return diag.Exponents(n=n, p=prob["p"], mu=mu, theta_w=theta)
 
 
-def _initial_values(cfg, grid, amplitude=None):
+def _initial_values(cfg, grid, weight):
     prob = cfg.sections["problem"]
     shape = prob["initial"].lower()
-    a = amplitude if amplitude is not None else prob["amplitude"]
+    a = prob["amplitude"]
     ext = grid.extent
-    if shape == "zero":
-        return np.zeros(grid.shape)
     if shape == "sin":
         if grid.mode == "interval":
             x = grid.axes[0]
@@ -341,20 +316,15 @@ def _initial_values(cfg, grid, amplitude=None):
             return a * np.sin(np.pi * x / ext)[:, None] * np.sin(np.pi * y / ext)[None, :]
         r = grid.axes[0]
         return a * np.cos(0.5 * np.pi * r / ext)
-    if shape in ("barenblatt", "barenblatt_verbatim"):
-        exps = _exponents(cfg, grid)
-        fn = (
-            diag.barenblatt_corrected
-            if shape == "barenblatt"
-            else diag.barenblatt_exact
-        )
-        vals = a * fn(grid.radius(), prob["initial_time"], exps)
+    if shape == "barenblatt":
+        exps = _exponents(cfg, grid, weight)
+        vals = a * diag.barenblatt_corrected(grid.radius(), prob["initial_time"], exps)
         vals[grid.boundary_mask] = 0.0
         return vals
     raise ConfigError(f"unknown initial shape {prob['initial']!r}")
 
 
-def _build_reaction(cfg, lambda1_ref=0.0):
+def _build_reaction(cfg, eigenpair):
     prob = cfg.sections["problem"]
     family = prob["reaction"].lower()
     if family == "none":
@@ -364,19 +334,20 @@ def _build_reaction(cfg, lambda1_ref=0.0):
     if family == "bounded_power":
         return ReactionSpec.bounded_power(prob["c3"], prob["c4"], prob["m"], prob["sigma"])
     if family == "exp_forced":
-        return ReactionSpec.exp_forced(prob["c6"], prob["sigma"], lambda1_ref)
+        lambda1 = eigenpair.eigenvalue if eigenpair is not None else 0.0
+        return ReactionSpec.exp_forced(prob["c6"], prob["sigma"], lambda1)
     raise ConfigError(f"unknown reaction family {prob['reaction']!r}")
 
 
-def _build_problem(cfg, grid, weight, amplitude=None, lambda1_ref=0.0):
+def _build_problem(cfg, grid, weight, eigenpair):
     prob = cfg.sections["problem"]
-    initial = Field(grid, _initial_values(cfg, grid, amplitude))
+    initial = Field(grid, _initial_values(cfg, grid, weight))
     snaps = tuple(prob["snapshot_times"] or ())
     return ProblemSpec(
         grid=grid,
         weight=weight,
         p=prob["p"],
-        reaction=_build_reaction(cfg, lambda1_ref),
+        reaction=_build_reaction(cfg, eigenpair),
         initial=initial,
         t_end=prob["t_end"],
         dt0=prob["dt0"],
@@ -386,16 +357,8 @@ def _build_problem(cfg, grid, weight, amplitude=None, lambda1_ref=0.0):
 
 
 def _solve_eigen(cfg, grid, weight):
-    e = cfg.sections["eigen"]
-    if e["normalization"] not in (NORMALIZE_MASS, NORMALIZE_P_NORM):
-        raise ConfigError(f"unknown normalization {e['normalization']!r}")
-    return smallest_eigenpair(
-        grid,
-        weight,
-        cfg.sections["problem"]["p"],
-        tol=e["tol"],
-        normalization=e["normalization"],
-    )
+    return smallest_eigenpair(grid, weight, cfg.sections["problem"]["p"],
+                              tol=cfg.sections["eigen"]["tol"])
 
 
 # -------------------------------------------------------------- subcommands
@@ -411,26 +374,43 @@ def _cmd_eigen(cfg, out):
         "lambda1": pair.eigenvalue,
         "residual": pair.residual,
         "iterations": pair.iterations,
-        "normalization": pair.normalization,
     }))
     return EXIT_OK
 
 
-def _run_one(cfg, grid, weight, amplitude, eigenpair, lambda1_ref, out_dir):
-    spec = _build_problem(cfg, grid, weight, amplitude, lambda1_ref)
+def _run_one(cfg, grid, weight, eigenpair, out_dir):
+    spec = _build_problem(cfg, grid, weight, eigenpair)
     outcome = run_simulation(spec, eigenpair=eigenpair)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome.trajectory.to_csv(out_dir / "trajectory.csv", header_lines=_csv_header(cfg))
-    g0 = outcome.trajectory.weighted_mass[0]
-    used_amplitude = (amplitude if amplitude is not None
-                      else cfg.sections["problem"]["amplitude"])
     outcome.to_json(out_dir / "outcome.json",
-                    extra={"amplitude": used_amplitude, "g0": g0})
+                    extra={"amplitude": cfg.sections["problem"]["amplitude"],
+                           "g0": outcome.trajectory.weighted_mass[0]})
     for ts in sorted(outcome.trajectory.snapshots):
         snap = outcome.trajectory.snapshots[ts]
         write_field_csv(snap, out_dir / f"snapshot_t{ts:.6g}.csv",
                         header_lines=_csv_header(cfg) + (f"t = {ts:.17g}",))
     return outcome
+
+
+def _comparison(trajectory, lambda1, sigma, g0=None):
+    """The comparison constant C fitted on trajectory and both blow-up
+    thresholds it gives; with g0, also the blow-up of the comparison ODE
+    from g0.  A failed fit or ODE adds C_fit_error instead."""
+    body = {}
+    try:
+        fit = diag.fit_bernoulli_constant(trajectory, lambda1, sigma)
+        thresholds = diag.blowup_threshold(lambda1, fit["C"], sigma)
+        body["C_fit"] = fit["C"]
+        body["threshold_operative"] = thresholds["operative"]
+        body["threshold_paper"] = thresholds["paper_value"]
+        if g0 is not None:
+            ode = diag.bernoulli_blowup(diag.OdeParams(lambda1, fit["C"], sigma, g0))
+            body["T_bernoulli"] = ode["T"]
+            body["bernoulli_blows_up"] = ode["blows_up"]
+    except DegenflowError as exc:
+        body["C_fit_error"] = str(exc)
+    return body
 
 
 def _solve_summary(cfg, outcome, eigenpair):
@@ -450,22 +430,8 @@ def _solve_summary(cfg, outcome, eigenpair):
     if eigenpair is not None:
         body["lambda1"] = eigenpair.eigenvalue
         if prob["reaction"].lower() == "power":
-            try:
-                fit = diag.fit_bernoulli_constant(
-                    outcome.trajectory, eigenpair.eigenvalue, prob["sigma"]
-                )
-                thresholds = diag.blowup_threshold(
-                    eigenpair.eigenvalue, fit["C"], prob["sigma"]
-                )
-                body["C_fit"] = fit["C"]
-                body["threshold_operative"] = thresholds["operative"]
-                body["threshold_paper"] = thresholds["paper_value"]
-                ode = diag.bernoulli_blowup(diag.OdeParams(
-                    eigenpair.eigenvalue, fit["C"], prob["sigma"], body["g0"]))
-                body["T_bernoulli"] = ode["T"]
-                body["bernoulli_blows_up"] = ode["blows_up"]
-            except DegenflowError as exc:
-                body["C_fit_error"] = str(exc)
+            body.update(_comparison(outcome.trajectory, eigenpair.eigenvalue,
+                                    prob["sigma"], g0=body["g0"]))
         if prob["reaction"].lower() == "exp_forced":
             try:
                 fit = diag.fit_exp_forced_constant(
@@ -486,42 +452,11 @@ def _cmd_solve(cfg, out):
     weight = _build_weight(cfg)
     prob = cfg.sections["problem"]
     eigenpair = None
-    lambda1_ref = 0.0
     if prob["reaction"].lower() != "none":
         eigenpair = _solve_eigen(cfg, grid, weight)
-        lambda1_ref = eigenpair.eigenvalue
-
-    sweep = cfg.sections["sweep"]
-    if sweep["parameter"] is None:
-        outcome = _run_one(cfg, grid, weight, None, eigenpair, lambda1_ref, out)
-        write_json(out / "summary.json",
-                    _summary(cfg, _solve_summary(cfg, outcome, eigenpair)))
-        return EXIT_OK
-
-    param = sweep["parameter"]
-    runs = []
-    for value in sweep["values"]:
-        sub = _with_problem_value(cfg, param, value)
-        sub_grid = _build_grid(sub)
-        sub_weight = _build_weight(sub)
-        pair, ref = eigenpair, lambda1_ref
-        if param in ("p", "resolution", "extent", "n", "theta_w") and pair is not None:
-            pair = _solve_eigen(sub, sub_grid, sub_weight)
-            ref = pair.eigenvalue
-        oc = _run_one(sub, sub_grid, sub_weight, None, pair, ref,
-                      out / "runs" / f"{param}_{value:.8g}")
-        runs.append({param: value, "kind": oc.kind,
-                     "g0": oc.trajectory.weighted_mass[0],
-                     "final_sup": oc.trajectory.sup_abs_u[-1],
-                     "T_est": oc.t_est})
-    write_json(out / "summary.json", _summary(cfg, {"runs": runs}))
+    outcome = _run_one(cfg, grid, weight, eigenpair, out)
+    write_json(out / "summary.json", _summary(cfg, _solve_summary(cfg, outcome, eigenpair)))
     return EXIT_OK
-
-
-def _with_problem_value(cfg, key, value):
-    sections = {name: dict(body) for name, body in cfg.sections.items()}
-    sections["problem"][key] = value
-    return ExperimentConfig(cfg.command, cfg.output_dir, sections)
 
 
 def _cmd_blowup_scan(cfg, out):
@@ -542,8 +477,12 @@ def _cmd_blowup_scan(cfg, out):
     lam1 = eigenpair.eigenvalue
 
     def probe(a):
-        return _run_one(cfg, grid, weight, a, eigenpair, lam1,
-                        out / "runs" / f"A_{a:.8g}")
+        # each probe runs, and echoes, its own config: the scan's with
+        # amplitude a
+        sections = {name: dict(body) for name, body in cfg.sections.items()}
+        sections["problem"]["amplitude"] = a
+        return _run_one(ExperimentConfig(cfg.command, cfg.output_dir, sections),
+                        grid, weight, eigenpair, out / "runs" / f"A_{a:.8g}")
 
     results = {a: probe(a) for a in sorted(set(values))}
 
@@ -584,17 +523,11 @@ def _cmd_blowup_scan(cfg, out):
         body["bracket_ratio"] = a_hi / a_lo
         body["g0_decay"] = lo_run.trajectory.weighted_mass[0]
         body["g0_blowup"] = hi_run.trajectory.weighted_mass[0]
-        try:
-            fit = diag.fit_bernoulli_constant(hi_run.trajectory, lam1, prob["sigma"])
-            thresholds = diag.blowup_threshold(lam1, fit["C"], prob["sigma"])
-            body["C_fit"] = fit["C"]
-            body["threshold_operative"] = thresholds["operative"]
-            body["threshold_paper"] = thresholds["paper_value"]
+        body.update(_comparison(hi_run.trajectory, lam1, prob["sigma"]))
+        if "threshold_operative" in body:
             body["g0_decay_le_operative"] = bool(
-                body["g0_decay"] <= thresholds["operative"]
+                body["g0_decay"] <= body["threshold_operative"]
             )
-        except DegenflowError as exc:
-            body["C_fit_error"] = str(exc)
         if a_hi / a_lo <= 1.0 + rel_tol:
             status = EXIT_OK
     write_json(out / "summary.json", _summary(cfg, body))
@@ -622,7 +555,7 @@ def _cmd_verify_exact(cfg, out):
     def residual_for(res, name):
         fn = variants[name]
         grid = build_grid(prob["mode"], prob["extent"], res, n=prob["n"])
-        exps = _exponents(cfg, grid)
+        exps = _exponents(cfg, grid, weight)
         return diag.residual_check(
             lambda g, t: fn(g.radius(), t, exps), grid, weight, prob["p"], sample_times,
         )
@@ -686,7 +619,7 @@ def _cmd_weights_check(cfg, out):
         pairs = [(pair_list[i], pair_list[i + 1]) for i in range(0, len(pair_list), 2)]
     else:
         pairs = [(2.0 * r, r) for r in radii]
-    mu = wts["mu"]
+    mu = prob["mu"]
     if mu is None:
         mu = weight.natural_mu(n)
 
@@ -718,13 +651,12 @@ def _cmd_decay_fit(cfg, out):
     weight = _build_weight(cfg)
     prob = cfg.sections["problem"]
     dec = cfg.sections["decay"]
-    outcome = _run_one(cfg, grid, weight, None, None, 0.0, out)
-    exps = _exponents(cfg, grid)
+    outcome = _run_one(cfg, grid, weight, None, out)
+    exps = _exponents(cfg, grid, weight)
 
     offset = dec["time_offset"]
     if offset is None:
-        offset = (prob["initial_time"]
-                  if prob["initial"].lower().startswith("barenblatt") else 0.0)
+        offset = prob["initial_time"] if prob["initial"].lower() == "barenblatt" else 0.0
     window = (dec["window_start"], dec["window_end"])
     fit = diag.decay_exponent_fit(outcome.trajectory, window,
                                   kind=dec["kind"], time_offset=offset)

@@ -55,9 +55,6 @@ from .errors import ConfigError, ConvergenceError
 from .jsonio import write_json
 from .plap_operator import apply_plaplacian, energy, face_operator
 
-NORMALIZE_MASS = "unit_mass"
-NORMALIZE_P_NORM = "unit_p_norm"
-
 # iterations without a new best residual after which a solve counts as
 # stalled: once R moves only at round-off, steps keep being accepted
 # without lowering the residual
@@ -72,7 +69,6 @@ class EigenPair:
     residual: float
     iterations: int
     p: float
-    normalization: str = NORMALIZE_MASS
     # residual of every iterate, the last one included, and the number of
     # iterations whose direction fell back to the preconditioned gradient
     residual_history: list = field(default_factory=list)
@@ -91,7 +87,6 @@ class EigenPair:
             "restarts": self.restarts,
             "quotient_evals": self.quotient_evals,
             "interpolated_steps": self.interpolated_steps,
-            "normalization": self.normalization,
             "p": self.p,
             "grid_mode": self.eigenfunction.grid.mode,
             "extent": self.eigenfunction.grid.extent,
@@ -124,13 +119,9 @@ def _quotient(u, weight, p, measure):
     return float(p * energy(u, weight, p) / denom)
 
 
-def _normalize(values, qw, measure, p, normalization):
-    if normalization == NORMALIZE_MASS:
-        scale = quadrature_sum(qw, values)
-    elif normalization == NORMALIZE_P_NORM:
-        scale = _p_mass(measure, values, p) ** (1.0 / p)
-    else:
-        raise ConfigError(f"unknown normalization {normalization!r}")
+def _normalize(values, qw):
+    # unit mass: the quadrature integral of the field is 1
+    scale = quadrature_sum(qw, values)
     if not np.isfinite(scale) or scale == 0.0:
         raise ConvergenceError("eigensolver iterate collapsed to zero")
     return values / scale
@@ -170,13 +161,7 @@ def _sine_transform_solve(w):
     return solve
 
 
-def smallest_eigenpair(
-    grid,
-    weight,
-    p,
-    tol=None,
-    normalization=NORMALIZE_MASS,
-):
+def smallest_eigenpair(grid, weight, p, tol=None):
     """Principal Dirichlet eigenpair by preconditioned Polak-Ribiere+
     conjugate gradients on the Rayleigh quotient, with restart.
 
@@ -188,8 +173,8 @@ def smallest_eigenpair(
     R(0), R'(0) = -(p / M) <g, d> and R(tau), M the p-mass of the iterate,
     g the Euler-Lagrange residual and d the direction; the point at tau*
     is kept when 0 < tau* <= 4 tau and R is lower there.  tol defaults to
-    1e-6 at p = 2 and 1e-4 otherwise; normalization is NORMALIZE_MASS or
-    NORMALIZE_P_NORM.
+    1e-6 at p = 2 and 1e-4 otherwise.  The eigenfunction has unit mass:
+    its integral over the domain is 1.
 
     Returns an EigenPair whose residual is || L u + lam w |u|^{p-2} u || /
     || lam w |u|^{p-2} u || over all nodes, with the residual of every
@@ -231,7 +216,7 @@ def smallest_eigenpair(
         vals[idx] = solve(rhs)
         vals = vals.reshape(grid.shape)
         vals /= np.abs(vals).max()
-    vals = _normalize(np.abs(vals), qw, measure, p, normalization)
+    vals = _normalize(np.abs(vals), qw)
 
     evals = 0
 
@@ -246,14 +231,14 @@ def smallest_eigenpair(
         trial = np.abs(vals + tau * direction)
         trial[grid.boundary_mask] = 0.0
         try:
-            trial = _normalize(trial, qw, measure, p, normalization)
+            trial = _normalize(trial, qw)
             return trial, quotient(trial)
         except (ConvergenceError, ConfigError):
             return None, np.inf
 
     def pair(lam, v, res, its):
-        return EigenPair(lam, Field(grid, v), res, its, p, normalization, history,
-                         restarts, evals, interpolated)
+        return EigenPair(lam, Field(grid, v), res, its, p, history, restarts, evals,
+                         interpolated)
 
     r_val = quotient(vals)
     best = (r_val, vals.copy(), np.inf, 0)

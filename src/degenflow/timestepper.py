@@ -27,8 +27,8 @@ residual.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
-sup-norm cap (default 1e8 times the initial sup) or persistent step
-failure at dt_min while the sup norm is ramping.
+sup-norm cap (default 1e8 times the initial sup) or a step failure at
+dt_min while the sup norm is ramping.
 """
 
 from __future__ import annotations
@@ -399,7 +399,6 @@ def run_simulation(spec, eigenpair=None):
 
     t = 0.0
     dt = spec.dt0
-    failures_at_floor = 0
     outcome = None
 
     while t < spec.t_end - 1e-14:
@@ -418,16 +417,14 @@ def run_simulation(spec, eigenpair=None):
             if dt > ctl.dt_min:
                 dt = max(dt * 0.5, ctl.dt_min)
                 continue
-            failures_at_floor += 1
-            if failures_at_floor >= 3 and _tail_is_ramping(traj):
+            # a retry from the same state, t and dt would fail the same way
+            if _tail_is_ramping(traj):
                 outcome = KIND_BLOWUP
                 break
-            if failures_at_floor >= 3:
-                raise NumericalError(
-                    "step failure at dt_min without blow-up signature",
-                    trajectory=traj,
-                )
-            continue
+            raise NumericalError(
+                "step failure at dt_min without blow-up signature",
+                trajectory=traj,
+            )
         iters = stats.get("newton_iters", 0) - before
 
         if not np.all(np.isfinite(u_new.values)):
@@ -445,7 +442,6 @@ def run_simulation(spec, eigenpair=None):
         ):
             dt = max(dt * 0.5, ctl.dt_min)
             continue
-        failures_at_floor = 0
 
         t += dt
         u = u_new

@@ -98,14 +98,14 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert cfg.sections["problem"]["snapshot_times"] == [0.1, 0.2, 0.4]
 
-    def test_readme_configs_parse(self):
-        """Every ini block of the README is a config parse_config accepts, so
-        the documented examples cannot keep a key the schema dropped."""
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
-        assert blocks
-        for block in blocks:
-            parse_config(block)
+    def test_infinite_t_end_reports_line(self):
+        """An infinite t_end is rejected at parse time; a run would never
+        reach it."""
+        text = "command = solve\noutput_dir = o\n[problem]\nt_end = inf\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "line 4" in str(err.value)
+        assert "finite" in str(err.value)
 
     @pytest.mark.parametrize("key", ["resolutions", "sample_times"])
     def test_empty_list_reports_line(self, key):
@@ -121,6 +121,72 @@ def _run(tmp_path, name, text, *argv):
     path.write_text(text)
     return main(["--config" if a == "CONFIG" else a for a in
                  [argv[0], "--config", str(path), *argv[1:]]])
+
+
+@pytest.fixture(scope="module")
+def readme_runs(tmp_path_factory):
+    """Every ini block of the README run through main, as
+    {command: (exit code, output directory)}."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    root = tmp_path_factory.mktemp("readme")
+    runs = {}
+    for i, block in enumerate(re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)):
+        command = parse_config(block).command
+        assert command not in runs, f"two README examples of {command}"
+        path = root / f"{i}.cfg"
+        path.write_text(block)
+        out = root / f"out_{i}"
+        runs[command] = (main([command, "--config", str(path), "--out", str(out)]), out)
+    return runs
+
+
+def _summary(out):
+    return json.loads((out / "summary.json").read_text())
+
+
+class TestReadme:
+    def test_readme_configs_run(self, readme_runs):
+        """Every ini block of the README runs to exit 0, so the documented
+        examples cannot keep a key the schema dropped or stop working."""
+        assert set(readme_runs) == {"solve", "blowup-scan", "verify-exact", "decay-fit"}
+        for command, (code, _out) in readme_runs.items():
+            assert code == EXIT_OK, command
+
+    def test_readme_solve_compares(self, readme_runs):
+        """The README solve blows up, fits the comparison constant against
+        its eigenpair and writes both snapshots."""
+        _code, out = readme_runs["solve"]
+        summary = _summary(out)
+        assert summary["kind"] == "BlowUp"
+        assert summary["lambda1"] == pytest.approx(9.8696, rel=1e-3)
+        for key in ("C_fit", "threshold_operative", "threshold_paper", "T_bernoulli"):
+            assert key in summary, key
+        for ts in ("0.005", "0.01"):
+            lines = (out / f"snapshot_t{ts}.csv").read_text().splitlines()
+            assert f"# t = {float(ts):.17g}" in lines
+
+    def test_readme_scan_brackets(self, readme_runs):
+        """The README scan bisects to a bracket within rel_tol, and each
+        probe's trajectory header echoes the amplitude the probe ran."""
+        _code, out = readme_runs["blowup-scan"]
+        summary = _summary(out)
+        assert summary["a_decay"] < summary["a_blowup"]
+        assert summary["bracket_ratio"] <= 1.0 + summary["rel_tol"]
+        assert "threshold_operative" in summary
+        amplitudes = [run["amplitude"] for run in summary["runs"]]
+        assert len(amplitudes) > 2  # the two listed probes and a bisection
+        for a in amplitudes:
+            header = (out / "runs" / f"A_{a:.8g}" / "trajectory.csv").read_text()
+            config = json.loads(re.search(r"^# config: (.*)$", header, re.M).group(1))
+            assert config["sections"]["problem"]["amplitude"] == a
+
+    def test_readme_decay_fit(self, readme_runs):
+        """The README decay fit of a self-similar solution lands within 1 %
+        of the predicted exponent -n/beta."""
+        _code, out = readme_runs["decay-fit"]
+        summary = _summary(out)
+        assert summary["predicted_n_over_beta"] == pytest.approx(-0.4)
+        assert summary["gap_to_beta"] <= 0.004
 
 
 class TestMain:
@@ -259,25 +325,6 @@ class TestMain:
         # both probes complete without decaying or blowing up: undecided
         assert main(["blowup-scan", "--config", str(path)]) == EXIT_UNDECIDED
 
-    @pytest.mark.parametrize("command, base, sweep", [
-        ("eigen", EIGEN_CFG, "parameter = p\nvalues = 2.0, 3.0\n"),
-        ("solve", SOLVE_CFG, "parameter = mode\nvalues = 1.0\n"),
-        ("solve", SOLVE_CFG, "parameter = snapshot_times\nvalues = 0.01\n"),
-        ("solve", SOLVE_CFG, "parameter = resolution\nvalues = 16.5, 32\n"),
-    ], ids=["eigen", "string-key", "list-key", "non-integer"])
-    def test_unusable_sweep_is_config_error(self, tmp_path, command, base, sweep):
-        """A sweep the command would ignore, over a key whose values are not
-        numbers, or with a value the key does not accept fails at parse time
-        with exit 2 and error.json."""
-        path = tmp_path / "sw.cfg"
-        path.write_text(base.format(out=tmp_path / "cfg_out") + "\n[sweep]\n" + sweep)
-        out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert "sweep" in error["message"]
-        assert sorted(os.listdir(out)) == ["error.json"]
-
     @pytest.mark.parametrize("command, mode, extra", [
         ("eigen", "interval", ""),
         ("solve", "interval", "reaction = power\ninitial = sin\nt_end = 0.05\ndt0 = 1e-3\n"),
@@ -327,20 +374,79 @@ class TestMain:
         ("verify", "dt_rel"),
         ("verify", "reference_time"),
         ("weights", "cap"),
+        ("sweep", "parameter"),
+        ("eigen", "normalization"),
+        ("weights", "mu"),
     ])
     def test_solver_constant_is_not_a_key(self, tmp_path, section, key):
         """The Newton limit, the step-size growth rule, the eigensolver
         iteration limit, the residual-check margins and the weight-class cap
-        are constants of their modules: a config that sets one exits 2 with
+        are constants of their modules, and the sweep, the eigenfunction
+        normalization and the weights-check exponent are not settable (the
+        exponent is [problem] mu): a config that sets one exits 2 with
         error.json naming the line."""
         text = EIGEN_CFG.format(out=tmp_path / "out") + f"\n[{section}]\n{key} = 1\n"
         path = tmp_path / "k.cfg"
         path.write_text(text)
         assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG
         error = json.loads((tmp_path / "out" / "error.json").read_text())
-        lineno = text.splitlines().index(f"{key} = 1") + 1
-        assert f"line {lineno}: unknown key {key!r}" in error["message"]
+        lines = text.splitlines()
+        if section == "sweep":  # the whole section is gone
+            expected = f"line {lines.index('[sweep]') + 1}: unknown section [sweep]"
+        else:
+            expected = f"line {lines.index(f'{key} = 1') + 1}: unknown key {key!r}"
+        assert expected in error["message"]
         assert sorted(os.listdir(tmp_path / "out")) == ["error.json"]
+
+    @pytest.mark.parametrize("line", [
+        "resolution = inf",
+        "t_end = -inf",
+        "amplitude = nan",
+        "snapshot_times = 0.01, inf",
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, line):
+        """A number that is not finite exits 2 with error.json naming its
+        line, before any run starts."""
+        out = tmp_path / "out"
+        path = tmp_path / "n.cfg"
+        path.write_text(f"command = solve\noutput_dir = {out}\n[problem]\n{line}\n")
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert "line 4: bad value" in error["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    @pytest.mark.parametrize("shape", ["zero", "barenblatt_verbatim"])
+    def test_removed_initial_shape_is_config_error(self, tmp_path, shape):
+        """Only sin and barenblatt are initial shapes: zero never leaves zero
+        and the verbatim profile is not a solution."""
+        out = tmp_path / "out"
+        path = tmp_path / "i.cfg"
+        path.write_text(
+            f"command = solve\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
+            f"extent = 4.0\nresolution = 16\np = 3.0\ninitial = {shape}\n"
+        )
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert f"unknown initial shape {shape!r}" in error["message"]
+
+    def test_exp_forced_blows_up_before_bound(self, tmp_path):
+        """Criterion 7 through the CLI: an exponentially forced solve blows
+        up no later than the bound T_bound of its fitted forcing."""
+        out = tmp_path / "out"
+        path = tmp_path / "x.cfg"
+        path.write_text(
+            f"command = solve\noutput_dir = {out}\n[problem]\nmode = interval\n"
+            "resolution = 32\np = 2.0\nreaction = exp_forced\nc6 = 1.0\nsigma = 2.0\n"
+            "initial = sin\namplitude = 2.0\nt_end = 1.0\ndt0 = 1e-3\n"
+            "[controls]\ndt_max = 1e-2\n"
+        )
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["kind"] == "BlowUp"
+        assert summary["psi0"] > 0.0
+        assert summary["T_est"] <= summary["T_bound"]
 
     def test_verify_exact_reads_no_step_controls(self, tmp_path):
         """verify-exact takes no time step, so a [controls] dt_max below the
@@ -354,17 +460,6 @@ class TestMain:
         assert main(["verify-exact", "--config", str(path)]) == EXIT_OK
         summary = json.loads((tmp_path / "vout" / "summary.json").read_text())
         assert summary["sample_times"] == [1.0, 3.0, 10.0]
-
-    def test_sweep_runs_are_separate(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        text = SOLVE_CFG.format(out="sw") + "\n[sweep]\nparameter = amplitude\nvalues = 0.5, 1.5\n"
-        path = tmp_path / "sw.cfg"
-        path.write_text(text)
-        assert main(["solve", "--config", str(path)]) == EXIT_OK
-        summary = json.loads((tmp_path / "sw" / "summary.json").read_text())
-        assert len(summary["runs"]) == 2
-        assert (tmp_path / "sw" / "runs" / "amplitude_0.5" / "outcome.json").exists()
-        assert (tmp_path / "sw" / "runs" / "amplitude_1.5" / "outcome.json").exists()
 
 
 def _src_env(**extra):

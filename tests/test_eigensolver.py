@@ -144,8 +144,8 @@ def test_json_payload_keys(tmp_path):
     path = tmp_path / "pair.json"
     pair.to_json(path)
     payload = json.loads(path.read_text())
-    for key in ("lambda1", "residual", "iterations", "normalization",
-                "residual_history", "restarts", "quotient_evals", "interpolated_steps"):
+    for key in ("lambda1", "residual", "iterations", "residual_history", "restarts",
+                "quotient_evals", "interpolated_steps"):
         assert key in payload
     assert 1 <= payload["interpolated_steps"] == pair.interpolated_steps <= pair.iterations
     # the start, one trial point per iteration and each kept interpolated

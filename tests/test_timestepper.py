@@ -195,6 +195,26 @@ def test_factor_error_halves_dt(monkeypatch):
     assert outcome.trajectory.dt_used[1] == pytest.approx(5e-4)
 
 
+def test_step_failure_at_dt_min_decides_at_once(monkeypatch):
+    """A step that fails at dt_min is not retried: the same state, t and dt
+    would fail the same way.  Here seven steps succeed, the eighth stalls
+    with the sup norm ramping, and the run is a blow-up."""
+    spec = _sin_problem(amplitude=100.0, resolution=32, t_end=1.0, dt0=1e-3, dt_max=1e-3,
+                        reaction=ReactionSpec.power(1.0, 2.0), dt_min=1e-3)
+    attempts = []
+    step = timestepper.step_implicit
+
+    def counted(u, t, dt, *args, **kwargs):
+        attempts.append(t)
+        return step(u, t, dt, *args, **kwargs)
+
+    monkeypatch.setattr(timestepper, "step_implicit", counted)
+    outcome = run_simulation(spec)
+    assert outcome.kind == "BlowUp"
+    assert len(attempts) == 8
+    assert outcome.trajectory.times[-1] == pytest.approx(7e-3)
+
+
 class _LapackSpy:
     """Stand-in for scipy.linalg.lapack that records the routines called."""
 
