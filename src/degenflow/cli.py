@@ -647,9 +647,11 @@ def _cmd_weights_check(cfg, out):
 
 
 def _cmd_decay_fit(cfg, out):
+    prob = cfg.sections["problem"]
+    if prob["reaction"].lower() != "none":
+        raise ConfigError("decay-fit fits the unforced flow: reaction must be none")
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
-    prob = cfg.sections["problem"]
     dec = cfg.sections["decay"]
     outcome = _run_one(cfg, grid, weight, None, out)
     exps = _exponents(cfg, grid, weight)

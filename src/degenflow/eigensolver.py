@@ -199,7 +199,7 @@ def smallest_eigenpair(grid, weight, p, tol=None):
         a = op.components[0][:, idx]
         data, row, col = lower_entries(a.T @ sp.diags_array(op.cw) @ a)
         band = BandPattern(row, col, len(idx))
-        factor = band.factor(band.fill(data, 0.0, symmetric=True))
+        factor = band.factor(band.fill(data, 0.0))
 
         def solve(x):
             return band.solve(factor, x)

@@ -14,12 +14,15 @@ which is (I - dt J - dt f') delta = -r multiplied by V into symmetric form,
 with V the interior cell volumes and K the interior stiffness.  The
 matrix's lower-triangle pattern, the map from face conductances to its
 entries and the constant p = 2 stiffness are built once per run; a
-factorization only refills a band array and factors it (banded module).  K
-is positive semidefinite, so the matrix is positive definite when dt f' < 1
-at every interior node and is then factored by band Cholesky; otherwise it
-is factored by band LU with partial pivoting.  Where the matrix is the exact
-Jacobian (interval and radial grids, and p = 2) every iteration factors it
-afresh and Newton converges quadratically.  On tensor grids at p > 2 it is
+factorization only refills a band array and factors it by band Cholesky
+(banded module).  K is positive semidefinite, so the matrix is positive
+definite whenever dt f' < 1 at every interior node, and it stays so along
+the branch of solutions continued from the current state up to a fold, past
+which there is no solution to find.  A matrix that is not positive definite
+therefore fails the step with a FactorError, and run_simulation halves dt
+as for any failed step.  Where the matrix is the exact Jacobian (interval
+and radial grids, and p = 2) every iteration factors it afresh and Newton
+converges quadratically.  On tensor grids at p > 2 it is
 the frozen-tangential approximation, which converges only linearly however
 fresh it is, so a step reuses one factor (the chord iteration) and refactors
 only after a damped update or a reused factor that did not lower the
@@ -196,8 +199,9 @@ class _NewtonSystem(BandPattern):
     face conductances kappa through the precomputed sparse map P, and the
     pattern of the constant energy Hessian for p = 2.  K = sum A^T diag(kappa) A
     with kappa >= 0 is positive semidefinite and V is positive, so the matrix
-    is positive definite, and goes to band Cholesky, whenever dt f' < 1 at
-    every interior node.  The factor of the linear p = 2 system is kept for
+    is positive definite whenever dt f' < 1 at every interior node; it is
+    always factored by band Cholesky, and one that is not positive definite
+    raises FactorError.  The factor of the linear p = 2 system is kept for
     the last dt it was built for.  exact says whether the matrix is the
     Jacobian of the residual: it is on interval and radial grids and at
     p = 2, but on tensor grids at p > 2 it drops the tangential part of the
@@ -225,18 +229,17 @@ class _NewtonSystem(BandPattern):
 
     def matrix(self, v, dt, drea):
         """The system at state v with interior reaction slopes drea, as the
-        band array that factor() takes: symmetric storage when dt f' < 1
-        everywhere, general storage otherwise."""
+        band array that factor() takes."""
         if self.p == 2.0:
             data = dt * self.k_data
         else:
             kappa = face_conductance(v, self.weight, self.p)
             data = dt * (self.conductance_map @ kappa)
-        return self.fill(data, self.vol * (1.0 - dt * drea), np.all(dt * drea < 1.0))
+        return self.fill(data, self.vol * (1.0 - dt * drea))
 
     def linear_solve(self, dt, rhs, stats=None):
         """Solve (V + dt K) x = rhs for the state-independent p = 2 system,
-        which is positive definite and so always factored by Cholesky."""
+        which is positive definite."""
         if self.linear_dt != dt:
             _count(stats, "factorizations")
             self.linear_factor = self.factor(self.matrix(None, dt, 0.0))
@@ -474,7 +477,7 @@ def run_simulation(spec, eigenpair=None):
         return RunOutcome(
             KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **counts
         )
-    if outcome == KIND_DECAYED or traj.sup_abs_u[-1] < decay_floor:
+    if outcome == KIND_DECAYED:
         rate = _fit_exponential_rate(traj.times, traj.sup_abs_u, sup0)
         return RunOutcome(KIND_DECAYED, traj, rate_fit=rate, **counts)
     return RunOutcome(KIND_COMPLETED, traj, **counts)

@@ -448,6 +448,23 @@ class TestMain:
         assert summary["psi0"] > 0.0
         assert summary["T_est"] <= summary["T_bound"]
 
+    def test_decay_fit_rejects_reaction(self, tmp_path):
+        """decay-fit fits the decay exponent of the unforced flow, so a
+        reaction term is a config error (exit 2), not a fit of whatever the
+        forced run did."""
+        out = tmp_path / "out"
+        path = tmp_path / "d.cfg"
+        path.write_text(
+            f"command = decay-fit\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
+            "extent = 8.0\nresolution = 24\np = 3.0\ninitial = barenblatt\n"
+            "reaction = exp_forced\nc6 = 1.0\nsigma = 2.0\nt_end = 1.0\ndt0 = 1e-3\n"
+        )
+        assert main(["decay-fit", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert "reaction must be none" in error["message"]
+        assert not (out / "summary.json").exists()
+
     def test_verify_exact_reads_no_step_controls(self, tmp_path):
         """verify-exact takes no time step, so a [controls] dt_max below the
         default dt0 does not stop it; sample_times default to 1, 3 and 10."""

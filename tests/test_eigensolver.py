@@ -251,26 +251,6 @@ def test_stalled_solve_fails_fast(monkeypatch):
     assert err.residual == err.best.residual == min(history) == history[err.iterations]
 
 
-def test_symmetric_band_pattern_builds_no_general_positions(monkeypatch):
-    """The eigensolver fills only symmetric band storage, so its pattern
-    never builds the general-storage positions."""
-    patterns = []
-
-    class RecordingPattern(BandPattern):
-        def __init__(self, *args):
-            super().__init__(*args)
-            patterns.append(self)
-
-    monkeypatch.setattr(eigensolver, "BandPattern", RecordingPattern)
-    g = build_grid("interval", 1.0, 32)
-    assert smallest_eigenpair(g, WeightSpec.power(1.0), 3.0).residual <= 1e-4
-    assert len(patterns) == 1
-    assert "band_pos" not in vars(patterns[0])
-    assert "mirror_pos" not in vars(patterns[0])
-    patterns[0].fill(np.ones(len(patterns[0].row)), 0.0, symmetric=False)
-    assert "band_pos" in vars(patterns[0]) and "mirror_pos" in vars(patterns[0])
-
-
 @pytest.mark.parametrize("mode, resolution, kd", [
     ("interval", 32, 1),
 ])
@@ -280,9 +260,9 @@ def test_preconditioner_is_five_point_stiffness(monkeypatch, mode, resolution, k
     filled = []
 
     class RecordingPattern(BandPattern):
-        def fill(self, data, diag, symmetric):
+        def fill(self, data, diag):
             filled.append((self, data))
-            return super().fill(data, diag, symmetric)
+            return super().fill(data, diag)
 
     monkeypatch.setattr(eigensolver, "BandPattern", RecordingPattern)
     g = build_grid(mode, 1.0, resolution)

@@ -79,23 +79,15 @@ class TestStepImplicit:
         assert energy(u1, None, 3.0) < energy(spec.initial, None, 3.0)
 
 
-def _band_to_dense(band, kd):
-    """Dense form of a LAPACK band array in either storage: symmetric lower,
-    kd + 1 rows with entry (i, j), i >= j, at row i - j; or general,
-    3 kd + 1 rows with entry (i, j) at row 2 kd + i - j, whose top kd rows
-    are the fill-in space of the factorization and must be empty."""
-    n = band.shape[1]
+def _band_to_dense(band):
+    """Dense form of a LAPACK symmetric lower band array: kd + 1 rows with
+    entry (i, j), i >= j, at row i - j."""
+    kd, n = len(band) - 1, band.shape[1]
     i, j = np.indices((n, n))
     dense = np.zeros((n, n))
-    if len(band) == kd + 1:
-        lower = (i >= j) & (i - j <= kd)
-        dense[lower] = band[i[lower] - j[lower], j[lower]]
-        return dense + np.tril(dense, -1).T
-    assert len(band) == 3 * kd + 1
-    assert not band[:kd].any()
-    inside = np.abs(i - j) <= kd
-    dense[inside] = band[2 * kd + i[inside] - j[inside], j[inside]]
-    return dense
+    lower = (i >= j) & (i - j <= kd)
+    dense[lower] = band[i[lower] - j[lower], j[lower]]
+    return dense + np.tril(dense, -1).T
 
 
 @pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
@@ -113,7 +105,7 @@ def test_newton_system_matches_jacobian_form(mode, p):
 
     system = _NewtonSystem(g, weight, p)
     idx = system.idx
-    got = _band_to_dense(system.matrix(u, dt, drea[idx]), system.kd)
+    got = _band_to_dense(system.matrix(u, dt, drea[idx]))
     jac = diffusion_jacobian(u, weight, p).toarray()
     vol = cell_volumes(g).ravel()
     ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
@@ -121,7 +113,7 @@ def test_newton_system_matches_jacobian_form(mode, p):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def _indefinite_newton_band(symmetric):
+def _indefinite_newton_band():
     """The 1d p = 2 Newton matrix V (1 - dt f') + dt K with a power reaction
     and dt f' up to 5, built from the stiffness by the band module."""
     g = build_grid("interval", 1.0, 32)
@@ -134,46 +126,48 @@ def _indefinite_newton_band(symmetric):
     data, row, col = lower_entries(energy_hessian_matrix(g, None).tocsr()[idx][:, idx])
     pattern = BandPattern(row, col, len(idx))
     diag = cell_volumes(g).ravel()[idx] * (1.0 - dt * drea)
-    return pattern, pattern.fill(dt * data, diag, symmetric)
-
-
-def test_band_factor_solves_indefinite_system():
-    """Where dt f' > 1 the Newton matrix is indefinite, so banded Cholesky
-    fails on it; the pivoted band LU still solves it."""
-    pattern, band = _indefinite_newton_band(symmetric=False)
-    dense = _band_to_dense(band, pattern.kd)
-    eigs = np.linalg.eigvalsh(dense)
-    assert eigs.min() < 0.0 < eigs.max()
-    upper = np.ascontiguousarray(band[pattern.kd:2 * pattern.kd + 1])
-    assert lapack.dpbtrf(upper)[1] > 0
-
-    rhs = np.random.default_rng(3).standard_normal(band.shape[1])
-    x = pattern.solve(pattern.factor(band), rhs)
-    expected = np.linalg.solve(dense, rhs)
-    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+    return pattern, pattern.fill(dt * data, diag)
 
 
 def test_singular_band_factor_is_step_failure():
-    """An exactly singular system fails the factorization in either storage
-    with a FactorError, a NumericalError that run_simulation takes as a
-    failed step and retries with a smaller dt."""
+    """An exactly singular system fails the factorization with a
+    FactorError, a NumericalError that run_simulation takes as a failed step
+    and retries with a smaller dt."""
     g = build_grid("tensor2d", 1.0, 8)
     idx = np.flatnonzero(~g.boundary_mask.ravel())
     _, row, col = lower_entries(energy_hessian_matrix(g, None).tocsr()[idx][:, idx])
     pattern = BandPattern(row, col, len(idx))
     assert issubclass(FactorError, NumericalError)
-    for shape in (pattern.sym_shape, pattern.band_shape):
-        with pytest.raises(FactorError, match="linear solve failed"):
-            pattern.factor(np.zeros(shape, order="F"))
+    with pytest.raises(FactorError, match="linear solve failed"):
+        pattern.factor(np.zeros(pattern.shape, order="F"))
 
 
 def test_non_spd_symmetric_band_is_step_failure():
     """Band Cholesky reports an indefinite matrix as a failed step rather
     than returning a wrong factor."""
-    pattern, band = _indefinite_newton_band(symmetric=True)
-    assert np.linalg.eigvalsh(_band_to_dense(band, pattern.kd)).min() < 0.0
+    pattern, band = _indefinite_newton_band()
+    assert np.linalg.eigvalsh(_band_to_dense(band)).min() < 0.0
     with pytest.raises(FactorError, match="not positive definite"):
         pattern.factor(band)
+
+
+def test_indefinite_newton_matrix_fails_step():
+    """A step whose first Newton matrix is indefinite fails with FactorError
+    after that one factorization.  Newton iterated from there on a pivoted
+    factor converges in 8 iterations to a spurious root that sends node 5
+    from +4.46 to -2.11 between neighbours +9.05 and 0, against a reaction
+    with the sign of u."""
+    g = build_grid("interval", 1.0, 6)
+    vals = 10.0 * np.random.default_rng(1).standard_normal(g.shape)
+    vals[g.boundary_mask] = 0.0
+    dt = 1e-2
+    spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=3.0,
+                       reaction=ReactionSpec.power(10.0, 3.0), initial=Field(g, vals),
+                       t_end=1.0, dt0=dt, controls=StepControls(dt_max=1.0))
+    stats = {}
+    with pytest.raises(FactorError, match="not positive definite"):
+        step_implicit(spec.initial, 0.0, dt, spec, stats=stats)
+    assert stats["factorizations"] == 1
 
 
 def test_factor_error_halves_dt(monkeypatch):
@@ -228,8 +222,10 @@ class _LapackSpy:
 
 @pytest.mark.parametrize("mode, p", [("interval", 2.0), ("tensor2d", 3.0)])
 def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
-    """The matrix is held symmetric and factored by dpbtrf when dt f' < 1 at
-    every interior node, and by dgbtrf as soon as one node reaches 1."""
+    """Every Newton matrix goes to band Cholesky (dpbtrf, dpbtrs), whether
+    dt f' stays below 1 at every interior node or reaches 1 at one; the
+    stiffness keeps both positive definite.  An indefinite one raises
+    FactorError."""
     g = build_grid(mode, 1.0, 8)
     vals = np.random.default_rng(7).standard_normal(g.shape)
     vals[g.boundary_mask] = 0.0
@@ -239,17 +235,18 @@ def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
     spy = _LapackSpy()
     monkeypatch.setattr("degenflow.banded.lapack", spy)
     rhs = np.ones(len(system.idx))
-    for top, routines, shape in [
-        (1.0 - 1e-9, ["dpbtrf", "dpbtrs"], system.sym_shape),
-        (1.0, ["dgbtrf", "dgbtrs"], system.band_shape),
-    ]:
+    for top in (1.0 - 1e-9, 1.0):
         drea = np.full(len(system.idx), 0.5 / dt)
         drea[len(drea) // 2] = top / dt
         band = system.matrix(u, dt, drea)
-        assert band.shape == shape
+        assert band.shape == system.shape
         spy.called.clear()
         system.solve(system.factor(band), rhs)
-        assert spy.called == routines
+        assert spy.called == ["dpbtrf", "dpbtrs"]
+    band = system.matrix(u, dt, np.full(len(system.idx), 10.0 / dt))
+    assert np.linalg.eigvalsh(_band_to_dense(band)).min() < 0.0
+    with pytest.raises(FactorError, match="not positive definite"):
+        system.factor(band)
     if p == 2.0:
         spy.called.clear()
         system.linear_solve(dt, rhs)
@@ -265,8 +262,9 @@ def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
     seed=st.integers(0, 2**16),
 )
 def test_newton_solve_matches_dense(mode, p, dt, alpha0, seed):
-    """Whichever factorization the system picks, its solve matches a dense
-    solve of the reference matrix V (I - dt J - dt f')."""
+    """Where the reference matrix V (I - dt J - dt f') is positive definite,
+    the system's solve matches a dense solve of it; where it has a negative
+    eigenvalue, the factorization raises FactorError."""
     g = build_grid(mode, 1.0, 8, n=2)
     weight = WeightSpec.power(1.0)
     rng = np.random.default_rng(seed)
@@ -282,9 +280,15 @@ def test_newton_solve_matches_dense(mode, p, dt, alpha0, seed):
     ref = ref[np.ix_(idx, idx)]
     # a nearly singular draw (dt f' close to 1) tests conditioning, not the solve
     assume(np.linalg.cond(ref) < 1e5)
-    event("cholesky" if np.all(dt * drea[idx] < 1.0) else "band LU")
+    band = system.matrix(u, dt, drea[idx])
+    if np.linalg.eigvalsh(ref).min() < 0.0:
+        event("indefinite")
+        with pytest.raises(FactorError, match="not positive definite"):
+            system.factor(band)
+        return
+    event("positive definite")
     rhs = rng.standard_normal(len(idx))
-    x = system.solve(system.factor(system.matrix(u, dt, drea[idx])), rhs)
+    x = system.solve(system.factor(band), rhs)
     expected = np.linalg.solve(ref, rhs)
     assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
 
@@ -408,7 +412,7 @@ def _power_blowup_problem():
 
 @pytest.mark.parametrize("make_spec, kind, steps, newton_iters, factorizations", [
     (_tensor_p3_problem, "Completed", 88, 608, 88),
-    (_power_blowup_problem, "BlowUp", 107, 662, 537),
+    (_power_blowup_problem, "BlowUp", 107, 644, 519),
 ])
 def test_step_and_newton_counts_pinned(make_spec, kind, steps, newton_iters, factorizations):
     """A rounding change in the Newton solve that flips an accept, reject or
@@ -467,14 +471,18 @@ def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, stat
         vals = np.prod([np.sin(np.pi * c) for c in _node_coordinates(g)], axis=0)
         reaction, dt = ReactionSpec.power(1.0, 2.0), 1e-3
     else:
-        vals = 10.0 * np.random.default_rng(1).standard_normal(g.shape)
-        reaction, dt = ReactionSpec.power(10.0, 3.0), 1e-2
+        vals = np.random.default_rng(1).standard_normal(g.shape)
+        # dt f' outweighs the tensor p = 2 stiffness on this draw from dt = 5e-3
+        reaction, dt = ReactionSpec.power(10.0, 3.0), 0.1 if p > 2.0 else 3e-3
     vals[g.boundary_mask] = 0.0
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=p, reaction=reaction,
                        initial=Field(g, vals), t_end=1.0, dt0=dt,
                        controls=StepControls(dt_max=1.0))
     system = _NewtonSystem(g, spec.weight, p)
     assert system.exact == exact
+    # the first Newton matrix is positive definite, so the step gets past it
+    drea = reaction_derivative(reaction, dt, vals).ravel()[system.idx]
+    assert np.linalg.eigvalsh(_band_to_dense(system.matrix(spec.initial, dt, drea))).min() > 0.0
     log = _newton_iterations(monkeypatch, system)
     stats = {}
     failure = None
