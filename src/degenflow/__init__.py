@@ -26,7 +26,6 @@ from .weight_models import (
     check_doubling,
     check_muckenhoupt,
     eval_radial,
-    load_weight_csv,
     surface_area,
 )
 from .discretization import (
@@ -94,7 +93,6 @@ __all__ = [
     "check_doubling",
     "check_muckenhoupt",
     "eval_radial",
-    "load_weight_csv",
     "surface_area",
     "Field",
     "Grid",

@@ -35,12 +35,7 @@ from .timestepper import (
     StepControls,
     run_simulation,
 )
-from .weight_models import (
-    WeightSpec,
-    check_doubling,
-    check_muckenhoupt,
-    load_weight_csv,
-)
+from .weight_models import WeightSpec, check_doubling, check_muckenhoupt
 
 SCHEMA_VERSION = 1
 
@@ -102,13 +97,9 @@ _SCHEMA = {
         "theta_w": (_as_float, 0.0),
         "theta_mk": (_as_float, 2.0),
         "mu": (_as_float, None),
-        "weight_csv": (_as_str, None),
         "reaction": (_as_str, "none"),
         "alpha0": (_as_float, 1.0),
         "sigma": (_as_float, 2.0),
-        "c3": (_as_float, 0.0),
-        "c4": (_as_float, 0.0),
-        "m": (_as_float, 2.0),
         "c6": (_as_float, 1.0),
         "initial": (_as_str, "sin"),
         "amplitude": (_as_float, 1.0),
@@ -146,6 +137,18 @@ _SCHEMA = {
     },
 }
 
+# The sections each command reads besides the top level.  solve reads
+# [eigen] too when a reaction term makes it compute the eigenpair.  A key
+# set in any other section is a config error, not a silent no-op.
+_SECTIONS_READ = {
+    "eigen": ("problem", "eigen"),
+    "solve": ("problem", "controls"),
+    "blowup-scan": ("problem", "controls", "eigen", "scan"),
+    "verify-exact": ("problem", "verify"),
+    "weights-check": ("problem", "weights"),
+    "decay-fit": ("problem", "controls", "decay"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -157,9 +160,10 @@ class ExperimentConfig:
 def parse_config(text, command_override=None):
     """Parse a config document into an ExperimentConfig.
 
-    Unknown sections or keys, malformed lines, and type mismatches raise
-    ConfigError naming the line.  command_override (from argv) must agree
-    with an in-file command when both are given.
+    Unknown sections or keys, malformed lines, type mismatches and keys set
+    in a section the command does not read raise ConfigError naming the
+    line.  command_override (from argv) must agree with an in-file command
+    when both are given.
     """
     sections = {name: dict() for name in _SCHEMA}
     try:
@@ -172,6 +176,7 @@ def parse_config(text, command_override=None):
 
 def _parse_sections(text, sections, command_override):
     current = ""
+    explicit = {}  # (section, key) -> line of each key the file sets
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -195,6 +200,7 @@ def _parse_sections(text, sections, command_override):
             sections[current][key] = converter(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        explicit[current, key] = lineno
 
     for name, schema in _SCHEMA.items():
         for key, (_conv, default) in schema.items():
@@ -211,6 +217,13 @@ def _parse_sections(text, sections, command_override):
         raise ConfigError("no command given (config key 'command' or argv)")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
+
+    reads = _SECTIONS_READ[command]
+    if command == "solve" and sections["problem"]["reaction"].lower() != "none":
+        reads += ("eigen",)
+    for (name, key), lineno in explicit.items():
+        if name and name not in reads:
+            raise ConfigError(f"line {lineno}: {command} does not read [{name}] ({key!r})")
 
     if not sections["problem"]["p"] >= 2.0:
         raise ConfigError(f"p must be >= 2, got {sections['problem']['p']}")
@@ -277,10 +290,6 @@ def _build_weight(cfg):
         return None
     if kind == "power":
         return WeightSpec.power(theta_w=prob["theta_w"], theta_mk=prob["theta_mk"])
-    if kind == "tabulated":
-        if not prob["weight_csv"]:
-            raise ConfigError("weight = tabulated needs weight_csv")
-        return load_weight_csv(prob["weight_csv"], theta_mk=prob["theta_mk"])
     raise ConfigError(f"unknown weight kind {prob['weight']!r}")
 
 
@@ -292,14 +301,10 @@ def _build_grid(cfg):
 def _exponents(cfg, grid, weight):
     prob = cfg.sections["problem"]
     n = grid.dim
-    if prob["mu"] is not None:
-        mu = prob["mu"]
-    elif weight is not None:
-        mu = weight.natural_mu(n)
-    else:
-        mu = 1.0
-    theta = prob["theta_w"] if prob["weight"].lower() == "power" else 0.0
-    return diag.Exponents(n=n, p=prob["p"], mu=mu, theta_w=theta)
+    if weight is None:
+        weight = WeightSpec.constant()
+    mu = prob["mu"] if prob["mu"] is not None else weight.natural_mu(n)
+    return diag.Exponents(n=n, p=prob["p"], mu=mu, theta_w=weight.theta_w)
 
 
 def _initial_values(cfg, grid, weight):
@@ -331,8 +336,6 @@ def _build_reaction(cfg, eigenpair):
         return ReactionSpec.none()
     if family == "power":
         return ReactionSpec.power(prob["alpha0"], prob["sigma"])
-    if family == "bounded_power":
-        return ReactionSpec.bounded_power(prob["c3"], prob["c4"], prob["m"], prob["sigma"])
     if family == "exp_forced":
         lambda1 = eigenpair.eigenvalue if eigenpair is not None else 0.0
         return ReactionSpec.exp_forced(prob["c6"], prob["sigma"], lambda1)
@@ -602,7 +605,7 @@ def _cmd_weights_check(cfg, out):
     wts = cfg.sections["weights"]
     weight = _build_weight(cfg)
     if weight is None:
-        weight = WeightSpec.constant()
+        weight = WeightSpec.constant(prob["theta_mk"])
     if prob["mode"] == "radial":
         # rejects a radial problem without an integer n >= 2, as every
         # command that builds the grid does

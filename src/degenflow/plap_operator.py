@@ -45,9 +45,8 @@ from .weight_models import eval_radial, surface_area
 
 REACTION_NONE = "none"
 REACTION_POWER = "power"
-REACTION_BOUNDED_POWER = "bounded_power"
 REACTION_EXP_FORCED = "exp_forced"
-_FAMILIES = (REACTION_NONE, REACTION_POWER, REACTION_BOUNDED_POWER, REACTION_EXP_FORCED)
+_FAMILIES = (REACTION_NONE, REACTION_POWER, REACTION_EXP_FORCED)
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class ReactionSpec:
     family: str = REACTION_NONE
     alpha0: float = 0.0
     sigma: float = 2.0
-    c3: float = 0.0
-    c4: float = 0.0
-    m: float = 2.0
     c6: float = 0.0
     lambda1_ref: float = 0.0
 
@@ -68,9 +64,7 @@ class ReactionSpec:
             raise ConfigError(f"unknown reaction family {self.family!r}")
         if self.family != REACTION_NONE and not self.sigma > 1.0:
             raise ConfigError(f"reaction exponent sigma must exceed 1, got {self.sigma}")
-        if self.family == REACTION_BOUNDED_POWER and not self.m > 1.0:
-            raise ConfigError(f"forcing growth exponent m must exceed 1, got {self.m}")
-        for name in ("alpha0", "c3", "c4", "c6"):
+        for name in ("alpha0", "c6"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"reaction coefficient {name} must be nonnegative")
 
@@ -83,10 +77,6 @@ class ReactionSpec:
         return ReactionSpec(REACTION_POWER, alpha0=alpha0, sigma=sigma)
 
     @staticmethod
-    def bounded_power(c3, c4, m, sigma):
-        return ReactionSpec(REACTION_BOUNDED_POWER, c3=c3, c4=c4, m=m, sigma=sigma)
-
-    @staticmethod
     def exp_forced(c6, sigma, lambda1_ref):
         return ReactionSpec(
             REACTION_EXP_FORCED, c6=c6, sigma=sigma, lambda1_ref=lambda1_ref
@@ -96,8 +86,6 @@ class ReactionSpec:
 def _coefficient(spec, t):
     if spec.family == REACTION_POWER:
         return spec.alpha0
-    if spec.family == REACTION_BOUNDED_POWER:
-        return spec.c3 + spec.c4 * t**spec.m
     if spec.family == REACTION_EXP_FORCED:
         return spec.c6 * np.exp(spec.lambda1_ref * spec.sigma * t)
     return 0.0

@@ -1,9 +1,8 @@
 """Admissible spatial weights and numerical checks of their class conditions.
 
-A weight is a nonnegative function of position, evaluated through the
-distance from the origin.  Three kinds are supported: the constant weight,
-a power of |x|, and a tabulated radial profile loaded from a two-column
-CSV.  Class membership is checked numerically on finite radius grids:
+A weight is the radial power omega(x) = |x|**theta_w; theta_w = 0 is the
+constant weight 1.  Every ball mass it needs has a closed form.  Class
+membership is checked numerically on finite radius grids:
 
 * the Muckenhoupt-type condition bounds the product of the ball mass and
   a power of the dual ball mass against r**(n*theta_mk),
@@ -18,20 +17,12 @@ so callers can apply stricter judgement.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateBallError, DivergenceError
-
-KIND_CONSTANT = "constant"
-KIND_POWER = "power"
-KIND_TABULATED = "tabulated"
-_KINDS = (KIND_CONSTANT, KIND_POWER, KIND_TABULATED)
-
-QUAD_RTOL = 1e-8
 
 # the class checks fail when a Muckenhoupt constant, an essential-supremum
 # ratio or a normalized doubling ratio exceeds CAP
@@ -55,165 +46,75 @@ def surface_area(n):
 
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
-    """Description of a radial weight omega(x) = w(|x|).
+    """The radial weight omega(x) = |x|**theta_w.
 
     theta_mk is the exponent used by the Muckenhoupt-type check (> 1).
-    Tabulated weights interpolate linearly between samples; outside the
-    tabulated range they extend by the boundary value.
     """
 
-    kind: str
     theta_w: float = 0.0
     theta_mk: float = 2.0
-    positions: np.ndarray | None = None
-    values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown weight kind {self.kind!r}")
         if not self.theta_mk > 1.0:
             raise ConfigError(f"theta_mk must exceed 1, got {self.theta_mk}")
-        if self.kind == KIND_TABULATED:
-            pos = np.asarray(self.positions, dtype=float)
-            val = np.asarray(self.values, dtype=float)
-            if pos.ndim != 1 or pos.size < 2 or pos.shape != val.shape:
-                raise ConfigError("tabulated weight needs matching 1d position/value arrays")
-            if np.any(np.diff(pos) <= 0.0):
-                raise ConfigError("tabulated positions must be strictly increasing")
-            if pos[0] < 0.0:
-                raise ConfigError("tabulated positions must be nonnegative radii")
-            if np.any(val < 0.0) or not np.any(val > 0.0):
-                raise ConfigError("tabulated values must be nonnegative and not all zero")
-            object.__setattr__(self, "positions", pos)
-            object.__setattr__(self, "values", val)
 
     @staticmethod
     def constant(theta_mk=2.0):
-        return WeightSpec(KIND_CONSTANT, theta_mk=theta_mk)
+        return WeightSpec(theta_mk=theta_mk)
 
     @staticmethod
     def power(theta_w, theta_mk=2.0):
-        return WeightSpec(KIND_POWER, theta_w=float(theta_w), theta_mk=theta_mk)
-
-    @staticmethod
-    def tabulated(positions, values, theta_mk=2.0):
-        return WeightSpec(KIND_TABULATED, theta_mk=theta_mk, positions=positions, values=values)
+        return WeightSpec(float(theta_w), theta_mk)
 
     def natural_mu(self, n):
-        """Doubling exponent at which a power weight doubles exactly."""
-        if self.kind == KIND_POWER:
-            return 1.0 + self.theta_w / n
-        return 1.0
+        """Doubling exponent at which the weight doubles exactly."""
+        return 1.0 + self.theta_w / n
 
 
 def eval_radial(spec, r):
     """Vectorized weight evaluation at radii r (ndarray in, ndarray out)."""
     r = np.asarray(r, dtype=float)
-    if spec.kind == KIND_CONSTANT:
+    if spec.theta_w == 0.0:
         return np.ones_like(r)
-    if spec.kind == KIND_POWER:
-        if spec.theta_w == 0.0:
-            return np.ones_like(r)
-        with np.errstate(divide="ignore"):
-            out = np.abs(r) ** spec.theta_w
-        return out
-    return np.interp(r, spec.positions, spec.values)
+    with np.errstate(divide="ignore"):
+        return np.abs(r) ** spec.theta_w
 
 
-def _segment_power_integral(a, b, c0, c1, n):
-    """Exact integral of (c0 + c1*r) * r**(n-1) over [a, b]."""
-    return c0 * (b**n - a**n) / n + c1 * (b ** (n + 1) - a ** (n + 1)) / (n + 1)
+def _pow(rho, a):
+    """rho**a for rho > 0, inf where it overflows (where float ** raises)."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(rho) ** a)
 
 
-def _radial_integral(spec, rho, n, transform=None):
-    """Integral of f(w(r)) * r**(n-1) over [0, rho], without the sphere factor.
-
-    transform maps weight values pointwise (identity when None).  Power and
-    constant kinds go through adaptive quadrature; tabulated kinds integrate
-    their piecewise-linear interpolant segment by segment, exactly when no
-    transform is applied.
-    """
-    f = transform if transform is not None else (lambda w: w)
-    if spec.kind == KIND_TABULATED and transform is None:
-        pos = spec.positions
-        val = spec.values
-        total = 0.0
-        # constant extension below the first sample
-        lo = min(rho, pos[0])
-        if lo > 0.0:
-            total += _segment_power_integral(0.0, lo, val[0], 0.0, n)
-        for i in range(len(pos) - 1):
-            a, b = pos[i], pos[i + 1]
-            if a >= rho:
-                break
-            b = min(b, rho)
-            slope = (val[i + 1] - val[i]) / (pos[i + 1] - pos[i])
-            c0 = val[i] - slope * pos[i]
-            total += _segment_power_integral(a, b, c0, slope, n)
-        if rho > pos[-1]:
-            total += _segment_power_integral(pos[-1], rho, val[-1], 0.0, n)
-        return total
-
-    # imported here: nothing else in the package needs scipy.integrate,
-    # which is slow to import
-    from scipy import integrate
-
-    def integrand(r):
-        return f(float(eval_radial(spec, r))) * r ** (n - 1)
-
-    points = None
-    if spec.kind == KIND_TABULATED:
-        inside = spec.positions[(spec.positions > 0.0) & (spec.positions < rho)]
-        if inside.size and inside.size <= 80:
-            points = inside.tolist()
-    value, _ = integrate.quad(
-        integrand, 0.0, rho, epsabs=0.0, epsrel=QUAD_RTOL, limit=400, points=points
-    )
-    return value
+def _power_mass(rho, n, expo):
+    """Mass of |x|**expo over the ball of radius rho in dimension n, for
+    expo > -n."""
+    return surface_area(n) * _pow(rho, n + expo) / (n + expo)
 
 
 def ball_mass(spec, rho, n):
     """Weight mass of the ball of radius rho in dimension n."""
     if rho <= 0.0:
         raise ConfigError(f"ball radius must be positive, got {rho}")
-    if spec.kind == KIND_POWER and spec.theta_w <= -n:
+    if spec.theta_w <= -n:
         raise DivergenceError(
             f"weight |x|**({spec.theta_w}) is not integrable near the origin in dimension {n}"
         )
-    return surface_area(n) * _radial_integral(spec, rho, n)
+    return _power_mass(rho, n, spec.theta_w)
 
 
 def _dual_ball_mass(spec, rho, n):
     """Mass of omega**(-1/(theta_mk-1)) over the ball, or inf if it diverges."""
-    q = 1.0 / (spec.theta_mk - 1.0)
-    if spec.kind == KIND_CONSTANT:
-        return surface_area(n) * rho**n / n
-    if spec.kind == KIND_POWER:
-        expo = -spec.theta_w * q
-        if expo <= -n:
-            return math.inf
-        return surface_area(n) * rho ** (n + expo) / (n + expo)
-
-    def transform(w):
-        return w**-q if w > 0.0 else math.inf
-
-    if np.any(spec.values[spec.positions < rho] == 0.0):
-        # the interpolant touches zero inside the ball; w**-q with q >= 1
-        # is then non-integrable across the zero set
-        if q >= 1.0:
-            return math.inf
-    try:
-        with np.errstate(divide="ignore", over="ignore"):
-            value = _radial_integral(spec, rho, n, transform=transform)
-    except (OverflowError, ZeroDivisionError):
+    expo = -spec.theta_w * (1.0 / (spec.theta_mk - 1.0))
+    if expo <= -n:
         return math.inf
-    return value * surface_area(n) if np.isfinite(value) else math.inf
+    return _power_mass(rho, n, expo)
 
 
-def _ess_sup(spec, rho, n_samples=512):
-    rs = np.linspace(0.0, rho, n_samples + 1)
-    vals = eval_radial(spec, rs)
-    return float(np.max(vals))
+def _ess_sup(spec, rho):
+    """ess sup of the weight over the ball: rho**theta_w, or inf when
+    theta_w < 0 makes it unbounded at the origin."""
+    return _pow(rho, spec.theta_w) if spec.theta_w >= 0.0 else math.inf
 
 
 def _trend_slope(xs, ys):
@@ -362,29 +263,3 @@ def check_doubling(spec, n, mu, radius_pairs):
         message=msg,
     )
 
-
-def load_weight_csv(path, theta_mk=2.0):
-    """Load a tabulated weight from a two-column CSV (position, value).
-
-    A non-numeric first row is treated as a header and skipped.  Positions
-    must be strictly increasing.
-    """
-    positions = []
-    values = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ConfigError(f"{path}: row {i + 1} needs two columns")
-            try:
-                pos, val = float(row[0]), float(row[1])
-            except ValueError:
-                if i == 0:
-                    continue
-                raise ConfigError(f"{path}: row {i + 1} is not numeric") from None
-            positions.append(pos)
-            values.append(val)
-    if len(positions) < 2:
-        raise ConfigError(f"{path}: need at least two samples")
-    return WeightSpec.tabulated(positions, values, theta_mk=theta_mk)

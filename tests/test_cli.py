@@ -11,6 +11,7 @@ import pytest
 
 import degenflow
 from degenflow.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -47,6 +48,27 @@ dt0 = 1e-3
 [controls]
 dt_max = 5e-3
 """
+
+# the sections each command reads besides the top level and [problem];
+# solve reads [eigen] only with a reaction term
+SECTIONS_READ = {
+    "eigen": {"eigen"},
+    "solve": {"controls"},
+    "blowup-scan": {"controls", "eigen", "scan"},
+    "verify-exact": {"verify"},
+    "weights-check": {"weights"},
+    "decay-fit": {"controls", "decay"},
+}
+
+# one valid line for each of the other sections
+FOREIGN_SECTIONS = {
+    "controls": "dt_max = 1e-2",
+    "eigen": "tol = 1e-6",
+    "scan": "values = 1.0, 2.0",
+    "verify": "resolutions = 16, 32, 64",
+    "decay": "window_start = 2.0",
+    "weights": "radii = 0.5, 1.0",
+}
 
 
 class TestParseConfig:
@@ -106,6 +128,15 @@ class TestParseConfig:
             parse_config(text)
         assert "line 4" in str(err.value)
         assert "finite" in str(err.value)
+
+    def test_solve_reads_eigen_only_with_a_reaction(self):
+        """solve computes an eigenpair, and so reads [eigen], only when it
+        has a reaction term."""
+        text = "command = solve\noutput_dir = o\n[problem]\n{}[eigen]\ntol = 1e-6\n"
+        cfg = parse_config(text.format("reaction = power\n"))
+        assert cfg.sections["eigen"]["tol"] == 1e-6
+        with pytest.raises(ConfigError, match=r"line 5: solve does not read \[eigen\]"):
+            parse_config(text.format(""))
 
     @pytest.mark.parametrize("key", ["resolutions", "sample_times"])
     def test_empty_list_reports_line(self, key):
@@ -258,6 +289,8 @@ class TestMain:
             assert (tmp_path / "out_a" / name).read_bytes() == blob, name
 
     def test_weights_check(self, tmp_path, monkeypatch):
+        """A power weight passes both checks; the verdicts are written as
+        JSON bools and the run exits 0 with a whole summary."""
         monkeypatch.chdir(tmp_path)
         text = (
             "command = weights-check\noutput_dir = wout\n"
@@ -269,6 +302,22 @@ class TestMain:
         summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
         assert summary["muckenhoupt"]["passes"] is True
         assert summary["doubling"]["passes"] is True
+
+    @pytest.mark.parametrize("weight", ["", "weight = power\ntheta_w = 0.0\n"],
+                             ids=["none", "power-0"])
+    @pytest.mark.parametrize("theta_mk", [2.0, 3.0])
+    def test_weights_check_reads_theta_mk(self, tmp_path, weight, theta_mk):
+        """The unit weight of weight = none is checked at the configured
+        theta_mk, as the power weight with theta_w = 0 is: on the interval
+        the Muckenhoupt constant of the unit weight is 2**theta_mk."""
+        path = tmp_path / "w.cfg"
+        path.write_text(
+            f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n[problem]\n"
+            f"mode = interval\n{weight}theta_mk = {theta_mk}\n"
+        )
+        assert main(["weights-check", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
+        assert summary["muckenhoupt"]["worst_constant"] == pytest.approx(2.0**theta_mk)
 
     @pytest.mark.parametrize("problem, n", [
         ("mode = interval\n", 1),
@@ -294,20 +343,6 @@ class TestMain:
             summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
             assert summary["n"] == n
 
-    def test_weights_check_tabulated(self, tmp_path):
-        """A tabulated weight's check verdicts are numpy bools; they are
-        written as JSON bools and the run exits 0 with a whole summary."""
-        csv = tmp_path / "w.csv"
-        csv.write_text("0,1\n0.5,2\n1,3\n")
-        path = tmp_path / "w.cfg"
-        path.write_text(
-            f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n[problem]\n"
-            f"mode = radial\nn = 2\nweight = tabulated\nweight_csv = {csv}\n"
-        )
-        assert main(["weights-check", "--config", str(path)]) == EXIT_OK
-        summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
-        assert isinstance(summary["muckenhoupt"]["passes"], bool)
-
     def test_undecided_scan_exit_code(self, tmp_path, monkeypatch):
         """A scan whose bracket cannot reach the tolerance in the probe
         budget exits with the undecided code."""
@@ -331,22 +366,21 @@ class TestMain:
         ("eigen", "tensor2d", ""),
     ], ids=["eigen", "solve", "eigen-tensor2d"])
     def test_singular_stiffness_is_numerical_error(self, tmp_path, command, mode, extra):
-        """A tabulated weight that vanishes on part of the domain makes the
-        interior stiffness singular, or on tensor grids the eigensolver's
-        weight scaling undefined: exit 3 with a numerical error.json."""
-        csv = tmp_path / "w.csv"
-        csv.write_text("0,1\n0.3,1\n0.4,0\n1,0\n")
+        """The weight |x|**400 underflows to 0 on the faces next to the
+        origin, which makes the interior stiffness singular, or on tensor
+        grids the eigensolver's weight scaling undefined: exit 3 with a
+        numerical error.json."""
         path = tmp_path / "z.cfg"
         path.write_text(
             f"command = {command}\noutput_dir = {tmp_path / 'zout'}\n[problem]\n"
             f"mode = {mode}\nresolution = 32\np = 2.0\n"
-            f"weight = tabulated\nweight_csv = {csv}\n{extra}"
+            f"weight = power\ntheta_w = 400\n{extra}"
         )
         assert main([command, "--config", str(path)]) == EXIT_NUMERICAL
         error = json.loads((tmp_path / "zout" / "error.json").read_text())
         assert error["error_kind"] == "numerical"
         assert error["error_type"] == "FactorError"
-        assert "not positive definite" in error["message"]
+        assert "not positive definite at column 0" in error["message"]
 
     def test_barenblatt_at_time_zero_is_config_error(self, tmp_path):
         """The self-similar initial profile is undefined at reference time
@@ -466,17 +500,46 @@ class TestMain:
         assert not (out / "summary.json").exists()
 
     def test_verify_exact_reads_no_step_controls(self, tmp_path):
-        """verify-exact takes no time step, so a [controls] dt_max below the
-        default dt0 does not stop it; sample_times default to 1, 3 and 10."""
-        path = tmp_path / "v.cfg"
-        path.write_text(
+        """verify-exact takes no time step, so a [controls] key is a config
+        error naming its line rather than a setting that does nothing;
+        without it, sample_times default to 1, 3 and 10."""
+        text = (
             f"command = verify-exact\noutput_dir = {tmp_path / 'vout'}\n[problem]\n"
             "mode = radial\nn = 2\nextent = 8.0\np = 3.0\n"
-            "[verify]\nresolutions = 16, 32, 64\n[controls]\ndt_max = 1e-5\n"
+            "[verify]\nresolutions = 16, 32, 64\n"
         )
+        path = tmp_path / "v.cfg"
+        path.write_text(text + "[controls]\ndt_max = 1e-5\n")
+        assert main(["verify-exact", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((tmp_path / "vout" / "error.json").read_text())
+        assert "line 11: verify-exact does not read [controls]" in error["message"]
+        path.write_text(text)
         assert main(["verify-exact", "--config", str(path)]) == EXIT_OK
         summary = json.loads((tmp_path / "vout" / "summary.json").read_text())
         assert summary["sample_times"] == [1.0, 3.0, 10.0]
+
+    @pytest.mark.parametrize("command, section", [
+        (command, section)
+        for command in COMMANDS
+        for section in FOREIGN_SECTIONS
+        if section not in SECTIONS_READ[command]
+    ])
+    def test_foreign_section_is_config_error(self, tmp_path, command, section):
+        """A key set in a section the command never reads exits 2 with a
+        config error.json naming its line, before anything runs.  solve
+        without a reaction computes no eigenpair, so [eigen] is foreign to
+        it too."""
+        out = tmp_path / "out"
+        path = tmp_path / "f.cfg"
+        path.write_text(
+            f"command = {command}\noutput_dir = {out}\n[problem]\nmode = interval\n"
+            f"[{section}]\n{FOREIGN_SECTIONS[section]}\n"
+        )
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert f"line 6: {command} does not read [{section}]" in error["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
 
 
 def _src_env(**extra):
@@ -493,8 +556,8 @@ def _loaded_by_cli_import(module):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    """scipy.integrate is slow to import and only the weights-check
-    quadrature needs it, so importing the CLI must not load it."""
+    """scipy.integrate is slow to import and the package needs none of it,
+    so importing the CLI must not load it."""
     assert not _loaded_by_cli_import("scipy.integrate")
 
 

@@ -280,12 +280,6 @@ class TestReactionSpec:
         out = reaction_eval(spec, 0.0, u)
         np.testing.assert_allclose(out, [18.0, -18.0])
 
-    def test_bounded_power_time_dependence(self):
-        spec = ReactionSpec.bounded_power(c3=1.0, c4=2.0, m=2.0, sigma=2.0)
-        u = np.array([1.0])
-        assert reaction_eval(spec, 0.0, u)[0] == pytest.approx(1.0)
-        assert reaction_eval(spec, 3.0, u)[0] == pytest.approx(1.0 + 2.0 * 9.0)
-
     def test_exp_forced_growth(self):
         spec = ReactionSpec.exp_forced(c6=1.0, sigma=2.0, lambda1_ref=1.0)
         u = np.array([1.0])
@@ -304,8 +298,6 @@ class TestReactionSpec:
     def test_validation(self):
         with pytest.raises(ConfigError):
             ReactionSpec.power(1.0, 1.0)  # sigma must exceed 1
-        with pytest.raises(ConfigError):
-            ReactionSpec.bounded_power(c3=1.0, c4=1.0, m=0.5, sigma=2.0)
         with pytest.raises(ConfigError):
             ReactionSpec.power(-1.0, 2.0)
 

@@ -330,6 +330,48 @@ def test_step_satisfies_energy_inequality(mode, p, theta_frac, log_dt, log_ampli
     assert e1 + np.sum(vol * step * step) / dt <= e0 + slack
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["interval", "radial", "tensor2d"]),
+    p=st.floats(2.0, 5.0),
+    theta_frac=st.floats(0.0, 1.0, exclude_max=True),
+    log_dt=st.floats(-4.0, -1.0),
+    log_amplitude=st.floats(-1.0, 1.0),
+    rough=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_run_energy_is_nonincreasing(mode, p, theta_frac, log_dt, log_amplitude, rough,
+                                     seed):
+    """Along a run without reaction, the energy column of the trajectory
+    does not increase across accepted steps.
+
+    By the argument of test_step_satisfies_energy_inequality, a step whose
+    residual is at most tol per node gives
+    E(u1) - E(u0) <= (tol * sum V |u1 - u0| - sum V (u1 - u0)**2) / dt,
+    and Cauchy-Schwarz bounds the right side by tol**2 * sum V / (4 dt).
+    tol is 1e-9 * max(sup |u0|, 1), the larger of the two Newton bounds;
+    1e-12 E(u0) covers the rounding of the energy sums.  A run that fails
+    is counted as an event, not filtered out."""
+    g = build_grid(mode, 1.0, 8, n=2)
+    vals = _drawn_state(g, 10.0**log_amplitude, rough, seed)
+    dt0 = 10.0**log_dt
+    spec = ProblemSpec(grid=g, weight=WeightSpec.power(theta_frac * p), p=p,
+                       reaction=ReactionSpec.none(), initial=Field(g, vals),
+                       t_end=5.0 * dt0, dt0=dt0,
+                       controls=StepControls(dt_min=1e-8, dt_max=dt0))
+    try:
+        traj = run_simulation(spec).trajectory
+    except NumericalError:
+        event(f"{mode}: run failed")
+        return
+    event(f"{mode}: run completed")
+    e = np.asarray(traj.energy)
+    tol = 1e-9 * np.maximum(np.asarray(traj.sup_abs_u[:-1]), 1.0)
+    dt = np.asarray(traj.dt_used[1:])
+    slack = tol**2 * cell_volumes(g).sum() / (4.0 * dt) + 1e-12 * e[:-1]
+    assert np.all(np.diff(e) <= slack)
+
+
 def _drawn_state(g, amplitude, rough, seed):
     """Smooth (the principal sine or cosine shape) or rough (seeded normal)
     nodal data of the given amplitude, zero on the boundary."""

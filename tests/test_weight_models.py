@@ -7,13 +7,13 @@ import pytest
 
 from degenflow import (
     ConfigError,
+    DegenerateBallError,
     DivergenceError,
     WeightSpec,
     ball_mass,
     check_doubling,
     check_muckenhoupt,
     eval_radial,
-    load_weight_csv,
     surface_area,
 )
 
@@ -44,20 +44,6 @@ class TestEvalRadial:
         r = np.array([0.0, 1.0, 4.0])
         np.testing.assert_allclose(eval_radial(spec, r), [0.0, 1.0, 8.0])
 
-    def test_tabulated_interpolates_and_extends(self):
-        spec = WeightSpec.tabulated([1.0, 2.0], [2.0, 4.0])
-        np.testing.assert_allclose(eval_radial(spec, [1.5]), [3.0])
-        # constant extension on both sides
-        np.testing.assert_allclose(eval_radial(spec, [0.0, 10.0]), [2.0, 4.0])
-
-    def test_tabulated_validation(self):
-        with pytest.raises(ConfigError):
-            WeightSpec.tabulated([2.0, 1.0], [1.0, 1.0])  # not increasing
-        with pytest.raises(ConfigError):
-            WeightSpec.tabulated([0.0, 1.0], [0.0, 0.0])  # all zero
-        with pytest.raises(ConfigError):
-            WeightSpec.tabulated([-1.0, 1.0], [1.0, 1.0])  # negative radius
-
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_ball_mass_constant_weight(n):
@@ -75,15 +61,6 @@ def test_ball_mass_power_weight():
     assert got == pytest.approx(expected, rel=1e-8)
 
 
-def test_ball_mass_tabulated_is_exact_piecewise():
-    # w(r) = r on [0, 2] tabulated at the breakpoints: the trapezoidal
-    # interpolant is exact, so mass matches the power formula
-    n = 2
-    spec = WeightSpec.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    expected = surface_area(n) * 2.0 ** (n + 1) / (n + 1)
-    assert ball_mass(spec, 2.0, n) == pytest.approx(expected, rel=1e-12)
-
-
 def test_ball_mass_divergent_power():
     with pytest.raises(DivergenceError):
         ball_mass(WeightSpec.power(-2.0), 1.0, 2)
@@ -92,6 +69,21 @@ def test_ball_mass_divergent_power():
 def test_ball_mass_rejects_nonpositive_radius():
     with pytest.raises(ConfigError):
         ball_mass(WeightSpec.constant(), 0.0, 2)
+
+
+def test_extreme_power_underflows_and_overflows_without_raising():
+    """|x|**400 has a ball mass that underflows to 0 at radius 1/8 and
+    overflows to inf at radius 8: the class checks report it failing, and
+    the doubling check raises DegenerateBallError on the zero-mass ball,
+    instead of a float OverflowError."""
+    spec = WeightSpec.power(400.0)
+    assert ball_mass(spec, 0.125, 1) == 0.0
+    assert ball_mass(spec, 8.0, 1) == math.inf
+    rep = check_muckenhoupt(spec, 1, [0.125, 1.0])
+    assert not rep.passes
+    assert "diverges" in rep.message
+    with pytest.raises(DegenerateBallError):
+        check_doubling(spec, 1, spec.natural_mu(1), [(0.25, 0.125)])
 
 
 def test_muckenhoupt_constant_weight():
@@ -105,11 +97,13 @@ def test_muckenhoupt_constant_weight():
 
 
 def test_muckenhoupt_power_weight_scale_free():
-    # |x|^1 in n=2 with theta_mk=2: constant is radius-independent
+    # |x|^1 in n=2 with theta_mk=2: constant is radius-independent, and so
+    # is ess sup * r^n / mass = r * r^2 / (S_2 r^3 / 3)
     rep = check_muckenhoupt(WeightSpec.power(1.0, theta_mk=2.0), 2, [0.25, 1.0, 4.0])
     assert rep.passes
     consts = [c for _, c in rep.per_radius]
     assert max(consts) == pytest.approx(min(consts), rel=1e-7)
+    assert rep.worst_esssup_ratio == pytest.approx(3.0 / surface_area(2), rel=1e-14)
 
 
 def test_muckenhoupt_divergent_dual_mass_fails():
@@ -152,17 +146,3 @@ def test_doubling_rejects_bad_pairs():
     with pytest.raises(ConfigError):
         check_doubling(WeightSpec.constant(), 2, 1.0, [])
 
-
-def test_load_weight_csv_roundtrip(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("r,w\n0.0,1.0\n1.0,2.0\n2.0,1.5\n")
-    spec = load_weight_csv(path)
-    assert spec.kind == "tabulated"
-    np.testing.assert_allclose(eval_radial(spec, [0.5]), [1.5])
-
-
-def test_load_weight_csv_rejects_short_table(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("r,w\n1.0,1.0\n")
-    with pytest.raises(ConfigError):
-        load_weight_csv(path)
