@@ -149,6 +149,13 @@ _SECTIONS_READ = {
     "decay-fit": ("problem", "controls", "decay"),
 }
 
+# The [problem] keys a command never reads.  Setting one is a config error
+# too: eigen takes no time step and has no reaction or initial data.
+_PROBLEM_KEYS_UNREAD = {
+    "eigen": ("mu", "reaction", "alpha0", "sigma", "c6", "initial", "amplitude",
+              "initial_time", "t_end", "dt0", "snapshot_times"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -160,10 +167,10 @@ class ExperimentConfig:
 def parse_config(text, command_override=None):
     """Parse a config document into an ExperimentConfig.
 
-    Unknown sections or keys, malformed lines, type mismatches and keys set
-    in a section the command does not read raise ConfigError naming the
-    line.  command_override (from argv) must agree with an in-file command
-    when both are given.
+    Unknown sections or keys, malformed lines, type mismatches, keys set
+    in a section the command does not read and [problem] keys it never
+    reads raise ConfigError naming the line.  command_override (from argv)
+    must agree with an in-file command when both are given.
     """
     sections = {name: dict() for name in _SCHEMA}
     try:
@@ -221,9 +228,12 @@ def _parse_sections(text, sections, command_override):
     reads = _SECTIONS_READ[command]
     if command == "solve" and sections["problem"]["reaction"].lower() != "none":
         reads += ("eigen",)
+    unread = _PROBLEM_KEYS_UNREAD.get(command, ())
     for (name, key), lineno in explicit.items():
         if name and name not in reads:
             raise ConfigError(f"line {lineno}: {command} does not read [{name}] ({key!r})")
+        if name == "problem" and key in unread:
+            raise ConfigError(f"line {lineno}: {command} does not read {key!r} in [problem]")
 
     if not sections["problem"]["p"] >= 2.0:
         raise ConfigError(f"p must be >= 2, got {sections['problem']['p']}")

@@ -166,16 +166,16 @@ def _g17(values):
 
 
 def write_field_csv(field, path, header_lines=()):
-    """One row per node: coordinates then value, each axis formatted once."""
+    """One row per node: coordinates then value.  The coordinate prefixes
+    make one format string, which formats every value in one pass."""
     grid = field.grid
     if grid.mode == MODE_TENSOR2D:
         names = "x,y"
         xs, ys = (_g17(a) for a in grid.axes)
-        coords = [f"{xi},{yi}" for xi in xs for yi in ys]  # C order of values
+        rows = "".join(f"{xi},{yi},%.17g\n" for xi in xs for yi in ys)  # C order of values
     else:
         names = "x" if grid.mode == MODE_INTERVAL else "r"
-        coords = _g17(grid.axes[0])
+        rows = "".join(f"{c},%.17g\n" for c in _g17(grid.axes[0]))
     head = "".join(f"# {line}\n" for line in header_lines) + f"{names},value\n"
-    rows = "".join(f"{c},{v}\n" for c, v in zip(coords, _g17(field.values)))
     with open(path, "w") as fh:
-        fh.write(head + rows)
+        fh.write(head + rows % tuple(field.values.ravel().tolist()))

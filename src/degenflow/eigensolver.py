@@ -18,8 +18,10 @@ weighted 5-point stiffness and the p = 2 Hessian (Faber, Manteuffel &
 Parter, Adv. Appl. Math. 1990).  L0 is solved exactly by the type-I sine
 transform, which diagonalizes it (Buzbee, Golub & Nielson, SIAM J. Numer.
 Anal. 1970), in O(n log n) work and O(n) memory where a band factor costs
-resolution**4 and resolution**3.  The search direction is
-the Polak-Ribiere+ combination of the preconditioned gradient with the
+resolution**4 and resolution**3.  The transform runs on numpy's real FFT
+of each row's odd extension, which numpy loads with itself, so it adds
+no import to a tensor eigensolve.  The search direction is the
+Polak-Ribiere+ combination of the preconditioned gradient with the
 previous direction, restarted from the preconditioned gradient whenever it
 is not a descent direction.  Steps are backtracked until R decreases; then
 one interpolation step evaluates R at the minimizer of the quadratic through
@@ -113,10 +115,11 @@ def _p_mass(measure, values, p):
 
 
 def _quotient(u, weight, p, measure):
+    """R(u) and its denominator, the p-mass of u."""
     denom = _p_mass(measure, u.values, p)
     if denom <= 0.0:
         raise ConfigError("Rayleigh quotient of a field with zero weighted p-norm")
-    return float(p * energy(u, weight, p) / denom)
+    return float(p * energy(u, weight, p) / denom), denom
 
 
 def _normalize(values, qw):
@@ -138,25 +141,44 @@ def _residual_norm(grid, lap, lam, wvals, u, p):
     return float(num / den)
 
 
+def _dst_rows(x, ext):
+    """Type-I sine transform of each row of x, unnormalized as scipy's
+    dst(type=1): minus the imaginary part of the real FFT of the
+    row's odd extension (0, x, 0, -reversed x), written into ext, an
+    (m, 2 (m + 1)) buffer whose columns 0 and m + 1 stay zero."""
+    m = x.shape[1]
+    ext[:, 1 : m + 1] = x
+    ext[:, m + 2 :] = -x[:, ::-1]
+    return -np.fft.rfft(ext, axis=1).imag[:, 1 : m + 1]
+
+
+def _dst2(x, ext):
+    """Type-I sine transform of the m x m array x along both axes, as
+    scipy's dstn(x, type=1): a row pass of the transpose transforms the
+    columns, then a row pass of its transpose the rows."""
+    return _dst_rows(_dst_rows(x.T, ext).T, ext)
+
+
 def _sine_transform_solve(w):
     """x -> S L0^{-1} S x for x on the m x m interior nodes of a tensor grid
     in natural order, with L0 the constant-coefficient 5-point stiffness
     and S = diag(w^{-1/2}) for the m x m interior weights w."""
-    import scipy.fft  # only tensor eigensolves need it; keeps the CLI import fast
-
     bad = np.flatnonzero(~(w > 0.0))
     if len(bad):
         raise FactorError(f"linear solve failed: not positive definite at column {bad[0]}")
     m = len(w)
     # the type-I sine transform diagonalizes the 1d stiffness tridiag(-1, 2, -1)
-    # with eigenvalues mu_k = 2 - 2 cos(k pi / (m + 1)), k = 1..m
+    # with eigenvalues mu_k = 2 - 2 cos(k pi / (m + 1)), k = 1..m; applied
+    # twice along both axes it scales by (2 (m + 1))**2, which the divisor
+    # takes up in place of the inverse transform's normalization
     mu = 2.0 - 2.0 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
-    eig = mu[:, None] + mu[None, :]
+    eig = (mu[:, None] + mu[None, :]) * (2.0 * (m + 1)) ** 2
     s = 1.0 / np.sqrt(w)
+    ext = np.zeros((m, 2 * (m + 1)))
 
     def solve(x):
-        y = scipy.fft.dstn(s * x.reshape(m, m), type=1)
-        return (s * scipy.fft.idstn(y / eig, type=1)).ravel()
+        y = _dst2(s * x.reshape(m, m), ext)
+        return (s * _dst2(y / eig, ext)).ravel()
 
     return solve
 
@@ -226,21 +248,21 @@ def smallest_eigenpair(grid, weight, p, tol=None):
         return _quotient(Field(grid, v), weight, p, measure)
 
     def point(vals, direction, tau):
-        # the folded, normalized iterate vals + tau * direction and its R,
-        # or R = inf when that iterate is zero
+        # the folded, normalized iterate vals + tau * direction, its R and
+        # p-mass, or R = inf when that iterate is zero
         trial = np.abs(vals + tau * direction)
         trial[grid.boundary_mask] = 0.0
         try:
             trial = _normalize(trial, qw)
-            return trial, quotient(trial)
+            return (trial, *quotient(trial))
         except (ConvergenceError, ConfigError):
-            return None, np.inf
+            return None, np.inf, None
 
     def pair(lam, v, res, its):
         return EigenPair(lam, Field(grid, v), res, its, p, history, restarts, evals,
                          interpolated)
 
-    r_val = quotient(vals)
+    r_val, m_val = quotient(vals)
     best = (r_val, vals.copy(), np.inf, 0)
     history = []
     restarts = interpolated = 0
@@ -277,7 +299,7 @@ def smallest_eigenpair(grid, weight, p, tol=None):
 
         tau = 1.0
         for _ in range(40):
-            trial, r_trial = point(vals, direction, tau)
+            trial, r_trial, m_trial = point(vals, direction, tau)
             if r_trial <= r_val + 1e-15 * abs(r_val):
                 break
             tau *= 0.5
@@ -285,15 +307,15 @@ def smallest_eigenpair(grid, weight, p, tol=None):
             break
         # one interpolation step: the minimizer of the quadratic through
         # R(0), R'(0) = -(p / M) <g, d> and R(tau), kept if R is lower there
-        slope = -p / _p_mass(measure, vals, p) * float(np.sum(g * step))
+        slope = -p / m_val * float(np.sum(g * step))
         curvature = (r_trial - r_val - slope * tau) / tau**2
         tau_q = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
         if tau_q <= 4.0 * tau:
-            trial_q, r_q = point(vals, direction, tau_q)
+            trial_q, r_q, m_q = point(vals, direction, tau_q)
             if r_q < r_trial:
-                trial, r_trial = trial_q, r_q
+                trial, r_trial, m_trial = trial_q, r_q, m_q
                 interpolated += 1
-        vals, r_val = trial, r_trial
+        vals, r_val, m_val = trial, r_trial, m_trial
 
     lam, bv, res, its = best
     raise ConvergenceError(

@@ -518,6 +518,44 @@ class TestMain:
         summary = json.loads((tmp_path / "vout" / "summary.json").read_text())
         assert summary["sample_times"] == [1.0, 3.0, 10.0]
 
+    def test_weights_check_steep_power_weight(self, tmp_path):
+        """|x|**300 with its natural mu = 301 doubles exactly: the normalized
+        ratio is 1 on every pair, although (s/h)**301 alone overflows a
+        float on the extended pairs, where s/h reaches 16."""
+        path = tmp_path / "w.cfg"
+        path.write_text(
+            f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n[problem]\n"
+            "mode = interval\nweight = power\ntheta_w = 300\n"
+        )
+        assert main(["weights-check", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
+        assert summary["mu"] == 301.0
+        assert summary["doubling"]["passes"] is True
+        assert summary["doubling"]["worst_ratio"] == 1.0
+
+    def test_eigen_rejects_problem_keys_it_never_reads(self, tmp_path):
+        """eigen takes no time step and has no reaction or initial data, so
+        each such [problem] key is a config error naming its line, one
+        line at a time until only foreign sections are left."""
+        lines = [
+            "command = eigen", f"output_dir = {tmp_path / 'out'}", "[problem]",
+            "mode = interval", "resolution = 32", "reaction = power", "amplitude = 2.0",
+            "t_end = 0.5", "[controls]", "dt_max = 7", "[scan]", "values = 1.0, 2.0",
+            "[verify]", "resolutions = 16, 32",
+        ]
+        path = tmp_path / "e.cfg"
+        for key in ("reaction", "amplitude", "t_end"):
+            path.write_text("\n".join(lines) + "\n")
+            assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG
+            error = json.loads((tmp_path / "out" / "error.json").read_text())
+            lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(key))
+            assert f"line {lineno}: eigen does not read {key!r} in [problem]" in error["message"]
+            lines.remove(lines[lineno - 1])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert "line 7: eigen does not read [controls]" in error["message"]
+
     @pytest.mark.parametrize("command, section", [
         (command, section)
         for command in COMMANDS
@@ -548,11 +586,14 @@ def _src_env(**extra):
                 **extra)
 
 
-def _loaded_by_cli_import(module):
-    code = f"import sys, degenflow.cli; print({module!r} in sys.modules)"
+def _loaded_by_cli_import(*modules, run=""):
+    """Those of modules that are in sys.modules after a fresh interpreter
+    imports the CLI and then executes the statements run."""
+    code = (f"import sys, degenflow.cli\n{run}\n"
+            f"print(*(m for m in {modules!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True)
-    return out.stdout.strip() == "True"
+    return out.stdout.split()
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -561,10 +602,18 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert not _loaded_by_cli_import("scipy.integrate")
 
 
-def test_cli_import_leaves_scipy_fft_unloaded():
-    """scipy.fft costs about 0.1 s to import and only tensor eigensolves
-    need it, so it must not land in every command's start-up."""
-    assert not _loaded_by_cli_import("scipy.fft")
+def test_cli_import_leaves_scipy_fft_unloaded(tmp_path):
+    """The tensor eigensolver computes its sine transforms on numpy's FFT,
+    so neither importing the CLI nor a tensor eigensolve loads scipy.fft,
+    or the scipy.special it pulls in: together about 0.1 s of start-up."""
+    path = tmp_path / "e.cfg"
+    path.write_text(
+        f"command = eigen\noutput_dir = {tmp_path / 'e'}\n[problem]\nmode = tensor2d\n"
+        "resolution = 16\np = 3.0\nweight = power\ntheta_w = 1.0\n"
+    )
+    run = f"assert degenflow.cli.main(['eigen', '--config', {str(path)!r}]) == 0"
+    assert not _loaded_by_cli_import("scipy.fft", "scipy.special", run=run)
+    assert (tmp_path / "e" / "eigenpair.json").exists()
 
 
 def test_tensor_eigen_is_blas_thread_independent(tmp_path):

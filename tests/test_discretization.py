@@ -149,17 +149,18 @@ def test_field_csv_roundtrip(tmp_path, mode, kw):
     np.testing.assert_array_equal(data, np.column_stack(expect))
 
 
-@pytest.mark.parametrize("mode", ["interval", "tensor2d"])
+@pytest.mark.parametrize("mode", ["interval", "tensor2d", "radial"])
 def test_field_csv_bytes_match_per_row_format(tmp_path, mode):
-    """The writer formats each axis once and writes one string; its bytes
-    are those of formatting every row's coordinates and value with .17g."""
-    g = build_grid(mode, 3.0, 6)
+    """The writer formats all values in one pass through a format string
+    built from the coordinates; its bytes are those of formatting every
+    row's coordinates and value with .17g."""
+    g = build_grid(mode, 3.0, 6, n=2)
     vals = np.random.default_rng(2).standard_normal(g.shape).ravel()
-    vals[:5] = [-0.0, 1e-300, 5e-324, 1e17, -1e17]
+    vals[:6] = [-0.0, 1e-300, 5e-324, 1e17, -1e17, 1e300]
     f = Field(g, vals.reshape(g.shape))
     path = tmp_path / "field.csv"
     write_field_csv(f, path, header_lines=("a = 1", "b"))
-    coords = "x,y" if mode == "tensor2d" else "x"
+    coords = {"interval": "x", "tensor2d": "x,y", "radial": "r"}[mode]
     expected = f"# a = 1\n# b\n{coords},value\n"
     for row in zip(*(c.ravel() for c in _node_coordinates(g)), f.values.ravel()):
         expected += ",".join(f"{v:.17g}" for v in row) + "\n"

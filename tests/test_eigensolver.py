@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 from scipy import integrate as sint
 from scipy import optimize as sopt
@@ -302,3 +303,18 @@ def test_tensor_preconditioner_inverts_scaled_five_point_stiffness(resolution, e
         assert np.allclose(solve(p_inv @ x), x, rtol=0.0, atol=1e-10 * np.abs(x).max())
         assert np.allclose(p_inv @ solve(x), x, rtol=0.0, atol=1e-10 * np.abs(x).max())
 
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 31, 191])
+def test_sine_transform_matches_scipy(m):
+    """The type-I sine transform on numpy's real FFT of the odd extension
+    is scipy.fft.dstn(type=1) along both axes, and scaled by
+    1 / (2 (m + 1))**2 it is idstn, to round-off."""
+    x = np.random.default_rng(m).standard_normal((m, m))
+    ext = np.zeros((m, 2 * (m + 1)))
+    y = eigensolver._dst2(x, ext)
+    ref = scipy.fft.dstn(x, type=1)
+    assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
+    inv = y / (2.0 * (m + 1)) ** 2
+    ref = scipy.fft.idstn(x, type=1)
+    assert np.abs(inv - ref).max() <= 1e-14 * np.abs(ref).max()
