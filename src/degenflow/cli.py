@@ -150,11 +150,30 @@ _SECTIONS_READ = {
 }
 
 # The [problem] keys a command never reads.  Setting one is a config error
-# too: eigen takes no time step and has no reaction or initial data.
-_PROBLEM_KEYS_UNREAD = {
-    "eigen": ("mu", "reaction", "alpha0", "sigma", "c6", "initial", "amplitude",
-              "initial_time", "t_end", "dt0", "snapshot_times"),
-}
+# too: eigen and weights-check take no time step and have no reaction or
+# initial data, and eigen needs no doubling exponent mu.
+_EVOLUTION_KEYS = ("reaction", "alpha0", "sigma", "c6", "initial", "amplitude",
+                   "initial_time", "t_end", "dt0", "snapshot_times")
+_PROBLEM_KEYS_UNREAD = {"eigen": ("mu",) + _EVOLUTION_KEYS, "weights-check": _EVOLUTION_KEYS}
+
+# The [problem] keys each reaction family never reads.
+_REACTION_KEYS_UNREAD = {"none": ("alpha0", "sigma", "c6"), "power": ("c6",),
+                         "exp_forced": ("alpha0",)}
+
+
+def _reads(command, problem):
+    """The sections command reads besides the top level, and the [problem]
+    keys it never reads mapped to the setting that leaves them unread.  The
+    unit weight (weight = none) is the power weight at theta_w = 0."""
+    sections = _SECTIONS_READ[command]
+    reaction = problem["reaction"].lower()
+    if command == "solve" and reaction != "none":
+        sections += ("eigen",)
+    unread = dict.fromkeys(_REACTION_KEYS_UNREAD.get(reaction, ()), f"reaction = {reaction}")
+    if problem["weight"].lower() == "none" and problem["theta_w"] != 0.0:
+        unread["theta_w"] = "weight = none"
+    unread.update(dict.fromkeys(_PROBLEM_KEYS_UNREAD.get(command, ()), command))
+    return sections, unread
 
 
 @dataclass
@@ -168,9 +187,10 @@ def parse_config(text, command_override=None):
     """Parse a config document into an ExperimentConfig.
 
     Unknown sections or keys, malformed lines, type mismatches, keys set
-    in a section the command does not read and [problem] keys it never
-    reads raise ConfigError naming the line.  command_override (from argv)
-    must agree with an in-file command when both are given.
+    in a section the command does not read and [problem] keys that the
+    command, its reaction family or its weight kind never reads raise
+    ConfigError naming the line.  command_override (from argv) must agree
+    with an in-file command when both are given.
     """
     sections = {name: dict() for name in _SCHEMA}
     try:
@@ -225,15 +245,12 @@ def _parse_sections(text, sections, command_override):
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
 
-    reads = _SECTIONS_READ[command]
-    if command == "solve" and sections["problem"]["reaction"].lower() != "none":
-        reads += ("eigen",)
-    unread = _PROBLEM_KEYS_UNREAD.get(command, ())
+    reads, unread = _reads(command, sections["problem"])
     for (name, key), lineno in explicit.items():
         if name and name not in reads:
             raise ConfigError(f"line {lineno}: {command} does not read [{name}] ({key!r})")
         if name == "problem" and key in unread:
-            raise ConfigError(f"line {lineno}: {command} does not read {key!r} in [problem]")
+            raise ConfigError(f"line {lineno}: {unread[key]} does not read {key!r} in [problem]")
 
     if not sections["problem"]["p"] >= 2.0:
         raise ConfigError(f"p must be >= 2, got {sections['problem']['p']}")
@@ -253,28 +270,27 @@ def _fmt_value(value):
 
 
 def resolved_config_text(cfg):
-    """Canonical echo of the fully-resolved config (deterministic order)."""
+    """Canonical echo of the config as the command reads it (sorted)."""
     lines = [f"command = {cfg.command}", f"output_dir = {cfg.output_dir}"]
-    for name in sorted(s for s in cfg.sections if s):
-        body = {k: v for k, v in cfg.sections[name].items() if v is not None}
-        if not body:
-            continue
+    sections = _config_payload(cfg)["sections"]
+    for name in sorted(s for s in sections if s and sections[s]):
         lines.append("")
         lines.append(f"[{name}]")
-        for key in sorted(body):
-            lines.append(f"{key} = {_fmt_value(body[key])}")
+        for key in sorted(sections[name]):
+            lines.append(f"{key} = {_fmt_value(sections[name][key])}")
     return "\n".join(lines) + "\n"
 
 
 def _config_payload(cfg):
-    return {
-        "command": cfg.command,
-        "output_dir": cfg.output_dir,
-        "sections": {
-            name: {k: v for k, v in body.items() if v is not None}
-            for name, body in cfg.sections.items()
-        },
+    """The sections the command reads, without unread or unset keys."""
+    reads, unread = _reads(cfg.command, cfg.sections["problem"])
+    sections = {
+        name: {k: v for k, v in body.items()
+               if v is not None and not (name == "problem" and k in unread)}
+        for name, body in cfg.sections.items()
+        if name == "" or name in reads
     }
+    return {"command": cfg.command, "output_dir": cfg.output_dir, "sections": sections}
 
 
 def _summary(cfg, body):

@@ -218,7 +218,7 @@ def smallest_eigenpair(grid, weight, p, tol=None):
         solve = _sine_transform_solve(wvals[1:-1, 1:-1])
     else:
         # the p = 2 Hessian A^T diag(cw) A, tridiagonal
-        a = op.components[0][:, idx]
+        a = op.matrix[: op.cw.size, idx]
         data, row, col = lower_entries(a.T @ sp.diags_array(op.cw) @ a)
         band = BandPattern(row, col, len(idx))
         factor = band.factor(band.fill(data, 0.0))

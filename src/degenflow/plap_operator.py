@@ -5,7 +5,8 @@ energy, taken in the inner product weighted by the finite-volume node
 measures.  One formulation serves every grid mode.  Each face F carries a
 coefficient cw_F = c_F * omega_F (quadrature weight times face weight
 value) and a face gradient G_F = (M_1 u, ..., M_k u)_F given by sparse face
-matrices M_k, built once per (grid, weight) by face_operator:
+matrices M_k, built once per (grid, weight) by face_operator and stored
+stacked, all k of them as one k*F x N matrix:
 
 * interval and radial grids: k = 1, M_1 = A the normal difference on the
   half-nodes, so the energy is the midpoint-rule value of
@@ -23,7 +24,8 @@ which is convex for p >= 2, so implicit steps inherit the energy-decay
 inequality.  Its gradient is sum_k M_k^T (cw * s**((p-2)/2) * M_k u) and
 apply_plaplacian is exactly that gradient divided by the node measures; no
 separately discretized divergence is involved.  The p = 2 Hessian is
-sum_k M_k^T diag(cw) M_k.
+sum_k M_k^T diag(cw) M_k.  A FaceFlux holds one state's face gradient, from
+which its operator, energy and face conductances are all computed.
 """
 
 from __future__ import annotations
@@ -143,19 +145,19 @@ def _centered(m, h):
 
 @dataclass(frozen=True, eq=False)
 class FaceOperator:
-    """Face coefficients and face matrices of one (grid, weight).
+    """Face coefficients and the stacked face matrix of one (grid, weight).
 
-    cw holds c_F * omega_F per face (times 1/2 on tensor grids),
-    components the CSR face matrices with the normal difference A first,
-    and transposes their transposes, stored so that no call transposes.
-    Faces are ordered axis by axis, each axis raveled in C order; columns
-    are the raveled nodes.  vol holds the cell volumes of the grid, in its
-    shape.
+    cw holds c_F * omega_F per face (times 1/2 on tensor grids).  matrix is
+    the k*F x N CSR matrix of all k face matrices M_k stacked, the normal
+    difference A in the first F rows, and transpose its transpose, stored so
+    that no call transposes.  Faces are ordered axis by axis, each axis
+    raveled in C order; columns are the raveled nodes.  vol holds the cell
+    volumes of the grid, in its shape.
     """
 
     cw: np.ndarray
-    components: tuple
-    transposes: tuple
+    matrix: sp.csr_array
+    transpose: sp.csr_array
     vol: np.ndarray
 
 
@@ -175,7 +177,7 @@ def face_operator(grid, weight):
         else:
             c = np.full(mid.shape, h)
         rad = np.abs(mid)
-        components = [_difference(len(x), h)]
+        matrix = _difference(len(x), h)
     else:
         x, y = grid.axes
         hx, hy = grid.h
@@ -193,34 +195,18 @@ def face_operator(grid, weight):
             np.hypot(fx[:, None], y[None, :]).ravel(),
             np.hypot(x[:, None], fy[None, :]).ravel(),
         ])
-        components = [
-            sp.vstack([sp.kron(_difference(len(x), hx), eye_y),
-                       sp.kron(eye_x, _difference(len(y), hy))]),
-            sp.vstack([sp.kron(_average(len(x)), _centered(len(y), hy)),
-                       sp.kron(_centered(len(x), hx), _average(len(y)))]),
-        ]
+        matrix = sp.vstack([sp.kron(_difference(len(x), hx), eye_y),
+                            sp.kron(eye_x, _difference(len(y), hy)),
+                            sp.kron(_average(len(x)), _centered(len(y), hy)),
+                            sp.kron(_centered(len(x), hx), _average(len(y)))])
     cw = c if weight is None else c * eval_radial(weight, rad)
-    components = tuple(sp.csr_array(m) for m in components)
-    transposes = tuple(m.T.tocsr() for m in components)
+    matrix = sp.csr_array(matrix)
+    transpose = matrix.T.tocsr()
     vol = cell_volumes(grid)
     # every caller of the cache gets these same arrays
-    for values in (cw, vol, *(m.data for m in components + transposes)):
+    for values in (cw, vol, matrix.data, transpose.data):
         values.flags.writeable = False
-    return FaceOperator(cw, components, transposes, vol)
-
-
-def _face_gradient(op, v):
-    """Face gradient components M_k v and s = sum_k (M_k v)**2."""
-    g = [m @ v for m in op.components]
-    return g, sum(gk * gk for gk in g)
-
-
-def energy(u, weight, p):
-    """Discrete diffusion energy (1/p) * integral of omega * |grad u|**p."""
-    _check_p(p)
-    op = face_operator(u.grid, weight)
-    _, s = _face_gradient(op, u.values.ravel())
-    return float(np.sum(op.cw * s ** (p / 2.0)) / p)
+    return FaceOperator(cw, matrix, transpose, vol)
 
 
 def _s_pow(s, expo):
@@ -233,17 +219,45 @@ def _s_pow(s, expo):
     return out
 
 
+class FaceFlux:
+    """The face gradient g = (M_1 u, ..., M_k u) of the state u = values, one
+    row per face matrix from one product with the stacked matrix, and
+    s = sum_k g_k**2; it describes values only while they are not changed."""
+
+    def __init__(self, op, values, p):
+        _check_p(p)
+        self.op, self.values, self.p = op, values, p
+        g = (op.matrix @ values.ravel()).reshape(-1, op.cw.size)
+        self.g, self.s = g, (g * g).sum(axis=0)
+
+    def divergence(self):
+        """sum_k M_k^T (cw * s**((p-2)/2) * g_k) divided by minus the cell
+        volumes, in the grid's shape; Dirichlet nodes are not zeroed."""
+        flux = self.op.cw * _s_pow(self.s, (self.p - 2.0) / 2.0)
+        grad = self.op.transpose @ (flux * self.g).ravel()
+        return -grad.reshape(self.op.vol.shape) / self.op.vol
+
+    def energy(self):
+        """(1/p) * sum over faces of cw * s**(p/2)."""
+        return float(np.sum(self.op.cw * self.s ** (self.p / 2.0)) / self.p)
+
+    def conductance(self):
+        """Face conductances kappa; see face_conductance."""
+        a, p = self.g[0], self.p
+        return self.op.cw * _s_pow(self.s, (p - 4.0) / 2.0) * ((p - 2.0) * a * a + self.s)
+
+
+def energy(u, weight, p):
+    """Discrete diffusion energy (1/p) * integral of omega * |grad u|**p."""
+    return FaceFlux(face_operator(u.grid, weight), u.values, p).energy()
+
+
 def apply_plaplacian(u, weight, p):
     """div(omega * |grad u|**(p-2) * grad u) at the nodes, zero on Dirichlet
     nodes.  Equals minus the energy gradient in the cell-volume inner
     product, exactly at the discrete level."""
-    _check_p(p)
     grid = u.grid
-    op = face_operator(grid, weight)
-    g, s = _face_gradient(op, u.values.ravel())
-    flux = op.cw * _s_pow(s, (p - 2.0) / 2.0)
-    grad = sum(mt @ (flux * gk) for mt, gk in zip(op.transposes, g))
-    out = -grad.reshape(grid.shape) / op.vol
+    out = FaceFlux(face_operator(grid, weight), u.values, p).divergence()
     out[grid.boundary_mask] = 0.0
     return Field(grid, out)
 
@@ -262,23 +276,21 @@ def energy_hessian_matrix(grid, weight):
     as the p=2 operator matrix and the Newton Jacobian at p=2.
     """
     op = face_operator(grid, weight)
-    cw = sp.diags_array(op.cw)
-    return sum(mt @ cw @ m for m, mt in zip(op.components, op.transposes)).tocsr()
+    cw = sp.diags_array(np.tile(op.cw, op.matrix.shape[0] // op.cw.size))
+    return (op.transpose @ cw @ op.matrix).tocsr()
 
 
 def face_conductance(u, weight, p):
     """Face conductances kappa of the flux-linearized Jacobian.
 
     The linearized stiffness is K = A^T diag(kappa) A with A the normal
-    difference, the first component of face_operator(grid, weight), and
+    difference, the first F rows of face_operator(grid, weight).matrix, and
     diffusion_jacobian is -K divided by the cell volumes.  With s = |G|**2,
     kappa is the slope of the flux in the normal difference,
     kappa = cw * s**((p-4)/2) * ((p-2) (A u)**2 + s); on tensor grids the
     tangential part of G is held fixed.
     """
-    op = face_operator(u.grid, weight)
-    g, s = _face_gradient(op, u.values.ravel())
-    return op.cw * _s_pow(s, (p - 4.0) / 2.0) * ((p - 2.0) * g[0] * g[0] + s)
+    return FaceFlux(face_operator(u.grid, weight), u.values, p).conductance()
 
 
 def diffusion_jacobian(u, weight, p):
@@ -303,7 +315,7 @@ def diffusion_jacobian(u, weight, p):
         k = energy_hessian_matrix(grid, weight)
     else:
         op = face_operator(grid, weight)
-        kappa = face_conductance(u, weight, p)
-        k = op.transposes[0] @ sp.diags_array(kappa) @ op.components[0]
+        a = op.matrix[: op.cw.size]
+        k = a.T @ sp.diags_array(face_conductance(u, weight, p)) @ a
     inv_vol = sp.diags_array(1.0 / cell_volumes(grid).ravel())
     return (-(inv_vol @ k)).tocsr()

@@ -26,7 +26,8 @@ converges quadratically.  On tensor grids at p > 2 it is
 the frozen-tangential approximation, which converges only linearly however
 fresh it is, so a step reuses one factor (the chord iteration) and refactors
 only after a damped update or a reused factor that did not lower the
-residual.
+residual.  The Newton system keeps the FaceFlux of the last state evaluated:
+its residual, factor, recorded energy and next first residual share it.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
@@ -46,11 +47,9 @@ from .discretization import Field, quad_weights, quadrature_sum, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
 from .plap_operator import (
+    FaceFlux,
     ReactionSpec,
-    apply_plaplacian,
-    energy,
     energy_hessian_matrix,
-    face_conductance,
     face_operator,
     reaction_derivative,
     reaction_eval,
@@ -192,7 +191,8 @@ class _StepFailure(Exception):
 
 
 class _NewtonSystem(BandPattern):
-    """Interior Newton matrix V (1 - dt f') + dt K of one (grid, weight, p).
+    """Interior Newton matrix V (1 - dt f') + dt K of one (grid, weight, p),
+    and the backward-Euler residual whose Jacobian it approximates.
 
     The lower-triangle pattern is the Jacobian's own and fixed for the run:
     the face-difference pattern for p > 2, whose entries are P @ kappa for
@@ -209,23 +209,37 @@ class _NewtonSystem(BandPattern):
     """
 
     def __init__(self, grid, weight, p):
-        self.weight = weight
+        self.op = op = face_operator(grid, weight)
         self.p = p
         self.idx = np.flatnonzero(~grid.boundary_mask.ravel())
-        op = face_operator(grid, weight)
-        self.exact = p == 2.0 or len(op.components) == 1
+        self.exact = p == 2.0 or op.matrix.shape[0] == op.cw.size
         self.vol = op.vol.ravel()[self.idx]
+        self.last_flux = None
         self.linear_dt = None
         self.linear_factor = None
         if p == 2.0:
             k_int = energy_hessian_matrix(grid, weight).tocsr()[self.idx][:, self.idx]
             self.k_data, row, col = lower_entries(k_int)
         else:
-            a_int = op.components[0].tocsc()[:, self.idx]
+            a_int = op.matrix[: op.cw.size].tocsc()[:, self.idx]
             _, row, col = lower_entries(abs(a_int).T @ abs(a_int))
             # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
         super().__init__(row, col, len(self.idx))
+
+    def flux(self, values):
+        """The FaceFlux of values, kept until another array is evaluated, so
+        values must not be changed in place once evaluated."""
+        if self.last_flux is None or self.last_flux.values is not values:
+            self.last_flux = FaceFlux(self.op, values, self.p)
+        return self.last_flux
+
+    def residual(self, v, u_old, t_new, dt, reaction):
+        """The backward-Euler residual at v, zero on Dirichlet nodes."""
+        lap = self.flux(v.values).divergence()
+        r = v.values - u_old - dt * (lap + reaction_eval(reaction, t_new, v.values))
+        r[v.grid.boundary_mask] = 0.0
+        return r
 
     def matrix(self, v, dt, drea):
         """The system at state v with interior reaction slopes drea, as the
@@ -233,8 +247,7 @@ class _NewtonSystem(BandPattern):
         if self.p == 2.0:
             data = dt * self.k_data
         else:
-            kappa = face_conductance(v, self.weight, self.p)
-            data = dt * (self.conductance_map @ kappa)
+            data = dt * (self.conductance_map @ self.flux(v.values).conductance())
         return self.fill(data, self.vol * (1.0 - dt * drea))
 
     def linear_solve(self, dt, rhs, stats=None):
@@ -250,14 +263,6 @@ class _NewtonSystem(BandPattern):
 def _count(stats, key):
     if stats is not None:
         stats[key] = stats.get(key, 0) + 1
-
-
-def _residual(v_field, u_old, t_new, dt, spec):
-    lap = apply_plaplacian(v_field, spec.weight, spec.p).values
-    rea = reaction_eval(spec.reaction, t_new, v_field.values)
-    r = v_field.values - u_old - dt * (lap + rea)
-    r[v_field.grid.boundary_mask] = 0.0
-    return r
 
 
 def step_implicit(u, t, dt, spec, system=None, stats=None):
@@ -293,13 +298,13 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
         out[grid.boundary_mask] = 0.0
         _count(stats, "newton_iters")
         result = Field(grid, out)
-        rnorm = np.abs(_residual(result, u_old, t_new, dt, spec)).max()
+        rnorm = np.abs(system.residual(result, u_old, t_new, dt, spec.reaction)).max()
         if rnorm > max(tol, 1e-9 * scale):
             raise _StepFailure(f"linear step residual {rnorm:.2e}")
         return result
 
-    v = Field(grid, u_old.copy())
-    r = _residual(v, u_old, t_new, dt, spec)
+    v = u
+    r = system.residual(v, u_old, t_new, dt, spec.reaction)
     rnorm = np.abs(r).max()
     lu = None
     for it in range(NEWTON_MAX):
@@ -321,7 +326,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
             trial = v.values.copy()
             trial.ravel()[idx] += damping * delta
             tf = Field(grid, trial)
-            tr = _residual(tf, u_old, t_new, dt, spec)
+            tr = system.residual(tf, u_old, t_new, dt, spec.reaction)
             tnorm = np.abs(tr).max()
             if np.isfinite(tnorm) and tnorm < rnorm:
                 v, r, rnorm = tf, tr, tnorm
@@ -391,7 +396,7 @@ def run_simulation(spec, eigenpair=None):
             float(np.abs(f.values).max()),
             quadrature_sum(qw, f.values),
             quadrature_sum(qw_g, f.values),
-            energy(f, spec.weight, spec.p),
+            system.flux(f.values).energy(),
         )
 
     u = spec.initial.copy()

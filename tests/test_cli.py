@@ -556,6 +556,85 @@ class TestMain:
         error = json.loads((tmp_path / "out" / "error.json").read_text())
         assert "line 7: eigen does not read [controls]" in error["message"]
 
+    @pytest.mark.parametrize("setting, key, value", [
+        ("reaction = power", "c6", "5"),
+        ("reaction = exp_forced", "alpha0", "2"),
+        ("reaction = none", "sigma", "3"),
+        ("weight = none", "theta_w", "1.5"),
+    ])
+    def test_key_unread_by_reaction_or_weight_kind_is_config_error(
+            self, tmp_path, setting, key, value):
+        """A [problem] key that the chosen reaction family or weight kind
+        never reads exits 2 with a config error.json naming its line.  The
+        unit weight of weight = none is the power weight at theta_w = 0, so
+        theta_w = 0 agrees with it and runs."""
+        out = tmp_path / "out"
+        path = tmp_path / "s.cfg"
+        text = SOLVE_CFG.format(out=out).replace("[controls]", f"{setting}\n{{}}[controls]")
+        path.write_text(text.format(f"{key} = {value}\n"))
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert f"line 14: {setting} does not read {key!r} in [problem]" in error["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
+        if key == "theta_w":
+            path.write_text(text.format("theta_w = 0.0\n"))
+            assert main(["solve", "--config", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command, text, sections, dropped", [
+        ("solve", SOLVE_CFG, {"", "problem", "controls"},
+         {"alpha0", "sigma", "c6"}),
+        ("solve", SOLVE_CFG.replace("p = 2.0", "p = 2.0\nreaction = power\nsigma = 3.0"),
+         {"", "problem", "controls", "eigen"}, {"c6"}),
+        ("eigen", EIGEN_CFG + "[eigen]\ntol = 1e-6\n", {"", "problem", "eigen"},
+         {"reaction", "alpha0", "sigma", "c6", "initial", "amplitude", "initial_time",
+          "t_end", "dt0"}),
+        ("weights-check", "command = weights-check\noutput_dir = {out}\n[problem]\n"
+         "mode = interval\nweight = power\ntheta_w = 1.0\n", {"", "problem", "weights"},
+         {"reaction", "alpha0", "sigma", "c6", "initial", "amplitude", "initial_time",
+          "t_end", "dt0"}),
+    ], ids=["solve", "reacting-solve", "eigen", "weights-check"])
+    def test_config_echo_lists_only_what_the_command_reads(
+            self, tmp_path, command, text, sections, dropped):
+        """resolved_config.txt, the summary's config block and the CSV
+        config headers list the sections the command reads and, in
+        [problem], only the keys that the command, its reaction family and
+        its weight kind read."""
+        out = tmp_path / "out"
+        path = tmp_path / "c.cfg"
+        path.write_text(text.format(out=out))
+        assert main([command, "--config", str(path)]) == EXIT_OK
+        echoes = [json.loads((out / "summary.json").read_text())["config"]]
+        for csv in sorted(out.glob("*.csv")):
+            header = re.search(r"^# config: (.*)$", csv.read_text(), re.M)
+            if header:
+                echoes.append(json.loads(header.group(1)))
+        assert len(echoes) == (2 if command == "solve" else 1)
+        for echo in echoes:
+            assert set(echo["sections"]) == sections
+            assert not dropped & set(echo["sections"]["problem"])
+            assert {"mode", "p", "resolution"} <= set(echo["sections"]["problem"])
+        resolved = (out / "resolved_config.txt").read_text()
+        named = set(re.findall(r"^\[(\w+)\]$", resolved, re.M))
+        assert named == {s for s, body in echoes[0]["sections"].items() if s and body}
+        keys = set(re.findall(r"^(\w+) = ", resolved, re.M))
+        assert not dropped & keys
+        if command == "eigen":
+            assert echoes[0]["sections"]["eigen"]["tol"] == 1e-6
+
+    @pytest.mark.parametrize("line", ["reaction = power", "amplitude = 2.0", "t_end = 0.5"])
+    def test_weights_check_rejects_evolution_keys(self, tmp_path, line):
+        """weights-check classifies the weight alone, so a [problem] key of
+        an evolution is a config error naming its line."""
+        out = tmp_path / "out"
+        path = tmp_path / "w.cfg"
+        path.write_text(f"command = weights-check\noutput_dir = {out}\n[problem]\n"
+                        f"mode = interval\n{line}\n")
+        assert main(["weights-check", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        key = line.split(" =")[0]
+        assert f"line 5: weights-check does not read {key!r} in [problem]" in error["message"]
+
     @pytest.mark.parametrize("command, section", [
         (command, section)
         for command in COMMANDS

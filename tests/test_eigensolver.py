@@ -286,8 +286,9 @@ def test_tensor_preconditioner_inverts_scaled_five_point_stiffness(resolution, e
     g = build_grid("tensor2d", extent, resolution)
     idx = np.flatnonzero(~g.boundary_mask.ravel())
     op = face_operator(g, None)
-    a = op.components[0][:, idx]
-    l0 = (a.T @ sp.diags_array(len(op.components) * op.cw) @ a).toarray()
+    a = op.matrix[: op.cw.size, idx]
+    # cw carries the factor 1/2 of the two stacked face matrices
+    l0 = (a.T @ sp.diags_array(2.0 * op.cw) @ a).toarray()
     m = resolution - 1
     assert np.allclose(np.diag(l0), 4.0, rtol=1e-14)
     offdiag = l0[~np.eye(len(idx), dtype=bool)]

@@ -21,7 +21,9 @@ from degenflow import (
     energy,
     energy_hessian_matrix,
     estimate_blowup_time,
+    face_operator,
     reaction_derivative,
+    reaction_eval,
     run_simulation,
     step_implicit,
 )
@@ -400,9 +402,128 @@ def _converged_step(g, weight, p, vals, dt):
         return None
     event(f"{label}: converged")
     tol = max(spec.controls.newton_tol, 1e-9) * max(np.abs(vals).max(), 1.0)
-    r = timestepper._residual(u1, vals, dt, dt, spec)
+    r = _NewtonSystem(g, weight, p).residual(u1, vals, dt, dt, spec.reaction)
     assert np.abs(r).max() <= tol
     return u1, tol
+
+
+def _flux_by_face_matrix(g, weight, p, vals):
+    """The Laplacian, energy and face conductances of vals evaluated from
+    scratch, one face matrix M_k (rows k F to (k + 1) F of the stacked
+    matrix) at a time, with the per-node sums of absolute terms that bound
+    the rounding of the Laplacian."""
+    op = face_operator(g, weight)
+    f = op.cw.size
+    mats = [op.matrix[k * f:(k + 1) * f] for k in range(op.matrix.shape[0] // f)]
+    grads = [m @ vals.ravel() for m in mats]
+    s = sum(gk * gk for gk in grads)
+    q = op.cw * s ** ((p - 2.0) / 2.0)
+    lap = -sum(m.T @ (q * gk) for m, gk in zip(mats, grads)).reshape(g.shape) / op.vol
+    terms = sum(abs(m).T @ np.abs(q * gk) for m, gk in zip(mats, grads))
+    kappa = np.zeros_like(s)
+    pos = s > 0.0
+    kappa[pos] = (op.cw[pos] * s[pos] ** ((p - 4.0) / 2.0)
+                  * ((p - 2.0) * grads[0][pos] ** 2 + s[pos]))
+    energy_ref = float(np.sum(op.cw * s ** (p / 2.0)) / p)
+    return lap, terms.reshape(g.shape) / op.vol, energy_ref, kappa
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(["interval", "radial", "tensor2d"]),
+    p=st.floats(2.0, 5.0),
+    theta_frac=st.floats(0.0, 1.0, exclude_max=True),
+    log_amplitude=st.floats(-1.0, 1.0),
+    rough=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_shared_flux_matches_fresh_evaluation(mode, p, theta_frac, log_amplitude, rough,
+                                             seed):
+    """The Newton system takes a state's face gradient once, for its
+    residual, and derives the conductances of a Newton matrix built at that
+    state and its energy from the same FaceFlux.  Each matches an
+    evaluation from scratch, one face matrix at a time, to 1e-14 relative
+    (the residual relative to the sum of the absolute values of its terms),
+    and the matrix equals one a fresh system builds.  Evaluating another
+    state replaces the kept flux."""
+    g = build_grid(mode, 1.0, 8, n=2)
+    weight = WeightSpec.power(theta_frac * p)
+    vals = _drawn_state(g, 10.0**log_amplitude, rough, seed)
+    u_old = _drawn_state(g, 1.0, not rough, seed + 1)
+    v = Field(g, vals)
+    dt, t_new = 1e-2, 0.1
+    reaction = ReactionSpec.power(1.0, 2.0)
+    drea = reaction_derivative(reaction, t_new, vals).ravel()
+    system = _NewtonSystem(g, weight, p)
+
+    r = system.residual(v, u_old, t_new, dt, reaction)
+    flux = system.flux(vals)
+    band = system.matrix(v, dt, drea[system.idx])
+    assert system.flux(vals) is flux
+
+    lap, lap_terms, energy_ref, kappa = _flux_by_face_matrix(g, weight, p, vals)
+    rea = reaction_eval(reaction, t_new, vals)
+    r_ref = vals - u_old - dt * (lap + rea)
+    r_ref[g.boundary_mask] = 0.0
+    scale = np.abs(vals) + np.abs(u_old) + dt * (lap_terms + np.abs(rea))
+    assert np.all(np.abs(r - r_ref) <= 1e-14 * scale)
+    assert flux.energy() == pytest.approx(energy_ref, rel=1e-14, abs=0.0)
+    assert flux.energy() == energy(v, weight, p)
+    np.testing.assert_allclose(flux.conductance(), kappa, rtol=1e-14, atol=0.0)
+    fresh = _NewtonSystem(g, weight, p)
+    np.testing.assert_array_equal(band, fresh.matrix(Field(g, vals.copy()), dt,
+                                                     drea[system.idx]))
+
+    system.residual(Field(g, u_old), vals, t_new, dt, reaction)
+    assert system.flux(u_old) is not flux and system.flux(vals) is not flux
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["interval", "radial", "tensor2d"]),
+    p=st.floats(2.0, 5.0),
+    theta_frac=st.floats(0.0, 1.0, exclude_max=True),
+    log_amplitude=st.floats(-1.0, 1.0),
+    rough=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_run_energy_column_is_energy_of_its_states(mode, p, theta_frac, log_amplitude,
+                                                   rough, seed):
+    """The energy a run records for an accepted state, taken from the flux
+    its last residual evaluation kept, equals energy() of that state, and
+    no state's face gradient is taken twice along a run whose steps all
+    succeed.  A run that fails is counted as an event."""
+    g = build_grid(mode, 1.0, 8, n=2)
+    vals = _drawn_state(g, 10.0**log_amplitude, rough, seed)
+    spec = ProblemSpec(grid=g, weight=WeightSpec.power(theta_frac * p), p=p,
+                       reaction=ReactionSpec.none(), initial=Field(g, vals),
+                       t_end=4e-3, dt0=1e-3, snapshot_times=(1e-3, 2e-3, 3e-3, 4e-3),
+                       controls=StepControls(dt_min=1e-8, dt_max=1e-3))
+    built = []
+
+    class CountedFlux(timestepper.FaceFlux):
+        def __init__(self, op, values, p):
+            built.append(values)
+            super().__init__(op, values, p)
+
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(timestepper, "FaceFlux", CountedFlux)
+            out = run_simulation(spec)
+    except NumericalError:
+        event(f"{mode}: run failed")
+        return
+    traj = out.trajectory
+    assert traj.energy[0] == energy(spec.initial, spec.weight, p)
+    assert len(traj.snapshots) == 4
+    for ts, state in traj.snapshots.items():
+        i = int(np.argmin(np.abs(np.asarray(traj.times) - ts)))
+        assert traj.energy[i] == energy(state, spec.weight, p)
+    if out.steps == 4:
+        event(f"{mode}: four steps, none failed")
+        assert len({id(values) for values in built}) == len(built)
+    else:
+        event(f"{mode}: a step was redone")
 
 
 @settings(max_examples=150, deadline=None)
@@ -472,7 +593,7 @@ def _newton_iterations(monkeypatch, system):
     when the update reused the previous factor, and more than one
     evaluation means the update was damped or failed."""
     log = []
-    residual, matrix, solve = timestepper._residual, system.matrix, system.solve
+    residual, matrix, solve = system.residual, system.matrix, system.solve
 
     def spy_residual(*args):
         if log:
@@ -488,7 +609,7 @@ def _newton_iterations(monkeypatch, system):
             log.append([False, 0])
         return solve(lu, rhs)
 
-    monkeypatch.setattr(timestepper, "_residual", spy_residual)
+    monkeypatch.setattr(system, "residual", spy_residual)
     monkeypatch.setattr(system, "matrix", spy_matrix)
     monkeypatch.setattr(system, "solve", spy_solve)
     return log

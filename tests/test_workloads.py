@@ -1,0 +1,60 @@
+"""The benchmark workloads' solver counts, pinned.
+
+Each config under perfbench/workloads runs through the CLI into a temporary
+directory.  A change that moves the iteration path of a workload (an
+accepted or rejected step, a Newton iteration, a refactorization, an
+eigensolver iteration or quotient evaluation) fails here, in about 1.5 s,
+and not only in the benchmark.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from degenflow.cli import EXIT_OK, main, parse_config
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+# amplitude -> (steps, Newton iterations, factorizations) of each scan probe
+SCAN_PROBES = {
+    6.0: (118, 324, 206),
+    10.954451150103322: (128, 367, 239),
+    11.374454657912443: (135, 392, 257),
+    11.810561477896204: (98, 562, 459),
+    12.73357838853023: (100, 620, 506),
+    14.801656089845705: (95, 598, 487),
+    20.0: (89, 562, 462),
+}
+
+
+def _run(tmp_path, name):
+    config = WORKLOADS / f"{name}.ini"
+    command = parse_config(config.read_text()).command
+    out = tmp_path / name
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def _counts(outcome):
+    return outcome["steps"], outcome["newton_iters_total"], outcome["factorizations"]
+
+
+def _load(path):
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("name", ["tensor2d-p3", "eigen-2d-p3", "scan-1d"])
+def test_workload_solver_counts_pinned(tmp_path, name):
+    out = _run(tmp_path, name)
+    if name == "tensor2d-p3":
+        assert _counts(_load(out / "outcome.json")) == (283, 2004, 283)
+    elif name == "eigen-2d-p3":
+        pair = _load(out / "eigenpair.json")
+        assert (pair["iterations"], pair["quotient_evals"]) == (24, 100)
+    else:
+        amplitudes = [run["amplitude"] for run in _load(out / "summary.json")["runs"]]
+        assert amplitudes == sorted(SCAN_PROBES)
+        for a in amplitudes:
+            probe = _load(out / "runs" / f"A_{a:.8g}" / "outcome.json")
+            assert _counts(probe) == SCAN_PROBES[a], a
