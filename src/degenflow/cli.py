@@ -150,11 +150,20 @@ _SECTIONS_READ = {
 }
 
 # The [problem] keys a command never reads.  Setting one is a config error
-# too: eigen and weights-check take no time step and have no reaction or
-# initial data, and eigen needs no doubling exponent mu.
+# too: eigen, verify-exact and weights-check take no time step and have no
+# reaction or initial data, eigen needs no doubling exponent mu,
+# verify-exact builds its grids at the [verify] resolutions, and only the
+# Muckenhoupt check of weights-check reads theta_mk.
 _EVOLUTION_KEYS = ("reaction", "alpha0", "sigma", "c6", "initial", "amplitude",
                    "initial_time", "t_end", "dt0", "snapshot_times")
-_PROBLEM_KEYS_UNREAD = {"eigen": ("mu",) + _EVOLUTION_KEYS, "weights-check": _EVOLUTION_KEYS}
+_PROBLEM_KEYS_UNREAD = {
+    "eigen": ("mu", "theta_mk") + _EVOLUTION_KEYS,
+    "solve": ("theta_mk",),
+    "blowup-scan": ("theta_mk",),
+    "verify-exact": ("resolution", "theta_mk") + _EVOLUTION_KEYS,
+    "weights-check": _EVOLUTION_KEYS,
+    "decay-fit": ("theta_mk",),
+}
 
 # The [problem] keys each reaction family never reads.
 _REACTION_KEYS_UNREAD = {"none": ("alpha0", "sigma", "c6"), "power": ("c6",),

@@ -152,7 +152,10 @@ class FaceOperator:
     difference A in the first F rows, and transpose its transpose, stored so
     that no call transposes.  Faces are ordered axis by axis, each axis
     raveled in C order; columns are the raveled nodes.  vol holds the cell
-    volumes of the grid, in its shape.
+    volumes of the grid, in its shape.  The same fields restricted to a
+    subset of the nodes (columns of matrix, rows of transpose, entries of vol
+    as a vector) describe the states that vanish off that subset, and a
+    FaceFlux works on it unchanged.
     """
 
     cw: np.ndarray
@@ -232,7 +235,7 @@ class FaceFlux:
 
     def divergence(self):
         """sum_k M_k^T (cw * s**((p-2)/2) * g_k) divided by minus the cell
-        volumes, in the grid's shape; Dirichlet nodes are not zeroed."""
+        volumes, in the shape of op.vol; Dirichlet nodes are not zeroed."""
         flux = self.op.cw * _s_pow(self.s, (self.p - 2.0) / 2.0)
         grad = self.op.transpose @ (flux * self.g).ravel()
         return -grad.reshape(self.op.vol.shape) / self.op.vol

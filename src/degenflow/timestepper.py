@@ -4,9 +4,14 @@ Each step solves the backward-Euler residual
 
     v - u_old - dt * (L_p v + f(x, t + dt, v)) = 0
 
-on interior nodes by damped Newton with a sparse flux-linearized Jacobian.
-A step whose update cannot lower the residual fails, and run_simulation
-retries it with half the dt.  Each Newton update solves
+by damped Newton with a sparse flux-linearized Jacobian.  Newton works on
+the vector of interior unknowns: the face operator is restricted once per
+run to the interior columns, so an iteration neither reads nor writes the
+Dirichlet nodes, and a step returns its state scattered into zeros, exactly
+0.0 on the Dirichlet nodes.  Without a reaction term the residual and the
+matrix evaluate no reaction.  A step whose update cannot lower the residual
+fails, and run_simulation retries it with half the dt.  Each Newton update
+solves
 
     (V + dt K - dt V f') delta = -V r,
 
@@ -26,8 +31,10 @@ converges quadratically.  On tensor grids at p > 2 it is
 the frozen-tangential approximation, which converges only linearly however
 fresh it is, so a step reuses one factor (the chord iteration) and refactors
 only after a damped update or a reused factor that did not lower the
-residual.  The Newton system keeps the FaceFlux of the last state evaluated:
-its residual, factor, recorded energy and next first residual share it.
+residual.  The Newton system keeps the FaceFlux of the last interior vector
+evaluated, and the interior vector of the last state a step started from or
+returned: an accepted state's residual, factor, recorded energy and next
+first residual share one FaceFlux.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
@@ -48,6 +55,7 @@ from .errors import ConfigError, NumericalError
 from .jsonio import write_json
 from .plap_operator import (
     FaceFlux,
+    FaceOperator,
     ReactionSpec,
     energy_hessian_matrix,
     face_operator,
@@ -192,11 +200,16 @@ class _StepFailure(Exception):
 
 class _NewtonSystem(BandPattern):
     """Interior Newton matrix V (1 - dt f') + dt K of one (grid, weight, p),
-    and the backward-Euler residual whose Jacobian it approximates.
+    and the backward-Euler residual whose Jacobian it approximates, both on
+    the vector of interior unknowns.
 
-    The lower-triangle pattern is the Jacobian's own and fixed for the run:
-    the face-difference pattern for p > 2, whose entries are P @ kappa for
-    face conductances kappa through the precomputed sparse map P, and the
+    op is the grid's FaceOperator restricted once to the interior columns
+    (matrix[:, idx], transpose[idx] and vol[idx]), so a FaceFlux of an
+    interior vector is the flux of the state that is zero on the Dirichlet
+    nodes, and its divergence is the operator at the interior nodes.  The
+    lower-triangle pattern is the Jacobian's own and fixed for the run: the
+    face-difference pattern for p > 2, whose entries are P @ kappa for face
+    conductances kappa through the precomputed sparse map P, and the
     pattern of the constant energy Hessian for p = 2.  K = sum A^T diag(kappa) A
     with kappa >= 0 is positive semidefinite and V is positive, so the matrix
     is positive definite whenever dt f' < 1 at every interior node; it is
@@ -206,48 +219,72 @@ class _NewtonSystem(BandPattern):
     Jacobian of the residual: it is on interval and radial grids and at
     p = 2, but on tensor grids at p > 2 it drops the tangential part of the
     flux derivative (plap_operator.diffusion_jacobian).
+
+    The system keeps the FaceFlux of the last interior vector evaluated and
+    the pair of the last nodal array gathered or scattered with its interior
+    vector, both by identity, so a state's residual, factor, recorded energy
+    and next first residual share one face gradient.  Arrays handed to it
+    must therefore not be changed in place.
     """
 
     def __init__(self, grid, weight, p):
-        self.op = op = face_operator(grid, weight)
-        self.p = p
-        self.idx = np.flatnonzero(~grid.boundary_mask.ravel())
+        full = face_operator(grid, weight)
+        self.grid, self.p = grid, p
+        self.idx = idx = np.flatnonzero(~grid.boundary_mask.ravel())
+        self.op = op = FaceOperator(full.cw, full.matrix[:, idx], full.transpose[idx],
+                                    full.vol.ravel()[idx])
+        self.vol = op.vol
         self.exact = p == 2.0 or op.matrix.shape[0] == op.cw.size
-        self.vol = op.vol.ravel()[self.idx]
         self.last_flux = None
+        self.last_pair = (None, None)
         self.linear_dt = None
         self.linear_factor = None
         if p == 2.0:
-            k_int = energy_hessian_matrix(grid, weight).tocsr()[self.idx][:, self.idx]
+            k_int = energy_hessian_matrix(grid, weight).tocsr()[idx][:, idx]
             self.k_data, row, col = lower_entries(k_int)
         else:
-            a_int = op.matrix[: op.cw.size].tocsc()[:, self.idx]
+            a_int = op.matrix[: op.cw.size].tocsc()
             _, row, col = lower_entries(abs(a_int).T @ abs(a_int))
             # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
-        super().__init__(row, col, len(self.idx))
+        super().__init__(row, col, len(idx))
 
-    def flux(self, values):
-        """The FaceFlux of values, kept until another array is evaluated, so
-        values must not be changed in place once evaluated."""
-        if self.last_flux is None or self.last_flux.values is not values:
-            self.last_flux = FaceFlux(self.op, values, self.p)
+    def gather(self, values):
+        """The interior vector of the nodal array values; the same object
+        for the array last gathered or returned by scatter."""
+        if self.last_pair[0] is not values:
+            self.last_pair = (values, values.ravel()[self.idx])
+        return self.last_pair[1]
+
+    def scatter(self, x):
+        """The Field that is x at the interior nodes and exactly zero on the
+        Dirichlet nodes."""
+        values = np.zeros(self.grid.shape)
+        values.ravel()[self.idx] = x
+        self.last_pair = (values, x)
+        return Field(self.grid, values)
+
+    def flux(self, x):
+        """The FaceFlux of the interior vector x, kept until another vector
+        is evaluated."""
+        if self.last_flux is None or self.last_flux.values is not x:
+            self.last_flux = FaceFlux(self.op, x, self.p)
         return self.last_flux
 
-    def residual(self, v, u_old, t_new, dt, reaction):
-        """The backward-Euler residual at v, zero on Dirichlet nodes."""
-        lap = self.flux(v.values).divergence()
-        r = v.values - u_old - dt * (lap + reaction_eval(reaction, t_new, v.values))
-        r[v.grid.boundary_mask] = 0.0
-        return r
+    def residual(self, x, x_old, t_new, dt, reaction):
+        """The backward-Euler residual at the interior vector x."""
+        rate = self.flux(x).divergence()
+        if reaction.family != "none":
+            rate += reaction_eval(reaction, t_new, x)
+        return x - x_old - dt * rate
 
-    def matrix(self, v, dt, drea):
-        """The system at state v with interior reaction slopes drea, as the
-        band array that factor() takes."""
+    def matrix(self, x, dt, drea):
+        """The system at the interior vector x with reaction slopes drea, as
+        the band array that factor() takes."""
         if self.p == 2.0:
             data = dt * self.k_data
         else:
-            data = dt * (self.conductance_map @ self.flux(v.values).conductance())
+            data = dt * (self.conductance_map @ self.flux(x).conductance())
         return self.fill(data, self.vol * (1.0 - dt * drea))
 
     def linear_solve(self, dt, rhs, stats=None):
@@ -269,67 +306,63 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     """One backward-Euler step from t to t + dt.  Raises on solver failure.
 
     system is the run's _NewtonSystem; one is built when none is given.
-    stats, when given, counts "newton_iters" and "factorizations".  An exact
-    Newton matrix is factored at every iteration.  An inexact one is factored
-    at the first iteration and then reused until an update needs damping or
-    a reused factor fails to lower the residual, which is retried once with
-    a fresh factor.  An update from a fresh factor that cannot lower the
-    residual raises at once.
+    stats, when given, counts "newton_iters" and "factorizations".  Newton
+    iterates on the interior vector; the returned Field is exactly zero on
+    the Dirichlet nodes.  An exact Newton matrix is factored at every
+    iteration.  An inexact one is factored at the first iteration and then
+    reused until an update needs damping or a reused factor fails to lower
+    the residual, which is retried once with a fresh factor.  An update from
+    a fresh factor that cannot lower the residual raises at once.
     """
-    grid = u.grid
     ctl = spec.controls
     if not ctl.dt_min <= dt <= ctl.dt_max:
         raise ConfigError(f"dt {dt} outside [{ctl.dt_min}, {ctl.dt_max}]")
     if not np.all(np.isfinite(u.values)):
         raise NumericalError("nonfinite state entering step")
     if system is None:
-        system = _NewtonSystem(grid, spec.weight, spec.p)
+        system = _NewtonSystem(u.grid, spec.weight, spec.p)
 
     t_new = t + dt
-    u_old = u.values
-    idx = system.idx
-    scale = max(float(np.abs(u_old).max()), 1.0)
+    x_old = system.gather(u.values)
+    scale = max(float(np.abs(x_old).max()), 1.0)
     tol = ctl.newton_tol * scale
+    reaction = spec.reaction
 
-    if spec.p == 2.0 and spec.reaction.family == "none":
-        vals = u_old.copy().ravel()
-        vals[idx] = system.linear_solve(dt, system.vol * u_old.ravel()[idx], stats)
-        out = vals.reshape(grid.shape)
-        out[grid.boundary_mask] = 0.0
+    if spec.p == 2.0 and reaction.family == "none":
+        x = system.linear_solve(dt, system.vol * x_old, stats)
         _count(stats, "newton_iters")
-        result = Field(grid, out)
-        rnorm = np.abs(system.residual(result, u_old, t_new, dt, spec.reaction)).max()
+        rnorm = np.abs(system.residual(x, x_old, t_new, dt, reaction)).max()
         if rnorm > max(tol, 1e-9 * scale):
             raise _StepFailure(f"linear step residual {rnorm:.2e}")
-        return result
+        return system.scatter(x)
 
-    v = u
-    r = system.residual(v, u_old, t_new, dt, spec.reaction)
+    x = x_old
+    r = system.residual(x, x_old, t_new, dt, reaction)
     rnorm = np.abs(r).max()
     lu = None
     for it in range(NEWTON_MAX):
         _count(stats, "newton_iters")
         if rnorm <= tol:
-            return v
+            return system.scatter(x)
         fresh = lu is None
         if fresh:
-            drea = reaction_derivative(spec.reaction, t_new, v.values).ravel()[idx]
+            drea = 0.0
+            if reaction.family != "none":
+                drea = reaction_derivative(reaction, t_new, x)
             _count(stats, "factorizations")
-            lu = system.factor(system.matrix(v, dt, drea))
-        delta = system.solve(lu, -system.vol * r.ravel()[idx])
+            lu = system.factor(system.matrix(x, dt, drea))
+        delta = system.solve(lu, -system.vol * r)
         if not np.all(np.isfinite(delta)):
             raise _StepFailure("nonfinite Newton update")
 
         damping = 1.0
         improved = False
         for _ in range(4):
-            trial = v.values.copy()
-            trial.ravel()[idx] += damping * delta
-            tf = Field(grid, trial)
-            tr = system.residual(tf, u_old, t_new, dt, spec.reaction)
+            trial = x + damping * delta
+            tr = system.residual(trial, x_old, t_new, dt, reaction)
             tnorm = np.abs(tr).max()
             if np.isfinite(tnorm) and tnorm < rnorm:
-                v, r, rnorm = tf, tr, tnorm
+                x, r, rnorm = trial, tr, tnorm
                 improved = True
                 break
             damping *= 0.5
@@ -341,7 +374,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
         if system.exact or damping < 1.0:
             lu = None
     if rnorm <= tol:
-        return v
+        return system.scatter(x)
     raise _StepFailure(f"no convergence in {NEWTON_MAX} iterations "
                        f"(residual {rnorm:.2e}, tol {tol:.2e})")
 
@@ -396,7 +429,7 @@ def run_simulation(spec, eigenpair=None):
             float(np.abs(f.values).max()),
             quadrature_sum(qw, f.values),
             quadrature_sum(qw_g, f.values),
-            system.flux(f.values).energy(),
+            system.flux(system.gather(f.values)).energy(),
         )
 
     u = spec.initial.copy()

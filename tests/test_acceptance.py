@@ -293,7 +293,7 @@ def test_criterion_09_exact_solution_adjudication(tmp_path, monkeypatch):
     cfg.write_text(
         "command = verify-exact\noutput_dir = vout\n"
         "[problem]\nmode = radial\nn = 2\nextent = 8.0\np = 3.0\n"
-        "theta_w = 0.0\ninitial_time = 1.0\n"
+        "theta_w = 0.0\n"
         "[verify]\nresolutions = 32, 64, 128, 256\nsample_times = 1.0, 3.0\n"
     )
     code = cli_main(["verify-exact", "--config", str(cfg)])

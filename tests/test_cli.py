@@ -635,6 +635,39 @@ class TestMain:
         key = line.split(" =")[0]
         assert f"line 5: weights-check does not read {key!r} in [problem]" in error["message"]
 
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "weights-check"])
+    def test_theta_mk_is_read_only_by_weights_check(self, tmp_path, command):
+        """theta_mk is the exponent of the Muckenhoupt check, which only
+        weights-check runs, so every other command that has it set exits 2
+        with a config error.json naming its line, before anything runs."""
+        out = tmp_path / "out"
+        path = tmp_path / "t.cfg"
+        path.write_text(f"command = {command}\noutput_dir = {out}\n[problem]\n"
+                        "mode = interval\ntheta_mk = 3.0\n")
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert f"line 5: {command} does not read 'theta_mk' in [problem]" in error["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    @pytest.mark.parametrize("line", [
+        "resolution = 64", "reaction = power", "alpha0 = 2.0", "sigma = 3.0", "c6 = 2.0",
+        "initial = sin", "amplitude = 2.0", "initial_time = 1.0", "t_end = 0.5",
+        "dt0 = 1e-3", "snapshot_times = 0.1",
+    ])
+    def test_verify_exact_rejects_problem_keys_it_never_reads(self, tmp_path, line):
+        """verify-exact builds its grids at the [verify] resolutions and
+        takes no time step, so resolution and each [problem] key of an
+        evolution is a config error naming its line."""
+        out = tmp_path / "out"
+        path = tmp_path / "v.cfg"
+        path.write_text(f"command = verify-exact\noutput_dir = {out}\n[problem]\n"
+                        f"mode = radial\nn = 2\np = 3.0\n{line}\n")
+        assert main(["verify-exact", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        key = line.split(" =")[0]
+        assert f"line 7: verify-exact does not read {key!r} in [problem]" in error["message"]
+
     @pytest.mark.parametrize("command, section", [
         (command, section)
         for command in COMMANDS

@@ -1,5 +1,7 @@
 """Implicit time stepping: oracles, classification, and structural invariants."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
@@ -28,6 +30,7 @@ from degenflow import (
     step_implicit,
 )
 from degenflow import timestepper
+from degenflow.cli import EXIT_OK, main
 from degenflow.banded import BandPattern, FactorError, lower_entries
 from degenflow.timestepper import _NewtonSystem, _StepFailure
 
@@ -82,13 +85,13 @@ class TestStepImplicit:
 
 
 def _band_to_dense(band):
-    """Dense form of a LAPACK symmetric lower band array: kd + 1 rows with
-    entry (i, j), i >= j, at row i - j."""
+    """Dense form of a LAPACK symmetric upper band array: kd + 1 rows with
+    entry (i, j), i >= j, at row kd + j - i of column i."""
     kd, n = len(band) - 1, band.shape[1]
     i, j = np.indices((n, n))
     dense = np.zeros((n, n))
     lower = (i >= j) & (i - j <= kd)
-    dense[lower] = band[i[lower] - j[lower], j[lower]]
+    dense[lower] = band[kd + j[lower] - i[lower], i[lower]]
     return dense + np.tril(dense, -1).T
 
 
@@ -107,7 +110,7 @@ def test_newton_system_matches_jacobian_form(mode, p):
 
     system = _NewtonSystem(g, weight, p)
     idx = system.idx
-    got = _band_to_dense(system.matrix(u, dt, drea[idx]))
+    got = _band_to_dense(system.matrix(vals.ravel()[idx], dt, drea[idx]))
     jac = diffusion_jacobian(u, weight, p).toarray()
     vol = cell_volumes(g).ravel()
     ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
@@ -231,21 +234,21 @@ def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
     g = build_grid(mode, 1.0, 8)
     vals = np.random.default_rng(7).standard_normal(g.shape)
     vals[g.boundary_mask] = 0.0
-    u = Field(g, vals)
     dt = 1e-2
     system = _NewtonSystem(g, WeightSpec.power(1.0), p)
+    x = vals.ravel()[system.idx]
     spy = _LapackSpy()
     monkeypatch.setattr("degenflow.banded.lapack", spy)
     rhs = np.ones(len(system.idx))
     for top in (1.0 - 1e-9, 1.0):
         drea = np.full(len(system.idx), 0.5 / dt)
         drea[len(drea) // 2] = top / dt
-        band = system.matrix(u, dt, drea)
+        band = system.matrix(x, dt, drea)
         assert band.shape == system.shape
         spy.called.clear()
         system.solve(system.factor(band), rhs)
         assert spy.called == ["dpbtrf", "dpbtrs"]
-    band = system.matrix(u, dt, np.full(len(system.idx), 10.0 / dt))
+    band = system.matrix(x, dt, np.full(len(system.idx), 10.0 / dt))
     assert np.linalg.eigvalsh(_band_to_dense(band)).min() < 0.0
     with pytest.raises(FactorError, match="not positive definite"):
         system.factor(band)
@@ -282,7 +285,7 @@ def test_newton_solve_matches_dense(mode, p, dt, alpha0, seed):
     ref = ref[np.ix_(idx, idx)]
     # a nearly singular draw (dt f' close to 1) tests conditioning, not the solve
     assume(np.linalg.cond(ref) < 1e5)
-    band = system.matrix(u, dt, drea[idx])
+    band = system.matrix(vals.ravel()[idx], dt, drea[idx])
     if np.linalg.eigvalsh(ref).min() < 0.0:
         event("indefinite")
         with pytest.raises(FactorError, match="not positive definite"):
@@ -402,7 +405,9 @@ def _converged_step(g, weight, p, vals, dt):
         return None
     event(f"{label}: converged")
     tol = max(spec.controls.newton_tol, 1e-9) * max(np.abs(vals).max(), 1.0)
-    r = _NewtonSystem(g, weight, p).residual(u1, vals, dt, dt, spec.reaction)
+    system = _NewtonSystem(g, weight, p)
+    r = system.residual(system.gather(u1.values), vals.ravel()[system.idx], dt, dt,
+                        spec.reaction)
     assert np.abs(r).max() <= tol
     return u1, tol
 
@@ -450,32 +455,31 @@ def test_shared_flux_matches_fresh_evaluation(mode, p, theta_frac, log_amplitude
     weight = WeightSpec.power(theta_frac * p)
     vals = _drawn_state(g, 10.0**log_amplitude, rough, seed)
     u_old = _drawn_state(g, 1.0, not rough, seed + 1)
-    v = Field(g, vals)
     dt, t_new = 1e-2, 0.1
     reaction = ReactionSpec.power(1.0, 2.0)
-    drea = reaction_derivative(reaction, t_new, vals).ravel()
     system = _NewtonSystem(g, weight, p)
+    idx = system.idx
+    x, x_old = vals.ravel()[idx], u_old.ravel()[idx]
+    drea = reaction_derivative(reaction, t_new, x)
 
-    r = system.residual(v, u_old, t_new, dt, reaction)
-    flux = system.flux(vals)
-    band = system.matrix(v, dt, drea[system.idx])
-    assert system.flux(vals) is flux
+    r = system.residual(x, x_old, t_new, dt, reaction)
+    flux = system.flux(x)
+    band = system.matrix(x, dt, drea)
+    assert system.flux(x) is flux
 
     lap, lap_terms, energy_ref, kappa = _flux_by_face_matrix(g, weight, p, vals)
     rea = reaction_eval(reaction, t_new, vals)
-    r_ref = vals - u_old - dt * (lap + rea)
-    r_ref[g.boundary_mask] = 0.0
-    scale = np.abs(vals) + np.abs(u_old) + dt * (lap_terms + np.abs(rea))
+    r_ref = (vals - u_old - dt * (lap + rea)).ravel()[idx]
+    scale = (np.abs(vals) + np.abs(u_old) + dt * (lap_terms + np.abs(rea))).ravel()[idx]
     assert np.all(np.abs(r - r_ref) <= 1e-14 * scale)
     assert flux.energy() == pytest.approx(energy_ref, rel=1e-14, abs=0.0)
-    assert flux.energy() == energy(v, weight, p)
+    assert flux.energy() == energy(Field(g, vals), weight, p)
     np.testing.assert_allclose(flux.conductance(), kappa, rtol=1e-14, atol=0.0)
     fresh = _NewtonSystem(g, weight, p)
-    np.testing.assert_array_equal(band, fresh.matrix(Field(g, vals.copy()), dt,
-                                                     drea[system.idx]))
+    np.testing.assert_array_equal(band, fresh.matrix(x.copy(), dt, drea))
 
-    system.residual(Field(g, u_old), vals, t_new, dt, reaction)
-    assert system.flux(u_old) is not flux and system.flux(vals) is not flux
+    system.residual(x_old, x, t_new, dt, reaction)
+    assert system.flux(x_old) is not flux and system.flux(x) is not flux
 
 
 @settings(max_examples=40, deadline=None)
@@ -645,7 +649,8 @@ def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, stat
     assert system.exact == exact
     # the first Newton matrix is positive definite, so the step gets past it
     drea = reaction_derivative(reaction, dt, vals).ravel()[system.idx]
-    assert np.linalg.eigvalsh(_band_to_dense(system.matrix(spec.initial, dt, drea))).min() > 0.0
+    x = vals.ravel()[system.idx]
+    assert np.linalg.eigvalsh(_band_to_dense(system.matrix(x, dt, drea))).min() > 0.0
     log = _newton_iterations(monkeypatch, system)
     stats = {}
     failure = None
@@ -675,6 +680,106 @@ def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, stat
     with pytest.raises(_StepFailure, match="stalled"):
         step_implicit(spec.initial, 0.0, dt, spec, system=system, stats=stats)
     assert log == [[True, 4]] and stats["factorizations"] == 1
+
+
+def _unzeroed_sin_data(g):
+    """The principal sine (cosine on radial grids) shape as the CLI builds it,
+    without zeroing the Dirichlet nodes: sin(pi) leaves about 1e-16 there."""
+    if g.mode == "radial":
+        return np.cos(0.5 * np.pi * g.axes[0])
+    return np.prod([np.sin(np.pi * c) for c in _node_coordinates(g)], axis=0)
+
+
+@pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
+@pytest.mark.parametrize("p, reaction", [
+    (2.0, ReactionSpec.none()),
+    (3.0, ReactionSpec.none()),
+    (2.0, ReactionSpec.power(1.0, 2.0)),
+], ids=["linear", "newton", "newton-reaction"])
+def test_accepted_states_are_exactly_zero_on_dirichlet_nodes(monkeypatch, mode, p,
+                                                            reaction):
+    """Newton iterates on the interior unknowns, so every state that
+    step_implicit returns, and so every state run_simulation accepts and
+    snapshots, is exactly 0.0 on the Dirichlet nodes, also from sine data
+    that carries round-off there."""
+    g = build_grid(mode, 1.0, 12, n=2)
+    vals = _unzeroed_sin_data(g)
+    assert np.abs(vals[g.boundary_mask]).max() > 0.0
+    spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=p, reaction=reaction,
+                       initial=Field(g, vals), t_end=4e-3, dt0=1e-3,
+                       snapshot_times=(2e-3, 4e-3), controls=StepControls(dt_max=1e-3))
+    u1 = step_implicit(spec.initial, 0.0, 1e-3, spec)
+    assert np.all(u1.values[g.boundary_mask] == 0.0)
+
+    returned = []
+    step = timestepper.step_implicit
+
+    def recorded(*args, **kwargs):
+        returned.append(step(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(timestepper, "step_implicit", recorded)
+    out = run_simulation(spec)
+    assert out.kind == "Completed" and len(returned) >= out.steps == 4
+    assert len(out.trajectory.snapshots) == 2
+    for state in returned + list(out.trajectory.snapshots.values()):
+        assert np.all(state.values[g.boundary_mask] == 0.0)
+
+
+@pytest.mark.parametrize("mode, p, kd", [
+    ("interval", 3.0, 1),
+    ("tensor2d", 3.0, 7),
+    ("tensor2d", 2.0, 15),
+])
+def test_band_factor_and_solve_match_dense(mode, p, kd):
+    """On the Newton systems' lower-triangle patterns, of half-bandwidth
+    kd = 1, m - 1 and 2 (m - 1) + 1 at resolution m = 8, a band factor and
+    solve of a diagonally dominant symmetric matrix match np.linalg.solve
+    of the dense matrix built from the same entries to 1e-12."""
+    g = build_grid(mode, 1.0, 8)
+    system = _NewtonSystem(g, None, p)
+    pattern = BandPattern(system.row, system.col, system.shape[1])
+    assert pattern.kd == kd
+    rng = np.random.default_rng(kd)
+    data = rng.uniform(-1.0, 1.0, len(pattern.row))
+    n = pattern.shape[1]
+    dense = np.zeros((n, n))
+    dense[pattern.row, pattern.col] = data
+    dense += np.tril(dense, -1).T
+    diag = np.abs(dense).sum(axis=1) + 1.0
+    dense += np.diag(diag)
+    rhs = rng.standard_normal(n)
+    x = pattern.solve(pattern.factor(pattern.fill(data, diag)), rhs)
+    expected = np.linalg.solve(dense, rhs)
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_tensor_workload_flux_and_reaction_calls(monkeypatch, tmp_path):
+    """The tensor2d-p3 benchmark run (no reaction) takes each state's face
+    gradient once: it builds at most 1722 FaceFlux objects, one per
+    evaluated state, and never evaluates the reaction or its slope."""
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "tensor2d-p3.ini"
+    built = []
+    reaction_calls = []
+
+    class CountedFlux(timestepper.FaceFlux):
+        def __init__(self, op, values, p):
+            built.append(values)
+            super().__init__(op, values, p)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            reaction_calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(timestepper, "FaceFlux", CountedFlux)
+    for name in ("reaction_eval", "reaction_derivative"):
+        monkeypatch.setattr(timestepper, name, counted(name, getattr(timestepper, name)))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+    assert 0 < len(built) <= 1722
+    assert len({id(values) for values in built}) == len(built)
+    assert reaction_calls == []
 
 
 def test_heat_equation_oracle_res128():
