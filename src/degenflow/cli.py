@@ -151,16 +151,16 @@ _SECTIONS_READ = {
 
 # The [problem] keys a command never reads.  Setting one is a config error
 # too: eigen, verify-exact and weights-check take no time step and have no
-# reaction or initial data, eigen needs no doubling exponent mu,
-# verify-exact builds its grids at the [verify] resolutions, and only the
-# Muckenhoupt check of weights-check reads theta_mk.
+# reaction or initial data, only decay-fit and weights-check read mu (the
+# self-similar profiles do not), verify-exact builds its grids at the
+# [verify] resolutions, and only weights-check reads theta_mk.
 _EVOLUTION_KEYS = ("reaction", "alpha0", "sigma", "c6", "initial", "amplitude",
                    "initial_time", "t_end", "dt0", "snapshot_times")
 _PROBLEM_KEYS_UNREAD = {
     "eigen": ("mu", "theta_mk") + _EVOLUTION_KEYS,
-    "solve": ("theta_mk",),
-    "blowup-scan": ("theta_mk",),
-    "verify-exact": ("resolution", "theta_mk") + _EVOLUTION_KEYS,
+    "solve": ("mu", "theta_mk"),
+    "blowup-scan": ("mu", "theta_mk"),
+    "verify-exact": ("mu", "resolution", "theta_mk") + _EVOLUTION_KEYS,
     "weights-check": _EVOLUTION_KEYS,
     "decay-fit": ("theta_mk",),
 }
@@ -181,6 +181,8 @@ def _reads(command, problem):
     unread = dict.fromkeys(_REACTION_KEYS_UNREAD.get(reaction, ()), f"reaction = {reaction}")
     if problem["weight"].lower() == "none" and problem["theta_w"] != 0.0:
         unread["theta_w"] = "weight = none"
+    if problem["initial"].lower() != "barenblatt":
+        unread["initial_time"] = f"initial = {problem['initial'].lower()}"
     unread.update(dict.fromkeys(_PROBLEM_KEYS_UNREAD.get(command, ()), command))
     return sections, unread
 

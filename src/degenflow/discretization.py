@@ -17,6 +17,7 @@ with the trapezoid weights, on radial grids they are shell volumes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,18 @@ class Grid:
     def shape(self):
         return tuple(len(a) for a in self.axes)
 
-    @property
-    def n_nodes(self):
-        return int(np.prod(self.shape))
+    @functools.cached_property
+    def interior(self):
+        """Raveled indices of the non-Dirichlet nodes: the solvers' unknowns."""
+        idx = np.flatnonzero(~self.boundary_mask.ravel())
+        idx.flags.writeable = False
+        return idx
+
+    def scatter(self, x):
+        """The Field that is x on self.interior and exactly 0.0 elsewhere."""
+        values = np.zeros(self.shape)
+        values.ravel()[self.interior] = x
+        return Field(self, values)
 
     def radius(self):
         """Distance of every node from the origin, shaped like the grid."""

@@ -8,11 +8,15 @@ boundary of
 computed with the same discrete energy the evolution operator derives from,
 so eigenpairs satisfy apply_plaplacian(u) + lam * omega * |u|**(p-2) * u = 0
 at the discrete level.  Minimization is preconditioned nonlinear conjugate
-gradients.  On interval and radial grids the preconditioner solves the
-p = 2 Hessian A^T diag(cw) A, A the difference of the face operator, by its
-tridiagonal band Cholesky factor (banded module).  On tensor grids it is
-P = S L0^{-1} S, with L0 the constant-coefficient interior 5-point
-stiffness (4 on the diagonal, -1 to each grid neighbour) and
+gradients on the vector of interior node values, through the interior face
+operator the Newton solves use as well: one FaceFlux per evaluated point
+gives both its quotient (energy) and, at an accepted point, its residual
+(divergence).  The eigenfunction is scattered into a Field, exactly 0.0 on
+the Dirichlet nodes, once, when the EigenPair is built.  On interval and
+radial grids the preconditioner solves the interior p = 2 Hessian, which is
+tridiagonal there, by its band Cholesky factor (banded module).  On tensor
+grids it is P = S L0^{-1} S, with L0 the constant-coefficient interior
+5-point stiffness (4 on the diagonal, -1 to each grid neighbour) and
 S = diag(omega^{-1/2}) at the interior nodes: an operator equivalent to the
 weighted 5-point stiffness and the p = 2 Hessian (Faber, Manteuffel &
 Parter, Adv. Appl. Math. 1990).  L0 is solved exactly by the type-I sine
@@ -41,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
 
 from .banded import BandPattern, FactorError, lower_entries
@@ -55,7 +58,7 @@ from .discretization import (
 )
 from .errors import ConfigError, ConvergenceError
 from .jsonio import write_json
-from .plap_operator import apply_plaplacian, energy, face_operator
+from .plap_operator import FaceFlux, energy_hessian_matrix, face_operator
 
 # iterations without a new best residual after which a solve counts as
 # stalled: once R moves only at round-off, steps keep being accepted
@@ -107,38 +110,12 @@ class EigenPair:
         )
 
 
-def _p_mass(measure, values, p):
-    # measure is cell volume times weight: the cell-volume measure keeps the
-    # quotient variationally paired with apply_plaplacian, so minimizers
-    # solve the nodewise eigenequation
-    return float(np.sum(measure * np.abs(values) ** p))
-
-
-def _quotient(u, weight, p, measure):
-    """R(u) and its denominator, the p-mass of u."""
-    denom = _p_mass(measure, u.values, p)
-    if denom <= 0.0:
-        raise ConfigError("Rayleigh quotient of a field with zero weighted p-norm")
-    return float(p * energy(u, weight, p) / denom), denom
-
-
 def _normalize(values, qw):
     # unit mass: the quadrature integral of the field is 1
     scale = quadrature_sum(qw, values)
     if not np.isfinite(scale) or scale == 0.0:
         raise ConvergenceError("eigensolver iterate collapsed to zero")
     return values / scale
-
-
-def _residual_norm(grid, lap, lam, wvals, u, p):
-    zero_order = lam * wvals * np.abs(u) ** (p - 2.0) * u
-    zero_order[grid.boundary_mask] = 0.0
-    total = lap + zero_order
-    num = np.sqrt(np.sum(total * total))
-    den = np.sqrt(np.sum(zero_order * zero_order))
-    if den == 0.0:
-        return float("inf")
-    return float(num / den)
 
 
 def _dst_rows(x, ext):
@@ -188,9 +165,9 @@ def smallest_eigenpair(grid, weight, p, tol=None):
     conjugate gradients on the Rayleigh quotient, with restart.
 
     The preconditioner is the sine-transform solve S L0^{-1} S on tensor
-    grids and the band Cholesky factor of the p = 2 Hessian on interval and
-    radial grids.  The start is the flat interior field after three
-    preconditioner solves.  Each line search halves tau from 1 until R
+    grids and the band Cholesky factor of the interior p = 2 Hessian on
+    interval and radial grids.  The start is the flat interior field after
+    three preconditioner solves.  Each line search halves tau from 1 until R
     decreases, then tries the minimizer tau* of the quadratic through
     R(0), R'(0) = -(p / M) <g, d> and R(tau), M the p-mass of the iterate,
     g the Euler-Lagrange residual and d the direction; the point at tau*
@@ -199,9 +176,9 @@ def smallest_eigenpair(grid, weight, p, tol=None):
     its integral over the domain is 1.
 
     Returns an EigenPair whose residual is || L u + lam w |u|^{p-2} u || /
-    || lam w |u|^{p-2} u || over all nodes, with the residual of every
-    iterate, the restart count, the number of quotient evaluations and
-    the number of kept interpolation steps.  Raises ConvergenceError with
+    || lam w |u|^{p-2} u || over the interior nodes, with the residual of
+    every iterate, the restart count, the number of quotient evaluations
+    and the number of kept interpolation steps.  Raises ConvergenceError with
     the best iterate attached when the residual target is not met: the
     line search fails, MAX_ITERATIONS are spent, or STALL_ITERATIONS pass
     without a new best residual.  Raises FactorError when the weight leaves
@@ -209,78 +186,80 @@ def smallest_eigenpair(grid, weight, p, tol=None):
     """
     if tol is None:
         tol = 1e-6 if p == 2.0 else 1e-4
+    # every vector below holds the values at the interior nodes grid.interior
     wvals = weight_on_grid(weight, grid)
-    interior = ~grid.boundary_mask
-    idx = np.flatnonzero(interior.ravel())
-
-    op = face_operator(grid, weight)
+    w = wvals.ravel()[grid.interior]
     if grid.mode == MODE_TENSOR2D:
         solve = _sine_transform_solve(wvals[1:-1, 1:-1])
     else:
-        # the p = 2 Hessian A^T diag(cw) A, tridiagonal
-        a = op.matrix[: op.cw.size, idx]
-        data, row, col = lower_entries(a.T @ sp.diags_array(op.cw) @ a)
-        band = BandPattern(row, col, len(idx))
+        data, row, col = lower_entries(energy_hessian_matrix(grid, weight, interior=True))
+        band = BandPattern(row, col, len(w))
         factor = band.factor(band.fill(data, 0.0))
 
         def solve(x):
             return band.solve(factor, x)
 
+    op = face_operator(grid, weight, interior=True)
     vol = op.vol
-    measure = vol * wvals
-    qw = quad_weights(grid)
+    measure = vol * w
+    qw = quad_weights(grid).ravel()[grid.interior]
 
-    vals = np.where(interior, 1.0, 0.0)
+    x = np.ones(len(w))
     # a few smoothing solves bend the flat start toward the ground mode
     for _ in range(3):
-        rhs = (measure * vals).ravel()[idx]
-        vals = np.zeros(grid.n_nodes)
-        vals[idx] = solve(rhs)
-        vals = vals.reshape(grid.shape)
-        vals /= np.abs(vals).max()
-    vals = _normalize(np.abs(vals), qw)
+        x = solve(measure * x)
+        x /= np.abs(x).max()
+    x = _normalize(np.abs(x), qw)
 
     evals = 0
 
-    def quotient(v):
+    def quotient(x):
+        # R(x), the p-mass of x >= 0 and the FaceFlux of x, which gives the
+        # energy in R and the operator in the next residual
         nonlocal evals
         evals += 1
-        return _quotient(Field(grid, v), weight, p, measure)
+        mass = float(np.sum(measure * x**p))
+        if mass <= 0.0:
+            raise ConfigError("Rayleigh quotient of a field with zero weighted p-norm")
+        flux = FaceFlux(op, x, p)
+        return float(p * flux.energy() / mass), mass, flux
 
-    def point(vals, direction, tau):
-        # the folded, normalized iterate vals + tau * direction, its R and
-        # p-mass, or R = inf when that iterate is zero
-        trial = np.abs(vals + tau * direction)
-        trial[grid.boundary_mask] = 0.0
+    def point(x, step, tau):
+        # the folded, normalized iterate x + tau * step, its R, p-mass and
+        # FaceFlux, or R = inf when that iterate is zero
         try:
-            trial = _normalize(trial, qw)
+            trial = _normalize(np.abs(x + tau * step), qw)
             return (trial, *quotient(trial))
         except (ConvergenceError, ConfigError):
-            return None, np.inf, None
+            return None, np.inf, None, None
 
-    def pair(lam, v, res, its):
-        return EigenPair(lam, Field(grid, v), res, its, p, history, restarts, evals,
+    def pair(lam, x, res, its):
+        return EigenPair(lam, grid.scatter(x), res, its, p, history, restarts, evals,
                          interpolated)
 
-    r_val, m_val = quotient(vals)
-    best = (r_val, vals.copy(), np.inf, 0)
+    r_val, m_val, flux = quotient(x)
+    best = (r_val, x, np.inf, 0)
     history = []
     restarts = interpolated = 0
     for it in range(1, MAX_ITERATIONS + 1):
-        u = Field(grid, vals)
-        lap = apply_plaplacian(u, weight, p).values
-        res = _residual_norm(grid, lap, r_val, wvals, vals, p)
+        zero_order = r_val * w * x ** (p - 2.0) * x
+        total = flux.divergence() + zero_order
+        # each flux is dropped once used, or one held through the next
+        # point's build raises the peak memory
+        flux = None
+        den = np.sqrt(np.sum(zero_order * zero_order))
+        res = float(np.sqrt(np.sum(total * total)) / den) if den else np.inf
         history.append(res)
         if res < best[2]:
-            best = (r_val, vals.copy(), res, it - 1)
+            best = (r_val, x, res, it - 1)
         if res <= tol:
-            return pair(r_val, vals, res, it - 1)
+            return pair(r_val, x, res, it - 1)
         if it - 1 - best[3] >= STALL_ITERATIONS:
             break
 
         # residual of the Euler-Lagrange equation in the volume inner product,
-        # a descent direction of R, on the interior unknowns
-        g = (vol * (lap + r_val * wvals * np.abs(vals) ** (p - 2.0) * vals)).ravel()[idx]
+        # a descent direction of R
+        g = vol * total
         pg = solve(g)
         if it == 1:
             step = pg
@@ -293,15 +272,13 @@ def smallest_eigenpair(grid, weight, p, tol=None):
                 step = pg
                 restarts += 1
         g_prev, pg_prev = g, pg
-        direction = np.zeros(grid.n_nodes)
-        direction[idx] = step
-        direction = direction.reshape(grid.shape)
 
         tau = 1.0
         for _ in range(40):
-            trial, r_trial, m_trial = point(vals, direction, tau)
+            trial, r_trial, m_trial, flux = point(x, step, tau)
             if r_trial <= r_val + 1e-15 * abs(r_val):
                 break
+            flux = None
             tau *= 0.5
         else:
             break
@@ -311,17 +288,18 @@ def smallest_eigenpair(grid, weight, p, tol=None):
         curvature = (r_trial - r_val - slope * tau) / tau**2
         tau_q = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
         if tau_q <= 4.0 * tau:
-            trial_q, r_q, m_q = point(vals, direction, tau_q)
+            trial_q, r_q, m_q, flux_q = point(x, step, tau_q)
             if r_q < r_trial:
-                trial, r_trial, m_trial = trial_q, r_q, m_q
+                trial, r_trial, m_trial, flux = trial_q, r_q, m_q, flux_q
                 interpolated += 1
-        vals, r_val, m_val = trial, r_trial, m_trial
+            flux_q = None
+        x, r_val, m_val = trial, r_trial, m_trial
 
-    lam, bv, res, its = best
+    lam, bx, res, its = best
     raise ConvergenceError(
         f"eigensolver stalled at residual {res:.3e} (target {tol:.1e}) "
         f"after {its} accepted iterations",
-        best=pair(lam, bv, res, its),
+        best=pair(lam, bx, res, its),
         residual=res,
         iterations=its,
     )

@@ -152,10 +152,11 @@ class FaceOperator:
     difference A in the first F rows, and transpose its transpose, stored so
     that no call transposes.  Faces are ordered axis by axis, each axis
     raveled in C order; columns are the raveled nodes.  vol holds the cell
-    volumes of the grid, in its shape.  The same fields restricted to a
-    subset of the nodes (columns of matrix, rows of transpose, entries of vol
-    as a vector) describe the states that vanish off that subset, and a
-    FaceFlux works on it unchanged.
+    volumes of the grid, in its shape.  The interior operator restricts
+    matrix to the columns of the interior nodes, transpose to their rows and
+    vol to their entries, as a vector: it describes the states that vanish
+    on the Dirichlet nodes by their interior values, and a FaceFlux works on
+    it unchanged.
     """
 
     cw: np.ndarray
@@ -164,13 +165,17 @@ class FaceOperator:
     vol: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
-def face_operator(grid, weight):
-    """The FaceOperator of (grid, weight), built once and then reused.
+def face_operator(grid, weight, interior=False):
+    """The FaceOperator of (grid, weight), over all nodes or, with
+    interior, over grid.interior, built once and then reused; the interior
+    one keeps no full matrix.  Grid and WeightSpec compare by identity and
+    are frozen, so the cache key is the objects and the flag; the cache
+    keeps at most eight operators."""
+    return _face_operator(grid, weight, bool(interior))
 
-    Grid and WeightSpec compare by identity and are frozen, so the cache
-    key is the pair of objects; the cache keeps at most eight of them.
-    """
+
+@functools.lru_cache(maxsize=8)
+def _face_operator(grid, weight, interior):
     if grid.mode != MODE_TENSOR2D:
         x = grid.axes[0]
         h = grid.h[0]
@@ -203,9 +208,10 @@ def face_operator(grid, weight):
                             sp.kron(_average(len(x)), _centered(len(y), hy)),
                             sp.kron(_centered(len(x), hx), _average(len(y)))])
     cw = c if weight is None else c * eval_radial(weight, rad)
-    matrix = sp.csr_array(matrix)
+    matrix, vol = sp.csr_array(matrix), cell_volumes(grid)
+    if interior:
+        matrix, vol = matrix[:, grid.interior], vol.ravel()[grid.interior]
     transpose = matrix.T.tocsr()
-    vol = cell_volumes(grid)
     # every caller of the cache gets these same arrays
     for values in (cw, vol, matrix.data, transpose.data):
         values.flags.writeable = False
@@ -271,14 +277,15 @@ def variational_dot(grid, a, b):
     return float(np.sum(cell_volumes(grid) * a * b))
 
 
-def energy_hessian_matrix(grid, weight):
+def energy_hessian_matrix(grid, weight, interior=False):
     """Exact Hessian of the p=2 energy, sum_k M_k^T diag(cw) M_k, as a
-    sparse matrix over all nodes.
+    sparse matrix over all nodes or, with interior, over the interior nodes.
 
     This is the stiffness matrix of the weighted linear diffusion; it serves
-    as the p=2 operator matrix and the Newton Jacobian at p=2.
+    as the p=2 operator matrix and, over the interior, as the Newton matrix
+    at p=2 and the 1d eigensolver preconditioner.
     """
-    op = face_operator(grid, weight)
+    op = face_operator(grid, weight, interior)
     cw = sp.diags_array(np.tile(op.cw, op.matrix.shape[0] // op.cw.size))
     return (op.transpose @ cw @ op.matrix).tocsr()
 
@@ -308,9 +315,9 @@ def diffusion_jacobian(u, weight, p):
     the mismatch, and a step it cannot converge is retried with a smaller dt.
 
     This is the reference form.  The time stepper solves the same
-    Jacobian in the symmetric form V + dt K on the interior nodes,
-    assembled once per run from face_conductance, and never calls this
-    function.
+    Jacobian in the symmetric form V + dt K on the interior nodes, whose
+    pattern it builds once per run and fills from FaceFlux.conductance,
+    and never calls this function.
     """
     _check_p(p)
     grid = u.grid

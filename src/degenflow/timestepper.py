@@ -5,13 +5,13 @@ Each step solves the backward-Euler residual
     v - u_old - dt * (L_p v + f(x, t + dt, v)) = 0
 
 by damped Newton with a sparse flux-linearized Jacobian.  Newton works on
-the vector of interior unknowns: the face operator is restricted once per
-run to the interior columns, so an iteration neither reads nor writes the
-Dirichlet nodes, and a step returns its state scattered into zeros, exactly
-0.0 on the Dirichlet nodes.  Without a reaction term the residual and the
-matrix evaluate no reaction.  A step whose update cannot lower the residual
-fails, and run_simulation retries it with half the dt.  Each Newton update
-solves
+the vector of interior unknowns through the interior face operator
+(plap_operator.face_operator with interior=True), so an iteration neither
+reads nor writes the Dirichlet nodes, and a step returns its state
+scattered into zeros, exactly 0.0 on the Dirichlet nodes.  Without a
+reaction term the residual and the matrix evaluate no reaction.  A step
+whose update cannot lower the residual fails, and run_simulation retries it
+with half the dt.  Each Newton update solves
 
     (V + dt K - dt V f') delta = -V r,
 
@@ -55,7 +55,6 @@ from .errors import ConfigError, NumericalError
 from .jsonio import write_json
 from .plap_operator import (
     FaceFlux,
-    FaceOperator,
     ReactionSpec,
     energy_hessian_matrix,
     face_operator,
@@ -203,17 +202,17 @@ class _NewtonSystem(BandPattern):
     and the backward-Euler residual whose Jacobian it approximates, both on
     the vector of interior unknowns.
 
-    op is the grid's FaceOperator restricted once to the interior columns
-    (matrix[:, idx], transpose[idx] and vol[idx]), so a FaceFlux of an
-    interior vector is the flux of the state that is zero on the Dirichlet
-    nodes, and its divergence is the operator at the interior nodes.  The
-    lower-triangle pattern is the Jacobian's own and fixed for the run: the
-    face-difference pattern for p > 2, whose entries are P @ kappa for face
-    conductances kappa through the precomputed sparse map P, and the
-    pattern of the constant energy Hessian for p = 2.  K = sum A^T diag(kappa) A
-    with kappa >= 0 is positive semidefinite and V is positive, so the matrix
-    is positive definite whenever dt f' < 1 at every interior node; it is
-    always factored by band Cholesky, and one that is not positive definite
+    op is the grid's interior FaceOperator, face_operator(grid, weight,
+    interior=True), so a FaceFlux of an interior vector is the flux of the
+    state that is zero on the Dirichlet nodes, and its divergence is the
+    operator at the interior nodes.  The lower-triangle pattern is the
+    Jacobian's own and fixed for the run: the face-difference pattern for
+    p > 2, whose entries are P @ kappa for face conductances kappa through
+    the precomputed sparse map P, and the pattern of the constant interior
+    energy Hessian for p = 2.  K = sum A^T diag(kappa) A with kappa >= 0 is
+    positive semidefinite and V is positive, so the matrix is positive
+    definite whenever dt f' < 1 at every interior node; it is always
+    factored by band Cholesky, and one that is not positive definite
     raises FactorError.  The factor of the linear p = 2 system is kept for
     the last dt it was built for.  exact says whether the matrix is the
     Jacobian of the residual: it is on interval and radial grids and at
@@ -228,11 +227,8 @@ class _NewtonSystem(BandPattern):
     """
 
     def __init__(self, grid, weight, p):
-        full = face_operator(grid, weight)
         self.grid, self.p = grid, p
-        self.idx = idx = np.flatnonzero(~grid.boundary_mask.ravel())
-        self.op = op = FaceOperator(full.cw, full.matrix[:, idx], full.transpose[idx],
-                                    full.vol.ravel()[idx])
+        self.op = op = face_operator(grid, weight, interior=True)
         self.vol = op.vol
         self.exact = p == 2.0 or op.matrix.shape[0] == op.cw.size
         self.last_flux = None
@@ -240,29 +236,27 @@ class _NewtonSystem(BandPattern):
         self.linear_dt = None
         self.linear_factor = None
         if p == 2.0:
-            k_int = energy_hessian_matrix(grid, weight).tocsr()[idx][:, idx]
-            self.k_data, row, col = lower_entries(k_int)
+            hessian = energy_hessian_matrix(grid, weight, interior=True)
+            self.k_data, row, col = lower_entries(hessian)
         else:
             a_int = op.matrix[: op.cw.size].tocsc()
             _, row, col = lower_entries(abs(a_int).T @ abs(a_int))
             # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
-        super().__init__(row, col, len(idx))
+        super().__init__(row, col, len(self.vol))
 
     def gather(self, values):
         """The interior vector of the nodal array values; the same object
         for the array last gathered or returned by scatter."""
         if self.last_pair[0] is not values:
-            self.last_pair = (values, values.ravel()[self.idx])
+            self.last_pair = (values, values.ravel()[self.grid.interior])
         return self.last_pair[1]
 
     def scatter(self, x):
-        """The Field that is x at the interior nodes and exactly zero on the
-        Dirichlet nodes."""
-        values = np.zeros(self.grid.shape)
-        values.ravel()[self.idx] = x
-        self.last_pair = (values, x)
-        return Field(self.grid, values)
+        """grid.scatter(x), kept as the last pair."""
+        field = self.grid.scatter(x)
+        self.last_pair = (field.values, x)
+        return field
 
     def flux(self, x):
         """The FaceFlux of the interior vector x, kept until another vector

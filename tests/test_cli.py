@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import degenflow
@@ -218,6 +219,19 @@ class TestReadme:
         summary = _summary(out)
         assert summary["predicted_n_over_beta"] == pytest.approx(-0.4)
         assert summary["gap_to_beta"] <= 0.004
+
+    def test_readme_python_api(self, capsys):
+        """The README's Python API block runs as written: the eigenvalue
+        is near pi^2, and the run blows up with a finite estimate."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block, = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+        names = {}
+        exec(block, names)
+        assert names["pair"].eigenvalue == pytest.approx(np.pi**2, abs=1e-3)
+        out = names["out"]
+        assert out.kind == "BlowUp"
+        assert np.isfinite(out.t_est)
+        assert capsys.readouterr().out == f"BlowUp {out.t_est}\n"
 
 
 class TestMain:
@@ -581,9 +595,37 @@ class TestMain:
             path.write_text(text.format("theta_w = 0.0\n"))
             assert main(["solve", "--config", str(path)]) == EXIT_OK
 
+    @pytest.mark.parametrize("command, lines, setting", [
+        ("solve", "initial = sin\ninitial_time = 5.0", "initial = sin"),
+        ("blowup-scan", "reaction = power\ninitial_time = 5.0", "initial = sin"),
+        ("decay-fit", "initial = sin\ninitial_time = 7.0", "initial = sin"),
+        ("solve", "mu = 3.0", "solve"),
+        ("solve", "initial = barenblatt\nmu = 5.0", "solve"),
+        ("blowup-scan", "reaction = power\nmu = 3.0", "blowup-scan"),
+        ("verify-exact", "mu = 5.0", "verify-exact"),
+    ])
+    def test_key_of_another_initial_profile_or_check_is_config_error(
+            self, tmp_path, command, lines, setting):
+        """initial_time is read only by the self-similar initial profile,
+        and mu only by the decay exponents of decay-fit and the doubling
+        check of weights-check; the self-similar profiles do not read mu.
+        Set where it is unread, either exits 2 with a config error.json
+        naming its line, before anything runs."""
+        out = tmp_path / "out"
+        path = tmp_path / "u.cfg"
+        path.write_text(f"command = {command}\noutput_dir = {out}\n[problem]\n"
+                        f"mode = radial\nn = 2\np = 3.0\n{lines}\n")
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        key = lines.splitlines()[-1].split(" =")[0]
+        line = 6 + len(lines.splitlines())
+        assert f"line {line}: {setting} does not read {key!r} in [problem]" in error["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
+
     @pytest.mark.parametrize("command, text, sections, dropped", [
         ("solve", SOLVE_CFG, {"", "problem", "controls"},
-         {"alpha0", "sigma", "c6"}),
+         {"alpha0", "sigma", "c6", "initial_time", "mu"}),
         ("solve", SOLVE_CFG.replace("p = 2.0", "p = 2.0\nreaction = power\nsigma = 3.0"),
          {"", "problem", "controls", "eigen"}, {"c6"}),
         ("eigen", EIGEN_CFG + "[eigen]\ntol = 1e-6\n", {"", "problem", "eigen"},

@@ -24,7 +24,7 @@ from degenflow import (
 )
 from degenflow.banded import BandPattern
 from degenflow.discretization import weight_on_grid
-from degenflow.plap_operator import apply_plaplacian, energy_hessian_matrix, face_operator
+from degenflow.plap_operator import FaceFlux, energy_hessian_matrix, face_operator
 
 PI2 = np.pi**2
 
@@ -93,17 +93,42 @@ def test_radial_disk_bessel():
 
 
 def test_eigenfunction_properties():
-    g = build_grid("interval", 1.0, 128)
-    pair = smallest_eigenpair(g, None, 2.0)
-    vals = pair.eigenfunction.values
-    # positive inside, zero on the boundary, unit mass
-    assert np.all(vals[~g.boundary_mask] > 0.0)
-    assert np.all(vals[g.boundary_mask] == 0.0)
-    assert integrate(pair.eigenfunction) == pytest.approx(1.0, rel=1e-12)
-    # shape matches sin(pi x) up to the mass normalization (pi/2 factor)
-    x = g.axes[0]
-    ref = np.sin(np.pi * x) * np.pi / 2.0
-    assert np.max(np.abs(vals - ref)) < 1e-3
+    for mode, resolution, n in [("interval", 128, None), ("radial", 64, 3),
+                                ("tensor2d", 24, None)]:
+        g = build_grid(mode, 1.0, resolution, n=n)
+        pair = smallest_eigenpair(g, None, 2.0)
+        vals = pair.eigenfunction.values
+        # positive inside, exactly zero on the Dirichlet nodes, unit mass
+        assert np.all(vals[~g.boundary_mask] > 0.0), mode
+        assert np.all(vals[g.boundary_mask] == 0.0), mode
+        assert integrate(pair.eigenfunction) == pytest.approx(1.0, rel=1e-12), mode
+        if mode == "interval":
+            # shape matches sin(pi x) up to the mass normalization (pi/2 factor)
+            ref = np.sin(np.pi * g.axes[0]) * np.pi / 2.0
+            assert np.max(np.abs(vals - ref)) < 1e-3
+
+
+@pytest.mark.parametrize("mode, resolution, weight, p", [
+    ("tensor2d", 12, WeightSpec.power(1.0), 3.0),
+    ("interval", 32, None, 3.0),
+])
+def test_one_face_flux_per_quotient_evaluation(monkeypatch, mode, resolution, weight, p):
+    """Each Rayleigh-quotient evaluation takes its point's face gradient
+    once, in one FaceFlux of the interior face operator, and the residual
+    of an accepted point reuses that FaceFlux."""
+    ops = []
+    init = FaceFlux.__init__
+
+    def recording_init(self, op, values, p):
+        ops.append(op)
+        init(self, op, values, p)
+
+    monkeypatch.setattr(FaceFlux, "__init__", recording_init)
+    g = build_grid(mode, 1.0, resolution)
+    pair = smallest_eigenpair(g, weight, p)
+    assert pair.residual <= 1e-4
+    assert len(ops) == pair.quotient_evals
+    assert all(op is face_operator(g, weight, interior=True) for op in ops)
 
 
 def test_rayleigh_bounds_eigenvalue_from_above():
@@ -233,14 +258,17 @@ def test_tight_tolerance_converges_128():
 
 def test_stalled_solve_fails_fast(monkeypatch):
     """A target below round-off stops STALL_ITERATIONS past the best
-    iterate, not at MAX_ITERATIONS, and raises with that iterate attached."""
+    iterate, not at MAX_ITERATIONS, and raises with that iterate attached.
+    Each iterate's residual takes one operator evaluation, the divergence
+    of its FaceFlux."""
     calls = []
+    divergence = FaceFlux.divergence
 
-    def counting_apply(*args, **kwargs):
+    def counting_divergence(self):
         calls.append(1)
-        return apply_plaplacian(*args, **kwargs)
+        return divergence(self)
 
-    monkeypatch.setattr(eigensolver, "apply_plaplacian", counting_apply)
+    monkeypatch.setattr(FaceFlux, "divergence", counting_divergence)
     g = build_grid("tensor2d", 1.0, 16)
     with pytest.raises(ConvergenceError) as info:
         smallest_eigenpair(g, WeightSpec.power(1.0), 3.0, tol=1e-12)

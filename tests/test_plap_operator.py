@@ -22,9 +22,12 @@ from degenflow import (
     energy_hessian_matrix,
     reaction_derivative,
     reaction_eval,
+    smallest_eigenpair,
     variational_dot,
     WeightSpec,
 )
+from degenflow.plap_operator import FaceFlux, face_operator
+from degenflow.timestepper import _NewtonSystem
 
 GRIDS = [
     ("interval", build_grid("interval", 1.0, 24)),
@@ -142,6 +145,36 @@ def test_hessian_matrix_matches_operator_p2():
         )
 
 
+@pytest.mark.parametrize("weight", [None, WeightSpec.power(1.0)], ids=["unit", "power"])
+@pytest.mark.parametrize("mode", [mode for mode, _ in GRIDS])
+def test_interior_operator_is_the_full_one_restricted(monkeypatch, mode, weight):
+    """The interior face operator is the full one's interior columns,
+    transpose rows and cell volumes, and the interior p = 2 Hessian the full
+    Hessian's interior block, both exactly.  The Newton system and the
+    eigensolver evaluate on that one cached operator."""
+    g = dict(GRIDS)[mode]
+    idx = g.interior
+    full, op = face_operator(g, weight), face_operator(g, weight, interior=True)
+    assert np.array_equal(op.cw, full.cw)
+    assert np.array_equal(op.matrix.toarray(), full.matrix[:, idx].toarray())
+    assert np.array_equal(op.transpose.toarray(), full.transpose[idx].toarray())
+    assert np.array_equal(op.vol, full.vol.ravel()[idx])
+    hessian = energy_hessian_matrix(g, weight, interior=True).toarray()
+    assert np.array_equal(hessian, energy_hessian_matrix(g, weight).tocsr()[idx][:, idx].toarray())
+
+    assert _NewtonSystem(g, weight, 3.0).op is op
+    ops = set()
+    init = FaceFlux.__init__
+
+    def recording_init(self, face_op, values, p):
+        ops.add(id(face_op))
+        init(self, face_op, values, p)
+
+    monkeypatch.setattr(FaceFlux, "__init__", recording_init)
+    smallest_eigenpair(g, weight, 3.0)
+    assert ops == {id(op)}
+
+
 def test_hessian_matrix_symmetric_psd():
     g = build_grid("tensor2d", 1.0, 8)
     k = energy_hessian_matrix(g, WeightSpec.power(0.5)).toarray()
@@ -169,7 +202,7 @@ def test_newton_jacobian_matches_fd_1d(mode, p):
     interior = np.flatnonzero(~g.boundary_mask.ravel())
     rng = np.random.default_rng(0)
     for _ in range(5):
-        d = rng.standard_normal(g.n_nodes)
+        d = rng.standard_normal(g.boundary_mask.size)
         d[g.boundary_mask.ravel()] = 0.0
         plus = apply_plaplacian(Field(g, (u.values.ravel() + eps * d).reshape(g.shape)), w, p)
         minus = apply_plaplacian(Field(g, (u.values.ravel() - eps * d).reshape(g.shape)), w, p)
@@ -225,7 +258,7 @@ PINNED = {
 def test_operator_matches_pinned_values(mode, grid):
     w = WeightSpec.power(1.0)
     rng = np.random.default_rng(7)
-    r, q = rng.standard_normal(grid.n_nodes), rng.standard_normal(grid.n_nodes)
+    r, q = rng.standard_normal((2, grid.boundary_mask.size))
 
     def reduce_matrix(m):
         return [np.linalg.norm(m.toarray()), r @ (m @ q)]

@@ -109,11 +109,11 @@ def test_newton_system_matches_jacobian_form(mode, p):
     drea = reaction_derivative(ReactionSpec.power(2.0, 2.5), t_new, vals).ravel()
 
     system = _NewtonSystem(g, weight, p)
-    idx = system.idx
+    idx = system.grid.interior
     got = _band_to_dense(system.matrix(vals.ravel()[idx], dt, drea[idx]))
     jac = diffusion_jacobian(u, weight, p).toarray()
     vol = cell_volumes(g).ravel()
-    ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
+    ref = vol[:, None] * (np.eye(g.boundary_mask.size) - dt * jac - dt * np.diag(drea))
     ref = ref[np.ix_(idx, idx)]
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -236,19 +236,19 @@ def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
     vals[g.boundary_mask] = 0.0
     dt = 1e-2
     system = _NewtonSystem(g, WeightSpec.power(1.0), p)
-    x = vals.ravel()[system.idx]
+    x = vals.ravel()[system.grid.interior]
     spy = _LapackSpy()
     monkeypatch.setattr("degenflow.banded.lapack", spy)
-    rhs = np.ones(len(system.idx))
+    rhs = np.ones(len(system.grid.interior))
     for top in (1.0 - 1e-9, 1.0):
-        drea = np.full(len(system.idx), 0.5 / dt)
+        drea = np.full(len(system.grid.interior), 0.5 / dt)
         drea[len(drea) // 2] = top / dt
         band = system.matrix(x, dt, drea)
         assert band.shape == system.shape
         spy.called.clear()
         system.solve(system.factor(band), rhs)
         assert spy.called == ["dpbtrf", "dpbtrs"]
-    band = system.matrix(x, dt, np.full(len(system.idx), 10.0 / dt))
+    band = system.matrix(x, dt, np.full(len(system.grid.interior), 10.0 / dt))
     assert np.linalg.eigvalsh(_band_to_dense(band)).min() < 0.0
     with pytest.raises(FactorError, match="not positive definite"):
         system.factor(band)
@@ -278,10 +278,10 @@ def test_newton_solve_matches_dense(mode, p, dt, alpha0, seed):
     u = Field(g, vals)
     drea = reaction_derivative(ReactionSpec.power(alpha0, 2.0), 0.0, vals).ravel()
     system = _NewtonSystem(g, weight, p)
-    idx = system.idx
+    idx = system.grid.interior
     jac = diffusion_jacobian(u, weight, p).toarray()
     vol = cell_volumes(g).ravel()
-    ref = vol[:, None] * (np.eye(g.n_nodes) - dt * jac - dt * np.diag(drea))
+    ref = vol[:, None] * (np.eye(g.boundary_mask.size) - dt * jac - dt * np.diag(drea))
     ref = ref[np.ix_(idx, idx)]
     # a nearly singular draw (dt f' close to 1) tests conditioning, not the solve
     assume(np.linalg.cond(ref) < 1e5)
@@ -406,7 +406,7 @@ def _converged_step(g, weight, p, vals, dt):
     event(f"{label}: converged")
     tol = max(spec.controls.newton_tol, 1e-9) * max(np.abs(vals).max(), 1.0)
     system = _NewtonSystem(g, weight, p)
-    r = system.residual(system.gather(u1.values), vals.ravel()[system.idx], dt, dt,
+    r = system.residual(system.gather(u1.values), vals.ravel()[system.grid.interior], dt, dt,
                         spec.reaction)
     assert np.abs(r).max() <= tol
     return u1, tol
@@ -458,7 +458,7 @@ def test_shared_flux_matches_fresh_evaluation(mode, p, theta_frac, log_amplitude
     dt, t_new = 1e-2, 0.1
     reaction = ReactionSpec.power(1.0, 2.0)
     system = _NewtonSystem(g, weight, p)
-    idx = system.idx
+    idx = system.grid.interior
     x, x_old = vals.ravel()[idx], u_old.ravel()[idx]
     drea = reaction_derivative(reaction, t_new, x)
 
@@ -648,8 +648,8 @@ def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, stat
     system = _NewtonSystem(g, spec.weight, p)
     assert system.exact == exact
     # the first Newton matrix is positive definite, so the step gets past it
-    drea = reaction_derivative(reaction, dt, vals).ravel()[system.idx]
-    x = vals.ravel()[system.idx]
+    drea = reaction_derivative(reaction, dt, vals).ravel()[system.grid.interior]
+    x = vals.ravel()[system.grid.interior]
     assert np.linalg.eigvalsh(_band_to_dense(system.matrix(x, dt, drea))).min() > 0.0
     log = _newton_iterations(monkeypatch, system)
     stats = {}
