@@ -59,7 +59,8 @@ from .timestepper import (
     Trajectory,
     estimate_blowup_time,
     run_simulation,
-    step_implicit,
+    # steps a Field; timestepper.step_implicit steps a run's interior vector
+    _step_field as step_implicit,
 )
 from .diagnostics import (
     Exponents,

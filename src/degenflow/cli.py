@@ -133,7 +133,6 @@ _SCHEMA = {
     },
     "weights": {
         "radii": (_as_float_list, None),
-        "radius_pairs": (_as_float_list, None),
     },
 }
 
@@ -424,8 +423,7 @@ def _run_one(cfg, grid, weight, eigenpair, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome.trajectory.to_csv(out_dir / "trajectory.csv", header_lines=_csv_header(cfg))
     outcome.to_json(out_dir / "outcome.json",
-                    extra={"amplitude": cfg.sections["problem"]["amplitude"],
-                           "g0": outcome.trajectory.weighted_mass[0]})
+                    extra={"amplitude": cfg.sections["problem"]["amplitude"]})
     for ts in sorted(outcome.trajectory.snapshots):
         snap = outcome.trajectory.snapshots[ts]
         write_field_csv(snap, out_dir / f"snapshot_t{ts:.6g}.csv",
@@ -455,18 +453,7 @@ def _comparison(trajectory, lambda1, sigma, g0=None):
 
 def _solve_summary(cfg, outcome, eigenpair):
     prob = cfg.sections["problem"]
-    body = {
-        "kind": outcome.kind,
-        "T_est": outcome.t_est,
-        "T_lo": outcome.t_lo,
-        "T_hi": outcome.t_hi,
-        "rate_fit": outcome.rate_fit,
-        "steps": outcome.steps,
-        "newton_iters_total": outcome.newton_iters_total,
-        "factorizations": outcome.factorizations,
-        "final_sup": outcome.trajectory.sup_abs_u[-1],
-        "g0": outcome.trajectory.weighted_mass[0],
-    }
+    body = outcome.payload()
     if eigenpair is not None:
         body["lambda1"] = eigenpair.eigenvalue
         if prob["reaction"].lower() == "power":
@@ -652,19 +639,12 @@ def _cmd_weights_check(cfg, out):
     else:
         n = 2 if prob["mode"] == "tensor2d" else 1
     radii = wts["radii"] or [prob["extent"] * f for f in (0.125, 0.25, 0.5, 1.0)]
-    pair_list = wts["radius_pairs"]
-    if pair_list:
-        if len(pair_list) % 2:
-            raise ConfigError("radius_pairs needs an even count: s1,h1,s2,h2,...")
-        pairs = [(pair_list[i], pair_list[i + 1]) for i in range(0, len(pair_list), 2)]
-    else:
-        pairs = [(2.0 * r, r) for r in radii]
     mu = prob["mu"]
     if mu is None:
         mu = weight.natural_mu(n)
 
     mk = check_muckenhoupt(weight, n, radii)
-    db = check_doubling(weight, n, mu, pairs)
+    db = check_doubling(weight, n, mu, [(2.0 * r, r) for r in radii])
     body = {
         "n": n,
         "mu": mu,

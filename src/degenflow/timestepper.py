@@ -4,14 +4,17 @@ Each step solves the backward-Euler residual
 
     v - u_old - dt * (L_p v + f(x, t + dt, v)) = 0
 
-by damped Newton with a sparse flux-linearized Jacobian.  Newton works on
-the vector of interior unknowns through the interior face operator
-(plap_operator.face_operator with interior=True), so an iteration neither
-reads nor writes the Dirichlet nodes, and a step returns its state
-scattered into zeros, exactly 0.0 on the Dirichlet nodes.  Without a
-reaction term the residual and the matrix evaluate no reaction.  A step
-whose update cannot lower the residual fails, and run_simulation retries it
-with half the dt.  Each Newton update solves
+by damped Newton with a sparse flux-linearized Jacobian.  The state of a
+run is the vector of interior unknowns from start to finish: Newton works
+on it through the interior face operator (plap_operator.face_operator with
+interior=True), so an iteration neither reads nor writes the Dirichlet
+nodes, the recorded sup norm, integrals and energy are taken from it, and
+only a snapshot is scattered into a Field, exactly 0.0 on the Dirichlet
+nodes.  Without a reaction term the residual and the matrix evaluate no
+reaction.  Every step, the linear p = 2 one included, runs the same Newton
+loop and ends when the residual is at most newton_tol times
+max(sup |u_old|, 1).  A step whose update cannot lower the residual fails,
+and run_simulation retries it with half the dt.  Each Newton update solves
 
     (V + dt K - dt V f') delta = -V r,
 
@@ -32,9 +35,9 @@ the frozen-tangential approximation, which converges only linearly however
 fresh it is, so a step reuses one factor (the chord iteration) and refactors
 only after a damped update or a reused factor that did not lower the
 residual.  The Newton system keeps the FaceFlux of the last interior vector
-evaluated, and the interior vector of the last state a step started from or
-returned: an accepted state's residual, factor, recorded energy and next
-first residual share one FaceFlux.
+evaluated, and a step returns the vector it evaluated last, so an accepted
+state's residual, factor, recorded energy and next first residual share one
+FaceFlux.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
@@ -87,6 +90,10 @@ class StepControls:
     def __post_init__(self):
         if not 0.0 < self.dt_min <= self.dt_max:
             raise ConfigError("need 0 < dt_min <= dt_max")
+        if not self.u_cap >= 0.0:
+            raise ConfigError(f"u_cap must be >= 0 (0 derives it), got {self.u_cap}")
+        if not self.newton_tol > 0.0:
+            raise ConfigError(f"newton_tol must be positive, got {self.newton_tol}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,9 @@ class ProblemSpec:
             raise ConfigError("t_end must be positive")
         if not self.controls.dt_min <= self.dt0 <= self.controls.dt_max:
             raise ConfigError("need dt_min <= dt0 <= dt_max")
+        outside = [ts for ts in self.snapshot_times if not 0.0 <= ts <= self.t_end]
+        if outside:
+            raise ConfigError(f"snapshot time {outside[0]} outside [0, t_end = {self.t_end}]")
         cap = self.cap_value()
         sup0 = float(np.abs(self.initial.values).max())
         if sup0 > 0.0 and cap <= sup0:
@@ -175,8 +185,12 @@ class RunOutcome:
     newton_iters_total: int = 0
     factorizations: int = 0
 
-    def to_json(self, path, extra=None):
-        payload = {
+    def payload(self):
+        """The classification, blow-up estimate, decay rate, solver counts,
+        final sup norm and initial weighted mass g0, as outcome.json and the
+        solve summary write them."""
+        traj = self.trajectory
+        return {
             "kind": self.kind,
             "T_est": self.t_est,
             "T_lo": self.t_lo,
@@ -185,11 +199,15 @@ class RunOutcome:
             "steps": self.steps,
             "newton_iters_total": self.newton_iters_total,
             "factorizations": self.factorizations,
-            "final_time": self.trajectory.times[-1] if self.trajectory.times else None,
-            "final_sup": self.trajectory.sup_abs_u[-1] if self.trajectory.times else None,
+            "final_sup": traj.sup_abs_u[-1] if traj.times else None,
+            "g0": traj.weighted_mass[0] if traj.times else None,
         }
-        if extra:
-            payload.update(extra)
+
+    def to_json(self, path, extra=None):
+        """payload() with the final time and the entries of extra."""
+        payload = self.payload()
+        payload["final_time"] = self.trajectory.times[-1] if self.trajectory.times else None
+        payload.update(extra or {})
         write_json(path, payload)
 
 
@@ -213,17 +231,15 @@ class _NewtonSystem(BandPattern):
     positive semidefinite and V is positive, so the matrix is positive
     definite whenever dt f' < 1 at every interior node; it is always
     factored by band Cholesky, and one that is not positive definite
-    raises FactorError.  The factor of the linear p = 2 system is kept for
-    the last dt it was built for.  exact says whether the matrix is the
-    Jacobian of the residual: it is on interval and radial grids and at
-    p = 2, but on tensor grids at p > 2 it drops the tangential part of the
-    flux derivative (plap_operator.diffusion_jacobian).
+    raises FactorError.  exact says whether the matrix is the Jacobian of
+    the residual: it is on interval and radial grids and at p = 2, but on
+    tensor grids at p > 2 it drops the tangential part of the flux
+    derivative (plap_operator.diffusion_jacobian).
 
-    The system keeps the FaceFlux of the last interior vector evaluated and
-    the pair of the last nodal array gathered or scattered with its interior
-    vector, both by identity, so a state's residual, factor, recorded energy
-    and next first residual share one face gradient.  Arrays handed to it
-    must therefore not be changed in place.
+    The system keeps the FaceFlux of the last interior vector evaluated, by
+    identity, so a state's residual, factor, recorded energy and next first
+    residual share one face gradient.  Vectors handed to it must therefore
+    not be changed in place.
     """
 
     def __init__(self, grid, weight, p):
@@ -232,9 +248,6 @@ class _NewtonSystem(BandPattern):
         self.vol = op.vol
         self.exact = p == 2.0 or op.matrix.shape[0] == op.cw.size
         self.last_flux = None
-        self.last_pair = (None, None)
-        self.linear_dt = None
-        self.linear_factor = None
         if p == 2.0:
             hessian = energy_hessian_matrix(grid, weight, interior=True)
             self.k_data, row, col = lower_entries(hessian)
@@ -244,19 +257,6 @@ class _NewtonSystem(BandPattern):
             # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
         super().__init__(row, col, len(self.vol))
-
-    def gather(self, values):
-        """The interior vector of the nodal array values; the same object
-        for the array last gathered or returned by scatter."""
-        if self.last_pair[0] is not values:
-            self.last_pair = (values, values.ravel()[self.grid.interior])
-        return self.last_pair[1]
-
-    def scatter(self, x):
-        """grid.scatter(x), kept as the last pair."""
-        field = self.grid.scatter(x)
-        self.last_pair = (field.values, x)
-        return field
 
     def flux(self, x):
         """The FaceFlux of the interior vector x, kept until another vector
@@ -281,55 +281,35 @@ class _NewtonSystem(BandPattern):
             data = dt * (self.conductance_map @ self.flux(x).conductance())
         return self.fill(data, self.vol * (1.0 - dt * drea))
 
-    def linear_solve(self, dt, rhs, stats=None):
-        """Solve (V + dt K) x = rhs for the state-independent p = 2 system,
-        which is positive definite."""
-        if self.linear_dt != dt:
-            _count(stats, "factorizations")
-            self.linear_factor = self.factor(self.matrix(None, dt, 0.0))
-            self.linear_dt = dt
-        return self.solve(self.linear_factor, rhs)
-
 
 def _count(stats, key):
     if stats is not None:
         stats[key] = stats.get(key, 0) + 1
 
 
-def step_implicit(u, t, dt, spec, system=None, stats=None):
-    """One backward-Euler step from t to t + dt.  Raises on solver failure.
+def step_implicit(system, x_old, t, dt, spec, stats=None):
+    """One backward-Euler step of the interior vector x_old from t to
+    t + dt on the run's _NewtonSystem; returns the new interior vector.
+    Raises on solver failure.
 
-    system is the run's _NewtonSystem; one is built when none is given.
-    stats, when given, counts "newton_iters" and "factorizations".  Newton
-    iterates on the interior vector; the returned Field is exactly zero on
-    the Dirichlet nodes.  An exact Newton matrix is factored at every
-    iteration.  An inexact one is factored at the first iteration and then
-    reused until an update needs damping or a reused factor fails to lower
-    the residual, which is retried once with a fresh factor.  An update from
-    a fresh factor that cannot lower the residual raises at once.
+    stats, when given, counts "newton_iters" and "factorizations".  The step
+    ends when the residual is at most newton_tol * max(sup |x_old|, 1).  An
+    exact Newton matrix is factored at every iteration.  An inexact one is
+    factored at the first iteration and then reused until an update needs
+    damping or a reused factor fails to lower the residual, which is retried
+    once with a fresh factor.  An update from a fresh factor that cannot
+    lower the residual raises at once.
     """
     ctl = spec.controls
     if not ctl.dt_min <= dt <= ctl.dt_max:
         raise ConfigError(f"dt {dt} outside [{ctl.dt_min}, {ctl.dt_max}]")
-    if not np.all(np.isfinite(u.values)):
+    if not np.all(np.isfinite(x_old)):
         raise NumericalError("nonfinite state entering step")
-    if system is None:
-        system = _NewtonSystem(u.grid, spec.weight, spec.p)
 
     t_new = t + dt
-    x_old = system.gather(u.values)
     scale = max(float(np.abs(x_old).max()), 1.0)
     tol = ctl.newton_tol * scale
     reaction = spec.reaction
-
-    if spec.p == 2.0 and reaction.family == "none":
-        x = system.linear_solve(dt, system.vol * x_old, stats)
-        _count(stats, "newton_iters")
-        rnorm = np.abs(system.residual(x, x_old, t_new, dt, reaction)).max()
-        if rnorm > max(tol, 1e-9 * scale):
-            raise _StepFailure(f"linear step residual {rnorm:.2e}")
-        return system.scatter(x)
-
     x = x_old
     r = system.residual(x, x_old, t_new, dt, reaction)
     rnorm = np.abs(r).max()
@@ -337,7 +317,7 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
     for it in range(NEWTON_MAX):
         _count(stats, "newton_iters")
         if rnorm <= tol:
-            return system.scatter(x)
+            return x
         fresh = lu is None
         if fresh:
             drea = 0.0
@@ -368,9 +348,17 @@ def step_implicit(u, t, dt, spec, system=None, stats=None):
         if system.exact or damping < 1.0:
             lu = None
     if rnorm <= tol:
-        return system.scatter(x)
+        return x
     raise _StepFailure(f"no convergence in {NEWTON_MAX} iterations "
                        f"(residual {rnorm:.2e}, tol {tol:.2e})")
+
+
+def _step_field(u, t, dt, spec, stats=None):
+    """step_implicit of the Field u on a Newton system of its own, returned
+    as a Field; the package exports it as step_implicit."""
+    system = _NewtonSystem(u.grid, spec.weight, spec.p)
+    x = step_implicit(system, u.values.ravel()[u.grid.interior], t, dt, spec, stats)
+    return u.grid.scatter(x)
 
 
 def _tail_is_ramping(traj, lookback=10):
@@ -399,15 +387,18 @@ def run_simulation(spec, eigenpair=None):
     """March to t_end with adaptive dt; classify the outcome.
 
     The trajectory's g column is integral(omega * u0 * u) when an eigenpair
-    is supplied and integral(omega * u) otherwise.
+    is supplied and integral(omega * u) otherwise.  The state is the
+    interior vector x throughout; only snapshots are scattered into Fields.
     """
     grid = spec.grid
     ctl = spec.controls
+    idx = grid.interior
     wvals = weight_on_grid(spec.weight, grid)
     gweight = wvals if eigenpair is None else wvals * eigenpair.eigenfunction.values
-    # integrate's node weights for the two recorded integrals, built once
-    qw = quad_weights(grid)
-    qw_g = qw * gweight
+    # integrate's node weights for the two recorded integrals at the
+    # interior nodes, built once
+    qw = quad_weights(grid).ravel()[idx]
+    qw_g = qw * gweight.ravel()[idx]
     cap = spec.cap_value()
     sup0 = float(np.abs(spec.initial.values).max())
     decay_floor = 1e-8 * sup0
@@ -416,21 +407,15 @@ def run_simulation(spec, eigenpair=None):
     stats = {}
     system = _NewtonSystem(grid, spec.weight, spec.p)
 
-    def record(t, dt, f):
-        traj.append(
-            t,
-            dt,
-            float(np.abs(f.values).max()),
-            quadrature_sum(qw, f.values),
-            quadrature_sum(qw_g, f.values),
-            system.flux(system.gather(f.values)).energy(),
-        )
+    def record(t, dt, x):
+        traj.append(t, dt, float(np.abs(x).max()), quadrature_sum(qw, x),
+                    quadrature_sum(qw_g, x), system.flux(x).energy())
 
-    u = spec.initial.copy()
-    record(0.0, 0.0, u)
+    x = spec.initial.values.ravel()[idx]
+    record(0.0, 0.0, x)
     pending = sorted(set(spec.snapshot_times))
     while pending and pending[0] <= 1e-12:
-        traj.snapshots[pending.pop(0)] = u.copy()
+        traj.snapshots[pending.pop(0)] = grid.scatter(x)
 
     t = 0.0
     dt = spec.dt0
@@ -447,7 +432,7 @@ def run_simulation(spec, eigenpair=None):
 
         before = stats.get("newton_iters", 0)
         try:
-            u_new = step_implicit(u, t, dt, spec, system=system, stats=stats)
+            x_new = step_implicit(system, x, t, dt, spec, stats)
         except (_StepFailure, FactorError):
             if dt > ctl.dt_min:
                 dt = max(dt * 0.5, ctl.dt_min)
@@ -462,14 +447,14 @@ def run_simulation(spec, eigenpair=None):
             )
         iters = stats.get("newton_iters", 0) - before
 
-        if not np.all(np.isfinite(u_new.values)):
+        if not np.all(np.isfinite(x_new)):
             raise NumericalError("nonfinite state produced", trajectory=traj)
 
         # keep the discrete trajectory on the physical branch: a step that
         # multiplies the sup norm by more than MAX_GROWTH_PER_STEP is redone
         # smaller, so the tail keeps resolving the approach to a singularity
-        sup_old = float(np.abs(u.values).max())
-        sup_new = float(np.abs(u_new.values).max())
+        sup_old = traj.sup_abs_u[-1]
+        sup_new = float(np.abs(x_new).max())
         if (
             dt > ctl.dt_min
             and sup_old > 0.0
@@ -479,10 +464,10 @@ def run_simulation(spec, eigenpair=None):
             continue
 
         t += dt
-        u = u_new
-        record(t, dt, u)
+        x = x_new
+        record(t, dt, x)
         while pending and t >= pending[0] - 1e-12:
-            traj.snapshots[pending.pop(0)] = u.copy()
+            traj.snapshots[pending.pop(0)] = grid.scatter(x)
 
         sup = traj.sup_abs_u[-1]
         if sup >= cap:
@@ -506,9 +491,7 @@ def run_simulation(spec, eigenpair=None):
         t_lo = max(t_lo, traj.times[-1])
         t_est = min(max(t_est, t_lo), spec.t_end)
         t_hi = min(max(t_hi, t_est), spec.t_end)
-        return RunOutcome(
-            KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **counts
-        )
+        return RunOutcome(KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **counts)
     if outcome == KIND_DECAYED:
         rate = _fit_exponential_rate(traj.times, traj.sup_abs_u, sup0)
         return RunOutcome(KIND_DECAYED, traj, rate_fit=rate, **counts)

@@ -425,14 +425,15 @@ class TestMain:
         ("sweep", "parameter"),
         ("eigen", "normalization"),
         ("weights", "mu"),
+        ("weights", "radius_pairs"),
     ])
     def test_solver_constant_is_not_a_key(self, tmp_path, section, key):
         """The Newton limit, the step-size growth rule, the eigensolver
         iteration limit, the residual-check margins and the weight-class cap
         are constants of their modules, and the sweep, the eigenfunction
-        normalization and the weights-check exponent are not settable (the
-        exponent is [problem] mu): a config that sets one exits 2 with
-        error.json naming the line."""
+        normalization, the weights-check exponent (it is [problem] mu) and
+        its doubling pairs (each radius r with 2r) are not settable: a config
+        that sets one exits 2 with error.json naming the line."""
         text = EIGEN_CFG.format(out=tmp_path / "out") + f"\n[{section}]\n{key} = 1\n"
         path = tmp_path / "k.cfg"
         path.write_text(text)
@@ -463,6 +464,52 @@ class TestMain:
         assert error["error_kind"] == "config"
         assert "line 4: bad value" in error["message"]
         assert sorted(os.listdir(out)) == ["error.json"]
+
+    @pytest.mark.parametrize("line, message", [
+        ("u_cap = -5.0", "u_cap must be >= 0"),
+        ("newton_tol = 0", "newton_tol must be positive"),
+        ("newton_tol = -1e-10", "newton_tol must be positive"),
+    ])
+    def test_bad_step_control_is_config_error(self, tmp_path, line, message):
+        """A negative u_cap (0 derives the cap from the data) and a
+        newton_tol that is not positive exit 2 with a config error.json and
+        no trajectory, instead of being read as 0 or halving every step
+        down to dt_min."""
+        out = tmp_path / "out"
+        path = tmp_path / "c.cfg"
+        path.write_text(SOLVE_CFG.format(out=out) + f"{line}\n")
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert message in error["message"]
+        assert not (out / "trajectory.csv").exists()
+
+    def test_snapshot_time_outside_the_run_is_config_error(self, tmp_path):
+        """A snapshot time outside [0, t_end] exits 2 with a config
+        error.json naming the first such time, and writes no snapshot."""
+        out = tmp_path / "out"
+        path = tmp_path / "s.cfg"
+        path.write_text(SOLVE_CFG.format(out=out).replace(
+            "dt0 = 1e-3\n", "dt0 = 1e-3\nsnapshot_times = 0.005, 0.5, -1.0\n"))
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert "snapshot time 0.5 outside [0, t_end = 0.05]" in error["message"]
+        assert not list(out.glob("snapshot_*"))
+
+    def test_solve_summary_carries_the_outcome(self, tmp_path):
+        """The solve summary and outcome.json write the same outcome fields
+        with the same values; outcome.json adds the final time and the
+        amplitude."""
+        out = tmp_path / "out"
+        path = tmp_path / "s.cfg"
+        path.write_text(SOLVE_CFG.format(out=out))
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        summary = _summary(out)
+        outcome = json.loads((out / "outcome.json").read_text())
+        shared = set(summary) - {"schema_version", "config"}
+        assert shared == set(outcome) - {"final_time", "amplitude"}
+        assert {k: summary[k] for k in shared} == {k: outcome[k] for k in shared}
 
     @pytest.mark.parametrize("shape", ["zero", "barenblatt_verbatim"])
     def test_removed_initial_shape_is_config_error(self, tmp_path, shape):

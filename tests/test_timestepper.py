@@ -11,6 +11,7 @@ from scipy.linalg import lapack
 from degenflow import (
     ConfigError,
     Field,
+    Grid,
     NumericalError,
     ProblemSpec,
     ReactionSpec,
@@ -203,9 +204,9 @@ def test_step_failure_at_dt_min_decides_at_once(monkeypatch):
     attempts = []
     step = timestepper.step_implicit
 
-    def counted(u, t, dt, *args, **kwargs):
+    def counted(system, x_old, t, *args, **kwargs):
         attempts.append(t)
-        return step(u, t, dt, *args, **kwargs)
+        return step(system, x_old, t, *args, **kwargs)
 
     monkeypatch.setattr(timestepper, "step_implicit", counted)
     outcome = run_simulation(spec)
@@ -253,8 +254,9 @@ def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
     with pytest.raises(FactorError, match="not positive definite"):
         system.factor(band)
     if p == 2.0:
+        # without reaction (f' = 0) the p = 2 system is V + dt K
         spy.called.clear()
-        system.linear_solve(dt, rhs)
+        system.solve(system.factor(system.matrix(x, dt, 0.0)), rhs)
         assert spy.called == ["dpbtrf", "dpbtrs"]
 
 
@@ -316,10 +318,10 @@ def test_step_satisfies_energy_inequality(mode, p, theta_frac, log_dt, log_ampli
     The step solves V (u1 - u0) = -dt grad E(u1) + V r with residual r, and
     the convexity of E gives E(u0) >= E(u1) + grad E(u1) . (u0 - u1), so the
     inequality holds up to sum V r (u1 - u0) / dt.  An accepted step has
-    |r| <= newton_tol * scale, or 1e-9 * scale on the linear p = 2 path, with
-    scale = max(sup |u0|, 1); that bound times sum V |u1 - u0| / dt is the
-    slack, plus 1e-12 E(u0) for the rounding of the energy sums.  A step that
-    does not converge is counted as an event, not filtered out."""
+    |r| <= newton_tol * scale with scale = max(sup |u0|, 1); that bound
+    times sum V |u1 - u0| / dt is the slack, plus 1e-12 E(u0) for the
+    rounding of the energy sums.  A step that does not converge is counted
+    as an event, not filtered out."""
     g = build_grid(mode, 1.0, 8, n=2)
     weight = WeightSpec.power(theta_frac * p)
     vals = _drawn_state(g, 10.0**log_amplitude, rough, seed)
@@ -354,7 +356,7 @@ def test_run_energy_is_nonincreasing(mode, p, theta_frac, log_dt, log_amplitude,
     residual is at most tol per node gives
     E(u1) - E(u0) <= (tol * sum V |u1 - u0| - sum V (u1 - u0)**2) / dt,
     and Cauchy-Schwarz bounds the right side by tol**2 * sum V / (4 dt).
-    tol is 1e-9 * max(sup |u0|, 1), the larger of the two Newton bounds;
+    tol is newton_tol * max(sup |u0|, 1), the bound every step meets;
     1e-12 E(u0) covers the rounding of the energy sums.  A run that fails
     is counted as an event, not filtered out."""
     g = build_grid(mode, 1.0, 8, n=2)
@@ -371,7 +373,7 @@ def test_run_energy_is_nonincreasing(mode, p, theta_frac, log_dt, log_amplitude,
         return
     event(f"{mode}: run completed")
     e = np.asarray(traj.energy)
-    tol = 1e-9 * np.maximum(np.asarray(traj.sup_abs_u[:-1]), 1.0)
+    tol = spec.controls.newton_tol * np.maximum(np.asarray(traj.sup_abs_u[:-1]), 1.0)
     dt = np.asarray(traj.dt_used[1:])
     slack = tol**2 * cell_volumes(g).sum() / (4.0 * dt) + 1e-12 * e[:-1]
     assert np.all(np.diff(e) <= slack)
@@ -392,9 +394,8 @@ def _drawn_state(g, amplitude, rough, seed):
 
 def _converged_step(g, weight, p, vals, dt):
     """One backward-Euler step without reaction from vals, with the bound tol
-    its residual must meet: newton_tol * scale, or 1e-9 * scale on the
-    linear p = 2 path, with scale = max(sup |vals|, 1).  Returns None, after
-    counting the draw as an unconverged event, when the step fails."""
+    its residual must meet: newton_tol * max(sup |vals|, 1).  Returns None,
+    after counting the draw as an unconverged event, when the step fails."""
     spec = ProblemSpec(grid=g, weight=weight, p=p, reaction=ReactionSpec.none(),
                        initial=Field(g, vals), t_end=1.0, dt0=dt)
     label = f"{g.mode}, p {'= 2' if p == 2.0 else '> 2'}"
@@ -404,10 +405,10 @@ def _converged_step(g, weight, p, vals, dt):
         event(f"{label}: unconverged")
         return None
     event(f"{label}: converged")
-    tol = max(spec.controls.newton_tol, 1e-9) * max(np.abs(vals).max(), 1.0)
+    tol = spec.controls.newton_tol * max(np.abs(vals).max(), 1.0)
     system = _NewtonSystem(g, weight, p)
-    r = system.residual(system.gather(u1.values), vals.ravel()[system.grid.interior], dt, dt,
-                        spec.reaction)
+    idx = system.grid.interior
+    r = system.residual(u1.values.ravel()[idx], vals.ravel()[idx], dt, dt, spec.reaction)
     assert np.abs(r).max() <= tol
     return u1, tol
 
@@ -655,7 +656,7 @@ def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, stat
     stats = {}
     failure = None
     try:
-        step_implicit(spec.initial, 0.0, dt, spec, system=system, stats=stats)
+        timestepper.step_implicit(system, x, 0.0, dt, spec, stats)
     except (_StepFailure, FactorError) as exc:
         failure = exc
         assert state == "rough"
@@ -678,7 +679,7 @@ def test_factor_reuse_only_on_inexact_jacobian(monkeypatch, mode, p, exact, stat
     log.clear()
     stats.clear()
     with pytest.raises(_StepFailure, match="stalled"):
-        step_implicit(spec.initial, 0.0, dt, spec, system=system, stats=stats)
+        timestepper.step_implicit(system, x, 0.0, dt, spec, stats)
     assert log == [[True, 4]] and stats["factorizations"] == 1
 
 
@@ -698,10 +699,12 @@ def _unzeroed_sin_data(g):
 ], ids=["linear", "newton", "newton-reaction"])
 def test_accepted_states_are_exactly_zero_on_dirichlet_nodes(monkeypatch, mode, p,
                                                             reaction):
-    """Newton iterates on the interior unknowns, so every state that
-    step_implicit returns, and so every state run_simulation accepts and
-    snapshots, is exactly 0.0 on the Dirichlet nodes, also from sine data
-    that carries round-off there."""
+    """Newton iterates on the interior unknowns: the package's step_implicit
+    returns a Field that is exactly 0.0 on the Dirichlet nodes, also from
+    sine data that carries round-off there, every state run_simulation
+    accepts is an interior vector, and every snapshot is exactly 0.0 on the
+    Dirichlet nodes.  The linear ids step p = 2 without reaction, which runs
+    the same Newton loop."""
     g = build_grid(mode, 1.0, 12, n=2)
     vals = _unzeroed_sin_data(g)
     assert np.abs(vals[g.boundary_mask]).max() > 0.0
@@ -722,8 +725,31 @@ def test_accepted_states_are_exactly_zero_on_dirichlet_nodes(monkeypatch, mode, 
     out = run_simulation(spec)
     assert out.kind == "Completed" and len(returned) >= out.steps == 4
     assert len(out.trajectory.snapshots) == 2
-    for state in returned + list(out.trajectory.snapshots.values()):
+    assert all(x.shape == g.interior.shape for x in returned)
+    for state in out.trajectory.snapshots.values():
         assert np.all(state.values[g.boundary_mask] == 0.0)
+
+
+def test_run_scatters_only_its_snapshots(monkeypatch):
+    """run_simulation carries the interior vector from start to finish: a
+    tensor run with two snapshot times builds a Field by Grid.scatter
+    exactly twice, once per snapshot."""
+    g = build_grid("tensor2d", 1.0, 8)
+    spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=3.0,
+                       reaction=ReactionSpec.none(), initial=Field(g, _unzeroed_sin_data(g)),
+                       t_end=4e-3, dt0=1e-3, snapshot_times=(2e-3, 4e-3),
+                       controls=StepControls(dt_max=1e-3))
+    scattered = []
+    scatter = Grid.scatter
+
+    def counted(self, x):
+        scattered.append(x)
+        return scatter(self, x)
+
+    monkeypatch.setattr(Grid, "scatter", counted)
+    out = run_simulation(spec)
+    assert out.steps == 4 and len(out.trajectory.snapshots) == 2
+    assert len(scattered) == 2
 
 
 @pytest.mark.parametrize("mode, p, kd", [
@@ -990,6 +1016,14 @@ class TestSpecValidation:
             ProblemSpec(grid=g, weight=None, p=2.0, reaction=ReactionSpec.none(),
                         initial=phi, t_end=1.0, dt0=1e-3,
                         controls=StepControls(u_cap=0.5))
+
+    @pytest.mark.parametrize("snaps, bad", [((0.5, 1.5), 1.5), ((0.0, -1e-3, 2.0), -1e-3)])
+    def test_snapshot_times_within_the_run(self, snaps, bad):
+        g = build_grid("interval", 1.0, 16)
+        phi = Field(g, np.sin(np.pi * g.axes[0]))
+        with pytest.raises(ConfigError, match=f"snapshot time {bad} outside"):
+            ProblemSpec(grid=g, weight=None, p=2.0, reaction=ReactionSpec.none(),
+                        initial=phi, t_end=1.0, dt0=1e-3, snapshot_times=snaps)
 
     def test_weight_exponent_window(self):
         g = build_grid("radial", 1.0, 16, n=2)
