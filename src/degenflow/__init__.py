@@ -11,7 +11,6 @@ decay-rate fits).
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DegenerateBallError,
     DegenflowError,
     DivergenceError,
     FitError,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ConvergenceError",
-    "DegenerateBallError",
     "DegenflowError",
     "DivergenceError",
     "FitError",

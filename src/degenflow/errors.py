@@ -6,15 +6,19 @@ class DegenflowError(Exception):
 
 
 class ConfigError(DegenflowError, ValueError):
-    """Invalid parameter, precondition, or configuration input."""
+    """Invalid parameter, precondition, or configuration input.
+
+    keys names the config keys at fault, the likeliest first, so the config
+    parser can point at the line that sets one.
+    """
+
+    def __init__(self, message, keys=()):
+        super().__init__(message)
+        self.keys = keys
 
 
 class DivergenceError(DegenflowError, ArithmeticError):
     """An integral or iteration diverges."""
-
-
-class DegenerateBallError(DegenflowError, ArithmeticError):
-    """A ball carries zero weight mass, so a mass ratio is undefined."""
 
 
 class ShapeError(DegenflowError, ValueError):

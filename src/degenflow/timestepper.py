@@ -89,11 +89,13 @@ class StepControls:
 
     def __post_init__(self):
         if not 0.0 < self.dt_min <= self.dt_max:
-            raise ConfigError("need 0 < dt_min <= dt_max")
+            raise ConfigError("need 0 < dt_min <= dt_max", keys=("dt_min", "dt_max"))
         if not self.u_cap >= 0.0:
-            raise ConfigError(f"u_cap must be >= 0 (0 derives it), got {self.u_cap}")
+            raise ConfigError(f"u_cap must be >= 0 (0 derives it), got {self.u_cap}",
+                              keys=("u_cap",))
         if not self.newton_tol > 0.0:
-            raise ConfigError(f"newton_tol must be positive, got {self.newton_tol}")
+            raise ConfigError(f"newton_tol must be positive, got {self.newton_tol}",
+                              keys=("newton_tol",))
 
 
 @dataclass(frozen=True)
@@ -121,17 +123,23 @@ class ProblemSpec:
         bdry = np.abs(self.initial.values[self.grid.boundary_mask])
         if bdry.size and bdry.max() > 1e-12:
             raise ConfigError("initial data must vanish on the Dirichlet boundary")
-        if not self.t_end > 0.0:
-            raise ConfigError("t_end must be positive")
-        if not self.controls.dt_min <= self.dt0 <= self.controls.dt_max:
-            raise ConfigError("need dt_min <= dt0 <= dt_max")
-        outside = [ts for ts in self.snapshot_times if not 0.0 <= ts <= self.t_end]
-        if outside:
-            raise ConfigError(f"snapshot time {outside[0]} outside [0, t_end = {self.t_end}]")
+        self.check_schedule(self.t_end, self.dt0, self.controls, self.snapshot_times)
         cap = self.cap_value()
         sup0 = float(np.abs(self.initial.values).max())
         if sup0 > 0.0 and cap <= sup0:
             raise ConfigError("u_cap must exceed sup of the initial data")
+
+    @staticmethod
+    def check_schedule(t_end, dt0, controls, snapshot_times):
+        """The checks of the run's time schedule that need no grid or data."""
+        if not t_end > 0.0:
+            raise ConfigError("t_end must be positive", keys=("t_end",))
+        if not controls.dt_min <= dt0 <= controls.dt_max:
+            raise ConfigError("need dt_min <= dt0 <= dt_max", keys=("dt0", "dt_min", "dt_max"))
+        outside = [ts for ts in snapshot_times if not 0.0 <= ts <= t_end]
+        if outside:
+            raise ConfigError(f"snapshot time {outside[0]} outside [0, t_end = {t_end}]",
+                              keys=("snapshot_times", "t_end"))
 
     def cap_value(self):
         if self.controls.u_cap > 0.0:

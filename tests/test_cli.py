@@ -50,6 +50,27 @@ dt0 = 1e-3
 dt_max = 5e-3
 """
 
+SCAN_CFG = """\
+command = blowup-scan
+output_dir = {out}
+
+[problem]
+mode = interval
+resolution = 64
+p = 2.0
+reaction = power
+sigma = 2.0
+t_end = 3.0
+dt0 = 1e-3
+
+[controls]
+dt_max = 2e-2
+
+[scan]
+values = 6.0, 20.0
+rel_tol = 0.05
+"""
+
 # the sections each command reads besides the top level and [problem];
 # solve reads [eigen] only with a reaction term
 SECTIONS_READ = {
@@ -57,11 +78,14 @@ SECTIONS_READ = {
     "solve": {"controls"},
     "blowup-scan": {"controls", "eigen", "scan"},
     "verify-exact": {"verify"},
-    "weights-check": {"weights"},
+    "weights-check": set(),
     "decay-fit": {"controls", "decay"},
 }
 
-# one valid line for each of the other sections
+# one valid line for each of the other sections, and one that set the
+# radius grid of the [weights] section, which is gone: every command
+# rejects that section as unknown
+REMOVED_SECTIONS = {"weights"}
 FOREIGN_SECTIONS = {
     "controls": "dt_max = 1e-2",
     "eigen": "tol = 1e-6",
@@ -432,16 +456,17 @@ class TestMain:
         iteration limit, the residual-check margins and the weight-class cap
         are constants of their modules, and the sweep, the eigenfunction
         normalization, the weights-check exponent (it is [problem] mu) and
-        its doubling pairs (each radius r with 2r) are not settable: a config
-        that sets one exits 2 with error.json naming the line."""
+        its doubling pairs (the closed-form check takes the pair (2, 1))
+        are not settable: a config that sets one exits 2 with error.json
+        naming the line."""
         text = EIGEN_CFG.format(out=tmp_path / "out") + f"\n[{section}]\n{key} = 1\n"
         path = tmp_path / "k.cfg"
         path.write_text(text)
         assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG
         error = json.loads((tmp_path / "out" / "error.json").read_text())
         lines = text.splitlines()
-        if section == "sweep":  # the whole section is gone
-            expected = f"line {lines.index('[sweep]') + 1}: unknown section [sweep]"
+        if section in ("sweep", "weights"):  # the whole section is gone
+            expected = f"line {lines.index(f'[{section}]') + 1}: unknown section [{section}]"
         else:
             expected = f"line {lines.index(f'{key} = 1') + 1}: unknown key {key!r}"
         assert expected in error["message"]
@@ -496,6 +521,35 @@ class TestMain:
         assert error["error_kind"] == "config"
         assert "snapshot time 0.5 outside [0, t_end = 0.05]" in error["message"]
         assert not list(out.glob("snapshot_*"))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("dt_max = 2e-2", "dt_max = 2e-2\nnewton_tol = 0", "newton_tol must be positive, got 0.0"),
+        ("dt_max = 2e-2", "dt_max = 2e-2\nu_cap = -5", "u_cap must be >= 0"),
+        ("dt_max = 2e-2", "dt_max = 2e-2\ndt_min = 1.0", "need 0 < dt_min <= dt_max"),
+        ("dt0 = 1e-3", "dt0 = 1.0", "need dt_min <= dt0 <= dt_max"),
+        ("t_end = 3.0", "t_end = 0", "t_end must be positive"),
+        ("dt0 = 1e-3", "dt0 = 1e-3\nsnapshot_times = 0.5, 4.0",
+         "snapshot time 4.0 outside [0, t_end = 3.0]"),
+    ], ids=["newton_tol", "u_cap", "dt_min", "dt0", "t_end", "snapshot_times"])
+    def test_bad_schedule_fails_at_parse_time(self, tmp_path, monkeypatch, old, new, message):
+        """A bad [controls] value, a dt0 outside [dt_min, dt_max], a t_end
+        that is not positive and a snapshot time outside [0, t_end] exit 2
+        at parse time with a config error.json naming the line of the key
+        at fault: a scan computes no eigenpair and writes nothing else."""
+        calls = []
+        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        path = tmp_path / "s.cfg"
+        text = SCAN_CFG.format(out=out).replace(f"{old}\n", f"{new}\n")
+        path.write_text(text)
+        assert main(["blowup-scan", "--config", str(path)]) == EXIT_CONFIG
+        lineno = text.splitlines().index(new.splitlines()[-1]) + 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert error["message"].startswith(f"line {lineno}: {message}")
+        assert calls == []
+        assert sorted(os.listdir(out)) == ["error.json"]
 
     def test_solve_summary_carries_the_outcome(self, tmp_path):
         """The solve summary and outcome.json write the same outcome fields
@@ -581,8 +635,8 @@ class TestMain:
 
     def test_weights_check_steep_power_weight(self, tmp_path):
         """|x|**300 with its natural mu = 301 doubles exactly: the normalized
-        ratio is 1 on every pair, although (s/h)**301 alone overflows a
-        float on the extended pairs, where s/h reaches 16."""
+        ratio is 1, taken as one power of s/h, not as a quotient of ball
+        masses that underflow or overflow a float at moderate radii."""
         path = tmp_path / "w.cfg"
         path.write_text(
             f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n[problem]\n"
@@ -593,6 +647,60 @@ class TestMain:
         assert summary["mu"] == 301.0
         assert summary["doubling"]["passes"] is True
         assert summary["doubling"]["worst_ratio"] == 1.0
+
+    # (problem lines, Muckenhoupt (passes, message, constant, ess-sup
+    # ratio), doubling (passes, message, ratio, slope)); None is an inf,
+    # which the JSON writer stores as null
+    @pytest.mark.parametrize("problem, mk, db", [
+        ("mode = radial\nn = 2\ntheta_w = 1.0\ntheta_mk = 2.0",
+         (True, "ok", 13.15947253478581, 0.47746482927568606), (True, "ok", 1.0, 0.0)),
+        ("mode = radial\nn = 2\ntheta_w = -0.5\ntheta_mk = 2.0",
+         (False, "constant exceeds cap", 10.527578027828648, None), (True, "ok", 1.0, 0.0)),
+        ("mode = radial\nn = 3\ntheta_w = 0.5\ntheta_mk = 10.0",
+         (False, "constant exceeds cap", 1686554.2501977265, 0.2785211504108169),
+         (True, "ok", 1.0, 0.0)),
+        ("mode = radial\nn = 2\ntheta_w = 2.5\ntheta_mk = 2.0",
+         (False, "mass or dual mass diverges", None, None), (True, "ok", 1.0, 0.0)),
+        ("mode = radial\nn = 3\ntheta_w = 1.0\ntheta_mk = 3.0\nmu = 1.0333333333333332",
+         (True, "ok", 79.37606830156754, 0.3183098861837907),
+         (False, "normalized ratio grows with scale separation", 1.8660659830736153,
+          0.9000000000000004)),
+    ], ids=["passes", "negative-theta", "cap", "dual-diverges", "mu-below-natural"])
+    def test_weights_check_verdict_table(self, tmp_path, problem, mk, db):
+        """weights-check writes the verdicts, messages and constants pinned
+        here for a passing weight, a negative exponent (unbounded ess sup),
+        a constant above the cap, a diverging dual mass and mu 0.3 below
+        its natural value."""
+        path = tmp_path / "w.cfg"
+        path.write_text(f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n"
+                        f"[problem]\nweight = power\n{problem}\n")
+        assert main(["weights-check", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
+        for name, fields, expected in (
+                ("muckenhoupt", ("passes", "message", "worst_constant", "worst_esssup_ratio"), mk),
+                ("doubling", ("passes", "message", "worst_ratio", "tail_slope"), db)):
+            got = [summary[name][f] for f in fields]
+            assert got[:2] == list(expected[:2])
+            for value, pinned in zip(got[2:], expected[2:]):
+                if pinned is None:
+                    assert value is None
+                else:
+                    assert value == pytest.approx(pinned, rel=1e-13, abs=1e-300)
+        assert "tail_growth" not in summary["muckenhoupt"]
+
+    def test_weights_check_non_integrable_weight(self, tmp_path):
+        """A weight |x|**theta_w with theta_w <= -n has no finite ball
+        mass: weights-check exits 3 with a numerical error.json."""
+        path = tmp_path / "w.cfg"
+        path.write_text(f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n"
+                        "[problem]\nmode = interval\nweight = power\ntheta_w = -1.5\n")
+        assert main(["weights-check", "--config", str(path)]) == EXIT_NUMERICAL
+        error = json.loads((tmp_path / "wout" / "error.json").read_text())
+        assert error == {
+            "error_kind": "numerical",
+            "error_type": "DivergenceError",
+            "message": "weight |x|**(-1.5) is not integrable near the origin in dimension 1",
+        }
 
     def test_eigen_rejects_problem_keys_it_never_reads(self, tmp_path):
         """eigen takes no time step and has no reaction or initial data, so
@@ -679,7 +787,7 @@ class TestMain:
          {"reaction", "alpha0", "sigma", "c6", "initial", "amplitude", "initial_time",
           "t_end", "dt0"}),
         ("weights-check", "command = weights-check\noutput_dir = {out}\n[problem]\n"
-         "mode = interval\nweight = power\ntheta_w = 1.0\n", {"", "problem", "weights"},
+         "mode = interval\nweight = power\ntheta_w = 1.0\n", {"", "problem"},
          {"reaction", "alpha0", "sigma", "c6", "initial", "amplitude", "initial_time",
           "t_end", "dt0"}),
     ], ids=["solve", "reacting-solve", "eigen", "weights-check"])
@@ -767,7 +875,8 @@ class TestMain:
         """A key set in a section the command never reads exits 2 with a
         config error.json naming its line, before anything runs.  solve
         without a reaction computes no eigenpair, so [eigen] is foreign to
-        it too."""
+        it too.  A removed section is unknown to every command, and the
+        error names the line of its header."""
         out = tmp_path / "out"
         path = tmp_path / "f.cfg"
         path.write_text(
@@ -777,7 +886,11 @@ class TestMain:
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
         error = json.loads((out / "error.json").read_text())
         assert error["error_kind"] == "config"
-        assert f"line 6: {command} does not read [{section}]" in error["message"]
+        if section in REMOVED_SECTIONS:
+            expected = f"line 5: unknown section [{section}]"
+        else:
+            expected = f"line 6: {command} does not read [{section}]"
+        assert expected in error["message"]
         assert sorted(os.listdir(out)) == ["error.json"]
 
 
