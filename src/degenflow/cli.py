@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .discretization import Field, build_grid, write_field_csv
+from .discretization import Field, build_grid, grid_dimension, write_field_csv
 from .eigensolver import smallest_eigenpair
 from .errors import ConfigError, DegenflowError
 from .jsonio import write_json
@@ -128,8 +128,6 @@ _SCHEMA = {
     "decay": {
         "window_start": (_as_float, 1.0),
         "window_end": (_as_float, 10.0),
-        "kind": (_as_str, diag.FIT_ALGEBRAIC),
-        "time_offset": (_as_float, None),
     },
 }
 
@@ -149,7 +147,8 @@ _SECTIONS_READ = {
 # too: eigen, verify-exact and weights-check take no time step and have no
 # reaction or initial data, only decay-fit and weights-check read mu (the
 # self-similar profiles do not), verify-exact builds its grids at the
-# [verify] resolutions, and only weights-check reads theta_mk.
+# [verify] resolutions, and only weights-check reads theta_mk and builds
+# no grid.
 _EVOLUTION_KEYS = ("reaction", "alpha0", "sigma", "c6", "initial", "amplitude",
                    "initial_time", "t_end", "dt0", "snapshot_times")
 _PROBLEM_KEYS_UNREAD = {
@@ -157,7 +156,7 @@ _PROBLEM_KEYS_UNREAD = {
     "solve": ("mu", "theta_mk"),
     "blowup-scan": ("mu", "theta_mk"),
     "verify-exact": ("mu", "resolution", "theta_mk") + _EVOLUTION_KEYS,
-    "weights-check": _EVOLUTION_KEYS,
+    "weights-check": ("extent", "resolution", "p") + _EVOLUTION_KEYS,
     "decay-fit": ("theta_mk",),
 }
 
@@ -179,6 +178,8 @@ def _reads(command, problem):
         unread["theta_w"] = "weight = none"
     if problem["initial"].lower() != "barenblatt":
         unread["initial_time"] = f"initial = {problem['initial'].lower()}"
+    if problem["mode"] != "radial":
+        unread["n"] = f"mode = {problem['mode']}"
     unread.update(dict.fromkeys(_PROBLEM_KEYS_UNREAD.get(command, ()), command))
     return sections, unread
 
@@ -188,6 +189,7 @@ class ExperimentConfig:
     command: str
     output_dir: str
     sections: dict = field(default_factory=dict)
+    lines: dict = field(default_factory=dict)  # (section, key) -> line that sets it
 
 
 def parse_config(text, command_override=None):
@@ -265,7 +267,15 @@ def _parse_sections(text, sections, command_override):
         _check_schedule(sections, explicit)
 
     out = sections[""]["output_dir"] or "degenflow-out"
-    return ExperimentConfig(command=command, output_dir=out, sections=sections)
+    return ExperimentConfig(command=command, output_dir=out, sections=sections,
+                            lines=explicit)
+
+
+def _at_line(exc, lines):
+    """The ConfigError exc prefixed with the line that sets the first of its
+    keys that the file sets, or exc itself when the file sets none."""
+    found = [line for key in exc.keys for (_name, k), line in lines.items() if k == key]
+    return ConfigError(f"line {found[0]}: {exc}") if found else exc
 
 
 def _check_schedule(sections, explicit):
@@ -278,11 +288,7 @@ def _check_schedule(sections, explicit):
                                    StepControls(**sections["controls"]),
                                    prob["snapshot_times"] or ())
     except ConfigError as exc:
-        lines = [explicit[name, key] for key in exc.keys for name in ("problem", "controls")
-                 if (name, key) in explicit]
-        if lines:
-            raise ConfigError(f"line {lines[0]}: {exc}") from exc
-        raise
+        raise _at_line(exc, explicit)
 
 
 def _fmt_value(value):
@@ -516,16 +522,21 @@ def _cmd_blowup_scan(cfg, out):
     if not rel_tol > 0.0:
         raise ConfigError("scan rel_tol must be positive")
 
-    eigenpair = _solve_eigen(cfg, grid, weight)
-    lam1 = eigenpair.eigenvalue
-
-    def probe(a):
+    def with_amplitude(a):
         # each probe runs, and echoes, its own config: the scan's with
         # amplitude a
         sections = {name: dict(body) for name, body in cfg.sections.items()}
         sections["problem"]["amplitude"] = a
-        return _run_one(ExperimentConfig(cfg.command, cfg.output_dir, sections),
-                        grid, weight, eigenpair, out / "runs" / f"A_{a:.8g}")
+        return ExperimentConfig(cfg.command, cfg.output_dir, sections)
+
+    # u_cap must exceed the largest probe's initial sup, checked before any work
+    _build_problem(with_amplitude(max(values, key=abs)), grid, weight, None)
+    eigenpair = _solve_eigen(cfg, grid, weight)
+    lam1 = eigenpair.eigenvalue
+
+    def probe(a):
+        return _run_one(with_amplitude(a), grid, weight, eigenpair,
+                        out / "runs" / f"A_{a:.8g}")
 
     results = {a: probe(a) for a in sorted(set(values))}
 
@@ -645,17 +656,8 @@ def _cmd_weights_check(cfg, out):
     weight = _build_weight(cfg)
     if weight is None:
         weight = WeightSpec.constant(prob["theta_mk"])
-    if prob["mode"] == "radial":
-        # rejects a radial problem without an integer n >= 2, as every
-        # command that builds the grid does
-        n = _build_grid(cfg).dim
-    elif prob["n"] is not None:
-        n = prob["n"]
-    else:
-        n = 2 if prob["mode"] == "tensor2d" else 1
-    mu = prob["mu"]
-    if mu is None:
-        mu = weight.natural_mu(n)
+    n = grid_dimension(prob["mode"], prob["n"])
+    mu = prob["mu"] if prob["mu"] is not None else weight.natural_mu(n)
 
     mk = check_muckenhoupt(weight, n)
     db = check_doubling(weight, n, mu, [(2.0, 1.0)])
@@ -689,12 +691,10 @@ def _cmd_decay_fit(cfg, out):
     outcome = _run_one(cfg, grid, weight, None, out)
     exps = _exponents(cfg, grid, weight)
 
-    offset = dec["time_offset"]
-    if offset is None:
-        offset = prob["initial_time"] if prob["initial"].lower() == "barenblatt" else 0.0
+    # a barenblatt run starts at physical time initial_time
+    offset = prob["initial_time"] if prob["initial"].lower() == "barenblatt" else 0.0
     window = (dec["window_start"], dec["window_end"])
-    fit = diag.decay_exponent_fit(outcome.trajectory, window,
-                                  kind=dec["kind"], time_offset=offset)
+    fit = diag.decay_exponent_fit(outcome.trajectory, window, time_offset=offset)
     body = {
         "kind": outcome.kind,
         "fit": fit,
@@ -727,7 +727,10 @@ def run_command(cfg):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.txt").write_text(resolved_config_text(cfg))
-    return _DISPATCH[cfg.command](cfg, out)
+    try:
+        return _DISPATCH[cfg.command](cfg, out)
+    except ConfigError as exc:
+        raise _at_line(exc, cfg.lines)
 
 
 def main(argv=None):

@@ -1,6 +1,8 @@
 """Derived quantities for run analysis: scaling exponents, the comparison
 ODE and its thresholds, self-similar reference solutions, residual
-verification, and trajectory fits.
+verification, and trajectory fits.  Every fitted line, the algebraic decay
+exponent here and timestepper's blow-up time and decay rate, comes from
+one least-squares helper, _line_fit.
 
 The comparison ODE g' = -lambda1 g + C g^sigma is solved in closed form
 through the substitution h = g^{1-sigma}, which turns it into a linear
@@ -92,33 +94,24 @@ def bernoulli_blowup(params):
     if g0 == 0.0:
         return {"blows_up": False, "T": None, "g": lambda t: np.zeros_like(np.asarray(t, dtype=float))}
 
+    # h = g^{1-sigma} solves the linear h' = sm1 (lam h - c)
     h0 = g0 ** (-sm1)
-
     if lam == 0.0:
-        t_star = h0 / (sm1 * c)
+        blows, t_star = True, float(h0 / (sm1 * c))
 
-        def g_eval(t):
-            t = np.asarray(t, dtype=float)
-            h = h0 - sm1 * c * t
-            out = np.full(t.shape, np.inf)
-            ok = h > 0.0
-            out[ok] = h[ok] ** (-1.0 / sm1)
-            return out if out.shape else float(out)
-
-        return {"blows_up": True, "T": float(t_star), "g": g_eval}
-
-    h_eq = c / lam  # h-value of the ODE equilibrium g* = (lam/c)^{1/(sm1)}
-    blows = h0 < h_eq  # equivalently g0 > g*
-
-    if blows:
-        t_star = math.log(h_eq / (h_eq - h0)) / (sm1 * lam)
+        def h_of(t):
+            return h0 - sm1 * c * t
     else:
-        t_star = None
+        h_eq = c / lam  # h-value of the ODE equilibrium g* = (lam/c)^{1/(sm1)}
+        blows = h0 < h_eq  # equivalently g0 > g*
+        t_star = math.log(h_eq / (h_eq - h0)) / (sm1 * lam) if blows else None
+
+        def h_of(t):
+            return h_eq + (h0 - h_eq) * np.exp(sm1 * lam * t)
 
     def g_eval(t):
-        t = np.asarray(t, dtype=float)
-        h = h_eq + (h0 - h_eq) * np.exp(sm1 * lam * t)
-        out = np.full(t.shape, np.inf)
+        h = h_of(np.asarray(t, dtype=float))
+        out = np.full(h.shape, np.inf)
         ok = h > 0.0
         out[ok] = h[ok] ** (-1.0 / sm1)
         return out if out.shape else float(out)
@@ -259,50 +252,40 @@ def residual_check(candidate, grid, weight, p, sample_times):
 
 # -------------------------------------------------------------------- fits
 
-FIT_ALGEBRAIC = "algebraic"
-FIT_EXPONENTIAL = "exponential"
+def _line_fit(x, y):
+    """Least-squares line y = a + b x: the coefficients (a, b) and their
+    covariance from the residual variance."""
+    design = np.vstack([np.ones_like(x), x]).T
+    coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    dof = max(len(x) - 2, 1)
+    sigma2 = (float(res[0]) if res.size else
+              float(np.sum((design @ coef - y) ** 2))) / dof
+    # pinv: steps at the dt floor can make the normal matrix singular
+    return coef, sigma2 * np.linalg.pinv(design.T @ design)
 
 
-def decay_exponent_fit(traj, window, kind=FIT_ALGEBRAIC, time_offset=0.0):
-    """Least-squares decay fit of the sup norm over a time window.
-
-    kind "algebraic" fits log sup = a + e log(t + time_offset) and returns
-    the exponent e; "exponential" fits log sup = a + e t (so e = -rate).
-    The window selects on shifted time t + time_offset, so a trajectory
-    started at physical time t0 can be fit against an absolute window by
-    passing time_offset=t0.  Returns {"exponent", "stderr", "samples"}.
-    """
+def decay_exponent_fit(traj, window, time_offset=0.0):
+    """Least-squares fit log sup = a + e log(t + time_offset) of the sup norm
+    over a window of shifted times t + time_offset, so a trajectory started
+    at physical time t0 is fit against an absolute window by passing
+    time_offset=t0.  Returns the exponent e as {"exponent", "stderr",
+    "samples"}."""
     t = np.asarray(traj.times, dtype=float)
     s = np.asarray(traj.sup_abs_u, dtype=float)
     t_a, t_b = window
-    sel = (t + time_offset >= t_a) & (t + time_offset <= t_b)
+    shifted = t + time_offset
+    sel = (shifted >= t_a) & (shifted <= t_b)
     if sel.sum() < 5:
         raise FitError(f"need at least 5 samples in window [{t_a}, {t_b}]")
-    tt, ss = t[sel], s[sel]
-    if np.any(ss <= 0.0):
+    if np.any(s[sel] <= 0.0):
         raise FitError("sup norm must be positive throughout the fit window")
-
-    if kind == FIT_ALGEBRAIC:
-        shifted = tt + time_offset
-        if np.any(shifted <= 0.0):
-            raise FitError("algebraic fit needs positive shifted times")
-        xs = np.log(shifted)
-    elif kind == FIT_EXPONENTIAL:
-        xs = tt
-    else:
-        raise ConfigError(f"unknown fit kind {kind!r}")
-    ys = np.log(ss)
-
-    design = np.vstack([np.ones_like(xs), xs]).T
-    coef, res, _, _ = np.linalg.lstsq(design, ys, rcond=None)
-    dof = max(len(xs) - 2, 1)
-    sigma2 = (float(res[0]) if res.size else
-              float(np.sum((design @ coef - ys) ** 2))) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
+    if np.any(shifted[sel] <= 0.0):
+        raise FitError("algebraic fit needs positive shifted times")
+    coef, cov = _line_fit(np.log(shifted[sel]), np.log(s[sel]))
     return {
         "exponent": float(coef[1]),
         "stderr": float(np.sqrt(cov[1, 1])),
-        "samples": int(len(xs)),
+        "samples": int(sel.sum()),
     }
 
 

@@ -65,10 +65,22 @@ class Grid:
         return np.abs(self.axes[0])
 
 
-def build_grid(mode, extent, resolution, n=None):
-    """Build a uniform grid with `resolution` cells per axis."""
+def grid_dimension(mode, n=None):
+    """Space dimension of a grid mode: 1 on the interval, 2 on the tensor
+    grid, and the integer n >= 2 that a radial grid needs."""
     if mode not in _MODES:
         raise ConfigError(f"unknown grid mode {mode!r}")
+    if mode == MODE_RADIAL:
+        if n is None or int(n) != n or n < 2:
+            raise ConfigError("radial mode needs an integer dimension n >= 2")
+        return int(n)
+    return 1 if mode == MODE_INTERVAL else 2
+
+
+def build_grid(mode, extent, resolution, n=None):
+    """Build a uniform grid with `resolution` cells per axis; n is read on
+    radial grids only."""
+    dim = grid_dimension(mode, n)
     if not extent > 0.0:
         raise ConfigError(f"extent must be positive, got {extent}")
     resolution = int(resolution)
@@ -78,21 +90,12 @@ def build_grid(mode, extent, resolution, n=None):
     nodes = np.linspace(0.0, float(extent), resolution + 1)
     h = float(extent) / resolution
 
-    if mode == MODE_INTERVAL:
-        mask = np.zeros(resolution + 1, dtype=bool)
-        mask[0] = mask[-1] = True
-        return Grid(mode, (nodes,), (h,), 1, float(extent), mask)
-
-    if mode == MODE_RADIAL:
-        if n is None or int(n) != n or n < 2:
-            raise ConfigError("radial mode needs an integer dimension n >= 2")
-        mask = np.zeros(resolution + 1, dtype=bool)
-        mask[-1] = True
-        return Grid(mode, (nodes,), (h,), int(n), float(extent), mask)
-
-    mask = np.zeros((resolution + 1, resolution + 1), dtype=bool)
-    mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = True
-    return Grid(mode, (nodes, nodes), (h, h), 2, float(extent), mask)
+    axes = (nodes, nodes) if mode == MODE_TENSOR2D else (nodes,)
+    # Dirichlet nodes: both ends of every axis, but only the rim of a ball
+    mask = np.zeros((resolution + 1,) * len(axes), dtype=bool)
+    mask[-1] = mask[..., -1] = True
+    mask[0] = mask[..., 0] = mode != MODE_RADIAL
+    return Grid(mode, axes, (h,) * len(axes), dim, float(extent), mask)
 
 
 @dataclass(eq=False)

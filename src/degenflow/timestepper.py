@@ -53,6 +53,7 @@ import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
 
 from .banded import BandPattern, FactorError, lower_entries
+from .diagnostics import _line_fit
 from .discretization import Field, quad_weights, quadrature_sum, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
@@ -127,7 +128,7 @@ class ProblemSpec:
         cap = self.cap_value()
         sup0 = float(np.abs(self.initial.values).max())
         if sup0 > 0.0 and cap <= sup0:
-            raise ConfigError("u_cap must exceed sup of the initial data")
+            raise ConfigError("u_cap must exceed sup of the initial data", keys=("u_cap",))
 
     @staticmethod
     def check_schedule(t_end, dt0, controls, snapshot_times):
@@ -387,8 +388,8 @@ def _fit_exponential_rate(times, sups, sup0):
         ok[: len(s) // 2] = False
     if ok.sum() < 2:
         return float("nan")
-    coef = np.polyfit(t[ok], np.log(s[ok]), 1)
-    return float(-coef[0])
+    coef, _ = _line_fit(t[ok], np.log(s[ok]))
+    return float(-coef[1])
 
 
 def run_simulation(spec, eigenpair=None):
@@ -496,9 +497,6 @@ def run_simulation(spec, eigenpair=None):
     if outcome == KIND_BLOWUP:
         sigma = spec.reaction.sigma if spec.reaction.family != "none" else 2.0
         t_est, t_lo, t_hi = estimate_blowup_time(traj, sigma, t_end=spec.t_end)
-        t_lo = max(t_lo, traj.times[-1])
-        t_est = min(max(t_est, t_lo), spec.t_end)
-        t_hi = min(max(t_hi, t_est), spec.t_end)
         return RunOutcome(KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **counts)
     if outcome == KIND_DECAYED:
         rate = _fit_exponential_rate(traj.times, traj.sup_abs_u, sup0)
@@ -512,10 +510,11 @@ def estimate_blowup_time(traj, sigma, t_end=float("inf")):
     Near blow-up sup|u| behaves like (T - t)^{-1/(sigma-1)}, so
     y = sup|u|^{-(sigma-1)} is asymptotically linear in t with root T.
     Fits y = a + b t on the longest strictly-growing tail (at most 25
-    points), returns (T_est, T_lo, T_hi) with T_lo the last accepted time
-    and T_hi = T_est plus the propagated standard error of the root.
-    A tail too short or not strictly growing yields the degenerate answer
-    (t_last, t_last, t_end).
+    points), returns (T_est, T_lo, T_hi) with T_lo the last accepted time,
+    T_est the root clamped to [T_lo, t_end] and T_hi = T_est plus the
+    propagated standard error of the root, at most t_end.  A tail too short
+    or not strictly growing yields the degenerate answer (t_last, t_last,
+    t_end).
     """
     if not sigma > 1.0:
         raise ConfigError(f"sigma must exceed 1, got {sigma}")
@@ -536,25 +535,13 @@ def estimate_blowup_time(traj, sigma, t_end=float("inf")):
         return fallback
 
     y = ss ** (-(sigma - 1.0))
-    design = np.vstack([np.ones_like(tt), tt]).T
-    coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    a, b = coef
-    if b >= 0.0:
+    (a, b), cov = _line_fit(tt, y)
+    if not b < 0.0:
         return fallback
-    t_est = -a / b
-
-    dof = max(len(tt) - 2, 1)
-    if res.size:
-        sigma2 = float(res[0]) / dof
-    else:
-        sigma2 = float(np.sum((design @ coef - y) ** 2)) / dof
-    # pinv: steps at the dt floor can make the normal matrix singular
-    cov = sigma2 * np.linalg.pinv(design.T @ design)
     grad = np.array([-1.0 / b, a / (b * b)])
     stderr = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
-
-    t_lo = t_last
-    t_est = max(t_est, t_lo)
-    t_hi = min(t_est + stderr, t_end)
-    t_est = min(t_est, t_hi)
-    return float(t_est), float(t_lo), float(t_hi)
+    # max and min keep their first argument when compared with NaN, so a
+    # NaN root or stderr falls back to t_last or t_end
+    t_est = min(max(t_last, -a / b), t_end)
+    t_hi = min(t_end, t_est + stderr)
+    return float(t_est), t_last, float(t_hi)

@@ -332,7 +332,7 @@ class TestMain:
         monkeypatch.chdir(tmp_path)
         text = (
             "command = weights-check\noutput_dir = wout\n"
-            "[problem]\nmode = radial\nn = 2\nextent = 4.0\nweight = power\ntheta_w = 1.0\n"
+            "[problem]\nmode = radial\nn = 2\nweight = power\ntheta_w = 1.0\n"
         )
         path = tmp_path / "w.cfg"
         path.write_text(text)
@@ -369,7 +369,7 @@ class TestMain:
         path = tmp_path / "w.cfg"
         path.write_text(
             f"command = weights-check\noutput_dir = {tmp_path / 'wout'}\n"
-            f"[problem]\n{problem}extent = 4.0\nweight = power\ntheta_w = 1.0\n"
+            f"[problem]\n{problem}weight = power\ntheta_w = 1.0\n"
         )
         code = main(["weights-check", "--config", str(path)])
         if n is None:
@@ -380,6 +380,60 @@ class TestMain:
             assert code == EXIT_OK
             summary = json.loads((tmp_path / "wout" / "summary.json").read_text())
             assert summary["n"] == n
+
+    @pytest.mark.parametrize("mode", ["interval", "tensor2d"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dimension_is_read_only_on_radial_grids(self, tmp_path, monkeypatch, command, mode):
+        """The dimension of an interval or tensor grid is fixed by its mode,
+        so n set beside it exits 2 with a config error.json naming its
+        line, before anything runs."""
+        calls = []
+        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        path = tmp_path / "n.cfg"
+        path.write_text(f"command = {command}\noutput_dir = {out}\n[problem]\n"
+                        f"mode = {mode}\nn = 3\n")
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert f"line 5: mode = {mode} does not read 'n' in [problem]" in error["message"]
+        assert calls == []
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    def test_low_scan_cap_fails_before_the_eigensolve(self, tmp_path, monkeypatch):
+        """A u_cap at or below the largest probe's initial sup exits 2 with
+        a config error.json naming the u_cap line, before the eigensolve
+        and before any probe runs."""
+        calls = []
+        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        path = tmp_path / "s.cfg"
+        text = SCAN_CFG.format(out=out).replace("dt_max = 2e-2\n", "dt_max = 2e-2\nu_cap = 10\n")
+        path.write_text(text)
+        assert main(["blowup-scan", "--config", str(path)]) == EXIT_CONFIG
+        lineno = text.splitlines().index("u_cap = 10") + 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert error["message"] == f"line {lineno}: u_cap must exceed sup of the initial data"
+        assert calls == []
+        assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize("line", ["kind = exponential", "time_offset = 1.0"])
+    def test_decay_fit_offset_and_kind_are_not_keys(self, tmp_path, line):
+        """decay-fit fits the algebraic decay exponent only and derives the
+        time offset from the initial profile, so [decay] kind and
+        time_offset are unknown keys: exit 2 naming the line."""
+        out = tmp_path / "out"
+        path = tmp_path / "d.cfg"
+        path.write_text(f"command = decay-fit\noutput_dir = {out}\n[problem]\nmode = radial\n"
+                        f"n = 2\np = 3.0\ninitial = barenblatt\n[decay]\n{line}\n")
+        assert main(["decay-fit", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        key = line.split(" =")[0]
+        assert f"line 9: unknown key {key!r} in [decay]" in error["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
 
     def test_undecided_scan_exit_code(self, tmp_path, monkeypatch):
         """A scan whose bracket cannot reach the tolerance in the probe
@@ -788,8 +842,8 @@ class TestMain:
           "t_end", "dt0"}),
         ("weights-check", "command = weights-check\noutput_dir = {out}\n[problem]\n"
          "mode = interval\nweight = power\ntheta_w = 1.0\n", {"", "problem"},
-         {"reaction", "alpha0", "sigma", "c6", "initial", "amplitude", "initial_time",
-          "t_end", "dt0"}),
+         {"extent", "resolution", "p", "reaction", "alpha0", "sigma", "c6", "initial",
+          "amplitude", "initial_time", "t_end", "dt0"}),
     ], ids=["solve", "reacting-solve", "eigen", "weights-check"])
     def test_config_echo_lists_only_what_the_command_reads(
             self, tmp_path, command, text, sections, dropped):
@@ -810,7 +864,7 @@ class TestMain:
         for echo in echoes:
             assert set(echo["sections"]) == sections
             assert not dropped & set(echo["sections"]["problem"])
-            assert {"mode", "p", "resolution"} <= set(echo["sections"]["problem"])
+            assert {"mode", "p", "resolution"} - dropped <= set(echo["sections"]["problem"])
         resolved = (out / "resolved_config.txt").read_text()
         named = set(re.findall(r"^\[(\w+)\]$", resolved, re.M))
         assert named == {s for s, body in echoes[0]["sections"].items() if s and body}
@@ -819,10 +873,12 @@ class TestMain:
         if command == "eigen":
             assert echoes[0]["sections"]["eigen"]["tol"] == 1e-6
 
-    @pytest.mark.parametrize("line", ["reaction = power", "amplitude = 2.0", "t_end = 0.5"])
+    @pytest.mark.parametrize("line", ["reaction = power", "amplitude = 2.0", "t_end = 0.5",
+                                      "extent = 7.0", "resolution = 8", "p = 5.0"])
     def test_weights_check_rejects_evolution_keys(self, tmp_path, line):
         """weights-check classifies the weight alone, so a [problem] key of
-        an evolution is a config error naming its line."""
+        an evolution, of the grid's size or of the operator's power p is a
+        config error naming its line."""
         out = tmp_path / "out"
         path = tmp_path / "w.cfg"
         path.write_text(f"command = weights-check\noutput_dir = {out}\n[problem]\n"

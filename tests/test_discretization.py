@@ -18,6 +18,7 @@ from degenflow import (
     weight_on_grid,
     write_field_csv,
 )
+from degenflow.discretization import grid_dimension
 
 
 def _node_coordinates(g):
@@ -68,6 +69,18 @@ def test_radial_needs_dimension():
 def test_unknown_mode():
     with pytest.raises(ConfigError):
         build_grid("hex", 1.0, 8)
+    with pytest.raises(ConfigError):
+        grid_dimension("hex")
+
+
+@pytest.mark.parametrize("mode, n, dim", [
+    ("interval", None, 1), ("interval", 3, 1), ("tensor2d", None, 2), ("tensor2d", 3, 2),
+    ("radial", 2, 2), ("radial", 3.0, 3),
+])
+def test_grid_dimension_is_the_grid_rule(mode, n, dim):
+    """The dimension rule is the one build_grid applies: the mode fixes it
+    on interval and tensor grids, and a radial grid takes n."""
+    assert grid_dimension(mode, n) == dim == build_grid(mode, 1.0, 8, n=n).dim
 
 
 def test_field_shape_check():

@@ -1001,6 +1001,55 @@ class TestBlowupEstimate:
             estimate_blowup_time(Trajectory(), 1.0)
 
 
+# sup norms near 1e-150 or 1e150 overflow or underflow the fit's
+# y = sup^(1 - sigma), its slope's square or its residual variance, which
+# numpy reports by a RuntimeWarning
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    samples=st.integers(1, 40),
+    steps=st.lists(st.floats(1e-6, 1.0), min_size=39, max_size=39),
+    t0=st.floats(0.0, 10.0),
+    sigma=st.floats(1.05, 4.0),
+    profile=st.booleans(),
+    growth=st.lists(st.floats(1e-6, 2.0), min_size=40, max_size=40),
+    gap=st.floats(1e-3, 100.0),
+    extra=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 100.0]),
+    scale=st.sampled_from([1.0, 1e-150, 1e150]),
+)
+def test_blowup_estimate_is_bracketed(samples, steps, t0, sigma, profile, growth, gap, extra,
+                                      scale):
+    """On a strictly growing sup-norm tail, noisy or on the exact profile
+    (T - t)^(-1/(sigma - 1)) with T past or before t_end, at any scale, and
+    on a tail too short to fit, the estimate satisfies
+    t_lo = t_last <= t_est <= t_hi <= t_end, as the fallback
+    (t_last, t_last, t_end) does."""
+    t = t0 + np.cumsum([0.0] + steps[: samples - 1])
+    assume(np.all(np.diff(t) > 0.0))
+    t_last, t_end = float(t[-1]), float(t[-1]) + extra
+    if profile:
+        sup = (t_last + gap - t) ** (-1.0 / (sigma - 1.0))
+    else:
+        sup = np.cumprod(1.0 + np.array(growth[:samples]))
+    sup = scale * sup
+    assume(np.all(np.isfinite(sup)) and np.all(np.diff(sup) > 0.0))
+    traj = Trajectory()
+    for ti, si in zip(t, sup):
+        traj.append(float(ti), 0.0, float(si), 0.0, 0.0, 0.0)
+    t_est, t_lo, t_hi = estimate_blowup_time(traj, sigma, t_end=t_end)
+    event("too short" if samples < 5 else "root past t_end" if t_est == t_end
+          else "root at t_last" if t_est == t_last else "root inside")
+    assert t_lo == t_last <= t_est <= t_hi <= t_end
+
+
+def test_decay_rate_fit():
+    """The decay rate of an exact exponential is recovered from its
+    mid-decay window."""
+    ts = np.linspace(0.0, 10.0, 200)
+    rate = timestepper._fit_exponential_rate(ts, 5.0 * np.exp(-3.0 * ts), 5.0)
+    assert rate == pytest.approx(3.0, rel=1e-12)
+
+
 class TestSpecValidation:
     def test_boundary_violation(self):
         g = build_grid("interval", 1.0, 16)
