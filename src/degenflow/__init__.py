@@ -40,10 +40,8 @@ from .discretization import (
 from .plap_operator import (
     ReactionSpec,
     apply_plaplacian,
-    diffusion_jacobian,
     energy,
     energy_hessian_matrix,
-    face_conductance,
     face_operator,
     reaction_derivative,
     reaction_eval,
@@ -103,10 +101,8 @@ __all__ = [
     "write_field_csv",
     "ReactionSpec",
     "apply_plaplacian",
-    "diffusion_jacobian",
     "energy",
     "energy_hessian_matrix",
-    "face_conductance",
     "face_operator",
     "reaction_derivative",
     "reaction_eval",

@@ -502,6 +502,8 @@ def _cmd_solve(cfg, out):
     prob = cfg.sections["problem"]
     eigenpair = None
     if prob["reaction"].lower() != "none":
+        # the problem's checks, u_cap's among them, run before the eigensolve
+        _build_problem(cfg, grid, weight, None)
         eigenpair = _solve_eigen(cfg, grid, weight)
     outcome = _run_one(cfg, grid, weight, eigenpair, out)
     write_json(out / "summary.json", _summary(cfg, _solve_summary(cfg, outcome, eigenpair)))

@@ -149,14 +149,10 @@ def cell_volumes(grid):
 
 
 def weight_on_grid(spec, grid):
-    """Weight values at every node.  Accepts None (constant 1), a radial
-    weight spec, or an already-evaluated nodal array."""
+    """Weight values at every node: constant 1 for None, else the radial
+    weight spec evaluated at the node radii."""
     if spec is None:
         return np.ones(grid.shape)
-    if isinstance(spec, np.ndarray):
-        if spec.shape != grid.shape:
-            raise ShapeError(f"weight array shape {spec.shape} != grid {grid.shape}")
-        return spec
     return eval_radial(spec, grid.radius())
 
 

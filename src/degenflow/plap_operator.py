@@ -251,7 +251,14 @@ class FaceFlux:
         return float(np.sum(self.op.cw * self.s ** (self.p / 2.0)) / self.p)
 
     def conductance(self):
-        """Face conductances kappa; see face_conductance."""
+        """Face conductances kappa = cw * s**((p-4)/2) * ((p-2) a**2 + s),
+        the slope of the flux cw * s**((p-2)/2) * a in the normal difference
+        a = A u (the first F rows of g); A^T diag(kappa) A is the linearized
+        stiffness.  On interval and radial grids, whose face gradient is a
+        alone, that is the exact energy Hessian.  On tensor grids it holds
+        the tangential part B u fixed and drops the B rows' derivative,
+        which keeps the matrix at the compact stencil of A; the damped
+        Newton loop tolerates the mismatch."""
         a, p = self.g[0], self.p
         return self.op.cw * _s_pow(self.s, (p - 4.0) / 2.0) * ((p - 2.0) * a * a + self.s)
 
@@ -288,44 +295,3 @@ def energy_hessian_matrix(grid, weight, interior=False):
     op = face_operator(grid, weight, interior)
     cw = sp.diags_array(np.tile(op.cw, op.matrix.shape[0] // op.cw.size))
     return (op.transpose @ cw @ op.matrix).tocsr()
-
-
-def face_conductance(u, weight, p):
-    """Face conductances kappa of the flux-linearized Jacobian.
-
-    The linearized stiffness is K = A^T diag(kappa) A with A the normal
-    difference, the first F rows of face_operator(grid, weight).matrix, and
-    diffusion_jacobian is -K divided by the cell volumes.  With s = |G|**2,
-    kappa is the slope of the flux in the normal difference,
-    kappa = cw * s**((p-4)/2) * ((p-2) (A u)**2 + s); on tensor grids the
-    tangential part of G is held fixed.
-    """
-    return FaceFlux(face_operator(u.grid, weight), u.values, p).conductance()
-
-
-def diffusion_jacobian(u, weight, p):
-    """Sparse approximation of d(apply_plaplacian)/du over all nodes.
-
-    Exact at p = 2, where it is minus the energy Hessian over the cell
-    volumes, and exact for every p on interval and radial grids, whose face
-    gradient is the normal difference alone.  For p > 2 it is
-    -A^T diag(kappa) A / cell volumes with kappa from face_conductance.  On
-    tensor grids that holds the tangential component B u fixed, which keeps
-    the matrix at the compact stencil of A; the damped Newton loop tolerates
-    the mismatch, and a step it cannot converge is retried with a smaller dt.
-
-    This is the reference form.  The time stepper solves the same
-    Jacobian in the symmetric form V + dt K on the interior nodes, whose
-    pattern it builds once per run and fills from FaceFlux.conductance,
-    and never calls this function.
-    """
-    _check_p(p)
-    grid = u.grid
-    if p == 2.0:
-        k = energy_hessian_matrix(grid, weight)
-    else:
-        op = face_operator(grid, weight)
-        a = op.matrix[: op.cw.size]
-        k = a.T @ sp.diags_array(face_conductance(u, weight, p)) @ a
-    inv_vol = sp.diags_array(1.0 / cell_volumes(grid).ravel())
-    return (-(inv_vol @ k)).tocsr()

@@ -243,7 +243,7 @@ class _NewtonSystem(BandPattern):
     raises FactorError.  exact says whether the matrix is the Jacobian of
     the residual: it is on interval and radial grids and at p = 2, but on
     tensor grids at p > 2 it drops the tangential part of the flux
-    derivative (plap_operator.diffusion_jacobian).
+    derivative (FaceFlux.conductance).
 
     The system keeps the FaceFlux of the last interior vector evaluated, by
     identity, so a state's residual, factor, recorded energy and next first
@@ -299,7 +299,7 @@ def _count(stats, key):
 def step_implicit(system, x_old, t, dt, spec, stats=None):
     """One backward-Euler step of the interior vector x_old from t to
     t + dt on the run's _NewtonSystem; returns the new interior vector.
-    Raises on solver failure.
+    Raises on solver failure; dt may be below dt_min on a run's last step.
 
     stats, when given, counts "newton_iters" and "factorizations".  The step
     ends when the residual is at most newton_tol * max(sup |x_old|, 1).  An
@@ -310,8 +310,8 @@ def step_implicit(system, x_old, t, dt, spec, stats=None):
     lower the residual raises at once.
     """
     ctl = spec.controls
-    if not ctl.dt_min <= dt <= ctl.dt_max:
-        raise ConfigError(f"dt {dt} outside [{ctl.dt_min}, {ctl.dt_max}]")
+    if not 0.0 < dt <= ctl.dt_max:
+        raise ConfigError(f"dt {dt} outside (0, {ctl.dt_max}]")
     if not np.all(np.isfinite(x_old)):
         raise NumericalError("nonfinite state entering step")
 
@@ -398,6 +398,7 @@ def run_simulation(spec, eigenpair=None):
     The trajectory's g column is integral(omega * u0 * u) when an eigenpair
     is supplied and integral(omega * u) otherwise.  The state is the
     interior vector x throughout; only snapshots are scattered into Fields.
+    The last step lands on t_end, shorter than dt_min if less is left.
     """
     grid = spec.grid
     ctl = spec.controls
@@ -437,7 +438,6 @@ def run_simulation(spec, eigenpair=None):
         # which the snapshot pop tolerance then absorbs)
         if pending and t + dt > pending[0] - 1e-14 and pending[0] - t >= ctl.dt_min:
             dt = min(pending[0] - t, ctl.dt_max)
-        dt = max(dt, ctl.dt_min)
 
         before = stats.get("newton_iters", 0)
         try:

@@ -420,6 +420,23 @@ class TestMain:
         assert calls == []
         assert not (out / "runs").exists()
 
+    def test_low_solve_cap_fails_before_the_eigensolve(self, tmp_path, monkeypatch):
+        """A solve with a reaction term checks its u_cap against the
+        initial sup, and exits 2 naming the u_cap line, before it computes
+        the eigenpair."""
+        calls = []
+        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        text = (SOLVE_CFG.format(out=out)
+                .replace("amplitude = 1.0\n", "amplitude = 20.0\nreaction = power\n")
+                .replace("dt_max = 5e-3\n", "dt_max = 5e-3\nu_cap = 10\n"))
+        assert _run(tmp_path, "s.cfg", text, "solve") == EXIT_CONFIG
+        lineno = text.splitlines().index("u_cap = 10") + 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["message"] == f"line {lineno}: u_cap must exceed sup of the initial data"
+        assert calls == []
+
     @pytest.mark.parametrize("line", ["kind = exponential", "time_offset = 1.0"])
     def test_decay_fit_offset_and_kind_are_not_keys(self, tmp_path, line):
         """decay-fit fits the algebraic decay exponent only and derives the
@@ -452,20 +469,23 @@ class TestMain:
         # both probes complete without decaying or blowing up: undecided
         assert main(["blowup-scan", "--config", str(path)]) == EXIT_UNDECIDED
 
-    @pytest.mark.parametrize("command, mode, extra", [
-        ("eigen", "interval", ""),
-        ("solve", "interval", "reaction = power\ninitial = sin\nt_end = 0.05\ndt0 = 1e-3\n"),
-        ("eigen", "tensor2d", ""),
+    @pytest.mark.parametrize("command, mode, p, extra", [
+        ("eigen", "interval", 2.0, ""),
+        ("solve", "interval", 401.0,
+         "reaction = power\ninitial = sin\nt_end = 0.05\ndt0 = 1e-3\n"),
+        ("eigen", "tensor2d", 2.0, ""),
     ], ids=["eigen", "solve", "eigen-tensor2d"])
-    def test_singular_stiffness_is_numerical_error(self, tmp_path, command, mode, extra):
+    def test_singular_stiffness_is_numerical_error(self, tmp_path, command, mode, p, extra):
         """The weight |x|**400 underflows to 0 on the faces next to the
         origin, which makes the interior stiffness singular, or on tensor
         grids the eigensolver's weight scaling undefined: exit 3 with a
-        numerical error.json."""
+        numerical error.json.  A solve needs theta_w < p, checked before
+        its eigensolve, so it runs at p = 401; the eigensolver factors the
+        p = 2 stiffness whatever p is."""
         path = tmp_path / "z.cfg"
         path.write_text(
             f"command = {command}\noutput_dir = {tmp_path / 'zout'}\n[problem]\n"
-            f"mode = {mode}\nresolution = 32\np = 2.0\n"
+            f"mode = {mode}\nresolution = 32\np = {p}\n"
             f"weight = power\ntheta_w = 400\n{extra}"
         )
         assert main([command, "--config", str(path)]) == EXIT_NUMERICAL

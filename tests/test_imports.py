@@ -36,9 +36,9 @@ def test_module_imports_are_used(path):
     assert not unused
 
 
-# public names that only tests call: they are the oracles the Newton-system
-# and acceptance tests compare against
-TEST_ORACLES = {"diffusion_jacobian", "variational_dot", "integrate"}
+# public names that only tests call: they are the oracles the operator,
+# discretization and acceptance tests compare against
+TEST_ORACLES = {"variational_dot", "integrate"}
 
 
 def _public_members(tree):

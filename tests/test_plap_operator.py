@@ -1,4 +1,4 @@
-"""Energy, operator, Jacobians, and reaction families.
+"""Energy, operator, Newton matrix, and reaction families.
 
 The load-bearing property here is exact variational pairing: the operator
 must equal minus the energy gradient in the cell-volume inner product, so
@@ -9,6 +9,8 @@ directions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenflow import (
     ConfigError,
@@ -17,7 +19,6 @@ from degenflow import (
     apply_plaplacian,
     build_grid,
     cell_volumes,
-    diffusion_jacobian,
     energy,
     energy_hessian_matrix,
     reaction_derivative,
@@ -183,73 +184,38 @@ def test_hessian_matrix_symmetric_psd():
     assert eigs.min() > -1e-10
 
 
-@pytest.mark.parametrize("mode,p", [
-    pytest.param("interval", 2.0, id="2.0"),
-    pytest.param("interval", 3.0, id="3.0"),
-    pytest.param("radial", 2.0, id="radial-2.0"),
-    pytest.param("radial", 3.0, id="radial-3.0"),
-    pytest.param("tensor2d", 2.0, id="tensor2d-2.0"),
-])
-def test_newton_jacobian_matches_fd_1d(mode, p):
-    """The Newton Jacobian is the exact derivative of the weighted operator
-    in the 1d modes at every p, and on tensor grids at p = 2.  (Tensor grids
-    at p > 2 hold the tangential gradient fixed and are not exact.)"""
-    g = dict(GRIDS)[mode]
-    w = WeightSpec.power(1.0)
-    u = _random_interior_field(g, 77)
-    jac = diffusion_jacobian(u, w, p).toarray()
-    eps = 1e-7
-    interior = np.flatnonzero(~g.boundary_mask.ravel())
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        d = rng.standard_normal(g.boundary_mask.size)
-        d[g.boundary_mask.ravel()] = 0.0
-        plus = apply_plaplacian(Field(g, (u.values.ravel() + eps * d).reshape(g.shape)), w, p)
-        minus = apply_plaplacian(Field(g, (u.values.ravel() - eps * d).reshape(g.shape)), w, p)
-        fd = (plus.values.ravel() - minus.values.ravel()) / (2.0 * eps)
-        jd = jac @ d
-        err = np.max(np.abs(fd[interior] - jd[interior]))
-        assert err < 2e-5 * max(1.0, np.max(np.abs(jd[interior])))
-
-
 # Reductions of the operator recorded from an independent implementation
 # (separate 1d and tensor code with hand-written adjoints): for every mode the
-# p = 2 Hessian (Frobenius norm, r . K q), and for every p the energy,
-# apply_plaplacian (norm, . r) and the Newton Jacobian (Frobenius norm,
-# r . J q).  Power weight |x|, seeded field and probes.
+# p = 2 Hessian (Frobenius norm, r . K q), and for every p the energy and
+# apply_plaplacian (norm, . r).  Power weight |x|, seeded field and probes.
+# test_newton_system_matches_jacobian_form checks the Newton matrix.
 PINNED = {
     ('interval', 'hessian'): (164.5007598766644, 60.40148723495232),
     ('interval', 2.0): (
         250.0780933915804,
         3743.7547858938424, 924.5284339887647,
-        4182.856440280972, -1683.233004039766,
     ),
     ('interval', 3.0): (
         7578.31271061532,
         172136.5721965534, 89265.5158894988,
-        239599.74665675225, -299096.602067519,
     ),
     ('radial', 'hessian'): (794.8986868925126, 350.5696455200378),
     ('radial', 2.0): (
         1032.7551799089806,
         3747.7501520026603, 905.0521037384262,
-        4184.066684608491, -1652.8307003119064,
     ),
     ('radial', 3.0): (
         31485.52743047594,
         172330.63689390253, 90361.67434669087,
-        239873.44689507468, -296604.3507390212,
     ),
     ('tensor2d', 'hessian'): (19.21770404735028, 16.001315217121245),
     ('tensor2d', 2.0): (
         71.43360558198053,
         1892.8109984421292, -1268.1416387308773,
-        2388.5684985329776, -1305.605520772365,
     ),
     ('tensor2d', 3.0): (
         1088.8736911543767,
         49096.73363618426, -19853.716835378615,
-        49171.00248490461, -30901.225521176595,
     ),
 }
 
@@ -273,22 +239,32 @@ def test_operator_matches_pinned_values(mode, grid):
     for p in (2.0, 3.0):
         lap = apply_plaplacian(u, w, p).values.ravel()
         got = [energy(u, w, p), np.linalg.norm(lap), lap @ r]
-        got += reduce_matrix(diffusion_jacobian(u, w, p))
         np.testing.assert_allclose(
             got, PINNED[(mode, p)], rtol=1e-13, atol=0.0, err_msg=f"p={p}",
         )
 
 
-def test_newton_jacobian_is_negative_semidefinite():
-    """J = -A^T diag(kappa) A / V with every face conductance kappa >= 0."""
-    g = build_grid("interval", 1.0, 20)
-    u = _random_interior_field(g, 3)
-    j = diffusion_jacobian(u, None, 3.0).toarray()
-    vol = cell_volumes(g)
-    # symmetrize back to the energy form before the spectral check
-    k = -np.diag(vol) @ j
-    eigs = np.linalg.eigvalsh(0.5 * (k + k.T))
-    assert eigs.min() > -1e-10
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from([mode for mode, _ in GRIDS]),
+    p=st.floats(2.0, 5.0),
+    theta_frac=st.floats(0.0, 1.0, exclude_max=True),
+    log_amplitude=st.floats(-1.0, 1.0),
+    log_dt=st.floats(-4.0, -1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_newton_jacobian_is_negative_semidefinite(mode, p, theta_frac, log_amplitude,
+                                                  log_dt, seed):
+    """The flux-linearized Jacobian -K / V is negative semidefinite: the
+    stiffness K is A^T diag(kappa) A with every kappa >= 0, or the p = 2
+    energy Hessian.  So the Newton matrix without reaction, V + dt K, is
+    positive definite, and it factors by band Cholesky at a rough state in
+    every grid mode, at every p and dt."""
+    g = dict(GRIDS)[mode]
+    system = _NewtonSystem(g, WeightSpec.power(theta_frac * p), p)
+    rng = np.random.default_rng(seed)
+    x = 10.0**log_amplitude * rng.standard_normal(len(g.interior))
+    system.factor(system.matrix(x, 10.0**log_dt, 0.0))
 
 
 def test_p_below_two_rejected():

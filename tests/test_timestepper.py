@@ -20,7 +20,6 @@ from degenflow import (
     WeightSpec,
     build_grid,
     cell_volumes,
-    diffusion_jacobian,
     energy,
     energy_hessian_matrix,
     estimate_blowup_time,
@@ -96,27 +95,53 @@ def _band_to_dense(band):
     return dense + np.tril(dense, -1).T
 
 
-@pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_newton_system_matches_jacobian_form(mode, p):
-    """The band array the stepper factors holds V (I - dt J - dt f')
-    restricted to the interior, with J from diffusion_jacobian."""
-    g = build_grid(mode, 1.0, 12, n=2)
-    weight = WeightSpec.power(1.0)
-    vals = np.random.default_rng(5).standard_normal(g.shape)
-    vals[g.boundary_mask] = 0.0
-    u = Field(g, vals)
-    dt, t_new = 3e-3, 0.1
-    drea = reaction_derivative(ReactionSpec.power(2.0, 2.5), t_new, vals).ravel()
+def _fd_jacobian(residual, x, eps=1e-6):
+    """Central finite differences of residual at x, one column per entry."""
+    cols = []
+    for j in range(len(x)):
+        step = np.zeros_like(x)
+        step[j] = eps
+        cols.append((residual(x + step) - residual(x - step)) / (2.0 * eps))
+    return np.column_stack(cols)
 
-    system = _NewtonSystem(g, weight, p)
-    idx = system.grid.interior
-    got = _band_to_dense(system.matrix(vals.ravel()[idx], dt, drea[idx]))
-    jac = diffusion_jacobian(u, weight, p).toarray()
-    vol = cell_volumes(g).ravel()
-    ref = vol[:, None] * (np.eye(g.boundary_mask.size) - dt * jac - dt * np.diag(drea))
-    ref = ref[np.ix_(idx, idx)]
-    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+@pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+def test_newton_system_matches_jacobian_form(mode, p):
+    """The band array the stepper factors is V times the Jacobian of
+    _NewtonSystem.residual, by central finite differences, with a power
+    weight and a nonzero reaction slope.  Where exact is False (tensor grids
+    at p > 2) it is that of the residual whose flux is the normal part
+    A^T (cw s**((p-2)/2) A u) with the tangential rows B u held at the base
+    state, the frozen-tangential approximation's definition; it then misses
+    the full Jacobian by more than 1e-3."""
+    g = build_grid(mode, 1.0, 10, n=2)
+    system = _NewtonSystem(g, WeightSpec.power(1.0), p)
+    assert system.exact == (mode != "tensor2d" or p == 2.0)
+    rng = np.random.default_rng(5)
+    x, x_old = rng.standard_normal((2, len(g.interior)))
+    reaction = ReactionSpec.power(2.0, 2.5)
+    dt, t_new = 3e-3, 0.1
+    got = _band_to_dense(system.matrix(x, dt, reaction_derivative(reaction, t_new, x)))
+    vol = system.vol[:, None]
+    full = vol * _fd_jacobian(lambda y: system.residual(y, x_old, t_new, dt, reaction), x)
+    if system.exact:
+        assert np.abs(got - full).max() <= 1e-8 * np.abs(full).max()
+        return
+
+    op = system.op
+    a, b = op.matrix[: op.cw.size], op.matrix[op.cw.size:]
+    tangential = (b @ x) ** 2
+
+    def frozen_residual(y):
+        ay = a @ y
+        normal = a.T @ (op.cw * (ay * ay + tangential) ** ((p - 2.0) / 2.0) * ay)
+        rate = -normal / system.vol + reaction_eval(reaction, t_new, y)
+        return y - x_old - dt * rate
+
+    frozen = vol * _fd_jacobian(frozen_residual, x)
+    assert np.abs(got - frozen).max() <= 1e-8 * np.abs(frozen).max()
+    assert np.abs(got - full).max() > 1e-3 * np.abs(full).max()
 
 
 def _indefinite_newton_band():
@@ -215,6 +240,28 @@ def test_step_failure_at_dt_min_decides_at_once(monkeypatch):
     assert outcome.trajectory.times[-1] == pytest.approx(7e-3)
 
 
+def test_last_step_lands_on_t_end():
+    """With less than dt_min left before t_end, the run takes that remainder
+    as one shorter step and ends exactly at t_end; a blow-up detected on it
+    keeps T_lo <= T_hi.  Here dt_min = dt_max = 1e-3 and t_end = 0.0105."""
+    def problem(**kw):
+        return _sin_problem(resolution=16, t_end=0.0105, dt0=1e-3, dt_max=1e-3,
+                            dt_min=1e-3, **kw)
+
+    traj = run_simulation(problem()).trajectory
+    assert traj.times[-1] == 0.0105
+    assert traj.dt_used[-1] == pytest.approx(5e-4)
+
+    reaction = ReactionSpec.power(1.0, 2.0)
+    sup = run_simulation(problem(amplitude=20.0, reaction=reaction)).trajectory.sup_abs_u
+    # a cap between the last two sup norms is reached on the last step
+    outcome = run_simulation(problem(amplitude=20.0, reaction=reaction,
+                                     u_cap=float(np.sqrt(sup[-2] * sup[-1]))))
+    assert outcome.kind == "BlowUp"
+    assert outcome.trajectory.times[-1] == 0.0105
+    assert outcome.t_lo <= outcome.t_hi
+
+
 class _LapackSpy:
     """Stand-in for scipy.linalg.lapack that records the routines called."""
 
@@ -269,35 +316,29 @@ def test_cholesky_exactly_when_dt_fprime_below_one(monkeypatch, mode, p):
     seed=st.integers(0, 2**16),
 )
 def test_newton_solve_matches_dense(mode, p, dt, alpha0, seed):
-    """Where the reference matrix V (I - dt J - dt f') is positive definite,
-    the system's solve matches a dense solve of it; where it has a negative
-    eigenvalue, the factorization raises FactorError."""
+    """Where the system's own Newton matrix V (1 - dt f') + dt K is
+    positive definite, its band solve matches a dense solve of that matrix;
+    where it has a negative eigenvalue, the factorization raises
+    FactorError."""
     g = build_grid(mode, 1.0, 8, n=2)
-    weight = WeightSpec.power(1.0)
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(g.shape)
-    vals[g.boundary_mask] = 0.0
-    u = Field(g, vals)
-    drea = reaction_derivative(ReactionSpec.power(alpha0, 2.0), 0.0, vals).ravel()
-    system = _NewtonSystem(g, weight, p)
-    idx = system.grid.interior
-    jac = diffusion_jacobian(u, weight, p).toarray()
-    vol = cell_volumes(g).ravel()
-    ref = vol[:, None] * (np.eye(g.boundary_mask.size) - dt * jac - dt * np.diag(drea))
-    ref = ref[np.ix_(idx, idx)]
+    system = _NewtonSystem(g, WeightSpec.power(1.0), p)
+    x = rng.standard_normal(len(g.interior))
+    drea = reaction_derivative(ReactionSpec.power(alpha0, 2.0), 0.0, x)
+    band = system.matrix(x, dt, drea)
+    ref = _band_to_dense(band)
     # a nearly singular draw (dt f' close to 1) tests conditioning, not the solve
     assume(np.linalg.cond(ref) < 1e5)
-    band = system.matrix(vals.ravel()[idx], dt, drea[idx])
     if np.linalg.eigvalsh(ref).min() < 0.0:
         event("indefinite")
         with pytest.raises(FactorError, match="not positive definite"):
             system.factor(band)
         return
     event("positive definite")
-    rhs = rng.standard_normal(len(idx))
-    x = system.solve(system.factor(band), rhs)
+    rhs = rng.standard_normal(len(x))
+    solved = system.solve(system.factor(band), rhs)
     expected = np.linalg.solve(ref, rhs)
-    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+    assert np.abs(solved - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 @settings(max_examples=150, deadline=None)
