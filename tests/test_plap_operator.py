@@ -184,6 +184,44 @@ def test_hessian_matrix_symmetric_psd():
     assert eigs.min() > -1e-10
 
 
+@pytest.mark.parametrize("mode,p", [
+    pytest.param("interval", 2.0, id="2.0"),
+    pytest.param("interval", 3.0, id="3.0"),
+    pytest.param("radial", 2.0, id="radial-2.0"),
+    pytest.param("radial", 3.0, id="radial-3.0"),
+    pytest.param("tensor2d", 2.0, id="tensor2d-2.0"),
+])
+def test_newton_jacobian_matches_fd_1d(mode, p):
+    """The Newton matrix's stiffness K is -V times the derivative of
+    apply_plaplacian at the interior nodes, by directional central finite
+    differences, in the 1d modes at every p and on tensor grids at p = 2.
+    (Tensor grids at p > 2 hold the tangential gradient fixed and are not
+    exact.)"""
+    g = dict(GRIDS)[mode]
+    w = WeightSpec.power(1.0)
+    u = _random_interior_field(g, 77)
+    idx = g.interior
+    system = _NewtonSystem(g, w, p)
+    assert system.exact
+    # dt = 1 and reaction slope 1 zero the V (1 - dt f') diagonal, leaving K
+    band = system.matrix(u.values.ravel()[idx], 1.0, 1.0)
+    k = np.zeros((len(idx), len(idx)))
+    k[system.row, system.col] = band.ravel(order="F")[system.pos]
+    k += np.tril(k, -1).T
+    jac = -k / system.vol[:, None]
+    eps = 1e-7
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        d = rng.standard_normal(g.boundary_mask.size)
+        d[g.boundary_mask.ravel()] = 0.0
+        plus = apply_plaplacian(Field(g, (u.values.ravel() + eps * d).reshape(g.shape)), w, p)
+        minus = apply_plaplacian(Field(g, (u.values.ravel() - eps * d).reshape(g.shape)), w, p)
+        fd = (plus.values.ravel()[idx] - minus.values.ravel()[idx]) / (2.0 * eps)
+        jd = jac @ d[idx]
+        err = np.max(np.abs(fd - jd))
+        assert err < 2e-5 * max(1.0, np.max(np.abs(jd)))
+
+
 # Reductions of the operator recorded from an independent implementation
 # (separate 1d and tensor code with hand-written adjoints): for every mode the
 # p = 2 Hessian (Frobenius norm, r . K q), and for every p the energy and
