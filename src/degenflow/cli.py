@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .discretization import Field, build_grid, grid_dimension, write_field_csv
-from .eigensolver import smallest_eigenpair
+from .eigensolver import check_tol, smallest_eigenpair
 from .errors import ConfigError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
@@ -263,8 +263,7 @@ def _parse_sections(text, sections, command_override):
 
     if not sections["problem"]["p"] >= 2.0:
         raise ConfigError(f"p must be >= 2, got {sections['problem']['p']}")
-    if "controls" in reads:
-        _check_schedule(sections, explicit)
+    _check_values(sections, reads, explicit)
 
     out = sections[""]["output_dir"] or "degenflow-out"
     return ExperimentConfig(command=command, output_dir=out, sections=sections,
@@ -278,17 +277,42 @@ def _at_line(exc, lines):
     return ConfigError(f"line {found[0]}: {exc}") if found else exc
 
 
-def _check_schedule(sections, explicit):
-    """The StepControls and ProblemSpec checks of a time-stepping command,
-    run at parse time so that a bad value fails before any work, naming
-    the line of the key at fault."""
+def _check_values(sections, reads, explicit):
+    """The checks of the sections read that need no grid or data: the
+    StepControls and ProblemSpec schedule checks, the eigensolver tol, the
+    scan amplitudes and tolerance and the decay window.  They run at parse
+    time so that a bad value fails before any work, naming the line of the
+    key at fault."""
     prob = sections["problem"]
     try:
-        ProblemSpec.check_schedule(prob["t_end"], prob["dt0"],
-                                   StepControls(**sections["controls"]),
-                                   prob["snapshot_times"] or ())
+        if "controls" in reads:
+            ProblemSpec.check_schedule(prob["t_end"], prob["dt0"],
+                                       StepControls(**sections["controls"]),
+                                       prob["snapshot_times"] or ())
+        if "eigen" in reads and sections["eigen"]["tol"] is not None:
+            check_tol(sections["eigen"]["tol"])
+        if "scan" in reads:
+            _check_scan(sections["scan"])
+        if "decay" in reads:
+            dec = sections["decay"]
+            if not dec["window_start"] < dec["window_end"]:
+                raise ConfigError(f"need window_start < window_end, got [{dec['window_start']}, "
+                                  f"{dec['window_end']}]", keys=("window_start", "window_end"))
     except ConfigError as exc:
         raise _at_line(exc, explicit)
+
+
+def _check_scan(scan):
+    """Raise ConfigError unless [scan] sets values, all positive, and a
+    positive rel_tol: the scan bisects geometrically, at the square root of
+    its bracket's product, and stops on the ratio of the bracket's ends."""
+    if scan["values"] is None:
+        raise ConfigError("blowup-scan needs [scan] values")
+    bad = [a for a in scan["values"] if not a > 0.0]
+    if bad:
+        raise ConfigError(f"scan values must be positive, got {bad[0]}", keys=("values",))
+    if not scan["rel_tol"] > 0.0:
+        raise ConfigError("scan rel_tol must be positive", keys=("rel_tol",))
 
 
 def _fmt_value(value):
@@ -517,12 +541,7 @@ def _cmd_blowup_scan(cfg, out):
     scan = cfg.sections["scan"]
     if prob["reaction"].lower() == "none":
         raise ConfigError("blowup-scan needs a reaction term")
-    values = scan["values"]
-    if not values:
-        raise ConfigError("blowup-scan needs [scan] values")
-    rel_tol = scan["rel_tol"]
-    if not rel_tol > 0.0:
-        raise ConfigError("scan rel_tol must be positive")
+    values, rel_tol = scan["values"], scan["rel_tol"]
 
     def with_amplitude(a):
         # each probe runs, and echoes, its own config: the scan's with

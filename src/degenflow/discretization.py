@@ -165,7 +165,7 @@ def integrate(field, weight=None):
 def quadrature_sum(nodal_weights, vals):
     """integrate with its node weights, quad_weights times the weight,
     computed once by the caller."""
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericalError("field contains non-finite values")
     return float(np.sum(nodal_weights * vals))
 
@@ -181,7 +181,10 @@ def write_field_csv(field, path, header_lines=()):
     if grid.mode == MODE_TENSOR2D:
         names = "x,y"
         xs, ys = (_g17(a) for a in grid.axes)
-        rows = "".join(f"{xi},{yi},%.17g\n" for xi in xs for yi in ys)  # C order of values
+        # the rows of one x line are xi + tail[j] over the y nodes, in the
+        # C order of the values; joining on xi builds them in one call
+        tail = [f",{yi},%.17g\n" for yi in ys]
+        rows = "".join(xi + xi.join(tail) for xi in xs)
     else:
         names = "x" if grid.mode == MODE_INTERVAL else "r"
         rows = "".join(f"{c},%.17g\n" for c in _g17(grid.axes[0]))

@@ -119,20 +119,22 @@ def _normalize(values, qw):
 
 
 def _dst_rows(x, ext):
-    """Type-I sine transform of each row of x, unnormalized as scipy's
-    dst(type=1): minus the imaginary part of the real FFT of the
-    row's odd extension (0, x, 0, -reversed x), written into ext, an
-    (m, 2 (m + 1)) buffer whose columns 0 and m + 1 stay zero."""
+    """Minus the type-I sine transform of each row of x, unnormalized as
+    scipy's dst(type=1): the imaginary part of the real FFT of the row's
+    odd extension (0, x, 0, -reversed x), written into ext, an
+    (m, 2 (m + 1)) buffer whose columns 0 and m + 1 stay zero.  Passes are
+    applied in pairs, so their signs cancel exactly and none is negated."""
     m = x.shape[1]
     ext[:, 1 : m + 1] = x
     ext[:, m + 2 :] = -x[:, ::-1]
-    return -np.fft.rfft(ext, axis=1).imag[:, 1 : m + 1]
+    return np.fft.rfft(ext, axis=1).imag[:, 1 : m + 1]
 
 
 def _dst2(x, ext):
     """Type-I sine transform of the m x m array x along both axes, as
     scipy's dstn(x, type=1): a row pass of the transpose transforms the
-    columns, then a row pass of its transpose the rows."""
+    columns, then a row pass of its transpose the rows, and the two passes'
+    signs cancel."""
     return _dst_rows(_dst_rows(x.T, ext).T, ext)
 
 
@@ -160,6 +162,14 @@ def _sine_transform_solve(w):
     return solve
 
 
+def check_tol(tol):
+    """Raise ConfigError unless the residual target tol lies in (0, 1): a
+    target of 0 or below is never met, and one of 1 or more is met by the
+    start, which is no eigenfunction."""
+    if not 0.0 < tol < 1.0:
+        raise ConfigError(f"eigensolver tol must lie in (0, 1), got {tol}", keys=("tol",))
+
+
 def smallest_eigenpair(grid, weight, p, tol=None):
     """Principal Dirichlet eigenpair by preconditioned Polak-Ribiere+
     conjugate gradients on the Rayleigh quotient, with restart.
@@ -172,8 +182,8 @@ def smallest_eigenpair(grid, weight, p, tol=None):
     R(0), R'(0) = -(p / M) <g, d> and R(tau), M the p-mass of the iterate,
     g the Euler-Lagrange residual and d the direction; the point at tau*
     is kept when 0 < tau* <= 4 tau and R is lower there.  tol defaults to
-    1e-6 at p = 2 and 1e-4 otherwise.  The eigenfunction has unit mass:
-    its integral over the domain is 1.
+    1e-6 at p = 2 and 1e-4 otherwise, and must lie in (0, 1) (check_tol).
+    The eigenfunction has unit mass: its integral over the domain is 1.
 
     Returns an EigenPair whose residual is || L u + lam w |u|^{p-2} u || /
     || lam w |u|^{p-2} u || over the interior nodes, with the residual of
@@ -186,6 +196,7 @@ def smallest_eigenpair(grid, weight, p, tol=None):
     """
     if tol is None:
         tol = 1e-6 if p == 2.0 else 1e-4
+    check_tol(tol)
     # every vector below holds the values at the interior nodes grid.interior
     wvals = weight_on_grid(weight, grid)
     w = wvals.ravel()[grid.interior]
@@ -218,7 +229,8 @@ def smallest_eigenpair(grid, weight, p, tol=None):
         # energy in R and the operator in the next residual
         nonlocal evals
         evals += 1
-        mass = float(np.sum(measure * x**p))
+        # x >= 0, so x**(p-1) * x is its p-th power; numpy squares at p = 3
+        mass = float(np.sum(measure * x ** (p - 1.0) * x))
         if mass <= 0.0:
             raise ConfigError("Rayleigh quotient of a field with zero weighted p-norm")
         flux = FaceFlux(op, x, p)

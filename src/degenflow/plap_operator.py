@@ -203,10 +203,12 @@ def _face_operator(grid, weight, interior):
             np.hypot(fx[:, None], y[None, :]).ravel(),
             np.hypot(x[:, None], fy[None, :]).ravel(),
         ])
-        matrix = sp.vstack([sp.kron(_difference(len(x), hx), eye_y),
-                            sp.kron(eye_x, _difference(len(y), hy)),
-                            sp.kron(_average(len(x)), _centered(len(y), hy)),
-                            sp.kron(_centered(len(x), hx), _average(len(y)))])
+        # CSR throughout: no COO intermediate to convert and sort
+        matrix = sp.vstack([sp.kron(_difference(len(x), hx), eye_y, format="csr"),
+                            sp.kron(eye_x, _difference(len(y), hy), format="csr"),
+                            sp.kron(_average(len(x)), _centered(len(y), hy), format="csr"),
+                            sp.kron(_centered(len(x), hx), _average(len(y)), format="csr")],
+                           format="csr")
     cw = c if weight is None else c * eval_radial(weight, rad)
     matrix, vol = sp.csr_array(matrix), cell_volumes(grid)
     if interior:
@@ -219,8 +221,11 @@ def _face_operator(grid, weight, interior):
 
 
 def _s_pow(s, expo):
-    """s**expo with the convention 0**negative = 0 (flux vanishes there)."""
-    if expo >= 0.0:
+    """s**expo with the convention 0**negative = 0 (flux vanishes there),
+    and the scalar 1 for expo = 0."""
+    if expo == 0.0:
+        return 1.0
+    if expo > 0.0:
         return s**expo
     out = np.zeros_like(s)
     mask = s > 0.0
@@ -231,24 +236,35 @@ def _s_pow(s, expo):
 class FaceFlux:
     """The face gradient g = (M_1 u, ..., M_k u) of the state u = values, one
     row per face matrix from one product with the stacked matrix, and
-    s = sum_k g_k**2; it describes values only while they are not changed."""
+    s = sum_k g_k**2; it describes values only while they are not changed.
+    The energy and the divergence each take the one power s**((p-2)/2) of
+    the flux coefficient cw * s**((p-2)/2) when called; it is not kept, as
+    a copy on the flux would hold a face array alive as long as the flux."""
 
     def __init__(self, op, values, p):
         _check_p(p)
         self.op, self.values, self.p = op, values, p
         g = (op.matrix @ values.ravel()).reshape(-1, op.cw.size)
-        self.g, self.s = g, (g * g).sum(axis=0)
+        s = g[0] * g[0]
+        for row in g[1:]:
+            s += row * row
+        self.g, self.s = g, s
+
+    def _flux_coefficient(self):
+        """The flux coefficient cw * s**((p-2)/2) of each face."""
+        return self.op.cw * _s_pow(self.s, (self.p - 2.0) / 2.0)
 
     def divergence(self):
         """sum_k M_k^T (cw * s**((p-2)/2) * g_k) divided by minus the cell
         volumes, in the shape of op.vol; Dirichlet nodes are not zeroed."""
-        flux = self.op.cw * _s_pow(self.s, (self.p - 2.0) / 2.0)
-        grad = self.op.transpose @ (flux * self.g).ravel()
+        grad = self.op.transpose @ (self._flux_coefficient() * self.g).ravel()
         return -grad.reshape(self.op.vol.shape) / self.op.vol
 
     def energy(self):
-        """(1/p) * sum over faces of cw * s**(p/2)."""
-        return float(np.sum(self.op.cw * self.s ** (self.p / 2.0)) / self.p)
+        """(1/p) * sum over faces of cw * s**(p/2), taken as
+        cw * s**((p-2)/2) * s: the divergence's power, which costs less
+        than s**(p/2), and equal to it up to round-off."""
+        return float(np.sum(self._flux_coefficient() * self.s) / self.p)
 
     def conductance(self):
         """Face conductances kappa = cw * s**((p-4)/2) * ((p-2) a**2 + s),

@@ -259,13 +259,16 @@ class _NewtonSystem(BandPattern):
         self.last_flux = None
         if p == 2.0:
             hessian = energy_hessian_matrix(grid, weight, interior=True)
-            self.k_data, row, col = lower_entries(hessian)
+            k_data, row, col = lower_entries(hessian)
         else:
             a_int = op.matrix[: op.cw.size].tocsc()
             _, row, col = lower_entries(abs(a_int).T @ abs(a_int))
             # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
             self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
         super().__init__(row, col, len(self.vol))
+        if p == 2.0:
+            # the constant stiffness, filled once; matrix() scales a copy
+            self.k_band = self.fill(k_data, 0.0)
 
     def flux(self, x):
         """The FaceFlux of the interior vector x, kept until another vector
@@ -283,12 +286,16 @@ class _NewtonSystem(BandPattern):
 
     def matrix(self, x, dt, drea):
         """The system at the interior vector x with reaction slopes drea, as
-        the band array that factor() takes."""
+        the band array that factor() takes.  At p = 2 that is dt times the
+        stiffness band filled at construction, with vol * (1 - dt * drea)
+        added to its diagonal row, the same bits as a fresh fill; at p > 2
+        the band is filled from the conductances of the FaceFlux of x."""
+        diag = self.vol * (1.0 - dt * drea)
         if self.p == 2.0:
-            data = dt * self.k_data
-        else:
-            data = dt * (self.conductance_map @ self.flux(x).conductance())
-        return self.fill(data, self.vol * (1.0 - dt * drea))
+            band = dt * self.k_band
+            band[self.kd] += diag
+            return band
+        return self.fill(dt * (self.conductance_map @ self.flux(x).conductance()), diag)
 
 
 def _count(stats, key):
@@ -312,7 +319,7 @@ def step_implicit(system, x_old, t, dt, spec, stats=None):
     ctl = spec.controls
     if not 0.0 < dt <= ctl.dt_max:
         raise ConfigError(f"dt {dt} outside (0, {ctl.dt_max}]")
-    if not np.all(np.isfinite(x_old)):
+    if not np.isfinite(x_old).all():
         raise NumericalError("nonfinite state entering step")
 
     t_new = t + dt
@@ -335,7 +342,7 @@ def step_implicit(system, x_old, t, dt, spec, stats=None):
             _count(stats, "factorizations")
             lu = system.factor(system.matrix(x, dt, drea))
         delta = system.solve(lu, -system.vol * r)
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise _StepFailure("nonfinite Newton update")
 
         damping = 1.0
@@ -456,7 +463,7 @@ def run_simulation(spec, eigenpair=None):
             )
         iters = stats.get("newton_iters", 0) - before
 
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise NumericalError("nonfinite state produced", trajectory=traj)
 
         # keep the discrete trajectory on the physical branch: a step that

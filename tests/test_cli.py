@@ -604,12 +604,19 @@ class TestMain:
         ("t_end = 3.0", "t_end = 0", "t_end must be positive"),
         ("dt0 = 1e-3", "dt0 = 1e-3\nsnapshot_times = 0.5, 4.0",
          "snapshot time 4.0 outside [0, t_end = 3.0]"),
-    ], ids=["newton_tol", "u_cap", "dt_min", "dt0", "t_end", "snapshot_times"])
+        ("values = 6.0, 20.0", "values = -6.0, 20.0", "scan values must be positive, got -6.0"),
+        ("values = 6.0, 20.0", "values = 6.0, 0, 20.0", "scan values must be positive, got 0.0"),
+        ("rel_tol = 0.05", "rel_tol = 0", "scan rel_tol must be positive"),
+    ], ids=["newton_tol", "u_cap", "dt_min", "dt0", "t_end", "snapshot_times",
+            "values-negative", "values-zero", "rel_tol"])
     def test_bad_schedule_fails_at_parse_time(self, tmp_path, monkeypatch, old, new, message):
         """A bad [controls] value, a dt0 outside [dt_min, dt_max], a t_end
-        that is not positive and a snapshot time outside [0, t_end] exit 2
-        at parse time with a config error.json naming the line of the key
-        at fault: a scan computes no eigenpair and writes nothing else."""
+        that is not positive, a snapshot time outside [0, t_end], and a scan
+        amplitude or rel_tol that is not positive exit 2 at parse time with
+        a config error.json naming the line of the key at fault: a scan
+        computes no eigenpair and writes nothing else.  The scan bisects
+        geometrically and stops on its bracket's ratio, which for the
+        amplitudes -6 and 20 read -3.33 and counted as converged."""
         calls = []
         monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
                             lambda *args, **kwargs: calls.append(args))
@@ -622,6 +629,72 @@ class TestMain:
         error = json.loads((out / "error.json").read_text())
         assert error["error_kind"] == "config"
         assert error["message"].startswith(f"line {lineno}: {message}")
+        assert calls == []
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    def test_scan_without_values_fails_at_parse_time(self, tmp_path):
+        """A scan needs its amplitudes: exit 2 with nothing else written."""
+        out = tmp_path / "out"
+        path = tmp_path / "s.cfg"
+        path.write_text(SCAN_CFG.format(out=out).replace("values = 6.0, 20.0\n", ""))
+        assert main(["blowup-scan", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["message"] == "blowup-scan needs [scan] values"
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "1", "10"])
+    @pytest.mark.parametrize("command", ["eigen", "blowup-scan", "solve"])
+    def test_eigen_tol_outside_the_unit_interval_fails_at_parse_time(self, tmp_path, monkeypatch,
+                                                                     command, tol):
+        """An [eigen] tol of 0 or below stalls the eigensolver and one of 1
+        or more accepts its start, so every command that reads [eigen] (a
+        solve with a reaction term among them) exits 2 at parse time naming
+        the line, before any eigensolve, with nothing written but
+        error.json."""
+        calls = []
+        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        base = {"eigen": EIGEN_CFG, "blowup-scan": SCAN_CFG,
+                "solve": SOLVE_CFG.replace("amplitude = 1.0\n",
+                                           "amplitude = 1.0\nreaction = power\n")}[command]
+        text = base.format(out=out) + f"\n[eigen]\ntol = {tol}\n"
+        path = tmp_path / "e.cfg"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        lineno = text.splitlines().index(f"tol = {tol}") + 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert error["message"] == (f"line {lineno}: eigensolver tol must lie in (0, 1), "
+                                    f"got {float(tol)}")
+        assert calls == []
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    @pytest.mark.parametrize("lines, key", [
+        ("window_start = 5.0\nwindow_end = 1.0", "window_start"),
+        ("window_start = 3.0\nwindow_end = 3.0", "window_start"),
+        ("window_start = 20.0", "window_start"),
+        ("window_end = 0.5", "window_end"),
+    ], ids=["reversed", "empty", "start-past-default-end", "end-before-default-start"])
+    def test_bad_decay_window_fails_at_parse_time(self, tmp_path, monkeypatch, lines, key):
+        """A [decay] window whose start is not before its end, with the
+        defaults 1 and 10 filling in an unset end, exits 2 at parse time
+        naming the line of the first key set, before any time step,
+        instead of failing the fit after the whole run."""
+        calls = []
+        monkeypatch.setattr("degenflow.cli.run_simulation",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        text = (f"command = decay-fit\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
+                "extent = 8.0\nresolution = 24\np = 3.0\ninitial = barenblatt\n"
+                f"t_end = 1.0\ndt0 = 1e-3\n[decay]\n{lines}\n")
+        path = tmp_path / "d.cfg"
+        path.write_text(text)
+        assert main(["decay-fit", "--config", str(path)]) == EXIT_CONFIG
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key))
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert error["message"].startswith(f"line {lineno}: need window_start < window_end")
         assert calls == []
         assert sorted(os.listdir(out)) == ["error.json"]
 

@@ -9,6 +9,7 @@ from scipy import optimize as sopt
 
 import degenflow.eigensolver as eigensolver
 from degenflow import (
+    ConfigError,
     ConvergenceError,
     EigenPair,
     Field,
@@ -347,3 +348,14 @@ def test_sine_transform_matches_scipy(m):
     inv = y / (2.0 * (m + 1)) ** 2
     ref = scipy.fft.idstn(x, type=1)
     assert np.abs(inv - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 10.0, float("nan")])
+def test_tol_outside_the_unit_interval_is_config_error(monkeypatch, tol):
+    """A residual target of 0 or below is never met, and one of 1 or more
+    is met before any iteration: both raise ConfigError before the
+    preconditioner is built."""
+    monkeypatch.setattr(eigensolver, "weight_on_grid", lambda *args: pytest.fail("solver ran"))
+    g = build_grid("interval", 1.0, 32)
+    with pytest.raises(ConfigError, match=r"tol must lie in \(0, 1\)"):
+        smallest_eigenpair(g, None, 3.0, tol=tol)

@@ -9,6 +9,7 @@ directions.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,13 @@ from degenflow import (
     variational_dot,
     WeightSpec,
 )
-from degenflow.plap_operator import FaceFlux, face_operator
+from degenflow.plap_operator import (
+    FaceFlux,
+    _average,
+    _centered,
+    _difference,
+    face_operator,
+)
 from degenflow.timestepper import _NewtonSystem
 
 GRIDS = [
@@ -312,6 +319,69 @@ def test_p_below_two_rejected():
         apply_plaplacian(u, None, 1.5)
     with pytest.raises(ConfigError):
         energy(u, None, 1.9)
+
+
+def _states_with_flat_faces(g):
+    """A random interior state, the same state held constant on the first
+    half of the nodes in C order, whose faces there have s = 0 exactly, and
+    the zero state."""
+    rough = _random_interior_field(g, 3).values
+    flat = rough.copy()
+    flat.ravel()[: flat.size // 2] = 0.5
+    flat[g.boundary_mask] = 0.0
+    return {"rough": rough, "flat": flat, "zero": np.zeros(g.shape)}
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.5])
+@pytest.mark.parametrize("mode", [mode for mode, _ in GRIDS])
+def test_flux_energy_and_divergence_match_closed_forms(mode, p):
+    """FaceFlux.energy, taken through the flux power cw * s**((p-2)/2), is
+    (1/p) * sum cw * s**(p/2), and divergence is
+    -sum_k M_k^T (cw * s**((p-2)/2) * g_k) / vol, both to 1e-13 relative,
+    with a power weight, on a rough state, on one with faces where s = 0
+    and on the zero state."""
+    g = dict(GRIDS)[mode]
+    op = face_operator(g, WeightSpec.power(1.0))
+    for name, u in _states_with_flat_faces(g).items():
+        flux = FaceFlux(op, u, p)
+        rows = (op.matrix @ u.ravel()).reshape(-1, op.cw.size)
+        s = np.sum(rows**2, axis=0)
+        assert (name == "rough") == (s > 0.0).all()
+        energy_ref = float(np.sum(op.cw * s ** (p / 2.0)) / p)
+        coefficient = op.cw * s ** ((p - 2.0) / 2.0)
+        div_ref = -(op.transpose @ (coefficient * rows).ravel()).reshape(g.shape) / op.vol
+        assert abs(flux.energy() - energy_ref) <= 1e-13 * energy_ref
+        assert np.abs(flux.divergence() - div_ref).max() <= 1e-13 * np.abs(div_ref).max()
+
+
+def _coo_face_matrix(g):
+    """The stacked face matrix as built through COO intermediates, converted
+    to CSR once."""
+    if g.mode != "tensor2d":
+        return sp.csr_array(_difference(len(g.axes[0]), g.h[0]))
+    (x, y), (hx, hy) = g.axes, g.h
+    eye_x, eye_y = sp.eye_array(len(x)), sp.eye_array(len(y))
+    return sp.csr_array(sp.vstack([sp.kron(_difference(len(x), hx), eye_y),
+                                   sp.kron(eye_x, _difference(len(y), hy)),
+                                   sp.kron(_average(len(x)), _centered(len(y), hy)),
+                                   sp.kron(_centered(len(x), hx), _average(len(y)))]))
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["full", "interior"])
+@pytest.mark.parametrize("mode", [mode for mode, _ in GRIDS])
+def test_face_matrices_match_the_coo_build(mode, interior):
+    """The face matrix and its transpose, built in CSR throughout, store
+    the same data, indices and indptr, of the same dtypes, as the stack
+    built through COO, over all nodes and over the interior columns."""
+    g = dict(GRIDS)[mode]
+    op = face_operator(g, WeightSpec.power(1.0), interior=interior)
+    ref = _coo_face_matrix(g)
+    if interior:
+        ref = ref[:, g.interior]
+    for got, want in ((op.matrix, ref), (op.transpose, ref.T.tocsr())):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestReactionSpec:

@@ -144,6 +144,24 @@ def test_newton_system_matches_jacobian_form(mode, p):
     assert np.abs(got - full).max() > 1e-3 * np.abs(full).max()
 
 
+@pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
+def test_p2_band_is_a_fresh_fill(mode):
+    """At p = 2 the Newton matrix is dt times the stiffness band filled once
+    per system, with vol * (1 - dt f') added to its diagonal row: bit for
+    bit the band that fill() makes from dt times the stiffness entries,
+    also after an earlier matrix was factored in place."""
+    g = build_grid(mode, 1.0, 10, n=2)
+    weight = WeightSpec.power(1.0)
+    system = _NewtonSystem(g, weight, 2.0)
+    k_data, row, col = lower_entries(energy_hessian_matrix(g, weight, interior=True))
+    pattern = BandPattern(row, col, len(system.vol))
+    x = np.random.default_rng(8).standard_normal(len(system.vol))
+    for dt, drea in ((3e-3, 0.0), (0.1, np.abs(x)), (1e-5, -2.0 * x)):
+        got = system.matrix(x, dt, drea)
+        assert np.array_equal(got, pattern.fill(dt * k_data, system.vol * (1.0 - dt * drea)))
+        system.factor(got)
+
+
 def _indefinite_newton_band():
     """The 1d p = 2 Newton matrix V (1 - dt f') + dt K with a power reaction
     and dt f' up to 5, built from the stiffness by the band module."""
