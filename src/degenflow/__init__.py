@@ -8,6 +8,8 @@ diagnostics (closed-form ODE comparisons, self-similar reference solutions,
 decay-rate fits).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -75,58 +77,6 @@ from .diagnostics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "ConvergenceError",
-    "DegenflowError",
-    "DivergenceError",
-    "FitError",
-    "NumericalError",
-    "ShapeError",
-    "DoublingReport",
-    "MuckenhouptReport",
-    "WeightSpec",
-    "ball_mass",
-    "check_doubling",
-    "check_muckenhoupt",
-    "eval_radial",
-    "surface_area",
-    "Field",
-    "Grid",
-    "build_grid",
-    "cell_volumes",
-    "integrate",
-    "quad_weights",
-    "weight_on_grid",
-    "write_field_csv",
-    "ReactionSpec",
-    "apply_plaplacian",
-    "energy",
-    "energy_hessian_matrix",
-    "face_operator",
-    "reaction_derivative",
-    "reaction_eval",
-    "variational_dot",
-    "write_json",
-    "EigenPair",
-    "smallest_eigenpair",
-    "ProblemSpec",
-    "RunOutcome",
-    "StepControls",
-    "Trajectory",
-    "estimate_blowup_time",
-    "run_simulation",
-    "step_implicit",
-    "Exponents",
-    "OdeParams",
-    "barenblatt_corrected",
-    "barenblatt_exact",
-    "bernoulli_blowup",
-    "blowup_threshold",
-    "decay_exponent_fit",
-    "exp_forced_bound",
-    "fit_bernoulli_constant",
-    "fit_exp_forced_constant",
-    "residual_check",
-    "__version__",
-]
+# every public name bound above, the submodules excepted
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

@@ -21,26 +21,53 @@ against 400 us; that run solves six times per factorization, so its band
 solver time falls by about a tenth.  The solutions agree to 1e-15
 relative.  A matrix that is not positive definite fails the
 factorization (info > 0), which raises FactorError.
+
+The compiled kernels, LAPACK's (lapack) and the CSR products of the face
+operators (sparsetools), are scipy's extension modules linalg._flapack and
+sparse._sparsetools, loaded once at import by file path: that imports
+neither scipy.linalg nor scipy.sparse, whose Python layers took longer to
+import than numpy itself (about 0.2 s of every start-up on that host).
 """
 
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 
 
+def scipy_extension(sub, name):
+    """scipy's compiled module scipy.<sub>.<name>, loaded from its file in
+    scipy's directory without importing scipy.<sub>, or by the normal import
+    when that fails."""
+    try:
+        folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], sub)
+        paths = (os.path.join(folder, name + s) for s in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next(path for path in paths if os.path.exists(path))
+        spec = importlib.util.spec_from_file_location(f"scipy.{sub}.{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except (AttributeError, TypeError, StopIteration, ImportError, OSError):
+        return importlib.import_module(f"scipy.{sub}.{name}")
+
+
+lapack = scipy_extension("linalg", "_flapack")
+sparsetools = scipy_extension("sparse", "_sparsetools")
+
+
+def _spla_on_access(name):
+    """scipy.sparse.linalg as the solver modules' spla, imported when read:
+    no solver uses it, but perfbench/tracer.py swaps that name."""
+    if name == "spla":
+        return importlib.import_module("scipy.sparse.linalg")
+    raise AttributeError(name)
+
+
 class FactorError(NumericalError):
     """A band matrix that is not positive definite."""
-
-
-def lower_entries(matrix):
-    """Stored entries of a sparse matrix on and below the diagonal,
-    duplicates summed, as (data, row, col)."""
-    coo = sp.coo_array(matrix)
-    coo.sum_duplicates()
-    lower = coo.row >= coo.col
-    return coo.data[lower], coo.row[lower].astype(np.intp), coo.col[lower].astype(np.intp)
 
 
 class BandPattern:

@@ -280,9 +280,10 @@ def _at_line(exc, lines):
 def _check_values(sections, reads, explicit):
     """The checks of the sections read that need no grid or data: the
     StepControls and ProblemSpec schedule checks, the eigensolver tol, the
-    scan amplitudes and tolerance and the decay window.  They run at parse
-    time so that a bad value fails before any work, naming the line of the
-    key at fault."""
+    scan amplitudes, tolerance and reaction term, verify-exact's grid mode,
+    p and resolutions, and decay-fit's window and reaction term.  They run
+    at parse time so that a bad value fails before any work, naming the
+    line of the key at fault."""
     prob = sections["problem"]
     try:
         if "controls" in reads:
@@ -292,8 +293,21 @@ def _check_values(sections, reads, explicit):
         if "eigen" in reads and sections["eigen"]["tol"] is not None:
             check_tol(sections["eigen"]["tol"])
         if "scan" in reads:
+            if prob["reaction"].lower() == "none":
+                raise ConfigError("blowup-scan needs a reaction term", keys=("reaction",))
             _check_scan(sections["scan"])
+        if "verify" in reads:
+            if prob["mode"] not in ("radial", "interval"):
+                raise ConfigError("verify-exact runs on radial or interval grids", keys=("mode",))
+            if not prob["p"] > 2.0:
+                raise ConfigError("verify-exact needs p > 2", keys=("p",))
+            if len(sections["verify"]["resolutions"] or [64, 128, 256]) < 3:
+                raise ConfigError("verify-exact needs at least 3 resolutions",
+                                  keys=("resolutions",))
         if "decay" in reads:
+            if prob["reaction"].lower() != "none":
+                raise ConfigError("decay-fit fits the unforced flow: reaction must be none",
+                                  keys=("reaction",))
             dec = sections["decay"]
             if not dec["window_start"] < dec["window_end"]:
                 raise ConfigError(f"need window_start < window_end, got [{dec['window_start']}, "
@@ -539,8 +553,6 @@ def _cmd_blowup_scan(cfg, out):
     weight = _build_weight(cfg)
     prob = cfg.sections["problem"]
     scan = cfg.sections["scan"]
-    if prob["reaction"].lower() == "none":
-        raise ConfigError("blowup-scan needs a reaction term")
     values, rel_tol = scan["values"], scan["rel_tol"]
 
     def with_amplitude(a):
@@ -612,13 +624,7 @@ def _cmd_blowup_scan(cfg, out):
 def _cmd_verify_exact(cfg, out):
     prob = cfg.sections["problem"]
     ver = cfg.sections["verify"]
-    if prob["mode"] not in ("radial", "interval"):
-        raise ConfigError("verify-exact runs on radial or interval grids")
-    if not prob["p"] > 2.0:
-        raise ConfigError("verify-exact needs p > 2")
     resolutions = ver["resolutions"] or [64, 128, 256]
-    if len(resolutions) < 3:
-        raise ConfigError("verify-exact needs at least 3 resolutions")
     sample_times = ver["sample_times"] or [1.0, 3.0, 10.0]
     weight = _build_weight(cfg)
 
@@ -704,8 +710,6 @@ def _cmd_weights_check(cfg, out):
 
 def _cmd_decay_fit(cfg, out):
     prob = cfg.sections["problem"]
-    if prob["reaction"].lower() != "none":
-        raise ConfigError("decay-fit fits the unforced flow: reaction must be none")
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
     dec = cfg.sections["decay"]

@@ -45,9 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
 
-from .banded import BandPattern, FactorError, lower_entries
+from .banded import BandPattern, FactorError
+from .banded import _spla_on_access as __getattr__  # noqa: F401  resolves spla
 from .discretization import (
     MODE_TENSOR2D,
     Field,
@@ -203,7 +203,7 @@ def smallest_eigenpair(grid, weight, p, tol=None):
     if grid.mode == MODE_TENSOR2D:
         solve = _sine_transform_solve(wvals[1:-1, 1:-1])
     else:
-        data, row, col = lower_entries(energy_hessian_matrix(grid, weight, interior=True))
+        data, row, col = energy_hessian_matrix(grid, weight, interior=True)
         band = BandPattern(row, col, len(w))
         factor = band.factor(band.fill(data, 0.0))
 

@@ -6,7 +6,9 @@ measures.  One formulation serves every grid mode.  Each face F carries a
 coefficient cw_F = c_F * omega_F (quadrature weight times face weight
 value) and a face gradient G_F = (M_1 u, ..., M_k u)_F given by sparse face
 matrices M_k, built once per (grid, weight) by face_operator and stored
-stacked, all k of them as one k*F x N matrix:
+stacked, all k of them as one k*F x N matrix in scipy's CSR arrays (a Csr),
+built by numpy from 1-d stencils; its products run scipy's compiled CSR
+kernels (banded.sparsetools), with no scipy.sparse import:
 
 * interval and radial grids: k = 1, M_1 = A the normal difference on the
   half-nodes, so the energy is the midpoint-rule value of
@@ -32,16 +34,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .discretization import (
-    MODE_RADIAL,
-    MODE_TENSOR2D,
-    Field,
-    cell_volumes,
-)
+from .banded import sparsetools
+from .discretization import MODE_RADIAL, MODE_TENSOR2D, Field, _trap_1d, cell_volumes
 from .errors import ConfigError
 from .weight_models import eval_radial, surface_area
 
@@ -119,28 +117,69 @@ def _check_p(p):
         raise ConfigError(f"diffusion exponent p must be at least 2, got {p}")
 
 
-def _difference(m, h):
-    """(m - 1) x m forward difference (v[i + 1] - v[i]) / h."""
-    inv = np.full(m - 1, 1.0 / h)
-    return sp.diags_array([-inv, inv], offsets=[0, 1], shape=(m - 1, m))
-
-
-def _average(m):
-    """(m - 1) x m mean of neighboring values."""
-    half = np.full(m - 1, 0.5)
-    return sp.diags_array([half, half], offsets=[0, 1], shape=(m - 1, m))
+def _two_point(m, left, right):
+    """The (m - 1) x m map v -> left * v[i] + right * v[i + 1] as a stencil:
+    the (columns, values) arrays of its rows, columns sorted.  At
+    (-1/h, 1/h) it is the forward difference, at (1/2, 1/2) the mean."""
+    cols = np.arange(m - 1)[:, None] + [0, 1]
+    return cols, np.broadcast_to([left, right], cols.shape)
 
 
 def _centered(m, h):
     """m x m nodal derivative, the stencil of np.gradient(edge_order=1):
     centered inside, one-sided at both ends."""
-    lower = np.full(m - 1, -0.5 / h)
-    upper = np.full(m - 1, 0.5 / h)
-    lower[-1] = -1.0 / h
-    upper[0] = 1.0 / h
-    main = np.zeros(m)
-    main[0], main[-1] = -1.0 / h, 1.0 / h
-    return sp.diags_array([lower, main, upper], offsets=[-1, 0, 1])
+    vals = np.tile([-0.5 / h, 0.5 / h], (m, 1))
+    vals[[0, -1]] = [-1.0 / h, 1.0 / h]
+    return np.clip(np.arange(m)[:, None] + [-1, 1], 0, m - 1), vals
+
+
+def _kron(a, b):
+    """The stencil of the Kronecker product of the stencils a and b: row
+    (i, j) holds columns a_i * m + b_j, m the columns of b, in sorted order."""
+    (ca, va), (cb, vb) = a, b
+    rows = len(ca) * len(cb)
+    return ((ca[:, None, :, None] * (cb.max() + 1) + cb[None, :, None, :]).reshape(rows, -1),
+            (va[:, None, :, None] * vb[None, :, None, :]).reshape(rows, -1))
+
+
+class Csr(NamedTuple):
+    """A sparse matrix in scipy's CSR format with int32 indices, its fields
+    in the order scipy's compiled kernels (sparsetools) take them; matrix @ x
+    for a vector x is their CSR product."""
+
+    rows: int
+    cols: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __matmul__(self, x):
+        y = np.zeros(self.rows)
+        sparsetools.csr_matvec(*self, x, y)
+        return y
+
+
+def _stack(stencils, columns, n):
+    """The Csr of the rows of stencils stacked, over n columns restricted to
+    the sorted ones listed in columns, renumbered in that order."""
+    widths = np.concatenate([np.full(len(c), c.shape[1]) for c, _ in stencils])
+    new = np.full(n, -1, dtype=np.int32)
+    new[columns] = np.arange(len(columns))
+    cols = new[np.concatenate([c.ravel() for c, _ in stencils])]
+    keep = cols >= 0
+    indptr = np.cumsum(np.r_[0, keep])[np.r_[0, np.cumsum(widths)]].astype(np.int32)
+    vals = np.concatenate([v.ravel() for _, v in stencils])
+    return Csr(len(widths), len(columns), indptr, cols[keep], vals[keep])
+
+
+def _matmat(a, b):
+    """The Csr product a @ b by scipy's compiled kernel, as scipy.sparse
+    computes it: entries that sum to zero are dropped, columns unsorted."""
+    nnz = sparsetools.csr_matmat_maxnnz(a.rows, b.cols, a.indptr, a.indices, b.indptr, b.indices)
+    c = Csr(a.rows, b.cols, np.empty(a.rows + 1, dtype=np.int32), np.empty(nnz, dtype=np.int32),
+            np.empty(nnz))
+    sparsetools.csr_matmat(a.rows, b.cols, *a[2:], *b[2:], *c[2:])
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +187,7 @@ class FaceOperator:
     """Face coefficients and the stacked face matrix of one (grid, weight).
 
     cw holds c_F * omega_F per face (times 1/2 on tensor grids).  matrix is
-    the k*F x N CSR matrix of all k face matrices M_k stacked, the normal
+    the k*F x N Csr of all k face matrices M_k stacked, the normal
     difference A in the first F rows, and transpose its transpose, stored so
     that no call transposes.  Faces are ordered axis by axis, each axis
     raveled in C order; columns are the raveled nodes.  vol holds the cell
@@ -160,8 +199,8 @@ class FaceOperator:
     """
 
     cw: np.ndarray
-    matrix: sp.csr_array
-    transpose: sp.csr_array
+    matrix: Csr
+    transpose: Csr
     vol: np.ndarray
 
 
@@ -185,16 +224,12 @@ def _face_operator(grid, weight, interior):
         else:
             c = np.full(mid.shape, h)
         rad = np.abs(mid)
-        matrix = _difference(len(x), h)
+        stencils = [_two_point(len(x), -1.0 / h, 1.0 / h)]
     else:
         x, y = grid.axes
         hx, hy = grid.h
-        eye_x, eye_y = sp.eye_array(len(x)), sp.eye_array(len(y))
         # normal spacing times the trapezoid weight of the tangential node
-        twx = np.full(len(x), hx)
-        twx[0] = twx[-1] = hx / 2.0
-        twy = np.full(len(y), hy)
-        twy[0] = twy[-1] = hy / 2.0
+        twx, twy = _trap_1d(len(x), hx), _trap_1d(len(y), hy)
         c = 0.5 * np.concatenate([np.tile(hx * twy, len(x) - 1),
                                   np.repeat(hy * twx, len(y) - 1)])
         fx = 0.5 * (x[:-1] + x[1:])
@@ -203,17 +238,20 @@ def _face_operator(grid, weight, interior):
             np.hypot(fx[:, None], y[None, :]).ravel(),
             np.hypot(x[:, None], fy[None, :]).ravel(),
         ])
-        # CSR throughout: no COO intermediate to convert and sort
-        matrix = sp.vstack([sp.kron(_difference(len(x), hx), eye_y, format="csr"),
-                            sp.kron(eye_x, _difference(len(y), hy), format="csr"),
-                            sp.kron(_average(len(x)), _centered(len(y), hy), format="csr"),
-                            sp.kron(_centered(len(x), hx), _average(len(y)), format="csr")],
-                           format="csr")
+        nx, ny = len(x), len(y)
+        eye_x, eye_y = ((np.arange(m)[:, None], np.ones((m, 1))) for m in (nx, ny))
+        stencils = [_kron(_two_point(nx, -1.0 / hx, 1.0 / hx), eye_y),
+                    _kron(eye_x, _two_point(ny, -1.0 / hy, 1.0 / hy)),
+                    _kron(_two_point(nx, 0.5, 0.5), _centered(ny, hy)),
+                    _kron(_centered(nx, hx), _two_point(ny, 0.5, 0.5))]
     cw = c if weight is None else c * eval_radial(weight, rad)
-    matrix, vol = sp.csr_array(matrix), cell_volumes(grid)
+    vol = cell_volumes(grid)
+    matrix = _stack(stencils, grid.interior if interior else np.arange(vol.size), vol.size)
     if interior:
-        matrix, vol = matrix[:, grid.interior], vol.ravel()[grid.interior]
-    transpose = matrix.T.tocsr()
+        vol = vol.ravel()[grid.interior]
+    transpose = Csr(matrix.cols, matrix.rows, np.empty(matrix.cols + 1, dtype=np.int32),
+                    np.empty_like(matrix.indices), np.empty_like(matrix.data))
+    sparsetools.csr_tocsc(*matrix, *transpose[2:])
     # every caller of the cache gets these same arrays
     for values in (cw, vol, matrix.data, transpose.data):
         values.flags.writeable = False
@@ -301,13 +339,20 @@ def variational_dot(grid, a, b):
 
 
 def energy_hessian_matrix(grid, weight, interior=False):
-    """Exact Hessian of the p=2 energy, sum_k M_k^T diag(cw) M_k, as a
-    sparse matrix over all nodes or, with interior, over the interior nodes.
+    """Exact Hessian of the p=2 energy, sum_k M_k^T diag(cw) M_k, over all
+    nodes or, with interior, over the interior nodes, as its entries on and
+    below the diagonal (data, row, col), sorted by row and then column.
 
     This is the stiffness matrix of the weighted linear diffusion; it serves
     as the p=2 operator matrix and, over the interior, as the Newton matrix
-    at p=2 and the 1d eigensolver preconditioner.
-    """
+    at p=2 and the 1d eigensolver preconditioner.  It is the product
+    (transpose @ diag(cw)) @ matrix, summed as scipy.sparse sums it."""
     op = face_operator(grid, weight, interior)
-    cw = sp.diags_array(np.tile(op.cw, op.matrix.shape[0] // op.cw.size))
-    return (op.transpose @ cw @ op.matrix).tocsr()
+    n = op.matrix.rows
+    index = np.arange(n + 1, dtype=np.int32)
+    cw = Csr(n, n, index, index[:-1], np.tile(op.cw, n // op.cw.size))
+    hessian = _matmat(_matmat(op.transpose, cw), op.matrix)
+    row = np.repeat(np.arange(hessian.rows), np.diff(hessian.indptr))
+    order = np.lexsort((hessian.indices[: len(row)], row))
+    data, row, col = hessian.data[order], row[order], hessian.indices[order].astype(np.intp)
+    return data[row >= col], row[row >= col], col[row >= col]

@@ -50,14 +50,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla  # noqa: F401  unused; perfbench/tracer.py swaps this name
 
-from .banded import BandPattern, FactorError, lower_entries
+from .banded import BandPattern, FactorError
+from .banded import _spla_on_access as __getattr__  # noqa: F401  resolves spla
 from .diagnostics import _line_fit
 from .discretization import Field, quad_weights, quadrature_sum, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
 from .plap_operator import (
+    Csr,
     FaceFlux,
     ReactionSpec,
     energy_hessian_matrix,
@@ -255,16 +256,28 @@ class _NewtonSystem(BandPattern):
         self.grid, self.p = grid, p
         self.op = op = face_operator(grid, weight, interior=True)
         self.vol = op.vol
-        self.exact = p == 2.0 or op.matrix.shape[0] == op.cw.size
+        self.exact = p == 2.0 or op.matrix.rows == op.cw.size
         self.last_flux = None
         if p == 2.0:
-            hessian = energy_hessian_matrix(grid, weight, interior=True)
-            k_data, row, col = lower_entries(hessian)
+            k_data, row, col = energy_hessian_matrix(grid, weight, interior=True)
         else:
-            a_int = op.matrix[: op.cw.size].tocsc()
-            _, row, col = lower_entries(abs(a_int).T @ abs(a_int))
-            # entry (i, j) of A^T diag(kappa) A is sum_f A[f, i] kappa_f A[f, j]
-            self.conductance_map = a_int[:, row].multiply(a_int[:, col]).T.tocsr()
+            # entry (i, j), i >= j, of A^T diag(kappa) A is the sum over the
+            # faces f of both nodes of A[f, i] A[f, j] kappa_f, in the order
+            # of f; a row of A holds at most two nodes, in increasing order,
+            # and a stable sort of the entries keeps their faces in order
+            faces, n = op.cw.size, len(self.vol)
+            ptr = op.matrix.indptr[: faces + 1]
+            idx, val = op.matrix.indices[: ptr[-1]].astype(np.intp), op.matrix.data[: ptr[-1]]
+            face = np.repeat(np.arange(faces, dtype=np.int32), np.diff(ptr))
+            first = ptr[np.flatnonzero(np.diff(ptr) == 2)]
+            key = np.concatenate([idx * (n + 1), idx[first + 1] * n + idx[first]])
+            order = np.argsort(key, kind="stable")
+            start = np.flatnonzero(np.diff(key[order], prepend=-1))
+            row, col = np.divmod(key[order][start], n)
+            ptr = np.append(start, len(key)).astype(np.int32)
+            terms = np.concatenate([val * val, val[first + 1] * val[first]])
+            self.conductance_map = Csr(len(start), faces, ptr,
+                                       np.concatenate([face, face[first]])[order], terms[order])
         super().__init__(row, col, len(self.vol))
         if p == 2.0:
             # the constant stiffness, filled once; matrix() scales a copy

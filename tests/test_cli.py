@@ -71,6 +71,39 @@ values = 6.0, 20.0
 rel_tol = 0.05
 """
 
+VERIFY_CFG = """\
+command = verify-exact
+output_dir = {out}
+
+[problem]
+mode = radial
+n = 2
+extent = 8.0
+p = 3.0
+
+[verify]
+resolutions = 16, 32, 64
+"""
+
+DECAY_CFG = """\
+command = decay-fit
+output_dir = {out}
+
+[problem]
+mode = radial
+n = 2
+extent = 8.0
+resolution = 24
+p = 3.0
+initial = barenblatt
+t_end = 3.0
+dt0 = 1e-3
+
+[decay]
+window_start = 1.0
+window_end = 3.0
+"""
+
 # the sections each command reads besides the top level and [problem];
 # solve reads [eigen] only with a reaction term
 SECTIONS_READ = {
@@ -670,6 +703,35 @@ class TestMain:
         assert calls == []
         assert sorted(os.listdir(out)) == ["error.json"]
 
+    @pytest.mark.parametrize("command, text, line, message", [
+        ("blowup-scan", SCAN_CFG.replace("reaction = power\nsigma = 2.0\n", "reaction = none\n"),
+         "reaction = none", "blowup-scan needs a reaction term"),
+        ("verify-exact", VERIFY_CFG.replace("mode = radial\nn = 2\n", "mode = tensor2d\n"),
+         "mode = tensor2d", "verify-exact runs on radial or interval grids"),
+        ("verify-exact", VERIFY_CFG.replace("p = 3.0", "p = 2.0"), "p = 2.0",
+         "verify-exact needs p > 2"),
+        ("verify-exact", VERIFY_CFG.replace("16, 32, 64", "16, 32"), "resolutions = 16, 32",
+         "verify-exact needs at least 3 resolutions"),
+        ("decay-fit", DECAY_CFG.replace("p = 3.0\n", "p = 3.0\nreaction = power\n"),
+         "reaction = power", "decay-fit fits the unforced flow: reaction must be none"),
+    ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction"])
+    def test_command_checks_fail_at_parse_time(self, tmp_path, command, text, line, message):
+        """A scan without a reaction term, a verify-exact on a tensor grid,
+        at p = 2 or with fewer than three resolutions, and a decay fit with
+        a reaction term exit 2 at parse time with a config error.json naming
+        the line of the key at fault and nothing else written, not even
+        resolved_config.txt."""
+        out = tmp_path / "out"
+        text = text.format(out=out)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        lineno = text.splitlines().index(line) + 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config"
+        assert error["message"] == f"line {lineno}: {message}"
+        assert sorted(os.listdir(out)) == ["error.json"]
+
     @pytest.mark.parametrize("lines, key", [
         ("window_start = 5.0\nwindow_end = 1.0", "window_start"),
         ("window_start = 3.0\nwindow_end = 3.0", "window_start"),
@@ -1049,14 +1111,43 @@ def _src_env(**extra):
                 **extra)
 
 
-def _loaded_by_cli_import(*modules, run=""):
+def _loaded_by_cli_import(*modules, run="", command=None, config=None):
     """Those of modules that are in sys.modules after a fresh interpreter
-    imports the CLI and then executes the statements run."""
+    imports the CLI and then executes the statements run, or runs command
+    on the config file config and checks that it exits 0."""
+    if command is not None:
+        run = f"assert degenflow.cli.main([{command!r}, '--config', {str(config)!r}]) == 0"
     code = (f"import sys, degenflow.cli\n{run}\n"
             f"print(*(m for m in {modules!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True)
     return out.stdout.split()
+
+
+# one small config of each command, for the import checks
+SMALL_CFGS = {
+    "eigen": EIGEN_CFG,
+    "solve": ("command = solve\noutput_dir = {out}\n[problem]\nmode = tensor2d\n"
+              "resolution = 8\np = 3.0\nweight = power\ntheta_w = 1.0\nt_end = 0.01\n"
+              "dt0 = 1e-3\n"),
+    "blowup-scan": SCAN_CFG,
+    "verify-exact": VERIFY_CFG,
+    "weights-check": ("command = weights-check\noutput_dir = {out}\n[problem]\n"
+                      "mode = interval\nweight = power\ntheta_w = 1.0\n"),
+    "decay-fit": DECAY_CFG,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_scipy_python_layer_in_any_command(tmp_path, command):
+    """Every command runs on scipy's compiled kernels alone, its LAPACK and
+    CSR extension modules loaded by file path: neither scipy.sparse nor
+    scipy.linalg nor the scipy._lib they share, about 0.2 s of start-up,
+    is ever imported."""
+    path = tmp_path / "c.cfg"
+    path.write_text(SMALL_CFGS[command].format(out=tmp_path / "out"))
+    assert not _loaded_by_cli_import("scipy.sparse", "scipy.linalg", "scipy._lib",
+                                     command=command, config=path)
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

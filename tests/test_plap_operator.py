@@ -28,13 +28,7 @@ from degenflow import (
     variational_dot,
     WeightSpec,
 )
-from degenflow.plap_operator import (
-    FaceFlux,
-    _average,
-    _centered,
-    _difference,
-    face_operator,
-)
+from degenflow.plap_operator import FaceFlux, face_operator
 from degenflow.timestepper import _NewtonSystem
 
 GRIDS = [
@@ -42,6 +36,22 @@ GRIDS = [
     ("radial", build_grid("radial", 1.0, 24, n=2)),
     ("tensor2d", build_grid("tensor2d", 1.0, 10)),
 ]
+
+
+def _scipy(matrix):
+    """A package Csr as a scipy.sparse CSR array on the same arrays."""
+    return sp.csr_array((matrix.data, matrix.indices, matrix.indptr),
+                        shape=(matrix.rows, matrix.cols))
+
+
+def _hessian(grid, weight, interior=False):
+    """The dense symmetric matrix of energy_hessian_matrix's lower entries."""
+    data, row, col = energy_hessian_matrix(grid, weight, interior)
+    n = len(grid.interior) if interior else grid.boundary_mask.size
+    k = np.zeros((n, n))
+    k[row, col] = data
+    k[col, row] = data
+    return k
 
 
 def _random_interior_field(grid, seed):
@@ -144,7 +154,7 @@ def test_gradient_consistency_with_weight():
 def test_hessian_matrix_matches_operator_p2():
     for _, g in GRIDS:
         u = _random_interior_field(g, 9)
-        k = energy_hessian_matrix(g, None)
+        k = _hessian(g, None)
         direct = apply_plaplacian(u, None, 2.0).values
         via_matrix = -(k @ u.values.ravel()) / cell_volumes(g).ravel()
         interior = ~g.boundary_mask.ravel()
@@ -164,11 +174,12 @@ def test_interior_operator_is_the_full_one_restricted(monkeypatch, mode, weight)
     idx = g.interior
     full, op = face_operator(g, weight), face_operator(g, weight, interior=True)
     assert np.array_equal(op.cw, full.cw)
-    assert np.array_equal(op.matrix.toarray(), full.matrix[:, idx].toarray())
-    assert np.array_equal(op.transpose.toarray(), full.transpose[idx].toarray())
+    matrix, transpose = _scipy(full.matrix), _scipy(full.transpose)
+    assert np.array_equal(_scipy(op.matrix).toarray(), matrix[:, idx].toarray())
+    assert np.array_equal(_scipy(op.transpose).toarray(), transpose[idx].toarray())
     assert np.array_equal(op.vol, full.vol.ravel()[idx])
-    hessian = energy_hessian_matrix(g, weight, interior=True).toarray()
-    assert np.array_equal(hessian, energy_hessian_matrix(g, weight).tocsr()[idx][:, idx].toarray())
+    hessian = _hessian(g, weight, interior=True)
+    assert np.array_equal(hessian, _hessian(g, weight)[idx][:, idx])
 
     assert _NewtonSystem(g, weight, 3.0).op is op
     ops = set()
@@ -185,8 +196,14 @@ def test_interior_operator_is_the_full_one_restricted(monkeypatch, mode, weight)
 
 def test_hessian_matrix_symmetric_psd():
     g = build_grid("tensor2d", 1.0, 8)
-    k = energy_hessian_matrix(g, WeightSpec.power(0.5)).toarray()
-    assert np.max(np.abs(k - k.T)) < 1e-12
+    weight = WeightSpec.power(0.5)
+    # the lower entries are those of M^T diag(cw) M, which is symmetric
+    op = face_operator(g, weight)
+    full = (_scipy(op.transpose) @ sp.diags_array(np.tile(op.cw, 2))
+            @ _scipy(op.matrix)).toarray()
+    assert np.max(np.abs(full - full.T)) < 1e-12
+    k = _hessian(g, weight)
+    assert np.array_equal(np.tril(k), np.tril(full))
     eigs = np.linalg.eigvalsh(k)
     assert eigs.min() > -1e-10
 
@@ -272,10 +289,10 @@ def test_operator_matches_pinned_values(mode, grid):
     r, q = rng.standard_normal((2, grid.boundary_mask.size))
 
     def reduce_matrix(m):
-        return [np.linalg.norm(m.toarray()), r @ (m @ q)]
+        return [np.linalg.norm(m), r @ (m @ q)]
 
     np.testing.assert_allclose(
-        reduce_matrix(energy_hessian_matrix(grid, w)), PINNED[(mode, "hessian")],
+        reduce_matrix(_hessian(grid, w)), PINNED[(mode, "hessian")],
         rtol=1e-13, atol=0.0,
     )
     vals = np.random.default_rng(2024).standard_normal(grid.shape)
@@ -354,34 +371,91 @@ def test_flux_energy_and_divergence_match_closed_forms(mode, p):
         assert np.abs(flux.divergence() - div_ref).max() <= 1e-13 * np.abs(div_ref).max()
 
 
-def _coo_face_matrix(g):
-    """The stacked face matrix as built through COO intermediates, converted
-    to CSR once."""
+def _difference(m, h):
+    inv = np.full(m - 1, 1.0 / h)
+    return sp.diags_array([-inv, inv], offsets=[0, 1], shape=(m - 1, m))
+
+
+def _average(m):
+    half = np.full(m - 1, 0.5)
+    return sp.diags_array([half, half], offsets=[0, 1], shape=(m - 1, m))
+
+
+def _centered(m, h):
+    lower = np.full(m - 1, -0.5 / h)
+    upper = np.full(m - 1, 0.5 / h)
+    lower[-1] = -1.0 / h
+    upper[0] = 1.0 / h
+    main = np.zeros(m)
+    main[0], main[-1] = -1.0 / h, 1.0 / h
+    return sp.diags_array([lower, main, upper], offsets=[-1, 0, 1])
+
+
+def _scipy_face_matrix(g, fmt="csr"):
+    """The stacked face matrix built by scipy.sparse, in CSR throughout (the
+    construction the numpy build replaced) or, with fmt None, through COO
+    intermediates converted to CSR once."""
     if g.mode != "tensor2d":
         return sp.csr_array(_difference(len(g.axes[0]), g.h[0]))
     (x, y), (hx, hy) = g.axes, g.h
     eye_x, eye_y = sp.eye_array(len(x)), sp.eye_array(len(y))
-    return sp.csr_array(sp.vstack([sp.kron(_difference(len(x), hx), eye_y),
-                                   sp.kron(eye_x, _difference(len(y), hy)),
-                                   sp.kron(_average(len(x)), _centered(len(y), hy)),
-                                   sp.kron(_centered(len(x), hx), _average(len(y)))]))
+    return sp.csr_array(sp.vstack([sp.kron(_difference(len(x), hx), eye_y, format=fmt),
+                                   sp.kron(eye_x, _difference(len(y), hy), format=fmt),
+                                   sp.kron(_average(len(x)), _centered(len(y), hy), format=fmt),
+                                   sp.kron(_centered(len(x), hx), _average(len(y)), format=fmt)],
+                                  format=fmt))
+
+
+def _lower_entries(matrix):
+    """Stored entries of a scipy sparse matrix on and below the diagonal,
+    duplicates summed, as (data, row, col)."""
+    coo = sp.coo_array(matrix)
+    coo.sum_duplicates()
+    lower = coo.row >= coo.col
+    return coo.data[lower], coo.row[lower].astype(np.intp), coo.col[lower].astype(np.intp)
+
+
+def _same_arrays(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("interior", [False, True], ids=["full", "interior"])
 @pytest.mark.parametrize("mode", [mode for mode, _ in GRIDS])
 def test_face_matrices_match_the_coo_build(mode, interior):
-    """The face matrix and its transpose, built in CSR throughout, store
-    the same data, indices and indptr, of the same dtypes, as the stack
-    built through COO, over all nodes and over the interior columns."""
+    """The face matrix and its transpose store the same data, indices and
+    indptr, of the same dtypes, as the stack built through COO, over all
+    nodes and over the interior columns."""
     g = dict(GRIDS)[mode]
     op = face_operator(g, WeightSpec.power(1.0), interior=interior)
-    ref = _coo_face_matrix(g)
+    ref = _scipy_face_matrix(g, fmt=None)
     if interior:
         ref = ref[:, g.interior]
     for got, want in ((op.matrix, ref), (op.transpose, ref.T.tocsr())):
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        _same_arrays(got[2:], (want.indptr, want.indices, want.data))
+
+
+@pytest.mark.parametrize("weight", [None, WeightSpec.power(1.0)], ids=["unit", "power"])
+@pytest.mark.parametrize("interior", [False, True], ids=["full", "interior"])
+@pytest.mark.parametrize("mode", [mode for mode, _ in GRIDS])
+def test_face_csr_matches_the_scipy_build(mode, interior, weight):
+    """The numpy-built face matrix and its transpose from csr_tocsc are
+    byte-equal to scipy.sparse's CSR build, restricted and transposed by
+    scipy, and the p = 2 Hessian's lower entries to those of scipy's
+    transpose @ diags(cw) @ matrix, in all three grid modes, over all nodes
+    and the interior, with and without a weight."""
+    g = dict(GRIDS)[mode]
+    op = face_operator(g, weight, interior=interior)
+    ref = _scipy_face_matrix(g)
+    if interior:
+        ref = ref[:, g.interior]
+    transpose = ref.T.tocsr()
+    for got, want in ((op.matrix, ref), (op.transpose, transpose)):
+        _same_arrays(got[2:], (want.indptr, want.indices, want.data))
+        assert (got.rows, got.cols) == want.shape
+    cw = sp.diags_array(np.tile(op.cw, ref.shape[0] // op.cw.size))
+    hessian = _lower_entries((transpose @ cw @ ref).tocsr())
+    _same_arrays(energy_hessian_matrix(g, weight, interior), hessian)
 
 
 class TestReactionSpec:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -31,10 +32,16 @@ from degenflow import (
 )
 from degenflow import timestepper
 from degenflow.cli import EXIT_OK, main
-from degenflow.banded import BandPattern, FactorError, lower_entries
+from degenflow.banded import BandPattern, FactorError
 from degenflow.timestepper import _NewtonSystem, _StepFailure
 
 PI2 = np.pi**2
+
+
+def _scipy(matrix):
+    """A package Csr as a scipy.sparse CSR array on the same arrays."""
+    return sp.csr_array((matrix.data, matrix.indices, matrix.indptr),
+                        shape=(matrix.rows, matrix.cols))
 
 
 def _node_coordinates(g):
@@ -130,7 +137,8 @@ def test_newton_system_matches_jacobian_form(mode, p):
         return
 
     op = system.op
-    a, b = op.matrix[: op.cw.size], op.matrix[op.cw.size:]
+    matrix = _scipy(op.matrix)
+    a, b = matrix[: op.cw.size], matrix[op.cw.size:]
     tangential = (b @ x) ** 2
 
     def frozen_residual(y):
@@ -145,6 +153,28 @@ def test_newton_system_matches_jacobian_form(mode, p):
 
 
 @pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
+def test_conductance_map_matches_the_scipy_build(mode):
+    """At p > 2 the band pattern and the map from face conductances to the
+    Newton matrix's lower entries are byte-equal to their scipy.sparse
+    build: the lower entries of |A|^T |A| and A[:, row] * A[:, col] per
+    face, so the entries are summed over the faces in the same order."""
+    g = build_grid(mode, 1.0, 10, n=2)
+    system = _NewtonSystem(g, WeightSpec.power(1.0), 3.0)
+    a = _scipy(system.op.matrix)[: system.op.cw.size].tocsc()
+    pattern = sp.coo_array(abs(a).T @ abs(a))
+    pattern.sum_duplicates()
+    lower = pattern.row >= pattern.col
+    row, col = pattern.row[lower].astype(np.intp), pattern.col[lower].astype(np.intp)
+    want = a[:, row].multiply(a[:, col]).T.tocsr()
+    assert np.array_equal(system.row, row) and np.array_equal(system.col, col)
+    got = system.conductance_map
+    assert (got.rows, got.cols) == want.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
 def test_p2_band_is_a_fresh_fill(mode):
     """At p = 2 the Newton matrix is dt times the stiffness band filled once
     per system, with vol * (1 - dt f') added to its diagonal row: bit for
@@ -153,7 +183,7 @@ def test_p2_band_is_a_fresh_fill(mode):
     g = build_grid(mode, 1.0, 10, n=2)
     weight = WeightSpec.power(1.0)
     system = _NewtonSystem(g, weight, 2.0)
-    k_data, row, col = lower_entries(energy_hessian_matrix(g, weight, interior=True))
+    k_data, row, col = energy_hessian_matrix(g, weight, interior=True)
     pattern = BandPattern(row, col, len(system.vol))
     x = np.random.default_rng(8).standard_normal(len(system.vol))
     for dt, drea in ((3e-3, 0.0), (0.1, np.abs(x)), (1e-5, -2.0 * x)):
@@ -172,7 +202,7 @@ def _indefinite_newton_band():
     idx = np.flatnonzero(~g.boundary_mask.ravel())
     drea = reaction_derivative(ReactionSpec.power(1.0, 2.0), 0.0, vals).ravel()[idx]
     assert (dt * drea > 1.0).any()
-    data, row, col = lower_entries(energy_hessian_matrix(g, None).tocsr()[idx][:, idx])
+    data, row, col = energy_hessian_matrix(g, None, interior=True)
     pattern = BandPattern(row, col, len(idx))
     diag = cell_volumes(g).ravel()[idx] * (1.0 - dt * drea)
     return pattern, pattern.fill(dt * data, diag)
@@ -184,7 +214,7 @@ def test_singular_band_factor_is_step_failure():
     and retries with a smaller dt."""
     g = build_grid("tensor2d", 1.0, 8)
     idx = np.flatnonzero(~g.boundary_mask.ravel())
-    _, row, col = lower_entries(energy_hessian_matrix(g, None).tocsr()[idx][:, idx])
+    _, row, col = energy_hessian_matrix(g, None, interior=True)
     pattern = BandPattern(row, col, len(idx))
     assert issubclass(FactorError, NumericalError)
     with pytest.raises(FactorError, match="linear solve failed"):
@@ -479,7 +509,8 @@ def _flux_by_face_matrix(g, weight, p, vals):
     the rounding of the Laplacian."""
     op = face_operator(g, weight)
     f = op.cw.size
-    mats = [op.matrix[k * f:(k + 1) * f] for k in range(op.matrix.shape[0] // f)]
+    matrix = _scipy(op.matrix)
+    mats = [matrix[k * f:(k + 1) * f] for k in range(matrix.shape[0] // f)]
     grads = [m @ vals.ravel() for m in mats]
     s = sum(gk * gk for gk in grads)
     q = op.cw * s ** ((p - 2.0) / 2.0)
