@@ -56,6 +56,7 @@ from .timestepper import (
     RunOutcome,
     StepControls,
     Trajectory,
+    bisect_dichotomy,
     estimate_blowup_time,
     run_simulation,
     # steps a Field; timestepper.step_implicit steps a run's interior vector
@@ -67,9 +68,11 @@ from .diagnostics import (
     barenblatt_corrected,
     barenblatt_exact,
     bernoulli_blowup,
+    bernoulli_comparison,
     blowup_threshold,
     decay_exponent_fit,
     exp_forced_bound,
+    exp_forced_comparison,
     fit_bernoulli_constant,
     fit_exp_forced_constant,
     residual_check,

@@ -27,14 +27,7 @@ from .eigensolver import check_tol, smallest_eigenpair
 from .errors import ConfigError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
-from .timestepper import (
-    KIND_BLOWUP,
-    KIND_COMPLETED,
-    KIND_DECAYED,
-    ProblemSpec,
-    StepControls,
-    run_simulation,
-)
+from .timestepper import ProblemSpec, StepControls, bisect_dichotomy, run_simulation
 from .weight_models import WeightSpec, check_doubling, check_muckenhoupt
 
 SCHEMA_VERSION = 1
@@ -65,6 +58,17 @@ def _as_str(raw):
     return raw
 
 
+def _choice(*names):
+    """Converter for a key that takes one of names, in any letter case; it
+    returns the value lowercased."""
+    def convert(raw):
+        value = raw.lower()
+        if value not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {raw!r}")
+        return value
+    return convert
+
+
 def _list_items(raw):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -88,20 +92,20 @@ _SCHEMA = {
         "output_dir": (_as_str, None),
     },
     "problem": {
-        "mode": (_as_str, "interval"),
+        "mode": (_choice("interval", "radial", "tensor2d"), "interval"),
         "extent": (_as_float, 1.0),
         "resolution": (_as_int, 128),
         "n": (_as_int, None),
         "p": (_as_float, 2.0),
-        "weight": (_as_str, "none"),
+        "weight": (_choice("none", "power"), "none"),
         "theta_w": (_as_float, 0.0),
         "theta_mk": (_as_float, 2.0),
         "mu": (_as_float, None),
-        "reaction": (_as_str, "none"),
+        "reaction": (_choice("none", "power", "exp_forced"), "none"),
         "alpha0": (_as_float, 1.0),
         "sigma": (_as_float, 2.0),
         "c6": (_as_float, 1.0),
-        "initial": (_as_str, "sin"),
+        "initial": (_choice("sin", "barenblatt"), "sin"),
         "amplitude": (_as_float, 1.0),
         "initial_time": (_as_float, 1.0),
         "t_end": (_as_float, 1.0),
@@ -170,14 +174,14 @@ def _reads(command, problem):
     keys it never reads mapped to the setting that leaves them unread.  The
     unit weight (weight = none) is the power weight at theta_w = 0."""
     sections = _SECTIONS_READ[command]
-    reaction = problem["reaction"].lower()
+    reaction = problem["reaction"]
     if command == "solve" and reaction != "none":
         sections += ("eigen",)
-    unread = dict.fromkeys(_REACTION_KEYS_UNREAD.get(reaction, ()), f"reaction = {reaction}")
-    if problem["weight"].lower() == "none" and problem["theta_w"] != 0.0:
+    unread = dict.fromkeys(_REACTION_KEYS_UNREAD[reaction], f"reaction = {reaction}")
+    if problem["weight"] == "none" and problem["theta_w"] != 0.0:
         unread["theta_w"] = "weight = none"
-    if problem["initial"].lower() != "barenblatt":
-        unread["initial_time"] = f"initial = {problem['initial'].lower()}"
+    if problem["initial"] != "barenblatt":
+        unread["initial_time"] = f"initial = {problem['initial']}"
     if problem["mode"] != "radial":
         unread["n"] = f"mode = {problem['mode']}"
     unread.update(dict.fromkeys(_PROBLEM_KEYS_UNREAD.get(command, ()), command))
@@ -293,9 +297,7 @@ def _check_values(sections, reads, explicit):
         if "eigen" in reads and sections["eigen"]["tol"] is not None:
             check_tol(sections["eigen"]["tol"])
         if "scan" in reads:
-            if prob["reaction"].lower() == "none":
-                raise ConfigError("blowup-scan needs a reaction term", keys=("reaction",))
-            _check_scan(sections["scan"])
+            _check_scan(sections["scan"], prob)
         if "verify" in reads:
             if prob["mode"] not in ("radial", "interval"):
                 raise ConfigError("verify-exact runs on radial or interval grids", keys=("mode",))
@@ -305,7 +307,7 @@ def _check_values(sections, reads, explicit):
                 raise ConfigError("verify-exact needs at least 3 resolutions",
                                   keys=("resolutions",))
         if "decay" in reads:
-            if prob["reaction"].lower() != "none":
+            if prob["reaction"] != "none":
                 raise ConfigError("decay-fit fits the unforced flow: reaction must be none",
                                   keys=("reaction",))
             dec = sections["decay"]
@@ -316,10 +318,18 @@ def _check_values(sections, reads, explicit):
         raise _at_line(exc, explicit)
 
 
-def _check_scan(scan):
-    """Raise ConfigError unless [scan] sets values, all positive, and a
-    positive rel_tol: the scan bisects geometrically, at the square root of
-    its bracket's product, and stops on the ratio of the bracket's ends."""
+def _check_scan(scan, prob):
+    """Raise ConfigError unless the problem has a reaction term, with
+    sigma > p - 1 for a power reaction, and [scan] sets values, all
+    positive, and a positive rel_tol.  At sigma <= p - 1 the power reaction
+    has no amplitude threshold to bracket.  The scan bisects geometrically,
+    at the square root of its bracket's product, and stops on the ratio of
+    the bracket's ends."""
+    if prob["reaction"] == "none":
+        raise ConfigError("blowup-scan needs a reaction term", keys=("reaction",))
+    if prob["reaction"] == "power" and not prob["sigma"] > prob["p"] - 1.0:
+        raise ConfigError(f"blowup-scan with reaction = power needs sigma > p - 1, got "
+                          f"sigma = {prob['sigma']}, p = {prob['p']}", keys=("sigma", "p"))
     if scan["values"] is None:
         raise ConfigError("blowup-scan needs [scan] values")
     bad = [a for a in scan["values"] if not a > 0.0]
@@ -381,12 +391,9 @@ def _csv_header(cfg):
 
 def _build_weight(cfg):
     prob = cfg.sections["problem"]
-    kind = prob["weight"].lower()
-    if kind == "none":
+    if prob["weight"] == "none":
         return None
-    if kind == "power":
-        return WeightSpec.power(theta_w=prob["theta_w"], theta_mk=prob["theta_mk"])
-    raise ConfigError(f"unknown weight kind {prob['weight']!r}")
+    return WeightSpec.power(theta_w=prob["theta_w"], theta_mk=prob["theta_mk"])
 
 
 def _build_grid(cfg):
@@ -405,10 +412,9 @@ def _exponents(cfg, grid, weight):
 
 def _initial_values(cfg, grid, weight):
     prob = cfg.sections["problem"]
-    shape = prob["initial"].lower()
     a = prob["amplitude"]
     ext = grid.extent
-    if shape == "sin":
+    if prob["initial"] == "sin":
         if grid.mode == "interval":
             x = grid.axes[0]
             return a * np.sin(np.pi * x / ext)
@@ -417,25 +423,20 @@ def _initial_values(cfg, grid, weight):
             return a * np.sin(np.pi * x / ext)[:, None] * np.sin(np.pi * y / ext)[None, :]
         r = grid.axes[0]
         return a * np.cos(0.5 * np.pi * r / ext)
-    if shape == "barenblatt":
-        exps = _exponents(cfg, grid, weight)
-        vals = a * diag.barenblatt_corrected(grid.radius(), prob["initial_time"], exps)
-        vals[grid.boundary_mask] = 0.0
-        return vals
-    raise ConfigError(f"unknown initial shape {prob['initial']!r}")
+    exps = _exponents(cfg, grid, weight)
+    vals = a * diag.barenblatt_corrected(grid.radius(), prob["initial_time"], exps)
+    vals[grid.boundary_mask] = 0.0
+    return vals
 
 
 def _build_reaction(cfg, eigenpair):
     prob = cfg.sections["problem"]
-    family = prob["reaction"].lower()
-    if family == "none":
+    if prob["reaction"] == "none":
         return ReactionSpec.none()
-    if family == "power":
+    if prob["reaction"] == "power":
         return ReactionSpec.power(prob["alpha0"], prob["sigma"])
-    if family == "exp_forced":
-        lambda1 = eigenpair.eigenvalue if eigenpair is not None else 0.0
-        return ReactionSpec.exp_forced(prob["c6"], prob["sigma"], lambda1)
-    raise ConfigError(f"unknown reaction family {prob['reaction']!r}")
+    lambda1 = eigenpair.eigenvalue if eigenpair is not None else 0.0
+    return ReactionSpec.exp_forced(prob["c6"], prob["sigma"], lambda1)
 
 
 def _build_problem(cfg, grid, weight, eigenpair):
@@ -491,46 +492,16 @@ def _run_one(cfg, grid, weight, eigenpair, out_dir):
     return outcome
 
 
-def _comparison(trajectory, lambda1, sigma, g0=None):
-    """The comparison constant C fitted on trajectory and both blow-up
-    thresholds it gives; with g0, also the blow-up of the comparison ODE
-    from g0.  A failed fit or ODE adds C_fit_error instead."""
-    body = {}
-    try:
-        fit = diag.fit_bernoulli_constant(trajectory, lambda1, sigma)
-        thresholds = diag.blowup_threshold(lambda1, fit["C"], sigma)
-        body["C_fit"] = fit["C"]
-        body["threshold_operative"] = thresholds["operative"]
-        body["threshold_paper"] = thresholds["paper_value"]
-        if g0 is not None:
-            ode = diag.bernoulli_blowup(diag.OdeParams(lambda1, fit["C"], sigma, g0))
-            body["T_bernoulli"] = ode["T"]
-            body["bernoulli_blows_up"] = ode["blows_up"]
-    except DegenflowError as exc:
-        body["C_fit_error"] = str(exc)
-    return body
-
-
 def _solve_summary(cfg, outcome, eigenpair):
     prob = cfg.sections["problem"]
     body = outcome.payload()
     if eigenpair is not None:
-        body["lambda1"] = eigenpair.eigenvalue
-        if prob["reaction"].lower() == "power":
-            body.update(_comparison(outcome.trajectory, eigenpair.eigenvalue,
-                                    prob["sigma"], g0=body["g0"]))
-        if prob["reaction"].lower() == "exp_forced":
-            try:
-                fit = diag.fit_exp_forced_constant(
-                    outcome.trajectory, eigenpair.eigenvalue, prob["sigma"]
-                )
-                body["C8_fit"] = fit["C8"]
-                body["psi0"] = fit["psi0"]
-                body["T_bound"] = diag.exp_forced_bound(
-                    fit["psi0"], fit["C8"], prob["sigma"]
-                )
-            except DegenflowError as exc:
-                body["C8_fit_error"] = str(exc)
+        lam1 = body["lambda1"] = eigenpair.eigenvalue
+        if prob["reaction"] == "power":
+            body.update(diag.bernoulli_comparison(outcome.trajectory, lam1, prob["sigma"],
+                                                  g0=body["g0"]))
+        else:
+            body.update(diag.exp_forced_comparison(outcome.trajectory, lam1, prob["sigma"]))
     return body
 
 
@@ -539,7 +510,7 @@ def _cmd_solve(cfg, out):
     weight = _build_weight(cfg)
     prob = cfg.sections["problem"]
     eigenpair = None
-    if prob["reaction"].lower() != "none":
+    if prob["reaction"] != "none":
         # the problem's checks, u_cap's among them, run before the eigensolve
         _build_problem(cfg, grid, weight, None)
         eigenpair = _solve_eigen(cfg, grid, weight)
@@ -551,9 +522,7 @@ def _cmd_solve(cfg, out):
 def _cmd_blowup_scan(cfg, out):
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
-    prob = cfg.sections["problem"]
     scan = cfg.sections["scan"]
-    values, rel_tol = scan["values"], scan["rel_tol"]
 
     def with_amplitude(a):
         # each probe runs, and echoes, its own config: the scan's with
@@ -563,7 +532,7 @@ def _cmd_blowup_scan(cfg, out):
         return ExperimentConfig(cfg.command, cfg.output_dir, sections)
 
     # u_cap must exceed the largest probe's initial sup, checked before any work
-    _build_problem(with_amplitude(max(values, key=abs)), grid, weight, None)
+    _build_problem(with_amplitude(max(scan["values"])), grid, weight, None)
     eigenpair = _solve_eigen(cfg, grid, weight)
     lam1 = eigenpair.eigenvalue
 
@@ -571,54 +540,22 @@ def _cmd_blowup_scan(cfg, out):
         return _run_one(with_amplitude(a), grid, weight, eigenpair,
                         out / "runs" / f"A_{a:.8g}")
 
-    results = {a: probe(a) for a in sorted(set(values))}
-
-    undecided_mid = None
-    while True:
-        decayed = [a for a, oc in results.items() if oc.kind == KIND_DECAYED]
-        blown = [a for a, oc in results.items() if oc.kind == KIND_BLOWUP]
-        if not decayed or not blown:
-            break
-        a_lo, a_hi = max(decayed), min(blown)
-        if a_lo >= a_hi:
-            break  # non-monotone classifications; report as-is
-        if a_hi / a_lo <= 1.0 + rel_tol:
-            break
-        mid = math.sqrt(a_lo * a_hi)
-        oc = probe(mid)
-        results[mid] = oc
-        if oc.kind == KIND_COMPLETED:
-            undecided_mid = mid
-            break
-
-    decayed = [a for a, oc in results.items() if oc.kind == KIND_DECAYED]
-    blown = [a for a, oc in results.items() if oc.kind == KIND_BLOWUP]
-    runs_table = [
-        {"amplitude": a, "kind": results[a].kind,
-         "g0": results[a].trajectory.weighted_mass[0], "T_est": results[a].t_est}
-        for a in sorted(results)
-    ]
-
-    body = {"lambda1": lam1, "rel_tol": rel_tol, "runs": runs_table,
-            "undecided_midpoint": undecided_mid}
-    status = EXIT_UNDECIDED
-    if decayed and blown and max(decayed) < min(blown):
-        a_lo, a_hi = max(decayed), min(blown)
-        lo_run, hi_run = results[a_lo], results[a_hi]
-        body["a_decay"] = a_lo
-        body["a_blowup"] = a_hi
-        body["bracket_ratio"] = a_hi / a_lo
-        body["g0_decay"] = lo_run.trajectory.weighted_mass[0]
-        body["g0_blowup"] = hi_run.trajectory.weighted_mass[0]
-        body.update(_comparison(hi_run.trajectory, lam1, prob["sigma"]))
+    runs, bracket, undecided = bisect_dichotomy(probe, scan["values"], scan["rel_tol"])
+    body = {"lambda1": lam1, "rel_tol": scan["rel_tol"], "undecided_midpoint": undecided,
+            "runs": [{"amplitude": a, "kind": runs[a].kind,
+                      "g0": runs[a].trajectory.weighted_mass[0], "T_est": runs[a].t_est}
+                     for a in sorted(runs)]}
+    if bracket is not None:
+        a_lo, a_hi = bracket
+        body.update(a_decay=a_lo, a_blowup=a_hi, bracket_ratio=a_hi / a_lo,
+                    g0_decay=runs[a_lo].trajectory.weighted_mass[0],
+                    g0_blowup=runs[a_hi].trajectory.weighted_mass[0])
+        body.update(diag.bernoulli_comparison(runs[a_hi].trajectory, lam1,
+                                              cfg.sections["problem"]["sigma"]))
         if "threshold_operative" in body:
-            body["g0_decay_le_operative"] = bool(
-                body["g0_decay"] <= body["threshold_operative"]
-            )
-        if a_hi / a_lo <= 1.0 + rel_tol:
-            status = EXIT_OK
+            body["g0_decay_le_operative"] = bool(body["g0_decay"] <= body["threshold_operative"])
     write_json(out / "summary.json", _summary(cfg, body))
-    return status
+    return EXIT_OK if bracket is not None and undecided is None else EXIT_UNDECIDED
 
 
 def _cmd_verify_exact(cfg, out):
@@ -717,7 +654,7 @@ def _cmd_decay_fit(cfg, out):
     exps = _exponents(cfg, grid, weight)
 
     # a barenblatt run starts at physical time initial_time
-    offset = prob["initial_time"] if prob["initial"].lower() == "barenblatt" else 0.0
+    offset = prob["initial_time"] if prob["initial"] == "barenblatt" else 0.0
     window = (dec["window_start"], dec["window_end"])
     fit = diag.decay_exponent_fit(outcome.trajectory, window, time_offset=offset)
     body = {

@@ -1,6 +1,8 @@
 """Derived quantities for run analysis: scaling exponents, the comparison
 ODE and its thresholds, self-similar reference solutions, residual
-verification, and trajectory fits.  Every fitted line, the algebraic decay
+verification, trajectory fits, and the comparison of a reaction run with
+its ODE bound, one function per reaction family, that both the CLI and the
+acceptance criteria report.  Every fitted line, the algebraic decay
 exponent here and timestepper's blow-up time and decay rate, comes from
 one least-squares helper, _line_fit.
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import Field
-from .errors import ConfigError, FitError
+from .errors import ConfigError, DegenflowError, FitError
 from .plap_operator import apply_plaplacian
 
 
@@ -345,3 +347,46 @@ def fit_exp_forced_constant(traj, lambda1, sigma):
     if not c8 > 0.0:
         raise FitError(f"psi is not increasing along the run (min ratio {c8:.3e})")
     return {"C8": c8, "psi0": float(psi[0]), "samples": int(sel.sum())}
+
+
+# -------------------------------------------------------------- comparisons
+
+
+def bernoulli_comparison(traj, lambda1, sigma, g0=None):
+    """The comparison constant C fitted on traj (fit_bernoulli_constant) and
+    the two blow-up thresholds it gives (blowup_threshold), as C_fit,
+    threshold_operative and threshold_paper.  With g0, also the comparison
+    ODE's blow-up from g0 (bernoulli_blowup), as T_bernoulli and
+    bernoulli_blows_up.  A failed fit or ODE adds C_fit_error, its message,
+    in place of the entries it did not reach."""
+    body = {}
+    try:
+        fit = fit_bernoulli_constant(traj, lambda1, sigma)
+        thresholds = blowup_threshold(lambda1, fit["C"], sigma)
+        body["C_fit"] = fit["C"]
+        body["threshold_operative"] = thresholds["operative"]
+        body["threshold_paper"] = thresholds["paper_value"]
+        if g0 is not None:
+            ode = bernoulli_blowup(OdeParams(lambda1, fit["C"], sigma, g0))
+            body["T_bernoulli"] = ode["T"]
+            body["bernoulli_blows_up"] = ode["blows_up"]
+    except DegenflowError as exc:
+        body["C_fit_error"] = str(exc)
+    return body
+
+
+def exp_forced_comparison(traj, lambda1, sigma):
+    """The forced constant C8 and psi0 fitted on traj
+    (fit_exp_forced_constant) and the blow-up time bound they give
+    (exp_forced_bound), as C8_fit, psi0 and T_bound.  A failed fit or bound
+    adds C8_fit_error, its message, in place of the entries it did not
+    reach."""
+    body = {}
+    try:
+        fit = fit_exp_forced_constant(traj, lambda1, sigma)
+        body["C8_fit"] = fit["C8"]
+        body["psi0"] = fit["psi0"]
+        body["T_bound"] = exp_forced_bound(fit["psi0"], fit["C8"], sigma)
+    except DegenflowError as exc:
+        body["C8_fit_error"] = str(exc)
+    return body

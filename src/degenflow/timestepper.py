@@ -42,11 +42,13 @@ run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
 sup-norm cap (default 1e8 times the initial sup) or a step failure at
-dt_min while the sup norm is ramping.
+dt_min while the sup norm is ramping.  bisect_dichotomy brackets the
+amplitude that separates decay from blow-up, by runs it is handed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -522,6 +524,37 @@ def run_simulation(spec, eigenpair=None):
         rate = _fit_exponential_rate(traj.times, traj.sup_abs_u, sup0)
         return RunOutcome(KIND_DECAYED, traj, rate_fit=rate, **counts)
     return RunOutcome(KIND_COMPLETED, traj, **counts)
+
+
+def bisect_dichotomy(probe, values, rel_tol):
+    """Bracket the critical amplitude between decay and blow-up.
+
+    probe(a) runs the problem at amplitude a and returns its RunOutcome.
+    The distinct values are probed first, in increasing order.  Then, while
+    the largest decayed amplitude a_lo lies below the smallest blown-up one
+    a_hi and a_hi / a_lo > 1 + rel_tol, their geometric midpoint, the
+    square root of a_lo a_hi, is probed.  The scan also stops on a
+    non-monotone classification (a_lo >= a_hi) and on a midpoint that
+    completes without decaying or blowing up.
+
+    Returns (outcomes, bracket, undecided): every probe's RunOutcome by
+    amplitude, in probe order; (a_lo, a_hi) when a_lo < a_hi, else None;
+    and the midpoint that completed, else None.  The bracket is within
+    rel_tol exactly when it is not None and undecided is None.
+    """
+    outcomes = {a: probe(a) for a in sorted(set(values))}
+    while True:
+        decayed = [a for a, oc in outcomes.items() if oc.kind == KIND_DECAYED]
+        blown = [a for a, oc in outcomes.items() if oc.kind == KIND_BLOWUP]
+        if not decayed or not blown or max(decayed) >= min(blown):
+            return outcomes, None, None
+        a_lo, a_hi = max(decayed), min(blown)
+        if a_hi / a_lo <= 1.0 + rel_tol:
+            return outcomes, (a_lo, a_hi), None
+        mid = math.sqrt(a_lo * a_hi)
+        outcomes[mid] = probe(mid)
+        if outcomes[mid].kind == KIND_COMPLETED:
+            return outcomes, (a_lo, a_hi), mid
 
 
 def estimate_blowup_time(traj, sigma, t_end=float("inf")):

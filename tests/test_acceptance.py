@@ -25,14 +25,13 @@ from degenflow import (
     apply_plaplacian,
     barenblatt_corrected,
     bernoulli_blowup,
-    blowup_threshold,
+    bernoulli_comparison,
+    bisect_dichotomy,
     build_grid,
     check_doubling,
     decay_exponent_fit,
     energy,
-    exp_forced_bound,
-    fit_bernoulli_constant,
-    fit_exp_forced_constant,
+    exp_forced_comparison,
     run_simulation,
     smallest_eigenpair,
     step_implicit,
@@ -174,7 +173,8 @@ def test_criterion_04_bernoulli_ode():
 
 @pytest.fixture(scope="module")
 def dichotomy_scan(interval64_eigen):
-    """Shared bisection for criteria 5 and 6."""
+    """Shared scan for criteria 5 and 6: the package's bisection from the
+    probes 6 and 20 to rel_tol 0.05, as the README scan runs it."""
     grid, pair = interval64_eigen
     reaction = ReactionSpec.power(1.0, 2.0)
 
@@ -182,20 +182,11 @@ def dichotomy_scan(interval64_eigen):
         spec = _sin_spec(grid, a, reaction, t_end=3.0, dt0=dt0, dt_max=2e-2)
         return run_simulation(spec, eigenpair=pair)
 
-    a_lo = (6.0, run_amp(6.0))
-    a_hi = (20.0, run_amp(20.0))
-    assert a_lo[1].kind == "Decayed" and a_hi[1].kind == "BlowUp"
-    while a_hi[0] / a_lo[0] > 1.05:
-        mid = math.sqrt(a_lo[0] * a_hi[0])
-        out = run_amp(mid)
-        if out.kind == "BlowUp":
-            a_hi = (mid, out)
-        elif out.kind == "Decayed":
-            a_lo = (mid, out)
-        else:
-            break
+    runs, bracket, _undecided = bisect_dichotomy(run_amp, (6.0, 20.0), 0.05)
+    assert runs[6.0].kind == "Decayed" and runs[20.0].kind == "BlowUp"
+    a_lo, a_hi = bracket
     return {"grid": grid, "pair": pair, "run_amp": run_amp,
-            "a_lo": a_lo, "a_hi": a_hi}
+            "a_lo": (a_lo, runs[a_lo]), "a_hi": (a_hi, runs[a_hi])}
 
 
 def test_criterion_05_blowup_dichotomy(dichotomy_scan):
@@ -221,8 +212,7 @@ def test_criterion_05_blowup_dichotomy(dichotomy_scan):
     bracket_ok = a_hi / a_lo <= 1.05
 
     g0 = out_lo.trajectory.weighted_mass[0]
-    c_fit = fit_bernoulli_constant(out_lo.trajectory, lam, 2.0)["C"]
-    thr = blowup_threshold(lam, c_fit, 2.0)["operative"]
+    thr = bernoulli_comparison(out_lo.trajectory, lam, 2.0)["threshold_operative"]
     threshold_ok = g0 <= thr
 
     elapsed = time.time() - t0
@@ -240,8 +230,7 @@ def test_criterion_06_comparison_direction(dichotomy_scan):
     out = dichotomy_scan["run_amp"](100.0, dt0=1e-5)
     assert out.kind == "BlowUp"
     g0 = out.trajectory.weighted_mass[0]
-    c_fit = fit_bernoulli_constant(out.trajectory, lam, 2.0)["C"]
-    t_bern = bernoulli_blowup(OdeParams(lam, c_fit, 2.0, g0))["T"]
+    t_bern = bernoulli_comparison(out.trajectory, lam, 2.0, g0=g0)["T_bernoulli"]
     ok = t_bern is not None and out.t_est <= 1.05 * t_bern
     _report(6, "comparison direction", ok,
             f"T_est {out.t_est:.5f} <= 1.05 x bernoulli T {t_bern:.5f} "
@@ -255,13 +244,13 @@ def test_criterion_07_forced_reaction_bound(interval64_eigen):
     reaction = ReactionSpec.exp_forced(0.5, 2.0, lam)
     spec = _sin_spec(grid, 1.0, reaction, t_end=1.5, dt0=1e-4, dt_max=5e-3)
     out = run_simulation(spec, eigenpair=pair)
-    fit = fit_exp_forced_constant(out.trajectory, lam, 2.0)
-    bound = exp_forced_bound(fit["psi0"], fit["C8"], 2.0)
+    fit = exp_forced_comparison(out.trajectory, lam, 2.0)
+    bound = fit["T_bound"]
     elapsed = time.time() - t0
     ok = out.kind == "BlowUp" and out.t_est <= bound and elapsed < 120.0
     _report(7, "forced-reaction bound", ok,
             f"{out.kind} T_est {out.t_est:.4f} <= bound {bound:.4f} "
-            f"(psi0 {fit['psi0']:.3f}, C8 {fit['C8']:.3f}) in {elapsed:.1f}s")
+            f"(psi0 {fit['psi0']:.3f}, C8 {fit['C8_fit']:.3f}) in {elapsed:.1f}s")
 
 
 @pytest.mark.parametrize("theta_w", [0.0, 1.0])

@@ -19,6 +19,7 @@ from degenflow.cli import (
     EXIT_UNDECIDED,
     main,
     parse_config,
+    resolved_config_text,
 )
 from degenflow.errors import ConfigError
 
@@ -167,6 +168,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_choices_are_read_in_any_case(self):
+        """A choice key takes its value in any letter case and holds and
+        echoes it lowercased."""
+        cfg = parse_config("command = solve\noutput_dir = o\n[problem]\nmode = Interval\n"
+                           "weight = POWER\ninitial = Sin\nreaction = Power\n")
+        prob = cfg.sections["problem"]
+        assert [prob[key] for key in ("mode", "weight", "initial", "reaction")] == [
+            "interval", "power", "sin", "power"]
+        assert "reaction = power" in resolved_config_text(cfg)
+
     def test_comments_and_blanks_ignored(self):
         text = "# top\ncommand = eigen\n\noutput_dir = o\n[problem]\n# note\nresolution = 16\n"
         cfg = parse_config(text)
@@ -210,6 +221,29 @@ def _run(tmp_path, name, text, *argv):
     path.write_text(text)
     return main(["--config" if a == "CONFIG" else a for a in
                  [argv[0], "--config", str(path), *argv[1:]]])
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The arguments of every eigensolve the CLI starts, recorded in place
+    of running it."""
+    calls = []
+    monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
+                        lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+def _config_error(command, text, out):
+    """Run command on the config text, whose output directory is out: it
+    must exit 2 at parse time, leaving a config error.json alone in out.
+    Returns the error's message."""
+    path = out.parent / "c.cfg"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    assert sorted(os.listdir(out)) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())
+    assert error["error_kind"] == "config"
+    return error["message"]
 
 
 @pytest.fixture(scope="module")
@@ -416,50 +450,34 @@ class TestMain:
 
     @pytest.mark.parametrize("mode", ["interval", "tensor2d"])
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_dimension_is_read_only_on_radial_grids(self, tmp_path, monkeypatch, command, mode):
+    def test_dimension_is_read_only_on_radial_grids(self, tmp_path, eigensolves, command, mode):
         """The dimension of an interval or tensor grid is fixed by its mode,
         so n set beside it exits 2 with a config error.json naming its
         line, before anything runs."""
-        calls = []
-        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
-                            lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "out"
-        path = tmp_path / "n.cfg"
-        path.write_text(f"command = {command}\noutput_dir = {out}\n[problem]\n"
-                        f"mode = {mode}\nn = 3\n")
-        assert main([command, "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert f"line 5: mode = {mode} does not read 'n' in [problem]" in error["message"]
-        assert calls == []
-        assert sorted(os.listdir(out)) == ["error.json"]
+        message = _config_error(command, f"command = {command}\noutput_dir = {out}\n"
+                                f"[problem]\nmode = {mode}\nn = 3\n", out)
+        assert f"line 5: mode = {mode} does not read 'n' in [problem]" in message
+        assert eigensolves == []
 
-    def test_low_scan_cap_fails_before_the_eigensolve(self, tmp_path, monkeypatch):
+    def test_low_scan_cap_fails_before_the_eigensolve(self, tmp_path, eigensolves):
         """A u_cap at or below the largest probe's initial sup exits 2 with
         a config error.json naming the u_cap line, before the eigensolve
         and before any probe runs."""
-        calls = []
-        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
-                            lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "out"
-        path = tmp_path / "s.cfg"
         text = SCAN_CFG.format(out=out).replace("dt_max = 2e-2\n", "dt_max = 2e-2\nu_cap = 10\n")
-        path.write_text(text)
-        assert main(["blowup-scan", "--config", str(path)]) == EXIT_CONFIG
+        assert _run(tmp_path, "s.cfg", text, "blowup-scan") == EXIT_CONFIG
         lineno = text.splitlines().index("u_cap = 10") + 1
         error = json.loads((out / "error.json").read_text())
         assert error["error_kind"] == "config"
         assert error["message"] == f"line {lineno}: u_cap must exceed sup of the initial data"
-        assert calls == []
+        assert eigensolves == []
         assert not (out / "runs").exists()
 
-    def test_low_solve_cap_fails_before_the_eigensolve(self, tmp_path, monkeypatch):
+    def test_low_solve_cap_fails_before_the_eigensolve(self, tmp_path, eigensolves):
         """A solve with a reaction term checks its u_cap against the
         initial sup, and exits 2 naming the u_cap line, before it computes
         the eigenpair."""
-        calls = []
-        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
-                            lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "out"
         text = (SOLVE_CFG.format(out=out)
                 .replace("amplitude = 1.0\n", "amplitude = 20.0\nreaction = power\n")
@@ -468,7 +486,7 @@ class TestMain:
         lineno = text.splitlines().index("u_cap = 10") + 1
         error = json.loads((out / "error.json").read_text())
         assert error["message"] == f"line {lineno}: u_cap must exceed sup of the initial data"
-        assert calls == []
+        assert eigensolves == []
 
     @pytest.mark.parametrize("line", ["kind = exponential", "time_offset = 1.0"])
     def test_decay_fit_offset_and_kind_are_not_keys(self, tmp_path, line):
@@ -476,14 +494,11 @@ class TestMain:
         time offset from the initial profile, so [decay] kind and
         time_offset are unknown keys: exit 2 naming the line."""
         out = tmp_path / "out"
-        path = tmp_path / "d.cfg"
-        path.write_text(f"command = decay-fit\noutput_dir = {out}\n[problem]\nmode = radial\n"
-                        f"n = 2\np = 3.0\ninitial = barenblatt\n[decay]\n{line}\n")
-        assert main(["decay-fit", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
+        message = _config_error("decay-fit", f"command = decay-fit\noutput_dir = {out}\n"
+                                "[problem]\nmode = radial\nn = 2\np = 3.0\n"
+                                f"initial = barenblatt\n[decay]\n{line}\n", out)
         key = line.split(" =")[0]
-        assert f"line 9: unknown key {key!r} in [decay]" in error["message"]
-        assert sorted(os.listdir(out)) == ["error.json"]
+        assert f"line 9: unknown key {key!r} in [decay]" in message
 
     def test_undecided_scan_exit_code(self, tmp_path, monkeypatch):
         """A scan whose bracket cannot reach the tolerance in the probe
@@ -497,10 +512,8 @@ class TestMain:
             "[controls]\ndt_max = 5e-3\n"
             "[scan]\nvalues = 1.0, 2.0\nrel_tol = 0.05\n"
         )
-        path = tmp_path / "sc.cfg"
-        path.write_text(text)
         # both probes complete without decaying or blowing up: undecided
-        assert main(["blowup-scan", "--config", str(path)]) == EXIT_UNDECIDED
+        assert _run(tmp_path, "sc.cfg", text, "blowup-scan") == EXIT_UNDECIDED
 
     @pytest.mark.parametrize("command, mode, p, extra", [
         ("eigen", "interval", 2.0, ""),
@@ -567,17 +580,13 @@ class TestMain:
         are not settable: a config that sets one exits 2 with error.json
         naming the line."""
         text = EIGEN_CFG.format(out=tmp_path / "out") + f"\n[{section}]\n{key} = 1\n"
-        path = tmp_path / "k.cfg"
-        path.write_text(text)
-        assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((tmp_path / "out" / "error.json").read_text())
+        message = _config_error("eigen", text, tmp_path / "out")
         lines = text.splitlines()
         if section in ("sweep", "weights"):  # the whole section is gone
             expected = f"line {lines.index(f'[{section}]') + 1}: unknown section [{section}]"
         else:
             expected = f"line {lines.index(f'{key} = 1') + 1}: unknown key {key!r}"
-        assert expected in error["message"]
-        assert sorted(os.listdir(tmp_path / "out")) == ["error.json"]
+        assert expected in message
 
     @pytest.mark.parametrize("line", [
         "resolution = inf",
@@ -589,13 +598,9 @@ class TestMain:
         """A number that is not finite exits 2 with error.json naming its
         line, before any run starts."""
         out = tmp_path / "out"
-        path = tmp_path / "n.cfg"
-        path.write_text(f"command = solve\noutput_dir = {out}\n[problem]\n{line}\n")
-        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert "line 4: bad value" in error["message"]
-        assert sorted(os.listdir(out)) == ["error.json"]
+        message = _config_error("solve", f"command = solve\noutput_dir = {out}\n[problem]\n"
+                                f"{line}\n", out)
+        assert "line 4: bad value" in message
 
     @pytest.mark.parametrize("line, message", [
         ("u_cap = -5.0", "u_cap must be >= 0"),
@@ -608,26 +613,15 @@ class TestMain:
         no trajectory, instead of being read as 0 or halving every step
         down to dt_min."""
         out = tmp_path / "out"
-        path = tmp_path / "c.cfg"
-        path.write_text(SOLVE_CFG.format(out=out) + f"{line}\n")
-        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert message in error["message"]
-        assert not (out / "trajectory.csv").exists()
+        assert message in _config_error("solve", SOLVE_CFG.format(out=out) + f"{line}\n", out)
 
     def test_snapshot_time_outside_the_run_is_config_error(self, tmp_path):
         """A snapshot time outside [0, t_end] exits 2 with a config
         error.json naming the first such time, and writes no snapshot."""
         out = tmp_path / "out"
-        path = tmp_path / "s.cfg"
-        path.write_text(SOLVE_CFG.format(out=out).replace(
-            "dt0 = 1e-3\n", "dt0 = 1e-3\nsnapshot_times = 0.005, 0.5, -1.0\n"))
-        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert "snapshot time 0.5 outside [0, t_end = 0.05]" in error["message"]
-        assert not list(out.glob("snapshot_*"))
+        text = SOLVE_CFG.format(out=out).replace(
+            "dt0 = 1e-3\n", "dt0 = 1e-3\nsnapshot_times = 0.005, 0.5, -1.0\n")
+        assert "snapshot time 0.5 outside [0, t_end = 0.05]" in _config_error("solve", text, out)
 
     @pytest.mark.parametrize("old, new, message", [
         ("dt_max = 2e-2", "dt_max = 2e-2\nnewton_tol = 0", "newton_tol must be positive, got 0.0"),
@@ -642,7 +636,7 @@ class TestMain:
         ("rel_tol = 0.05", "rel_tol = 0", "scan rel_tol must be positive"),
     ], ids=["newton_tol", "u_cap", "dt_min", "dt0", "t_end", "snapshot_times",
             "values-negative", "values-zero", "rel_tol"])
-    def test_bad_schedule_fails_at_parse_time(self, tmp_path, monkeypatch, old, new, message):
+    def test_bad_schedule_fails_at_parse_time(self, tmp_path, eigensolves, old, new, message):
         """A bad [controls] value, a dt0 outside [dt_min, dt_max], a t_end
         that is not positive, a snapshot time outside [0, t_end], and a scan
         amplitude or rel_tol that is not positive exit 2 at parse time with
@@ -650,58 +644,36 @@ class TestMain:
         computes no eigenpair and writes nothing else.  The scan bisects
         geometrically and stops on its bracket's ratio, which for the
         amplitudes -6 and 20 read -3.33 and counted as converged."""
-        calls = []
-        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
-                            lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "out"
-        path = tmp_path / "s.cfg"
         text = SCAN_CFG.format(out=out).replace(f"{old}\n", f"{new}\n")
-        path.write_text(text)
-        assert main(["blowup-scan", "--config", str(path)]) == EXIT_CONFIG
         lineno = text.splitlines().index(new.splitlines()[-1]) + 1
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert error["message"].startswith(f"line {lineno}: {message}")
-        assert calls == []
-        assert sorted(os.listdir(out)) == ["error.json"]
+        assert _config_error("blowup-scan", text, out).startswith(f"line {lineno}: {message}")
+        assert eigensolves == []
 
     def test_scan_without_values_fails_at_parse_time(self, tmp_path):
         """A scan needs its amplitudes: exit 2 with nothing else written."""
         out = tmp_path / "out"
-        path = tmp_path / "s.cfg"
-        path.write_text(SCAN_CFG.format(out=out).replace("values = 6.0, 20.0\n", ""))
-        assert main(["blowup-scan", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["message"] == "blowup-scan needs [scan] values"
-        assert sorted(os.listdir(out)) == ["error.json"]
+        text = SCAN_CFG.format(out=out).replace("values = 6.0, 20.0\n", "")
+        assert _config_error("blowup-scan", text, out) == "blowup-scan needs [scan] values"
 
     @pytest.mark.parametrize("tol", ["0", "-1", "1", "10"])
     @pytest.mark.parametrize("command", ["eigen", "blowup-scan", "solve"])
-    def test_eigen_tol_outside_the_unit_interval_fails_at_parse_time(self, tmp_path, monkeypatch,
+    def test_eigen_tol_outside_the_unit_interval_fails_at_parse_time(self, tmp_path, eigensolves,
                                                                      command, tol):
         """An [eigen] tol of 0 or below stalls the eigensolver and one of 1
         or more accepts its start, so every command that reads [eigen] (a
         solve with a reaction term among them) exits 2 at parse time naming
         the line, before any eigensolve, with nothing written but
         error.json."""
-        calls = []
-        monkeypatch.setattr("degenflow.cli.smallest_eigenpair",
-                            lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "out"
         base = {"eigen": EIGEN_CFG, "blowup-scan": SCAN_CFG,
                 "solve": SOLVE_CFG.replace("amplitude = 1.0\n",
                                            "amplitude = 1.0\nreaction = power\n")}[command]
         text = base.format(out=out) + f"\n[eigen]\ntol = {tol}\n"
-        path = tmp_path / "e.cfg"
-        path.write_text(text)
-        assert main([command, "--config", str(path)]) == EXIT_CONFIG
         lineno = text.splitlines().index(f"tol = {tol}") + 1
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert error["message"] == (f"line {lineno}: eigensolver tol must lie in (0, 1), "
-                                    f"got {float(tol)}")
-        assert calls == []
-        assert sorted(os.listdir(out)) == ["error.json"]
+        assert _config_error(command, text, out) == (
+            f"line {lineno}: eigensolver tol must lie in (0, 1), got {float(tol)}")
+        assert eigensolves == []
 
     @pytest.mark.parametrize("command, text, line, message", [
         ("blowup-scan", SCAN_CFG.replace("reaction = power\nsigma = 2.0\n", "reaction = none\n"),
@@ -714,23 +686,31 @@ class TestMain:
          "verify-exact needs at least 3 resolutions"),
         ("decay-fit", DECAY_CFG.replace("p = 3.0\n", "p = 3.0\nreaction = power\n"),
          "reaction = power", "decay-fit fits the unforced flow: reaction must be none"),
-    ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction"])
+        ("blowup-scan", SCAN_CFG.replace("sigma = 2.0", "sigma = 1.0"), "sigma = 1.0",
+         "blowup-scan with reaction = power needs sigma > p - 1, got sigma = 1.0, p = 2.0"),
+        ("blowup-scan", SCAN_CFG.replace("p = 2.0", "p = 3.0"), "sigma = 2.0",
+         "blowup-scan with reaction = power needs sigma > p - 1, got sigma = 2.0, p = 3.0"),
+        ("eigen", EIGEN_CFG.replace("mode = interval", "mode = square"), "mode = square",
+         "bad value for 'mode': expected one of interval, radial, tensor2d, got 'square'"),
+        ("eigen", EIGEN_CFG.replace("p = 2.0", "p = 2.0\nweight = bogus"), "weight = bogus",
+         "bad value for 'weight': expected one of none, power, got 'bogus'"),
+        ("solve", SOLVE_CFG.replace("initial = sin", "initial = sin\nreaction = cubic"),
+         "reaction = cubic",
+         "bad value for 'reaction': expected one of none, power, exp_forced, got 'cubic'"),
+    ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction",
+            "scan-sigma-below", "scan-sigma-at", "mode", "weight", "reaction"])
     def test_command_checks_fail_at_parse_time(self, tmp_path, command, text, line, message):
-        """A scan without a reaction term, a verify-exact on a tensor grid,
-        at p = 2 or with fewer than three resolutions, and a decay fit with
-        a reaction term exit 2 at parse time with a config error.json naming
-        the line of the key at fault and nothing else written, not even
-        resolved_config.txt."""
+        """A scan without a reaction term, or with a power reaction at
+        sigma <= p - 1, which has no amplitude threshold to bracket, a
+        verify-exact on a tensor grid, at p = 2 or with fewer than three
+        resolutions, a decay fit with a reaction term, and a mode, weight or
+        reaction outside its choices exit 2 at parse time with a config
+        error.json naming the line of the key at fault and nothing else
+        written, not even resolved_config.txt."""
         out = tmp_path / "out"
         text = text.format(out=out)
-        path = tmp_path / "c.cfg"
-        path.write_text(text)
-        assert main([command, "--config", str(path)]) == EXIT_CONFIG
         lineno = text.splitlines().index(line) + 1
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert error["message"] == f"line {lineno}: {message}"
-        assert sorted(os.listdir(out)) == ["error.json"]
+        assert _config_error(command, text, out) == f"line {lineno}: {message}"
 
     @pytest.mark.parametrize("lines, key", [
         ("window_start = 5.0\nwindow_end = 1.0", "window_start"),
@@ -750,24 +730,17 @@ class TestMain:
         text = (f"command = decay-fit\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
                 "extent = 8.0\nresolution = 24\np = 3.0\ninitial = barenblatt\n"
                 f"t_end = 1.0\ndt0 = 1e-3\n[decay]\n{lines}\n")
-        path = tmp_path / "d.cfg"
-        path.write_text(text)
-        assert main(["decay-fit", "--config", str(path)]) == EXIT_CONFIG
         lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key))
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert error["message"].startswith(f"line {lineno}: need window_start < window_end")
+        assert _config_error("decay-fit", text, out).startswith(
+            f"line {lineno}: need window_start < window_end")
         assert calls == []
-        assert sorted(os.listdir(out)) == ["error.json"]
 
     def test_solve_summary_carries_the_outcome(self, tmp_path):
         """The solve summary and outcome.json write the same outcome fields
         with the same values; outcome.json adds the final time and the
         amplitude."""
         out = tmp_path / "out"
-        path = tmp_path / "s.cfg"
-        path.write_text(SOLVE_CFG.format(out=out))
-        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        assert _run(tmp_path, "s.cfg", SOLVE_CFG.format(out=out), "solve") == EXIT_OK
         summary = _summary(out)
         outcome = json.loads((out / "outcome.json").read_text())
         shared = set(summary) - {"schema_version", "config"}
@@ -777,31 +750,24 @@ class TestMain:
     @pytest.mark.parametrize("shape", ["zero", "barenblatt_verbatim"])
     def test_removed_initial_shape_is_config_error(self, tmp_path, shape):
         """Only sin and barenblatt are initial shapes: zero never leaves zero
-        and the verbatim profile is not a solution."""
+        and the verbatim profile is not a solution.  Either exits 2 at parse
+        time naming its line, with nothing written but error.json."""
         out = tmp_path / "out"
-        path = tmp_path / "i.cfg"
-        path.write_text(
-            f"command = solve\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
-            f"extent = 4.0\nresolution = 16\np = 3.0\ninitial = {shape}\n"
-        )
-        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert f"unknown initial shape {shape!r}" in error["message"]
+        text = (f"command = solve\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
+                f"extent = 4.0\nresolution = 16\np = 3.0\ninitial = {shape}\n")
+        assert _config_error("solve", text, out) == (
+            f"line 9: bad value for 'initial': expected one of sin, barenblatt, got {shape!r}")
 
     def test_exp_forced_blows_up_before_bound(self, tmp_path):
         """Criterion 7 through the CLI: an exponentially forced solve blows
         up no later than the bound T_bound of its fitted forcing."""
         out = tmp_path / "out"
-        path = tmp_path / "x.cfg"
-        path.write_text(
-            f"command = solve\noutput_dir = {out}\n[problem]\nmode = interval\n"
-            "resolution = 32\np = 2.0\nreaction = exp_forced\nc6 = 1.0\nsigma = 2.0\n"
-            "initial = sin\namplitude = 2.0\nt_end = 1.0\ndt0 = 1e-3\n"
-            "[controls]\ndt_max = 1e-2\n"
-        )
-        assert main(["solve", "--config", str(path)]) == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
+        text = (f"command = solve\noutput_dir = {out}\n[problem]\nmode = interval\n"
+                "resolution = 32\np = 2.0\nreaction = exp_forced\nc6 = 1.0\nsigma = 2.0\n"
+                "initial = sin\namplitude = 2.0\nt_end = 1.0\ndt0 = 1e-3\n"
+                "[controls]\ndt_max = 1e-2\n")
+        assert _run(tmp_path, "x.cfg", text, "solve") == EXIT_OK
+        summary = _summary(out)
         assert summary["kind"] == "BlowUp"
         assert summary["psi0"] > 0.0
         assert summary["T_est"] <= summary["T_bound"]
@@ -811,17 +777,10 @@ class TestMain:
         reaction term is a config error (exit 2), not a fit of whatever the
         forced run did."""
         out = tmp_path / "out"
-        path = tmp_path / "d.cfg"
-        path.write_text(
-            f"command = decay-fit\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
-            "extent = 8.0\nresolution = 24\np = 3.0\ninitial = barenblatt\n"
-            "reaction = exp_forced\nc6 = 1.0\nsigma = 2.0\nt_end = 1.0\ndt0 = 1e-3\n"
-        )
-        assert main(["decay-fit", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert "reaction must be none" in error["message"]
-        assert not (out / "summary.json").exists()
+        text = (f"command = decay-fit\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
+                "extent = 8.0\nresolution = 24\np = 3.0\ninitial = barenblatt\n"
+                "reaction = exp_forced\nc6 = 1.0\nsigma = 2.0\nt_end = 1.0\ndt0 = 1e-3\n")
+        assert "reaction must be none" in _config_error("decay-fit", text, out)
 
     def test_verify_exact_reads_no_step_controls(self, tmp_path):
         """verify-exact takes no time step, so a [controls] key is a config
@@ -947,17 +906,11 @@ class TestMain:
         unit weight of weight = none is the power weight at theta_w = 0, so
         theta_w = 0 agrees with it and runs."""
         out = tmp_path / "out"
-        path = tmp_path / "s.cfg"
         text = SOLVE_CFG.format(out=out).replace("[controls]", f"{setting}\n{{}}[controls]")
-        path.write_text(text.format(f"{key} = {value}\n"))
-        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert f"line 14: {setting} does not read {key!r} in [problem]" in error["message"]
-        assert sorted(os.listdir(out)) == ["error.json"]
+        message = _config_error("solve", text.format(f"{key} = {value}\n"), out)
+        assert f"line 14: {setting} does not read {key!r} in [problem]" in message
         if key == "theta_w":
-            path.write_text(text.format("theta_w = 0.0\n"))
-            assert main(["solve", "--config", str(path)]) == EXIT_OK
+            assert _run(tmp_path, "s.cfg", text.format("theta_w = 0.0\n"), "solve") == EXIT_OK
 
     @pytest.mark.parametrize("command, lines, setting", [
         ("solve", "initial = sin\ninitial_time = 5.0", "initial = sin"),
@@ -976,16 +929,11 @@ class TestMain:
         Set where it is unread, either exits 2 with a config error.json
         naming its line, before anything runs."""
         out = tmp_path / "out"
-        path = tmp_path / "u.cfg"
-        path.write_text(f"command = {command}\noutput_dir = {out}\n[problem]\n"
-                        f"mode = radial\nn = 2\np = 3.0\n{lines}\n")
-        assert main([command, "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
+        message = _config_error(command, f"command = {command}\noutput_dir = {out}\n"
+                                f"[problem]\nmode = radial\nn = 2\np = 3.0\n{lines}\n", out)
         key = lines.splitlines()[-1].split(" =")[0]
         line = 6 + len(lines.splitlines())
-        assert f"line {line}: {setting} does not read {key!r} in [problem]" in error["message"]
-        assert sorted(os.listdir(out)) == ["error.json"]
+        assert f"line {line}: {setting} does not read {key!r} in [problem]" in message
 
     @pytest.mark.parametrize("command, text, sections, dropped", [
         ("solve", SOLVE_CFG, {"", "problem", "controls"},
@@ -1035,13 +983,10 @@ class TestMain:
         an evolution, of the grid's size or of the operator's power p is a
         config error naming its line."""
         out = tmp_path / "out"
-        path = tmp_path / "w.cfg"
-        path.write_text(f"command = weights-check\noutput_dir = {out}\n[problem]\n"
-                        f"mode = interval\n{line}\n")
-        assert main(["weights-check", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
+        message = _config_error("weights-check", f"command = weights-check\noutput_dir = {out}\n"
+                                f"[problem]\nmode = interval\n{line}\n", out)
         key = line.split(" =")[0]
-        assert f"line 5: weights-check does not read {key!r} in [problem]" in error["message"]
+        assert f"line 5: weights-check does not read {key!r} in [problem]" in message
 
     @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "weights-check"])
     def test_theta_mk_is_read_only_by_weights_check(self, tmp_path, command):
@@ -1049,14 +994,9 @@ class TestMain:
         weights-check runs, so every other command that has it set exits 2
         with a config error.json naming its line, before anything runs."""
         out = tmp_path / "out"
-        path = tmp_path / "t.cfg"
-        path.write_text(f"command = {command}\noutput_dir = {out}\n[problem]\n"
-                        "mode = interval\ntheta_mk = 3.0\n")
-        assert main([command, "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert f"line 5: {command} does not read 'theta_mk' in [problem]" in error["message"]
-        assert sorted(os.listdir(out)) == ["error.json"]
+        message = _config_error(command, f"command = {command}\noutput_dir = {out}\n"
+                                "[problem]\nmode = interval\ntheta_mk = 3.0\n", out)
+        assert f"line 5: {command} does not read 'theta_mk' in [problem]" in message
 
     @pytest.mark.parametrize("line", [
         "resolution = 64", "reaction = power", "alpha0 = 2.0", "sigma = 3.0", "c6 = 2.0",
@@ -1068,13 +1008,10 @@ class TestMain:
         takes no time step, so resolution and each [problem] key of an
         evolution is a config error naming its line."""
         out = tmp_path / "out"
-        path = tmp_path / "v.cfg"
-        path.write_text(f"command = verify-exact\noutput_dir = {out}\n[problem]\n"
-                        f"mode = radial\nn = 2\np = 3.0\n{line}\n")
-        assert main(["verify-exact", "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
+        message = _config_error("verify-exact", f"command = verify-exact\noutput_dir = {out}\n"
+                                f"[problem]\nmode = radial\nn = 2\np = 3.0\n{line}\n", out)
         key = line.split(" =")[0]
-        assert f"line 7: verify-exact does not read {key!r} in [problem]" in error["message"]
+        assert f"line 7: verify-exact does not read {key!r} in [problem]" in message
 
     @pytest.mark.parametrize("command, section", [
         (command, section)
@@ -1089,20 +1026,14 @@ class TestMain:
         it too.  A removed section is unknown to every command, and the
         error names the line of its header."""
         out = tmp_path / "out"
-        path = tmp_path / "f.cfg"
-        path.write_text(
-            f"command = {command}\noutput_dir = {out}\n[problem]\nmode = interval\n"
-            f"[{section}]\n{FOREIGN_SECTIONS[section]}\n"
-        )
-        assert main([command, "--config", str(path)]) == EXIT_CONFIG
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
+        message = _config_error(command, f"command = {command}\noutput_dir = {out}\n[problem]\n"
+                                f"mode = interval\n[{section}]\n{FOREIGN_SECTIONS[section]}\n",
+                                out)
         if section in REMOVED_SECTIONS:
             expected = f"line 5: unknown section [{section}]"
         else:
             expected = f"line 6: {command} does not read [{section}]"
-        assert expected in error["message"]
-        assert sorted(os.listdir(out)) == ["error.json"]
+        assert expected in message
 
 
 def _src_env(**extra):

@@ -16,10 +16,12 @@ from degenflow import (
     barenblatt_corrected,
     barenblatt_exact,
     bernoulli_blowup,
+    bernoulli_comparison,
     blowup_threshold,
     build_grid,
     decay_exponent_fit,
     exp_forced_bound,
+    exp_forced_comparison,
     fit_bernoulli_constant,
     fit_exp_forced_constant,
     residual_check,
@@ -254,12 +256,15 @@ class TestConstantFits:
         fit = fit_bernoulli_constant(traj, lam, 2.0)
         assert fit["C"] == pytest.approx(c, rel=1e-3)
         assert fit["samples"] >= 3
+        assert bernoulli_comparison(traj, lam, 2.0)["C_fit"] == fit["C"]
 
     def test_bernoulli_constant_needs_history(self):
         traj = Trajectory()
         traj.append(0.1, 0.1, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(FitError):
             fit_bernoulli_constant(traj, 1.0, 2.0)
+        assert bernoulli_comparison(traj, 1.0, 2.0, g0=1.0) == {
+            "C_fit_error": "trajectory too short to fit the comparison constant"}
 
     def test_exp_forced_constant_exact_series(self):
         # psi' = c8 psi^sigma exactly: g = psi e^{-lam t}
@@ -274,6 +279,7 @@ class TestConstantFits:
         assert fit["psi0"] == pytest.approx(psi0, rel=1e-6)
         # dense samples recover the constant to differencing accuracy
         assert fit["C8"] == pytest.approx(c8, rel=1e-4)
+        assert exp_forced_comparison(traj, lam, sig)["T_bound"] == pytest.approx(t_star, rel=1e-4)
 
     def test_exp_forced_rejects_decaying_psi(self):
         traj = Trajectory()
@@ -282,3 +288,4 @@ class TestConstantFits:
                         math.exp(-5.0 * t), 0.0)
         with pytest.raises(FitError):
             fit_exp_forced_constant(traj, 1.0, 2.0)
+        assert list(exp_forced_comparison(traj, 1.0, 2.0)) == ["C8_fit_error"]

@@ -16,9 +16,11 @@ from degenflow import (
     NumericalError,
     ProblemSpec,
     ReactionSpec,
+    RunOutcome,
     StepControls,
     Trajectory,
     WeightSpec,
+    bisect_dichotomy,
     build_grid,
     cell_volumes,
     energy,
@@ -1180,3 +1182,43 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             ProblemSpec(grid=g1, weight=None, p=2.0, reaction=ReactionSpec.none(),
                         initial=phi, t_end=1.0, dt0=1e-3)
+
+
+
+SQRT_120 = np.sqrt(120.0)
+
+
+@pytest.mark.parametrize("a_star, values, kinds, calls, bracket, undecided", [
+    (11.5, [20.0, 6.0, 20.0], {},
+     [6.0, 20.0, 10.954451150103322, 14.801656089845705, 12.73357838853023,
+      11.810561477896204, 11.374454657912443], (11.374454657912443, 11.810561477896204), None),
+    (1.02, [1.0, 1.05], {}, [1.0, 1.05], (1.0, 1.05), None),
+    (1.02, [1.0, 1.0500001], {}, [1.0, 1.0500001, np.sqrt(1.0500001)],
+     (1.0, np.sqrt(1.0500001)), None),
+    (4.0, [1.0, 2.0, 3.0, 4.0], {2.0: "BlowUp"}, [1.0, 2.0, 3.0, 4.0], None, None),
+    (11.5, [6.0, 20.0], {SQRT_120: "Completed"}, [6.0, 20.0, SQRT_120], (6.0, 20.0), SQRT_120),
+    (30.0, [6.0, 20.0], {}, [6.0, 20.0], None, None),
+], ids=["scan-1d-order", "stop-at-rel-tol", "past-rel-tol", "non-monotone", "undecided",
+        "all-decay"])
+def test_bisect_dichotomy_with_a_fake_probe(a_star, values, kinds, calls, bracket, undecided):
+    """The scan on a probe that runs no PDE: amplitudes below a_star decay
+    and the rest blow up, unless kinds says otherwise.  The distinct values
+    run first in increasing order (with a_star inside scan-1d's last
+    bracket, in scan-1d's order), then each midpoint is the square root of
+    the bracket's product.  A ratio of exactly 1 + rel_tol stops the scan
+    (1.0 + 0.05 == 1.05 in floating point), and so do a decayed amplitude
+    above a blown-up one, a midpoint that completes, and values of one
+    kind."""
+    probed = []
+
+    def probe(a):
+        probed.append(a)
+        return RunOutcome(kinds.get(a, "Decayed" if a < a_star else "BlowUp"), Trajectory())
+
+    runs, got_bracket, got_undecided = bisect_dichotomy(probe, values, 0.05)
+    assert probed == calls and list(runs) == calls
+    assert (got_bracket, got_undecided) == (bracket, undecided)
+    for i in range(len(set(values)), len(calls)):
+        lo = max(a for a in calls[:i] if runs[a].kind == "Decayed")
+        hi = min(a for a in calls[:i] if runs[a].kind == "BlowUp")
+        assert calls[i] == np.sqrt(lo * hi) and hi / lo > 1.05
