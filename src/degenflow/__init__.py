@@ -50,7 +50,7 @@ from .plap_operator import (
     variational_dot,
 )
 from .jsonio import write_json
-from .eigensolver import EigenPair, smallest_eigenpair
+from .eigensolver import EigenPair, smallest_eigenpair, steady_state
 from .timestepper import (
     ProblemSpec,
     RunOutcome,

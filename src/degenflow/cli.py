@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .discretization import Field, build_grid, grid_dimension, write_field_csv
-from .eigensolver import check_tol, smallest_eigenpair
-from .errors import ConfigError, DegenflowError
+from .discretization import Field, build_grid, grid_dimension, integrate, write_field_csv
+from .eigensolver import check_tol, smallest_eigenpair, steady_state
+from .errors import ConfigError, ConvergenceError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
 from .timestepper import ProblemSpec, StepControls, bisect_dichotomy, run_simulation
@@ -52,10 +52,6 @@ def _as_int(raw):
     if value != int(value):
         raise ValueError(f"expected an integer, got {raw!r}")
     return int(value)
-
-
-def _as_str(raw):
-    return raw
 
 
 def _choice(*names):
@@ -88,8 +84,8 @@ def _as_int_list(raw):
 # with no value; REQUIRED means the command validator enforces presence.
 _SCHEMA = {
     "": {
-        "command": (_as_str, None),
-        "output_dir": (_as_str, None),
+        "command": (str, None),
+        "output_dir": (str, None),
     },
     "problem": {
         "mode": (_choice("interval", "radial", "tensor2d"), "interval"),
@@ -319,14 +315,15 @@ def _check_values(sections, reads, explicit):
 
 
 def _check_scan(scan, prob):
-    """Raise ConfigError unless the problem has a reaction term, with
-    sigma > p - 1 for a power reaction, and [scan] sets values, all
-    positive, and a positive rel_tol.  At sigma <= p - 1 the power reaction
-    has no amplitude threshold to bracket.  The scan bisects geometrically,
-    at the square root of its bracket's product, and stops on the ratio of
-    the bracket's ends."""
+    """Raise ConfigError unless the problem has a power reaction term with
+    sigma > p - 1 (exp_forced blows up at every amplitude and sigma <= p - 1
+    at none), and [scan] sets values, all positive, and a positive rel_tol:
+    the scan bisects geometrically and stops on its bracket's ratio."""
     if prob["reaction"] == "none":
         raise ConfigError("blowup-scan needs a reaction term", keys=("reaction",))
+    if prob["reaction"] == "exp_forced":
+        raise ConfigError("blowup-scan needs reaction = power: exp_forced blows up every "
+                          "positive amplitude, so there is no threshold", keys=("reaction",))
     if prob["reaction"] == "power" and not prob["sigma"] > prob["p"] - 1.0:
         raise ConfigError(f"blowup-scan with reaction = power needs sigma > p - 1, got "
                           f"sigma = {prob['sigma']}, p = {prob['p']}", keys=("sigma", "p"))
@@ -478,9 +475,9 @@ def _cmd_eigen(cfg, out):
     return EXIT_OK
 
 
-def _run_one(cfg, grid, weight, eigenpair, out_dir):
+def _run_one(cfg, grid, weight, eigenpair, out_dir, certificate=None):
     spec = _build_problem(cfg, grid, weight, eigenpair)
-    outcome = run_simulation(spec, eigenpair=eigenpair)
+    outcome = run_simulation(spec, eigenpair=eigenpair, certificate=certificate)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome.trajectory.to_csv(out_dir / "trajectory.csv", header_lines=_csv_header(cfg))
     outcome.to_json(out_dir / "outcome.json",
@@ -519,7 +516,35 @@ def _cmd_solve(cfg, out):
     return EXIT_OK
 
 
+def _steady_state_bracket(cfg, grid, weight, eigenpair, phi0, body):
+    """Add to body [a_sub, a_super], the range of U / phi0 over the interior
+    nodes for the steady state U and the data phi0 at amplitude 1, and g0
+    at both.  Return U if the BE map keeps data below U below it and above
+    it above (p = 2, two-point fluxes, dt_max f'(U) < 1), else None; a
+    steady state that does not converge is recorded in body instead."""
+    prob = cfg.sections["problem"]
+    try:
+        u = steady_state(grid, weight, prob["p"], prob["alpha0"], prob["sigma"])
+    except ConvergenceError as exc:
+        body["steady_state_error"] = str(exc)
+        return None
+    with np.errstate(divide="ignore"):
+        ratio = u.values.ravel()[grid.interior] / phi0.ravel()[grid.interior]
+    g0_unit = integrate(Field(grid, phi0 * eigenpair.eigenfunction.values), weight)
+    body.update(a_sub=ratio.min(), a_super=ratio.max(), g0_sub=ratio.min() * g0_unit,
+                g0_super=ratio.max() * g0_unit)
+    slope = prob["alpha0"] * prob["sigma"] * u.values.max() ** (prob["sigma"] - 1.0)
+    body["certifies_midpoints"] = certifies = (prob["p"] == 2.0 and grid.mode != "tensor2d"
+                                               and cfg.sections["controls"]["dt_max"] * slope < 1)
+    return u if certifies else None
+
+
 def _cmd_blowup_scan(cfg, out):
+    """Bisect for the critical amplitude (bisect_dichotomy) and fit the
+    Bernoulli comparison on the bracket's blow-up end.  The configured
+    values run in full; the midpoints end at a verdict certified by the
+    steady state U (_steady_state_bracket), and a certified blow-up end is
+    then rerun in full for the fit, keeping its probe's certified_at."""
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
     scan = cfg.sections["scan"]
@@ -535,16 +560,23 @@ def _cmd_blowup_scan(cfg, out):
     _build_problem(with_amplitude(max(scan["values"])), grid, weight, None)
     eigenpair = _solve_eigen(cfg, grid, weight)
     lam1 = eigenpair.eigenvalue
+    body = {"lambda1": lam1, "rel_tol": scan["rel_tol"]}
+    certificate = _steady_state_bracket(cfg, grid, weight, eigenpair,
+                                        _initial_values(with_amplitude(1.0), grid, weight), body)
 
-    def probe(a):
+    def probe(a, certify=True):
         return _run_one(with_amplitude(a), grid, weight, eigenpair,
-                        out / "runs" / f"A_{a:.8g}")
+                        out / "runs" / f"A_{a:.8g}",
+                        certificate if certify and a not in scan["values"] else None)
 
     runs, bracket, undecided = bisect_dichotomy(probe, scan["values"], scan["rel_tol"])
-    body = {"lambda1": lam1, "rel_tol": scan["rel_tol"], "undecided_midpoint": undecided,
-            "runs": [{"amplitude": a, "kind": runs[a].kind,
-                      "g0": runs[a].trajectory.weighted_mass[0], "T_est": runs[a].t_est}
-                     for a in sorted(runs)]}
+    certified = {a: oc.certified_at for a, oc in runs.items()}
+    if bracket is not None and certified[bracket[1]] is not None:
+        runs[bracket[1]] = probe(bracket[1], certify=False)
+    body.update(undecided_midpoint=undecided,
+                runs=[{"amplitude": a, "kind": runs[a].kind, "certified_at": certified[a],
+                       "g0": runs[a].trajectory.weighted_mass[0], "T_est": runs[a].t_est}
+                      for a in sorted(runs)])
     if bracket is not None:
         a_lo, a_hi = bracket
         body.update(a_decay=a_lo, a_blowup=a_hi, bracket_ratio=a_hi / a_lo,

@@ -7,8 +7,9 @@ boundary of
 
 computed with the same discrete energy the evolution operator derives from,
 so eigenpairs satisfy apply_plaplacian(u) + lam * omega * |u|**(p-2) * u = 0
-at the discrete level.  Minimization is preconditioned nonlinear conjugate
-gradients on the vector of interior node values, through the interior face
+at the discrete level; with the mass exponent sigma + 1 it gives the steady
+state of a power reaction (steady_state).  Minimization is preconditioned
+nonlinear conjugate gradients on the interior node values, through the face
 operator the Newton solves use as well: one FaceFlux per evaluated point
 gives both its quotient (energy) and, at an accepted point, its residual
 (divergence).  The eigenfunction is scattered into a Field, exactly 0.0 on
@@ -65,6 +66,7 @@ from .plap_operator import FaceFlux, energy_hessian_matrix, face_operator
 # without lowering the residual
 STALL_ITERATIONS = 40
 MAX_ITERATIONS = 50_000
+STEADY_STATE_TOL = 1e-8  # far inside timestepper.CERTIFICATE_MARGIN
 
 
 @dataclass
@@ -170,25 +172,29 @@ def check_tol(tol):
         raise ConfigError(f"eigensolver tol must lie in (0, 1), got {tol}", keys=("tol",))
 
 
-def smallest_eigenpair(grid, weight, p, tol=None):
+def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
     """Principal Dirichlet eigenpair by preconditioned Polak-Ribiere+
-    conjugate gradients on the Rayleigh quotient, with restart.
+    conjugate gradients on the Rayleigh quotient, with restart: R(u) =
+    p E(u) / M(u)^(p/q) with M = sum m u^q, m = vol * w (vol when not
+    weighted_mass) and q = p by default.  Its minimizer solves
+    -div(w |grad u|^(p-2) grad u) = mu (m / vol) u^(q-1), mu = R M^(p/q-1).
 
     The preconditioner is the sine-transform solve S L0^{-1} S on tensor
     grids and the band Cholesky factor of the interior p = 2 Hessian on
     interval and radial grids.  The start is the flat interior field after
     three preconditioner solves.  Each line search halves tau from 1 until R
     decreases, then tries the minimizer tau* of the quadratic through
-    R(0), R'(0) = -(p / M) <g, d> and R(tau), M the p-mass of the iterate,
+    R(0), R'(0) = -(p / M^(p/q)) <g, d> and R(tau), M the mass of the iterate,
     g the Euler-Lagrange residual and d the direction; the point at tau*
     is kept when 0 < tau* <= 4 tau and R is lower there.  tol defaults to
     1e-6 at p = 2 and 1e-4 otherwise, and must lie in (0, 1) (check_tol).
     The eigenfunction has unit mass: its integral over the domain is 1.
 
-    Returns an EigenPair whose residual is || L u + lam w |u|^{p-2} u || /
-    || lam w |u|^{p-2} u || over the interior nodes, with the residual of
-    every iterate, the restart count, the number of quotient evaluations
-    and the number of kept interpolation steps.  Raises ConvergenceError with
+    Returns an EigenPair whose eigenvalue is R and residual || L u + mu
+    (m / vol) u^{q-1} || / || mu (m / vol) u^{q-1} || over the interior
+    nodes, with the residual of every iterate, the restart count, the
+    number of quotient evaluations and the number of kept interpolation
+    steps.  Raises ConvergenceError with
     the best iterate attached when the residual target is not met: the
     line search fails, MAX_ITERATIONS are spent, or STALL_ITERATIONS pass
     without a new best residual.  Raises FactorError when the weight leaves
@@ -212,7 +218,9 @@ def smallest_eigenpair(grid, weight, p, tol=None):
 
     op = face_operator(grid, weight, interior=True)
     vol = op.vol
-    measure = vol * w
+    q = p if q is None else q
+    density = w if weighted_mass else np.ones(len(w))
+    measure = vol * density
     qw = quad_weights(grid).ravel()[grid.interior]
 
     x = np.ones(len(w))
@@ -225,19 +233,19 @@ def smallest_eigenpair(grid, weight, p, tol=None):
     evals = 0
 
     def quotient(x):
-        # R(x), the p-mass of x >= 0 and the FaceFlux of x, which gives the
+        # R(x), the q-mass of x >= 0 and the FaceFlux of x, which gives the
         # energy in R and the operator in the next residual
         nonlocal evals
         evals += 1
-        # x >= 0, so x**(p-1) * x is its p-th power; numpy squares at p = 3
-        mass = float(np.sum(measure * x ** (p - 1.0) * x))
+        # x >= 0, so x**(q-1) * x is its q-th power; numpy squares at q = 3
+        mass = float(np.sum(measure * x ** (q - 1.0) * x))
         if mass <= 0.0:
-            raise ConfigError("Rayleigh quotient of a field with zero weighted p-norm")
+            raise ConfigError("Rayleigh quotient of a field with zero weighted q-norm")
         flux = FaceFlux(op, x, p)
-        return float(p * flux.energy() / mass), mass, flux
+        return float(p * flux.energy() / mass ** (p / q)), mass, flux
 
     def point(x, step, tau):
-        # the folded, normalized iterate x + tau * step, its R, p-mass and
+        # the folded, normalized iterate x + tau * step, its R, mass and
         # FaceFlux, or R = inf when that iterate is zero
         try:
             trial = _normalize(np.abs(x + tau * step), qw)
@@ -254,7 +262,8 @@ def smallest_eigenpair(grid, weight, p, tol=None):
     history = []
     restarts = interpolated = 0
     for it in range(1, MAX_ITERATIONS + 1):
-        zero_order = r_val * w * x ** (p - 2.0) * x
+        # mu density x^(q-1), with M^0 = 1 exactly at q = p
+        zero_order = r_val * m_val ** (p / q - 1.0) * density * x ** (q - 2.0) * x
         total = flux.divergence() + zero_order
         # each flux is dropped once used, or one held through the next
         # point's build raises the peak memory
@@ -295,8 +304,8 @@ def smallest_eigenpair(grid, weight, p, tol=None):
         else:
             break
         # one interpolation step: the minimizer of the quadratic through
-        # R(0), R'(0) = -(p / M) <g, d> and R(tau), kept if R is lower there
-        slope = -p / m_val * float(np.sum(g * step))
+        # R(0), R'(0) = -(p / M^(p/q)) <g, d> and R(tau), kept if R is lower
+        slope = -p / m_val ** (p / q) * float(np.sum(g * step))
         curvature = (r_trial - r_val - slope * tau) / tau**2
         tau_q = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
         if tau_q <= 4.0 * tau:
@@ -315,3 +324,16 @@ def smallest_eigenpair(grid, weight, p, tol=None):
         residual=res,
         iterations=its,
     )
+
+
+def steady_state(grid, weight, p, alpha0, sigma, tol=STEADY_STATE_TOL):
+    """The positive Field U solving -div(w |grad U|^(p-2) grad U) = alpha0
+    U^sigma, sigma > p - 1, zero on the boundary, to the relative residual
+    tol: c v for v the minimizer at q = sigma + 1 with the mass measure vol,
+    and c^(sigma - p + 1) = mu / alpha0.  Raises ConvergenceError."""
+    q = sigma + 1.0
+    pair = smallest_eigenpair(grid, weight, p, tol=tol, q=q, weighted_mass=False)
+    v = pair.eigenfunction.values
+    vol = face_operator(grid, weight, interior=True).vol
+    mu = pair.eigenvalue * float(np.sum(vol * v.ravel()[grid.interior] ** q)) ** (p / q - 1.0)
+    return Field(grid, (mu / alpha0) ** (1.0 / (sigma - p + 1.0)) * v)

@@ -42,8 +42,9 @@ run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
 sup-norm cap (default 1e8 times the initial sup) or a step failure at
-dt_min while the sup norm is ramping.  bisect_dichotomy brackets the
-amplitude that separates decay from blow-up, by runs it is handed.
+dt_min while the sup norm is ramping, or a state below or above a steady
+state handed in as a certificate.  bisect_dichotomy brackets the amplitude
+that separates decay from blow-up, by runs it is handed.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ EASY_ITERS = 6
 GROWTH_FACTOR = 1.2
 # a step that multiplies sup|u| by more than this is redone with half the dt
 MAX_GROWTH_PER_STEP = 1.5
+# relative margin around a certificate U, far wider than U's solve error
+CERTIFICATE_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -196,11 +199,14 @@ class RunOutcome:
     steps: int = 0
     newton_iters_total: int = 0
     factorizations: int = 0
+    # when and how a certificate decided the kind; None on a run to its end
+    certified_at: float | None = None
+    certificate: str | None = None
 
     def payload(self):
         """The classification, blow-up estimate, decay rate, solver counts,
         final sup norm and initial weighted mass g0, as outcome.json and the
-        solve summary write them."""
+        solve summary write them, with certified_at and certificate if set."""
         traj = self.trajectory
         return {
             "kind": self.kind,
@@ -213,6 +219,8 @@ class RunOutcome:
             "factorizations": self.factorizations,
             "final_sup": traj.sup_abs_u[-1] if traj.times else None,
             "g0": traj.weighted_mass[0] if traj.times else None,
+            **({"certified_at": self.certified_at, "certificate": self.certificate}
+               if self.certified_at is not None else {}),
         }
 
     def to_json(self, path, extra=None):
@@ -394,10 +402,7 @@ def _step_field(u, t, dt, spec, stats=None):
 
 def _tail_is_ramping(traj, lookback=10):
     sup = traj.sup_abs_u[-lookback:]
-    if len(sup) < 3:
-        return False
-    d = np.diff(sup)
-    return bool(np.all(d > 0.0))
+    return len(sup) >= 3 and bool(np.all(np.diff(sup) > 0.0))
 
 
 def _fit_exponential_rate(times, sups, sup0):
@@ -414,13 +419,19 @@ def _fit_exponential_rate(times, sups, sup0):
     return float(-coef[1])
 
 
-def run_simulation(spec, eigenpair=None):
+def run_simulation(spec, eigenpair=None, certificate=None):
     """March to t_end with adaptive dt; classify the outcome.
 
     The trajectory's g column is integral(omega * u0 * u) when an eigenpair
     is supplied and integral(omega * u) otherwise.  The state is the
     interior vector x throughout; only snapshots are scattered into Fields.
     The last step lands on t_end, shorter than dt_min if less is left.
+
+    certificate, a steady state U as a Field, ends the run at a recorded
+    state (t = 0 included) at most (1 - CERTIFICATE_MARGIN) U at every
+    interior node as Decayed, or at least (1 + CERTIFICATE_MARGIN) U as
+    BlowUp, with certified_at and no blow-up time or rate.  The caller
+    vouches for the comparison (p = 2, two-point fluxes, dt_max f'(U) < 1).
     """
     grid = spec.grid
     ctl = spec.controls
@@ -443,6 +454,16 @@ def run_simulation(spec, eigenpair=None):
         traj.append(t, dt, float(np.abs(x).max()), quadrature_sum(qw, x),
                     quadrature_sum(qw_g, x), system.flux(x).energy())
 
+    if certificate is not None:
+        u_cert = certificate.values.ravel()[idx]
+        below, above = (1.0 - CERTIFICATE_MARGIN) * u_cert, (1.0 + CERTIFICATE_MARGIN) * u_cert
+
+    def certify(x):
+        # the kind the certificate gives x, if any
+        if certificate is None:
+            return None
+        return KIND_DECAYED if (x <= below).all() else KIND_BLOWUP if (x >= above).all() else None
+
     x = spec.initial.values.ravel()[idx]
     record(0.0, 0.0, x)
     pending = sorted(set(spec.snapshot_times))
@@ -452,8 +473,9 @@ def run_simulation(spec, eigenpair=None):
     t = 0.0
     dt = spec.dt0
     outcome = None
+    verdict = certify(x)
 
-    while t < spec.t_end - 1e-14:
+    while verdict is None and t < spec.t_end - 1e-14:
         dt = min(dt, ctl.dt_max, spec.t_end - t)
         # land exactly on the next snapshot time when the floor allows it
         # (min with dt_max: the float gap can overshoot it by roundoff,
@@ -507,6 +529,7 @@ def run_simulation(spec, eigenpair=None):
         if sup < decay_floor:
             outcome = KIND_DECAYED
             break
+        verdict = certify(x)
         if iters <= EASY_ITERS:
             dt = min(dt * GROWTH_FACTOR, ctl.dt_max)
 
@@ -515,6 +538,9 @@ def run_simulation(spec, eigenpair=None):
         newton_iters_total=stats.get("newton_iters", 0),
         factorizations=stats.get("factorizations", 0),
     )
+
+    if verdict is not None:
+        return RunOutcome(verdict, traj, certified_at=t, certificate="steady_state", **counts)
 
     if outcome == KIND_BLOWUP:
         sigma = spec.reaction.sigma if spec.reaction.family != "none" else 2.0

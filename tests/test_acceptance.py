@@ -174,7 +174,8 @@ def test_criterion_04_bernoulli_ode():
 @pytest.fixture(scope="module")
 def dichotomy_scan(interval64_eigen):
     """Shared scan for criteria 5 and 6: the package's bisection from the
-    probes 6 and 20 to rel_tol 0.05, as the README scan runs it."""
+    probes 6 and 20 to rel_tol 0.05, as the README scan runs it, and the
+    A = 100, dt0 = 1e-5 blow-up run both criteria read."""
     grid, pair = interval64_eigen
     reaction = ReactionSpec.power(1.0, 2.0)
 
@@ -185,7 +186,7 @@ def dichotomy_scan(interval64_eigen):
     runs, bracket, _undecided = bisect_dichotomy(run_amp, (6.0, 20.0), 0.05)
     assert runs[6.0].kind == "Decayed" and runs[20.0].kind == "BlowUp"
     a_lo, a_hi = bracket
-    return {"grid": grid, "pair": pair, "run_amp": run_amp,
+    return {"grid": grid, "pair": pair, "big": run_amp(100.0, dt0=1e-5),
             "a_lo": (a_lo, runs[a_lo]), "a_hi": (a_hi, runs[a_hi])}
 
 
@@ -204,7 +205,7 @@ def test_criterion_05_blowup_dichotomy(dichotomy_scan):
     )
     small_ok = small.kind == "Decayed" and abs(small.rate_fit - PI2) / PI2 <= 0.10
 
-    big = dichotomy_scan["run_amp"](100.0, dt0=1e-5)
+    big = dichotomy_scan["big"]
     big_ok = big.kind == "BlowUp" and np.isfinite(big.t_est)
 
     a_lo, out_lo = dichotomy_scan["a_lo"]
@@ -227,7 +228,7 @@ def test_criterion_05_blowup_dichotomy(dichotomy_scan):
 def test_criterion_06_comparison_direction(dichotomy_scan):
     pair = dichotomy_scan["pair"]
     lam = pair.eigenvalue
-    out = dichotomy_scan["run_amp"](100.0, dt0=1e-5)
+    out = dichotomy_scan["big"]
     assert out.kind == "BlowUp"
     g0 = out.trajectory.weighted_mass[0]
     t_bern = bernoulli_comparison(out.trajectory, lam, 2.0, g0=g0)["T_bernoulli"]

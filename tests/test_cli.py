@@ -21,7 +21,7 @@ from degenflow.cli import (
     parse_config,
     resolved_config_text,
 )
-from degenflow.errors import ConfigError
+from degenflow.errors import ConfigError, ConvergenceError
 
 EIGEN_CFG = """\
 command = eigen
@@ -290,18 +290,36 @@ class TestReadme:
 
     def test_readme_scan_brackets(self, readme_runs):
         """The README scan bisects to a bracket within rel_tol, and each
-        probe's trajectory header echoes the amplitude the probe ran."""
+        probe's trajectory header echoes the amplitude the probe ran.  The
+        steady state's bracket [a_sub, a_super] holds the critical
+        amplitude between the scan's ends, with g0 at both ends.  Only
+        midpoints are certified: the configured probes carry certified_at
+        null, each certified midpoint's outcome.json names its certificate,
+        and the bracket's blow-up end, certified at t = 0, was run again in
+        full, so its outcome.json has a blow-up time and no certificate."""
         _code, out = readme_runs["blowup-scan"]
         summary = _summary(out)
         assert summary["a_decay"] < summary["a_blowup"]
         assert summary["bracket_ratio"] <= 1.0 + summary["rel_tol"]
         assert "threshold_operative" in summary
+        assert summary["a_decay"] < summary["a_super"] and summary["a_sub"] < summary["a_blowup"]
+        assert summary["g0_sub"] < summary["g0_super"]
+        assert summary["certifies_midpoints"] is True
         amplitudes = [run["amplitude"] for run in summary["runs"]]
         assert len(amplitudes) > 2  # the two listed probes and a bisection
-        for a in amplitudes:
+        for run in summary["runs"]:
+            a = run["amplitude"]
             header = (out / "runs" / f"A_{a:.8g}" / "trajectory.csv").read_text()
             config = json.loads(re.search(r"^# config: (.*)$", header, re.M).group(1))
             assert config["sections"]["problem"]["amplitude"] == a
+            outcome = json.loads((out / "runs" / f"A_{a:.8g}" / "outcome.json").read_text())
+            if a in (6.0, 20.0) or a == summary["a_blowup"]:
+                assert "certified_at" not in outcome
+                assert (outcome["T_est"] is None) == (outcome["kind"] == "Decayed")
+            else:
+                assert outcome["certified_at"] == run["certified_at"] is not None
+                assert (outcome["certificate"], outcome["kind"]) == ("steady_state", run["kind"])
+            assert (run["certified_at"] is None) == (a in (6.0, 20.0))
 
     def test_readme_decay_fit(self, readme_runs):
         """The README decay fit of a self-similar solution lands within 1 %
@@ -500,6 +518,28 @@ class TestMain:
         key = line.split(" =")[0]
         assert f"line 9: unknown key {key!r} in [decay]" in message
 
+    def test_scan_without_steady_state_runs_in_full(self, tmp_path, monkeypatch):
+        """A steady-state solve that does not converge is recorded in the
+        summary, which then has no [a_sub, a_super], and every probe runs
+        to its end: the scan's bracket and blow-up end are those of the
+        certified scan, with no run certified."""
+        def stalled(*args, **kwargs):
+            raise ConvergenceError("eigensolver stalled at residual 1e-3")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("degenflow.cli.steady_state", stalled)
+        assert _run(tmp_path, "s.cfg", SCAN_CFG.format(out="full"), "blowup-scan") == EXIT_OK
+        summary = _summary(tmp_path / "full")
+        assert summary["steady_state_error"] == "eigensolver stalled at residual 1e-3"
+        assert not {"a_sub", "a_super", "certifies_midpoints"} & set(summary)
+        assert all(run["certified_at"] is None for run in summary["runs"])
+        assert (summary["a_decay"], summary["a_blowup"]) == (11.374454657912443,
+                                                             11.810561477896204)
+        for run in summary["runs"]:
+            outcome = json.loads((tmp_path / "full" / "runs" / f"A_{run['amplitude']:.8g}"
+                                  / "outcome.json").read_text())
+            assert "certified_at" not in outcome
+
     def test_undecided_scan_exit_code(self, tmp_path, monkeypatch):
         """A scan whose bracket cannot reach the tolerance in the probe
         budget exits with the undecided code."""
@@ -690,6 +730,9 @@ class TestMain:
          "blowup-scan with reaction = power needs sigma > p - 1, got sigma = 1.0, p = 2.0"),
         ("blowup-scan", SCAN_CFG.replace("p = 2.0", "p = 3.0"), "sigma = 2.0",
          "blowup-scan with reaction = power needs sigma > p - 1, got sigma = 2.0, p = 3.0"),
+        ("blowup-scan", SCAN_CFG.replace("reaction = power", "reaction = exp_forced"),
+         "reaction = exp_forced", "blowup-scan needs reaction = power: exp_forced blows up "
+         "every positive amplitude, so there is no threshold"),
         ("eigen", EIGEN_CFG.replace("mode = interval", "mode = square"), "mode = square",
          "bad value for 'mode': expected one of interval, radial, tensor2d, got 'square'"),
         ("eigen", EIGEN_CFG.replace("p = 2.0", "p = 2.0\nweight = bogus"), "weight = bogus",
@@ -698,10 +741,11 @@ class TestMain:
          "reaction = cubic",
          "bad value for 'reaction': expected one of none, power, exp_forced, got 'cubic'"),
     ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction",
-            "scan-sigma-below", "scan-sigma-at", "mode", "weight", "reaction"])
+            "scan-sigma-below", "scan-sigma-at", "scan-exp-forced", "mode", "weight", "reaction"])
     def test_command_checks_fail_at_parse_time(self, tmp_path, command, text, line, message):
-        """A scan without a reaction term, or with a power reaction at
-        sigma <= p - 1, which has no amplitude threshold to bracket, a
+        """A scan without a reaction term, with a power reaction at
+        sigma <= p - 1 or with the exp_forced reaction, neither of which has
+        an amplitude threshold to bracket, a
         verify-exact on a tensor grid, at p = 2 or with fewer than three
         resolutions, a decay fit with a reaction term, and a mode, weight or
         reaction outside its choices exit 2 at parse time with a config

@@ -364,3 +364,73 @@ def test_tol_outside_the_unit_interval_is_config_error(monkeypatch, tol):
     g = build_grid("interval", 1.0, 32)
     with pytest.raises(ConfigError, match=r"tol must lie in \(0, 1\)"):
         smallest_eigenpair(g, None, 3.0, tol=tol)
+
+
+def _hessian_dense(grid, weight):
+    """The interior p = 2 stiffness K as a dense symmetric matrix."""
+    data, row, col = energy_hessian_matrix(grid, weight, interior=True)
+    n = len(grid.interior)
+    k = np.zeros((n, n))
+    np.add.at(k, (row, col), data)
+    return k + np.tril(k, -1).T
+
+
+@pytest.mark.parametrize("mode, sigma, alpha0, theta_w", [
+    ("interval", 2.0, 1.0, 0.0),
+    ("interval", 3.5, 0.5, 1.0),
+    ("radial", 2.0, 2.0, 0.0),
+    ("radial", 1.5, 1.0, 1.0),
+    ("tensor2d", 2.0, 1.0, 0.0),
+])
+def test_steady_state_solves_the_steady_equation(mode, sigma, alpha0, theta_w):
+    """U from steady_state is positive inside, zero on the Dirichlet nodes,
+    and solves K U = V alpha0 U^sigma with K the interior p = 2 stiffness
+    and V the cell volumes, to the solver's residual target relative to
+    the reaction: || K U / V - alpha0 U^sigma || <= tol || alpha0 U^sigma ||."""
+    grid = build_grid(mode, 1.0, 12 if mode == "tensor2d" else 32,
+                      n=2 if mode == "radial" else None)
+    weight = WeightSpec.power(theta_w) if theta_w else None
+    u_field = eigensolver.steady_state(grid, weight, 2.0, alpha0, sigma)
+    assert np.all(u_field.values[grid.boundary_mask] == 0.0)
+    u = u_field.values.ravel()[grid.interior]
+    assert np.all(u > 0.0)
+    vol = cell_volumes(grid).ravel()[grid.interior]
+    reaction = alpha0 * u**sigma
+    residual = _hessian_dense(grid, weight) @ u / vol - reaction
+    assert np.linalg.norm(residual) <= eigensolver.STEADY_STATE_TOL * np.linalg.norm(reaction)
+
+
+def test_steady_state_of_the_scan_workload():
+    """On the scan-1d problem (interval 64, p = 2, alpha0 = 1, sigma = 2),
+    max U = 11.7946207504, and Newton's method on the same discrete
+    equations, started from U, moves it by less than 1e-10 relative at
+    every node."""
+    grid = build_grid("interval", 1.0, 64)
+    u = eigensolver.steady_state(grid, None, 2.0, 1.0, 2.0).values[grid.interior]
+    assert u.max() == pytest.approx(11.7946207504, rel=1e-10)
+    k = _hessian_dense(grid, None)
+    vol = cell_volumes(grid)[grid.interior]
+    newton = u.copy()
+    for _ in range(6):
+        jac = k - np.diag(vol * 2.0 * newton)
+        newton -= np.linalg.solve(jac, k @ newton - vol * newton**2)
+    assert np.max(np.abs(u - newton) / newton) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["interval", "tensor2d"])
+@pytest.mark.parametrize("weighted_mass", [True, False])
+def test_mass_exponent_minimizer_solves_its_equation(mode, weighted_mass):
+    """At p = 3 with mass exponent q = 4 and a power weight, the minimizer u
+    solves -div(w |grad u| grad u) = mu (m / vol) u^3 with m the mass
+    measure (vol * w, or vol) and mu = R M^(p/q - 1), to the solver's
+    tolerance."""
+    grid = build_grid(mode, 1.0, 12 if mode == "tensor2d" else 32)
+    weight = WeightSpec.power(1.0)
+    pair = smallest_eigenpair(grid, weight, 3.0, tol=1e-6, q=4.0, weighted_mass=weighted_mass)
+    u = pair.eigenfunction.values.ravel()[grid.interior]
+    op = face_operator(grid, weight, interior=True)
+    density = weight_on_grid(weight, grid).ravel()[grid.interior] if weighted_mass else 1.0
+    mu = pair.eigenvalue * np.sum(op.vol * density * u**4.0) ** (3.0 / 4.0 - 1.0)
+    reaction = mu * density * u**3.0
+    residual = FaceFlux(op, u, 3.0).divergence() + reaction
+    assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(reaction)

@@ -11,6 +11,7 @@ from scipy.linalg import lapack
 
 from degenflow import (
     ConfigError,
+    ConvergenceError,
     Field,
     Grid,
     NumericalError,
@@ -33,6 +34,7 @@ from degenflow import (
     step_implicit,
 )
 from degenflow import timestepper
+from degenflow.eigensolver import steady_state
 from degenflow.cli import EXIT_OK, main
 from degenflow.banded import BandPattern, FactorError
 from degenflow.timestepper import _NewtonSystem, _StepFailure
@@ -961,6 +963,9 @@ def test_snapshots_land_exactly():
 
 
 def test_outcome_json_contract(tmp_path):
+    """outcome.json carries the classification, estimates and counts; it
+    has certified_at and certificate only when a certificate decided the
+    kind, so a run to its end writes the same file as without one."""
     import json
 
     spec = _sin_problem(resolution=32, t_end=0.05)
@@ -974,6 +979,27 @@ def test_outcome_json_contract(tmp_path):
     assert payload["factorizations"] == out.factorizations > 0
     assert payload["kind"] == "Completed"
     assert payload["T_est"] is None  # NaN sanitized for strict JSON
+    assert "certified_at" not in payload and "certificate" not in payload
+
+    power = ReactionSpec.power(1.0, 2.0)
+    u_ss = steady_state(spec.grid, None, 2.0, 1.0, 2.0)
+    # 11.5 lies between min and max of U / sin(pi x): neither below nor above U
+    full = run_simulation(_sin_problem(amplitude=11.5, resolution=32, t_end=0.005,
+                                       reaction=power), certificate=u_ss)
+    full.to_json(path)
+    uncertified = run_simulation(_sin_problem(amplitude=11.5, resolution=32, t_end=0.005,
+                                              reaction=power))
+    uncertified.to_json(tmp_path / "plain.json")
+    assert full.certified_at is None and full.kind == "Completed"
+    assert path.read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    certified = run_simulation(_sin_problem(amplitude=20.0, resolution=32, t_end=0.05,
+                                            reaction=power), certificate=u_ss)
+    certified.to_json(path)
+    payload = json.loads(path.read_text())
+    assert payload["kind"] == "BlowUp"
+    assert (payload["certified_at"], payload["certificate"]) == (0.0, "steady_state")
+    assert payload["T_est"] is None and payload["steps"] == 0
 
 
 def test_trajectory_csv_columns(tmp_path):
@@ -1222,3 +1248,90 @@ def test_bisect_dichotomy_with_a_fake_probe(a_star, values, kinds, calls, bracke
         lo = max(a for a in calls[:i] if runs[a].kind == "Decayed")
         hi = min(a for a in calls[:i] if runs[a].kind == "BlowUp")
         assert calls[i] == np.sqrt(lo * hi) and hi / lo > 1.05
+
+
+def _certified_problem(mode, resolution, n, theta_w, sigma, t_end):
+    """A p = 2 power-reaction problem with data a * phi0 (sin on the
+    interval, cos(pi r / 2) on the ball) and dt_max max f'(U) = 1/2, where
+    its steady state U certifies verdicts.  Returns (spec_at, U, phi0),
+    spec_at(a) the problem at amplitude a."""
+    g = build_grid(mode, 1.0, resolution, n=n)
+    weight = WeightSpec.power(theta_w) if theta_w else None
+    x = g.axes[0]
+    phi0 = np.sin(np.pi * x) if mode == "interval" else np.cos(0.5 * np.pi * x)
+    phi0[g.boundary_mask] = 0.0
+    u_ss = steady_state(g, weight, 2.0, 1.0, sigma)
+    dt_max = 0.5 / (sigma * u_ss.values.max() ** (sigma - 1.0))
+
+    def spec_at(a):
+        return ProblemSpec(grid=g, weight=weight, p=2.0, reaction=ReactionSpec.power(1.0, sigma),
+                           initial=Field(g, a * phi0), t_end=t_end, dt0=min(1e-3, dt_max),
+                           controls=StepControls(dt_max=dt_max))
+    return spec_at, u_ss, phi0
+
+
+def _ratio_bounds(u_ss, phi0):
+    """[min, max] of U / phi0 over the interior nodes: the amplitudes below
+    and above which the data lie below and above U."""
+    ratio = u_ss.values[u_ss.grid.interior] / phi0[u_ss.grid.interior]
+    return ratio.min(), ratio.max()
+
+
+def test_certificate_margin_at_the_bracket_ends():
+    """On the scan-1d problem, data at a_super (1 + 2 delta) are certified
+    to blow up and data at a_sub (1 - 2 delta) to decay at t = 0, delta the
+    CERTIFICATE_MARGIN; data at a_super (1 + delta / 2) and a_sub
+    (1 - delta / 2) touch U within the margin at one node, so neither is
+    certified at t = 0."""
+    delta = timestepper.CERTIFICATE_MARGIN
+    spec_at, u_ss, phi0 = _certified_problem("interval", 64, None, 0.0, 2.0, 0.01)
+    a_sub, a_super = _ratio_bounds(u_ss, phi0)
+    assert (a_sub, a_super) == (pytest.approx(10.52996, rel=1e-6),
+                                pytest.approx(11.79462, rel=1e-6))
+
+    def run(a):
+        return run_simulation(spec_at(a), certificate=u_ss)
+
+    for a, kind in ((a_super * (1 + 2 * delta), "BlowUp"), (a_sub * (1 - 2 * delta), "Decayed")):
+        out = run(a)
+        assert (out.kind, out.certified_at, out.steps) == (kind, 0.0, 0)
+    for a in (a_super * (1 + delta / 2), a_sub * (1 - delta / 2)):
+        assert run(a).certified_at != 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(["interval", "radial"]),
+    resolution=st.integers(8, 32),
+    n=st.integers(2, 3),
+    theta_w=st.sampled_from([0.0, 1.0]),
+    sigma=st.floats(1.5, 3.5),
+    where=st.floats(0.0, 1.0),
+)
+def test_certified_verdict_is_the_full_runs(mode, resolution, n, theta_w, sigma, where):
+    """For p = 2 on interval and radial grids, with or without a weight,
+    every certified verdict is the verdict of the same run carried to its
+    end, at amplitudes spread over [0.8 a_sub, 1.2 a_super]: the BE map
+    keeps the order of data below or above the steady state U.  Where U
+    has no discrete solve (on a coarse weighted ball the quotient can keep
+    falling as the profile concentrates at the centre node, and the solve
+    stalls), nothing is certified."""
+    try:
+        spec_at, u_ss, phi0 = _certified_problem(mode, resolution,
+                                                 n if mode == "radial" else None, theta_w, sigma,
+                                                 20.0)
+    except ConvergenceError:
+        event("no steady state")
+        return
+    a_sub, a_super = _ratio_bounds(u_ss, phi0)
+    lo, hi = np.log(0.8 * a_sub), np.log(1.2 * a_super)
+    spec = spec_at(np.exp(lo + where * (hi - lo)))
+    certified = run_simulation(spec, certificate=u_ss)
+    if certified.certified_at is None:
+        event("not certified")
+        return
+    event(f"certified {certified.kind}")
+    full = run_simulation(spec)
+    assume(full.kind != "Completed")
+    assert certified.kind == full.kind
+    assert certified.steps <= full.steps
