@@ -23,11 +23,12 @@ import numpy as np
 
 from . import diagnostics as diag
 from .discretization import Field, build_grid, grid_dimension, integrate, write_field_csv
-from .eigensolver import check_tol, smallest_eigenpair, steady_state
+from .eigensolver import STEADY_STATE_TOL, check_tol, smallest_eigenpair, steady_state
 from .errors import ConfigError, ConvergenceError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
-from .timestepper import ProblemSpec, StepControls, bisect_dichotomy, run_simulation
+from .timestepper import (KIND_BLOWUP, ProblemSpec, StepControls, bisect_dichotomy,
+                          certificate_holds, run_simulation)
 from .weight_models import WeightSpec, check_doubling, check_muckenhoupt
 
 SCHEMA_VERSION = 1
@@ -516,15 +517,17 @@ def _cmd_solve(cfg, out):
     return EXIT_OK
 
 
-def _steady_state_bracket(cfg, grid, weight, eigenpair, phi0, body):
+def _steady_state_bracket(cfg, spec, eigenpair, phi0, body):
     """Add to body [a_sub, a_super], the range of U / phi0 over the interior
     nodes for the steady state U and the data phi0 at amplitude 1, and g0
-    at both.  Return U if the BE map keeps data below U below it and above
-    it above (p = 2, two-point fluxes, dt_max f'(U) < 1), else None; a
-    steady state that does not converge is recorded in body instead."""
+    at both.  Return U if it certifies the runs of spec (certificate_holds;
+    only then is it solved to STEADY_STATE_TOL), else None; a steady state
+    that does not converge is recorded in body instead."""
     prob = cfg.sections["problem"]
+    grid, weight = spec.grid, spec.weight
     try:
-        u = steady_state(grid, weight, prob["p"], prob["alpha0"], prob["sigma"])
+        u = steady_state(grid, weight, prob["p"], prob["alpha0"], prob["sigma"],
+                         tol=STEADY_STATE_TOL if certificate_holds(spec) else None)
     except ConvergenceError as exc:
         body["steady_state_error"] = str(exc)
         return None
@@ -533,18 +536,17 @@ def _steady_state_bracket(cfg, grid, weight, eigenpair, phi0, body):
     g0_unit = integrate(Field(grid, phi0 * eigenpair.eigenfunction.values), weight)
     body.update(a_sub=ratio.min(), a_super=ratio.max(), g0_sub=ratio.min() * g0_unit,
                 g0_super=ratio.max() * g0_unit)
-    slope = prob["alpha0"] * prob["sigma"] * u.values.max() ** (prob["sigma"] - 1.0)
-    body["certifies_midpoints"] = certifies = (prob["p"] == 2.0 and grid.mode != "tensor2d"
-                                               and cfg.sections["controls"]["dt_max"] * slope < 1)
+    body["certifies_midpoints"] = certifies = certificate_holds(spec, u)
     return u if certifies else None
 
 
 def _cmd_blowup_scan(cfg, out):
     """Bisect for the critical amplitude (bisect_dichotomy) and fit the
     Bernoulli comparison on the bracket's blow-up end.  The configured
-    values run in full; the midpoints end at a verdict certified by the
-    steady state U (_steady_state_bracket), and a certified blow-up end is
-    then rerun in full for the fit, keeping its probe's certified_at."""
+    values run in full; the midpoints end at the eventual verdict certified
+    by the steady state U (_steady_state_bracket).  A certified blow-up end
+    is rerun in full for the fit, keeping its probe's certified_at; if it
+    does not blow up by t_end, it is the undecided midpoint, with no bracket."""
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
     scan = cfg.sections["scan"]
@@ -557,11 +559,11 @@ def _cmd_blowup_scan(cfg, out):
         return ExperimentConfig(cfg.command, cfg.output_dir, sections)
 
     # u_cap must exceed the largest probe's initial sup, checked before any work
-    _build_problem(with_amplitude(max(scan["values"])), grid, weight, None)
+    spec = _build_problem(with_amplitude(max(scan["values"])), grid, weight, None)
     eigenpair = _solve_eigen(cfg, grid, weight)
     lam1 = eigenpair.eigenvalue
     body = {"lambda1": lam1, "rel_tol": scan["rel_tol"]}
-    certificate = _steady_state_bracket(cfg, grid, weight, eigenpair,
+    certificate = _steady_state_bracket(cfg, spec, eigenpair,
                                         _initial_values(with_amplitude(1.0), grid, weight), body)
 
     def probe(a, certify=True):
@@ -573,6 +575,9 @@ def _cmd_blowup_scan(cfg, out):
     certified = {a: oc.certified_at for a, oc in runs.items()}
     if bracket is not None and certified[bracket[1]] is not None:
         runs[bracket[1]] = probe(bracket[1], certify=False)
+        if runs[bracket[1]].kind != KIND_BLOWUP:
+            # it blows up after t_end, so there is no blow-up to fit C on
+            bracket, undecided = None, bracket[1] if undecided is None else undecided
     body.update(undecided_midpoint=undecided,
                 runs=[{"amplitude": a, "kind": runs[a].kind, "certified_at": certified[a],
                        "g0": runs[a].trajectory.weighted_mass[0], "T_est": runs[a].t_est}

@@ -52,6 +52,7 @@ from .banded import _spla_on_access as __getattr__  # noqa: F401  resolves spla
 from .discretization import (
     MODE_TENSOR2D,
     Field,
+    cell_volumes,
     quad_weights,
     quadrature_sum,
     weight_on_grid,
@@ -330,10 +331,11 @@ def steady_state(grid, weight, p, alpha0, sigma, tol=STEADY_STATE_TOL):
     """The positive Field U solving -div(w |grad U|^(p-2) grad U) = alpha0
     U^sigma, sigma > p - 1, zero on the boundary, to the relative residual
     tol: c v for v the minimizer at q = sigma + 1 with the mass measure vol,
-    and c^(sigma - p + 1) = mu / alpha0.  Raises ConvergenceError."""
+    and c^(sigma - p + 1) = mu / alpha0.  tol = None takes
+    smallest_eigenpair's default for p.  Raises ConvergenceError."""
     q = sigma + 1.0
     pair = smallest_eigenpair(grid, weight, p, tol=tol, q=q, weighted_mass=False)
     v = pair.eigenfunction.values
-    vol = face_operator(grid, weight, interior=True).vol
+    vol = cell_volumes(grid).ravel()[grid.interior]
     mu = pair.eigenvalue * float(np.sum(vol * v.ravel()[grid.interior] ** q)) ** (p / q - 1.0)
     return Field(grid, (mu / alpha0) ** (1.0 / (sigma - p + 1.0)) * v)

@@ -57,10 +57,11 @@ import numpy as np
 from .banded import BandPattern, FactorError
 from .banded import _spla_on_access as __getattr__  # noqa: F401  resolves spla
 from .diagnostics import _line_fit
-from .discretization import Field, quad_weights, quadrature_sum, weight_on_grid
+from .discretization import MODE_TENSOR2D, Field, quad_weights, quadrature_sum, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
 from .plap_operator import (
+    REACTION_POWER,
     Csr,
     FaceFlux,
     ReactionSpec,
@@ -199,9 +200,8 @@ class RunOutcome:
     steps: int = 0
     newton_iters_total: int = 0
     factorizations: int = 0
-    # when and how a certificate decided the kind; None on a run to its end
+    # when the steady state certified the kind; None on a run to its end
     certified_at: float | None = None
-    certificate: str | None = None
 
     def payload(self):
         """The classification, blow-up estimate, decay rate, solver counts,
@@ -219,7 +219,7 @@ class RunOutcome:
             "factorizations": self.factorizations,
             "final_sup": traj.sup_abs_u[-1] if traj.times else None,
             "g0": traj.weighted_mass[0] if traj.times else None,
-            **({"certified_at": self.certified_at, "certificate": self.certificate}
+            **({"certified_at": self.certified_at, "certificate": "steady_state"}
                if self.certified_at is not None else {}),
         }
 
@@ -419,6 +419,18 @@ def _fit_exponential_rate(times, sups, sup0):
     return float(-coef[1])
 
 
+def certificate_holds(spec, certificate=None):
+    """Whether the BE steps of spec keep data below a steady state U below
+    it and data above it above: p = 2 with a power reaction on an interval
+    or radial grid (two-point fluxes: an M-matrix), and, given U as a
+    Field, dt_max f'(max U) < 1."""
+    if (spec.reaction.family != REACTION_POWER or spec.p != 2.0
+            or spec.grid.mode == MODE_TENSOR2D):
+        return False
+    return certificate is None or spec.controls.dt_max * float(
+        reaction_derivative(spec.reaction, 0.0, certificate.values.max())) < 1.0
+
+
 def run_simulation(spec, eigenpair=None, certificate=None):
     """March to t_end with adaptive dt; classify the outcome.
 
@@ -427,11 +439,12 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     interior vector x throughout; only snapshots are scattered into Fields.
     The last step lands on t_end, shorter than dt_min if less is left.
 
-    certificate, a steady state U as a Field, ends the run at a recorded
-    state (t = 0 included) at most (1 - CERTIFICATE_MARGIN) U at every
-    interior node as Decayed, or at least (1 + CERTIFICATE_MARGIN) U as
-    BlowUp, with certified_at and no blow-up time or rate.  The caller
-    vouches for the comparison (p = 2, two-point fluxes, dt_max f'(U) < 1).
+    certificate, a steady state U as a Field for which certificate_holds
+    (else ConfigError), ends the run at a recorded state (t = 0 included)
+    at most (1 - CERTIFICATE_MARGIN) U at every interior node as Decayed, or
+    at least (1 + CERTIFICATE_MARGIN) U as BlowUp, with certified_at and no
+    blow-up time or rate.  Such a verdict is the run's eventual kind: run
+    in full, it may still be Completed at t_end.
     """
     grid = spec.grid
     ctl = spec.controls
@@ -455,6 +468,9 @@ def run_simulation(spec, eigenpair=None, certificate=None):
                     quadrature_sum(qw_g, x), system.flux(x).energy())
 
     if certificate is not None:
+        if not certificate_holds(spec, certificate):
+            raise ConfigError("a steady state certifies runs only at p = 2 on an interval or "
+                              "radial grid with dt_max f'(max U) < 1")
         u_cert = certificate.values.ravel()[idx]
         below, above = (1.0 - CERTIFICATE_MARGIN) * u_cert, (1.0 + CERTIFICATE_MARGIN) * u_cert
 
@@ -540,7 +556,7 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     )
 
     if verdict is not None:
-        return RunOutcome(verdict, traj, certified_at=t, certificate="steady_state", **counts)
+        return RunOutcome(verdict, traj, certified_at=t, **counts)
 
     if outcome == KIND_BLOWUP:
         sigma = spec.reaction.sigma if spec.reaction.family != "none" else 2.0

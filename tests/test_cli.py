@@ -21,6 +21,7 @@ from degenflow.cli import (
     parse_config,
     resolved_config_text,
 )
+from degenflow.eigensolver import STEADY_STATE_TOL, steady_state
 from degenflow.errors import ConfigError, ConvergenceError
 
 EIGEN_CFG = """\
@@ -539,6 +540,57 @@ class TestMain:
             outcome = json.loads((tmp_path / "full" / "runs" / f"A_{run['amplitude']:.8g}"
                                   / "outcome.json").read_text())
             assert "certified_at" not in outcome
+
+    def test_certified_blowup_end_that_completes_is_undecided(self, tmp_path, monkeypatch):
+        """Certified verdicts are eventual ones: at t_end = 2.2, where 6
+        decays and 20 blows up in full, a scan to rel_tol 1e-11 certifies
+        midpoints within 2e-11 of the threshold, whose full runs would
+        still be Completed at t_end.  The bracket's blow-up end, rerun in
+        full, has not blown up by t_end, so there is no blow-up to fit C on:
+        the scan exits 4 with that end as its undecided midpoint and no
+        bracket, and its runs entry is the rerun's Completed with the
+        probe's certified_at."""
+        monkeypatch.chdir(tmp_path)
+        text = (SCAN_CFG.format(out="short").replace("t_end = 3.0", "t_end = 2.2")
+                .replace("rel_tol = 0.05", "rel_tol = 1e-11"))
+        assert _run(tmp_path, "s.cfg", text, "blowup-scan") == EXIT_UNDECIDED
+        summary = _summary(tmp_path / "short")
+        runs = {run["amplitude"]: run for run in summary["runs"]}
+        end = runs[summary["undecided_midpoint"]]
+        assert end["kind"] == "Completed" and end["certified_at"] is not None
+        assert not {"a_decay", "a_blowup", "C_fit"} & set(summary)
+        outcome = json.loads((tmp_path / "short" / "runs" / f"A_{end['amplitude']:.8g}"
+                              / "outcome.json").read_text())
+        assert outcome["kind"] == "Completed" and "certified_at" not in outcome
+        assert (runs[6.0]["kind"], runs[20.0]["kind"]) == ("Decayed", "BlowUp")
+
+    def test_scan_at_p3_solves_the_steady_state_to_the_eigen_default(self, tmp_path,
+                                                                       monkeypatch):
+        """At p = 3 the steady state certifies nothing, so the scan solves
+        it to the eigensolver's default tol for p, reports [a_sub, a_super]
+        and runs every probe in full; at p = 2 on an interval it solves to
+        STEADY_STATE_TOL."""
+        tols = []
+
+        def recorded(*args, tol):
+            tols.append(tol)
+            return steady_state(*args, tol=tol)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("degenflow.cli.steady_state", recorded)
+        text = (SCAN_CFG.format(out="p3").replace("resolution = 64", "resolution = 32")
+                .replace("p = 2.0", "p = 3.0").replace("sigma = 2.0", "sigma = 3.0")
+                .replace("t_end = 3.0", "t_end = 0.05").replace("values = 6.0, 20.0",
+                                                                  "values = 20.0, 60.0"))
+        assert _run(tmp_path, "s.cfg", text, "blowup-scan") in (EXIT_OK, EXIT_UNDECIDED)
+        summary = _summary(tmp_path / "p3")
+        assert tols == [None]
+        assert summary["certifies_midpoints"] is False
+        assert summary["a_sub"] < summary["a_super"]
+        assert all(run["certified_at"] is None for run in summary["runs"])
+        text = SCAN_CFG.format(out="p2").replace("values = 6.0, 20.0", "values = 20.0")
+        assert _run(tmp_path, "s2.cfg", text, "blowup-scan") == EXIT_UNDECIDED
+        assert tols == [None, STEADY_STATE_TOL]
 
     def test_undecided_scan_exit_code(self, tmp_path, monkeypatch):
         """A scan whose bracket cannot reach the tolerance in the probe

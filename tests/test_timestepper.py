@@ -1,11 +1,12 @@
 """Implicit time stepping: oracles, classification, and structural invariants."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -1250,21 +1251,22 @@ def test_bisect_dichotomy_with_a_fake_probe(a_star, values, kinds, calls, bracke
         assert calls[i] == np.sqrt(lo * hi) and hi / lo > 1.05
 
 
-def _certified_problem(mode, resolution, n, theta_w, sigma, t_end):
+def _certified_problem(mode, resolution, n, theta_w, sigma):
     """A p = 2 power-reaction problem with data a * phi0 (sin on the
-    interval, cos(pi r / 2) on the ball) and dt_max max f'(U) = 1/2, where
+    interval, cos(pi r / 2) on the ball) and dt_max f'(max U) = 1/2, where
     its steady state U certifies verdicts.  Returns (spec_at, U, phi0),
-    spec_at(a) the problem at amplitude a."""
+    spec_at(a, t_end) the problem at amplitude a."""
     g = build_grid(mode, 1.0, resolution, n=n)
     weight = WeightSpec.power(theta_w) if theta_w else None
     x = g.axes[0]
     phi0 = np.sin(np.pi * x) if mode == "interval" else np.cos(0.5 * np.pi * x)
     phi0[g.boundary_mask] = 0.0
     u_ss = steady_state(g, weight, 2.0, 1.0, sigma)
-    dt_max = 0.5 / (sigma * u_ss.values.max() ** (sigma - 1.0))
+    reaction = ReactionSpec.power(1.0, sigma)
+    dt_max = 0.5 / float(reaction_derivative(reaction, 0.0, u_ss.values.max()))
 
-    def spec_at(a):
-        return ProblemSpec(grid=g, weight=weight, p=2.0, reaction=ReactionSpec.power(1.0, sigma),
+    def spec_at(a, t_end):
+        return ProblemSpec(grid=g, weight=weight, p=2.0, reaction=reaction,
                            initial=Field(g, a * phi0), t_end=t_end, dt0=min(1e-3, dt_max),
                            controls=StepControls(dt_max=dt_max))
     return spec_at, u_ss, phi0
@@ -1284,19 +1286,40 @@ def test_certificate_margin_at_the_bracket_ends():
     (1 - delta / 2) touch U within the margin at one node, so neither is
     certified at t = 0."""
     delta = timestepper.CERTIFICATE_MARGIN
-    spec_at, u_ss, phi0 = _certified_problem("interval", 64, None, 0.0, 2.0, 0.01)
+    spec_at, u_ss, phi0 = _certified_problem("interval", 64, None, 0.0, 2.0)
     a_sub, a_super = _ratio_bounds(u_ss, phi0)
     assert (a_sub, a_super) == (pytest.approx(10.52996, rel=1e-6),
                                 pytest.approx(11.79462, rel=1e-6))
 
     def run(a):
-        return run_simulation(spec_at(a), certificate=u_ss)
+        return run_simulation(spec_at(a, 0.01), certificate=u_ss)
 
     for a, kind in ((a_super * (1 + 2 * delta), "BlowUp"), (a_sub * (1 - 2 * delta), "Decayed")):
         out = run(a)
         assert (out.kind, out.certified_at, out.steps) == (kind, 0.0, 0)
     for a in (a_super * (1 + delta / 2), a_sub * (1 - delta / 2)):
         assert run(a).certified_at != 0.0
+
+
+def test_certificate_only_where_it_holds():
+    """run_simulation takes a steady state as a certificate only where
+    certificate_holds: at p = 2 on an interval or radial grid with dt_max
+    f'(max U) < 1.  At p = 3, on a tensor grid, or with dt_max f'(max U) =
+    2 it raises ConfigError before any step."""
+    spec_at, u_ss, phi0 = _certified_problem("interval", 32, None, 0.0, 2.0)
+    spec = spec_at(11.0, 0.01)
+    assert timestepper.certificate_holds(spec) and timestepper.certificate_holds(spec, u_ss)
+    square = build_grid("tensor2d", 1.0, 8)
+    wrong = {
+        "p = 3": replace(spec, p=3.0),
+        "tensor2d": replace(spec, grid=square, initial=Field(square, np.zeros(square.shape))),
+        "dt_max": replace(spec, controls=StepControls(dt_max=4 * spec.controls.dt_max)),
+    }
+    for name, bad in wrong.items():
+        assert not timestepper.certificate_holds(bad, u_ss), name
+        with pytest.raises(ConfigError, match="certifies runs only at p = 2"):
+            run_simulation(bad, certificate=u_ss)
+    assert timestepper.certificate_holds(wrong["dt_max"])
 
 
 @settings(max_examples=25, deadline=None)
@@ -1307,31 +1330,53 @@ def test_certificate_margin_at_the_bracket_ends():
     theta_w=st.sampled_from([0.0, 1.0]),
     sigma=st.floats(1.5, 3.5),
     where=st.floats(0.0, 1.0),
+    t_end=st.sampled_from([0.3, 20.0]),
 )
-def test_certified_verdict_is_the_full_runs(mode, resolution, n, theta_w, sigma, where):
+# certified at t = 0 just above and well below U; by t = 0.3 neither full
+# run has blown up or decayed
+@example(mode="interval", resolution=32, n=2, theta_w=0.0, sigma=2.0, where=0.65, t_end=0.3)
+@example(mode="interval", resolution=32, n=2, theta_w=0.0, sigma=2.0, where=0.2, t_end=0.3)
+def test_certified_verdict_is_the_full_runs(mode, resolution, n, theta_w, sigma, where, t_end):
     """For p = 2 on interval and radial grids, with or without a weight,
-    every certified verdict is the verdict of the same run carried to its
-    end, at amplitudes spread over [0.8 a_sub, 1.2 a_super]: the BE map
-    keeps the order of data below or above the steady state U.  Where U
-    has no discrete solve (on a coarse weighted ball the quotient can keep
-    falling as the profile concentrates at the centre node, and the solve
-    stalls), nothing is certified."""
+    every certified verdict is the kind of the same data run in full, at
+    amplitudes spread over [0.8 a_sub, 1.2 a_super]: the BE map keeps the
+    order of data below or above the steady state U.  The verdict is the
+    eventual kind: by a short t_end the full run may still be Completed
+    (most decays take longer than 0.3), and then the same data run to
+    t_end = 20 end in the certified kind.  The one exception is a decay
+    that stalls: below sup 1 the Newton tolerance is absolute, so once
+    dt |residual| < newton_tol the step keeps the old state, and on a
+    weighted ball, where sup|u0| is small, that happens above the decay
+    floor 1e-8 sup|u0|.  Where U has no discrete solve (on a coarse
+    weighted ball the quotient can keep falling as the profile
+    concentrates at the centre node, and the solve stalls), nothing is
+    certified."""
     try:
         spec_at, u_ss, phi0 = _certified_problem(mode, resolution,
-                                                 n if mode == "radial" else None, theta_w, sigma,
-                                                 20.0)
+                                                 n if mode == "radial" else None, theta_w, sigma)
     except ConvergenceError:
         event("no steady state")
         return
     a_sub, a_super = _ratio_bounds(u_ss, phi0)
     lo, hi = np.log(0.8 * a_sub), np.log(1.2 * a_super)
-    spec = spec_at(np.exp(lo + where * (hi - lo)))
-    certified = run_simulation(spec, certificate=u_ss)
+    a = np.exp(lo + where * (hi - lo))
+    certified = run_simulation(spec_at(a, t_end), certificate=u_ss)
     if certified.certified_at is None:
         event("not certified")
         return
-    event(f"certified {certified.kind}")
-    full = run_simulation(spec)
-    assume(full.kind != "Completed")
-    assert certified.kind == full.kind
+    full = run_simulation(spec_at(a, t_end))
+    if full.kind == "Completed":
+        event(f"certified {certified.kind}, full run Completed by t_end")
+        full = run_simulation(spec_at(a, 20.0))
+    else:
+        event(f"certified {certified.kind} by t_end")
     assert certified.steps <= full.steps
+    sup = full.trajectory.sup_abs_u
+    if full.kind == "Completed":
+        # stalled where dt |L x| < newton_tol, at a sup of order newton_tol / dt
+        event("decay stalled")
+        ctl = spec_at(a, 20.0).controls
+        assert certified.kind == "Decayed"
+        assert sup[-1] == sup[-2] < 10.0 * ctl.newton_tol / ctl.dt_max
+        return
+    assert certified.kind == full.kind
