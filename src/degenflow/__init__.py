@@ -35,7 +35,6 @@ from .discretization import (
     build_grid,
     cell_volumes,
     integrate,
-    quad_weights,
     weight_on_grid,
     write_field_csv,
 )

@@ -1,18 +1,19 @@
-"""Uniform grids on intervals, balls, and squares, with weighted quadrature.
+"""Uniform grids on intervals, balls, and squares, with their node measure.
 
 Three modes share one Grid type:
 
 * interval  -- [0, extent] with Dirichlet nodes at both ends,
 * radial    -- radii [0, extent] of an n-ball; r=0 is a symmetry node and
-               only the rim is Dirichlet; integrals carry the r**(n-1)
-               Jacobian and the sphere surface factor,
+               only the rim is Dirichlet; the node measure is the volume
+               of each node's shell, the sphere surface factor included,
 * tensor2d  -- [0, extent]**2 tensor grid with Dirichlet edges.
 
 resolution counts cells per axis, so a grid has resolution+1 nodes per
-axis.  Quadrature is composite trapezoid.  cell_volumes gives the
-finite-volume node weights that the operator module uses for its
-variational inner product; on interval and tensor grids they coincide
-with the trapezoid weights, on radial grids they are shell volumes.
+axis.  cell_volumes is the package's one node measure: the operator's
+variational inner product, every integral, the recorded trajectory and the
+eigenfunction's normalisation all take it.  On interval and tensor grids it
+is the composite trapezoid weights; on radial grids the shell volumes tile
+the ball exactly.
 """
 
 from __future__ import annotations
@@ -124,22 +125,13 @@ def _trap_1d(m, h):
     return w
 
 
-def quad_weights(grid):
-    """Composite trapezoid node weights, with the radial Jacobian folded in."""
+def cell_volumes(grid):
+    """Finite-volume node weights: the measure of the cell each node owns,
+    the trapezoid weights on interval and tensor grids."""
     if grid.mode == MODE_INTERVAL:
         return _trap_1d(grid.shape[0], grid.h[0])
-    if grid.mode == MODE_RADIAL:
-        r = grid.axes[0]
-        return surface_area(grid.dim) * _trap_1d(grid.shape[0], grid.h[0]) * r ** (grid.dim - 1)
-    wx = _trap_1d(grid.shape[0], grid.h[0])
-    wy = _trap_1d(grid.shape[1], grid.h[1])
-    return np.outer(wx, wy)
-
-
-def cell_volumes(grid):
-    """Finite-volume node weights: the measure of the cell each node owns."""
-    if grid.mode != MODE_RADIAL:
-        return quad_weights(grid)
+    if grid.mode == MODE_TENSOR2D:
+        return np.outer(_trap_1d(grid.shape[0], grid.h[0]), _trap_1d(grid.shape[1], grid.h[1]))
     r = grid.axes[0]
     h = grid.h[0]
     n = grid.dim
@@ -157,13 +149,14 @@ def weight_on_grid(spec, grid):
 
 
 def integrate(field, weight=None):
-    """Weighted integral of a field by composite trapezoid quadrature."""
+    """Weighted integral of a field: its values times the weight, summed
+    against the cell volumes."""
     grid = field.grid
-    return quadrature_sum(quad_weights(grid) * weight_on_grid(weight, grid), field.values)
+    return quadrature_sum(cell_volumes(grid) * weight_on_grid(weight, grid), field.values)
 
 
 def quadrature_sum(nodal_weights, vals):
-    """integrate with its node weights, quad_weights times the weight,
+    """integrate with its node weights, the cell volumes times the weight,
     computed once by the caller."""
     if not np.isfinite(vals).all():
         raise NumericalError("field contains non-finite values")

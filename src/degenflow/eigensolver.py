@@ -53,7 +53,6 @@ from .discretization import (
     MODE_TENSOR2D,
     Field,
     cell_volumes,
-    quad_weights,
     quadrature_sum,
     weight_on_grid,
     write_field_csv,
@@ -113,9 +112,9 @@ class EigenPair:
         )
 
 
-def _normalize(values, qw):
-    # unit mass: the quadrature integral of the field is 1
-    scale = quadrature_sum(qw, values)
+def _normalize(values, vol):
+    # unit mass: the integral of the field over the cell volumes is 1
+    scale = quadrature_sum(vol, values)
     if not np.isfinite(scale) or scale == 0.0:
         raise ConvergenceError("eigensolver iterate collapsed to zero")
     return values / scale
@@ -189,7 +188,8 @@ def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
     g the Euler-Lagrange residual and d the direction; the point at tau*
     is kept when 0 < tau* <= 4 tau and R is lower there.  tol defaults to
     1e-6 at p = 2 and 1e-4 otherwise, and must lie in (0, 1) (check_tol).
-    The eigenfunction has unit mass: its integral over the domain is 1.
+    The eigenfunction has unit mass: its integral, sum V phi over the cell
+    volumes V, is 1.
 
     Returns an EigenPair whose eigenvalue is R and residual || L u + mu
     (m / vol) u^{q-1} || / || mu (m / vol) u^{q-1} || over the interior
@@ -222,14 +222,13 @@ def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
     q = p if q is None else q
     density = w if weighted_mass else np.ones(len(w))
     measure = vol * density
-    qw = quad_weights(grid).ravel()[grid.interior]
 
     x = np.ones(len(w))
     # a few smoothing solves bend the flat start toward the ground mode
     for _ in range(3):
         x = solve(measure * x)
         x /= np.abs(x).max()
-    x = _normalize(np.abs(x), qw)
+    x = _normalize(np.abs(x), vol)
 
     evals = 0
 
@@ -249,7 +248,7 @@ def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
         # the folded, normalized iterate x + tau * step, its R, mass and
         # FaceFlux, or R = inf when that iterate is zero
         try:
-            trial = _normalize(np.abs(x + tau * step), qw)
+            trial = _normalize(np.abs(x + tau * step), vol)
             return (trial, *quotient(trial))
         except (ConvergenceError, ConfigError):
             return None, np.inf, None, None

@@ -13,7 +13,6 @@ from degenflow import (
     build_grid,
     cell_volumes,
     integrate,
-    quad_weights,
     surface_area,
     weight_on_grid,
     write_field_csv,
@@ -96,14 +95,14 @@ def test_quadrature_interval_polynomial():
     assert integrate(f) == pytest.approx(2.0, rel=1e-14)
 
 
-def test_quadrature_radial_measures_ball():
-    # integral of 1 over B_R in R^n
-    n, R = 2, 3.0
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadrature_radial_measures_ball(n):
+    # integral of 1 over B_R in R^n: the cell volumes tile the ball exactly
+    R = 3.0
     g = build_grid("radial", R, 64, n=n)
     one = Field(g, np.ones(g.shape))
     exact = surface_area(n) * R**n / n
     assert integrate(one) == pytest.approx(exact, rel=1e-12)
-    # cell volumes tile the same ball exactly
     assert cell_volumes(g).sum() == pytest.approx(exact, rel=1e-12)
 
 
@@ -114,11 +113,11 @@ def test_quadrature_tensor_separable():
     assert integrate(f) == pytest.approx(0.25, rel=1e-12)
 
 
-def test_quad_weights_sum_to_measure():
+def test_cell_volumes_sum_to_measure():
     g = build_grid("interval", 2.0, 10)
-    assert quad_weights(g).sum() == pytest.approx(2.0)
+    assert cell_volumes(g).sum() == pytest.approx(2.0)
     g2 = build_grid("tensor2d", 2.0, 10)
-    assert quad_weights(g2).sum() == pytest.approx(4.0)
+    assert cell_volumes(g2).sum() == pytest.approx(4.0)
 
 
 def test_integrate_with_weight():

@@ -276,7 +276,9 @@ def test_factor_error_halves_dt(monkeypatch):
 def test_step_failure_at_dt_min_decides_at_once(monkeypatch):
     """A step that fails at dt_min is not retried: the same state, t and dt
     would fail the same way.  Here seven steps succeed, the eighth stalls
-    with the sup norm ramping, and the run is a blow-up."""
+    with the sup norm ramping, and the run is a blow-up.  Without a ramping
+    tail the same failure raises NumericalError with the trajectory so far:
+    a heat run whose fourth step is made to fail."""
     spec = _sin_problem(amplitude=100.0, resolution=32, t_end=1.0, dt0=1e-3, dt_max=1e-3,
                         reaction=ReactionSpec.power(1.0, 2.0), dt_min=1e-3)
     attempts = []
@@ -291,6 +293,22 @@ def test_step_failure_at_dt_min_decides_at_once(monkeypatch):
     assert outcome.kind == "BlowUp"
     assert len(attempts) == 8
     assert outcome.trajectory.times[-1] == pytest.approx(7e-3)
+
+    def fourth_fails(system, x_old, t, *args, **kwargs):
+        attempts.append(t)
+        if len(attempts) == 4:
+            raise _StepFailure("made to fail")
+        return step(system, x_old, t, *args, **kwargs)
+
+    attempts.clear()
+    monkeypatch.setattr(timestepper, "step_implicit", fourth_fails)
+    heat = _sin_problem(resolution=32, t_end=1.0, dt0=1e-3, dt_max=1e-3, dt_min=1e-3)
+    with pytest.raises(NumericalError, match="without blow-up signature") as failure:
+        run_simulation(heat)
+    assert len(attempts) == 4
+    traj = failure.value.trajectory
+    assert traj.times == pytest.approx([0.0, 1e-3, 2e-3, 3e-3])
+    assert np.all(np.diff(traj.sup_abs_u) < 0.0)
 
 
 def test_last_step_lands_on_t_end():
@@ -1163,10 +1181,17 @@ def test_blowup_estimate_is_bracketed(samples, steps, t0, sigma, profile, growth
 
 def test_decay_rate_fit():
     """The decay rate of an exact exponential is recovered from its
-    mid-decay window."""
+    mid-decay window, from the positive samples of the second half where
+    that window holds fewer than 5, and is NaN where fewer than 2 remain."""
+    fit = timestepper._fit_exponential_rate
     ts = np.linspace(0.0, 10.0, 200)
-    rate = timestepper._fit_exponential_rate(ts, 5.0 * np.exp(-3.0 * ts), 5.0)
-    assert rate == pytest.approx(3.0, rel=1e-12)
+    assert fit(ts, 5.0 * np.exp(-3.0 * ts), 5.0) == pytest.approx(3.0, rel=1e-12)
+    # 2 of the 8 samples lie in the window (1e-7, 1e-2) sup0
+    ts = np.linspace(0.0, 10.0, 8)
+    sups = 5.0 * np.exp(-3.0 * ts)
+    assert np.sum((sups > 5e-7) & (sups < 5e-2)) == 2
+    assert fit(ts, sups, 5.0) == pytest.approx(3.0, rel=1e-12)
+    assert np.isnan(fit([0.0, 1.0], [5.0, 5e-3], 5.0))
 
 
 class TestSpecValidation:
@@ -1343,11 +1368,7 @@ def test_certified_verdict_is_the_full_runs(mode, resolution, n, theta_w, sigma,
     order of data below or above the steady state U.  The verdict is the
     eventual kind: by a short t_end the full run may still be Completed
     (most decays take longer than 0.3), and then the same data run to
-    t_end = 20 end in the certified kind.  The one exception is a decay
-    that stalls: below sup 1 the Newton tolerance is absolute, so once
-    dt |residual| < newton_tol the step keeps the old state, and on a
-    weighted ball, where sup|u0| is small, that happens above the decay
-    floor 1e-8 sup|u0|.  Where U has no discrete solve (on a coarse
+    t_end = 20 end in the certified kind.  Where U has no discrete solve (on a coarse
     weighted ball the quotient can keep falling as the profile
     concentrates at the centre node, and the solve stalls), nothing is
     certified."""
@@ -1371,12 +1392,21 @@ def test_certified_verdict_is_the_full_runs(mode, resolution, n, theta_w, sigma,
     else:
         event(f"certified {certified.kind} by t_end")
     assert certified.steps <= full.steps
-    sup = full.trajectory.sup_abs_u
-    if full.kind == "Completed":
-        # stalled where dt |L x| < newton_tol, at a sup of order newton_tol / dt
-        event("decay stalled")
-        ctl = spec_at(a, 20.0).controls
-        assert certified.kind == "Decayed"
-        assert sup[-1] == sup[-2] < 10.0 * ctl.newton_tol / ctl.dt_max
-        return
     assert certified.kind == full.kind
+
+
+@pytest.mark.parametrize("resolution, n", [(8, 2), (32, 2), (8, 3), (16, 3)])
+def test_small_decay_reaches_the_decay_floor(resolution, n):
+    """Data with sup|u0| < 1 decay to the floor 1e-8 sup|u0|: the Newton
+    tolerance is relative to them, where an absolute one kept the old state
+    once dt |residual| < newton_tol and left the run Completed at t_end.
+    On a weighted ball at 0.8 a_sub, sup|u0| is about 0.06."""
+    spec_at, u_ss, phi0 = _certified_problem("radial", resolution, n, 1.0, 3.0)
+    a_sub, _ = _ratio_bounds(u_ss, phi0)
+    spec = spec_at(0.8 * a_sub, 20.0)
+    sup0 = float(np.abs(spec.initial.values).max())
+    assert sup0 < 1.0
+    outcome = run_simulation(spec)
+    assert outcome.kind == "Decayed"
+    assert outcome.trajectory.times[-1] < 20.0
+    assert outcome.trajectory.sup_abs_u[-1] < 1e-8 * sup0
