@@ -110,10 +110,7 @@ _SCHEMA = {
         "snapshot_times": (_as_float_list, None),
     },
     "controls": {
-        "dt_min": (_as_float, 1e-12),
         "dt_max": (_as_float, 0.1),
-        "u_cap": (_as_float, 0.0),
-        "newton_tol": (_as_float, 1e-10),
     },
     "eigen": {
         "tol": (_as_float, None),
@@ -280,7 +277,7 @@ def _at_line(exc, lines):
 
 def _check_values(sections, reads, explicit):
     """The checks of the sections read that need no grid or data: the
-    StepControls and ProblemSpec schedule checks, the eigensolver tol, the
+    ProblemSpec exponent and schedule checks, the eigensolver tol, the
     scan amplitudes, tolerance and reaction term, verify-exact's grid mode,
     p and resolutions, and decay-fit's window and reaction term.  They run
     at parse time so that a bad value fails before any work, naming the
@@ -288,13 +285,13 @@ def _check_values(sections, reads, explicit):
     prob = sections["problem"]
     try:
         if "controls" in reads:
-            ProblemSpec.check_schedule(prob["t_end"], prob["dt0"],
-                                       StepControls(**sections["controls"]),
-                                       prob["snapshot_times"] or ())
+            ProblemSpec.check_scalars(prob["p"], prob["theta_w"], prob["t_end"], prob["dt0"],
+                                      StepControls(**sections["controls"]),
+                                      prob["snapshot_times"] or ())
         if "eigen" in reads and sections["eigen"]["tol"] is not None:
             check_tol(sections["eigen"]["tol"])
         if "scan" in reads:
-            _check_scan(sections["scan"], prob)
+            _check_scan(sections["scan"], prob, ("problem", "amplitude") in explicit)
         if "verify" in reads:
             if prob["mode"] not in ("radial", "interval"):
                 raise ConfigError("verify-exact runs on radial or interval grids", keys=("mode",))
@@ -315,11 +312,12 @@ def _check_values(sections, reads, explicit):
         raise _at_line(exc, explicit)
 
 
-def _check_scan(scan, prob):
+def _check_scan(scan, prob, sets_amplitude):
     """Raise ConfigError unless the problem has a power reaction term with
     sigma > p - 1 (exp_forced blows up at every amplitude and sigma <= p - 1
-    at none), and [scan] sets values, all positive, and a positive rel_tol:
-    the scan bisects geometrically and stops on its bracket's ratio."""
+    at none) and no amplitude of its own, and [scan] sets values, all
+    positive, and a positive rel_tol: the scan probes those amplitudes,
+    bisects geometrically and stops on its bracket's ratio."""
     if prob["reaction"] == "none":
         raise ConfigError("blowup-scan needs a reaction term", keys=("reaction",))
     if prob["reaction"] == "exp_forced":
@@ -328,6 +326,9 @@ def _check_scan(scan, prob):
     if prob["reaction"] == "power" and not prob["sigma"] > prob["p"] - 1.0:
         raise ConfigError(f"blowup-scan with reaction = power needs sigma > p - 1, got "
                           f"sigma = {prob['sigma']}, p = {prob['p']}", keys=("sigma", "p"))
+    if sets_amplitude:
+        raise ConfigError("blowup-scan does not read 'amplitude' in [problem]: it probes the "
+                          "[scan] values", keys=("amplitude",))
     if scan["values"] is None:
         raise ConfigError("blowup-scan needs [scan] values")
     bad = [a for a in scan["values"] if not a > 0.0]
@@ -412,17 +413,17 @@ def _initial_values(cfg, grid, weight):
     prob = cfg.sections["problem"]
     a = prob["amplitude"]
     ext = grid.extent
-    if prob["initial"] == "sin":
-        if grid.mode == "interval":
-            x = grid.axes[0]
-            return a * np.sin(np.pi * x / ext)
-        if grid.mode == "tensor2d":
-            x, y = grid.axes
-            return a * np.sin(np.pi * x / ext)[:, None] * np.sin(np.pi * y / ext)[None, :]
-        r = grid.axes[0]
-        return a * np.cos(0.5 * np.pi * r / ext)
-    exps = _exponents(cfg, grid, weight)
-    vals = a * diag.barenblatt_corrected(grid.radius(), prob["initial_time"], exps)
+    if prob["initial"] == "barenblatt":
+        vals = a * diag.barenblatt_corrected(grid.radius(), prob["initial_time"],
+                                             _exponents(cfg, grid, weight))
+    elif grid.mode == "interval":
+        vals = a * np.sin(np.pi * grid.axes[0] / ext)
+    elif grid.mode == "tensor2d":
+        x, y = grid.axes
+        vals = a * np.sin(np.pi * x / ext)[:, None] * np.sin(np.pi * y / ext)[None, :]
+    else:
+        vals = a * np.cos(0.5 * np.pi * grid.axes[0] / ext)
+    # sin(pi) and cos(pi / 2) are not 0.0 in floating point
     vals[grid.boundary_mask] = 0.0
     return vals
 
@@ -509,22 +510,20 @@ def _cmd_solve(cfg, out):
     prob = cfg.sections["problem"]
     eigenpair = None
     if prob["reaction"] != "none":
-        # the problem's checks, u_cap's among them, run before the eigensolve
-        _build_problem(cfg, grid, weight, None)
         eigenpair = _solve_eigen(cfg, grid, weight)
     outcome = _run_one(cfg, grid, weight, eigenpair, out)
     write_json(out / "summary.json", _summary(cfg, _solve_summary(cfg, outcome, eigenpair)))
     return EXIT_OK
 
 
-def _steady_state_bracket(cfg, spec, eigenpair, phi0, body):
+def _steady_state_bracket(cfg, spec, eigenpair, body):
     """Add to body [a_sub, a_super], the range of U / phi0 over the interior
-    nodes for the steady state U and the data phi0 at amplitude 1, and g0
-    at both.  Return U if it certifies the runs of spec (certificate_holds;
+    nodes for the steady state U and the data phi0 of spec, at amplitude 1,
+    and g0 at both.  Return U if it certifies the runs of spec (certificate_holds;
     only then is it solved to STEADY_STATE_TOL), else None; a steady state
     that does not converge is recorded in body instead."""
     prob = cfg.sections["problem"]
-    grid, weight = spec.grid, spec.weight
+    grid, weight, phi0 = spec.grid, spec.weight, spec.initial.values
     try:
         u = steady_state(grid, weight, prob["p"], prob["alpha0"], prob["sigma"],
                          tol=STEADY_STATE_TOL if certificate_holds(spec) else None)
@@ -558,17 +557,16 @@ def _cmd_blowup_scan(cfg, out):
         sections["problem"]["amplitude"] = a
         return ExperimentConfig(cfg.command, cfg.output_dir, sections)
 
-    # u_cap must exceed the largest probe's initial sup, checked before any work
-    spec = _build_problem(with_amplitude(max(scan["values"])), grid, weight, None)
     eigenpair = _solve_eigen(cfg, grid, weight)
     lam1 = eigenpair.eigenvalue
     body = {"lambda1": lam1, "rel_tol": scan["rel_tol"]}
-    certificate = _steady_state_bracket(cfg, spec, eigenpair,
-                                        _initial_values(with_amplitude(1.0), grid, weight), body)
+    # the scan config's amplitude is the default 1: _check_scan rejects a set one
+    certificate = _steady_state_bracket(cfg, _build_problem(cfg, grid, weight, None),
+                                        eigenpair, body)
 
     def probe(a, certify=True):
         return _run_one(with_amplitude(a), grid, weight, eigenpair,
-                        out / "runs" / f"A_{a:.8g}",
+                        out / "runs" / f"A_{a:.17g}",
                         certificate if certify and a not in scan["values"] else None)
 
     runs, bracket, undecided = bisect_dichotomy(probe, scan["values"], scan["rel_tol"])

@@ -43,8 +43,8 @@ FaceFlux.
 run_simulation wraps the stepper with proportional step-size control and
 classifies the outcome as completed, decayed, or blown up.  Blow-up can
 never be observed literally on a finite grid; the operational rule is a
-sup-norm cap (default 1e8 times the initial sup) or a step failure at
-dt_min while the sup norm is ramping, or a state below or above a steady
+sup-norm cap of CAP_FACTOR times the initial sup or a step failure at
+DT_MIN while the sup norm is ramping, or a state below or above a steady
 state handed in as a certificate.  bisect_dichotomy brackets the amplitude
 that separates decay from blow-up, by runs it is handed.
 """
@@ -89,21 +89,18 @@ GROWTH_FACTOR = 1.2
 MAX_GROWTH_PER_STEP = 1.5
 # relative margin around a certificate U, far wider than U's solve error
 CERTIFICATE_MARGIN = 1e-4
+# a step that fails at DT_MIN ends the run; a sup norm of CAP_FACTOR times
+# the initial sup (CAP_FACTOR for zero data) is blow-up
+DT_MIN = 1e-12
+CAP_FACTOR = 1e8
 
 
 @dataclass(frozen=True)
 class StepControls:
-    dt_min: float = 1e-12
     dt_max: float = 0.1
-    u_cap: float = 0.0  # 0 means "derive from initial data"
     newton_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.dt_min <= self.dt_max:
-            raise ConfigError("need 0 < dt_min <= dt_max", keys=("dt_min", "dt_max"))
-        if not self.u_cap >= 0.0:
-            raise ConfigError(f"u_cap must be >= 0 (0 derives it), got {self.u_cap}",
-                              keys=("u_cap",))
         if not self.newton_tol > 0.0:
             raise ConfigError(f"newton_tol must be positive, got {self.newton_tol}",
                               keys=("newton_tol",))
@@ -122,29 +119,27 @@ class ProblemSpec:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if not self.p >= 2.0:
-            raise ConfigError(f"p must be >= 2, got {self.p}")
-        theta = getattr(self.weight, "theta_w", 0.0) if self.weight is not None else 0.0
-        if not 0.0 <= theta < self.p:
-            raise ConfigError(
-                f"weight exponent theta_w must lie in [0, p); got {theta} with p={self.p}"
-            )
+        self.check_scalars(self.p, getattr(self.weight, "theta_w", 0.0), self.t_end, self.dt0,
+                           self.controls, self.snapshot_times)
         if self.initial.grid is not self.grid:
             raise ConfigError("initial data must live on the problem grid")
         bdry = np.abs(self.initial.values[self.grid.boundary_mask])
         if bdry.size and bdry.max() > 1e-12:
             raise ConfigError("initial data must vanish on the Dirichlet boundary")
-        self.check_schedule(self.t_end, self.dt0, self.controls, self.snapshot_times)
-        if self.sup0 > 0.0 and self.cap_value() <= self.sup0:
-            raise ConfigError("u_cap must exceed sup of the initial data", keys=("u_cap",))
 
     @staticmethod
-    def check_schedule(t_end, dt0, controls, snapshot_times):
-        """The checks of the run's time schedule that need no grid or data."""
+    def check_scalars(p, theta, t_end, dt0, controls, snapshot_times):
+        """The checks of the exponents and the time schedule, which need no
+        grid or data."""
+        if not p >= 2.0:
+            raise ConfigError(f"p must be >= 2, got {p}", keys=("p",))
+        if not 0.0 <= theta < p:
+            raise ConfigError(f"weight exponent theta_w must lie in [0, p); got {theta} with "
+                              f"p={p}", keys=("theta_w", "p"))
         if not t_end > 0.0:
             raise ConfigError("t_end must be positive", keys=("t_end",))
-        if not controls.dt_min <= dt0 <= controls.dt_max:
-            raise ConfigError("need dt_min <= dt0 <= dt_max", keys=("dt0", "dt_min", "dt_max"))
+        if not DT_MIN <= dt0 <= controls.dt_max:
+            raise ConfigError(f"need {DT_MIN:g} <= dt0 <= dt_max", keys=("dt0", "dt_max"))
         outside = [ts for ts in snapshot_times if not 0.0 <= ts <= t_end]
         if outside:
             raise ConfigError(f"snapshot time {outside[0]} outside [0, t_end = {t_end}]",
@@ -156,9 +151,7 @@ class ProblemSpec:
         return float(np.abs(self.initial.values).max())
 
     def cap_value(self):
-        if self.controls.u_cap > 0.0:
-            return self.controls.u_cap
-        return 1e8 * self.sup0 if self.sup0 > 0.0 else 1e8
+        return CAP_FACTOR * self.sup0 if self.sup0 > 0.0 else CAP_FACTOR
 
 
 @dataclass
@@ -334,7 +327,7 @@ def _count(stats, key):
 def step_implicit(system, x_old, t, dt, spec, stats=None):
     """One backward-Euler step of the interior vector x_old from t to
     t + dt on the run's _NewtonSystem; returns the new interior vector.
-    Raises on solver failure; dt may be below dt_min on a run's last step.
+    Raises on solver failure; dt may be below DT_MIN on a run's last step.
 
     stats, when given, counts "newton_iters" and "factorizations".  The step
     ends when the residual is at most newton_tol * max(sup |x_old|,
@@ -443,7 +436,7 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     The trajectory's g column is integral(omega * u0 * u) when an eigenpair
     is supplied and integral(omega * u) otherwise.  The state is the
     interior vector x throughout; only snapshots are scattered into Fields.
-    The last step lands on t_end, shorter than dt_min if less is left.
+    The last step lands on t_end, shorter than DT_MIN if less is left.
 
     certificate, a steady state U as a Field for which certificate_holds
     (else ConfigError), ends the run at a recorded state (t = 0 included)
@@ -499,22 +492,22 @@ def run_simulation(spec, eigenpair=None, certificate=None):
         # land exactly on the next snapshot time when the floor allows it
         # (min with dt_max: the float gap can overshoot it by roundoff,
         # which the snapshot pop tolerance then absorbs)
-        if pending and t + dt > pending[0] - 1e-14 and pending[0] - t >= ctl.dt_min:
+        if pending and t + dt > pending[0] - 1e-14 and pending[0] - t >= DT_MIN:
             dt = min(pending[0] - t, ctl.dt_max)
 
         before = stats.get("newton_iters", 0)
         try:
             x_new = step_implicit(system, x, t, dt, spec, stats)
         except (_StepFailure, FactorError):
-            if dt > ctl.dt_min:
-                dt = max(dt * 0.5, ctl.dt_min)
+            if dt > DT_MIN:
+                dt = max(dt * 0.5, DT_MIN)
                 continue
             # a retry from the same state, t and dt would fail the same way
             if _tail_is_ramping(traj):
                 outcome = KIND_BLOWUP
                 break
             raise NumericalError(
-                "step failure at dt_min without blow-up signature",
+                "step failure at DT_MIN without blow-up signature",
                 trajectory=traj,
             )
         iters = stats.get("newton_iters", 0) - before
@@ -528,11 +521,11 @@ def run_simulation(spec, eigenpair=None, certificate=None):
         sup_old = traj.sup_abs_u[-1]
         sup_new = float(np.abs(x_new).max())
         if (
-            dt > ctl.dt_min
+            dt > DT_MIN
             and sup_old > 0.0
             and sup_new > MAX_GROWTH_PER_STEP * sup_old
         ):
-            dt = max(dt * 0.5, ctl.dt_min)
+            dt = max(dt * 0.5, DT_MIN)
             continue
 
         t += dt

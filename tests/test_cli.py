@@ -137,7 +137,7 @@ class TestParseConfig:
         assert cfg.command == "eigen"
         assert cfg.sections["problem"]["resolution"] == 128
         assert cfg.sections["problem"]["p"] == 2.0
-        assert cfg.sections["controls"]["dt_min"] == 1e-12
+        assert cfg.sections["controls"] == {"dt_max": 0.1}
 
     def test_unknown_key_reports_line(self):
         text = "command = eigen\noutput_dir = out\n[problem]\nresolutoin = 4\n"
@@ -310,10 +310,10 @@ class TestReadme:
         assert len(amplitudes) > 2  # the two listed probes and a bisection
         for run in summary["runs"]:
             a = run["amplitude"]
-            header = (out / "runs" / f"A_{a:.8g}" / "trajectory.csv").read_text()
+            header = (out / "runs" / f"A_{a:.17g}" / "trajectory.csv").read_text()
             config = json.loads(re.search(r"^# config: (.*)$", header, re.M).group(1))
             assert config["sections"]["problem"]["amplitude"] == a
-            outcome = json.loads((out / "runs" / f"A_{a:.8g}" / "outcome.json").read_text())
+            outcome = json.loads((out / "runs" / f"A_{a:.17g}" / "outcome.json").read_text())
             if a in (6.0, 20.0) or a == summary["a_blowup"]:
                 assert "certified_at" not in outcome
                 assert (outcome["T_est"] is None) == (outcome["kind"] == "Decayed")
@@ -479,34 +479,6 @@ class TestMain:
         assert f"line 5: mode = {mode} does not read 'n' in [problem]" in message
         assert eigensolves == []
 
-    def test_low_scan_cap_fails_before_the_eigensolve(self, tmp_path, eigensolves):
-        """A u_cap at or below the largest probe's initial sup exits 2 with
-        a config error.json naming the u_cap line, before the eigensolve
-        and before any probe runs."""
-        out = tmp_path / "out"
-        text = SCAN_CFG.format(out=out).replace("dt_max = 2e-2\n", "dt_max = 2e-2\nu_cap = 10\n")
-        assert _run(tmp_path, "s.cfg", text, "blowup-scan") == EXIT_CONFIG
-        lineno = text.splitlines().index("u_cap = 10") + 1
-        error = json.loads((out / "error.json").read_text())
-        assert error["error_kind"] == "config"
-        assert error["message"] == f"line {lineno}: u_cap must exceed sup of the initial data"
-        assert eigensolves == []
-        assert not (out / "runs").exists()
-
-    def test_low_solve_cap_fails_before_the_eigensolve(self, tmp_path, eigensolves):
-        """A solve with a reaction term checks its u_cap against the
-        initial sup, and exits 2 naming the u_cap line, before it computes
-        the eigenpair."""
-        out = tmp_path / "out"
-        text = (SOLVE_CFG.format(out=out)
-                .replace("amplitude = 1.0\n", "amplitude = 20.0\nreaction = power\n")
-                .replace("dt_max = 5e-3\n", "dt_max = 5e-3\nu_cap = 10\n"))
-        assert _run(tmp_path, "s.cfg", text, "solve") == EXIT_CONFIG
-        lineno = text.splitlines().index("u_cap = 10") + 1
-        error = json.loads((out / "error.json").read_text())
-        assert error["message"] == f"line {lineno}: u_cap must exceed sup of the initial data"
-        assert eigensolves == []
-
     @pytest.mark.parametrize("line", ["kind = exponential", "time_offset = 1.0"])
     def test_decay_fit_offset_and_kind_are_not_keys(self, tmp_path, line):
         """decay-fit fits the algebraic decay exponent only and derives the
@@ -537,7 +509,7 @@ class TestMain:
         assert (summary["a_decay"], summary["a_blowup"]) == (11.374454657912443,
                                                              11.810561477896204)
         for run in summary["runs"]:
-            outcome = json.loads((tmp_path / "full" / "runs" / f"A_{run['amplitude']:.8g}"
+            outcome = json.loads((tmp_path / "full" / "runs" / f"A_{run['amplitude']:.17g}"
                                   / "outcome.json").read_text())
             assert "certified_at" not in outcome
 
@@ -549,7 +521,8 @@ class TestMain:
         full, has not blown up by t_end, so there is no blow-up to fit C on:
         the scan exits 4 with that end as its undecided midpoint and no
         bracket, and its runs entry is the rerun's Completed with the
-        probe's certified_at."""
+        probe's certified_at.  Every probe writes a directory of its own,
+        though the bisection's last amplitudes agree to 11 digits."""
         monkeypatch.chdir(tmp_path)
         text = (SCAN_CFG.format(out="short").replace("t_end = 3.0", "t_end = 2.2")
                 .replace("rel_tol = 0.05", "rel_tol = 1e-11"))
@@ -559,10 +532,15 @@ class TestMain:
         end = runs[summary["undecided_midpoint"]]
         assert end["kind"] == "Completed" and end["certified_at"] is not None
         assert not {"a_decay", "a_blowup", "C_fit"} & set(summary)
-        outcome = json.loads((tmp_path / "short" / "runs" / f"A_{end['amplitude']:.8g}"
+        outcome = json.loads((tmp_path / "short" / "runs" / f"A_{end['amplitude']:.17g}"
                               / "outcome.json").read_text())
         assert outcome["kind"] == "Completed" and "certified_at" not in outcome
         assert (runs[6.0]["kind"], runs[20.0]["kind"]) == ("Decayed", "BlowUp")
+        assert len(list((tmp_path / "short" / "runs").iterdir())) == len(runs)
+        for a in runs:
+            probe = json.loads((tmp_path / "short" / "runs" / f"A_{a:.17g}"
+                                / "outcome.json").read_text())
+            assert probe["amplitude"] == a
 
     def test_scan_at_p3_solves_the_steady_state_to_the_eigen_default(self, tmp_path,
                                                                        monkeypatch):
@@ -680,6 +658,19 @@ class TestMain:
             expected = f"line {lines.index(f'{key} = 1') + 1}: unknown key {key!r}"
         assert expected in message
 
+    @pytest.mark.parametrize("mode, amplitude", [("interval", 1e4), ("radial", 1e5),
+                                                 ("tensor2d", 1e5)])
+    def test_large_sin_data_vanish_on_the_boundary(self, tmp_path, mode, amplitude):
+        """sin(pi) and cos(pi / 2) are about 1e-16 in floating point, so the
+        sin data are set to 0.0 on the Dirichlet nodes: a solve at a large
+        amplitude runs instead of failing the boundary check."""
+        out = tmp_path / "out"
+        text = (SOLVE_CFG.format(out=out)
+                .replace("mode = interval", f"mode = {mode}" + "\nn = 2" * (mode == "radial"))
+                .replace("amplitude = 1.0", f"amplitude = {amplitude}"))
+        assert _run(tmp_path, "s.cfg", text, "solve") == EXIT_OK
+        assert _summary(out)["kind"] == "Completed"
+
     @pytest.mark.parametrize("line", [
         "resolution = inf",
         "t_end = -inf",
@@ -694,18 +685,18 @@ class TestMain:
                                 f"{line}\n", out)
         assert "line 4: bad value" in message
 
-    @pytest.mark.parametrize("line, message", [
-        ("u_cap = -5.0", "u_cap must be >= 0"),
-        ("newton_tol = 0", "newton_tol must be positive"),
-        ("newton_tol = -1e-10", "newton_tol must be positive"),
-    ])
-    def test_bad_step_control_is_config_error(self, tmp_path, line, message):
-        """A negative u_cap (0 derives the cap from the data) and a
-        newton_tol that is not positive exit 2 with a config error.json and
-        no trajectory, instead of being read as 0 or halving every step
-        down to dt_min."""
+    @pytest.mark.parametrize("line", ["u_cap = -5.0", "newton_tol = 0", "newton_tol = -1e-10"],
+                             ids=["u_cap", "newton_tol-zero", "newton_tol-negative"])
+    def test_bad_step_control_is_config_error(self, tmp_path, line):
+        """The blow-up cap and the Newton tolerance are not [controls] keys
+        (the cap is timestepper.CAP_FACTOR times the initial sup), so
+        setting one exits 2 with a config error.json naming its line and no
+        trajectory."""
         out = tmp_path / "out"
-        assert message in _config_error("solve", SOLVE_CFG.format(out=out) + f"{line}\n", out)
+        text = SOLVE_CFG.format(out=out) + f"{line}\n"
+        key = line.split(" =")[0]
+        assert _config_error("solve", text, out) == (
+            f"line {len(text.splitlines())}: unknown key {key!r} in [controls]")
 
     def test_snapshot_time_outside_the_run_is_config_error(self, tmp_path):
         """A snapshot time outside [0, t_end] exits 2 with a config
@@ -716,10 +707,11 @@ class TestMain:
         assert "snapshot time 0.5 outside [0, t_end = 0.05]" in _config_error("solve", text, out)
 
     @pytest.mark.parametrize("old, new, message", [
-        ("dt_max = 2e-2", "dt_max = 2e-2\nnewton_tol = 0", "newton_tol must be positive, got 0.0"),
-        ("dt_max = 2e-2", "dt_max = 2e-2\nu_cap = -5", "u_cap must be >= 0"),
-        ("dt_max = 2e-2", "dt_max = 2e-2\ndt_min = 1.0", "need 0 < dt_min <= dt_max"),
-        ("dt0 = 1e-3", "dt0 = 1.0", "need dt_min <= dt0 <= dt_max"),
+        ("dt_max = 2e-2", "dt_max = 2e-2\nnewton_tol = 0",
+         "unknown key 'newton_tol' in [controls]"),
+        ("dt_max = 2e-2", "dt_max = 2e-2\nu_cap = -5", "unknown key 'u_cap' in [controls]"),
+        ("dt_max = 2e-2", "dt_max = 2e-2\ndt_min = 1.0", "unknown key 'dt_min' in [controls]"),
+        ("dt0 = 1e-3", "dt0 = 1.0", "need 1e-12 <= dt0 <= dt_max"),
         ("t_end = 3.0", "t_end = 0", "t_end must be positive"),
         ("dt0 = 1e-3", "dt0 = 1e-3\nsnapshot_times = 0.5, 4.0",
          "snapshot time 4.0 outside [0, t_end = 3.0]"),
@@ -729,7 +721,9 @@ class TestMain:
     ], ids=["newton_tol", "u_cap", "dt_min", "dt0", "t_end", "snapshot_times",
             "values-negative", "values-zero", "rel_tol"])
     def test_bad_schedule_fails_at_parse_time(self, tmp_path, eigensolves, old, new, message):
-        """A bad [controls] value, a dt0 outside [dt_min, dt_max], a t_end
+        """A removed [controls] key (the step floor, the blow-up cap and the
+        Newton tolerance are timestepper constants), a dt0 outside
+        [DT_MIN, dt_max], a t_end
         that is not positive, a snapshot time outside [0, t_end], and a scan
         amplitude or rel_tol that is not positive exit 2 at parse time with
         a config error.json naming the line of the key at fault: a scan
@@ -792,14 +786,25 @@ class TestMain:
         ("solve", SOLVE_CFG.replace("initial = sin", "initial = sin\nreaction = cubic"),
          "reaction = cubic",
          "bad value for 'reaction': expected one of none, power, exp_forced, got 'cubic'"),
+        ("decay-fit", DECAY_CFG.replace("p = 3.0\n", "p = 3.0\nweight = power\ntheta_w = 5\n"),
+         "theta_w = 5", "weight exponent theta_w must lie in [0, p); got 5.0 with p=3.0"),
+        ("solve", SOLVE_CFG.replace("p = 2.0\n", "p = 3.0\nweight = power\ntheta_w = -1\n"),
+         "theta_w = -1", "weight exponent theta_w must lie in [0, p); got -1.0 with p=3.0"),
+        ("blowup-scan", SCAN_CFG.replace("sigma = 2.0\n", "sigma = 2.0\namplitude = 7.5\n"),
+         "amplitude = 7.5",
+         "blowup-scan does not read 'amplitude' in [problem]: it probes the [scan] values"),
     ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction",
-            "scan-sigma-below", "scan-sigma-at", "scan-exp-forced", "mode", "weight", "reaction"])
+            "scan-sigma-below", "scan-sigma-at", "scan-exp-forced", "mode", "weight", "reaction",
+            "theta_w-above-p", "theta_w-negative", "scan-amplitude"])
     def test_command_checks_fail_at_parse_time(self, tmp_path, command, text, line, message):
         """A scan without a reaction term, with a power reaction at
         sigma <= p - 1 or with the exp_forced reaction, neither of which has
         an amplitude threshold to bracket, a
         verify-exact on a tensor grid, at p = 2 or with fewer than three
-        resolutions, a decay fit with a reaction term, and a mode, weight or
+        resolutions, a decay fit with a reaction term, a power weight
+        exponent theta_w outside [0, p) in a command that takes a time step,
+        a scan that sets its own amplitude (its probes run the [scan]
+        values), and a mode, weight or
         reaction outside its choices exit 2 at parse time with a config
         error.json naming the line of the key at fault and nothing else
         written, not even resolved_config.txt."""

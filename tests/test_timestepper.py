@@ -274,13 +274,14 @@ def test_factor_error_halves_dt(monkeypatch):
 
 
 def test_step_failure_at_dt_min_decides_at_once(monkeypatch):
-    """A step that fails at dt_min is not retried: the same state, t and dt
+    """A step that fails at DT_MIN is not retried: the same state, t and dt
     would fail the same way.  Here seven steps succeed, the eighth stalls
     with the sup norm ramping, and the run is a blow-up.  Without a ramping
     tail the same failure raises NumericalError with the trajectory so far:
-    a heat run whose fourth step is made to fail."""
+    a heat run whose fourth step is made to fail.  DT_MIN is 1e-3 here."""
+    monkeypatch.setattr(timestepper, "DT_MIN", 1e-3)
     spec = _sin_problem(amplitude=100.0, resolution=32, t_end=1.0, dt0=1e-3, dt_max=1e-3,
-                        reaction=ReactionSpec.power(1.0, 2.0), dt_min=1e-3)
+                        reaction=ReactionSpec.power(1.0, 2.0))
     attempts = []
     step = timestepper.step_implicit
 
@@ -302,7 +303,7 @@ def test_step_failure_at_dt_min_decides_at_once(monkeypatch):
 
     attempts.clear()
     monkeypatch.setattr(timestepper, "step_implicit", fourth_fails)
-    heat = _sin_problem(resolution=32, t_end=1.0, dt0=1e-3, dt_max=1e-3, dt_min=1e-3)
+    heat = _sin_problem(resolution=32, t_end=1.0, dt0=1e-3, dt_max=1e-3)
     with pytest.raises(NumericalError, match="without blow-up signature") as failure:
         run_simulation(heat)
     assert len(attempts) == 4
@@ -311,13 +312,14 @@ def test_step_failure_at_dt_min_decides_at_once(monkeypatch):
     assert np.all(np.diff(traj.sup_abs_u) < 0.0)
 
 
-def test_last_step_lands_on_t_end():
-    """With less than dt_min left before t_end, the run takes that remainder
+def test_last_step_lands_on_t_end(monkeypatch):
+    """With less than DT_MIN left before t_end, the run takes that remainder
     as one shorter step and ends exactly at t_end; a blow-up detected on it
-    keeps T_lo <= T_hi.  Here dt_min = dt_max = 1e-3 and t_end = 0.0105."""
+    keeps T_lo <= T_hi.  Here DT_MIN = dt_max = 1e-3 and t_end = 0.0105."""
+    monkeypatch.setattr(timestepper, "DT_MIN", 1e-3)
+
     def problem(**kw):
-        return _sin_problem(resolution=16, t_end=0.0105, dt0=1e-3, dt_max=1e-3,
-                            dt_min=1e-3, **kw)
+        return _sin_problem(resolution=16, t_end=0.0105, dt0=1e-3, dt_max=1e-3, **kw)
 
     traj = run_simulation(problem()).trajectory
     assert traj.times[-1] == 0.0105
@@ -326,8 +328,8 @@ def test_last_step_lands_on_t_end():
     reaction = ReactionSpec.power(1.0, 2.0)
     sup = run_simulation(problem(amplitude=20.0, reaction=reaction)).trajectory.sup_abs_u
     # a cap between the last two sup norms is reached on the last step
-    outcome = run_simulation(problem(amplitude=20.0, reaction=reaction,
-                                     u_cap=float(np.sqrt(sup[-2] * sup[-1]))))
+    monkeypatch.setattr(timestepper, "CAP_FACTOR", float(np.sqrt(sup[-2] * sup[-1])) / sup[0])
+    outcome = run_simulation(problem(amplitude=20.0, reaction=reaction))
     assert outcome.kind == "BlowUp"
     assert outcome.trajectory.times[-1] == 0.0105
     assert outcome.t_lo <= outcome.t_hi
@@ -476,10 +478,11 @@ def test_run_energy_is_nonincreasing(mode, p, theta_frac, log_dt, log_amplitude,
     dt0 = 10.0**log_dt
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(theta_frac * p), p=p,
                        reaction=ReactionSpec.none(), initial=Field(g, vals),
-                       t_end=5.0 * dt0, dt0=dt0,
-                       controls=StepControls(dt_min=1e-8, dt_max=dt0))
+                       t_end=5.0 * dt0, dt0=dt0, controls=StepControls(dt_max=dt0))
     try:
-        traj = run_simulation(spec).trajectory
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(timestepper, "DT_MIN", 1e-8)
+            traj = run_simulation(spec).trajectory
     except NumericalError:
         event(f"{mode}: run failed")
         return
@@ -504,11 +507,12 @@ def _drawn_state(g, amplitude, rough, seed):
     return vals
 
 
-def _converged_step(g, weight, p, vals, dt):
-    """One backward-Euler step without reaction from vals, with the bound tol
-    its residual must meet: newton_tol * max(sup |vals|, 1).  Returns None,
-    after counting the draw as an unconverged event, when the step fails."""
-    spec = ProblemSpec(grid=g, weight=weight, p=p, reaction=ReactionSpec.none(),
+def _converged_step(g, weight, p, vals, dt, reaction=ReactionSpec.none()):
+    """One backward-Euler step from vals under reaction (none by default),
+    with the bound tol its residual must meet: newton_tol * max(sup |vals|,
+    1).  Returns None, after counting the draw as an unconverged event,
+    when the step fails."""
+    spec = ProblemSpec(grid=g, weight=weight, p=p, reaction=reaction,
                        initial=Field(g, vals), t_end=1.0, dt0=dt)
     label = f"{g.mode}, p {'= 2' if p == 2.0 else '> 2'}"
     try:
@@ -616,7 +620,7 @@ def test_run_energy_column_is_energy_of_its_states(mode, p, theta_frac, log_ampl
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(theta_frac * p), p=p,
                        reaction=ReactionSpec.none(), initial=Field(g, vals),
                        t_end=4e-3, dt0=1e-3, snapshot_times=(1e-3, 2e-3, 3e-3, 4e-3),
-                       controls=StepControls(dt_min=1e-8, dt_max=1e-3))
+                       controls=StepControls(dt_max=1e-3))
     built = []
 
     class CountedFlux(timestepper.FaceFlux):
@@ -627,6 +631,7 @@ def test_run_energy_column_is_energy_of_its_states(mode, p, theta_frac, log_ampl
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(timestepper, "FaceFlux", CountedFlux)
+            patch.setattr(timestepper, "DT_MIN", 1e-8)
             out = run_simulation(spec)
     except NumericalError:
         event(f"{mode}: run failed")
@@ -675,6 +680,59 @@ def test_step_satisfies_maximum_principle(mode, resolution, p, theta_frac, log_d
     u1, tol = stepped
     assert u1.values.max() <= max(vals.max(), 0.0) + tol
     assert u1.values.min() >= min(vals.min(), 0.0) - tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["interval", "radial"]),
+    resolution=st.integers(4, 32),
+    p=st.floats(2.0, 5.0),
+    theta_frac=st.floats(0.0, 1.0, exclude_max=True),
+    alpha0=st.floats(0.1, 1.0),
+    sigma=st.floats(1.0, 3.0, exclude_min=True),
+    log_dt=st.floats(-4.0, -1.0),
+    log_amplitude=st.floats(-1.0, 0.5),
+    gap=st.floats(0.0, 1.0),
+    rough=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_step_keeps_comparison_order(mode, resolution, p, theta_frac, alpha0, sigma, log_dt,
+                                     log_amplitude, gap, rough, seed):
+    """Converged backward-Euler steps under the monotone reaction
+    f(u) = alpha0 |u|^(sigma-1) u on an interval or radial grid keep
+    ordered data ordered and nonnegative data nonnegative: from
+    0 <= u0 <= v0, u1 <= v1 and u1 >= 0, up to the residual slack.
+
+    At an interior node i where w = u1 - v1 is largest, every face
+    difference of u1 toward a neighbour is at most that of v1, and the
+    two-point flux is increasing in the difference, so
+    (L_p u1)_i <= (L_p v1)_i.  Then
+    w_i <= u0_i - v0_i + dt (f(u1_i) - f(v1_i)) + |r_u| + |r_v|
+        <= dt f'(M) w_i + tol_u + tol_v
+    with M = max(sup |u1|, sup |v1|), so w_i <= (tol_u + tol_v) /
+    (1 - dt f'(M)) when dt f'(M) < 1.  Positivity is the same argument
+    against the steady solution 0.  A draw with dt f'(M) >= 1, where the
+    argument gives no bound, and a step that does not converge are counted
+    as events, not filtered out."""
+    g = build_grid(mode, 1.0, resolution, n=2)
+    weight = WeightSpec.power(theta_frac * p)
+    reaction = ReactionSpec.power(alpha0, sigma)
+    amplitude = 10.0**log_amplitude
+    u0 = amplitude * np.abs(_drawn_state(g, 1.0, rough, seed))
+    v0 = u0 + gap * amplitude * np.abs(_drawn_state(g, 1.0, rough, seed + 1))
+    dt = 10.0**log_dt
+    lower = _converged_step(g, weight, p, u0, dt, reaction)
+    upper = _converged_step(g, weight, p, v0, dt, reaction)
+    if lower is None or upper is None:
+        return
+    (u1, tol_u), (v1, tol_v) = lower, upper
+    big = max(np.abs(u1.values).max(), np.abs(v1.values).max())
+    contraction = 1.0 - dt * float(reaction_derivative(reaction, dt, big))
+    if not contraction > 0.0:
+        event("dt f'(M) >= 1: no bound")
+        return
+    assert np.all(u1.values <= v1.values + (tol_u + tol_v) / contraction)
+    assert u1.values.min() >= -tol_u / contraction
 
 
 def _tensor_p3_problem():
@@ -1202,14 +1260,6 @@ class TestSpecValidation:
             ProblemSpec(grid=g, weight=None, p=2.0, reaction=ReactionSpec.none(),
                         initial=bad, t_end=1.0, dt0=1e-3)
 
-    def test_cap_must_clear_initial(self):
-        g = build_grid("interval", 1.0, 16)
-        phi = Field(g, np.sin(np.pi * g.axes[0]))
-        with pytest.raises(ConfigError):
-            ProblemSpec(grid=g, weight=None, p=2.0, reaction=ReactionSpec.none(),
-                        initial=phi, t_end=1.0, dt0=1e-3,
-                        controls=StepControls(u_cap=0.5))
-
     @pytest.mark.parametrize("snaps, bad", [((0.5, 1.5), 1.5), ((0.0, -1e-3, 2.0), -1e-3)])
     def test_snapshot_times_within_the_run(self, snaps, bad):
         g = build_grid("interval", 1.0, 16)
@@ -1222,10 +1272,11 @@ class TestSpecValidation:
         g = build_grid("radial", 1.0, 16, n=2)
         phi = Field(g, np.cos(np.pi * g.axes[0] / 2.0))
         phi.values[-1] = 0.0
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="theta_w must lie in") as err:
             ProblemSpec(grid=g, weight=WeightSpec.power(2.5), p=2.0,
                         reaction=ReactionSpec.none(), initial=phi,
                         t_end=1.0, dt0=1e-3)
+        assert err.value.keys == ("theta_w", "p")
 
     def test_grid_identity_required(self):
         g1 = build_grid("interval", 1.0, 16)

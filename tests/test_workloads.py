@@ -59,5 +59,5 @@ def test_workload_solver_counts_pinned(tmp_path, name):
         amplitudes = [run["amplitude"] for run in _load(out / "summary.json")["runs"]]
         assert amplitudes == sorted(SCAN_PROBES)
         for a in amplitudes:
-            probe = _load(out / "runs" / f"A_{a:.8g}" / "outcome.json")
+            probe = _load(out / "runs" / f"A_{a:.17g}" / "outcome.json")
             assert _counts(probe) == SCAN_PROBES[a], a
