@@ -259,9 +259,7 @@ def _parse_sections(text, sections, command_override):
         if name == "problem" and key in unread:
             raise ConfigError(f"line {lineno}: {unread[key]} does not read {key!r} in [problem]")
 
-    if not sections["problem"]["p"] >= 2.0:
-        raise ConfigError(f"p must be >= 2, got {sections['problem']['p']}")
-    _check_values(sections, reads, explicit)
+    _check_values(sections, command, reads, explicit)
 
     out = sections[""]["output_dir"] or "degenflow-out"
     return ExperimentConfig(command=command, output_dir=out, sections=sections,
@@ -275,19 +273,22 @@ def _at_line(exc, lines):
     return ConfigError(f"line {found[0]}: {exc}") if found else exc
 
 
-def _check_values(sections, reads, explicit):
+def _check_values(sections, command, reads, explicit):
     """The checks of the sections read that need no grid or data: the
-    ProblemSpec exponent and schedule checks, the eigensolver tol, the
-    scan amplitudes, tolerance and reaction term, verify-exact's grid mode,
-    p and resolutions, and decay-fit's window and reaction term.  They run
-    at parse time so that a bad value fails before any work, naming the
-    line of the key at fault."""
+    ProblemSpec exponent checks (but in weights-check, which reads no p and
+    takes any theta_w) and schedule checks, the eigensolver tol, the scan
+    amplitudes, tolerance and reaction term, verify-exact's grid mode, p
+    and resolutions, and decay-fit's window and reaction term.  They run at
+    parse time so that a bad value fails before any work, naming the line
+    of the key at fault."""
     prob = sections["problem"]
     try:
+        if command != "weights-check":
+            ProblemSpec.check_exponents(prob["p"], prob["theta_w"])
         if "controls" in reads:
-            ProblemSpec.check_scalars(prob["p"], prob["theta_w"], prob["t_end"], prob["dt0"],
-                                      StepControls(**sections["controls"]),
-                                      prob["snapshot_times"] or ())
+            ProblemSpec.check_schedule(prob["t_end"], prob["dt0"],
+                                       StepControls(**sections["controls"]),
+                                       prob["snapshot_times"] or ())
         if "eigen" in reads and sections["eigen"]["tol"] is not None:
             check_tol(sections["eigen"]["tol"])
         if "scan" in reads:
@@ -524,9 +525,10 @@ def _steady_state_bracket(cfg, spec, eigenpair, body):
     that does not converge is recorded in body instead."""
     prob = cfg.sections["problem"]
     grid, weight, phi0 = spec.grid, spec.weight, spec.initial.values
+    certifies = certificate_holds(spec)
     try:
         u = steady_state(grid, weight, prob["p"], prob["alpha0"], prob["sigma"],
-                         tol=STEADY_STATE_TOL if certificate_holds(spec) else None)
+                         tol=STEADY_STATE_TOL if certifies else None)
     except ConvergenceError as exc:
         body["steady_state_error"] = str(exc)
         return None
@@ -535,7 +537,7 @@ def _steady_state_bracket(cfg, spec, eigenpair, body):
     g0_unit = integrate(Field(grid, phi0 * eigenpair.eigenfunction.values), weight)
     body.update(a_sub=ratio.min(), a_super=ratio.max(), g0_sub=ratio.min() * g0_unit,
                 g0_super=ratio.max() * g0_unit)
-    body["certifies_midpoints"] = certifies = certificate_holds(spec, u)
+    body["certifies_midpoints"] = certifies
     return u if certifies else None
 
 

@@ -1,52 +1,67 @@
-"""Implicit time marching for u_t = div(omega |grad u|^{p-2} grad u) + f.
+"""Time marching for u_t = div(omega |grad u|^{p-2} grad u) + f.
 
-Each step solves the backward-Euler residual
+The state of a run is the vector x of interior unknowns from start to
+finish, and the semi-discrete system it solves is
 
-    v - u_old - dt * (L_p v + f(x, t + dt, v)) = 0
+    x' = F(t, x) = L_p x + f(x, t),
 
-by damped Newton with a sparse flux-linearized Jacobian.  The state of a
-run is the vector of interior unknowns from start to finish: Newton works
-on it through the interior face operator (plap_operator.face_operator with
-interior=True), so an iteration neither reads nor writes the Dirichlet
-nodes, the recorded sup norm, integrals and energy are taken from it, and
-only a snapshot is scattered into a Field, exactly 0.0 on the Dirichlet
-nodes.  Without a reaction term the residual and the matrix evaluate no
-reaction.  Every step, the linear p = 2 one included, runs the same Newton
-loop and ends when the residual is at most newton_tol times
-max(sup |u_old|, min(1, sup |u0|)): relative to the data when they are
-small, so a small decay reaches the decay floor instead of stalling above
-it.  A step whose update cannot lower the residual fails, and
-run_simulation retries it with half the dt.  Each Newton update solves
+with L_p the divergence of the interior face operator
+(plap_operator.face_operator with interior=True), so a step neither reads
+nor writes the Dirichlet nodes, the recorded sup norm, integrals and energy
+are taken from x, and only a snapshot is scattered into a Field, exactly
+0.0 on the Dirichlet nodes.  Without a reaction term no reaction is
+evaluated.
+
+run_simulation advances it by ROS2 (Verwer, Spee, Blom & Hundsdorfer,
+SIAM J. Sci. Comput. 1999), a two-stage linearly implicit W-method.  With
+gamma = 1 + 1/sqrt(2) and M the Newton matrix below at gamma * dt,
+
+    M k1 = V F(t, x)
+    M k2 = V (F(t + dt, x + dt k1) - 2 k1)
+    x_new = x + 1.5 dt k1 + 0.5 dt k2.
+
+It is L-stable, and of order 2 whatever matrix stands in for the Jacobian
+(Steihaug & Wolfbrandt, Math. Comp. 1979), so one band factorization
+serves both stages, and the frozen-tangential matrix of tensor grids at
+p > 2 serves as it is.  The embedded first-order state x + dt k1 gives the
+step's error e = ||0.5 dt (k1 + k2)||_inf / ||x_new||_inf.  A step is
+accepted when e <= LTE_TOL, and the next dt is
+dt min(2, 0.9 sqrt(LTE_TOL / e)), at least 0.2 dt after a rejection; a
+matrix that is not positive definite halves dt.  dt never drops below
+DT_MIN, but for the last step onto t_end.  F(t, x) and f'(x) are taken
+once per state and reused across rejected attempts.
+
+step_implicit is one backward-Euler step, the solution v of
+
+    v - u_old - dt * (L_p v + f(x, t + dt, v)) = 0,
+
+by damped Newton; the property tests check its energy decrease, maximum
+principle and comparison ordering step by step.  Each Newton update solves
 
     (V + dt K - dt V f') delta = -V r,
 
 which is (I - dt J - dt f') delta = -r multiplied by V into symmetric form,
-with V the interior cell volumes and K the interior stiffness.  The
-matrix's lower-triangle pattern, the map from face conductances to its
-entries and the constant p = 2 stiffness are built once per run; a
-factorization only refills a band array and factors it by band Cholesky
-(banded module).  K is positive semidefinite, so the matrix is positive
-definite whenever dt f' < 1 at every interior node, and it stays so along
-the branch of solutions continued from the current state up to a fold, past
-which there is no solution to find.  A matrix that is not positive definite
-therefore fails the step with a FactorError, and run_simulation halves dt
-as for any failed step.  Where the matrix is the exact Jacobian (interval
-and radial grids, and p = 2) every iteration factors it afresh and Newton
-converges quadratically.  On tensor grids at p > 2 it is
-the frozen-tangential approximation, which converges only linearly however
-fresh it is, so a step reuses one factor (the chord iteration) and refactors
-only after a damped update or a reused factor that did not lower the
-residual.  The Newton system keeps the FaceFlux of the last interior vector
-evaluated, and a step returns the vector it evaluated last, so an accepted
-state's residual, factor, recorded energy and next first residual share one
-FaceFlux.
-run_simulation wraps the stepper with proportional step-size control and
-classifies the outcome as completed, decayed, or blown up.  Blow-up can
-never be observed literally on a finite grid; the operational rule is a
-sup-norm cap of CAP_FACTOR times the initial sup or a step failure at
-DT_MIN while the sup norm is ramping, or a state below or above a steady
-state handed in as a certificate.  bisect_dichotomy brackets the amplitude
-that separates decay from blow-up, by runs it is handed.
+with V the interior cell volumes and K the interior stiffness: the matrix
+of _NewtonSystem, built once per run and factored by band Cholesky
+(banded module).  It is positive definite whenever dt f' < 1 at every
+interior node, and it stays so along the branch of solutions continued
+from the current state up to a fold, past which there is no solution to
+find, so a matrix that is not positive definite (FactorError) fails the
+step.  The Newton system keeps the FaceFlux of the last interior vector
+evaluated, so a state's matrix, recorded energy and, at p > 2, rate share
+one FaceFlux.
+
+run_simulation classifies the outcome as completed, decayed, or blown up.
+Blow-up can never be observed literally on a finite grid; the operational
+rule is a sup-norm cap of CAP_FACTOR times the initial sup or a failed
+attempt at DT_MIN while the sup norm is ramping, or a state below or above
+a steady state handed in as a certificate, by a margin that bounds the
+flow's deviation from the recorded state.  Such a verdict is one on the
+semi-discrete flow from the data, not on the steps: K is an M-matrix where
+a certificate holds and f depends only on its own node, so the flow is
+cooperative and keeps states below U below it and states above U above
+it.  bisect_dichotomy brackets the amplitude that separates decay
+from blow-up, by runs it is handed.
 """
 
 from __future__ import annotations
@@ -60,7 +75,7 @@ import numpy as np
 from .banded import BandPattern, FactorError
 from .banded import _spla_on_access as __getattr__  # noqa: F401  resolves spla
 from .diagnostics import _line_fit
-from .discretization import MODE_TENSOR2D, Field, quadrature_sum, weight_on_grid
+from .discretization import MODE_TENSOR2D, Field, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
 from .plap_operator import (
@@ -80,19 +95,17 @@ KIND_BLOWUP = "BlowUp"
 
 _CSV_COLUMNS = ("t", "dt", "sup_abs_u", "mass", "g", "energy")
 
-NEWTON_MAX = 30  # Newton iterations per step attempt
-# dt grows by GROWTH_FACTOR after a step that took at most EASY_ITERS Newton
-# iterations
-EASY_ITERS = 6
-GROWTH_FACTOR = 1.2
-# a step that multiplies sup|u| by more than this is redone with half the dt
-MAX_GROWTH_PER_STEP = 1.5
+NEWTON_MAX = 30  # Newton iterations per backward-Euler step
+# ROS2's diagonal coefficient, which makes it L-stable
+GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # relative margin around a certificate U, far wider than U's solve error
 CERTIFICATE_MARGIN = 1e-4
-# a step that fails at DT_MIN ends the run; a sup norm of CAP_FACTOR times
+# an attempt that fails at DT_MIN ends the run; a sup norm of CAP_FACTOR times
 # the initial sup (CAP_FACTOR for zero data) is blow-up
 DT_MIN = 1e-12
 CAP_FACTOR = 1e8
+# the bound on a run step's relative error estimate
+LTE_TOL = 2e-2
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,8 @@ class ProblemSpec:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        self.check_scalars(self.p, getattr(self.weight, "theta_w", 0.0), self.t_end, self.dt0,
-                           self.controls, self.snapshot_times)
+        self.check_exponents(self.p, getattr(self.weight, "theta_w", 0.0))
+        self.check_schedule(self.t_end, self.dt0, self.controls, self.snapshot_times)
         if self.initial.grid is not self.grid:
             raise ConfigError("initial data must live on the problem grid")
         bdry = np.abs(self.initial.values[self.grid.boundary_mask])
@@ -128,14 +141,17 @@ class ProblemSpec:
             raise ConfigError("initial data must vanish on the Dirichlet boundary")
 
     @staticmethod
-    def check_scalars(p, theta, t_end, dt0, controls, snapshot_times):
-        """The checks of the exponents and the time schedule, which need no
-        grid or data."""
+    def check_exponents(p, theta):
+        """The check of p and the power weight's exponent theta."""
         if not p >= 2.0:
             raise ConfigError(f"p must be >= 2, got {p}", keys=("p",))
         if not 0.0 <= theta < p:
             raise ConfigError(f"weight exponent theta_w must lie in [0, p); got {theta} with "
                               f"p={p}", keys=("theta_w", "p"))
+
+    @staticmethod
+    def check_schedule(t_end, dt0, controls, snapshot_times):
+        """The checks of the time schedule, which need no grid or data."""
         if not t_end > 0.0:
             raise ConfigError("t_end must be positive", keys=("t_end",))
         if not DT_MIN <= dt0 <= controls.dt_max:
@@ -196,15 +212,18 @@ class RunOutcome:
     t_hi: float = float("nan")
     rate_fit: float = float("nan")
     steps: int = 0
-    newton_iters_total: int = 0
     factorizations: int = 0
+    rejected_attempts: int = 0
     # when the steady state certified the kind; None on a run to its end
     certified_at: float | None = None
 
     def payload(self):
         """The classification, blow-up estimate, decay rate, solver counts,
         final sup norm and initial weighted mass g0, as outcome.json and the
-        solve summary write them, with certified_at and certificate if set."""
+        solve summary write them, with certified_at and certificate if set.
+        A run's attempts each take one factorization and no Newton
+        iteration; newton_iters_total stays, as 0, for the readers of the
+        key."""
         traj = self.trajectory
         return {
             "kind": self.kind,
@@ -213,8 +232,9 @@ class RunOutcome:
             "T_hi": self.t_hi,
             "rate_fit": self.rate_fit,
             "steps": self.steps,
-            "newton_iters_total": self.newton_iters_total,
+            "newton_iters_total": 0,
             "factorizations": self.factorizations,
+            "rejected_attempts": self.rejected_attempts,
             "final_sup": traj.sup_abs_u[-1] if traj.times else None,
             "g0": traj.weighted_mass[0] if traj.times else None,
             **({"certified_at": self.certified_at, "certificate": "steady_state"}
@@ -235,8 +255,9 @@ class _StepFailure(Exception):
 
 class _NewtonSystem(BandPattern):
     """Interior Newton matrix V (1 - dt f') + dt K of one (grid, weight, p),
-    and the backward-Euler residual whose Jacobian it approximates, both on
-    the vector of interior unknowns.
+    the rate F and the backward-Euler residual whose Jacobian the matrix
+    approximates, all on the vector of interior unknowns.  A ROS2 step
+    factors the matrix at gamma * dt.
 
     op is the grid's interior FaceOperator, face_operator(grid, weight,
     interior=True), so a FaceFlux of an interior vector is the flux of the
@@ -255,9 +276,11 @@ class _NewtonSystem(BandPattern):
     derivative (FaceFlux.conductance).
 
     The system keeps the FaceFlux of the last interior vector evaluated, by
-    identity, so a state's residual, factor, recorded energy and next first
-    residual share one face gradient.  Vectors handed to it must therefore
-    not be changed in place.
+    identity, so a state's recorded energy, rate and matrix share one face
+    gradient; at p = 2 the rate is a product with the stiffness instead,
+    which took a sixth of the time of a FaceFlux and its divergence on a
+    64-cell interval and half on a 32 x 32 square (2-core x86-64 host).
+    Vectors handed to it must therefore not be changed in place.
     """
 
     def __init__(self, grid, weight, p):
@@ -288,8 +311,15 @@ class _NewtonSystem(BandPattern):
                                        np.concatenate([face, face[first]])[order], terms[order])
         super().__init__(row, col, len(self.vol))
         if p == 2.0:
-            # the constant stiffness, filled once; matrix() scales a copy
+            # the constant stiffness, filled once as the band that matrix()
+            # scales a copy of, and kept whole as the Csr that rate() applies
             self.k_band = self.fill(k_data, 0.0)
+            off = row != col
+            r, c = np.concatenate([row, col[off]]), np.concatenate([col, row[off]])
+            order = np.lexsort((c, r))
+            ptr = np.searchsorted(r[order], np.arange(len(self.vol) + 1)).astype(np.int32)
+            self.stiffness = Csr(len(self.vol), len(self.vol), ptr, c[order].astype(np.int32),
+                                 np.concatenate([k_data, k_data[off]])[order])
 
     def flux(self, x):
         """The FaceFlux of the interior vector x, kept until another vector
@@ -298,12 +328,21 @@ class _NewtonSystem(BandPattern):
             self.last_flux = FaceFlux(self.op, x, self.p)
         return self.last_flux
 
+    def rate(self, x, t, reaction):
+        """The rate F(t, x) at the interior vector x: the FaceFlux
+        divergence, which at p = 2 is minus the stiffness times x over the
+        cell volumes, plus the reaction."""
+        if self.p == 2.0:
+            rate = -(self.stiffness @ x) / self.vol
+        else:
+            rate = self.flux(x).divergence()
+        if reaction.family != "none":
+            rate += reaction_eval(reaction, t, x)
+        return rate
+
     def residual(self, x, x_old, t_new, dt, reaction):
         """The backward-Euler residual at the interior vector x."""
-        rate = self.flux(x).divergence()
-        if reaction.family != "none":
-            rate += reaction_eval(reaction, t_new, x)
-        return x - x_old - dt * rate
+        return x - x_old - dt * self.rate(x, t_new, reaction)
 
     def matrix(self, x, dt, drea):
         """The system at the interior vector x with reaction slopes drea, as
@@ -326,8 +365,8 @@ def _count(stats, key):
 
 def step_implicit(system, x_old, t, dt, spec, stats=None):
     """One backward-Euler step of the interior vector x_old from t to
-    t + dt on the run's _NewtonSystem; returns the new interior vector.
-    Raises on solver failure; dt may be below DT_MIN on a run's last step.
+    t + dt on a _NewtonSystem; returns the new interior vector.  Raises on
+    solver failure.
 
     stats, when given, counts "newton_iters" and "factorizations".  The step
     ends when the residual is at most newton_tol * max(sup |x_old|,
@@ -418,35 +457,44 @@ def _fit_exponential_rate(times, sups, sup0):
     return float(-coef[1])
 
 
-def certificate_holds(spec, certificate=None):
-    """Whether the BE steps of spec keep data below a steady state U below
-    it and data above it above: p = 2 with a power reaction on an interval
-    or radial grid (two-point fluxes: an M-matrix), and, given U as a
-    Field, dt_max f'(max U) < 1."""
-    if (spec.reaction.family != REACTION_POWER or spec.p != 2.0
-            or spec.grid.mode == MODE_TENSOR2D):
-        return False
-    return certificate is None or spec.controls.dt_max * float(
-        reaction_derivative(spec.reaction, 0.0, certificate.values.max())) < 1.0
+def certificate_holds(spec):
+    """Whether a steady state U certifies the runs of spec: p = 2 with a
+    power reaction on an interval or radial grid, whose two-point fluxes
+    make K an M-matrix, so that the semi-discrete flow keeps data below U
+    below it and data above it above.  The verdict is one on that flow, so
+    no condition on the steps enters."""
+    return (spec.reaction.family == REACTION_POWER and spec.p == 2.0
+            and spec.grid.mode != MODE_TENSOR2D)
 
 
 def run_simulation(spec, eigenpair=None, certificate=None):
-    """March to t_end with adaptive dt; classify the outcome.
+    """March to t_end by ROS2 with error control; classify the outcome.
 
     The trajectory's g column is integral(omega * u0 * u) when an eigenpair
     is supplied and integral(omega * u) otherwise.  The state is the
     interior vector x throughout; only snapshots are scattered into Fields.
-    The last step lands on t_end, shorter than DT_MIN if less is left.
+    The last step lands on t_end, shorter than DT_MIN if less is left.  An
+    attempt that fails at DT_MIN, by its error or its factorization, ends
+    the run as BlowUp if the sup norm is ramping and raises NumericalError
+    otherwise.
 
     certificate, a steady state U as a Field for which certificate_holds
     (else ConfigError), ends the run at a recorded state (t = 0 included)
-    at most (1 - CERTIFICATE_MARGIN) U at every interior node as Decayed, or
-    at least (1 + CERTIFICATE_MARGIN) U as BlowUp, with certified_at and no
-    blow-up time or rate.  Such a verdict is the run's eventual kind: run
-    in full, it may still be Completed at t_end.
+    at most (1 - CERTIFICATE_MARGIN - dev) U at every interior node as
+    Decayed, or at least (1 + CERTIFICATE_MARGIN + dev) U as BlowUp, with
+    certified_at and no blow-up time or rate.  dev bounds the deviation
+    |y - x| / U of the semi-discrete flow y from the data from the recorded
+    state x, taking each step's error estimate as its local error: a step
+    adds its estimate relative to U, and a deviation w <= dev U grows at
+    most at the rate max(f'(xi) - f(U) / U) over the nodes, xi at most the
+    larger state plus dev U, because K U = V f(U), K is an M-matrix and f
+    acts node by node.  dev is 0 at t = 0 and ends certification at 1.
+    So a verdict is the eventual kind of the flow from the data: run in
+    full, the run may still be Completed at t_end.
     """
     grid = spec.grid
     ctl = spec.controls
+    reaction = spec.reaction
     idx = grid.interior
     wvals = weight_on_grid(spec.weight, grid)
     gweight = wvals if eigenpair is None else wvals * eigenpair.eigenfunction.values
@@ -454,30 +502,33 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     decay_floor = 1e-8 * spec.sup0
 
     traj = Trajectory()
-    stats = {}
     system = _NewtonSystem(grid, spec.weight, spec.p)
+    vol = system.vol
     # integrate's node weights for the g column at the interior nodes
-    vol_g = system.vol * gweight.ravel()[idx]
+    vol_g = vol * gweight.ravel()[idx]
 
-    def record(t, dt, x):
-        traj.append(t, dt, float(np.abs(x).max()), quadrature_sum(system.vol, x),
-                    quadrature_sum(vol_g, x), system.flux(x).energy())
+    def record(t, dt, x, sup):
+        traj.append(t, dt, sup, float(vol @ x), float(vol_g @ x), system.flux(x).energy())
 
     if certificate is not None:
-        if not certificate_holds(spec, certificate):
+        if not certificate_holds(spec):
             raise ConfigError("a steady state certifies runs only at p = 2 on an interval or "
-                              "radial grid with dt_max f'(max U) < 1")
+                              "radial grid")
         u_cert = certificate.values.ravel()[idx]
-        below, above = (1.0 - CERTIFICATE_MARGIN) * u_cert, (1.0 + CERTIFICATE_MARGIN) * u_cert
+        # f(U) / U, which is V^-1 K U / U since U is steady
+        f_over_u = reaction_eval(reaction, 0.0, u_cert) / u_cert
+    dev = 0.0  # the bound on |flow from the data - x| / U
 
     def certify(x):
         # the kind the certificate gives x, if any
-        if certificate is None:
+        if certificate is None or dev >= 1.0:
             return None
-        return KIND_DECAYED if (x <= below).all() else KIND_BLOWUP if (x >= above).all() else None
+        margin = CERTIFICATE_MARGIN + dev
+        return (KIND_DECAYED if (x <= (1.0 - margin) * u_cert).all() else
+                KIND_BLOWUP if (x >= (1.0 + margin) * u_cert).all() else None)
 
     x = spec.initial.values.ravel()[idx]
-    record(0.0, 0.0, x)
+    record(0.0, 0.0, x, spec.sup0)
     pending = sorted(set(spec.snapshot_times))
     while pending and pending[0] <= 1e-12:
         traj.snapshots[pending.pop(0)] = grid.scatter(x)
@@ -486,70 +537,76 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     dt = spec.dt0
     outcome = None
     verdict = certify(x)
+    factorizations = rejected = 0
+    rate_x = None  # F(t, x) of the current state, with f'(x) in drea
 
-    while verdict is None and t < spec.t_end - 1e-14:
-        dt = min(dt, ctl.dt_max, spec.t_end - t)
-        # land exactly on the next snapshot time when the floor allows it
-        # (min with dt_max: the float gap can overshoot it by roundoff,
-        # which the snapshot pop tolerance then absorbs)
-        if pending and t + dt > pending[0] - 1e-14 and pending[0] - t >= DT_MIN:
-            dt = min(pending[0] - t, ctl.dt_max)
+    # a rejected attempt may overflow; its nonfinite state fails the error test
+    with np.errstate(over="ignore", invalid="ignore"):
+        while verdict is None and t < spec.t_end - 1e-14:
+            dt = min(dt, ctl.dt_max, spec.t_end - t)
+            # land exactly on the next snapshot time when the floor allows it
+            # (min with dt_max: the float gap can overshoot it by roundoff,
+            # which the snapshot pop tolerance then absorbs)
+            if pending and t + dt > pending[0] - 1e-14 and pending[0] - t >= DT_MIN:
+                dt = min(pending[0] - t, ctl.dt_max)
+            if rate_x is None:
+                rate_x = system.rate(x, t, reaction)
+                drea = reaction_derivative(reaction, t, x) if reaction.family != "none" else 0.0
 
-        before = stats.get("newton_iters", 0)
-        try:
-            x_new = step_implicit(system, x, t, dt, spec, stats)
-        except (_StepFailure, FactorError):
+            factorizations += 1
+            try:
+                lu = system.factor(system.matrix(x, GAMMA * dt, drea))
+            except FactorError:
+                shrink = 0.5
+            else:
+                k1 = system.solve(lu, vol * rate_x)
+                rate_1 = system.rate(x + dt * k1, t + dt, reaction)
+                k2 = system.solve(lu, vol * (rate_1 - 2.0 * k1))
+                x_new = x + 1.5 * dt * k1 + 0.5 * dt * k2
+                sup = float(np.abs(x_new).max())
+                err = 0.5 * dt * float(np.abs(k1 + k2).max())
+                e = err / sup if err > 0.0 else 0.0
+                if e <= LTE_TOL and math.isfinite(sup):
+                    if certificate is not None and dev < 1.0:
+                        # a deviation w <= dev U grows at most at the rate
+                        # max(f'(xi) - f(U) / U), xi between the two states
+                        xi = np.maximum(np.abs(x), np.abs(x_new)) + dev * u_cert
+                        growth = float((reaction_derivative(reaction, t, xi) - f_over_u).max())
+                        amp = max(dt * growth, 0.0)
+                        dev = ((dev * math.exp(amp) if amp < 40.0 else math.inf)
+                               + 0.5 * dt * float((np.abs(k1 + k2) / u_cert).max()))
+                    t += dt
+                    x, rate_x = x_new, None
+                    record(t, dt, x, sup)
+                    while pending and t >= pending[0] - 1e-12:
+                        traj.snapshots[pending.pop(0)] = grid.scatter(x)
+                    if sup >= cap:
+                        outcome = KIND_BLOWUP
+                        break
+                    if sup < decay_floor:
+                        outcome = KIND_DECAYED
+                        break
+                    verdict = certify(x)
+                    grow = min(2.0, 0.9 * math.sqrt(LTE_TOL / e)) if e > 0.0 else 2.0
+                    dt = max(dt * grow, DT_MIN)
+                    continue
+                # a nonfinite state, whose e may be anything, shrinks the most
+                shrink = (max(0.2, 0.9 * math.sqrt(LTE_TOL / e))
+                          if LTE_TOL < e < math.inf and math.isfinite(sup) else 0.2)
+
+            rejected += 1
             if dt > DT_MIN:
-                dt = max(dt * 0.5, DT_MIN)
+                dt = max(dt * shrink, DT_MIN)
                 continue
             # a retry from the same state, t and dt would fail the same way
             if _tail_is_ramping(traj):
                 outcome = KIND_BLOWUP
                 break
-            raise NumericalError(
-                "step failure at DT_MIN without blow-up signature",
-                trajectory=traj,
-            )
-        iters = stats.get("newton_iters", 0) - before
+            raise NumericalError("step failure at DT_MIN without blow-up signature",
+                                 trajectory=traj)
 
-        if not np.isfinite(x_new).all():
-            raise NumericalError("nonfinite state produced", trajectory=traj)
-
-        # keep the discrete trajectory on the physical branch: a step that
-        # multiplies the sup norm by more than MAX_GROWTH_PER_STEP is redone
-        # smaller, so the tail keeps resolving the approach to a singularity
-        sup_old = traj.sup_abs_u[-1]
-        sup_new = float(np.abs(x_new).max())
-        if (
-            dt > DT_MIN
-            and sup_old > 0.0
-            and sup_new > MAX_GROWTH_PER_STEP * sup_old
-        ):
-            dt = max(dt * 0.5, DT_MIN)
-            continue
-
-        t += dt
-        x = x_new
-        record(t, dt, x)
-        while pending and t >= pending[0] - 1e-12:
-            traj.snapshots[pending.pop(0)] = grid.scatter(x)
-
-        sup = traj.sup_abs_u[-1]
-        if sup >= cap:
-            outcome = KIND_BLOWUP
-            break
-        if sup < decay_floor:
-            outcome = KIND_DECAYED
-            break
-        verdict = certify(x)
-        if iters <= EASY_ITERS:
-            dt = min(dt * GROWTH_FACTOR, ctl.dt_max)
-
-    counts = dict(
-        steps=len(traj.times) - 1,
-        newton_iters_total=stats.get("newton_iters", 0),
-        factorizations=stats.get("factorizations", 0),
-    )
+    counts = dict(steps=len(traj.times) - 1, factorizations=factorizations,
+                  rejected_attempts=rejected)
 
     if verdict is not None:
         return RunOutcome(verdict, traj, certified_at=t, **counts)

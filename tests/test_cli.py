@@ -294,8 +294,10 @@ class TestReadme:
         probe's trajectory header echoes the amplitude the probe ran.  The
         steady state's bracket [a_sub, a_super] holds the critical
         amplitude between the scan's ends, with g0 at both ends.  Only
-        midpoints are certified: the configured probes carry certified_at
-        null, each certified midpoint's outcome.json names its certificate,
+        midpoints are certified, all but at most one of them: the
+        configured probes carry certified_at null, a midpoint whose states
+        stay too near U runs in full, each certified midpoint's
+        outcome.json names its certificate,
         and the bracket's blow-up end, certified at t = 0, was run again in
         full, so its outcome.json has a blow-up time and no certificate."""
         _code, out = readme_runs["blowup-scan"]
@@ -314,13 +316,15 @@ class TestReadme:
             config = json.loads(re.search(r"^# config: (.*)$", header, re.M).group(1))
             assert config["sections"]["problem"]["amplitude"] == a
             outcome = json.loads((out / "runs" / f"A_{a:.17g}" / "outcome.json").read_text())
-            if a in (6.0, 20.0) or a == summary["a_blowup"]:
+            if run["certified_at"] is None or a == summary["a_blowup"]:
                 assert "certified_at" not in outcome
                 assert (outcome["T_est"] is None) == (outcome["kind"] == "Decayed")
             else:
-                assert outcome["certified_at"] == run["certified_at"] is not None
+                assert outcome["certified_at"] == run["certified_at"]
                 assert (outcome["certificate"], outcome["kind"]) == ("steady_state", run["kind"])
-            assert (run["certified_at"] is None) == (a in (6.0, 20.0))
+            assert a not in (6.0, 20.0) or run["certified_at"] is None
+        certified = [run for run in summary["runs"] if run["certified_at"] is not None]
+        assert len(certified) >= len(amplitudes) - 3
 
     def test_readme_decay_fit(self, readme_runs):
         """The README decay fit of a self-similar solution lands within 1 %
@@ -514,27 +518,36 @@ class TestMain:
             assert "certified_at" not in outcome
 
     def test_certified_blowup_end_that_completes_is_undecided(self, tmp_path, monkeypatch):
-        """Certified verdicts are eventual ones: at t_end = 2.2, where 6
-        decays and 20 blows up in full, a scan to rel_tol 1e-11 certifies
-        midpoints within 2e-11 of the threshold, whose full runs would
-        still be Completed at t_end.  The bracket's blow-up end, rerun in
-        full, has not blown up by t_end, so there is no blow-up to fit C on:
+        """Certified verdicts are eventual ones.  Here every full run of a
+        midpoint is made to end at t = 0.2, while 11.81, the bracket's
+        blow-up end certified at t = 0, blows up near t = 0.41.  Its full
+        rerun has not blown up by then, so there is no blow-up to fit C on:
         the scan exits 4 with that end as its undecided midpoint and no
         bracket, and its runs entry is the rerun's Completed with the
-        probe's certified_at.  Every probe writes a directory of its own,
-        though the bisection's last amplitudes agree to 11 digits."""
+        probe's certified_at.  Every probe writes a directory of its own."""
+        run_one = degenflow.cli._run_one
+
+        def short_full_runs(cfg, grid, weight, eigenpair, out_dir, certificate=None):
+            sections = {name: dict(body) for name, body in cfg.sections.items()}
+            if certificate is None and sections["problem"]["amplitude"] not in (6.0, 20.0):
+                sections["problem"]["t_end"] = 0.2
+            cfg = degenflow.cli.ExperimentConfig(cfg.command, cfg.output_dir, sections)
+            return run_one(cfg, grid, weight, eigenpair, out_dir, certificate)
+
         monkeypatch.chdir(tmp_path)
-        text = (SCAN_CFG.format(out="short").replace("t_end = 3.0", "t_end = 2.2")
-                .replace("rel_tol = 0.05", "rel_tol = 1e-11"))
-        assert _run(tmp_path, "s.cfg", text, "blowup-scan") == EXIT_UNDECIDED
+        monkeypatch.setattr(degenflow.cli, "_run_one", short_full_runs)
+        assert _run(tmp_path, "s.cfg", SCAN_CFG.format(out="short"),
+                    "blowup-scan") == EXIT_UNDECIDED
         summary = _summary(tmp_path / "short")
         runs = {run["amplitude"]: run for run in summary["runs"]}
         end = runs[summary["undecided_midpoint"]]
-        assert end["kind"] == "Completed" and end["certified_at"] is not None
+        assert end["amplitude"] == pytest.approx(11.8106, rel=1e-5)
+        assert end["kind"] == "Completed" and end["certified_at"] == 0.0
         assert not {"a_decay", "a_blowup", "C_fit"} & set(summary)
         outcome = json.loads((tmp_path / "short" / "runs" / f"A_{end['amplitude']:.17g}"
                               / "outcome.json").read_text())
         assert outcome["kind"] == "Completed" and "certified_at" not in outcome
+        assert outcome["final_time"] == pytest.approx(0.2)
         assert (runs[6.0]["kind"], runs[20.0]["kind"]) == ("Decayed", "BlowUp")
         assert len(list((tmp_path / "short" / "runs").iterdir())) == len(runs)
         for a in runs:
@@ -586,18 +599,18 @@ class TestMain:
         assert _run(tmp_path, "sc.cfg", text, "blowup-scan") == EXIT_UNDECIDED
 
     @pytest.mark.parametrize("command, mode, p, extra", [
-        ("eigen", "interval", 2.0, ""),
+        ("eigen", "interval", 401.0, ""),
         ("solve", "interval", 401.0,
          "reaction = power\ninitial = sin\nt_end = 0.05\ndt0 = 1e-3\n"),
-        ("eigen", "tensor2d", 2.0, ""),
+        ("eigen", "tensor2d", 401.0, ""),
     ], ids=["eigen", "solve", "eigen-tensor2d"])
     def test_singular_stiffness_is_numerical_error(self, tmp_path, command, mode, p, extra):
         """The weight |x|**400 underflows to 0 on the faces next to the
         origin, which makes the interior stiffness singular, or on tensor
         grids the eigensolver's weight scaling undefined: exit 3 with a
-        numerical error.json.  A solve needs theta_w < p, checked before
-        its eigensolve, so it runs at p = 401; the eigensolver factors the
-        p = 2 stiffness whatever p is."""
+        numerical error.json.  Every command but weights-check needs
+        theta_w < p, checked at parse time, so these run at p = 401; the
+        eigensolver factors the p = 2 stiffness whatever p is."""
         path = tmp_path / "z.cfg"
         path.write_text(
             f"command = {command}\noutput_dir = {tmp_path / 'zout'}\n[problem]\n"
@@ -793,17 +806,21 @@ class TestMain:
         ("blowup-scan", SCAN_CFG.replace("sigma = 2.0\n", "sigma = 2.0\namplitude = 7.5\n"),
          "amplitude = 7.5",
          "blowup-scan does not read 'amplitude' in [problem]: it probes the [scan] values"),
+        ("eigen", EIGEN_CFG.replace("p = 2.0", "p = 3.0\nweight = power\ntheta_w = 5"),
+         "theta_w = 5", "weight exponent theta_w must lie in [0, p); got 5.0 with p=3.0"),
+        ("eigen", EIGEN_CFG.replace("p = 2.0", "p = 1.5"), "p = 1.5", "p must be >= 2, got 1.5"),
     ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction",
             "scan-sigma-below", "scan-sigma-at", "scan-exp-forced", "mode", "weight", "reaction",
-            "theta_w-above-p", "theta_w-negative", "scan-amplitude"])
+            "theta_w-above-p", "theta_w-negative", "scan-amplitude", "eigen-theta_w-above-p",
+            "p-below-2"])
     def test_command_checks_fail_at_parse_time(self, tmp_path, command, text, line, message):
         """A scan without a reaction term, with a power reaction at
         sigma <= p - 1 or with the exp_forced reaction, neither of which has
         an amplitude threshold to bracket, a
         verify-exact on a tensor grid, at p = 2 or with fewer than three
-        resolutions, a decay fit with a reaction term, a power weight
-        exponent theta_w outside [0, p) in a command that takes a time step,
-        a scan that sets its own amplitude (its probes run the [scan]
+        resolutions, a decay fit with a reaction term, p below 2 and a
+        power weight exponent theta_w outside [0, p) in any command but
+        weights-check, a scan that sets its own amplitude (its probes run the [scan]
         values), and a mode, weight or
         reaction outside its choices exit 2 at parse time with a config
         error.json naming the line of the key at fault and nothing else

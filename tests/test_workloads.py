@@ -2,9 +2,10 @@
 
 Each config under perfbench/workloads runs through the CLI into a temporary
 directory.  A change that moves the iteration path of a workload (an
-accepted or rejected step, a Newton iteration, a refactorization, an
-eigensolver iteration or quotient evaluation) fails here, in about 1.5 s,
-and not only in the benchmark.
+accepted or rejected step, a factorization, an eigensolver iteration or
+quotient evaluation) fails here, in about 1.5 s, and not only in the
+benchmark.  Runs take one factorization per attempt and no Newton
+iteration.
 """
 
 import json
@@ -16,18 +17,19 @@ from degenflow.cli import EXIT_OK, main, parse_config
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
-# amplitude -> (steps, Newton iterations, factorizations) of each scan probe.
-# The midpoints 10.95 and 11.37 end at their certified decay, 12.73 and
-# 14.80 at their certified blow-up at t = 0; 11.81, the bracket's blow-up
-# end, is run again in full, and the configured 6 and 20 run in full.
+# amplitude -> (steps, factorizations, rejected attempts) of each scan probe.
+# The midpoint 10.95 ends at its certified decay, 12.73 and 14.80 at their
+# certified blow-up at t = 0; 11.37 stays too near U to be certified and
+# runs in full; 11.81, the bracket's blow-up end, is run again in full, and
+# the configured 6 and 20 run in full.
 SCAN_PROBES = {
-    6.0: (118, 324, 206),
-    10.954451150103322: (5, 15, 10),
-    11.374454657912443: (11, 33, 22),
-    11.810561477896204: (98, 562, 459),
+    6.0: (143, 143, 0),
+    10.954451150103322: (4, 4, 0),
+    11.374454657912443: (162, 162, 0),
+    11.810561477896204: (287, 311, 24),
     12.73357838853023: (0, 0, 0),
     14.801656089845705: (0, 0, 0),
-    20.0: (89, 562, 462),
+    20.0: (271, 281, 10),
 }
 
 
@@ -40,7 +42,8 @@ def _run(tmp_path, name):
 
 
 def _counts(outcome):
-    return outcome["steps"], outcome["newton_iters_total"], outcome["factorizations"]
+    assert outcome["newton_iters_total"] == 0
+    return outcome["steps"], outcome["factorizations"], outcome["rejected_attempts"]
 
 
 def _load(path):
@@ -51,7 +54,7 @@ def _load(path):
 def test_workload_solver_counts_pinned(tmp_path, name):
     out = _run(tmp_path, name)
     if name == "tensor2d-p3":
-        assert _counts(_load(out / "outcome.json")) == (283, 2004, 283)
+        assert _counts(_load(out / "outcome.json")) == (12, 12, 0)
     elif name == "eigen-2d-p3":
         pair = _load(out / "eigenpair.json")
         assert (pair["iterations"], pair["quotient_evals"]) == (24, 100)
