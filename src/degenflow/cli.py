@@ -467,7 +467,14 @@ def _solve_eigen(cfg, grid, weight):
 def _cmd_eigen(cfg, out):
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
-    pair = _solve_eigen(cfg, grid, weight)
+    try:
+        pair = _solve_eigen(cfg, grid, weight)
+    except ConvergenceError as exc:
+        # a stalled solve leaves its best iterate's record, residual history
+        # included, beside the error.json that main writes
+        if exc.best is not None:
+            exc.best.to_json(out / "eigenpair.json")
+        raise
     pair.to_csv(out / "eigenfunction.csv")
     pair.to_json(out / "eigenpair.json")
     write_json(out / "summary.json", _summary(cfg, {

@@ -28,9 +28,15 @@ of each row's odd extension, which numpy loads with itself, so it adds
 no import to a tensor eigensolve.  The search direction is the
 Polak-Ribiere+ combination of the preconditioned gradient with the
 previous direction, restarted from the preconditioned gradient whenever it
-is not a descent direction.  Steps are backtracked until R decreases; then
-one interpolation step evaluates R at the minimizer of the quadratic through
-R(0), R'(0) and R(tau) and keeps that point if R is lower there.  Iterates
+is not a descent direction.  Steps are backtracked by halving until R
+decreases; then one interpolation step evaluates R at the minimizer of the
+quadratic through R(0), R'(0) and R(tau) and keeps that point if R is lower
+there.  The first search starts at tau = 1 and each later one where the
+last search's quadratic says halving from 1 would stop, so a search that
+lands where the last one did pays no rejected trial (the initial step of
+Nocedal & Wright, Numerical Optimization, section 3.5); a start accepted
+far short of the quadratic's minimizer is doubled while R still
+decreases, so a start that came out small does not stay small.  Iterates
 are folded to their absolute value, which never increases R and steers
 toward the positive principal mode.  A solve whose best residual stops
 improving, as it does once R moves only at round-off, ends with a
@@ -120,6 +126,13 @@ def _normalize(values, vol):
     return values / scale
 
 
+def _quadratic_minimizer(r0, slope, tau, r_tau):
+    """Minimizer of the quadratic through R(0) = r0, R'(0) = slope < 0 and
+    R(tau) = r_tau, or inf when that quadratic is not convex."""
+    curvature = (r_tau - r0 - slope * tau) / tau**2
+    return -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
+
+
 def _dst_rows(x, ext):
     """Minus the type-I sine transform of each row of x, unnormalized as
     scipy's dst(type=1): the imaginary part of the real FFT of the row's
@@ -182,12 +195,20 @@ def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
     The preconditioner is the sine-transform solve S L0^{-1} S on tensor
     grids and the band Cholesky factor of the interior p = 2 Hessian on
     interval and radial grids.  The start is the flat interior field after
-    three preconditioner solves.  Each line search halves tau from 1 until R
-    decreases, then tries the minimizer tau* of the quadratic through
+    three preconditioner solves.  Each line search halves tau from its start
+    until R decreases, then tries the minimizer tau* of the quadratic through
     R(0), R'(0) = -(p / M^(p/q)) <g, d> and R(tau), M the mass of the iterate,
     g the Euler-Lagrange residual and d the direction; the point at tau*
-    is kept when 0 < tau* <= 4 tau and R is lower there.  tol defaults to
-    1e-6 at p = 2 and 1e-4 otherwise, and must lie in (0, 1) (check_tol).
+    is kept when 0 < tau* <= 4 tau and R is lower there.  The first search
+    starts at 1.  On the quadratic R(t) < R(0) exactly when t < 2 tau*, so
+    after a search whose tau* was kept the next starts at
+    min(1, max(tau, 2^floor(log2(2 tau*)))), the step halving from 1 would
+    accept there; after any other search it starts at the accepted tau.  A
+    start accepted at its first trial is doubled, up to 1, while tau* lies
+    past 2 tau and R(2 tau) passes the decrease test, tau* taken again at
+    each new tau, so the interpolation extrapolates at most to 2 tau.  tol
+    defaults to 1e-6 at p = 2 and 1e-4 otherwise, and must lie in (0, 1)
+    (check_tol).
     The eigenfunction has unit mass: its integral, sum V phi over the cell
     volumes V, is 1.
 
@@ -253,6 +274,10 @@ def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
         except (ConvergenceError, ConfigError):
             return None, np.inf, None, None
 
+    def decreases(r):
+        # the line search's test of a trial's R against the iterate's
+        return r <= r_val + 1e-15 * abs(r_val)
+
     def pair(lam, x, res, its):
         return EigenPair(lam, grid.scatter(x), res, its, p, history, restarts, evals,
                          interpolated)
@@ -261,6 +286,7 @@ def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
     best = (r_val, x, np.inf, 0)
     history = []
     restarts = interpolated = 0
+    tau_start = 1.0
     for it in range(1, MAX_ITERATIONS + 1):
         # mu density x^(q-1), with M^0 = 1 exactly at q = p
         zero_order = r_val * m_val ** (p / q - 1.0) * density * x ** (q - 2.0) * x
@@ -294,10 +320,10 @@ def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
                 restarts += 1
         g_prev, pg_prev = g, pg
 
-        tau = 1.0
+        tau = tau_start
         for _ in range(40):
             trial, r_trial, m_trial, flux = point(x, step, tau)
-            if r_trial <= r_val + 1e-15 * abs(r_val):
+            if decreases(r_trial):
                 break
             flux = None
             tau *= 0.5
@@ -306,14 +332,34 @@ def smallest_eigenpair(grid, weight, p, tol=None, q=None, weighted_mass=True):
         # one interpolation step: the minimizer of the quadratic through
         # R(0), R'(0) = -(p / M^(p/q)) <g, d> and R(tau), kept if R is lower
         slope = -p / m_val ** (p / q) * float(np.sum(g * step))
-        curvature = (r_trial - r_val - slope * tau) / tau**2
-        tau_q = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
+        tau_q = _quadratic_minimizer(r_val, slope, tau, r_trial)
+        if tau == tau_start:
+            # a start accepted at its first trial may lie far inside the
+            # decrease: double it while the minimizer lies past 2 tau and
+            # R(2 tau) passes the test, so the interpolation extrapolates
+            # at most to 2 tau
+            while tau < 1.0 and tau_q > 2.0 * tau:
+                doubled = point(x, step, 2.0 * tau)
+                if not decreases(doubled[1]):
+                    break
+                trial, r_trial, m_trial, flux = doubled
+                tau *= 2.0
+                tau_q = _quadratic_minimizer(r_val, slope, tau, r_trial)
+            doubled = None
+        kept = False
         if tau_q <= 4.0 * tau:
             trial_q, r_q, m_q, flux_q = point(x, step, tau_q)
-            if r_q < r_trial:
+            kept = r_q < r_trial
+            if kept:
                 trial, r_trial, m_trial, flux = trial_q, r_q, m_q, flux_q
                 interpolated += 1
             flux_q = None
+        # R(t) < R(0) on the quadratic exactly when t < 2 tau_q: after a kept
+        # interpolation the next search starts at the step that halving from
+        # 1 would accept there, else at tau
+        tau_start = tau
+        if kept:
+            tau_start = min(1.0, max(tau, 2.0 ** np.floor(np.log2(2.0 * tau_q))))
         x, r_val, m_val = trial, r_trial, m_trial
 
     lam, bx, res, its = best

@@ -517,6 +517,48 @@ class TestMain:
                                   / "outcome.json").read_text())
             assert "certified_at" not in outcome
 
+    def test_scan_on_the_coarse_weighted_ball_runs_in_full(self, tmp_path, monkeypatch):
+        """Unpatched: on the ball n = 3 at resolution 9 with weight |x| and
+        sigma = 1.5, the steady state stalls (eigensolver tests), so the
+        scan records the stall, reports no [a_sub, a_super], certifies no
+        probe and still brackets the threshold from its full runs."""
+        monkeypatch.chdir(tmp_path)
+        text = (SCAN_CFG.format(out="ball")
+                .replace("mode = interval\nresolution = 64\n",
+                         "mode = radial\nn = 3\nresolution = 9\n")
+                .replace("p = 2.0\n", "p = 2.0\nweight = power\ntheta_w = 1.0\n")
+                .replace("sigma = 2.0", "sigma = 1.5").replace("t_end = 3.0", "t_end = 5.0")
+                .replace("values = 6.0, 20.0\nrel_tol = 0.05",
+                         "values = 1.0, 200.0\nrel_tol = 0.2"))
+        assert _run(tmp_path, "b.cfg", text, "blowup-scan") == EXIT_OK
+        summary = _summary(tmp_path / "ball")
+        assert summary["steady_state_error"].startswith("eigensolver stalled at residual")
+        assert not {"a_sub", "a_super", "certifies_midpoints"} & set(summary)
+        assert all(run["certified_at"] is None for run in summary["runs"])
+        assert summary["a_decay"] < summary["a_blowup"]
+
+    def test_stalled_eigen_writes_its_best_iterate(self, tmp_path, monkeypatch):
+        """An eigen run below round-off (tol 1e-12 on tensor 16, p = 3)
+        exits 3 with a numerical error.json and, beside it, the best
+        iterate's eigenpair.json with its residual history and counts."""
+        monkeypatch.chdir(tmp_path)
+        text = (EIGEN_CFG.format(out="stall")
+                .replace("mode = interval", "mode = tensor2d")
+                .replace("resolution = 64\np = 2.0\n",
+                         "resolution = 16\np = 3.0\nweight = power\ntheta_w = 1.0\n")
+                + "\n[eigen]\ntol = 1e-12\n")
+        assert _run(tmp_path, "e.cfg", text, "eigen") == EXIT_NUMERICAL
+        out = tmp_path / "stall"
+        assert sorted(os.listdir(out)) == ["eigenpair.json", "error.json",
+                                           "resolved_config.txt"]
+        error = json.loads((out / "error.json").read_text())
+        assert (error["error_kind"], error["error_type"]) == ("numerical", "ConvergenceError")
+        pair = json.loads((out / "eigenpair.json").read_text())
+        history = pair["residual_history"]
+        assert pair["residual"] == min(history) == history[pair["iterations"]] > 1e-12
+        assert pair["quotient_evals"] >= len(history)
+        assert f"after {pair['iterations']} accepted iterations" in error["message"]
+
     def test_certified_blowup_end_that_completes_is_undecided(self, tmp_path, monkeypatch):
         """Certified verdicts are eventual ones.  Here every full run of a
         midpoint is made to end at t = 0.2, while 11.81, the bracket's

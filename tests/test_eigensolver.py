@@ -280,6 +280,67 @@ def test_stalled_solve_fails_fast(monkeypatch):
     assert err.residual == err.best.residual == min(history) == history[err.iterations]
 
 
+@pytest.mark.parametrize("mode, resolution, n, expected", [
+    ("interval", 64, None, (2, 5, 9.867622767227763)),
+    ("tensor2d", 32, None, (3, 7, 19.67593003243231)),
+    ("radial", 64, 2, (3, 7, 5.7823879712139705)),
+])
+def test_p2_line_searches_start_at_one(mode, resolution, n, expected):
+    """At p = 2 every line search starts at tau = 1, as the first one does:
+    iterations, quotient evaluations and the eigenvalue, to the last bit,
+    are those of a solve whose every search starts at 1."""
+    pair = smallest_eigenpair(build_grid(mode, 1.0, resolution, n=n), None, 2.0)
+    assert (pair.iterations, pair.quotient_evals, pair.eigenvalue) == expected
+
+
+@pytest.mark.parametrize("mode, resolution, weight", [
+    ("interval", 64, None),
+    ("tensor2d", 32, None),
+    ("tensor2d", 32, WeightSpec.power(1.0)),
+])
+def test_warm_started_line_search_rejects_few_trials(mode, resolution, weight):
+    """At p = 3 each line search after the first starts where the last
+    quadratic model said halving from 1 would stop, so a search costs its
+    accepted trial and its interpolation: about two quotient evaluations
+    per iteration (26 on 11 iterations, 32 on 14 and 34 on 15), where
+    searches that all start at 1 took 43, 60 and 64."""
+    pair = smallest_eigenpair(build_grid(mode, 1.0, resolution), weight, 3.0)
+    assert pair.residual <= 1e-4
+    assert pair.quotient_evals <= 2 * pair.iterations + 4
+
+
+def test_start_accepted_far_short_of_the_minimizer_is_doubled():
+    """A start accepted at its first trial is doubled while the quadratic's
+    minimizer lies past twice it and R still decreases.  Interval 128,
+    p = 4, theta_w = 2.5, a quotient far from quadratic, converges in 214
+    iterations and 645 quotient evaluations (202 and 2274 with every search
+    started at 1); without the doubling the start stays near its first
+    backtracked tau and the solve takes 4826 iterations, nearly every one a
+    restart."""
+    pair = smallest_eigenpair(build_grid("interval", 1.0, 128), WeightSpec.power(2.5), 4.0)
+    assert pair.residual <= 1e-4
+    assert pair.iterations <= 300
+    assert pair.quotient_evals <= 1000
+
+
+@pytest.mark.parametrize("resolution, converges", [(8, True), (9, False), (10, True)])
+def test_steady_state_on_the_coarse_weighted_ball(resolution, converges):
+    """On the ball n = 3 with weight |x|, sigma = 1.5 and p = 2, the steady
+    state converges at resolutions 8 and 10 but has no discrete solution
+    the solver reaches at 9: the quotient keeps falling as the profile
+    concentrates on the centre node, whose face coefficient and volume are
+    tiny, and the solve stalls at residual 6.4e-3."""
+    grid = build_grid("radial", 1.0, resolution, n=3)
+    weight = WeightSpec.power(1.0)
+    if converges:
+        u = eigensolver.steady_state(grid, weight, 2.0, 1.0, 1.5).values[grid.interior]
+        assert np.all(u > 0.0)
+        return
+    with pytest.raises(ConvergenceError) as info:
+        eigensolver.steady_state(grid, weight, 2.0, 1.0, 1.5)
+    assert info.value.residual == pytest.approx(6.4e-3, rel=0.01)
+
+
 @pytest.mark.parametrize("mode, resolution, kd", [
     ("interval", 32, 1),
 ])
@@ -400,14 +461,26 @@ def test_steady_state_solves_the_steady_equation(mode, sigma, alpha0, theta_w):
     assert np.linalg.norm(residual) <= eigensolver.STEADY_STATE_TOL * np.linalg.norm(reaction)
 
 
-def test_steady_state_of_the_scan_workload():
+def test_steady_state_of_the_scan_workload(monkeypatch):
     """On the scan-1d problem (interval 64, p = 2, alpha0 = 1, sigma = 2),
     max U = 11.7946207504, and Newton's method on the same discrete
     equations, started from U, moves it by less than 1e-10 relative at
-    every node."""
+    every node.  Its solve (q = 3) starts every line search at tau = 1:
+    7 iterations and 14 quotient evaluations, to the same bits as a solve
+    whose every search starts at 1."""
+    pairs = []
+    solve = eigensolver.smallest_eigenpair
+
+    def recorded(*args, **kwargs):
+        pairs.append(solve(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(eigensolver, "smallest_eigenpair", recorded)
     grid = build_grid("interval", 1.0, 64)
     u = eigensolver.steady_state(grid, None, 2.0, 1.0, 2.0).values[grid.interior]
     assert u.max() == pytest.approx(11.7946207504, rel=1e-10)
+    (pair,) = pairs
+    assert (pair.iterations, pair.quotient_evals, pair.eigenvalue) == (7, 14, 8.690040881549718)
     k = _hessian_dense(grid, None)
     vol = cell_volumes(grid)[grid.interior]
     newton = u.copy()

@@ -57,7 +57,7 @@ def test_workload_solver_counts_pinned(tmp_path, name):
         assert _counts(_load(out / "outcome.json")) == (12, 12, 0)
     elif name == "eigen-2d-p3":
         pair = _load(out / "eigenpair.json")
-        assert (pair["iterations"], pair["quotient_evals"]) == (24, 100)
+        assert (pair["iterations"], pair["quotient_evals"]) == (24, 52)
     else:
         amplitudes = [run["amplitude"] for run in _load(out / "summary.json")["runs"]]
         assert amplitudes == sorted(SCAN_PROBES)
