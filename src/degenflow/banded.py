@@ -22,11 +22,13 @@ solver time falls by about a tenth.  The solutions agree to 1e-15
 relative.  A matrix that is not positive definite fails the
 factorization (info > 0), which raises FactorError.
 
-The compiled kernels, LAPACK's (lapack) and the CSR products of the face
-operators (sparsetools), are scipy's extension modules linalg._flapack and
-sparse._sparsetools, loaded once at import by file path: that imports
-neither scipy.linalg nor scipy.sparse, whose Python layers took longer to
-import than numpy itself (about 0.2 s of every start-up on that host).
+The compiled kernels are three of scipy's extension modules, loaded by
+file path: LAPACK's (lapack, linalg._flapack) and the CSR products of the
+face operators (sparsetools, sparse._sparsetools), once at import, and the
+type-I sine transform of the tensor eigensolver's preconditioner
+(fft._pocketfft.pypocketfft), on its first use.  That imports none of
+scipy.linalg, scipy.sparse and scipy.fft, whose Python layers took longer
+to import than numpy itself (about 0.2 s of every start-up on that host).
 """
 
 import importlib.machinery
@@ -39,11 +41,12 @@ from .errors import NumericalError
 
 
 def scipy_extension(sub, name):
-    """scipy's compiled module scipy.<sub>.<name>, loaded from its file in
-    scipy's directory without importing scipy.<sub>, or by the normal import
-    when that fails."""
+    """scipy's compiled module scipy.<sub>.<name>, for a dotted subpackage
+    sub, loaded from its file in scipy's directory without importing
+    scipy.<sub>, or by the normal import when that fails."""
     try:
-        folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], sub)
+        folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                              *sub.split("."))
         paths = (os.path.join(folder, name + s) for s in importlib.machinery.EXTENSION_SUFFIXES)
         path = next(path for path in paths if os.path.exists(path))
         spec = importlib.util.spec_from_file_location(f"scipy.{sub}.{name}", path)

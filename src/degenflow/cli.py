@@ -456,9 +456,17 @@ def _build_problem(cfg, grid, weight, eigenpair):
     )
 
 
-def _solve_eigen(cfg, grid, weight):
-    return smallest_eigenpair(grid, weight, cfg.sections["problem"]["p"],
-                              tol=cfg.sections["eigen"]["tol"])
+def _solve_eigen(cfg, grid, weight, out=None):
+    """The config's eigenpair.  A stalled solve leaves its best iterate's
+    record, residual history included, in out, beside the error.json that
+    main writes."""
+    try:
+        return smallest_eigenpair(grid, weight, cfg.sections["problem"]["p"],
+                                  tol=cfg.sections["eigen"]["tol"])
+    except ConvergenceError as exc:
+        if out is not None and exc.best is not None:
+            exc.best.to_json(out / "eigenpair.json")
+        raise
 
 
 # -------------------------------------------------------------- subcommands
@@ -467,14 +475,7 @@ def _solve_eigen(cfg, grid, weight):
 def _cmd_eigen(cfg, out):
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
-    try:
-        pair = _solve_eigen(cfg, grid, weight)
-    except ConvergenceError as exc:
-        # a stalled solve leaves its best iterate's record, residual history
-        # included, beside the error.json that main writes
-        if exc.best is not None:
-            exc.best.to_json(out / "eigenpair.json")
-        raise
+    pair = _solve_eigen(cfg, grid, weight, out)
     pair.to_csv(out / "eigenfunction.csv")
     pair.to_json(out / "eigenpair.json")
     write_json(out / "summary.json", _summary(cfg, {
@@ -518,7 +519,7 @@ def _cmd_solve(cfg, out):
     prob = cfg.sections["problem"]
     eigenpair = None
     if prob["reaction"] != "none":
-        eigenpair = _solve_eigen(cfg, grid, weight)
+        eigenpair = _solve_eigen(cfg, grid, weight, out)
     outcome = _run_one(cfg, grid, weight, eigenpair, out)
     write_json(out / "summary.json", _summary(cfg, _solve_summary(cfg, outcome, eigenpair)))
     return EXIT_OK
@@ -566,7 +567,7 @@ def _cmd_blowup_scan(cfg, out):
         sections["problem"]["amplitude"] = a
         return ExperimentConfig(cfg.command, cfg.output_dir, sections)
 
-    eigenpair = _solve_eigen(cfg, grid, weight)
+    eigenpair = _solve_eigen(cfg, grid, weight, out)
     lam1 = eigenpair.eigenvalue
     body = {"lambda1": lam1, "rel_tol": scan["rel_tol"]}
     # the scan config's amplitude is the default 1: _check_scan rejects a set one

@@ -23,12 +23,13 @@ weighted 5-point stiffness and the p = 2 Hessian (Faber, Manteuffel &
 Parter, Adv. Appl. Math. 1990).  L0 is solved exactly by the type-I sine
 transform, which diagonalizes it (Buzbee, Golub & Nielson, SIAM J. Numer.
 Anal. 1970), in O(n log n) work and O(n) memory where a band factor costs
-resolution**4 and resolution**3.  The transform runs on numpy's real FFT
-of each row's odd extension, which numpy loads with itself, so it adds
-no import to a tensor eigensolve.  The search direction is the
-Polak-Ribiere+ combination of the preconditioned gradient with the
-previous direction, restarted from the preconditioned gradient whenever it
-is not a descent direction.  Steps are backtracked by halving until R
+resolution**4 and resolution**3.  The transform is scipy's compiled
+pocketfft, one in-place call over both axes, loaded by file path on the
+first tensor eigensolve (banded.scipy_extension): no other command maps
+it, and scipy.fft's Python layer is never imported.  The search direction
+is the Polak-Ribiere+ combination of the preconditioned gradient with the
+previous direction, restarted from the preconditioned gradient whenever
+it is not a descent direction.  Steps are backtracked by halving until R
 decreases; then one interpolation step evaluates R at the minimizer of the
 quadratic through R(0), R'(0) and R(tau) and keeps that point if R is lower
 there.  The first search starts at tau = 1 and each later one where the
@@ -49,11 +50,12 @@ raise a FactorError, a NumericalError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banded import BandPattern, FactorError
+from .banded import BandPattern, FactorError, scipy_extension
 from .banded import _spla_on_access as __getattr__  # noqa: F401  resolves spla
 from .discretization import (
     MODE_TENSOR2D,
@@ -133,24 +135,11 @@ def _quadratic_minimizer(r0, slope, tau, r_tau):
     return -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
 
 
-def _dst_rows(x, ext):
-    """Minus the type-I sine transform of each row of x, unnormalized as
-    scipy's dst(type=1): the imaginary part of the real FFT of the row's
-    odd extension (0, x, 0, -reversed x), written into ext, an
-    (m, 2 (m + 1)) buffer whose columns 0 and m + 1 stay zero.  Passes are
-    applied in pairs, so their signs cancel exactly and none is negated."""
-    m = x.shape[1]
-    ext[:, 1 : m + 1] = x
-    ext[:, m + 2 :] = -x[:, ::-1]
-    return np.fft.rfft(ext, axis=1).imag[:, 1 : m + 1]
-
-
-def _dst2(x, ext):
-    """Type-I sine transform of the m x m array x along both axes, as
-    scipy's dstn(x, type=1): a row pass of the transpose transforms the
-    columns, then a row pass of its transpose the rows, and the two passes'
-    signs cancel."""
-    return _dst_rows(_dst_rows(x.T, ext).T, ext)
+@functools.cache
+def _pocketfft():
+    """scipy's compiled pocketfft, whose dst(type=1, inorm=0) is the
+    unnormalized type-I sine transform along every axis, as scipy.fft.dstn."""
+    return scipy_extension("fft._pocketfft", "pypocketfft")
 
 
 def _sine_transform_solve(w):
@@ -168,11 +157,15 @@ def _sine_transform_solve(w):
     mu = 2.0 - 2.0 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
     eig = (mu[:, None] + mu[None, :]) * (2.0 * (m + 1)) ** 2
     s = 1.0 / np.sqrt(w)
-    ext = np.zeros((m, 2 * (m + 1)))
+    dst = _pocketfft().dst
 
     def solve(x):
-        y = _dst2(s * x.reshape(m, m), ext)
-        return (s * _dst2(y / eig, ext)).ravel()
+        y = s * x.reshape(m, m)
+        dst(y, type=1, inorm=0, out=y, nthreads=1)
+        y /= eig
+        dst(y, type=1, inorm=0, out=y, nthreads=1)
+        y *= s
+        return y.ravel()
 
     return solve
 

@@ -559,6 +559,33 @@ class TestMain:
         assert pair["quotient_evals"] >= len(history)
         assert f"after {pair['iterations']} accepted iterations" in error["message"]
 
+    @pytest.mark.parametrize("command, text, residual, iterations", [
+        ("solve", "command = solve\noutput_dir = stall\n[problem]\nmode = tensor2d\n"
+                  "resolution = 16\np = 3.0\nweight = power\ntheta_w = 1.0\nreaction = power\n"
+                  "sigma = 3.0\nt_end = 0.01\ndt0 = 1e-3\n[eigen]\ntol = 1e-12\n",
+         "6.335e-10", 40),
+        ("blowup-scan", SCAN_CFG.format(out="stall") + "[eigen]\ntol = 1e-15\n",
+         "6.818e-14", 9),
+    ], ids=["solve", "blowup-scan"])
+    def test_stalled_eigensolve_of_a_run_writes_its_best_iterate(self, tmp_path, monkeypatch,
+                                                                 command, text, residual,
+                                                                 iterations):
+        """solve and blowup-scan, like eigen, leave a stalled eigensolve's
+        best iterate as eigenpair.json beside error.json, run nothing
+        further and exit 3: a tensor 16, p = 3 solve at tol 1e-12 and
+        scan-1d's config at tol 1e-15, both below round-off."""
+        monkeypatch.chdir(tmp_path)
+        assert _run(tmp_path, "s.cfg", text, command) == EXIT_NUMERICAL
+        out = tmp_path / "stall"
+        assert sorted(os.listdir(out)) == ["eigenpair.json", "error.json",
+                                           "resolved_config.txt"]
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_type"] == "ConvergenceError"
+        assert f"stalled at residual {residual}" in error["message"]
+        pair = json.loads((out / "eigenpair.json").read_text())
+        assert pair["iterations"] == iterations
+        assert pair["residual"] == min(pair["residual_history"])
+
     def test_certified_blowup_end_that_completes_is_undecided(self, tmp_path, monkeypatch):
         """Certified verdicts are eventual ones.  Here every full run of a
         midpoint is made to end at t = 0.2, while 11.81, the bracket's
@@ -1248,9 +1275,10 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_cli_import_leaves_scipy_fft_unloaded(tmp_path):
-    """The tensor eigensolver computes its sine transforms on numpy's FFT,
-    so neither importing the CLI nor a tensor eigensolve loads scipy.fft,
-    or the scipy.special it pulls in: together about 0.1 s of start-up."""
+    """The tensor eigensolver loads scipy's compiled pocketfft by file path
+    for its sine transforms, so neither importing the CLI nor a tensor
+    eigensolve imports scipy.fft, or the scipy.special it pulls in:
+    together about 0.1 s of start-up."""
     path = tmp_path / "e.cfg"
     path.write_text(
         f"command = eigen\noutput_dir = {tmp_path / 'e'}\n[problem]\nmode = tensor2d\n"

@@ -403,17 +403,53 @@ def test_tensor_preconditioner_inverts_scaled_five_point_stiffness(resolution, e
 
 @pytest.mark.parametrize("m", [1, 2, 7, 31, 191])
 def test_sine_transform_matches_scipy(m):
-    """The type-I sine transform on numpy's real FFT of the odd extension
-    is scipy.fft.dstn(type=1) along both axes, and scaled by
-    1 / (2 (m + 1))**2 it is idstn, to round-off."""
+    """The preconditioner's type-I sine transform, the compiled pocketfft
+    dst(type=1, inorm=0) in place, is scipy.fft.dstn(type=1) along both
+    axes, and scaled by 1 / (2 (m + 1))**2 it is idstn, to round-off."""
     x = np.random.default_rng(m).standard_normal((m, m))
-    ext = np.zeros((m, 2 * (m + 1)))
-    y = eigensolver._dst2(x, ext)
+    y = x.copy()
+    eigensolver._pocketfft().dst(y, type=1, inorm=0, out=y, nthreads=1)
     ref = scipy.fft.dstn(x, type=1)
     assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
     inv = y / (2.0 * (m + 1)) ** 2
     ref = scipy.fft.idstn(x, type=1)
     assert np.abs(inv - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _odd_extension_solve(w, x):
+    """S L0^{-1} S x with each sine transform taken on numpy's real FFT of
+    every row's odd extension (0, x, 0, -reversed x), in the order of
+    operations of eigensolver._sine_transform_solve: the transform the
+    preconditioner ran before scipy's compiled one, kept as its oracle."""
+    m = len(w)
+    ext = np.zeros((m, 2 * (m + 1)))
+
+    def rows(x):
+        # minus the transform of each row; passes come in pairs, so the
+        # signs cancel
+        ext[:, 1 : m + 1] = x
+        ext[:, m + 2 :] = -x[:, ::-1]
+        return np.fft.rfft(ext, axis=1).imag[:, 1 : m + 1]
+
+    def dst2(x):
+        return rows(rows(x.T).T)
+
+    mu = 2.0 - 2.0 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+    eig = (mu[:, None] + mu[None, :]) * (2.0 * (m + 1)) ** 2
+    s = 1.0 / np.sqrt(w)
+    return (s * dst2(dst2(s * x.reshape(m, m)) / eig)).ravel()
+
+
+@pytest.mark.parametrize("m", [12, 20, 191])
+def test_sine_transform_solve_is_byte_identical_to_the_odd_extension(m):
+    """The compiled transform gives the preconditioner the same bits as the
+    real-FFT odd extension, for the power weight theta_w = 1 on the m x m
+    interior of a tensor grid, so tensor eigenpairs do not move."""
+    w = weight_on_grid(WeightSpec.power(1.0), build_grid("tensor2d", 1.0, m + 1))[1:-1, 1:-1]
+    solve = eigensolver._sine_transform_solve(w)
+    rng = np.random.default_rng(m)
+    for x in (np.ones(m * m), *rng.standard_normal((3, m * m))):
+        assert solve(x).tobytes() == _odd_extension_solve(w, x).tobytes()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 10.0, float("nan")])
