@@ -51,6 +51,7 @@ from .plap_operator import (
 from .jsonio import write_json
 from .eigensolver import EigenPair, smallest_eigenpair, steady_state
 from .timestepper import (
+    BlowupBracket,
     ProblemSpec,
     RunOutcome,
     StepControls,
@@ -68,6 +69,7 @@ from .diagnostics import (
     barenblatt_exact,
     bernoulli_blowup,
     bernoulli_comparison,
+    bernoulli_time,
     blowup_threshold,
     decay_exponent_fit,
     exp_forced_bound,

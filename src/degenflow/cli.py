@@ -27,8 +27,8 @@ from .eigensolver import STEADY_STATE_TOL, check_tol, smallest_eigenpair, steady
 from .errors import ConfigError, ConvergenceError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
-from .timestepper import (KIND_BLOWUP, ProblemSpec, StepControls, bisect_dichotomy,
-                          certificate_holds, run_simulation)
+from .timestepper import (KIND_BLOWUP, KIND_DECAYED, ProblemSpec, StepControls,
+                          bisect_dichotomy, certificate_holds, run_simulation)
 from .weight_models import WeightSpec, check_doubling, check_muckenhoupt
 
 SCHEMA_VERSION = 1
@@ -555,7 +555,9 @@ def _cmd_blowup_scan(cfg, out):
     values run in full; the midpoints end at the eventual verdict certified
     by the steady state U (_steady_state_bracket).  A certified blow-up end
     is rerun in full for the fit, keeping its probe's certified_at; if it
-    does not blow up by t_end, it is the undecided midpoint, with no bracket."""
+    does not blow up by t_end, it is the undecided midpoint, with no bracket.
+    Where [a_sub, a_super] was found, contradicting_values lists the
+    configured values that blew up below a_sub or decayed above a_super."""
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
     scan = cfg.sections["scan"]
@@ -590,6 +592,11 @@ def _cmd_blowup_scan(cfg, out):
                 runs=[{"amplitude": a, "kind": runs[a].kind, "certified_at": certified[a],
                        "g0": runs[a].trajectory.weighted_mass[0], "T_est": runs[a].t_est}
                       for a in sorted(runs)])
+    if "a_sub" in body:
+        body["contradicting_values"] = [
+            a for a in sorted(set(scan["values"]))
+            if runs[a].kind == KIND_BLOWUP and a < body["a_sub"]
+            or runs[a].kind == KIND_DECAYED and a > body["a_super"]]
     if bracket is not None:
         a_lo, a_hi = bracket
         body.update(a_decay=a_lo, a_blowup=a_hi, bracket_ratio=a_hi / a_lo,

@@ -83,12 +83,27 @@ class OdeParams:
             raise ConfigError(f"g0 must be nonnegative, got {self.g0}")
 
 
+def bernoulli_time(lambda1, C, sigma, y0):
+    """Blow-up time of y' = -lambda1 y + C y^sigma, y(0) = y0 > 0, or None
+    where y does not blow up.  h = y^{1-sigma} solves the linear
+    h' = (sigma - 1) (lambda1 h - C), so with lambda1 = 0 the time is
+    y0^{1-sigma} / (C (sigma - 1)), and otherwise y blows up exactly when
+    h0 = y0^{1-sigma} lies below the equilibrium h_eq = C / lambda1, at
+    ln(h_eq / (h_eq - h0)) / ((sigma - 1) lambda1)."""
+    sm1 = sigma - 1.0
+    h0 = y0 ** (-sm1)
+    if lambda1 == 0.0:
+        return float(h0 / (sm1 * C))
+    h_eq = C / lambda1  # h-value of the ODE equilibrium (lambda1/C)^{1/(sigma-1)}
+    return math.log(h_eq / (h_eq - h0)) / (sm1 * lambda1) if h0 < h_eq else None
+
+
 def bernoulli_blowup(params):
     """Exact solution data for g' = -lambda1 g + C g^sigma, g(0) = g0.
 
-    Returns {"blows_up": bool, "T": float or None, "g": evaluator}.  The
-    evaluator accepts scalar or array times and returns inf at and past the
-    blow-up time.
+    Returns {"blows_up": bool, "T": float or None, "g": evaluator}, T from
+    bernoulli_time.  The evaluator accepts scalar or array times and
+    returns inf at and past the blow-up time.
     """
     lam, c, sig, g0 = params.lambda1, params.C, params.sigma, params.g0
     sm1 = sig - 1.0
@@ -96,17 +111,15 @@ def bernoulli_blowup(params):
     if g0 == 0.0:
         return {"blows_up": False, "T": None, "g": lambda t: np.zeros_like(np.asarray(t, dtype=float))}
 
+    t_star = bernoulli_time(lam, c, sig, g0)
+    blows = t_star is not None
     # h = g^{1-sigma} solves the linear h' = sm1 (lam h - c)
     h0 = g0 ** (-sm1)
     if lam == 0.0:
-        blows, t_star = True, float(h0 / (sm1 * c))
-
         def h_of(t):
             return h0 - sm1 * c * t
     else:
-        h_eq = c / lam  # h-value of the ODE equilibrium g* = (lam/c)^{1/(sm1)}
-        blows = h0 < h_eq  # equivalently g0 > g*
-        t_star = math.log(h_eq / (h_eq - h0)) / (sm1 * lam) if blows else None
+        h_eq = c / lam
 
         def h_of(t):
             return h_eq + (h0 - h_eq) * np.exp(sm1 * lam * t)

@@ -60,8 +60,11 @@ flow's deviation from the recorded state.  Such a verdict is one on the
 semi-discrete flow from the data, not on the steps: K is an M-matrix where
 a certificate holds and f depends only on its own node, so the flow is
 cooperative and keeps states below U below it and states above U above
-it.  bisect_dichotomy brackets the amplitude that separates decay
-from blow-up, by runs it is handed.
+it.  Where, besides, the weight is the unit one and the eigenpair is
+known, a run also ends as blown up once BlowupBracket, a proven bracket
+on the flow's blow-up time, is BRACKET_REL narrow.  bisect_dichotomy
+brackets the amplitude that separates decay from blow-up, by runs it is
+handed.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ import numpy as np
 
 from .banded import BandPattern, FactorError
 from .banded import _spla_on_access as __getattr__  # noqa: F401  resolves spla
-from .diagnostics import _line_fit
+from .diagnostics import _line_fit, bernoulli_time
 from .discretization import MODE_TENSOR2D, Field, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
@@ -106,6 +109,8 @@ DT_MIN = 1e-12
 CAP_FACTOR = 1e8
 # the bound on a run step's relative error estimate
 LTE_TOL = 2e-2
+# a run ends once the proven blow-up bracket is this narrow relative to T_lo
+BRACKET_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -191,16 +196,56 @@ class Trajectory:
         self.energy.append(en)
 
     def to_csv(self, path, header_lines=()):
+        """One row per recorded state, every value formatted in one pass."""
+        cols = (self.times, self.dt_used, self.sup_abs_u, self.mass, self.weighted_mass,
+                self.energy)
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        head = "".join(f"# {line}\n" for line in header_lines) + ",".join(_CSV_COLUMNS) + "\n"
         with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(_CSV_COLUMNS) + "\n")
-            rows = zip(
-                self.times, self.dt_used, self.sup_abs_u,
-                self.mass, self.weighted_mass, self.energy,
-            )
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(head + row * len(self.times) % tuple(v for r in zip(*cols) for v in r))
+
+
+class BlowupBracket:
+    """The proven bracket [t_lo, t_hi] on the blow-up time T of the
+    semi-discrete flow at p = 2 with f(u) = alpha0 |u|^(sigma-1) u, the
+    unit weight and an interval or radial grid, tightened by every state
+    handed to update.  Both bounds are Bernoulli blow-up times with
+    C = alpha0 (diagnostics.bernoulli_time):
+
+    - lower, from any state: K is an M-matrix and f acts node by node, so
+      sup |u| grows at most like y' = alpha0 y^sigma and
+      T >= t + sup^(1-sigma) / (alpha0 (sigma - 1));
+    - upper, from a state u >= 0: g = sum V phi u over the probability
+      weights V phi of the eigenfunction (K phi = lambda1 V phi, sum V phi
+      = 1) obeys g' >= -lambda1 g + alpha0 g^sigma by Jensen's inequality
+      (Kaplan, CPAM 1963), so while alpha0 g^(sigma-1) > lambda1,
+      T <= t + ln(alpha0 / (alpha0 - lambda1 g^(1-sigma))) / (lambda1 (sigma - 1)).
+
+    The upper bound holds up to the eigenpair's residual.  A trajectory of
+    the flow keeps t_lo <= t_hi; a gap t_lo - t_hi > 0 proves that the
+    states are not on one trajectory, and bounds the time error from
+    below.  t_hi is inf until the upper bound applies."""
+
+    def __init__(self, lambda1, alpha0, sigma):
+        self.lambda1, self.alpha0, self.sigma = lambda1, alpha0, sigma
+        self.t_lo, self.t_hi = 0.0, math.inf
+
+    def update(self, t, sup, g, nonnegative):
+        """Tighten the bracket by the state at time t with sup norm sup and
+        weighted mass g; True once it is consistent and its width is at
+        most BRACKET_REL t_lo."""
+        if sup > 0.0:
+            self.t_lo = max(self.t_lo, t + bernoulli_time(0.0, self.alpha0, self.sigma, sup))
+        if nonnegative and g > 0.0:
+            t_up = bernoulli_time(self.lambda1, self.alpha0, self.sigma, g)
+            if t_up is not None:
+                self.t_hi = min(self.t_hi, t + t_up)
+        return self.consistent and self.t_hi - self.t_lo <= BRACKET_REL * self.t_lo
+
+    @property
+    def consistent(self):
+        """Whether t_lo <= t_hi, as on every trajectory of the flow."""
+        return self.t_lo <= self.t_hi
 
 
 @dataclass
@@ -216,15 +261,19 @@ class RunOutcome:
     rejected_attempts: int = 0
     # when the steady state certified the kind; None on a run to its end
     certified_at: float | None = None
+    # the proven blow-up bracket where its bounds hold, else None
+    bounds: BlowupBracket | None = None
 
     def payload(self):
         """The classification, blow-up estimate, decay rate, solver counts,
         final sup norm and initial weighted mass g0, as outcome.json and the
         solve summary write them, with certified_at and certificate if set.
-        A run's attempts each take one factorization and no Newton
-        iteration; newton_iters_total stays, as 0, for the readers of the
-        key."""
-        traj = self.trajectory
+        bounds_consistent and bounds_gap = t_lo - t_hi are those of the
+        proven blow-up bracket, null where its bounds do not hold (and the
+        gap null while t_hi is inf).  A run's attempts each take one
+        factorization and no Newton iteration; newton_iters_total stays, as
+        0, for the readers of the key."""
+        traj, bounds = self.trajectory, self.bounds
         return {
             "kind": self.kind,
             "T_est": self.t_est,
@@ -237,6 +286,8 @@ class RunOutcome:
             "rejected_attempts": self.rejected_attempts,
             "final_sup": traj.sup_abs_u[-1] if traj.times else None,
             "g0": traj.weighted_mass[0] if traj.times else None,
+            "bounds_consistent": None if bounds is None else bounds.consistent,
+            "bounds_gap": None if bounds is None else bounds.t_lo - bounds.t_hi,
             **({"certified_at": self.certified_at, "certificate": "steady_state"}
                if self.certified_at is not None else {}),
         }
@@ -491,6 +542,15 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     acts node by node.  dev is 0 at t = 0 and ends certification at 1.
     So a verdict is the eventual kind of the flow from the data: run in
     full, the run may still be Completed at t_end.
+
+    Where certificate_holds, the weight is the unit one and an eigenpair is
+    supplied, every recorded state (t = 0 included) tightens a
+    BlowupBracket, the outcome's bounds, and the run ends as BlowUp at the
+    first state where it is consistent and at most BRACKET_REL T_lo wide.
+    A blow-up with a consistent bracket and a finite T_hi reports it as
+    [T_lo, T_hi], with T_est the tail fit clamped into it; any other
+    blow-up reports the fit (estimate_blowup_time).  An inconsistent
+    bracket never ends a run.
     """
     grid = spec.grid
     ctl = spec.controls
@@ -507,8 +567,15 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     # integrate's node weights for the g column at the interior nodes
     vol_g = vol * gweight.ravel()[idx]
 
+    bounds = None
+    if certificate_holds(spec) and spec.weight is None and eigenpair is not None:
+        bounds = BlowupBracket(eigenpair.eigenvalue, reaction.alpha0, reaction.sigma)
+
     def record(t, dt, x, sup):
-        traj.append(t, dt, sup, float(vol @ x), float(vol_g @ x), system.flux(x).energy())
+        # True once the blow-up bracket closes
+        g = float(vol_g @ x)
+        traj.append(t, dt, sup, float(vol @ x), g, system.flux(x).energy())
+        return bounds is not None and bounds.update(t, sup, g, x.min() >= 0.0)
 
     if certificate is not None:
         if not certificate_holds(spec):
@@ -528,21 +595,20 @@ def run_simulation(spec, eigenpair=None, certificate=None):
                 KIND_BLOWUP if (x >= (1.0 + margin) * u_cert).all() else None)
 
     x = spec.initial.values.ravel()[idx]
-    record(0.0, 0.0, x, spec.sup0)
+    outcome = KIND_BLOWUP if record(0.0, 0.0, x, spec.sup0) else None
     pending = sorted(set(spec.snapshot_times))
     while pending and pending[0] <= 1e-12:
         traj.snapshots[pending.pop(0)] = grid.scatter(x)
 
     t = 0.0
     dt = spec.dt0
-    outcome = None
     verdict = certify(x)
     factorizations = rejected = 0
     rate_x = None  # F(t, x) of the current state, with f'(x) in drea
 
     # a rejected attempt may overflow; its nonfinite state fails the error test
     with np.errstate(over="ignore", invalid="ignore"):
-        while verdict is None and t < spec.t_end - 1e-14:
+        while verdict is None and outcome is None and t < spec.t_end - 1e-14:
             dt = min(dt, ctl.dt_max, spec.t_end - t)
             # land exactly on the next snapshot time when the floor allows it
             # (min with dt_max: the float gap can overshoot it by roundoff,
@@ -577,10 +643,10 @@ def run_simulation(spec, eigenpair=None, certificate=None):
                                + 0.5 * dt * float((np.abs(k1 + k2) / u_cert).max()))
                     t += dt
                     x, rate_x = x_new, None
-                    record(t, dt, x, sup)
+                    closed = record(t, dt, x, sup)
                     while pending and t >= pending[0] - 1e-12:
                         traj.snapshots[pending.pop(0)] = grid.scatter(x)
-                    if sup >= cap:
+                    if sup >= cap or closed:
                         outcome = KIND_BLOWUP
                         break
                     if sup < decay_floor:
@@ -605,20 +671,23 @@ def run_simulation(spec, eigenpair=None, certificate=None):
             raise NumericalError("step failure at DT_MIN without blow-up signature",
                                  trajectory=traj)
 
-    counts = dict(steps=len(traj.times) - 1, factorizations=factorizations,
-                  rejected_attempts=rejected)
+    common = dict(steps=len(traj.times) - 1, factorizations=factorizations,
+                  rejected_attempts=rejected, bounds=bounds)
 
     if verdict is not None:
-        return RunOutcome(verdict, traj, certified_at=t, **counts)
+        return RunOutcome(verdict, traj, certified_at=t, **common)
 
     if outcome == KIND_BLOWUP:
         sigma = spec.reaction.sigma if spec.reaction.family != "none" else 2.0
         t_est, t_lo, t_hi = estimate_blowup_time(traj, sigma, t_end=spec.t_end)
-        return RunOutcome(KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **counts)
+        if bounds is not None and bounds.consistent and bounds.t_hi < math.inf:
+            t_lo, t_hi = bounds.t_lo, bounds.t_hi
+            t_est = min(max(t_est, t_lo), t_hi)
+        return RunOutcome(KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **common)
     if outcome == KIND_DECAYED:
         rate = _fit_exponential_rate(traj.times, traj.sup_abs_u, spec.sup0)
-        return RunOutcome(KIND_DECAYED, traj, rate_fit=rate, **counts)
-    return RunOutcome(KIND_COMPLETED, traj, **counts)
+        return RunOutcome(KIND_DECAYED, traj, rate_fit=rate, **common)
+    return RunOutcome(KIND_COMPLETED, traj, **common)
 
 
 def bisect_dichotomy(probe, values, rel_tol):
@@ -662,7 +731,9 @@ def estimate_blowup_time(traj, sigma, t_end=float("inf")):
     T_est the root clamped to [T_lo, t_end] and T_hi = T_est plus the
     propagated standard error of the root, at most t_end.  A tail too short
     or not strictly growing yields the degenerate answer (t_last, t_last,
-    t_end).
+    t_end).  [T_lo, T_hi] measures the fit, not the time error; where
+    run_simulation has a consistent BlowupBracket, it reports that bracket
+    instead, with T_est clamped into it.
     """
     if not sigma > 1.0:
         raise ConfigError(f"sigma must exceed 1, got {sigma}")

@@ -517,6 +517,31 @@ class TestMain:
                                   / "outcome.json").read_text())
             assert "certified_at" not in outcome
 
+    def test_scan_flags_configured_values_that_contradict_the_steady_state(self, tmp_path,
+                                                                           monkeypatch):
+        """The summary lists the configured values whose full run blew up
+        below a_sub or decayed above a_super: none on the scan-1d config,
+        and both of its values when a patched run flips their kinds (6
+        blows up, 20 decays), which leaves no ordered bracket."""
+        monkeypatch.chdir(tmp_path)
+        assert _run(tmp_path, "s.cfg", SCAN_CFG.format(out="plain"), "blowup-scan") == EXIT_OK
+        assert _summary(tmp_path / "plain")["contradicting_values"] == []
+
+        run = degenflow.cli.run_simulation
+        flipped = {6.0: "BlowUp", 20.0: "Decayed"}
+
+        def flipping(spec, **kwargs):
+            outcome = run(spec, **kwargs)
+            outcome.kind = flipped.get(spec.sup0, outcome.kind)
+            return outcome
+
+        monkeypatch.setattr("degenflow.cli.run_simulation", flipping)
+        assert _run(tmp_path, "f.cfg", SCAN_CFG.format(out="flipped"),
+                    "blowup-scan") == EXIT_UNDECIDED
+        summary = _summary(tmp_path / "flipped")
+        assert summary["a_sub"] > 6.0 and summary["a_super"] < 20.0
+        assert summary["contradicting_values"] == [6.0, 20.0]
+
     def test_scan_on_the_coarse_weighted_ball_runs_in_full(self, tmp_path, monkeypatch):
         """Unpatched: on the ball n = 3 at resolution 9 with weight |x| and
         sigma = 1.5, the steady state stalls (eigensolver tests), so the

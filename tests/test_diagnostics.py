@@ -17,6 +17,7 @@ from degenflow import (
     barenblatt_exact,
     bernoulli_blowup,
     bernoulli_comparison,
+    bernoulli_time,
     blowup_threshold,
     build_grid,
     decay_exponent_fit,
@@ -107,6 +108,17 @@ class TestBernoulliOde:
         # pure g' = C g^sigma: T = g0^{1-sigma} / ((sigma-1) C)
         out = bernoulli_blowup(OdeParams(0.0, 2.0, 3.0, 1.0))
         assert out["T"] == pytest.approx(1.0 / 4.0)
+
+    def test_scalar_time_is_the_closed_forms(self):
+        """bernoulli_time gives bernoulli_blowup's T to the bit, None where
+        g0 lies at or below the equilibrium, on 50 seeded draws with
+        lambda1 = 0 in every fifth."""
+        rng = np.random.default_rng(7)
+        for i in range(50):
+            lam = 0.0 if i % 5 == 0 else rng.uniform(0.1, 5.0)
+            c, sig, g0 = rng.uniform(0.1, 3.0), rng.uniform(1.2, 3.5), rng.uniform(0.05, 4.0)
+            assert bernoulli_time(lam, c, sig, g0) == bernoulli_blowup(OdeParams(lam, c, sig, g0))["T"]
+        assert bernoulli_time(2.0, 1.0, 2.0, 2.0) is None
 
     def test_params_validation(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,6 @@
 """The ROS2 runs of run_simulation: convergence in LTE_TOL, the proven
-blow-up-time bounds, certificates near the threshold, and run-level
-structure on rough data."""
+blow-up-time bounds and the bracket that ends blow-up runs, certificates
+near the threshold, and run-level structure on rough data."""
 
 import json
 from dataclasses import replace
@@ -21,7 +21,8 @@ from degenflow import (
     integrate,
     run_simulation,
 )
-from degenflow import bisect_dichotomy, cli, timestepper
+from degenflow import BlowupBracket, bisect_dichotomy, cli, smallest_eigenpair, timestepper
+from degenflow.banded import FactorError
 from degenflow.cli import parse_config
 from degenflow.eigensolver import STEADY_STATE_TOL, steady_state
 from degenflow.plap_operator import FaceFlux
@@ -98,6 +99,129 @@ def test_blowup_time_bounds_are_consistent(amplitude):
     assert above.sum() >= 10
     upper = np.min(t[above] + np.log(1.0 / (1.0 - lam / g[above])) / lam)
     assert lower <= upper
+
+
+def _backward_euler_gap(spec, pair, dt):
+    """t_lo - t_hi of the BlowupBracket over the backward-Euler states of
+    spec at step dt, halved on a failed step, up to sup > 1e3 sup|u0|; and
+    the number of steps."""
+    system = timestepper._NewtonSystem(spec.grid, spec.weight, spec.p)
+    idx = spec.grid.interior
+    x = spec.initial.values.ravel()[idx]
+    vol_g = system.vol * pair.eigenfunction.values.ravel()[idx]
+    bounds = BlowupBracket(pair.eigenvalue, spec.reaction.alpha0, spec.reaction.sigma)
+    t = 0.0
+    steps = 0
+    while True:
+        sup = float(np.abs(x).max())
+        bounds.update(t, sup, float(vol_g @ x), x.min() >= 0.0)
+        if sup > 1e3 * spec.sup0:
+            return bounds.t_lo - bounds.t_hi, steps
+        try:
+            x = timestepper.step_implicit(system, x, t, dt, spec)
+        except (timestepper._StepFailure, FactorError):
+            dt *= 0.5
+            continue
+        t += dt
+        steps += 1
+
+
+def test_bounds_separate_backward_euler_trajectories():
+    """The bracket's consistency check tells a trajectory off in time from
+    one near the semi-discrete flow.  Backward Euler blows up early; on the
+    scan-1d A = 20 data its states at dt 1e-3 are inconsistent, by a gap
+    of +4.1e-4 over 89 steps when recorded, and at dt 2e-4 consistent
+    (-5.7e-5 over 412 steps).  The ROS2 run reports consistent bounds."""
+    spec, pair = _workload("scan-1d", amplitude=20.0)
+    coarse, steps = _backward_euler_gap(spec, pair, 1e-3)
+    assert coarse > 0.0 and steps > 50
+    fine, steps = _backward_euler_gap(spec, pair, 2e-4)
+    assert fine <= 0.0 and steps > 200
+    payload = run_simulation(spec, eigenpair=pair).payload()
+    assert payload["kind"] == "BlowUp"
+    assert payload["bounds_consistent"] is True and payload["bounds_gap"] <= 0.0
+
+
+def _sin_blowup(mode, n=1, p=2.0, weight=None, reaction=None, eigenpair=True, amplitude=20.0,
+                resolution=24):
+    """A blow-up problem with sin (interval), cos (radial) or sine-product
+    (tensor) data, and its eigenpair unless eigenpair is False."""
+    g = build_grid(mode, 1.0, resolution, n=n)
+    pair = smallest_eigenpair(g, weight, p) if eigenpair else None
+    if mode == "tensor2d":
+        x, y = g.axes
+        vals = np.sin(np.pi * x)[:, None] * np.sin(np.pi * y)[None, :]
+    elif mode == "interval":
+        vals = np.sin(np.pi * g.axes[0])
+    else:
+        vals = np.cos(0.5 * np.pi * g.axes[0])
+    vals = amplitude * vals
+    vals[g.boundary_mask] = 0.0
+    if reaction is None:
+        reaction = ReactionSpec.power(1.0, 2.0)
+    spec = ProblemSpec(grid=g, weight=weight, p=p, reaction=reaction, initial=Field(g, vals),
+                       t_end=3.0, dt0=1e-3, controls=StepControls(dt_max=2e-2))
+    return spec, pair
+
+
+@pytest.mark.parametrize("mode, n, amplitude", [("interval", 1, 20.0), ("radial", 2, 30.0),
+                                                ("radial", 3, 40.0)],
+                         ids=["interval", "radial-n2", "radial-n3"])
+def test_stopping_early_leaves_the_estimate_in_place(monkeypatch, mode, n, amplitude):
+    """Data above the steady state blow up, and the run ends once the
+    proven bracket is BRACKET_REL wide, before the sup cap.  T_est, the
+    tail fit clamped into the bracket, lies within 1e-4 of the run to the
+    cap, which takes more steps: 271 against 130 on the interval, 266
+    against 196 and 265 against 245 on the balls n = 2 and 3, where T_est
+    moved by 2e-6, 3e-10 and 3e-13 when recorded."""
+    spec, pair = _sin_blowup(mode, n=n, amplitude=amplitude)
+    early = run_simulation(spec, eigenpair=pair)
+    assert early.kind == "BlowUp" and early.bounds.consistent
+    assert early.t_lo <= early.t_est <= early.t_hi
+    assert early.t_hi - early.t_lo <= timestepper.BRACKET_REL * early.t_lo
+    assert early.trajectory.sup_abs_u[-1] < spec.cap_value()
+    monkeypatch.setattr(timestepper, "BRACKET_REL", -1.0)
+    full = run_simulation(spec, eigenpair=pair)
+    assert full.kind == "BlowUp" and full.trajectory.sup_abs_u[-1] >= spec.cap_value()
+    assert full.steps > early.steps
+    assert early.t_est == pytest.approx(full.t_est, rel=1e-4)
+
+
+def test_inconsistent_bracket_runs_to_the_cap():
+    """An eigenvalue half the true one makes the upper bound from the data
+    fall below the blow-up time, so the bracket is inconsistent.  It never
+    ends the run, which goes on to the sup cap and reports the tail fit,
+    the same blow-up times as a run without the bracket."""
+    spec, pair = _sin_blowup("interval")
+    out = run_simulation(spec, eigenpair=replace(pair, eigenvalue=0.5 * pair.eigenvalue))
+    assert out.kind == "BlowUp" and out.trajectory.sup_abs_u[-1] >= spec.cap_value()
+    payload = out.payload()
+    assert payload["bounds_consistent"] is False and payload["bounds_gap"] > 0.0
+    plain = run_simulation(spec)
+    assert plain.bounds is None and plain.steps == out.steps
+    assert (out.t_est, out.t_lo, out.t_hi) == (plain.t_est, plain.t_lo, plain.t_hi)
+
+
+@pytest.mark.parametrize("case", ["weighted", "tensor", "p3", "exp_forced", "no-eigenpair"])
+def test_no_bracket_where_its_bounds_do_not_hold(monkeypatch, case):
+    """The bracket needs p = 2, a power reaction, the unit weight, an
+    interval or radial grid and an eigenpair.  A blow-up run that lacks
+    one has null bounds and takes the same steps with the stopping rule
+    disabled."""
+    kwargs = {"weighted": dict(mode="interval", weight=WeightSpec.power(1.0)),
+              "tensor": dict(mode="tensor2d", amplitude=60.0, resolution=12),
+              "p3": dict(mode="interval", p=3.0, reaction=ReactionSpec.power(1.0, 3.0),
+                         amplitude=50.0),
+              "exp_forced": dict(mode="interval",
+                                 reaction=ReactionSpec.exp_forced(1.0, 2.0, 9.87)),
+              "no-eigenpair": dict(mode="interval", eigenpair=False)}[case]
+    spec, pair = _sin_blowup(**kwargs)
+    out = run_simulation(spec, eigenpair=pair)
+    assert out.kind == "BlowUp" and out.bounds is None
+    payload = out.payload()
+    assert payload["bounds_consistent"] is None and payload["bounds_gap"] is None
+    monkeypatch.setattr(timestepper, "BRACKET_REL", -1.0)
+    assert run_simulation(spec, eigenpair=pair).steps == out.steps
 
 
 def test_no_certificate_near_the_threshold():

@@ -1091,6 +1091,20 @@ def test_trajectory_csv_columns(tmp_path):
     assert header.split(",") == ["t", "dt", "sup_abs_u", "mass", "g", "energy"]
 
 
+def test_trajectory_csv_is_the_row_by_row_format(tmp_path):
+    """to_csv formats every row in one pass, to the bytes of formatting each
+    value with f"{v:.17g}" row by row, non-finite values and an int
+    included."""
+    traj = run_simulation(_sin_problem(resolution=32, t_end=0.05)).trajectory
+    traj.append(1.0, 0.5, float("inf"), -0.0, float("nan"), 5)
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path, header_lines=("a", "b = 1"))
+    rows = zip(traj.times, traj.dt_used, traj.sup_abs_u, traj.mass, traj.weighted_mass,
+               traj.energy)
+    assert path.read_text() == "# a\n# b = 1\nt,dt,sup_abs_u,mass,g,energy\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
 def test_trajectory_append_guards_time_order():
     traj = Trajectory()
     traj.append(0.1, 0.1, 1.0, 1.0, 1.0, 1.0)

@@ -26,10 +26,10 @@ SCAN_PROBES = {
     6.0: (143, 143, 0),
     10.954451150103322: (4, 4, 0),
     11.374454657912443: (162, 162, 0),
-    11.810561477896204: (287, 311, 24),
+    11.810561477896204: (114, 138, 24),
     12.73357838853023: (0, 0, 0),
     14.801656089845705: (0, 0, 0),
-    20.0: (271, 281, 10),
+    20.0: (130, 140, 10),
 }
 
 
