@@ -15,12 +15,12 @@ They are factored by band Cholesky (dpbtrf) and solved with the factor
 runs the lower-transpose triangular band solve (dtbsv), the slowest of its
 four variants on single-threaded OpenBLAS (64 us against 35-45 us through
 scipy.linalg.blas at n = 961, kd = 31, on a 2-core x86-64 host).  On the
-Newton matrix of the tensor2d p = 3 benchmark (the same n and kd) dpbtrs
-takes 40 us in upper storage against 61 us in lower, and dpbtrf 460 us
-against 400 us; that run solves six times per factorization, so its band
-solver time falls by about a tenth.  The solutions agree to 1e-15
-relative.  A matrix that is not positive definite fails the
-factorization (info > 0), which raises FactorError.
+ROS2 matrix of the tensor2d p = 3 benchmark (the same n and kd), the one
+factorization and two solves of a ROS2 step took 295-297 us in upper
+storage against 321-325 us in lower, upper the faster in 30 of 30
+interleaved timings; the solutions agree to 1e-15 relative.  A matrix
+that is not positive definite fails the factorization (info > 0), which
+raises FactorError.
 
 The compiled kernels are three of scipy's extension modules, loaded by
 file path: LAPACK's (lapack, linalg._flapack) and the CSR products of the

@@ -274,15 +274,22 @@ def _at_line(exc, lines):
 
 
 def _check_values(sections, command, reads, explicit):
-    """The checks of the sections read that need no grid or data: the
-    ProblemSpec exponent checks (but in weights-check, which reads no p and
-    takes any theta_w) and schedule checks, the eigensolver tol, the scan
-    amplitudes, tolerance and reaction term, verify-exact's grid mode, p
-    and resolutions, and decay-fit's window and reaction term.  They run at
+    """The checks of the sections read that need no grid or data: the grid
+    extent and resolution, the ProblemSpec exponent checks (but in
+    weights-check, which reads no p and takes any theta_w) and schedule
+    checks, the eigensolver tol, the scan amplitudes, tolerance and
+    reaction term, verify-exact's grid mode, p, resolutions and sample
+    times, and decay-fit's window and reaction term.  They run at
     parse time so that a bad value fails before any work, naming the line
     of the key at fault."""
     prob = sections["problem"]
     try:
+        # weights-check, which reads neither key, has rejected them if set
+        if not prob["extent"] > 0.0:
+            raise ConfigError(f"extent must be positive, got {prob['extent']}", keys=("extent",))
+        if prob["resolution"] < 4:
+            raise ConfigError(f"resolution must be at least 4 cells, got {prob['resolution']}",
+                              keys=("resolution",))
         if command != "weights-check":
             ProblemSpec.check_exponents(prob["p"], prob["theta_w"])
         if "controls" in reads:
@@ -298,9 +305,17 @@ def _check_values(sections, command, reads, explicit):
                 raise ConfigError("verify-exact runs on radial or interval grids", keys=("mode",))
             if not prob["p"] > 2.0:
                 raise ConfigError("verify-exact needs p > 2", keys=("p",))
-            if len(sections["verify"]["resolutions"] or [64, 128, 256]) < 3:
+            resolutions = sections["verify"]["resolutions"] or [64, 128, 256]
+            if len(resolutions) < 3:
                 raise ConfigError("verify-exact needs at least 3 resolutions",
                                   keys=("resolutions",))
+            if min(resolutions) < 4:
+                raise ConfigError(f"resolutions must be at least 4 cells, got {min(resolutions)}",
+                                  keys=("resolutions",))
+            earliest = min(sections["verify"]["sample_times"] or [1.0])
+            if not earliest > 0.0:
+                raise ConfigError(f"sample times must be positive, got {earliest}",
+                                  keys=("sample_times",))
         if "decay" in reads:
             if prob["reaction"] != "none":
                 raise ConfigError("decay-fit fits the unforced flow: reaction must be none",

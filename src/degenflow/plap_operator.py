@@ -311,8 +311,8 @@ class FaceFlux:
         stiffness.  On interval and radial grids, whose face gradient is a
         alone, that is the exact energy Hessian.  On tensor grids it holds
         the tangential part B u fixed and drops the B rows' derivative,
-        which keeps the matrix at the compact stencil of A; the damped
-        Newton loop tolerates the mismatch."""
+        which keeps the matrix at the compact stencil of A; ROS2 keeps its
+        order with it, and the damped Newton loop tolerates the mismatch."""
         a, p = self.g[0], self.p
         return self.op.cw * _s_pow(self.s, (p - 4.0) / 2.0) * ((p - 2.0) * a * a + self.s)
 

@@ -36,7 +36,8 @@ step_implicit is one backward-Euler step, the solution v of
     v - u_old - dt * (L_p v + f(x, t + dt, v)) = 0,
 
 by damped Newton; the property tests check its energy decrease, maximum
-principle and comparison ordering step by step.  Each Newton update solves
+principle and comparison ordering step by step.  Each Newton update
+factors a fresh matrix at the current iterate and solves
 
     (V + dt K - dt V f') delta = -V r,
 
@@ -115,6 +116,9 @@ BRACKET_REL = 1e-3
 
 @dataclass(frozen=True)
 class StepControls:
+    """dt_max bounds every step's dt.  Only step_implicit reads newton_tol,
+    its Newton loop's residual tolerance: run_simulation takes ROS2 steps,
+    which solve no nonlinear system, and ignores it."""
     dt_max: float = 0.1
     newton_tol: float = 1e-10
 
@@ -300,10 +304,6 @@ class RunOutcome:
         write_json(path, payload)
 
 
-class _StepFailure(Exception):
-    pass
-
-
 class _NewtonSystem(BandPattern):
     """Interior Newton matrix V (1 - dt f') + dt K of one (grid, weight, p),
     the rate F and the backward-Euler residual whose Jacobian the matrix
@@ -321,10 +321,10 @@ class _NewtonSystem(BandPattern):
     positive semidefinite and V is positive, so the matrix is positive
     definite whenever dt f' < 1 at every interior node; it is always
     factored by band Cholesky, and one that is not positive definite
-    raises FactorError.  exact says whether the matrix is the Jacobian of
-    the residual: it is on interval and radial grids and at p = 2, but on
-    tensor grids at p > 2 it drops the tangential part of the flux
-    derivative (FaceFlux.conductance).
+    raises FactorError.  The matrix is the Jacobian of the residual on
+    interval and radial grids and at p = 2; on tensor grids at p > 2 it
+    drops the tangential part of the flux derivative (FaceFlux.conductance),
+    and Newton converges only linearly.
 
     The system keeps the FaceFlux of the last interior vector evaluated, by
     identity, so a state's recorded energy, rate and matrix share one face
@@ -338,7 +338,6 @@ class _NewtonSystem(BandPattern):
         self.grid, self.p = grid, p
         self.op = op = face_operator(grid, weight, interior=True)
         self.vol = op.vol
-        self.exact = p == 2.0 or op.matrix.rows == op.cw.size
         self.last_flux = None
         if p == 2.0:
             k_data, row, col = energy_hessian_matrix(grid, weight, interior=True)
@@ -416,17 +415,17 @@ def _count(stats, key):
 
 def step_implicit(system, x_old, t, dt, spec, stats=None):
     """One backward-Euler step of the interior vector x_old from t to
-    t + dt on a _NewtonSystem; returns the new interior vector.  Raises on
-    solver failure.
+    t + dt on a _NewtonSystem by damped Newton; returns the new interior
+    vector.
 
-    stats, when given, counts "newton_iters" and "factorizations".  The step
-    ends when the residual is at most newton_tol * max(sup |x_old|,
-    min(1, sup |u0|)), u0 the initial data of spec.  An
-    exact Newton matrix is factored at every iteration.  An inexact one is
-    factored at the first iteration and then reused until an update needs
-    damping or a reused factor fails to lower the residual, which is retried
-    once with a fresh factor.  An update from a fresh factor that cannot
-    lower the residual raises at once.
+    stats, when given, counts "newton_iters" and "factorizations".  Every
+    update factors the matrix at the current iterate and takes the first
+    of the steps 1, 1/2, 1/4, 1/8 along it that lowers the residual.  The
+    step ends when the residual is at most newton_tol * max(sup |x_old|,
+    min(1, sup |u0|)), u0 the initial data of spec.  It raises
+    NumericalError on a nonfinite update, on an update none of whose steps
+    lowers the residual and after NEWTON_MAX updates, and FactorError, a
+    NumericalError, on a matrix that is not positive definite.
     """
     ctl = spec.controls
     if not 0.0 < dt <= ctl.dt_max:
@@ -441,44 +440,28 @@ def step_implicit(system, x_old, t, dt, spec, stats=None):
     x = x_old
     r = system.residual(x, x_old, t_new, dt, reaction)
     rnorm = np.abs(r).max()
-    lu = None
-    for it in range(NEWTON_MAX):
+    for _ in range(NEWTON_MAX):
         _count(stats, "newton_iters")
         if rnorm <= tol:
             return x
-        fresh = lu is None
-        if fresh:
-            drea = 0.0
-            if reaction.family != "none":
-                drea = reaction_derivative(reaction, t_new, x)
-            _count(stats, "factorizations")
-            lu = system.factor(system.matrix(x, dt, drea))
-        delta = system.solve(lu, -system.vol * r)
+        drea = reaction_derivative(reaction, t_new, x) if reaction.family != "none" else 0.0
+        _count(stats, "factorizations")
+        delta = system.solve(system.factor(system.matrix(x, dt, drea)), -system.vol * r)
         if not np.isfinite(delta).all():
-            raise _StepFailure("nonfinite Newton update")
-
-        damping = 1.0
-        improved = False
-        for _ in range(4):
+            raise NumericalError("nonfinite Newton update")
+        for damping in (1.0, 0.5, 0.25, 0.125):
             trial = x + damping * delta
             tr = system.residual(trial, x_old, t_new, dt, reaction)
             tnorm = np.abs(tr).max()
             if np.isfinite(tnorm) and tnorm < rnorm:
                 x, r, rnorm = trial, tr, tnorm
-                improved = True
                 break
-            damping *= 0.5
-        if not improved:
-            if fresh:
-                raise _StepFailure(f"stalled at residual {rnorm:.2e} (tol {tol:.2e})")
-            lu = None  # the reused factor went stale: retry with a fresh one
-            continue
-        if system.exact or damping < 1.0:
-            lu = None
+        else:
+            raise NumericalError(f"stalled at residual {rnorm:.2e} (tol {tol:.2e})")
     if rnorm <= tol:
         return x
-    raise _StepFailure(f"no convergence in {NEWTON_MAX} iterations "
-                       f"(residual {rnorm:.2e}, tol {tol:.2e})")
+    raise NumericalError(f"no convergence in {NEWTON_MAX} iterations "
+                         f"(residual {rnorm:.2e}, tol {tol:.2e})")
 
 
 def _step_field(u, t, dt, spec, stats=None):

@@ -903,16 +903,27 @@ class TestMain:
         ("eigen", EIGEN_CFG.replace("p = 2.0", "p = 3.0\nweight = power\ntheta_w = 5"),
          "theta_w = 5", "weight exponent theta_w must lie in [0, p); got 5.0 with p=3.0"),
         ("eigen", EIGEN_CFG.replace("p = 2.0", "p = 1.5"), "p = 1.5", "p must be >= 2, got 1.5"),
+        ("verify-exact", VERIFY_CFG + "sample_times = 1.0, -3.0\n", "sample_times = 1.0, -3.0",
+         "sample times must be positive, got -3.0"),
+        ("verify-exact", VERIFY_CFG.replace("16, 32, 64", "2, 32, 64"), "resolutions = 2, 32, 64",
+         "resolutions must be at least 4 cells, got 2"),
+        ("solve", SOLVE_CFG.replace("resolution = 32", "resolution = 3"), "resolution = 3",
+         "resolution must be at least 4 cells, got 3"),
+        ("eigen", EIGEN_CFG.replace("extent = 1.0", "extent = 0.0"), "extent = 0.0",
+         "extent must be positive, got 0.0"),
     ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction",
             "scan-sigma-below", "scan-sigma-at", "scan-exp-forced", "mode", "weight", "reaction",
             "theta_w-above-p", "theta_w-negative", "scan-amplitude", "eigen-theta_w-above-p",
-            "p-below-2"])
+            "p-below-2", "verify-sample-times", "verify-resolution-below-4", "resolution-below-4",
+            "extent"])
     def test_command_checks_fail_at_parse_time(self, tmp_path, command, text, line, message):
         """A scan without a reaction term, with a power reaction at
         sigma <= p - 1 or with the exp_forced reaction, neither of which has
         an amplitude threshold to bracket, a
-        verify-exact on a tensor grid, at p = 2 or with fewer than three
-        resolutions, a decay fit with a reaction term, p below 2 and a
+        verify-exact on a tensor grid, at p = 2, with fewer than three
+        resolutions, a resolution below 4 or a sample time that is not
+        positive, a grid extent that is not positive or a resolution below
+        4, a decay fit with a reaction term, p below 2 and a
         power weight exponent theta_w outside [0, p) in any command but
         weights-check, a scan that sets its own amplitude (its probes run the [scan]
         values), and a mode, weight or

@@ -226,7 +226,7 @@ def test_newton_jacobian_matches_fd_1d(mode, p):
     u = _random_interior_field(g, 77)
     idx = g.interior
     system = _NewtonSystem(g, w, p)
-    assert system.exact
+    assert mode != "tensor2d" or p == 2.0  # where the matrix is the exact Jacobian
     # dt = 1 and reaction slope 1 zero the V (1 - dt f') diagonal, leaving K
     band = system.matrix(u.values.ravel()[idx], 1.0, 1.0)
     k = np.zeros((len(idx), len(idx)))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from degenflow import (
     Field,
+    NumericalError,
     ProblemSpec,
     ReactionSpec,
     StepControls,
@@ -22,7 +23,6 @@ from degenflow import (
     run_simulation,
 )
 from degenflow import BlowupBracket, bisect_dichotomy, cli, smallest_eigenpair, timestepper
-from degenflow.banded import FactorError
 from degenflow.cli import parse_config
 from degenflow.eigensolver import STEADY_STATE_TOL, steady_state
 from degenflow.plap_operator import FaceFlux
@@ -119,7 +119,7 @@ def _backward_euler_gap(spec, pair, dt):
             return bounds.t_lo - bounds.t_hi, steps
         try:
             x = timestepper.step_implicit(system, x, t, dt, spec)
-        except (timestepper._StepFailure, FactorError):
+        except NumericalError:
             dt *= 0.5
             continue
         t += dt
