@@ -54,7 +54,6 @@ from .timestepper import (
     BlowupBracket,
     ProblemSpec,
     RunOutcome,
-    StepControls,
     Trajectory,
     bisect_dichotomy,
     estimate_blowup_time,

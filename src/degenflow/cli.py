@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,8 @@ from .eigensolver import STEADY_STATE_TOL, check_tol, smallest_eigenpair, steady
 from .errors import ConfigError, ConvergenceError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
-from .timestepper import (KIND_BLOWUP, KIND_DECAYED, ProblemSpec, StepControls,
-                          bisect_dichotomy, certificate_holds, run_simulation)
+from .timestepper import (KIND_BLOWUP, KIND_DECAYED, ProblemSpec, bisect_dichotomy,
+                          certificate_holds, run_simulation)
 from .weight_models import WeightSpec, check_doubling, check_muckenhoupt
 
 SCHEMA_VERSION = 1
@@ -294,7 +294,7 @@ def _check_values(sections, command, reads, explicit):
             ProblemSpec.check_exponents(prob["p"], prob["theta_w"])
         if "controls" in reads:
             ProblemSpec.check_schedule(prob["t_end"], prob["dt0"],
-                                       StepControls(**sections["controls"]),
+                                       sections["controls"]["dt_max"],
                                        prob["snapshot_times"] or ())
         if "eigen" in reads and sections["eigen"]["tol"] is not None:
             check_tol(sections["eigen"]["tol"])
@@ -466,7 +466,7 @@ def _build_problem(cfg, grid, weight, eigenpair):
         initial=initial,
         t_end=prob["t_end"],
         dt0=prob["dt0"],
-        controls=StepControls(**cfg.sections["controls"]),
+        dt_max=cfg.sections["controls"]["dt_max"],
         snapshot_times=snaps,
     )
 
@@ -695,18 +695,8 @@ def _cmd_weights_check(cfg, out):
     body = {
         "n": n,
         "mu": mu,
-        "muckenhoupt": {
-            "passes": mk.passes,
-            "worst_constant": mk.worst_constant,
-            "worst_esssup_ratio": mk.worst_esssup_ratio,
-            "message": mk.message,
-        },
-        "doubling": {
-            "passes": db.passes,
-            "worst_ratio": db.worst_ratio,
-            "tail_slope": db.tail_slope,
-            "message": db.message,
-        },
+        "muckenhoupt": asdict(mk),
+        "doubling": asdict(db),
     }
     write_json(out / "summary.json", _summary(cfg, body))
     return EXIT_OK

@@ -35,9 +35,10 @@ step_implicit is one backward-Euler step, the solution v of
 
     v - u_old - dt * (L_p v + f(x, t + dt, v)) = 0,
 
-by damped Newton; the property tests check its energy decrease, maximum
-principle and comparison ordering step by step.  Each Newton update
-factors a fresh matrix at the current iterate and solves
+by damped Newton to a residual of NEWTON_TOL times the state's scale; the
+property tests check its energy decrease, maximum principle and comparison
+ordering step by step.  Each Newton update factors a fresh matrix at the
+current iterate and solves
 
     (V + dt K - dt V f') delta = -V r,
 
@@ -100,6 +101,7 @@ KIND_BLOWUP = "BlowUp"
 _CSV_COLUMNS = ("t", "dt", "sup_abs_u", "mass", "g", "energy")
 
 NEWTON_MAX = 30  # Newton iterations per backward-Euler step
+NEWTON_TOL = 1e-10  # its residual tolerance, relative to the state's scale
 # ROS2's diagonal coefficient, which makes it L-stable
 GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # relative margin around a certificate U, far wider than U's solve error
@@ -115,20 +117,6 @@ BRACKET_REL = 1e-3
 
 
 @dataclass(frozen=True)
-class StepControls:
-    """dt_max bounds every step's dt.  Only step_implicit reads newton_tol,
-    its Newton loop's residual tolerance: run_simulation takes ROS2 steps,
-    which solve no nonlinear system, and ignores it."""
-    dt_max: float = 0.1
-    newton_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.newton_tol > 0.0:
-            raise ConfigError(f"newton_tol must be positive, got {self.newton_tol}",
-                              keys=("newton_tol",))
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     grid: object
     weight: object
@@ -137,12 +125,12 @@ class ProblemSpec:
     initial: Field
     t_end: float
     dt0: float
-    controls: StepControls = field(default_factory=StepControls)
+    dt_max: float = 0.1  # bounds every step's dt
     snapshot_times: tuple = ()
 
     def __post_init__(self):
         self.check_exponents(self.p, getattr(self.weight, "theta_w", 0.0))
-        self.check_schedule(self.t_end, self.dt0, self.controls, self.snapshot_times)
+        self.check_schedule(self.t_end, self.dt0, self.dt_max, self.snapshot_times)
         if self.initial.grid is not self.grid:
             raise ConfigError("initial data must live on the problem grid")
         bdry = np.abs(self.initial.values[self.grid.boundary_mask])
@@ -159,11 +147,11 @@ class ProblemSpec:
                               f"p={p}", keys=("theta_w", "p"))
 
     @staticmethod
-    def check_schedule(t_end, dt0, controls, snapshot_times):
+    def check_schedule(t_end, dt0, dt_max, snapshot_times):
         """The checks of the time schedule, which need no grid or data."""
         if not t_end > 0.0:
             raise ConfigError("t_end must be positive", keys=("t_end",))
-        if not DT_MIN <= dt0 <= controls.dt_max:
+        if not DT_MIN <= dt0 <= dt_max:
             raise ConfigError(f"need {DT_MIN:g} <= dt0 <= dt_max", keys=("dt0", "dt_max"))
         outside = [ts for ts in snapshot_times if not 0.0 <= ts <= t_end]
         if outside:
@@ -421,21 +409,20 @@ def step_implicit(system, x_old, t, dt, spec, stats=None):
     stats, when given, counts "newton_iters" and "factorizations".  Every
     update factors the matrix at the current iterate and takes the first
     of the steps 1, 1/2, 1/4, 1/8 along it that lowers the residual.  The
-    step ends when the residual is at most newton_tol * max(sup |x_old|,
+    step ends when the residual is at most NEWTON_TOL * max(sup |x_old|,
     min(1, sup |u0|)), u0 the initial data of spec.  It raises
     NumericalError on a nonfinite update, on an update none of whose steps
     lowers the residual and after NEWTON_MAX updates, and FactorError, a
     NumericalError, on a matrix that is not positive definite.
     """
-    ctl = spec.controls
-    if not 0.0 < dt <= ctl.dt_max:
-        raise ConfigError(f"dt {dt} outside (0, {ctl.dt_max}]")
+    if not 0.0 < dt <= spec.dt_max:
+        raise ConfigError(f"dt {dt} outside (0, {spec.dt_max}]")
     if not np.isfinite(x_old).all():
         raise NumericalError("nonfinite state entering step")
 
     t_new = t + dt
     scale = max(float(np.abs(x_old).max()), min(1.0, spec.sup0))
-    tol = ctl.newton_tol * scale
+    tol = NEWTON_TOL * scale
     reaction = spec.reaction
     x = x_old
     r = system.residual(x, x_old, t_new, dt, reaction)
@@ -510,7 +497,8 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     The last step lands on t_end, shorter than DT_MIN if less is left.  An
     attempt that fails at DT_MIN, by its error or its factorization, ends
     the run as BlowUp if the sup norm is ramping and raises NumericalError
-    otherwise.
+    otherwise.  Where the reaction exponent sigma is at least 3 and no
+    bracket holds, this rule, not the cap, ends blow-up runs.
 
     certificate, a steady state U as a Field for which certificate_holds
     (else ConfigError), ends the run at a recorded state (t = 0 included)
@@ -536,7 +524,6 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     bracket never ends a run.
     """
     grid = spec.grid
-    ctl = spec.controls
     reaction = spec.reaction
     idx = grid.interior
     wvals = weight_on_grid(spec.weight, grid)
@@ -592,12 +579,12 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     # a rejected attempt may overflow; its nonfinite state fails the error test
     with np.errstate(over="ignore", invalid="ignore"):
         while verdict is None and outcome is None and t < spec.t_end - 1e-14:
-            dt = min(dt, ctl.dt_max, spec.t_end - t)
+            dt = min(dt, spec.dt_max, spec.t_end - t)
             # land exactly on the next snapshot time when the floor allows it
             # (min with dt_max: the float gap can overshoot it by roundoff,
             # which the snapshot pop tolerance then absorbs)
             if pending and t + dt > pending[0] - 1e-14 and pending[0] - t >= DT_MIN:
-                dt = min(pending[0] - t, ctl.dt_max)
+                dt = min(pending[0] - t, spec.dt_max)
             if rate_x is None:
                 rate_x = system.rate(x, t, reaction)
                 drea = reaction_derivative(reaction, t, x) if reaction.family != "none" else 0.0

@@ -20,7 +20,6 @@ from degenflow import (
     OdeParams,
     ProblemSpec,
     ReactionSpec,
-    StepControls,
     WeightSpec,
     apply_plaplacian,
     barenblatt_corrected,
@@ -59,14 +58,12 @@ def interval64_eigen():
     return grid, pair
 
 
-def _sin_spec(grid, amplitude, reaction, t_end, dt0, dt_max, snaps=(),
-              newton_tol=1e-10):
+def _sin_spec(grid, amplitude, reaction, t_end, dt0, dt_max, snaps=()):
     phi = Field(grid, amplitude * np.sin(np.pi * grid.axes[0]))
     return ProblemSpec(
         grid=grid, weight=None, p=2.0, reaction=reaction,
         initial=phi, t_end=t_end, dt0=dt0,
-        controls=StepControls(dt_max=dt_max, newton_tol=newton_tol),
-        snapshot_times=snaps,
+        dt_max=dt_max, snapshot_times=snaps,
     )
 
 
@@ -99,7 +96,7 @@ def test_criterion_02_heat_equation_oracle():
     spec = ProblemSpec(
         grid=grid, weight=None, p=2.0, reaction=ReactionSpec.none(),
         initial=Field(grid, np.sin(np.pi * x)), t_end=0.3, dt0=1e-4,
-        controls=StepControls(dt_max=1e-4), snapshot_times=snaps,
+        dt_max=1e-4, snapshot_times=snaps,
     )
     out = run_simulation(spec)
     err = 0.0
@@ -196,11 +193,9 @@ def test_criterion_05_blowup_dichotomy(dichotomy_scan):
     pair = dichotomy_scan["pair"]
     lam = pair.eigenvalue
 
-    # the decay floor for A = 0.01 sits at 1e-10, so the newton tolerance
-    # must resolve residuals below dt * lambda * floor
     small = run_simulation(
         _sin_spec(grid, 0.01, ReactionSpec.power(1.0, 2.0),
-                  t_end=3.0, dt0=1e-3, dt_max=5e-3, newton_tol=1e-14),
+                  t_end=3.0, dt0=1e-3, dt_max=5e-3),
         eigenpair=pair,
     )
     small_ok = small.kind == "Decayed" and abs(small.rate_fit - PI2) / PI2 <= 0.10
@@ -264,7 +259,7 @@ def test_criterion_08_decay_exponent(theta_w):
     phi.values[-1] = 0.0
     spec = ProblemSpec(
         grid=grid, weight=weight, p=3.0, reaction=ReactionSpec.none(),
-        initial=phi, t_end=9.0, dt0=1e-3, controls=StepControls(dt_max=5e-2),
+        initial=phi, t_end=9.0, dt0=1e-3, dt_max=5e-2,
     )
     out = run_simulation(spec)
     fit = decay_exponent_fit(out.trajectory, (1.0, 10.0), time_offset=1.0)
@@ -341,7 +336,7 @@ def test_criterion_11_structural_properties():
         phi.values[grid.boundary_mask] = 0.0
         spec = ProblemSpec(
             grid=grid, weight=weight, p=p, reaction=ReactionSpec.none(),
-            initial=phi, t_end=0.3, dt0=1e-3, controls=StepControls(dt_max=5e-3),
+            initial=phi, t_end=0.3, dt0=1e-3, dt_max=5e-3,
         )
         out = run_simulation(spec)
         sups = np.asarray(out.trajectory.sup_abs_u)

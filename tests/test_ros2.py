@@ -16,7 +16,6 @@ from degenflow import (
     NumericalError,
     ProblemSpec,
     ReactionSpec,
-    StepControls,
     WeightSpec,
     build_grid,
     integrate,
@@ -160,7 +159,7 @@ def _sin_blowup(mode, n=1, p=2.0, weight=None, reaction=None, eigenpair=True, am
     if reaction is None:
         reaction = ReactionSpec.power(1.0, 2.0)
     spec = ProblemSpec(grid=g, weight=weight, p=p, reaction=reaction, initial=Field(g, vals),
-                       t_end=3.0, dt0=1e-3, controls=StepControls(dt_max=2e-2))
+                       t_end=3.0, dt0=1e-3, dt_max=2e-2)
     return spec, pair
 
 
@@ -224,6 +223,19 @@ def test_no_bracket_where_its_bounds_do_not_hold(monkeypatch, case):
     assert run_simulation(spec, eigenpair=pair).steps == out.steps
 
 
+def test_step_floor_ends_blowup_at_sigma_3():
+    """At sigma = 3 with no bracket, the step floor, not the sup cap, ends
+    a blow-up run: with DT_MIN as it stands, the last attempt fails at
+    DT_MIN while the sup norm ramps, far below the cap (2.5e5 against
+    5e9 when recorded, after 172 steps)."""
+    spec, pair = _sin_blowup("interval", p=3.0, reaction=ReactionSpec.power(1.0, 3.0),
+                             amplitude=50.0)
+    out = run_simulation(spec, eigenpair=pair)
+    assert out.kind == "BlowUp" and out.bounds is None
+    assert out.trajectory.dt_used[-1] == timestepper.DT_MIN
+    assert out.trajectory.sup_abs_u[-1] < spec.cap_value()
+
+
 def test_no_certificate_near_the_threshold():
     """On the scan-1d problem, the full runs bisected to a bracket within
     CERTIFICATE_MARGIN delta put the threshold at about 11.512.  Data 3
@@ -272,7 +284,7 @@ def _rough_problems(draw):
     vals[g.boundary_mask] = 0.0
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(theta), p=p,
                        reaction=ReactionSpec.none(), initial=Field(g, vals), t_end=0.05,
-                       dt0=1e-4, controls=StepControls())
+                       dt0=1e-4)
     return spec, patchy
 
 

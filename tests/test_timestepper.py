@@ -19,7 +19,6 @@ from degenflow import (
     ProblemSpec,
     ReactionSpec,
     RunOutcome,
-    StepControls,
     Trajectory,
     WeightSpec,
     bisect_dichotomy,
@@ -55,11 +54,10 @@ def _node_coordinates(g):
 
 
 def _sin_problem(amplitude=1.0, resolution=64, t_end=0.3, dt0=1e-3, dt_max=5e-3,
-                 reaction=None, p=2.0, **ctl_kw):
+                 reaction=None, p=2.0):
     g = build_grid("interval", 1.0, resolution)
     phi = Field(g, amplitude * np.sin(np.pi * g.axes[0]))
     phi.values[g.boundary_mask] = 0.0
-    controls = StepControls(dt_max=dt_max, **ctl_kw)
     return ProblemSpec(
         grid=g,
         weight=None,
@@ -68,7 +66,7 @@ def _sin_problem(amplitude=1.0, resolution=64, t_end=0.3, dt0=1e-3, dt_max=5e-3,
         initial=phi,
         t_end=t_end,
         dt0=dt0,
-        controls=controls,
+        dt_max=dt_max,
     )
 
 
@@ -246,7 +244,7 @@ def test_indefinite_newton_matrix_fails_step():
     dt = 1e-2
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=3.0,
                        reaction=ReactionSpec.power(10.0, 3.0), initial=Field(g, vals),
-                       t_end=1.0, dt0=dt, controls=StepControls(dt_max=1.0))
+                       t_end=1.0, dt0=dt, dt_max=1.0)
     stats = {}
     with pytest.raises(FactorError, match="not positive definite"):
         step_implicit(spec.initial, 0.0, dt, spec, stats=stats)
@@ -433,7 +431,7 @@ def test_step_satisfies_energy_inequality(mode, p, theta_frac, log_dt, log_ampli
     The step solves V (u1 - u0) = -dt grad E(u1) + V r with residual r, and
     the convexity of E gives E(u0) >= E(u1) + grad E(u1) . (u0 - u1), so the
     inequality holds up to sum V r (u1 - u0) / dt.  An accepted step has
-    |r| <= newton_tol * scale with scale = max(sup |u0|, 1); that bound
+    |r| <= NEWTON_TOL * scale with scale = max(sup |u0|, 1); that bound
     times sum V |u1 - u0| / dt is the slack, plus 1e-12 E(u0) for the
     rounding of the energy sums.  A step that does not converge is counted
     as an event, not filtered out."""
@@ -471,7 +469,7 @@ def test_run_energy_is_nonincreasing(mode, p, theta_frac, log_dt, log_amplitude,
     residual is at most tol per node gives
     E(u1) - E(u0) <= (tol * sum V |u1 - u0| - sum V (u1 - u0)**2) / dt,
     and Cauchy-Schwarz bounds the right side by tol**2 * sum V / (4 dt).
-    tol is newton_tol * max(sup |u0|, 1), the bound every step meets;
+    tol is NEWTON_TOL * max(sup |u0|, 1), the bound every step meets;
     1e-12 E(u0) covers the rounding of the energy sums.  A run that fails
     is counted as an event, not filtered out."""
     g = build_grid(mode, 1.0, 8, n=2)
@@ -479,7 +477,7 @@ def test_run_energy_is_nonincreasing(mode, p, theta_frac, log_dt, log_amplitude,
     dt0 = 10.0**log_dt
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(theta_frac * p), p=p,
                        reaction=ReactionSpec.none(), initial=Field(g, vals),
-                       t_end=5.0 * dt0, dt0=dt0, controls=StepControls(dt_max=dt0))
+                       t_end=5.0 * dt0, dt0=dt0, dt_max=dt0)
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(timestepper, "DT_MIN", 1e-8)
@@ -489,7 +487,7 @@ def test_run_energy_is_nonincreasing(mode, p, theta_frac, log_dt, log_amplitude,
         return
     event(f"{mode}: run completed")
     e = np.asarray(traj.energy)
-    tol = spec.controls.newton_tol * np.maximum(np.asarray(traj.sup_abs_u[:-1]), 1.0)
+    tol = timestepper.NEWTON_TOL * np.maximum(np.asarray(traj.sup_abs_u[:-1]), 1.0)
     dt = np.asarray(traj.dt_used[1:])
     slack = tol**2 * cell_volumes(g).sum() / (4.0 * dt) + 1e-12 * e[:-1]
     assert np.all(np.diff(e) <= slack)
@@ -510,7 +508,7 @@ def _drawn_state(g, amplitude, rough, seed):
 
 def _converged_step(g, weight, p, vals, dt, reaction=ReactionSpec.none()):
     """One backward-Euler step from vals under reaction (none by default),
-    with the bound tol its residual must meet: newton_tol * max(sup |vals|,
+    with the bound tol its residual must meet: NEWTON_TOL * max(sup |vals|,
     1).  Returns None, after counting the draw as an unconverged event,
     when the step fails."""
     spec = ProblemSpec(grid=g, weight=weight, p=p, reaction=reaction,
@@ -522,7 +520,7 @@ def _converged_step(g, weight, p, vals, dt, reaction=ReactionSpec.none()):
         event(f"{label}: unconverged")
         return None
     event(f"{label}: converged")
-    tol = spec.controls.newton_tol * max(np.abs(vals).max(), 1.0)
+    tol = timestepper.NEWTON_TOL * max(np.abs(vals).max(), 1.0)
     system = _NewtonSystem(g, weight, p)
     idx = system.grid.interior
     r = system.residual(u1.values.ravel()[idx], vals.ravel()[idx], dt, dt, spec.reaction)
@@ -621,7 +619,7 @@ def test_run_energy_column_is_energy_of_its_states(mode, p, theta_frac, log_ampl
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(theta_frac * p), p=p,
                        reaction=ReactionSpec.none(), initial=Field(g, vals),
                        t_end=4e-3, dt0=1e-3, snapshot_times=(1e-3, 2e-3, 3e-3, 4e-3),
-                       controls=StepControls(dt_max=1e-3))
+                       dt_max=1e-3)
     built = []
 
     class CountedFlux(timestepper.FaceFlux):
@@ -831,7 +829,7 @@ def test_every_newton_update_takes_a_fresh_factor(monkeypatch, mode, p, state):
     vals[g.boundary_mask] = 0.0
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=p, reaction=reaction,
                        initial=Field(g, vals), t_end=1.0, dt0=dt,
-                       controls=StepControls(dt_max=1.0))
+                       dt_max=1.0)
     system = _NewtonSystem(g, spec.weight, p)
     # the first Newton matrix is positive definite, so the step gets past it
     drea = reaction_derivative(reaction, dt, vals).ravel()[system.grid.interior]
@@ -893,7 +891,7 @@ def test_accepted_states_are_exactly_zero_on_dirichlet_nodes(monkeypatch, mode, 
     assert np.abs(vals[g.boundary_mask]).max() > 0.0
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=p, reaction=reaction,
                        initial=Field(g, vals), t_end=4e-3, dt0=1e-3,
-                       snapshot_times=(2e-3, 4e-3), controls=StepControls(dt_max=1e-3))
+                       snapshot_times=(2e-3, 4e-3), dt_max=1e-3)
     u1 = step_implicit(spec.initial, 0.0, 1e-3, spec)
     assert np.all(u1.values[g.boundary_mask] == 0.0)
 
@@ -922,7 +920,7 @@ def test_run_scatters_only_its_snapshots(monkeypatch):
     spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=3.0,
                        reaction=ReactionSpec.none(), initial=Field(g, _unzeroed_sin_data(g)),
                        t_end=4e-3, dt0=1e-3, snapshot_times=(2e-3, 4e-3),
-                       controls=StepControls(dt_max=1e-3))
+                       dt_max=1e-3)
     scattered = []
     scatter = Grid.scatter
 
@@ -1038,7 +1036,7 @@ def test_snapshots_land_exactly():
         initial=spec_base.initial,
         t_end=0.2,
         dt0=1e-3,
-        controls=spec_base.controls,
+        dt_max=spec_base.dt_max,
         snapshot_times=(0.05, 0.1, 0.15),
     )
     out = run_simulation(spec)
@@ -1147,7 +1145,7 @@ class TestInvariants:
         spec = ProblemSpec(
             grid=g, weight=None, p=2.0, reaction=reaction,
             initial=phi, t_end=0.5, dt0=1e-3,
-            controls=StepControls(dt_max=5e-3), snapshot_times=(0.1, 0.3),
+            dt_max=5e-3, snapshot_times=(0.1, 0.3),
         )
         out = run_simulation(spec)
         assert len(out.trajectory.snapshots) == 2
@@ -1166,7 +1164,7 @@ class TestInvariants:
             spec = ProblemSpec(
                 grid=g, weight=None, p=2.0, reaction=reaction,
                 initial=phi, t_end=0.25, dt0=1e-3,
-                controls=StepControls(dt_max=2e-3), snapshot_times=snaps,
+                dt_max=2e-3, snapshot_times=snaps,
             )
             outs.append(run_simulation(spec))
         for t_snap in snaps:
@@ -1371,7 +1369,7 @@ def _certified_problem(mode, resolution, n, theta_w, sigma):
     def spec_at(a, t_end):
         return ProblemSpec(grid=g, weight=weight, p=2.0, reaction=reaction,
                            initial=Field(g, a * phi0), t_end=t_end, dt0=min(1e-3, dt_max),
-                           controls=StepControls(dt_max=dt_max))
+                           dt_max=dt_max)
     return spec_at, u_ss, phi0
 
 
@@ -1413,7 +1411,7 @@ def test_certificate_only_where_it_holds():
     spec = spec_at(11.0, 0.01)
     assert timestepper.certificate_holds(spec)
     assert timestepper.certificate_holds(
-        replace(spec, controls=StepControls(dt_max=4 * spec.controls.dt_max)))
+        replace(spec, dt_max=4 * spec.dt_max))
     square = build_grid("tensor2d", 1.0, 8)
     wrong = {
         "p = 3": replace(spec, p=3.0),
@@ -1477,10 +1475,10 @@ def test_certified_verdict_is_the_full_runs(mode, resolution, n, theta_w, sigma,
 
 @pytest.mark.parametrize("resolution, n", [(8, 2), (32, 2), (8, 3), (16, 3)])
 def test_small_decay_reaches_the_decay_floor(resolution, n):
-    """Data with sup|u0| < 1 decay to the floor 1e-8 sup|u0|: the Newton
-    tolerance is relative to them, where an absolute one kept the old state
-    once dt |residual| < newton_tol and left the run Completed at t_end.
-    On a weighted ball at 0.8 a_sub, sup|u0| is about 0.06."""
+    """Data with sup|u0| < 1 decay to the floor 1e-8 sup|u0|: a step's
+    error estimate is relative to the state, so small data do not stall
+    and end Completed at t_end.  On a weighted ball at 0.8 a_sub, sup|u0|
+    is about 0.06."""
     spec_at, u_ss, phi0 = _certified_problem("radial", resolution, n, 1.0, 3.0)
     a_sub, _ = _ratio_bounds(u_ss, phi0)
     spec = spec_at(0.8 * a_sub, 20.0)
