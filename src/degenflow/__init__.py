@@ -49,7 +49,7 @@ from .plap_operator import (
     variational_dot,
 )
 from .jsonio import write_json
-from .eigensolver import EigenPair, smallest_eigenpair, steady_state
+from .eigensolver import EigenPair, smallest_eigenpair, steady_state, unstable_mode
 from .timestepper import (
     BlowupBracket,
     ProblemSpec,

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from .discretization import Field, build_grid, grid_dimension, integrate, write_field_csv
-from .eigensolver import STEADY_STATE_TOL, check_tol, smallest_eigenpair, steady_state
+from .eigensolver import (STEADY_STATE_TOL, check_tol, smallest_eigenpair, steady_state,
+                          unstable_mode)
 from .errors import ConfigError, ConvergenceError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
@@ -543,9 +544,10 @@ def _cmd_solve(cfg, out):
 def _steady_state_bracket(cfg, spec, eigenpair, body):
     """Add to body [a_sub, a_super], the range of U / phi0 over the interior
     nodes for the steady state U and the data phi0 of spec, at amplitude 1,
-    and g0 at both.  Return U if it certifies the runs of spec (certificate_holds;
-    only then is it solved to STEADY_STATE_TOL), else None; a steady state
-    that does not converge is recorded in body instead."""
+    and g0 at both; with the unit weight, where U certifies, also nu1 and
+    a_lin (unstable_mode).  Return U if it certifies the runs of spec
+    (certificate_holds; only then is it solved to STEADY_STATE_TOL), else
+    None; a steady state that does not converge is recorded in body instead."""
     prob = cfg.sections["problem"]
     grid, weight, phi0 = spec.grid, spec.weight, spec.initial.values
     certifies = certificate_holds(spec)
@@ -561,6 +563,11 @@ def _steady_state_bracket(cfg, spec, eigenpair, body):
     body.update(a_sub=ratio.min(), a_super=ratio.max(), g0_sub=ratio.min() * g0_unit,
                 g0_super=ratio.max() * g0_unit)
     body["certifies_midpoints"] = certifies
+    if certifies and weight is None:
+        # A phi0 meets the tangent <e, u - U>_V = 0 of U's stable manifold
+        body["nu1"], mode = unstable_mode(u, prob["alpha0"], prob["sigma"])
+        body["a_lin"] = (integrate(Field(grid, mode.values * u.values))
+                         / integrate(Field(grid, mode.values * phi0)))
     return u if certifies else None
 
 
@@ -568,9 +575,10 @@ def _cmd_blowup_scan(cfg, out):
     """Bisect for the critical amplitude (bisect_dichotomy) and fit the
     Bernoulli comparison on the bracket's blow-up end.  The configured
     values run in full; the midpoints end at the eventual verdict certified
-    by the steady state U (_steady_state_bracket).  A certified blow-up end
-    is rerun in full for the fit, keeping its probe's certified_at; if it
-    does not blow up by t_end, it is the undecided midpoint, with no bracket.
+    by the steady state U (_steady_state_bracket), and with the unit weight
+    start around U's prediction a_lin.  A certified blow-up end is rerun in
+    full for the fit, keeping its probe's certified_at; if it does not blow
+    up by t_end, it is the undecided midpoint, with no bracket.
     Where [a_sub, a_super] was found, contradicting_values lists the
     configured values that blew up below a_sub or decayed above a_super."""
     grid = _build_grid(cfg)
@@ -596,7 +604,8 @@ def _cmd_blowup_scan(cfg, out):
                         out / "runs" / f"A_{a:.17g}",
                         certificate if certify and a not in scan["values"] else None)
 
-    runs, bracket, undecided = bisect_dichotomy(probe, scan["values"], scan["rel_tol"])
+    runs, bracket, undecided = bisect_dichotomy(probe, scan["values"], scan["rel_tol"],
+                                                body.get("a_lin"))
     certified = {a: oc.certified_at for a, oc in runs.items()}
     if bracket is not None and certified[bracket[1]] is not None:
         runs[bracket[1]] = probe(bracket[1], certify=False)

@@ -8,7 +8,8 @@ boundary of
 computed with the same discrete energy the evolution operator derives from,
 so eigenpairs satisfy apply_plaplacian(u) + lam * omega * |u|**(p-2) * u = 0
 at the discrete level; with the mass exponent sigma + 1 it gives the steady
-state of a power reaction (steady_state).  Minimization is preconditioned
+state of a power reaction (steady_state), whose unstable mode, at p = 2,
+inverse iteration finds (unstable_mode).  Minimization is preconditioned
 nonlinear conjugate gradients on the interior node values, through the face
 operator the Newton solves use as well: one FaceFlux per evaluated point
 gives both its quotient (energy) and, at an accepted point, its residual
@@ -75,6 +76,7 @@ from .plap_operator import FaceFlux, energy_hessian_matrix, face_operator
 STALL_ITERATIONS = 40
 MAX_ITERATIONS = 50_000
 STEADY_STATE_TOL = 1e-8  # far inside timestepper.CERTIFICATE_MARGIN
+MODE_TOL = 1e-10  # unstable_mode's bound on its last iterate's move
 
 
 @dataclass
@@ -377,3 +379,28 @@ def steady_state(grid, weight, p, alpha0, sigma, tol=STEADY_STATE_TOL):
     vol = cell_volumes(grid).ravel()[grid.interior]
     mu = pair.eigenvalue * float(np.sum(vol * v.ravel()[grid.interior] ** q)) ** (p / q - 1.0)
     return Field(grid, (mu / alpha0) ** (1.0 / (sigma - p + 1.0)) * v)
+
+
+def unstable_mode(state, alpha0, sigma):
+    """(nu1, e): the least eigenvalue of J e = nu V e, J = K - V f'(U) at the
+    p = 2, unit-weight steady state U = state of f(u) = alpha0 u^sigma, which
+    is negative, and its mode e > 0 as a Field with sum V e^2 = 1.  Inverse
+    iteration with the band Cholesky factor of the positive definite
+    M-matrix K + V (max f'(U) - f'(U)), until an iterate moves by at most
+    MODE_TOL in the max norm.  Raises ConvergenceError after MAX_ITERATIONS."""
+    grid = state.grid
+    data, row, col = energy_hessian_matrix(grid, None, interior=True)
+    vol = cell_volumes(grid).ravel()[grid.interior]
+    slope = sigma * alpha0 * state.values.ravel()[grid.interior] ** (sigma - 1.0)
+    band = BandPattern(row, col, len(vol))
+    factor = band.factor(band.fill(data, vol * (slope.max() - slope)))
+    x = np.ones(len(vol))
+    for _ in range(MAX_ITERATIONS):
+        y = band.solve(factor, vol * x)
+        # (A y, y) / (V y, y) with A y = V x
+        nu = float(np.sum(vol * x * y) / np.sum(vol * y * y)) - slope.max()
+        y /= np.sqrt(np.sum(vol * y * y))
+        if np.abs(y - x).max() <= MODE_TOL:
+            return nu, grid.scatter(y)
+        x = y
+    raise ConvergenceError(f"unstable mode not converged in {MAX_ITERATIONS} iterations")

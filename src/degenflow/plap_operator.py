@@ -271,6 +271,15 @@ def _s_pow(s, expo):
     return out
 
 
+def face_squares(op, values):
+    """FaceFlux's face gradient g of values on op and s = sum_k g_k**2."""
+    g = (op.matrix @ values.ravel()).reshape(-1, op.cw.size)
+    s = g[0] * g[0]
+    for row in g[1:]:
+        s += row * row
+    return g, s
+
+
 class FaceFlux:
     """The face gradient g = (M_1 u, ..., M_k u) of the state u = values, one
     row per face matrix from one product with the stacked matrix, and
@@ -282,11 +291,7 @@ class FaceFlux:
     def __init__(self, op, values, p):
         _check_p(p)
         self.op, self.values, self.p = op, values, p
-        g = (op.matrix @ values.ravel()).reshape(-1, op.cw.size)
-        s = g[0] * g[0]
-        for row in g[1:]:
-            s += row * row
-        self.g, self.s = g, s
+        self.g, self.s = face_squares(op, values)
 
     def _flux_coefficient(self):
         """The flux coefficient cw * s**((p-2)/2) of each face."""

@@ -49,9 +49,9 @@ of _NewtonSystem, built once per run and factored by band Cholesky
 interior node, and it stays so along the branch of solutions continued
 from the current state up to a fold, past which there is no solution to
 find, so a matrix that is not positive definite (FactorError) fails the
-step.  The Newton system keeps the FaceFlux of the last interior vector
-evaluated, so a state's matrix, recorded energy and, at p > 2, rate share
-one FaceFlux.
+step.  At p > 2 the Newton system keeps the FaceFlux of the last interior
+vector evaluated, so a state's matrix, recorded energy and rate share one
+FaceFlux; at p = 2 none is built.
 
 run_simulation classifies the outcome as completed, decayed, or blown up.
 Blow-up can never be observed literally on a finite grid; the operational
@@ -90,6 +90,7 @@ from .plap_operator import (
     ReactionSpec,
     energy_hessian_matrix,
     face_operator,
+    face_squares,
     reaction_derivative,
     reaction_eval,
 )
@@ -315,10 +316,10 @@ class _NewtonSystem(BandPattern):
     and Newton converges only linearly.
 
     The system keeps the FaceFlux of the last interior vector evaluated, by
-    identity, so a state's recorded energy, rate and matrix share one face
-    gradient; at p = 2 the rate is a product with the stiffness instead,
-    which took a sixth of the time of a FaceFlux and its divergence on a
-    64-cell interval and half on a 32 x 32 square (2-core x86-64 host).
+    identity, so at p > 2 a state's recorded energy, rate and matrix share
+    one face gradient.  At p = 2 no FaceFlux is built: the rate is a product
+    with the stiffness, a sixth of the time of a FaceFlux and its divergence
+    on a 64-cell interval and half on a 32 x 32 square (2-core x86-64 host).
     Vectors handed to it must therefore not be changed in place.
     """
 
@@ -365,6 +366,12 @@ class _NewtonSystem(BandPattern):
         if self.last_flux is None or self.last_flux.values is not x:
             self.last_flux = FaceFlux(self.op, x, self.p)
         return self.last_flux
+
+    def energy(self, x):
+        """FaceFlux.energy of the interior vector x, at p = 2 without one."""
+        if self.p != 2.0:
+            return self.flux(x).energy()
+        return float(np.sum(self.op.cw * face_squares(self.op, x)[1]) / 2.0)
 
     def rate(self, x, t, reaction):
         """The rate F(t, x) at the interior vector x: the FaceFlux
@@ -544,7 +551,7 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     def record(t, dt, x, sup):
         # True once the blow-up bracket closes
         g = float(vol_g @ x)
-        traj.append(t, dt, sup, float(vol @ x), g, system.flux(x).energy())
+        traj.append(t, dt, sup, float(vol @ x), g, system.energy(x))
         return bounds is not None and bounds.update(t, sup, g, x.min() >= 0.0)
 
     if certificate is not None:
@@ -660,23 +667,30 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     return RunOutcome(KIND_COMPLETED, traj, **common)
 
 
-def bisect_dichotomy(probe, values, rel_tol):
+def bisect_dichotomy(probe, values, rel_tol, predicted=None):
     """Bracket the critical amplitude between decay and blow-up.
 
     probe(a) runs the problem at amplitude a and returns its RunOutcome.
     The distinct values are probed first, in increasing order.  Then, while
     the largest decayed amplitude a_lo lies below the smallest blown-up one
-    a_hi and a_hi / a_lo > 1 + rel_tol, their geometric midpoint, the
-    square root of a_lo a_hi, is probed.  The scan also stops on a
-    non-monotone classification (a_lo >= a_hi) and on a midpoint that
-    completes without decaying or blowing up.
+    a_hi and a_hi / a_lo > 1 + rel_tol, it probes A (1 + rel_tol)^(-1/2) and
+    A (1 + rel_tol)^(1/2) for a predicted amplitude A, the latter moved down
+    by ulps to a ratio of at most 1 + rel_tol, each while inside (a_lo,
+    a_hi), and then the geometric midpoint, the square root of a_lo a_hi.
+    The scan also stops on a non-monotone classification (a_lo >= a_hi)
+    and on a probe that completes without decaying or blowing up.
 
     Returns (outcomes, bracket, undecided): every probe's RunOutcome by
     amplitude, in probe order; (a_lo, a_hi) when a_lo < a_hi, else None;
-    and the midpoint that completed, else None.  The bracket is within
+    and the probe that completed, else None.  The bracket is within
     rel_tol exactly when it is not None and undecided is None.
     """
     outcomes = {a: probe(a) for a in sorted(set(values))}
+    pair = []
+    if predicted is not None:
+        pair = [predicted * (1.0 + rel_tol) ** -0.5, predicted * (1.0 + rel_tol) ** 0.5]
+        while pair[1] / pair[0] > 1.0 + rel_tol:
+            pair[1] = math.nextafter(pair[1], 0.0)
     while True:
         decayed = [a for a, oc in outcomes.items() if oc.kind == KIND_DECAYED]
         blown = [a for a, oc in outcomes.items() if oc.kind == KIND_BLOWUP]
@@ -685,7 +699,8 @@ def bisect_dichotomy(probe, values, rel_tol):
         a_lo, a_hi = max(decayed), min(blown)
         if a_hi / a_lo <= 1.0 + rel_tol:
             return outcomes, (a_lo, a_hi), None
-        mid = math.sqrt(a_lo * a_hi)
+        pair = [a for a in pair if a_lo < a < a_hi]
+        mid = pair.pop(0) if pair else math.sqrt(a_lo * a_hi)
         outcomes[mid] = probe(mid)
         if outcomes[mid].kind == KIND_COMPLETED:
             return outcomes, (a_lo, a_hi), mid

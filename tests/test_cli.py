@@ -613,8 +613,9 @@ class TestMain:
 
     def test_certified_blowup_end_that_completes_is_undecided(self, tmp_path, monkeypatch):
         """Certified verdicts are eventual ones.  Here every full run of a
-        midpoint is made to end at t = 0.2, while 11.81, the bracket's
-        blow-up end certified at t = 0, blows up near t = 0.41.  Its full
+        midpoint is made to end at t = 0.2, while 11.80, the bracket's
+        blow-up end (the upper probe around the predicted amplitude)
+        certified at t = 0, blows up near t = 0.41.  Its full
         rerun has not blown up by then, so there is no blow-up to fit C on:
         the scan exits 4 with that end as its undecided midpoint and no
         bracket, and its runs entry is the rerun's Completed with the
@@ -635,7 +636,7 @@ class TestMain:
         summary = _summary(tmp_path / "short")
         runs = {run["amplitude"]: run for run in summary["runs"]}
         end = runs[summary["undecided_midpoint"]]
-        assert end["amplitude"] == pytest.approx(11.8106, rel=1e-5)
+        assert end["amplitude"] == pytest.approx(11.7968, rel=1e-5)
         assert end["kind"] == "Completed" and end["certified_at"] == 0.0
         assert not {"a_decay", "a_blowup", "C_fit"} & set(summary)
         outcome = json.loads((tmp_path / "short" / "runs" / f"A_{end['amplitude']:.17g}"
@@ -676,6 +677,67 @@ class TestMain:
         text = SCAN_CFG.format(out="p2").replace("values = 6.0, 20.0", "values = 20.0")
         assert _run(tmp_path, "s2.cfg", text, "blowup-scan") == EXIT_UNDECIDED
         assert tols == [None, STEADY_STATE_TOL]
+
+    def test_scan_bisects_on_from_a_wrong_prediction(self, tmp_path, monkeypatch):
+        """With the predicted amplitude made 10 % high, the scan probes the
+        lower end of its pair, which blows up, skips the upper end, now
+        outside the bracket, and bisects geometrically to rel_tol.  The
+        bracket still holds the reference critical amplitude, and every
+        probe's kind agrees with the reference bracket: decayed below it,
+        blown up above."""
+        reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                                / "reference.json").read_text())["scan-1d"]
+        ref_lo, ref_hi = reference["a_crit_run"]["bracket"]
+        predictions = []
+
+        def off(probe, values, rel_tol, predicted=None):
+            predictions.append(predicted)
+            return degenflow.bisect_dichotomy(probe, values, rel_tol, 1.1 * predicted)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(degenflow.cli, "bisect_dichotomy", off)
+        assert _run(tmp_path, "s.cfg", SCAN_CFG.format(out="off"), "blowup-scan") == EXIT_OK
+        summary = _summary(tmp_path / "off")
+        assert predictions == [summary["a_lin"]]
+        amplitudes = [run["amplitude"] for run in summary["runs"]]
+        high_lo = 1.1 * summary["a_lin"] * 1.05 ** -0.5
+        assert high_lo in amplitudes and len(amplitudes) > 4
+        assert summary["a_decay"] < reference["a_crit"] < summary["a_blowup"]
+        assert summary["bracket_ratio"] <= 1.05
+        for run in summary["runs"]:
+            assert run["kind"] == ("Decayed" if run["amplitude"] < ref_lo else
+                                   "BlowUp" if run["amplitude"] > ref_hi else None)
+
+    @pytest.mark.parametrize("change", ["p = 3", "weighted"])
+    def test_scan_predicts_only_unweighted_certified_scans(self, tmp_path, monkeypatch,
+                                                           change):
+        """A p = 3 scan, whose steady state certifies nothing, and a
+        weighted p = 2 scan compute no unstable mode and bisect without a
+        prediction, so their summaries carry no a_lin or nu1."""
+        predictions = []
+
+        def recorded(probe, values, rel_tol, predicted=None):
+            predictions.append(predicted)
+            return degenflow.bisect_dichotomy(probe, values, rel_tol, predicted)
+
+        def unexpected(*args):
+            raise AssertionError("unstable_mode called")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(degenflow.cli, "bisect_dichotomy", recorded)
+        monkeypatch.setattr(degenflow.cli, "unstable_mode", unexpected)
+        text = SCAN_CFG.format(out="scan").replace("resolution = 64", "resolution = 32")
+        if change == "p = 3":
+            text = (text.replace("p = 2.0", "p = 3.0").replace("sigma = 2.0", "sigma = 3.0")
+                    .replace("t_end = 3.0", "t_end = 0.05")
+                    .replace("values = 6.0, 20.0", "values = 20.0, 60.0"))
+        else:
+            text = text.replace("p = 2.0", "p = 2.0\nweight = power\ntheta_w = 1.0")
+        assert _run(tmp_path, "s.cfg", text, "blowup-scan") in (EXIT_OK, EXIT_UNDECIDED)
+        summary = _summary(tmp_path / "scan")
+        assert predictions == [None]
+        assert summary["certifies_midpoints"] is (change == "weighted")
+        assert not {"a_lin", "nu1"} & set(summary)
 
     def test_undecided_scan_exit_code(self, tmp_path, monkeypatch):
         """A scan whose bracket cannot reach the tolerance in the probe

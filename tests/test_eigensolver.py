@@ -526,6 +526,34 @@ def test_steady_state_of_the_scan_workload(monkeypatch):
     assert np.max(np.abs(u - newton) / newton) < 1e-10
 
 
+@pytest.mark.parametrize("mode, n, resolution, alpha0, sigma", [
+    ("interval", None, 24, 1.0, 2.0),
+    ("radial", 3, 16, 2.0, 3.0),
+])
+def test_unstable_mode_matches_a_dense_eigensolve(mode, n, resolution, alpha0, sigma):
+    """unstable_mode's (nu1, e) at the steady state U agree with
+    numpy.linalg.eigh on V^(-1/2) J V^(-1/2), J = K - V f'(U) and f'(U) =
+    sigma alpha0 U^(sigma-1): nu1 < 0 < nu2, so U is a saddle with one
+    unstable direction, e > 0 at every interior node and 0 on the Dirichlet
+    nodes, with sum V e^2 = 1."""
+    grid = build_grid(mode, 1.0, resolution, n=n)
+    u_field = eigensolver.steady_state(grid, None, 2.0, alpha0, sigma)
+    nu1, e_field = eigensolver.unstable_mode(u_field, alpha0, sigma)
+    u = u_field.values.ravel()[grid.interior]
+    vol = cell_volumes(grid).ravel()[grid.interior]
+    scale = 1.0 / np.sqrt(vol)
+    jac = _hessian_dense(grid, None) - np.diag(vol * sigma * alpha0 * u ** (sigma - 1.0))
+    nus, vecs = np.linalg.eigh(scale[:, None] * jac * scale[None, :])
+    assert nus[0] < 0.0 < nus[1]
+    assert nu1 == pytest.approx(nus[0], rel=1e-12)
+    e = e_field.values.ravel()[grid.interior]
+    dense = scale * vecs[:, 0]
+    dense *= np.sign(dense.sum())
+    assert np.all(e > 0.0) and np.all(e_field.values[grid.boundary_mask] == 0.0)
+    assert np.sum(vol * e * e) == pytest.approx(1.0, rel=1e-14)
+    np.testing.assert_allclose(e, dense, rtol=0.0, atol=1e-9 * dense.max())
+
+
 @pytest.mark.parametrize("mode", ["interval", "tensor2d"])
 @pytest.mark.parametrize("weighted_mass", [True, False])
 def test_mass_exponent_minimizer_solves_its_equation(mode, weighted_mass):

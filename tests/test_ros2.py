@@ -24,7 +24,6 @@ from degenflow import (
 from degenflow import BlowupBracket, bisect_dichotomy, cli, smallest_eigenpair, timestepper
 from degenflow.cli import parse_config
 from degenflow.eigensolver import STEADY_STATE_TOL, steady_state
-from degenflow.plap_operator import FaceFlux
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -300,17 +299,17 @@ def test_ros2_run_keeps_energy_sup_and_sign(problem):
     as an event, and the test fails where one falls below -1e-3 sup|u0|."""
     spec, patchy = problem
     states = []
-    energy = FaceFlux.energy
+    energy = timestepper._NewtonSystem.energy
 
-    def recorded(flux):
-        states.append(flux.values.min())
-        return energy(flux)
+    def recorded(system, x):
+        states.append(x.min())
+        return energy(system, x)
 
-    FaceFlux.energy = recorded
+    timestepper._NewtonSystem.energy = recorded
     try:
         out = run_simulation(spec)
     finally:
-        FaceFlux.energy = energy
+        timestepper._NewtonSystem.energy = energy
     traj = out.trajectory
     assert len(states) == len(traj.times)
     violations = {

@@ -34,7 +34,7 @@ from degenflow import (
     step_implicit,
 )
 from degenflow import timestepper
-from degenflow.eigensolver import steady_state
+from degenflow.eigensolver import steady_state, unstable_mode
 from degenflow.cli import EXIT_OK, main
 from degenflow.banded import BandPattern, FactorError
 from degenflow.timestepper import _NewtonSystem
@@ -1352,6 +1352,48 @@ def test_bisect_dichotomy_with_a_fake_probe(a_star, values, kinds, calls, bracke
         assert calls[i] == np.sqrt(lo * hi) and hi / lo > 1.05
 
 
+@pytest.mark.parametrize("predicted, pair_probed", [
+    (11.4016, ["lo", "hi"]),
+    (11.2, ["lo", "hi"]),
+    (1.1 * 11.5124, ["lo"]),
+    (3.0, []),
+], ids=["on-target", "below", "10%-high", "outside"])
+def test_bisect_dichotomy_probes_the_predicted_pair_first(predicted, pair_probed):
+    """With a predicted amplitude A, the probes after the values are lo =
+    A (1.05)^(-1/2) and hi = A (1.05)^(1/2), moved down by ulps while
+    hi / lo > 1.05, each only while it lies inside the bracket; then
+    geometric midpoints, with a_star = 11.5 as in the fake probe above.  A
+    prediction near a_star ends the scan with the pair as its bracket (at
+    11.4016, only after hi is moved down, from a ratio above 1.05); one
+    that leaves a_star above hi, or one 10 % high whose lo blows up (so hi
+    lies outside the bracket), bisects on; one outside [6, 20] probes the
+    sequence of a scan without a prediction."""
+    lo = predicted * 1.05 ** -0.5
+    hi = predicted * 1.05 ** 0.5
+    while hi / lo > 1.05:
+        hi = np.nextafter(hi, 0.0)
+    probed = []
+
+    def probe(a):
+        probed.append(a)
+        return RunOutcome("Decayed" if a < 11.5 else "BlowUp", Trajectory())
+
+    runs, bracket, undecided = bisect_dichotomy(probe, [6.0, 20.0], 0.05, predicted)
+    pair = [{"lo": lo, "hi": hi}[name] for name in pair_probed]
+    assert probed[:2 + len(pair)] == [6.0, 20.0, *pair] and list(runs) == probed
+    assert undecided is None and bracket[0] < 11.5 < bracket[1] <= 1.05 * bracket[0]
+    for i in range(2 + len(pair), len(probed)):
+        a_lo = max(a for a in probed[:i] if a < 11.5)
+        a_hi = min(a for a in probed[:i] if a >= 11.5)
+        assert probed[i] == np.sqrt(a_lo * a_hi) and a_hi / a_lo > 1.05
+    if predicted == 11.4016:
+        assert predicted * 1.05 ** 0.5 / lo > 1.05
+        assert probed == [6.0, 20.0, lo, hi] and bracket == (lo, hi)
+    if predicted == 3.0:
+        assert probed[2:] == [SQRT_120, 14.801656089845705, 12.73357838853023,
+                              11.810561477896204, 11.374454657912443]
+
+
 def _certified_problem(mode, resolution, n, theta_w, sigma):
     """A p = 2 power-reaction problem with data a * phi0 (sin on the
     interval, cos(pi r / 2) on the ball) and dt_max f'(max U) = 1/2, whose
@@ -1378,6 +1420,26 @@ def _ratio_bounds(u_ss, phi0):
     and above which the data lie below and above U."""
     ratio = u_ss.values[u_ss.grid.interior] / phi0[u_ss.grid.interior]
     return ratio.min(), ratio.max()
+
+
+def test_predicted_amplitude_against_a_fine_bisection():
+    """On a ball (n = 2, resolution 24, sigma = 2, data cos(pi r / 2)),
+    A_lin = <e, U>_V / <e, phi0>_V from U's unstable mode lies within
+    2.5e-3 of the critical amplitude that a bisection at rel_tol 2e-3 of
+    certified runs brackets, and the pair A_lin (1.05)^(-1/2),
+    A_lin (1.05)^(1/2) that a scan at rel_tol 0.05 probes first contains
+    that bracket."""
+    spec_at, u_ss, phi0 = _certified_problem("radial", 24, 2, 0.0, 2.0)
+    nu1, mode = unstable_mode(u_ss, 1.0, 2.0)
+    vol = cell_volumes(u_ss.grid)
+    a_lin = np.sum(vol * mode.values * u_ss.values) / np.sum(vol * mode.values * phi0)
+    a_sub, a_super = _ratio_bounds(u_ss, phi0)
+    runs, (a_lo, a_hi), undecided = bisect_dichotomy(
+        lambda a: run_simulation(spec_at(a, 5.0), certificate=u_ss),
+        [0.999 * a_sub, 1.001 * a_super], 2e-3)
+    assert undecided is None and a_hi / a_lo <= 1.002 and nu1 < 0.0
+    assert abs(a_lin / np.sqrt(a_lo * a_hi) - 1.0) < 2.5e-3
+    assert a_lin * 1.05 ** -0.5 < a_lo < a_hi < a_lin * 1.05 ** 0.5
 
 
 def test_certificate_margin_at_the_bracket_ends():

@@ -18,17 +18,15 @@ from degenflow.cli import EXIT_OK, main, parse_config
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 # amplitude -> (steps, factorizations, rejected attempts) of each scan probe.
-# The midpoint 10.95 ends at its certified decay, 12.73 and 14.80 at their
-# certified blow-up at t = 0; 11.37 stays too near U to be certified and
-# runs in full; 11.81, the bracket's blow-up end, is run again in full, and
-# the configured 6 and 20 run in full.
+# After the configured 6 and 20, which run in full, the scan probes the pair
+# A_lin (1.05)^(-1/2) and A_lin (1.05)^(1/2) around the amplitude A_lin
+# predicted by U's unstable mode.  11.24 ends at its certified decay after 6
+# steps.  11.80 is certified to blow up at t = 0 and, as the bracket's
+# blow-up end, is run again in full; its counts are the full run's.
 SCAN_PROBES = {
     6.0: (143, 143, 0),
-    10.954451150103322: (4, 4, 0),
-    11.374454657912443: (162, 162, 0),
-    11.810561477896204: (114, 138, 24),
-    12.73357838853023: (0, 0, 0),
-    14.801656089845705: (0, 0, 0),
+    11.23500049497828: (6, 6, 0),
+    11.796750519727194: (114, 138, 24),
     20.0: (130, 140, 10),
 }
 
@@ -64,3 +62,19 @@ def test_workload_solver_counts_pinned(tmp_path, name):
         for a in amplitudes:
             probe = _load(out / "runs" / f"A_{a:.17g}" / "outcome.json")
             assert _counts(probe) == SCAN_PROBES[a], a
+
+
+def test_scan_prediction_lies_in_the_reference_bracket(tmp_path):
+    """scan-1d's A_lin, predicted by U's unstable mode (nu1 = -9.97), lies
+    inside the reference bracket of a scan at rel_tol 0.002 that
+    perfbench/reference.json records.  The scan probes two amplitudes beyond
+    its configured values, and its bracket, within rel_tol 0.05, holds the
+    reference critical amplitude."""
+    reference = _load(WORKLOADS.parent / "reference.json")["scan-1d"]
+    ref_lo, ref_hi = reference["a_crit_run"]["bracket"]
+    summary = _load(_run(tmp_path, "scan-1d") / "summary.json")
+    assert ref_lo < summary["a_lin"] < ref_hi
+    assert summary["nu1"] == pytest.approx(-9.97443, rel=1e-6)
+    assert len(summary["runs"]) == 4
+    assert summary["a_decay"] < reference["a_crit"] < summary["a_blowup"]
+    assert summary["bracket_ratio"] <= 1.05 and summary["g0_decay_le_operative"] is True
