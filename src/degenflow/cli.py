@@ -502,9 +502,10 @@ def _cmd_eigen(cfg, out):
     return EXIT_OK
 
 
-def _run_one(cfg, grid, weight, eigenpair, out_dir, certificate=None):
+def _run_one(cfg, grid, weight, eigenpair, out_dir, certificate=None, fit_window=False):
     spec = _build_problem(cfg, grid, weight, eigenpair)
-    outcome = run_simulation(spec, eigenpair=eigenpair, certificate=certificate)
+    outcome = run_simulation(spec, eigenpair=eigenpair, certificate=certificate,
+                             fit_window=fit_window)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome.trajectory.to_csv(out_dir / "trajectory.csv", header_lines=_csv_header(cfg))
     outcome.to_json(out_dir / "outcome.json",
@@ -573,14 +574,17 @@ def _steady_state_bracket(cfg, spec, eigenpair, body):
 
 def _cmd_blowup_scan(cfg, out):
     """Bisect for the critical amplitude (bisect_dichotomy) and fit the
-    Bernoulli comparison on the bracket's blow-up end.  The configured
-    values run in full; the midpoints end at the eventual verdict certified
-    by the steady state U (_steady_state_bracket), and with the unit weight
-    start around U's prediction a_lin.  A certified blow-up end is rerun in
-    full for the fit, keeping its probe's certified_at; if it does not blow
-    up by t_end, it is the undecided midpoint, with no bracket.
-    Where [a_sub, a_super] was found, contradicting_values lists the
-    configured values that blew up below a_sub or decayed above a_super."""
+    Bernoulli comparison on the bracket's blow-up end.  Every probe ends at
+    the eventual verdict certified by the steady state U
+    (_steady_state_bracket); with the unit weight the midpoints start
+    around U's prediction a_lin.  Certified blow-ups of a configured value
+    and of the bracket's end run again, keeping the probe's certified_at:
+    the former in full for its T_est, the latter, like every midpoint, up
+    to where run_simulation's fit_window proves the blow-up past the states
+    C is fitted on.  A blow-up end whose rerun does not blow up by t_end is
+    the undecided midpoint, with no bracket.  Where [a_sub, a_super] was
+    found, contradicting_values lists the configured values that, run to
+    their end, blew up below a_sub or decayed above a_super."""
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
     scan = cfg.sections["scan"]
@@ -601,17 +605,19 @@ def _cmd_blowup_scan(cfg, out):
 
     def probe(a, certify=True):
         return _run_one(with_amplitude(a), grid, weight, eigenpair,
-                        out / "runs" / f"A_{a:.17g}",
-                        certificate if certify and a not in scan["values"] else None)
+                        out / "runs" / f"A_{a:.17g}", certificate if certify else None,
+                        fit_window=a not in scan["values"])
 
     runs, bracket, undecided = bisect_dichotomy(probe, scan["values"], scan["rel_tol"],
                                                 body.get("a_lin"))
     certified = {a: oc.certified_at for a, oc in runs.items()}
-    if bracket is not None and certified[bracket[1]] is not None:
-        runs[bracket[1]] = probe(bracket[1], certify=False)
-        if runs[bracket[1]].kind != KIND_BLOWUP:
-            # it blows up after t_end, so there is no blow-up to fit C on
-            bracket, undecided = None, bracket[1] if undecided is None else undecided
+    for a in sorted(runs):
+        if (certified[a] is not None and runs[a].kind == KIND_BLOWUP
+                and (a in scan["values"] or bracket is not None and a == bracket[1])):
+            runs[a] = probe(a, certify=False)
+    if bracket is not None and runs[bracket[1]].kind != KIND_BLOWUP:
+        # it blows up after t_end, so there is no blow-up to fit C on
+        bracket, undecided = None, bracket[1] if undecided is None else undecided
     body.update(undecided_midpoint=undecided,
                 runs=[{"amplitude": a, "kind": runs[a].kind, "certified_at": certified[a],
                        "g0": runs[a].trajectory.weighted_mass[0], "T_est": runs[a].t_est}

@@ -145,7 +145,8 @@ def _kron(a, b):
 class Csr(NamedTuple):
     """A sparse matrix in scipy's CSR format with int32 indices, its fields
     in the order scipy's compiled kernels (sparsetools) take them; matrix @ x
-    for a vector x is their CSR product."""
+    for a vector x is their CSR product, and for a C-ordered array x of
+    vectors as columns, each column's by the same sums."""
 
     rows: int
     cols: int
@@ -154,6 +155,11 @@ class Csr(NamedTuple):
     data: np.ndarray
 
     def __matmul__(self, x):
+        if x.ndim == 2:
+            y = np.zeros((self.rows, x.shape[1]))
+            sparsetools.csr_matvecs(self.rows, self.cols, x.shape[1], *self[2:], x.ravel(),
+                                    y.ravel())
+            return y
         y = np.zeros(self.rows)
         sparsetools.csr_matvec(*self, x, y)
         return y
@@ -272,8 +278,9 @@ def _s_pow(s, expo):
 
 
 def face_squares(op, values):
-    """FaceFlux's face gradient g of values on op and s = sum_k g_k**2."""
-    g = (op.matrix @ values.ravel()).reshape(-1, op.cw.size)
+    """FaceFlux's face gradient g on op and s = sum_k g_k**2 of values, a
+    raveled state or raveled states as the columns of an array."""
+    g = (op.matrix @ values).reshape(-1, op.cw.size, *values.shape[1:])
     s = g[0] * g[0]
     for row in g[1:]:
         s += row * row
@@ -291,7 +298,7 @@ class FaceFlux:
     def __init__(self, op, values, p):
         _check_p(p)
         self.op, self.values, self.p = op, values, p
-        self.g, self.s = face_squares(op, values)
+        self.g, self.s = face_squares(op, values.ravel())
 
     def _flux_coefficient(self):
         """The flux coefficient cw * s**((p-2)/2) of each face."""

@@ -71,6 +71,7 @@ handed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -79,7 +80,7 @@ import numpy as np
 
 from .banded import BandPattern, FactorError
 from .banded import _spla_on_access as __getattr__  # noqa: F401  resolves spla
-from .diagnostics import _line_fit, bernoulli_time
+from .diagnostics import EARLY_FACTOR, _line_fit, bernoulli_time
 from .discretization import MODE_TENSOR2D, Field, weight_on_grid
 from .errors import ConfigError, NumericalError
 from .jsonio import write_json
@@ -115,6 +116,9 @@ CAP_FACTOR = 1e8
 LTE_TOL = 2e-2
 # a run ends once the proven blow-up bracket is this narrow relative to T_lo
 BRACKET_REL = 1e-3
+# at p = 2 a run takes the energies of at most this many recorded states in
+# one batch, which holds the states and their face gradients
+ENERGY_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -225,14 +229,21 @@ class BlowupBracket:
 
     def update(self, t, sup, g, nonnegative):
         """Tighten the bracket by the state at time t with sup norm sup and
-        weighted mass g; True once it is consistent and its width is at
-        most BRACKET_REL t_lo."""
+        weighted mass g; returns the state's own upper bound, inf where it
+        does not apply."""
         if sup > 0.0:
             self.t_lo = max(self.t_lo, t + bernoulli_time(0.0, self.alpha0, self.sigma, sup))
+        own = math.inf
         if nonnegative and g > 0.0:
             t_up = bernoulli_time(self.lambda1, self.alpha0, self.sigma, g)
             if t_up is not None:
-                self.t_hi = min(self.t_hi, t + t_up)
+                own = t + t_up
+                self.t_hi = min(self.t_hi, own)
+        return own
+
+    @property
+    def closed(self):
+        """Whether it is consistent and at most BRACKET_REL t_lo wide."""
         return self.consistent and self.t_hi - self.t_lo <= BRACKET_REL * self.t_lo
 
     @property
@@ -367,11 +378,14 @@ class _NewtonSystem(BandPattern):
             self.last_flux = FaceFlux(self.op, x, self.p)
         return self.last_flux
 
-    def energy(self, x):
-        """FaceFlux.energy of the interior vector x, at p = 2 without one."""
+    def energies(self, states):
+        """FaceFlux.energy of each interior vector in states, bit for bit;
+        at p = 2 by one product of the stacked face matrix with the states
+        as columns, each state's cw * s summed along a contiguous row."""
         if self.p != 2.0:
-            return self.flux(x).energy()
-        return float(np.sum(self.op.cw * face_squares(self.op, x)[1]) / 2.0)
+            return [self.flux(x).energy() for x in states]
+        s = face_squares(self.op, np.stack(states, axis=1))[1]
+        return (np.sum((self.op.cw[:, None] * s).T.copy(), axis=1) / 2.0).tolist()
 
     def rate(self, x, t, reaction):
         """The rate F(t, x) at the interior vector x: the FaceFlux
@@ -495,7 +509,7 @@ def certificate_holds(spec):
             and spec.grid.mode != MODE_TENSOR2D)
 
 
-def run_simulation(spec, eigenpair=None, certificate=None):
+def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
     """March to t_end by ROS2 with error control; classify the outcome.
 
     The trajectory's g column is integral(omega * u0 * u) when an eigenpair
@@ -525,10 +539,17 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     supplied, every recorded state (t = 0 included) tightens a
     BlowupBracket, the outcome's bounds, and the run ends as BlowUp at the
     first state where it is consistent and at most BRACKET_REL T_lo wide.
-    A blow-up with a consistent bracket and a finite T_hi reports it as
-    [T_lo, T_hi], with T_est the tail fit clamped into it; any other
-    blow-up reports the fit (estimate_blowup_time).  An inconsistent
-    bracket never ends a run.
+    With fit_window, which blowup-scan sets on the runs it only fits C on,
+    such a run ends as BlowUp already at the first state that is
+    nonnegative, keeps the bracket consistent, has g > EARLY_FACTOR g(0)
+    and an upper bound of its own at most t_end: g only grows from there
+    (alpha0 g^(sigma-1) > lambda1), so diagnostics.fit_bernoulli_constant
+    has every state it reads.  A blow-up with a
+    consistent bracket and a finite T_hi reports it as [T_lo, T_hi], with
+    T_est the tail fit clamped into it; any other blow-up reports the fit
+    (estimate_blowup_time).  An inconsistent bracket never ends a run.
+    At p = 2 the energies are taken ENERGY_CHUNK states at a time
+    (_NewtonSystem.energies), all before the trajectory is handed out.
     """
     grid = spec.grid
     reaction = spec.reaction
@@ -548,11 +569,29 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     if certificate_holds(spec) and spec.weight is None and eigenpair is not None:
         bounds = BlowupBracket(eigenpair.eigenvalue, reaction.alpha0, reaction.sigma)
 
+    # the recorded states whose energy is still to be taken, kept as they
+    # are: ROS2 never changes a state in place
+    unmeasured = []
+
+    def take_energies():
+        if unmeasured:
+            traj.energy[len(traj.energy) - len(unmeasured):] = system.energies(unmeasured)
+            unmeasured.clear()
+
     def record(t, dt, x, sup):
-        # True once the blow-up bracket closes
+        # True once the blow-up bracket closes or, with fit_window, proves
+        # the blow-up past the fit window
         g = float(vol_g @ x)
-        traj.append(t, dt, sup, float(vol @ x), g, system.energy(x))
-        return bounds is not None and bounds.update(t, sup, g, x.min() >= 0.0)
+        traj.append(t, dt, sup, float(vol @ x), g, None)
+        unmeasured.append(x)
+        # at p > 2 the state's kept FaceFlux gives its energy at once
+        if spec.p != 2.0 or len(unmeasured) == ENERGY_CHUNK:
+            take_energies()
+        if bounds is None:
+            return False
+        own = bounds.update(t, sup, g, x.min() >= 0.0)
+        return bounds.closed or (fit_window and bounds.consistent and own <= spec.t_end
+                                 and g > EARLY_FACTOR * traj.weighted_mass[0])
 
     if certificate is not None:
         if not certificate_holds(spec):
@@ -583,8 +622,10 @@ def run_simulation(spec, eigenpair=None, certificate=None):
     factorizations = rejected = 0
     rate_x = None  # F(t, x) of the current state, with f'(x) in drea
 
-    # a rejected attempt may overflow; its nonfinite state fails the error test
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a rejected attempt may overflow; its nonfinite state fails the error
+    # test.  Every way out of the loop takes the energies still to be taken.
+    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as leaving:
+        leaving.callback(take_energies)
         while verdict is None and outcome is None and t < spec.t_end - 1e-14:
             dt = min(dt, spec.dt_max, spec.t_end - t)
             # land exactly on the next snapshot time when the floor allows it

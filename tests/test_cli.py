@@ -293,13 +293,13 @@ class TestReadme:
         """The README scan bisects to a bracket within rel_tol, and each
         probe's trajectory header echoes the amplitude the probe ran.  The
         steady state's bracket [a_sub, a_super] holds the critical
-        amplitude between the scan's ends, with g0 at both ends.  Only
-        midpoints are certified, all but at most one of them: the
-        configured probes carry certified_at null, a midpoint whose states
-        stay too near U runs in full, each certified midpoint's
-        outcome.json names its certificate,
-        and the bracket's blow-up end, certified at t = 0, was run again in
-        full, so its outcome.json has a blow-up time and no certificate."""
+        amplitude between the scan's ends, with g0 at both ends.  Every
+        probe but at most one midpoint is certified: the configured 6 and
+        20 at t = 0, a midpoint whose states stay too near U runs to its
+        end, and each certified decay's outcome.json names its
+        certificate.  The configured 20 and the bracket's blow-up end,
+        certified to blow up at t = 0, were run again, so their
+        outcome.json has a blow-up time and no certificate."""
         _code, out = readme_runs["blowup-scan"]
         summary = _summary(out)
         assert summary["a_decay"] < summary["a_blowup"]
@@ -316,15 +316,16 @@ class TestReadme:
             config = json.loads(re.search(r"^# config: (.*)$", header, re.M).group(1))
             assert config["sections"]["problem"]["amplitude"] == a
             outcome = json.loads((out / "runs" / f"A_{a:.17g}" / "outcome.json").read_text())
-            if run["certified_at"] is None or a == summary["a_blowup"]:
+            rerun = a == summary["a_blowup"] or a == 20.0
+            if run["certified_at"] is None or rerun:
                 assert "certified_at" not in outcome
                 assert (outcome["T_est"] is None) == (outcome["kind"] == "Decayed")
             else:
                 assert outcome["certified_at"] == run["certified_at"]
                 assert (outcome["certificate"], outcome["kind"]) == ("steady_state", run["kind"])
-            assert a not in (6.0, 20.0) or run["certified_at"] is None
+            assert a not in (6.0, 20.0) or run["certified_at"] == 0.0
         certified = [run for run in summary["runs"] if run["certified_at"] is not None]
-        assert len(certified) >= len(amplitudes) - 3
+        assert len(certified) >= len(amplitudes) - 1
 
     def test_readme_decay_fit(self, readme_runs):
         """The README decay fit of a self-similar solution lands within 1 %
@@ -622,7 +623,8 @@ class TestMain:
         probe's certified_at.  Every probe writes a directory of its own."""
         run_one = degenflow.cli._run_one
 
-        def short_full_runs(cfg, grid, weight, eigenpair, out_dir, certificate=None):
+        def short_full_runs(cfg, grid, weight, eigenpair, out_dir, certificate=None,
+                            fit_window=False):
             sections = {name: dict(body) for name, body in cfg.sections.items()}
             if certificate is None and sections["problem"]["amplitude"] not in (6.0, 20.0):
                 sections["problem"]["t_end"] = 0.2
@@ -649,6 +651,66 @@ class TestMain:
             probe = json.loads((tmp_path / "short" / "runs" / f"A_{a:.17g}"
                                 / "outcome.json").read_text())
             assert probe["amplitude"] == a
+
+    @pytest.mark.parametrize("grid, low, high, steps", [
+        ("mode = interval\nresolution = 64", 6.0, 20.0, (159, 393)),
+        ("mode = radial\nn = 3\nresolution = 32", 5.0, 80.0, (445, 817)),
+    ], ids=["interval", "radial"])
+    def test_scan_probes_that_end_early_leave_its_results(self, tmp_path, monkeypatch, grid,
+                                                          low, high, steps):
+        """Each probe ends at the first proof of what the summary reads from
+        it.  Run again as the scan ran before (the configured values
+        uncertified and to their end, no run stopped at the fit window), the
+        scan-1d config and a ball n = 3 scan write the same summary but for
+        its runs entries, in less than half the accepted steps: the same
+        bracket, C_fit and thresholds, to the bit.  The configured value
+        below a_sub ends certified at t = 0, and the one above a_super,
+        run again in full, writes the same files byte for byte."""
+        run_one = degenflow.cli._run_one
+
+        def as_before(cfg, grid, weight, eigenpair, out_dir, certificate=None,
+                      fit_window=False):
+            if cfg.sections["problem"]["amplitude"] in (low, high):
+                certificate = None
+            return run_one(cfg, grid, weight, eigenpair, out_dir, certificate)
+
+        text = (SCAN_CFG.format(out="scan").replace("mode = interval\nresolution = 64", grid)
+                .replace("values = 6.0, 20.0", f"values = {low}, {high}"))
+        summaries, totals = [], []
+        for name in ("early", "full"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            if name == "full":
+                monkeypatch.setattr(degenflow.cli, "_run_one", as_before)
+            assert _run(tmp_path / name, "s.cfg", text, "blowup-scan") == EXIT_OK
+            summaries.append(_summary(tmp_path / name / "scan"))
+            totals.append(sum(
+                json.loads((tmp_path / name / "scan" / "runs" / f"A_{run['amplitude']:.17g}"
+                            / "outcome.json").read_text())["steps"]
+                for run in summaries[-1]["runs"]))
+        early, full = summaries
+        assert tuple(totals) == steps
+        assert {k: v for k, v in early.items() if k != "runs"} == {
+            k: v for k, v in full.items() if k != "runs"}
+        assert [run["amplitude"] for run in early["runs"]] == [
+            run["amplitude"] for run in full["runs"]]
+        for key in ("a_decay", "a_blowup", "C_fit", "threshold_operative",
+                    "g0_decay_le_operative"):
+            assert key in early, key
+        assert low < early["a_sub"] and high > early["a_super"]
+        runs = {run["amplitude"]: run for run in early["runs"]}
+        assert (runs[low]["kind"], runs[low]["certified_at"]) == ("Decayed", 0.0)
+        outcome = json.loads((tmp_path / "early" / "scan" / "runs" / f"A_{low:.17g}"
+                              / "outcome.json").read_text())
+        assert (outcome["steps"], outcome["certified_at"], outcome["certificate"]) == (
+            0, 0.0, "steady_state")
+        assert (runs[high]["kind"], runs[high]["certified_at"]) == ("BlowUp", 0.0)
+        files = sorted(os.listdir(tmp_path / "full" / "scan" / "runs" / f"A_{high:.17g}"))
+        assert sorted(os.listdir(tmp_path / "early" / "scan" / "runs" / f"A_{high:.17g}")) == files
+        for file in files:
+            assert ((tmp_path / "early" / "scan" / "runs" / f"A_{high:.17g}" / file).read_bytes()
+                    == (tmp_path / "full" / "scan" / "runs" / f"A_{high:.17g}"
+                        / file).read_bytes()), file
 
     def test_scan_at_p3_solves_the_steady_state_to_the_eigen_default(self, tmp_path,
                                                                        monkeypatch):

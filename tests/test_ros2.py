@@ -299,17 +299,17 @@ def test_ros2_run_keeps_energy_sup_and_sign(problem):
     as an event, and the test fails where one falls below -1e-3 sup|u0|."""
     spec, patchy = problem
     states = []
-    energy = timestepper._NewtonSystem.energy
+    energies = timestepper._NewtonSystem.energies
 
-    def recorded(system, x):
-        states.append(x.min())
-        return energy(system, x)
+    def recorded(system, xs):
+        states.extend(x.min() for x in xs)
+        return energies(system, xs)
 
-    timestepper._NewtonSystem.energy = recorded
+    timestepper._NewtonSystem.energies = recorded
     try:
         out = run_simulation(spec)
     finally:
-        timestepper._NewtonSystem.energy = energy
+        timestepper._NewtonSystem.energies = energies
     traj = out.trajectory
     assert len(states) == len(traj.times)
     violations = {

@@ -648,6 +648,32 @@ def test_run_energy_column_is_energy_of_its_states(mode, p, theta_frac, log_ampl
         event(f"{mode}: a step was redone")
 
 
+@pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
+def test_p2_run_takes_energies_in_batches_equal_to_face_flux(mode, monkeypatch):
+    """At p = 2 a run takes its energy column in batches of at most
+    ENERGY_CHUNK recorded states, one product with the stacked face matrix
+    each, and every energy equals FaceFlux.energy of its state bit for bit,
+    on a weighted run of 101 states, a full batch and a partial one."""
+    g = build_grid(mode, 1.0, 8, n=2)
+    spec = ProblemSpec(grid=g, weight=WeightSpec.power(1.0), p=2.0,
+                       reaction=ReactionSpec.none(),
+                       initial=Field(g, _drawn_state(g, 1.0, True, 7)), t_end=0.1, dt0=1e-3,
+                       dt_max=1e-3)
+    batches = []
+    energies = timestepper._NewtonSystem.energies
+
+    def kept(system, states):
+        batches.append(list(states))
+        return energies(system, states)
+
+    monkeypatch.setattr(timestepper._NewtonSystem, "energies", kept)
+    traj = run_simulation(spec).trajectory
+    assert [len(batch) for batch in batches] == [timestepper.ENERGY_CHUNK, 37]
+    op = face_operator(g, spec.weight, interior=True)
+    assert traj.energy == [timestepper.FaceFlux(op, x, 2.0).energy()
+                           for batch in batches for x in batch]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     mode=st.sampled_from(["interval", "radial"]),
