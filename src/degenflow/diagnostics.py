@@ -219,24 +219,15 @@ DT_REL = 1e-4
 
 
 def _erode(mask, cells):
-    out = mask.copy()
+    # each pass ANDs the mask, padded with False, shifted one cell either
+    # way along every axis
     for _ in range(cells):
-        shrunk = out.copy()
-        for axis in range(out.ndim):
-            shifted = np.roll(out, 1, axis=axis)
-            _fill_edge(shifted, axis, 0, False)
-            shrunk &= shifted
-            shifted = np.roll(out, -1, axis=axis)
-            _fill_edge(shifted, axis, -1, False)
-            shrunk &= shifted
-        out = shrunk
-    return out
-
-
-def _fill_edge(arr, axis, index, value):
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = index
-    arr[tuple(sl)] = value
+        pad = np.pad(mask, 1, constant_values=False)
+        core = [slice(1, n + 1) for n in mask.shape]
+        for axis, n in enumerate(mask.shape):
+            for lo in (0, 2):
+                mask = mask & pad[tuple(core[:axis] + [slice(lo, lo + n)] + core[axis + 1:])]
+    return mask
 
 
 def residual_check(candidate, grid, weight, p, sample_times):

@@ -53,25 +53,17 @@ step.  At p > 2 the Newton system keeps the FaceFlux of the last interior
 vector evaluated, so a state's matrix, recorded energy and rate share one
 FaceFlux; at p = 2 none is built.
 
-run_simulation classifies the outcome as completed, decayed, or blown up.
-Blow-up can never be observed literally on a finite grid; the operational
-rule is a sup-norm cap of CAP_FACTOR times the initial sup or a failed
-attempt at DT_MIN while the sup norm is ramping, or a state below or above
-a steady state handed in as a certificate, by a margin that bounds the
-flow's deviation from the recorded state.  Such a verdict is one on the
-semi-discrete flow from the data, not on the steps: K is an M-matrix where
-a certificate holds and f depends only on its own node, so the flow is
-cooperative and keeps states below U below it and states above U above
-it.  Where, besides, the weight is the unit one and the eigenpair is
-known, a run also ends as blown up once BlowupBracket, a proven bracket
-on the flow's blow-up time, is BRACKET_REL narrow.  bisect_dichotomy
-brackets the amplitude that separates decay from blow-up, by runs it is
-handed.
+run_simulation classifies the outcome as completed, decayed, or blown up,
+by the rules its docstring lists in the order it applies them.  Blow-up
+can never be observed literally on a finite grid, so those rules are
+operational: a sup-norm cap, a ramping failure at DT_MIN, a proven bracket
+on the blow-up time (BlowupBracket), or a steady state that certifies the
+flow's eventual kind.  bisect_dichotomy brackets the amplitude that
+separates decay from blow-up, by runs it is handed.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -99,6 +91,8 @@ from .plap_operator import (
 KIND_COMPLETED = "Completed"
 KIND_DECAYED = "Decayed"
 KIND_BLOWUP = "BlowUp"
+# run_simulation's end at the fit window: BlowUp with no tail fit
+_FIT_WINDOW = "fit window"
 
 _CSV_COLUMNS = ("t", "dt", "sup_abs_u", "mass", "g", "energy")
 
@@ -480,11 +474,6 @@ def _step_field(u, t, dt, spec, stats=None):
     return u.grid.scatter(x)
 
 
-def _tail_is_ramping(traj, lookback=10):
-    sup = traj.sup_abs_u[-lookback:]
-    return len(sup) >= 3 and bool(np.all(np.diff(sup) > 0.0))
-
-
 def _fit_exponential_rate(times, sups, sup0):
     """Decay rate alpha from log sup = c - alpha t on a mid-decay window."""
     t = np.asarray(times)
@@ -515,41 +504,50 @@ def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
     The trajectory's g column is integral(omega * u0 * u) when an eigenpair
     is supplied and integral(omega * u) otherwise.  The state is the
     interior vector x throughout; only snapshots are scattered into Fields.
-    The last step lands on t_end, shorter than DT_MIN if less is left.  An
-    attempt that fails at DT_MIN, by its error or its factorization, ends
-    the run as BlowUp if the sup norm is ramping and raises NumericalError
-    otherwise.  Where the reaction exponent sigma is at least 3 and no
-    bracket holds, this rule, not the cap, ends blow-up runs.
+    The last step lands on t_end, shorter than DT_MIN if less is left.
+
+    The first of these rules that holds at a recorded state, t = 0
+    included, ends the run:
+
+    1. the bracket closes: BlowUp, T_est the tail fit clamped into it;
+    2. with fit_window, the state passes the fit window: BlowUp, no T_est;
+    3. sup |x| reaches spec.cap_value(): BlowUp;
+    4. sup |x| falls below 1e-8 sup |u0|: Decayed, with a fitted rate;
+    5. the certificate gives x a kind: that kind at certified_at, no time or rate.
+
+    An attempt that fails at DT_MIN, by its error or its factorization,
+    ends the run as BlowUp if the last recorded sup norms (at least 3, at
+    most 10) strictly increase, and raises NumericalError otherwise; at
+    sigma >= 3 with no bracket this rule, not the cap, ends blow-ups.  A
+    run that reaches t_end is Completed.  A blow-up that rule 1 or 2 did not
+    end reports the tail fit (estimate_blowup_time), clamped into the
+    bracket where that is consistent and T_hi finite.
+
+    The bracket, the outcome's bounds, is a BlowupBracket tightened by
+    every recorded state where certificate_holds, the weight is the unit
+    one and an eigenpair is supplied.  It closes where it is consistent and
+    at most BRACKET_REL T_lo wide; an inconsistent one never ends a run.
+    blowup-scan sets fit_window on the runs it only fits C on; a state
+    passes the fit window when it is nonnegative, keeps the bracket
+    consistent, has g > EARLY_FACTOR g(0) and an upper bound of its own at
+    most t_end.  g only grows from there (alpha0 g^(sigma-1) > lambda1), so
+    diagnostics.fit_bernoulli_constant has every state it reads, but the
+    tail is too short for a fit.
 
     certificate, a steady state U as a Field for which certificate_holds
-    (else ConfigError), ends the run at a recorded state (t = 0 included)
-    at most (1 - CERTIFICATE_MARGIN - dev) U at every interior node as
-    Decayed, or at least (1 + CERTIFICATE_MARGIN + dev) U as BlowUp, with
-    certified_at and no blow-up time or rate.  dev bounds the deviation
-    |y - x| / U of the semi-discrete flow y from the data from the recorded
-    state x, taking each step's error estimate as its local error: a step
-    adds its estimate relative to U, and a deviation w <= dev U grows at
-    most at the rate max(f'(xi) - f(U) / U) over the nodes, xi at most the
-    larger state plus dev U, because K U = V f(U), K is an M-matrix and f
-    acts node by node.  dev is 0 at t = 0 and ends certification at 1.
-    So a verdict is the eventual kind of the flow from the data: run in
-    full, the run may still be Completed at t_end.
-
-    Where certificate_holds, the weight is the unit one and an eigenpair is
-    supplied, every recorded state (t = 0 included) tightens a
-    BlowupBracket, the outcome's bounds, and the run ends as BlowUp at the
-    first state where it is consistent and at most BRACKET_REL T_lo wide.
-    With fit_window, which blowup-scan sets on the runs it only fits C on,
-    such a run ends as BlowUp already at the first state that is
-    nonnegative, keeps the bracket consistent, has g > EARLY_FACTOR g(0)
-    and an upper bound of its own at most t_end: g only grows from there
-    (alpha0 g^(sigma-1) > lambda1), so diagnostics.fit_bernoulli_constant
-    has every state it reads.  A blow-up with a
-    consistent bracket and a finite T_hi reports it as [T_lo, T_hi], with
-    T_est the tail fit clamped into it; any other blow-up reports the fit
-    (estimate_blowup_time).  An inconsistent bracket never ends a run.
-    At p = 2 the energies are taken ENERGY_CHUNK states at a time
-    (_NewtonSystem.energies), all before the trajectory is handed out.
+    (else ConfigError), gives a state at most (1 - CERTIFICATE_MARGIN - dev)
+    U at every interior node Decayed, and one at least (1 +
+    CERTIFICATE_MARGIN + dev) U BlowUp.  dev bounds the deviation |y - x| / U
+    of the semi-discrete flow y from the data from the recorded state x,
+    taking each step's error estimate as its local error: a step adds its
+    estimate relative to U, and a deviation w <= dev U grows at most at the
+    rate max(f'(xi) - f(U) / U) over the nodes, xi at most the larger state
+    plus dev U, because K U = V f(U), K is an M-matrix and f acts node by
+    node.  dev is 0 at t = 0 and ends certification at 1.  So a verdict is
+    the eventual kind of the flow from the data: run in full, the run may
+    still be Completed at t_end.  At p = 2 the energies are taken
+    ENERGY_CHUNK states at a time (_NewtonSystem.energies), all before the
+    trajectory is handed out.
     """
     grid = spec.grid
     reaction = spec.reaction
@@ -569,6 +567,17 @@ def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
     if certificate_holds(spec) and spec.weight is None and eigenpair is not None:
         bounds = BlowupBracket(eigenpair.eigenvalue, reaction.alpha0, reaction.sigma)
 
+    if certificate is not None:
+        if not certificate_holds(spec):
+            raise ConfigError("a steady state certifies runs only at p = 2 on an interval or "
+                              "radial grid")
+        u_cert = certificate.values.ravel()[idx]
+        # f(U) / U, which is V^-1 K U / U since U is steady
+        f_over_u = reaction_eval(reaction, 0.0, u_cert) / u_cert
+    dev = 0.0  # the bound on |flow from the data - x| / U
+    certified_at = None
+    pending = sorted(set(spec.snapshot_times))
+
     # the recorded states whose energy is still to be taken, kept as they
     # are: ROS2 never changes a state in place
     unmeasured = []
@@ -579,133 +588,120 @@ def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
             unmeasured.clear()
 
     def record(t, dt, x, sup):
-        # True once the blow-up bracket closes or, with fit_window, proves
-        # the blow-up past the fit window
+        # record the state x at t and return what ends the run there: a
+        # kind, _FIT_WINDOW or None
+        nonlocal certified_at
         g = float(vol_g @ x)
         traj.append(t, dt, sup, float(vol @ x), g, None)
         unmeasured.append(x)
         # at p > 2 the state's kept FaceFlux gives its energy at once
         if spec.p != 2.0 or len(unmeasured) == ENERGY_CHUNK:
             take_energies()
-        if bounds is None:
-            return False
-        own = bounds.update(t, sup, g, x.min() >= 0.0)
-        return bounds.closed or (fit_window and bounds.consistent and own <= spec.t_end
-                                 and g > EARLY_FACTOR * traj.weighted_mass[0])
-
-    if certificate is not None:
-        if not certificate_holds(spec):
-            raise ConfigError("a steady state certifies runs only at p = 2 on an interval or "
-                              "radial grid")
-        u_cert = certificate.values.ravel()[idx]
-        # f(U) / U, which is V^-1 K U / U since U is steady
-        f_over_u = reaction_eval(reaction, 0.0, u_cert) / u_cert
-    dev = 0.0  # the bound on |flow from the data - x| / U
-
-    def certify(x):
-        # the kind the certificate gives x, if any
+        while pending and t >= pending[0] - 1e-12:
+            traj.snapshots[pending.pop(0)] = grid.scatter(x)
+        if bounds is not None:
+            own = bounds.update(t, sup, g, x.min() >= 0.0)
+            if bounds.closed:
+                return KIND_BLOWUP
+            if (fit_window and bounds.consistent and own <= spec.t_end
+                    and g > EARLY_FACTOR * traj.weighted_mass[0]):
+                return _FIT_WINDOW
+        if sup >= cap:
+            return KIND_BLOWUP
+        if sup < decay_floor:
+            return KIND_DECAYED
         if certificate is None or dev >= 1.0:
             return None
         margin = CERTIFICATE_MARGIN + dev
-        return (KIND_DECAYED if (x <= (1.0 - margin) * u_cert).all() else
+        kind = (KIND_DECAYED if (x <= (1.0 - margin) * u_cert).all() else
                 KIND_BLOWUP if (x >= (1.0 + margin) * u_cert).all() else None)
+        certified_at = t if kind else None
+        return kind
 
     x = spec.initial.values.ravel()[idx]
-    outcome = KIND_BLOWUP if record(0.0, 0.0, x, spec.sup0) else None
-    pending = sorted(set(spec.snapshot_times))
-    while pending and pending[0] <= 1e-12:
-        traj.snapshots[pending.pop(0)] = grid.scatter(x)
-
-    t = 0.0
-    dt = spec.dt0
-    verdict = certify(x)
+    t, dt = 0.0, spec.dt0
     factorizations = rejected = 0
     rate_x = None  # F(t, x) of the current state, with f'(x) in drea
 
     # a rejected attempt may overflow; its nonfinite state fails the error
-    # test.  Every way out of the loop takes the energies still to be taken.
-    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as leaving:
-        leaving.callback(take_energies)
-        while verdict is None and outcome is None and t < spec.t_end - 1e-14:
-            dt = min(dt, spec.dt_max, spec.t_end - t)
-            # land exactly on the next snapshot time when the floor allows it
-            # (min with dt_max: the float gap can overshoot it by roundoff,
-            # which the snapshot pop tolerance then absorbs)
-            if pending and t + dt > pending[0] - 1e-14 and pending[0] - t >= DT_MIN:
-                dt = min(pending[0] - t, spec.dt_max)
-            if rate_x is None:
-                rate_x = system.rate(x, t, reaction)
-                drea = reaction_derivative(reaction, t, x) if reaction.family != "none" else 0.0
+    # test.  Every way out of the run takes the energies still to be taken.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            end = record(t, 0.0, x, spec.sup0)
+            while end is None and t < spec.t_end - 1e-14:
+                dt = min(dt, spec.dt_max, spec.t_end - t)
+                # land exactly on the next snapshot time when the floor allows
+                # it (min with dt_max: the float gap can overshoot it by
+                # roundoff, which the snapshot pop tolerance then absorbs)
+                if pending and t + dt > pending[0] - 1e-14 and pending[0] - t >= DT_MIN:
+                    dt = min(pending[0] - t, spec.dt_max)
+                if rate_x is None:
+                    rate_x = system.rate(x, t, reaction)
+                    drea = (reaction_derivative(reaction, t, x) if reaction.family != "none"
+                            else 0.0)
 
-            factorizations += 1
-            try:
-                lu = system.factor(system.matrix(x, GAMMA * dt, drea))
-            except FactorError:
-                shrink = 0.5
-            else:
-                k1 = system.solve(lu, vol * rate_x)
-                rate_1 = system.rate(x + dt * k1, t + dt, reaction)
-                k2 = system.solve(lu, vol * (rate_1 - 2.0 * k1))
-                x_new = x + 1.5 * dt * k1 + 0.5 * dt * k2
-                sup = float(np.abs(x_new).max())
-                err = 0.5 * dt * float(np.abs(k1 + k2).max())
-                e = err / sup if err > 0.0 else 0.0
-                if e <= LTE_TOL and math.isfinite(sup):
-                    if certificate is not None and dev < 1.0:
-                        # a deviation w <= dev U grows at most at the rate
-                        # max(f'(xi) - f(U) / U), xi between the two states
-                        xi = np.maximum(np.abs(x), np.abs(x_new)) + dev * u_cert
-                        growth = float((reaction_derivative(reaction, t, xi) - f_over_u).max())
-                        amp = max(dt * growth, 0.0)
-                        dev = ((dev * math.exp(amp) if amp < 40.0 else math.inf)
-                               + 0.5 * dt * float((np.abs(k1 + k2) / u_cert).max()))
-                    t += dt
-                    x, rate_x = x_new, None
-                    closed = record(t, dt, x, sup)
-                    while pending and t >= pending[0] - 1e-12:
-                        traj.snapshots[pending.pop(0)] = grid.scatter(x)
-                    if sup >= cap or closed:
-                        outcome = KIND_BLOWUP
-                        break
-                    if sup < decay_floor:
-                        outcome = KIND_DECAYED
-                        break
-                    verdict = certify(x)
-                    grow = min(2.0, 0.9 * math.sqrt(LTE_TOL / e)) if e > 0.0 else 2.0
-                    dt = max(dt * grow, DT_MIN)
+                factorizations += 1
+                try:
+                    lu = system.factor(system.matrix(x, GAMMA * dt, drea))
+                except FactorError:
+                    shrink = 0.5
+                else:
+                    k1 = system.solve(lu, vol * rate_x)
+                    rate_1 = system.rate(x + dt * k1, t + dt, reaction)
+                    k2 = system.solve(lu, vol * (rate_1 - 2.0 * k1))
+                    x_new = x + 1.5 * dt * k1 + 0.5 * dt * k2
+                    sup = float(np.abs(x_new).max())
+                    err = 0.5 * dt * float(np.abs(k1 + k2).max())
+                    e = err / sup if err > 0.0 else 0.0
+                    if e <= LTE_TOL and math.isfinite(sup):
+                        if certificate is not None and dev < 1.0:
+                            # a deviation w <= dev U grows at most at the rate
+                            # max(f'(xi) - f(U) / U), xi between the two states
+                            xi = np.maximum(np.abs(x), np.abs(x_new)) + dev * u_cert
+                            growth = float((reaction_derivative(reaction, t, xi)
+                                            - f_over_u).max())
+                            amp = max(dt * growth, 0.0)
+                            dev = ((dev * math.exp(amp) if amp < 40.0 else math.inf)
+                                   + 0.5 * dt * float((np.abs(k1 + k2) / u_cert).max()))
+                        t += dt
+                        x, rate_x = x_new, None
+                        end = record(t, dt, x, sup)
+                        grow = min(2.0, 0.9 * math.sqrt(LTE_TOL / e)) if e > 0.0 else 2.0
+                        dt = max(dt * grow, DT_MIN)
+                        continue
+                    # a nonfinite state, whose e may be anything, shrinks the most
+                    shrink = (max(0.2, 0.9 * math.sqrt(LTE_TOL / e))
+                              if LTE_TOL < e < math.inf and math.isfinite(sup) else 0.2)
+
+                rejected += 1
+                if dt > DT_MIN:
+                    dt = max(dt * shrink, DT_MIN)
                     continue
-                # a nonfinite state, whose e may be anything, shrinks the most
-                shrink = (max(0.2, 0.9 * math.sqrt(LTE_TOL / e))
-                          if LTE_TOL < e < math.inf and math.isfinite(sup) else 0.2)
-
-            rejected += 1
-            if dt > DT_MIN:
-                dt = max(dt * shrink, DT_MIN)
-                continue
-            # a retry from the same state, t and dt would fail the same way
-            if _tail_is_ramping(traj):
-                outcome = KIND_BLOWUP
-                break
-            raise NumericalError("step failure at DT_MIN without blow-up signature",
-                                 trajectory=traj)
+                # a retry from the same state, t and dt would fail the same
+                # way; it is blow-up if the sup norm is ramping
+                tail = traj.sup_abs_u[-10:]
+                if len(tail) < 3 or not np.all(np.diff(tail) > 0.0):
+                    raise NumericalError("step failure at DT_MIN without blow-up signature",
+                                         trajectory=traj)
+                end = KIND_BLOWUP
+        finally:
+            take_energies()
 
     common = dict(steps=len(traj.times) - 1, factorizations=factorizations,
                   rejected_attempts=rejected, bounds=bounds)
-
-    if verdict is not None:
-        return RunOutcome(verdict, traj, certified_at=t, **common)
-
-    if outcome == KIND_BLOWUP:
-        sigma = spec.reaction.sigma if spec.reaction.family != "none" else 2.0
-        t_est, t_lo, t_hi = estimate_blowup_time(traj, sigma, t_end=spec.t_end)
-        if bounds is not None and bounds.consistent and bounds.t_hi < math.inf:
-            t_lo, t_hi = bounds.t_lo, bounds.t_hi
-            t_est = min(max(t_est, t_lo), t_hi)
-        return RunOutcome(KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **common)
-    if outcome == KIND_DECAYED:
+    if end is None or certified_at is not None:
+        return RunOutcome(end or KIND_COMPLETED, traj, certified_at=certified_at, **common)
+    if end == KIND_DECAYED:
         rate = _fit_exponential_rate(traj.times, traj.sup_abs_u, spec.sup0)
         return RunOutcome(KIND_DECAYED, traj, rate_fit=rate, **common)
-    return RunOutcome(KIND_COMPLETED, traj, **common)
+    if end == _FIT_WINDOW:
+        return RunOutcome(KIND_BLOWUP, traj, t_lo=bounds.t_lo, t_hi=bounds.t_hi, **common)
+    sigma = spec.reaction.sigma if spec.reaction.family != "none" else 2.0
+    t_est, t_lo, t_hi = estimate_blowup_time(traj, sigma, t_end=spec.t_end)
+    if bounds is not None and bounds.consistent and bounds.t_hi < math.inf:
+        t_lo, t_hi = bounds.t_lo, bounds.t_hi
+        t_est = min(max(t_est, t_lo), t_hi)
+    return RunOutcome(KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **common)
 
 
 def bisect_dichotomy(probe, values, rel_tol, predicted=None):

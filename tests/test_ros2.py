@@ -18,6 +18,7 @@ from degenflow import (
     ReactionSpec,
     WeightSpec,
     build_grid,
+    energy,
     integrate,
     run_simulation,
 )
@@ -233,6 +234,39 @@ def test_step_floor_ends_blowup_at_sigma_3():
     assert out.kind == "BlowUp" and out.bounds is None
     assert out.trajectory.dt_used[-1] == timestepper.DT_MIN
     assert out.trajectory.sup_abs_u[-1] < spec.cap_value()
+
+
+def test_step_failure_hands_out_a_measured_trajectory(monkeypatch):
+    """A run whose first attempt fails at DT_MIN, with no ramping sup norm,
+    raises NumericalError.  Its trajectory holds the one state at t = 0 with
+    the energy of u0, taken at p = 2 in a batch that the error leaves by,
+    and the snapshot at t = 0."""
+    spec, pair = _workload("scan-1d")
+    spec = replace(spec, snapshot_times=(0.0,))
+    assert spec.p == 2.0
+    monkeypatch.setattr(timestepper, "LTE_TOL", 1e-300)
+    monkeypatch.setattr(timestepper, "DT_MIN", spec.dt0)
+    with pytest.raises(NumericalError, match="DT_MIN") as info:
+        run_simulation(spec, eigenpair=pair)
+    traj = info.value.trajectory
+    assert traj.times == [0.0] and list(traj.snapshots) == [0.0]
+    assert traj.energy == [pytest.approx(energy(spec.initial, None, 2.0), rel=1e-12)]
+    assert np.array_equal(traj.snapshots[0.0].values, spec.initial.values)
+
+
+def test_certified_at_t0_records_one_measured_state():
+    """Data the steady state certifies at t = 0 (the configured 6 of the
+    scan-1d scan) end the run at its first recorded state: one state, with
+    its energy and its snapshot, and no step."""
+    spec, pair = _workload("scan-1d", amplitude=6.0)
+    spec = replace(spec, snapshot_times=(0.0,))
+    u_ss = steady_state(spec.grid, None, 2.0, 1.0, 2.0, tol=STEADY_STATE_TOL)
+    out = run_simulation(spec, eigenpair=pair, certificate=u_ss)
+    assert (out.kind, out.certified_at, out.steps) == ("Decayed", 0.0, 0)
+    traj = out.trajectory
+    assert traj.times == [0.0] and list(traj.snapshots) == [0.0]
+    assert traj.energy == [pytest.approx(energy(spec.initial, None, 2.0), rel=1e-12)]
+    assert np.array_equal(traj.snapshots[0.0].values, spec.initial.values)
 
 
 def test_no_certificate_near_the_threshold():
