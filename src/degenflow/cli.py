@@ -2,9 +2,11 @@
 deterministic artifact output.
 
 Config files are line-oriented ``key = value`` with ``[section]`` headers.
-Unknown keys are rejected with the offending line number.  Artifacts are
-reproducible: JSON is written with sorted keys, floats use repr-faithful
-formatting, iteration orders are fixed, and nothing embeds a timestamp.
+Unknown keys are rejected with the offending line number.  Each command
+writes its own artifacts and returns its summary body; run_command alone
+writes summary.json.  Artifacts are reproducible: JSON is written with
+sorted keys, floats use repr-faithful formatting, iteration orders are
+fixed, and nothing embeds a timestamp.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 undecided
 scan.
@@ -260,11 +262,10 @@ def _parse_sections(text, sections, command_override):
         if name == "problem" and key in unread:
             raise ConfigError(f"line {lineno}: {unread[key]} does not read {key!r} in [problem]")
 
-    _check_values(sections, command, reads, explicit)
-
     out = sections[""]["output_dir"] or "degenflow-out"
-    return ExperimentConfig(command=command, output_dir=out, sections=sections,
-                            lines=explicit)
+    cfg = ExperimentConfig(command=command, output_dir=out, sections=sections, lines=explicit)
+    _check_values(cfg, reads)
+    return cfg
 
 
 def _at_line(exc, lines):
@@ -274,25 +275,24 @@ def _at_line(exc, lines):
     return ConfigError(f"line {found[0]}: {exc}") if found else exc
 
 
-def _check_values(sections, command, reads, explicit):
-    """The checks of the sections read that need no grid or data: the grid
-    extent and resolution, the ProblemSpec exponent checks (but in
-    weights-check, which reads no p and takes any theta_w) and schedule
-    checks, the eigensolver tol, the scan amplitudes, tolerance and
-    reaction term, verify-exact's grid mode, p, resolutions and sample
-    times, and decay-fit's window and reaction term.  They run at
-    parse time so that a bad value fails before any work, naming the line
-    of the key at fault."""
+def _check_values(cfg, reads):
+    """The checks of the sections read that need no data, each made by the
+    object the value configures: the grid (only its dimension in
+    weights-check, which builds none), the ProblemSpec exponent checks (but
+    in weights-check, which reads no p and takes any theta_w) and schedule
+    checks, the weight, the eigensolver tol, the scan, the reaction term,
+    verify-exact's grid mode, p, resolutions and sample times, and
+    decay-fit's window and reaction term.  They run at parse time, so a bad
+    value fails before any work, naming the line of the key at fault."""
+    sections = cfg.sections
     prob = sections["problem"]
     try:
-        # weights-check, which reads neither key, has rejected them if set
-        if not prob["extent"] > 0.0:
-            raise ConfigError(f"extent must be positive, got {prob['extent']}", keys=("extent",))
-        if prob["resolution"] < 4:
-            raise ConfigError(f"resolution must be at least 4 cells, got {prob['resolution']}",
-                              keys=("resolution",))
-        if command != "weights-check":
+        if cfg.command == "weights-check":
+            grid_dimension(prob["mode"], prob["n"])
+        else:
+            _build_grid(cfg)
             ProblemSpec.check_exponents(prob["p"], prob["theta_w"])
+        WeightSpec.power(prob["theta_w"], prob["theta_mk"])
         if "controls" in reads:
             ProblemSpec.check_schedule(prob["t_end"], prob["dt0"],
                                        sections["controls"]["dt_max"],
@@ -300,7 +300,9 @@ def _check_values(sections, command, reads, explicit):
         if "eigen" in reads and sections["eigen"]["tol"] is not None:
             check_tol(sections["eigen"]["tol"])
         if "scan" in reads:
-            _check_scan(sections["scan"], prob, ("problem", "amplitude") in explicit)
+            _check_scan(sections["scan"], prob, ("problem", "amplitude") in cfg.lines)
+        # after _check_scan, whose sigma message names the threshold
+        _build_reaction(cfg)
         if "verify" in reads:
             if prob["mode"] not in ("radial", "interval"):
                 raise ConfigError("verify-exact runs on radial or interval grids", keys=("mode",))
@@ -326,21 +328,25 @@ def _check_values(sections, command, reads, explicit):
                 raise ConfigError(f"need window_start < window_end, got [{dec['window_start']}, "
                                   f"{dec['window_end']}]", keys=("window_start", "window_end"))
     except ConfigError as exc:
-        raise _at_line(exc, explicit)
+        raise _at_line(exc, cfg.lines)
 
 
 def _check_scan(scan, prob, sets_amplitude):
     """Raise ConfigError unless the problem has a power reaction term with
-    sigma > p - 1 (exp_forced blows up at every amplitude and sigma <= p - 1
-    at none) and no amplitude of its own, and [scan] sets values, all
-    positive, and a positive rel_tol: the scan probes those amplitudes,
-    bisects geometrically and stops on its bracket's ratio."""
+    alpha0 > 0 and sigma > p - 1 (exp_forced blows up at every amplitude,
+    and alpha0 <= 0 or sigma <= p - 1 at none) and no amplitude of its own,
+    and [scan] sets values, all positive, and a positive rel_tol: the scan
+    probes those amplitudes, bisects geometrically and stops on its
+    bracket's ratio."""
     if prob["reaction"] == "none":
         raise ConfigError("blowup-scan needs a reaction term", keys=("reaction",))
     if prob["reaction"] == "exp_forced":
         raise ConfigError("blowup-scan needs reaction = power: exp_forced blows up every "
                           "positive amplitude, so there is no threshold", keys=("reaction",))
-    if prob["reaction"] == "power" and not prob["sigma"] > prob["p"] - 1.0:
+    if not prob["alpha0"] > 0.0:
+        raise ConfigError(f"blowup-scan needs alpha0 > 0, got {prob['alpha0']}: without the "
+                          "reaction every amplitude decays", keys=("alpha0",))
+    if not prob["sigma"] > prob["p"] - 1.0:
         raise ConfigError(f"blowup-scan with reaction = power needs sigma > p - 1, got "
                           f"sigma = {prob['sigma']}, p = {prob['p']}", keys=("sigma", "p"))
     if sets_amplitude:
@@ -387,12 +393,6 @@ def _config_payload(cfg):
         if name == "" or name in reads
     }
     return {"command": cfg.command, "output_dir": cfg.output_dir, "sections": sections}
-
-
-def _summary(cfg, body):
-    payload = {"schema_version": SCHEMA_VERSION, "config": _config_payload(cfg)}
-    payload.update(body)
-    return payload
 
 
 def _csv_header(cfg):
@@ -445,7 +445,7 @@ def _initial_values(cfg, grid, weight):
     return vals
 
 
-def _build_reaction(cfg, eigenpair):
+def _build_reaction(cfg, eigenpair=None):
     prob = cfg.sections["problem"]
     if prob["reaction"] == "none":
         return ReactionSpec.none()
@@ -489,17 +489,14 @@ def _solve_eigen(cfg, grid, weight, out=None):
 
 
 def _cmd_eigen(cfg, out):
-    grid = _build_grid(cfg)
-    weight = _build_weight(cfg)
-    pair = _solve_eigen(cfg, grid, weight, out)
+    pair = _solve_eigen(cfg, _build_grid(cfg), _build_weight(cfg), out)
     pair.to_csv(out / "eigenfunction.csv")
     pair.to_json(out / "eigenpair.json")
-    write_json(out / "summary.json", _summary(cfg, {
+    return {
         "lambda1": pair.eigenvalue,
         "residual": pair.residual,
         "iterations": pair.iterations,
-    }))
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _run_one(cfg, grid, weight, eigenpair, out_dir, certificate=None, fit_window=False):
@@ -517,29 +514,22 @@ def _run_one(cfg, grid, weight, eigenpair, out_dir, certificate=None, fit_window
     return outcome
 
 
-def _solve_summary(cfg, outcome, eigenpair):
-    prob = cfg.sections["problem"]
-    body = outcome.payload()
-    if eigenpair is not None:
-        lam1 = body["lambda1"] = eigenpair.eigenvalue
-        if prob["reaction"] == "power":
-            body.update(diag.bernoulli_comparison(outcome.trajectory, lam1, prob["sigma"],
-                                                  g0=body["g0"]))
-        else:
-            body.update(diag.exp_forced_comparison(outcome.trajectory, lam1, prob["sigma"]))
-    return body
-
-
 def _cmd_solve(cfg, out):
+    prob = cfg.sections["problem"]
     grid = _build_grid(cfg)
     weight = _build_weight(cfg)
-    prob = cfg.sections["problem"]
-    eigenpair = None
-    if prob["reaction"] != "none":
-        eigenpair = _solve_eigen(cfg, grid, weight, out)
+    if prob["reaction"] == "none":
+        return _run_one(cfg, grid, weight, None, out).payload(), EXIT_OK
+    eigenpair = _solve_eigen(cfg, grid, weight, out)
     outcome = _run_one(cfg, grid, weight, eigenpair, out)
-    write_json(out / "summary.json", _summary(cfg, _solve_summary(cfg, outcome, eigenpair)))
-    return EXIT_OK
+    body = outcome.payload()
+    lam1 = body["lambda1"] = eigenpair.eigenvalue
+    if prob["reaction"] == "power":
+        body.update(diag.bernoulli_comparison(outcome.trajectory, lam1, prob["sigma"],
+                                              g0=body["g0"]))
+    else:
+        body.update(diag.exp_forced_comparison(outcome.trajectory, lam1, prob["sigma"]))
+    return body, EXIT_OK
 
 
 def _steady_state_bracket(cfg, spec, eigenpair, body):
@@ -636,8 +626,7 @@ def _cmd_blowup_scan(cfg, out):
                                               cfg.sections["problem"]["sigma"]))
         if "threshold_operative" in body:
             body["g0_decay_le_operative"] = bool(body["g0_decay"] <= body["threshold_operative"])
-    write_json(out / "summary.json", _summary(cfg, body))
-    return EXIT_OK if bracket is not None and undecided is None else EXIT_UNDECIDED
+    return body, EXIT_OK if bracket is not None and undecided is None else EXIT_UNDECIDED
 
 
 def _cmd_verify_exact(cfg, out):
@@ -646,75 +635,49 @@ def _cmd_verify_exact(cfg, out):
     resolutions = ver["resolutions"] or [64, 128, 256]
     sample_times = ver["sample_times"] or [1.0, 3.0, 10.0]
     weight = _build_weight(cfg)
-
     variants = {
         diag.VARIANT_VERBATIM: diag.barenblatt_exact,
         diag.VARIANT_CORRECTED: diag.barenblatt_corrected,
     }
 
-    def residual_for(res, name):
-        fn = variants[name]
-        grid = build_grid(prob["mode"], prob["extent"], res, n=prob["n"])
-        exps = _exponents(cfg, grid, weight)
-        return diag.residual_check(
-            lambda g, t: fn(g.radius(), t, exps), grid, weight, prob["p"], sample_times,
-        )
-
-    table = {name: [(res, residual_for(res, name)) for res in resolutions]
-             for name in sorted(variants)}
-
-    with open(out / "residuals.csv", "w") as fh:
-        for line in _csv_header(cfg):
-            fh.write(f"# {line}\n")
-        fh.write("variant,resolution,residual\n")
-        for name in sorted(table):
-            for res, value in table[name]:
-                fh.write(f"{name},{res},{value:.17g}\n")
-
-    def ratios(seq):
-        return [seq[i][1] / seq[i + 1][1] if seq[i + 1][1] > 0 else float("inf")
-                for i in range(len(seq) - 1)]
-
+    rows = [f"# {line}\n" for line in _csv_header(cfg)] + ["variant,resolution,residual\n"]
     report = {}
-    convergent = []
-    for name in sorted(table):
-        rr = ratios(table[name])
-        report[name] = {
-            "residuals": [v for _res, v in table[name]],
-            "resolutions": [r for r, _v in table[name]],
-            "ratios": rr,
-            "converges": bool(rr and all(q >= 1.5 for q in rr)),
-        }
-        if report[name]["converges"]:
-            convergent.append(name)
-    body = {
+    for name in sorted(variants):
+        residuals = []
+        for res in resolutions:
+            grid = build_grid(prob["mode"], prob["extent"], res, n=prob["n"])
+            exps = _exponents(cfg, grid, weight)
+            residuals.append(diag.residual_check(
+                lambda g, t: variants[name](g.radius(), t, exps), grid, weight, prob["p"],
+                sample_times))
+            rows.append(f"{name},{res},{residuals[-1]:.17g}\n")
+        ratios = [a / b if b > 0 else float("inf") for a, b in zip(residuals, residuals[1:])]
+        report[name] = {"residuals": residuals, "resolutions": list(resolutions),
+                        "ratios": ratios,
+                        "converges": bool(ratios and all(q >= 1.5 for q in ratios))}
+    (out / "residuals.csv").write_text("".join(rows))
+
+    convergent = [name for name in sorted(report) if report[name]["converges"]]
+    return {
         "variants": report,
         "convergent_variant": convergent[0] if len(convergent) == 1 else
         (convergent if convergent else "none"),
         "sample_times": list(sample_times),
-    }
-    write_json(out / "summary.json", _summary(cfg, body))
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_weights_check(cfg, out):
     prob = cfg.sections["problem"]
-    weight = _build_weight(cfg)
-    if weight is None:
-        weight = WeightSpec.constant(prob["theta_mk"])
+    # the unit weight of weight = none is the power weight at theta_w = 0
+    weight = WeightSpec.power(prob["theta_w"], prob["theta_mk"])
     n = grid_dimension(prob["mode"], prob["n"])
     mu = prob["mu"] if prob["mu"] is not None else weight.natural_mu(n)
-
-    mk = check_muckenhoupt(weight, n)
-    db = check_doubling(weight, n, mu, [(2.0, 1.0)])
-    body = {
+    return {
         "n": n,
         "mu": mu,
-        "muckenhoupt": asdict(mk),
-        "doubling": asdict(db),
-    }
-    write_json(out / "summary.json", _summary(cfg, body))
-    return EXIT_OK
+        "muckenhoupt": asdict(check_muckenhoupt(weight, n)),
+        "doubling": asdict(check_doubling(weight, n, mu, [(2.0, 1.0)])),
+    }, EXIT_OK
 
 
 def _cmd_decay_fit(cfg, out):
@@ -742,8 +705,7 @@ def _cmd_decay_fit(cfg, out):
     body["gap_to_beta"] = abs(fit["exponent"] - body["predicted_n_over_beta"])
     if body["predicted_n_over_k"] is not None:
         body["gap_to_k"] = abs(fit["exponent"] - body["predicted_n_over_k"])
-    write_json(out / "summary.json", _summary(cfg, body))
-    return EXIT_OK
+    return body, EXIT_OK
 
 
 _DISPATCH = {
@@ -757,14 +719,22 @@ _DISPATCH = {
 
 
 def run_command(cfg):
-    """Execute a parsed config; returns the process exit code."""
+    """Execute a parsed config; returns the process exit code.
+
+    It writes resolved_config.txt, runs the command, which writes its own
+    artifacts and returns (body, exit code), and then writes summary.json:
+    the schema version and the config echo, then body.  A command that
+    raises leaves no summary.json."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.txt").write_text(resolved_config_text(cfg))
     try:
-        return _DISPATCH[cfg.command](cfg, out)
+        body, code = _DISPATCH[cfg.command](cfg, out)
     except ConfigError as exc:
         raise _at_line(exc, cfg.lines)
+    write_json(out / "summary.json",
+               {"schema_version": SCHEMA_VERSION, "config": _config_payload(cfg), **body})
+    return code
 
 
 def main(argv=None):

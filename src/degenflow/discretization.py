@@ -70,10 +70,10 @@ def grid_dimension(mode, n=None):
     """Space dimension of a grid mode: 1 on the interval, 2 on the tensor
     grid, and the integer n >= 2 that a radial grid needs."""
     if mode not in _MODES:
-        raise ConfigError(f"unknown grid mode {mode!r}")
+        raise ConfigError(f"unknown grid mode {mode!r}", keys=("mode",))
     if mode == MODE_RADIAL:
         if n is None or int(n) != n or n < 2:
-            raise ConfigError("radial mode needs an integer dimension n >= 2")
+            raise ConfigError("radial mode needs an integer dimension n >= 2", keys=("n",))
         return int(n)
     return 1 if mode == MODE_INTERVAL else 2
 
@@ -83,10 +83,11 @@ def build_grid(mode, extent, resolution, n=None):
     radial grids only."""
     dim = grid_dimension(mode, n)
     if not extent > 0.0:
-        raise ConfigError(f"extent must be positive, got {extent}")
+        raise ConfigError(f"extent must be positive, got {extent}", keys=("extent",))
     resolution = int(resolution)
     if resolution < 4:
-        raise ConfigError(f"resolution must be at least 4 cells, got {resolution}")
+        raise ConfigError(f"resolution must be at least 4 cells, got {resolution}",
+                          keys=("resolution",))
 
     nodes = np.linspace(0.0, float(extent), resolution + 1)
     h = float(extent) / resolution

@@ -61,12 +61,14 @@ class ReactionSpec:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ConfigError(f"unknown reaction family {self.family!r}")
+            raise ConfigError(f"unknown reaction family {self.family!r}", keys=("reaction",))
         if self.family != REACTION_NONE and not self.sigma > 1.0:
-            raise ConfigError(f"reaction exponent sigma must exceed 1, got {self.sigma}")
+            raise ConfigError(f"reaction exponent sigma must exceed 1, got {self.sigma}",
+                              keys=("sigma",))
         for name in ("alpha0", "c6"):
             if getattr(self, name) < 0.0:
-                raise ConfigError(f"reaction coefficient {name} must be nonnegative")
+                raise ConfigError(f"reaction coefficient {name} must be nonnegative",
+                                  keys=(name,))
 
     @staticmethod
     def none():

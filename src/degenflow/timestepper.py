@@ -490,12 +490,13 @@ def _fit_exponential_rate(times, sups, sup0):
 
 def certificate_holds(spec):
     """Whether a steady state U certifies the runs of spec: p = 2 with a
-    power reaction on an interval or radial grid, whose two-point fluxes
-    make K an M-matrix, so that the semi-discrete flow keeps data below U
-    below it and data above it above.  The verdict is one on that flow, so
-    no condition on the steps enters."""
-    return (spec.reaction.family == REACTION_POWER and spec.p == 2.0
-            and spec.grid.mode != MODE_TENSOR2D)
+    power reaction, alpha0 > 0 (without it there is no positive steady
+    state and no blow-up), on an interval or radial grid, whose two-point
+    fluxes make K an M-matrix, so that the semi-discrete flow keeps data
+    below U below it and data above it above.  The verdict is one on that
+    flow, so no condition on the steps enters."""
+    return (spec.reaction.family == REACTION_POWER and spec.reaction.alpha0 > 0.0
+            and spec.p == 2.0 and spec.grid.mode != MODE_TENSOR2D)
 
 
 def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
@@ -569,8 +570,8 @@ def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
 
     if certificate is not None:
         if not certificate_holds(spec):
-            raise ConfigError("a steady state certifies runs only at p = 2 on an interval or "
-                              "radial grid")
+            raise ConfigError("a steady state certifies runs only at p = 2 with alpha0 > 0 "
+                              "on an interval or radial grid")
         u_cert = certificate.values.ravel()[idx]
         # f(U) / U, which is V^-1 K U / U since U is steady
         f_over_u = reaction_eval(reaction, 0.0, u_cert) / u_cert

@@ -53,7 +53,7 @@ class WeightSpec:
 
     def __post_init__(self):
         if not self.theta_mk > 1.0:
-            raise ConfigError(f"theta_mk must exceed 1, got {self.theta_mk}")
+            raise ConfigError(f"theta_mk must exceed 1, got {self.theta_mk}", keys=("theta_mk",))
 
     @staticmethod
     def constant(theta_mk=2.0):

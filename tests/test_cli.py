@@ -106,6 +106,21 @@ window_start = 1.0
 window_end = 3.0
 """
 
+WEIGHTS_CFG = """\
+command = weights-check
+output_dir = {out}
+
+[problem]
+mode = radial
+n = 3
+weight = power
+theta_w = 1.0
+"""
+
+# one config of each command
+COMMAND_CFGS = {"eigen": EIGEN_CFG, "solve": SOLVE_CFG, "blowup-scan": SCAN_CFG,
+                "verify-exact": VERIFY_CFG, "weights-check": WEIGHTS_CFG, "decay-fit": DECAY_CFG}
+
 # the sections each command reads besides the top level and [problem];
 # solve reads [eigen] only with a reaction term
 SECTIONS_READ = {
@@ -405,19 +420,24 @@ class TestMain:
         assert (tmp_path / "chosen" / "eigenpair.json").exists()
         assert not (tmp_path / "ignored_dir").exists()
 
-    def test_rerun_is_bit_identical(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rerun_is_bit_identical(self, tmp_path, monkeypatch, command):
+        """Each command run twice on one config rewrites every file it
+        wrote, summary.json and a scan's probe files among them, byte for
+        byte."""
         monkeypatch.chdir(tmp_path)
-        cfg = SOLVE_CFG.format(out="out_a")
+        cfg = COMMAND_CFGS[command].format(out="out_a")
         path = tmp_path / "s.cfg"
         path.write_text(cfg)
-        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        assert main([command, "--config", str(path)]) == EXIT_OK
         first = {
-            name: (tmp_path / "out_a" / name).read_bytes()
-            for name in os.listdir(tmp_path / "out_a")
+            name: name.read_bytes()
+            for name in (tmp_path / "out_a").rglob("*") if name.is_file()
         }
-        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        assert tmp_path / "out_a" / "summary.json" in first
+        assert main([command, "--config", str(path)]) == EXIT_OK
         for name, blob in first.items():
-            assert (tmp_path / "out_a" / name).read_bytes() == blob, name
+            assert name.read_bytes() == blob, name
 
     def test_weights_check(self, tmp_path, monkeypatch):
         """A power weight passes both checks; the verdicts are written as
@@ -1037,11 +1057,26 @@ class TestMain:
          "resolution must be at least 4 cells, got 3"),
         ("eigen", EIGEN_CFG.replace("extent = 1.0", "extent = 0.0"), "extent = 0.0",
          "extent must be positive, got 0.0"),
+        ("solve", SOLVE_CFG.replace("p = 2.0", "p = 2.0\nreaction = power\nalpha0 = -1"),
+         "alpha0 = -1", "reaction coefficient alpha0 must be nonnegative"),
+        ("solve", SOLVE_CFG.replace("p = 2.0", "p = 2.0\nreaction = exp_forced\nc6 = -1"),
+         "c6 = -1", "reaction coefficient c6 must be nonnegative"),
+        ("solve", SOLVE_CFG.replace("p = 2.0", "p = 2.0\nreaction = power\nsigma = 1"),
+         "sigma = 1", "reaction exponent sigma must exceed 1, got 1.0"),
+        ("weights-check", WEIGHTS_CFG.replace("theta_w = 1.0", "theta_w = 1.0\ntheta_mk = 1"),
+         "theta_mk = 1", "theta_mk must exceed 1, got 1.0"),
+        ("eigen", EIGEN_CFG.replace("mode = interval", "mode = radial\nn = 1"), "n = 1",
+         "radial mode needs an integer dimension n >= 2"),
+        ("solve", SOLVE_CFG.replace("mode = interval", "mode = radial"), None,
+         "radial mode needs an integer dimension n >= 2"),
+        ("blowup-scan", SCAN_CFG.replace("sigma = 2.0", "sigma = 2.0\nalpha0 = 0"), "alpha0 = 0",
+         "blowup-scan needs alpha0 > 0, got 0.0: without the reaction every amplitude decays"),
     ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction",
             "scan-sigma-below", "scan-sigma-at", "scan-exp-forced", "mode", "weight", "reaction",
             "theta_w-above-p", "theta_w-negative", "scan-amplitude", "eigen-theta_w-above-p",
             "p-below-2", "verify-sample-times", "verify-resolution-below-4", "resolution-below-4",
-            "extent"])
+            "extent", "alpha0-negative", "c6-negative", "solve-sigma", "theta_mk", "n-below-2",
+            "n-unset", "scan-alpha0-zero"])
     def test_command_checks_fail_at_parse_time(self, tmp_path, command, text, line, message):
         """A scan without a reaction term, with a power reaction at
         sigma <= p - 1 or with the exp_forced reaction, neither of which has
@@ -1055,11 +1090,15 @@ class TestMain:
         values), and a mode, weight or
         reaction outside its choices exit 2 at parse time with a config
         error.json naming the line of the key at fault and nothing else
-        written, not even resolved_config.txt."""
+        written, not even resolved_config.txt.  So do a reaction
+        coefficient alpha0 or c6 below 0, a reaction exponent sigma <= 1, a
+        theta_mk <= 1 in weights-check, a radial grid whose n is below 2 or
+        unset (no line sets it, so none is named), and a scan with
+        alpha0 = 0, where no amplitude blows up."""
         out = tmp_path / "out"
         text = text.format(out=out)
-        lineno = text.splitlines().index(line) + 1
-        assert _config_error(command, text, out) == f"line {lineno}: {message}"
+        where = f"line {text.splitlines().index(line) + 1}: " if line else ""
+        assert _config_error(command, text, out) == f"{where}{message}"
 
     @pytest.mark.parametrize("lines, key", [
         ("window_start = 5.0\nwindow_end = 1.0", "window_start"),
@@ -1149,6 +1188,46 @@ class TestMain:
         assert main(["verify-exact", "--config", str(path)]) == EXIT_OK
         summary = json.loads((tmp_path / "vout" / "summary.json").read_text())
         assert summary["sample_times"] == [1.0, 3.0, 10.0]
+
+    def test_verify_exact_artifacts(self, tmp_path):
+        """residuals.csv holds the config header, the column line and one
+        row per variant and resolution, the variants sorted, with the
+        summary's residuals; each variant's ratios are the quotients of its
+        consecutive residuals, and it converges when every ratio is at
+        least 1.5."""
+        out = tmp_path / "out"
+        assert _run(tmp_path, "v.cfg", VERIFY_CFG.format(out=out), "verify-exact") == EXIT_OK
+        summary = _summary(out)
+        variants = summary["variants"]
+        assert sorted(variants) == ["corrected", "verbatim"]
+        lines = (out / "residuals.csv").read_text().splitlines()
+        assert lines[:3] == ["# schema_version = 1",
+                             "# config: " + json.dumps(summary["config"], sort_keys=True),
+                             "variant,resolution,residual"]
+        rows = [line.split(",") for line in lines[3:]]
+        assert [(name, int(res)) for name, res, _value in rows] == [
+            (name, res) for name in sorted(variants) for res in (16, 32, 64)]
+        for name, report in variants.items():
+            assert report["resolutions"] == [16, 32, 64]
+            assert report["residuals"] == [float(v) for n, _res, v in rows if n == name]
+            residuals = report["residuals"]
+            assert report["ratios"] == [a / b for a, b in zip(residuals, residuals[1:])]
+            assert report["converges"] == all(q >= 1.5 for q in report["ratios"])
+
+    @pytest.mark.parametrize("mode", ["interval", "radial\nn = 3", "tensor2d"],
+                             ids=["interval", "radial", "tensor2d"])
+    def test_solve_without_reaction_coefficient_completes(self, tmp_path, mode):
+        """A power reaction with alpha0 = 0 is the unforced flow: no steady
+        state certifies it and no blow-up bracket holds, so a solve on any
+        grid completes with null bounds instead of dividing by alpha0."""
+        out = tmp_path / "out"
+        text = (f"command = solve\noutput_dir = {out}\n[problem]\nmode = {mode}\n"
+                "resolution = 16\np = 2.0\nreaction = power\nalpha0 = 0\nt_end = 0.05\n"
+                "dt0 = 1e-3\n")
+        assert _run(tmp_path, "s.cfg", text, "solve") == EXIT_OK
+        summary = _summary(out)
+        assert summary["kind"] == "Completed"
+        assert summary["bounds_consistent"] is None and summary["bounds_gap"] is None
 
     def test_weights_check_steep_power_weight(self, tmp_path):
         """|x|**300 with its natural mu = 301 doubles exactly: the normalized

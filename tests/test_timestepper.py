@@ -31,6 +31,7 @@ from degenflow import (
     reaction_derivative,
     reaction_eval,
     run_simulation,
+    smallest_eigenpair,
     step_implicit,
 )
 from degenflow import timestepper
@@ -1509,6 +1510,20 @@ def test_certificate_only_where_it_holds():
         assert not timestepper.certificate_holds(bad), name
         with pytest.raises(ConfigError, match="certifies runs only at p = 2"):
             run_simulation(bad, certificate=u_ss)
+
+
+def test_run_without_reaction_coefficient_keeps_no_bracket():
+    """A power reaction with alpha0 = 0 vanishes: certificate_holds is
+    false, so a run given the eigenpair keeps no blow-up bracket, whose
+    Bernoulli times divide by alpha0, and completes as the heat flow does."""
+    spec = _sin_problem(t_end=0.05, reaction=ReactionSpec.power(0.0, 2.0))
+    assert not timestepper.certificate_holds(spec)
+    pair = smallest_eigenpair(spec.grid, None, 2.0)
+    out = run_simulation(spec, eigenpair=pair)
+    heat = run_simulation(replace(spec, reaction=ReactionSpec.none()), eigenpair=pair)
+    assert (out.kind, out.bounds) == ("Completed", None)
+    assert out.trajectory.sup_abs_u[-1] == pytest.approx(heat.trajectory.sup_abs_u[-1],
+                                                         rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
