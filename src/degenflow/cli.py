@@ -2,11 +2,11 @@
 deterministic artifact output.
 
 Config files are line-oriented ``key = value`` with ``[section]`` headers.
-Unknown keys are rejected with the offending line number.  Each command
-writes its own artifacts and returns its summary body; run_command alone
-writes summary.json.  Artifacts are reproducible: JSON is written with
-sorted keys, floats use repr-faithful formatting, iteration orders are
-fixed, and nothing embeds a timestamp.
+Unknown keys, and keys set twice, are rejected with the offending line
+number.  Each command writes its own artifacts and returns its summary
+body; run_command alone writes summary.json.  Artifacts are reproducible:
+JSON is written with sorted keys, floats use repr-faithful formatting,
+iteration orders are fixed, and nothing embeds a timestamp.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 undecided
 scan.
@@ -31,17 +31,19 @@ from .errors import ConfigError, ConvergenceError, DegenflowError
 from .jsonio import write_json
 from .plap_operator import ReactionSpec
 from .timestepper import (KIND_BLOWUP, KIND_DECAYED, ProblemSpec, bisect_dichotomy,
-                          certificate_holds, run_simulation)
+                          certificate_holds, check_rel_tol, run_simulation)
 from .weight_models import WeightSpec, check_doubling, check_muckenhoupt
 
 SCHEMA_VERSION = 1
-
-COMMANDS = ("eigen", "solve", "blowup-scan", "verify-exact", "weights-check", "decay-fit")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_UNDECIDED = 4
+
+# verify-exact's grids and sample times where [verify] sets none
+_VERIFY_RESOLUTIONS = (64, 128, 256)
+_VERIFY_SAMPLE_TIMES = (1.0, 3.0, 10.0)
 
 
 def _as_float(raw):
@@ -69,23 +71,17 @@ def _choice(*names):
     return convert
 
 
-def _list_items(raw):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a nonempty comma-separated list")
-    return parts
+def _list_of(convert):
+    """Converter for a nonempty comma-separated list of convert's values."""
+    def convert_list(raw):
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("expected a nonempty comma-separated list")
+        return [convert(p) for p in parts]
+    return convert_list
 
 
-def _as_float_list(raw):
-    return [_as_float(p) for p in _list_items(raw)]
-
-
-def _as_int_list(raw):
-    return [_as_int(p) for p in _list_items(raw)]
-
-
-# Section schema: key -> (converter, default).  None default means optional
-# with no value; REQUIRED means the command validator enforces presence.
+# Section schema: key -> (converter, default); a None default leaves it unset.
 _SCHEMA = {
     "": {
         "command": (str, None),
@@ -110,7 +106,7 @@ _SCHEMA = {
         "initial_time": (_as_float, 1.0),
         "t_end": (_as_float, 1.0),
         "dt0": (_as_float, 1e-4),
-        "snapshot_times": (_as_float_list, None),
+        "snapshot_times": (_list_of(_as_float), None),
     },
     "controls": {
         "dt_max": (_as_float, 0.1),
@@ -119,46 +115,17 @@ _SCHEMA = {
         "tol": (_as_float, None),
     },
     "scan": {
-        "values": (_as_float_list, None),
+        "values": (_list_of(_as_float), None),
         "rel_tol": (_as_float, 0.05),
     },
     "verify": {
-        "resolutions": (_as_int_list, None),
-        "sample_times": (_as_float_list, None),
+        "resolutions": (_list_of(_as_int), None),
+        "sample_times": (_list_of(_as_float), None),
     },
     "decay": {
         "window_start": (_as_float, 1.0),
         "window_end": (_as_float, 10.0),
     },
-}
-
-# The sections each command reads besides the top level.  solve reads
-# [eigen] too when a reaction term makes it compute the eigenpair.  A key
-# set in any other section is a config error, not a silent no-op.
-_SECTIONS_READ = {
-    "eigen": ("problem", "eigen"),
-    "solve": ("problem", "controls"),
-    "blowup-scan": ("problem", "controls", "eigen", "scan"),
-    "verify-exact": ("problem", "verify"),
-    "weights-check": ("problem",),
-    "decay-fit": ("problem", "controls", "decay"),
-}
-
-# The [problem] keys a command never reads.  Setting one is a config error
-# too: eigen, verify-exact and weights-check take no time step and have no
-# reaction or initial data, only decay-fit and weights-check read mu (the
-# self-similar profiles do not), verify-exact builds its grids at the
-# [verify] resolutions, and only weights-check reads theta_mk and builds
-# no grid.
-_EVOLUTION_KEYS = ("reaction", "alpha0", "sigma", "c6", "initial", "amplitude",
-                   "initial_time", "t_end", "dt0", "snapshot_times")
-_PROBLEM_KEYS_UNREAD = {
-    "eigen": ("mu", "theta_mk") + _EVOLUTION_KEYS,
-    "solve": ("mu", "theta_mk"),
-    "blowup-scan": ("mu", "theta_mk"),
-    "verify-exact": ("mu", "resolution", "theta_mk") + _EVOLUTION_KEYS,
-    "weights-check": ("extent", "resolution", "p") + _EVOLUTION_KEYS,
-    "decay-fit": ("theta_mk",),
 }
 
 # The [problem] keys each reaction family never reads.
@@ -170,7 +137,7 @@ def _reads(command, problem):
     """The sections command reads besides the top level, and the [problem]
     keys it never reads mapped to the setting that leaves them unread.  The
     unit weight (weight = none) is the power weight at theta_w = 0."""
-    sections = _SECTIONS_READ[command]
+    _run, sections, never_read = _COMMANDS[command]
     reaction = problem["reaction"]
     if command == "solve" and reaction != "none":
         sections += ("eigen",)
@@ -181,7 +148,7 @@ def _reads(command, problem):
         unread["initial_time"] = f"initial = {problem['initial']}"
     if problem["mode"] != "radial":
         unread["n"] = f"mode = {problem['mode']}"
-    unread.update(dict.fromkeys(_PROBLEM_KEYS_UNREAD.get(command, ()), command))
+    unread.update(dict.fromkeys(never_read, command))
     return sections, unread
 
 
@@ -197,10 +164,10 @@ def parse_config(text, command_override=None):
     """Parse a config document into an ExperimentConfig.
 
     Unknown sections or keys, malformed lines, type mismatches, keys set
-    in a section the command does not read and [problem] keys that the
-    command, its reaction family or its weight kind never reads raise
-    ConfigError naming the line.  command_override (from argv) must agree
-    with an in-file command when both are given.
+    twice in a section or in a section the command does not read, and
+    [problem] keys that the command, its reaction family or its weight kind
+    never reads raise ConfigError naming the line.  command_override (from
+    argv) must agree with an in-file command when both are given.
     """
     sections = {name: dict() for name in _SCHEMA}
     try:
@@ -232,6 +199,9 @@ def _parse_sections(text, sections, command_override):
         if key not in schema:
             where = f"[{current}]" if current else "top level"
             raise ConfigError(f"line {lineno}: unknown key {key!r} in {where}")
+        if (current, key) in explicit:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line "
+                              f"{explicit[current, key]}")
         converter, _default = schema[key]
         try:
             sections[current][key] = converter(value)
@@ -308,14 +278,14 @@ def _check_values(cfg, reads):
                 raise ConfigError("verify-exact runs on radial or interval grids", keys=("mode",))
             if not prob["p"] > 2.0:
                 raise ConfigError("verify-exact needs p > 2", keys=("p",))
-            resolutions = sections["verify"]["resolutions"] or [64, 128, 256]
+            resolutions = sections["verify"]["resolutions"] or _VERIFY_RESOLUTIONS
             if len(resolutions) < 3:
                 raise ConfigError("verify-exact needs at least 3 resolutions",
                                   keys=("resolutions",))
             if min(resolutions) < 4:
                 raise ConfigError(f"resolutions must be at least 4 cells, got {min(resolutions)}",
                                   keys=("resolutions",))
-            earliest = min(sections["verify"]["sample_times"] or [1.0])
+            earliest = min(sections["verify"]["sample_times"] or _VERIFY_SAMPLE_TIMES)
             if not earliest > 0.0:
                 raise ConfigError(f"sample times must be positive, got {earliest}",
                                   keys=("sample_times",))
@@ -335,9 +305,9 @@ def _check_scan(scan, prob, sets_amplitude):
     """Raise ConfigError unless the problem has a power reaction term with
     alpha0 > 0 and sigma > p - 1 (exp_forced blows up at every amplitude,
     and alpha0 <= 0 or sigma <= p - 1 at none) and no amplitude of its own,
-    and [scan] sets values, all positive, and a positive rel_tol: the scan
-    probes those amplitudes, bisects geometrically and stops on its
-    bracket's ratio."""
+    and [scan] sets values, all positive, and a rel_tol that check_rel_tol
+    accepts: the scan probes those amplitudes, bisects geometrically and
+    stops on its bracket's ratio."""
     if prob["reaction"] == "none":
         raise ConfigError("blowup-scan needs a reaction term", keys=("reaction",))
     if prob["reaction"] == "exp_forced":
@@ -357,13 +327,10 @@ def _check_scan(scan, prob, sets_amplitude):
     bad = [a for a in scan["values"] if not a > 0.0]
     if bad:
         raise ConfigError(f"scan values must be positive, got {bad[0]}", keys=("values",))
-    if not scan["rel_tol"] > 0.0:
-        raise ConfigError("scan rel_tol must be positive", keys=("rel_tol",))
+    check_rel_tol(scan["rel_tol"])
 
 
 def _fmt_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, list):
@@ -632,8 +599,8 @@ def _cmd_blowup_scan(cfg, out):
 def _cmd_verify_exact(cfg, out):
     prob = cfg.sections["problem"]
     ver = cfg.sections["verify"]
-    resolutions = ver["resolutions"] or [64, 128, 256]
-    sample_times = ver["sample_times"] or [1.0, 3.0, 10.0]
+    resolutions = ver["resolutions"] or _VERIFY_RESOLUTIONS
+    sample_times = ver["sample_times"] or _VERIFY_SAMPLE_TIMES
     weight = _build_weight(cfg)
     variants = {
         diag.VARIANT_VERBATIM: diag.barenblatt_exact,
@@ -708,14 +675,30 @@ def _cmd_decay_fit(cfg, out):
     return body, EXIT_OK
 
 
-_DISPATCH = {
-    "eigen": _cmd_eigen,
-    "solve": _cmd_solve,
-    "blowup-scan": _cmd_blowup_scan,
-    "verify-exact": _cmd_verify_exact,
-    "weights-check": _cmd_weights_check,
-    "decay-fit": _cmd_decay_fit,
+# Each command: the function that runs it, the sections it reads besides
+# the top level, and the [problem] keys it never reads.  solve reads
+# [eigen] too when a reaction term makes it compute the eigenpair
+# (_reads).  A key set in any other section, or a [problem] key the
+# command never reads, is a config error, not a silent no-op: eigen,
+# verify-exact and weights-check take no time step and have no reaction
+# or initial data, only decay-fit and weights-check read mu (the
+# self-similar profiles do not), verify-exact builds its grids at the
+# [verify] resolutions, and only weights-check reads theta_mk and builds
+# no grid.
+_EVOLUTION_KEYS = ("reaction", "alpha0", "sigma", "c6", "initial", "amplitude",
+                   "initial_time", "t_end", "dt0", "snapshot_times")
+_COMMANDS = {
+    "eigen": (_cmd_eigen, ("problem", "eigen"), ("mu", "theta_mk") + _EVOLUTION_KEYS),
+    "solve": (_cmd_solve, ("problem", "controls"), ("mu", "theta_mk")),
+    "blowup-scan": (_cmd_blowup_scan, ("problem", "controls", "eigen", "scan"),
+                    ("mu", "theta_mk")),
+    "verify-exact": (_cmd_verify_exact, ("problem", "verify"),
+                     ("mu", "resolution", "theta_mk") + _EVOLUTION_KEYS),
+    "weights-check": (_cmd_weights_check, ("problem",),
+                      ("extent", "resolution", "p") + _EVOLUTION_KEYS),
+    "decay-fit": (_cmd_decay_fit, ("problem", "controls", "decay"), ("theta_mk",)),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run_command(cfg):
@@ -729,7 +712,7 @@ def run_command(cfg):
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.txt").write_text(resolved_config_text(cfg))
     try:
-        body, code = _DISPATCH[cfg.command](cfg, out)
+        body, code = _COMMANDS[cfg.command][0](cfg, out)
     except ConfigError as exc:
         raise _at_line(exc, cfg.lines)
     write_json(out / "summary.json",

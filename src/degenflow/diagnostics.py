@@ -151,11 +151,11 @@ def blowup_threshold(lambda1, C, sigma):
 
 
 def exp_forced_bound(psi0, C8, sigma):
-    """Upper bound psi0^{1-sigma} / (C8 (sigma-1)) on the blow-up time of
-    any psi with psi' >= C8 psi^sigma, psi(0) = psi0."""
+    """Upper bound on the blow-up time of any psi with psi' >= C8 psi^sigma,
+    psi(0) = psi0: psi0^{1-sigma} / (C8 (sigma-1)), bernoulli_time at lambda1 = 0."""
     if not psi0 > 0.0 or not C8 > 0.0 or not sigma > 1.0:
         raise ConfigError("need psi0 > 0, C8 > 0, sigma > 1")
-    return psi0 ** (1.0 - sigma) / (C8 * (sigma - 1.0))
+    return bernoulli_time(0.0, C8, sigma, psi0)
 
 
 # ------------------------------------------------------- reference solutions

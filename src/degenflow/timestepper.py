@@ -705,6 +705,16 @@ def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
     return RunOutcome(KIND_BLOWUP, traj, t_est=t_est, t_lo=t_lo, t_hi=t_hi, **common)
 
 
+def check_rel_tol(rel_tol):
+    """Raise ConfigError unless rel_tol > 0 and 1 + rel_tol, the bracket
+    ratio that ends a scan, exceeds 1 in floating point: at rel_tol <= 2^-53
+    adjacent floats never meet it, and their midpoint rounds to an end."""
+    if not rel_tol > 0.0:
+        raise ConfigError("scan rel_tol must be positive", keys=("rel_tol",))
+    if not 1.0 + rel_tol > 1.0:
+        raise ConfigError(f"scan rel_tol must exceed 2^-53, got {rel_tol}", keys=("rel_tol",))
+
+
 def bisect_dichotomy(probe, values, rel_tol, predicted=None):
     """Bracket the critical amplitude between decay and blow-up.
 
@@ -721,8 +731,10 @@ def bisect_dichotomy(probe, values, rel_tol, predicted=None):
     Returns (outcomes, bracket, undecided): every probe's RunOutcome by
     amplitude, in probe order; (a_lo, a_hi) when a_lo < a_hi, else None;
     and the probe that completed, else None.  The bracket is within
-    rel_tol exactly when it is not None and undecided is None.
+    rel_tol exactly when it is not None and undecided is None.  A rel_tol
+    that check_rel_tol rejects raises ConfigError before any probe.
     """
+    check_rel_tol(rel_tol)
     outcomes = {a: probe(a) for a in sorted(set(values))}
     pair = []
     if predicted is not None:

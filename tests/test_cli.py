@@ -971,8 +971,11 @@ class TestMain:
         ("values = 6.0, 20.0", "values = -6.0, 20.0", "scan values must be positive, got -6.0"),
         ("values = 6.0, 20.0", "values = 6.0, 0, 20.0", "scan values must be positive, got 0.0"),
         ("rel_tol = 0.05", "rel_tol = 0", "scan rel_tol must be positive"),
+        ("rel_tol = 0.05", "rel_tol = 1e-16", "scan rel_tol must exceed 2^-53, got 1e-16"),
+        ("rel_tol = 0.05", "rel_tol = 1.1102230246251565e-16",
+         "scan rel_tol must exceed 2^-53, got 1.1102230246251565e-16"),
     ], ids=["newton_tol", "u_cap", "dt_min", "dt0", "t_end", "snapshot_times",
-            "values-negative", "values-zero", "rel_tol"])
+            "values-negative", "values-zero", "rel_tol", "rel_tol-1e-16", "rel_tol-2^-53"])
     def test_bad_schedule_fails_at_parse_time(self, tmp_path, eigensolves, old, new, message):
         """A removed [controls] key (the step floor, the blow-up cap and the
         Newton tolerance are timestepper constants), a dt0 outside
@@ -982,7 +985,8 @@ class TestMain:
         a config error.json naming the line of the key at fault: a scan
         computes no eigenpair and writes nothing else.  The scan bisects
         geometrically and stops on its bracket's ratio, which for the
-        amplitudes -6 and 20 read -3.33 and counted as converged."""
+        amplitudes -6 and 20 read -3.33 and counted as converged, and which
+        no bracket meets once 1 + rel_tol rounds to 1, at rel_tol <= 2^-53."""
         out = tmp_path / "out"
         text = SCAN_CFG.format(out=out).replace(f"{old}\n", f"{new}\n")
         lineno = text.splitlines().index(new.splitlines()[-1]) + 1
@@ -994,6 +998,20 @@ class TestMain:
         out = tmp_path / "out"
         text = SCAN_CFG.format(out=out).replace("values = 6.0, 20.0\n", "")
         assert _config_error("blowup-scan", text, out) == "blowup-scan needs [scan] values"
+
+    @pytest.mark.parametrize("command, lines, message", [
+        ("eigen", "[problem]\np = 2.0\np = 3.0\n", "line 5: 'p' is already set on line 4"),
+        ("solve", "[problem]\nresolution = 16\n[controls]\ndt_max = 0.01\n[problem]\n"
+         "resolution = 32\n", "line 8: 'resolution' is already set on line 4"),
+    ], ids=["same-section", "reopened-section"])
+    def test_key_set_twice_fails_at_parse_time(self, tmp_path, command, lines, message):
+        """A key set twice in one section, also under a second header of
+        that section, exits 2 at parse time naming both lines, with nothing
+        written but error.json: running on either value would run a config
+        other than the one written."""
+        out = tmp_path / "out"
+        text = f"command = {command}\noutput_dir = {out}\n{lines}"
+        assert _config_error(command, text, out) == message
 
     @pytest.mark.parametrize("tol", ["0", "-1", "1", "10"])
     @pytest.mark.parametrize("command", ["eigen", "blowup-scan", "solve"])

@@ -68,3 +68,20 @@ def test_key_scan_sees_reads_not_writes():
         "prob['amplitude'] = 1.0\n"
     )
     assert _keys_read(tree) == {("problem", "p"), ("eigen", "tol")}
+
+
+def test_command_table_names_schema_sections_and_keys():
+    """Every section a command of `_COMMANDS` reads is a `_SCHEMA` section
+    other than the top level, and every [problem] key it or a reaction
+    family never reads is a `_SCHEMA` [problem] key: a misspelt key there
+    would stop that key from being rejected."""
+    sections = set(cli._SCHEMA) - {""}
+    problem_keys = set(cli._SCHEMA["problem"])
+    for command, (run, read, never_read) in cli._COMMANDS.items():
+        assert callable(run)
+        assert set(read) <= sections, command
+        assert set(never_read) <= problem_keys, command
+    for reaction, never_read in cli._REACTION_KEYS_UNREAD.items():
+        assert cli._SCHEMA["problem"]["reaction"][0](reaction) == reaction
+        assert set(never_read) <= problem_keys, reaction
+

@@ -1379,6 +1379,46 @@ def test_bisect_dichotomy_with_a_fake_probe(a_star, values, kinds, calls, bracke
         assert calls[i] == np.sqrt(lo * hi) and hi / lo > 1.05
 
 
+def _fake_scan_probe(probed, a_star=11.5):
+    """A probe that runs no PDE: amplitudes below a_star decay and the rest
+    blow up.  It raises after 300 probes, so a scan that never ends fails
+    instead of hanging."""
+    def probe(a):
+        probed.append(a)
+        if len(probed) > 300:
+            raise RuntimeError("the scan did not end after 300 probes")
+        return RunOutcome("Decayed" if a < a_star else "BlowUp", Trajectory())
+    return probe
+
+
+@pytest.mark.parametrize("rel_tol, message", [
+    (1e-16, "scan rel_tol must exceed 2^-53, got 1e-16"),
+    (1e-17, "scan rel_tol must exceed 2^-53, got 1e-17"),
+    (2.0 ** -53, "scan rel_tol must exceed 2^-53, got 1.1102230246251565e-16"),
+    (0.0, "scan rel_tol must be positive"),
+])
+def test_bisect_dichotomy_rejects_an_unreachable_rel_tol(rel_tol, message):
+    """At rel_tol <= 2^-53, 1 + rel_tol rounds to 1, which the ratio of two
+    adjacent amplitudes never meets, and the geometric midpoint of such a
+    bracket rounds to one of its ends, probed again forever.  The scan
+    raises ConfigError before its first probe."""
+    probed = []
+    with pytest.raises(ConfigError) as info:
+        bisect_dichotomy(_fake_scan_probe(probed), [6.0, 20.0], rel_tol)
+    assert str(info.value) == message and info.value.keys == ("rel_tol",)
+    assert probed == []
+
+
+def test_bisect_dichotomy_ends_at_the_smallest_reachable_rel_tol():
+    """At rel_tol = 2^-52, 1 + rel_tol is the float after 1, and the scan
+    ends on a bracket of neighbouring floats around a_star = 11.5."""
+    probed = []
+    runs, bracket, undecided = bisect_dichotomy(_fake_scan_probe(probed), [6.0, 20.0],
+                                                2.0 ** -52)
+    assert undecided is None and bracket[0] < 11.5 <= bracket[1]
+    assert bracket[1] / bracket[0] <= 1.0 + 2.0 ** -52 and len(probed) < 100
+
+
 @pytest.mark.parametrize("predicted, pair_probed", [
     (11.4016, ["lo", "hi"]),
     (11.2, ["lo", "hi"]),
