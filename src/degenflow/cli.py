@@ -249,19 +249,21 @@ def _check_values(cfg, reads):
     """The checks of the sections read that need no data, each made by the
     object the value configures: the grid (only its dimension in
     weights-check, which builds none), the ProblemSpec exponent checks (but
-    in weights-check, which reads no p and takes any theta_w) and schedule
-    checks, the weight, the eigensolver tol, the scan, the reaction term,
-    verify-exact's grid mode, p, resolutions and sample times, and
-    decay-fit's window and reaction term.  They run at parse time, so a bad
-    value fails before any work, naming the line of the key at fault."""
+    in weights-check, which reads no p and takes any theta_w), barenblatt
+    data's and the schedule checks, the weight, the eigensolver tol, the
+    scan, the reaction term, verify-exact's grid mode, p, resolutions and
+    sample times, and decay-fit's reaction term and window.  A bad value
+    fails at parse time, before any work, naming the line of its key."""
     sections = cfg.sections
     prob = sections["problem"]
     try:
         if cfg.command == "weights-check":
             grid_dimension(prob["mode"], prob["n"])
         else:
-            _build_grid(cfg)
+            dim = _build_grid(cfg).dim
             ProblemSpec.check_exponents(prob["p"], prob["theta_w"])
+            if prob["initial"] == "barenblatt":
+                diag._check_barenblatt_args(prob["initial_time"], _exponents(cfg, dim))
         WeightSpec.power(prob["theta_w"], prob["theta_mk"])
         if "controls" in reads:
             ProblemSpec.check_schedule(prob["t_end"], prob["dt0"],
@@ -293,12 +295,32 @@ def _check_values(cfg, reads):
             if prob["reaction"] != "none":
                 raise ConfigError("decay-fit fits the unforced flow: reaction must be none",
                                   keys=("reaction",))
-            dec = sections["decay"]
-            if not dec["window_start"] < dec["window_end"]:
-                raise ConfigError(f"need window_start < window_end, got [{dec['window_start']}, "
-                                  f"{dec['window_end']}]", keys=("window_start", "window_end"))
+            _decay_window(cfg)
     except ConfigError as exc:
         raise _at_line(exc, cfg.lines)
+
+
+def _decay_window(cfg):
+    """decay-fit's window and the time offset its run starts at, initial_time
+    with barenblatt data and else 0.  ConfigError for a window that holds at
+    most one of the run's shifted times, or sin data's t = 0, which has no log."""
+    prob = cfg.sections["problem"]
+    start, end = cfg.sections["decay"]["window_start"], cfg.sections["decay"]["window_end"]
+    offset = prob["initial_time"] if prob["initial"] == "barenblatt" else 0.0
+    last = prob["t_end"] + offset
+    if not start < end:
+        raise ConfigError(f"need window_start < window_end, got [{start}, {end}]",
+                          keys=("window_start", "window_end"))
+    if not start < last:
+        raise ConfigError(f"decay window [{start}, {end}] starts at or after the run's last "
+                          f"shifted time {last}", keys=("window_start", "t_end"))
+    if not end > offset:
+        raise ConfigError(f"decay window [{start}, {end}] ends at or before the run's first "
+                          f"shifted time {offset}", keys=("window_end", "initial_time"))
+    if prob["initial"] == "sin" and not start > 0.0:
+        raise ConfigError(f"decay window needs window_start > 0 with initial = sin, got {start}",
+                          keys=("window_start",))
+    return (start, end), offset
 
 
 def _check_scan(scan, prob, sets_amplitude):
@@ -373,10 +395,11 @@ def _csv_header(cfg):
 
 
 def _build_weight(cfg):
+    """None, the unit weight, for weight = none and the power weight at theta_w = 0."""
     prob = cfg.sections["problem"]
-    if prob["weight"] == "none":
+    if prob["weight"] == "none" or prob["theta_w"] == 0.0:
         return None
-    return WeightSpec.power(theta_w=prob["theta_w"], theta_mk=prob["theta_mk"])
+    return WeightSpec.power(prob["theta_w"])
 
 
 def _build_grid(cfg):
@@ -384,22 +407,19 @@ def _build_grid(cfg):
     return build_grid(prob["mode"], prob["extent"], prob["resolution"], n=prob["n"])
 
 
-def _exponents(cfg, grid, weight):
+def _exponents(cfg, n):
     prob = cfg.sections["problem"]
-    n = grid.dim
-    if weight is None:
-        weight = WeightSpec.constant()
-    mu = prob["mu"] if prob["mu"] is not None else weight.natural_mu(n)
-    return diag.Exponents(n=n, p=prob["p"], mu=mu, theta_w=weight.theta_w)
+    mu = prob["mu"] if prob["mu"] is not None else WeightSpec.power(prob["theta_w"]).natural_mu(n)
+    return diag.Exponents(n=n, p=prob["p"], mu=mu, theta_w=prob["theta_w"])
 
 
-def _initial_values(cfg, grid, weight):
+def _initial_values(cfg, grid):
     prob = cfg.sections["problem"]
     a = prob["amplitude"]
     ext = grid.extent
     if prob["initial"] == "barenblatt":
         vals = a * diag.barenblatt_corrected(grid.radius(), prob["initial_time"],
-                                             _exponents(cfg, grid, weight))
+                                             _exponents(cfg, grid.dim))
     elif grid.mode == "interval":
         vals = a * np.sin(np.pi * grid.axes[0] / ext)
     elif grid.mode == "tensor2d":
@@ -424,7 +444,7 @@ def _build_reaction(cfg, eigenpair=None):
 
 def _build_problem(cfg, grid, weight, eigenpair):
     prob = cfg.sections["problem"]
-    initial = Field(grid, _initial_values(cfg, grid, weight))
+    initial = Field(grid, _initial_values(cfg, grid))
     snaps = tuple(prob["snapshot_times"] or ())
     return ProblemSpec(
         grid=grid,
@@ -608,12 +628,12 @@ def _cmd_verify_exact(cfg, out):
     }
 
     rows = [f"# {line}\n" for line in _csv_header(cfg)] + ["variant,resolution,residual\n"]
+    exps = _exponents(cfg, grid_dimension(prob["mode"], prob["n"]))
     report = {}
     for name in sorted(variants):
         residuals = []
         for res in resolutions:
             grid = build_grid(prob["mode"], prob["extent"], res, n=prob["n"])
-            exps = _exponents(cfg, grid, weight)
             residuals.append(diag.residual_check(
                 lambda g, t: variants[name](g.radius(), t, exps), grid, weight, prob["p"],
                 sample_times))
@@ -638,7 +658,7 @@ def _cmd_weights_check(cfg, out):
     # the unit weight of weight = none is the power weight at theta_w = 0
     weight = WeightSpec.power(prob["theta_w"], prob["theta_mk"])
     n = grid_dimension(prob["mode"], prob["n"])
-    mu = prob["mu"] if prob["mu"] is not None else weight.natural_mu(n)
+    mu = _exponents(cfg, n).mu
     return {
         "n": n,
         "mu": mu,
@@ -648,16 +668,10 @@ def _cmd_weights_check(cfg, out):
 
 
 def _cmd_decay_fit(cfg, out):
-    prob = cfg.sections["problem"]
     grid = _build_grid(cfg)
-    weight = _build_weight(cfg)
-    dec = cfg.sections["decay"]
-    outcome = _run_one(cfg, grid, weight, None, out)
-    exps = _exponents(cfg, grid, weight)
-
-    # a barenblatt run starts at physical time initial_time
-    offset = prob["initial_time"] if prob["initial"] == "barenblatt" else 0.0
-    window = (dec["window_start"], dec["window_end"])
+    outcome = _run_one(cfg, grid, _build_weight(cfg), None, out)
+    exps = _exponents(cfg, grid.dim)
+    window, offset = _decay_window(cfg)
     fit = diag.decay_exponent_fit(outcome.trajectory, window, time_offset=offset)
     body = {
         "kind": outcome.kind,

@@ -164,32 +164,32 @@ VARIANT_VERBATIM = "verbatim"
 VARIANT_CORRECTED = "corrected"
 
 
-def _barenblatt_profile(xi, exps, constant):
-    gamma = (exps.p - exps.theta_w) / (exps.p - 1.0)
-    m = (exps.p - 1.0) / (exps.p - 2.0)
-    inner = 1.0 - constant * np.abs(xi) ** gamma
-    return np.where(inner > 0.0, np.maximum(inner, 0.0) ** m, 0.0)
-
-
 def _check_barenblatt_args(t, exps):
     if t <= 0.0:
-        raise ConfigError(f"reference solution needs t > 0, got {t}")
+        raise ConfigError(f"reference solution needs t > 0, got {t}", keys=("initial_time",))
     if not exps.p > 2.0:
-        raise ConfigError("reference solution needs p > 2")
+        raise ConfigError("reference solution needs p > 2", keys=("p",))
     if not 0.0 <= exps.theta_w < exps.p:
-        raise ConfigError("reference solution needs 0 <= theta_w < p")
+        raise ConfigError("reference solution needs 0 <= theta_w < p", keys=("theta_w",))
+
+
+def _barenblatt_profile(x, t, exps, scale, decay):
+    """t^{-decay} (1 - c xi^gamma)_+^{(p-1)/(p-2)} with c = ((p-2)/(p-theta))
+    * scale^{1/(p-1)}, xi = |x| / t^{1/beta} and gamma = (p-theta)/(p-1),
+    as a float for a scalar x."""
+    _check_barenblatt_args(t, exps)
+    xi = np.abs(np.asarray(x, dtype=float)) / t ** (1.0 / exps.beta)
+    const = ((exps.p - 2.0) / (exps.p - exps.theta_w)) * scale ** (1.0 / (exps.p - 1.0))
+    inner = 1.0 - const * xi ** ((exps.p - exps.theta_w) / (exps.p - 1.0))
+    out = np.where(inner > 0.0, np.maximum(inner, 0.0) ** ((exps.p - 1.0) / (exps.p - 2.0)), 0.0)
+    out = out * t ** -decay
+    return out if out.shape else float(out)
 
 
 def barenblatt_exact(x, t, exps):
     """Self-similar display in its literal form: no amplitude factor and
     constant ((p-2)/(p-theta)) * (n/beta)^{1/(p-1)}."""
-    _check_barenblatt_args(t, exps)
-    xi = np.abs(np.asarray(x, dtype=float)) / t ** (1.0 / exps.beta)
-    const = ((exps.p - 2.0) / (exps.p - exps.theta_w)) * (
-        exps.n / exps.beta
-    ) ** (1.0 / (exps.p - 1.0))
-    out = _barenblatt_profile(xi, exps, const)
-    return out if out.shape else float(out)
+    return _barenblatt_profile(x, t, exps, exps.n / exps.beta, 0.0)
 
 
 def barenblatt_corrected(x, t, exps):
@@ -199,13 +199,7 @@ def barenblatt_corrected(x, t, exps):
         c = ((p-2)/(p-theta)) (1/beta)^{1/(p-1)},  xi = |x| / t^{1/beta},
 
     which satisfies the weight-power evolution exactly."""
-    _check_barenblatt_args(t, exps)
-    xi = np.abs(np.asarray(x, dtype=float)) / t ** (1.0 / exps.beta)
-    const = ((exps.p - 2.0) / (exps.p - exps.theta_w)) * (
-        1.0 / exps.beta
-    ) ** (1.0 / (exps.p - 1.0))
-    out = t ** (-exps.n / exps.beta) * _barenblatt_profile(xi, exps, const)
-    return out if out.shape else float(out)
+    return _barenblatt_profile(x, t, exps, 1.0 / exps.beta, exps.n / exps.beta)
 
 
 # ------------------------------------------------------------ residual check
@@ -295,12 +289,9 @@ def decay_exponent_fit(traj, window, time_offset=0.0):
     }
 
 
-def _centered_rates(times, values):
-    """(g'(t_i), interior index range) by nonuniform centered differences."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if len(t) < 3:
-        raise FitError("need at least 3 samples to differentiate")
+def _centered_rates(t, v):
+    """The rates v'(t) at the interior samples of the float arrays t and v,
+    at least 3 long, by nonuniform centered differences."""
     return (v[2:] - v[:-2]) / (t[2:] - t[:-2])
 
 

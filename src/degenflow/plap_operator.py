@@ -352,6 +352,21 @@ def variational_dot(grid, a, b):
     return float(np.sum(cell_volumes(grid) * a * b))
 
 
+def _hessian(grid, weight, interior):
+    """energy_hessian_matrix's Hessian as a Csr, each row's columns sorted,
+    and that function's result."""
+    op = face_operator(grid, weight, interior)
+    n = op.matrix.rows
+    index = np.arange(n + 1, dtype=np.int32)
+    cw = Csr(n, n, index, index[:-1], np.tile(op.cw, n // op.cw.size))
+    hessian = _matmat(_matmat(op.transpose, cw), op.matrix)
+    row = np.repeat(np.arange(hessian.rows), np.diff(hessian.indptr))
+    order = np.lexsort((hessian.indices[: len(row)], row))
+    hessian = hessian._replace(indices=hessian.indices[order], data=hessian.data[order])
+    lower = row >= hessian.indices
+    return hessian, (hessian.data[lower], row[lower], hessian.indices[lower].astype(np.intp))
+
+
 def energy_hessian_matrix(grid, weight, interior=False):
     """Exact Hessian of the p=2 energy, sum_k M_k^T diag(cw) M_k, over all
     nodes or, with interior, over the interior nodes, as its entries on and
@@ -361,12 +376,4 @@ def energy_hessian_matrix(grid, weight, interior=False):
     as the p=2 operator matrix and, over the interior, as the Newton matrix
     at p=2 and the 1d eigensolver preconditioner.  It is the product
     (transpose @ diag(cw)) @ matrix, summed as scipy.sparse sums it."""
-    op = face_operator(grid, weight, interior)
-    n = op.matrix.rows
-    index = np.arange(n + 1, dtype=np.int32)
-    cw = Csr(n, n, index, index[:-1], np.tile(op.cw, n // op.cw.size))
-    hessian = _matmat(_matmat(op.transpose, cw), op.matrix)
-    row = np.repeat(np.arange(hessian.rows), np.diff(hessian.indptr))
-    order = np.lexsort((hessian.indices[: len(row)], row))
-    data, row, col = hessian.data[order], row[order], hessian.indices[order].astype(np.intp)
-    return data[row >= col], row[row >= col], col[row >= col]
+    return _hessian(grid, weight, interior)[1]

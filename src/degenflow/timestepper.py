@@ -81,7 +81,7 @@ from .plap_operator import (
     Csr,
     FaceFlux,
     ReactionSpec,
-    energy_hessian_matrix,
+    _hessian,
     face_operator,
     face_squares,
     reaction_derivative,
@@ -334,7 +334,7 @@ class _NewtonSystem(BandPattern):
         self.vol = op.vol
         self.last_flux = None
         if p == 2.0:
-            k_data, row, col = energy_hessian_matrix(grid, weight, interior=True)
+            self.stiffness, (k_data, row, col) = _hessian(grid, weight, True)
         else:
             # entry (i, j), i >= j, of A^T diag(kappa) A is the sum over the
             # faces f of both nodes of A[f, i] A[f, j] kappa_f, in the order
@@ -355,15 +355,9 @@ class _NewtonSystem(BandPattern):
                                        np.concatenate([face, face[first]])[order], terms[order])
         super().__init__(row, col, len(self.vol))
         if p == 2.0:
-            # the constant stiffness, filled once as the band that matrix()
-            # scales a copy of, and kept whole as the Csr that rate() applies
+            # the constant stiffness, kept whole as the Csr that rate()
+            # applies and filled once as the band that matrix() scales a copy of
             self.k_band = self.fill(k_data, 0.0)
-            off = row != col
-            r, c = np.concatenate([row, col[off]]), np.concatenate([col, row[off]])
-            order = np.lexsort((c, r))
-            ptr = np.searchsorted(r[order], np.arange(len(self.vol) + 1)).astype(np.int32)
-            self.stiffness = Csr(len(self.vol), len(self.vol), ptr, c[order].astype(np.int32),
-                                 np.concatenate([k_data, k_data[off]])[order])
 
     def flux(self, x):
         """The FaceFlux of the interior vector x, kept until another vector

@@ -56,10 +56,6 @@ class WeightSpec:
             raise ConfigError(f"theta_mk must exceed 1, got {self.theta_mk}", keys=("theta_mk",))
 
     @staticmethod
-    def constant(theta_mk=2.0):
-        return WeightSpec(theta_mk=theta_mk)
-
-    @staticmethod
     def power(theta_w, theta_mk=2.0):
         return WeightSpec(float(theta_w), theta_mk)
 
@@ -71,11 +67,8 @@ class WeightSpec:
 def eval_radial(spec, r):
     """Vectorized weight evaluation at distances r from the origin (ndarray in,
     ndarray out)."""
-    r = np.asarray(r, dtype=float)
-    if spec.theta_w == 0.0:
-        return np.ones_like(r)
     with np.errstate(divide="ignore"):
-        return np.abs(r) ** spec.theta_w
+        return np.abs(np.asarray(r, dtype=float)) ** spec.theta_w
 
 
 def _pow(rho, a):

@@ -1089,12 +1089,22 @@ class TestMain:
          "radial mode needs an integer dimension n >= 2"),
         ("blowup-scan", SCAN_CFG.replace("sigma = 2.0", "sigma = 2.0\nalpha0 = 0"), "alpha0 = 0",
          "blowup-scan needs alpha0 > 0, got 0.0: without the reaction every amplitude decays"),
+        ("solve", SOLVE_CFG.replace("mode = interval", "mode = radial\nn = 2").replace(
+            "initial = sin", "initial = barenblatt"), "p = 2.0", "reference solution needs p > 2"),
+        ("decay-fit", DECAY_CFG.replace("initial = barenblatt", "initial = barenblatt\n"
+                                        "initial_time = -1"), "initial_time = -1",
+         "reference solution needs t > 0, got -1.0"),
+        ("eigen", EIGEN_CFG.replace("resolution = 64", "resolution = 16.5"), "resolution = 16.5",
+         "bad value for 'resolution': expected an integer, got '16.5'"),
+        ("solve", SOLVE_CFG.replace("p = 2.0", "p = 2.0\nsigma 2.0"), "sigma 2.0",
+         "expected key = value, got 'sigma 2.0'"),
     ], ids=["scan-reaction", "verify-mode", "verify-p", "verify-resolutions", "decay-reaction",
             "scan-sigma-below", "scan-sigma-at", "scan-exp-forced", "mode", "weight", "reaction",
             "theta_w-above-p", "theta_w-negative", "scan-amplitude", "eigen-theta_w-above-p",
             "p-below-2", "verify-sample-times", "verify-resolution-below-4", "resolution-below-4",
             "extent", "alpha0-negative", "c6-negative", "solve-sigma", "theta_mk", "n-below-2",
-            "n-unset", "scan-alpha0-zero"])
+            "n-unset", "scan-alpha0-zero", "barenblatt-p-2", "barenblatt-time-negative",
+            "resolution-not-integer", "line-without-equals"])
     def test_command_checks_fail_at_parse_time(self, tmp_path, command, text, line, message):
         """A scan without a reaction term, with a power reaction at
         sigma <= p - 1 or with the exp_forced reaction, neither of which has
@@ -1111,34 +1121,53 @@ class TestMain:
         written, not even resolved_config.txt.  So do a reaction
         coefficient alpha0 or c6 below 0, a reaction exponent sigma <= 1, a
         theta_mk <= 1 in weights-check, a radial grid whose n is below 2 or
-        unset (no line sets it, so none is named), and a scan with
-        alpha0 = 0, where no amplitude blows up."""
+        unset (no line sets it, so none is named), a scan with
+        alpha0 = 0, where no amplitude blows up, barenblatt data at p = 2 or
+        at an initial_time that is not positive, where the self-similar
+        profile is not defined, a resolution that is not an integer, and a
+        line without '='."""
         out = tmp_path / "out"
         text = text.format(out=out)
         where = f"line {text.splitlines().index(line) + 1}: " if line else ""
         assert _config_error(command, text, out) == f"{where}{message}"
 
-    @pytest.mark.parametrize("lines, key", [
-        ("window_start = 5.0\nwindow_end = 1.0", "window_start"),
-        ("window_start = 3.0\nwindow_end = 3.0", "window_start"),
-        ("window_start = 20.0", "window_start"),
-        ("window_end = 0.5", "window_end"),
-    ], ids=["reversed", "empty", "start-past-default-end", "end-before-default-start"])
-    def test_bad_decay_window_fails_at_parse_time(self, tmp_path, monkeypatch, lines, key):
+    @pytest.mark.parametrize("initial, lines, key, message", [
+        ("barenblatt", "window_start = 5.0\nwindow_end = 1.0", "window_start",
+         "need window_start < window_end"),
+        ("barenblatt", "window_start = 3.0\nwindow_end = 3.0", "window_start",
+         "need window_start < window_end"),
+        ("barenblatt", "window_start = 20.0", "window_start", "need window_start < window_end"),
+        ("barenblatt", "window_end = 0.5", "window_end", "need window_start < window_end"),
+        ("sin", "window_start = 0.0\nwindow_end = 0.5", "window_start",
+         "decay window needs window_start > 0 with initial = sin, got 0.0"),
+        ("barenblatt", "window_start = 5.0", "window_start",
+         "decay window [5.0, 10.0] starts at or after the run's last shifted time 2.0"),
+        ("sin", "window_start = 1.0", "window_start",
+         "decay window [1.0, 10.0] starts at or after the run's last shifted time 1.0"),
+        ("barenblatt", "window_start = 0.2\nwindow_end = 0.5", "window_end",
+         "decay window [0.2, 0.5] ends at or before the run's first shifted time 1.0"),
+    ], ids=["reversed", "empty", "start-past-default-end", "end-before-default-start",
+            "sin-start-at-0", "start-past-run", "start-at-run-end", "end-before-run"])
+    def test_bad_decay_window_fails_at_parse_time(self, tmp_path, monkeypatch, initial, lines,
+                                                  key, message):
         """A [decay] window whose start is not before its end, with the
         defaults 1 and 10 filling in an unset end, exits 2 at parse time
         naming the line of the first key set, before any time step,
-        instead of failing the fit after the whole run."""
+        instead of failing the fit after the whole run.  So does a window
+        that starts at or after the run's last shifted time t_end + offset
+        or ends at or before its first, offset (initial_time with
+        barenblatt data, else 0), which holds at most one recorded time,
+        and one that starts at 0 or before with sin data, whose t = 0
+        sample has no logarithm."""
         calls = []
         monkeypatch.setattr("degenflow.cli.run_simulation",
                             lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "out"
         text = (f"command = decay-fit\noutput_dir = {out}\n[problem]\nmode = radial\nn = 2\n"
-                "extent = 8.0\nresolution = 24\np = 3.0\ninitial = barenblatt\n"
+                f"extent = 8.0\nresolution = 24\np = 3.0\ninitial = {initial}\n"
                 f"t_end = 1.0\ndt0 = 1e-3\n[decay]\n{lines}\n")
         lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key))
-        assert _config_error("decay-fit", text, out).startswith(
-            f"line {lineno}: need window_start < window_end")
+        assert _config_error("decay-fit", text, out).startswith(f"line {lineno}: {message}")
         assert calls == []
 
     def test_solve_summary_carries_the_outcome(self, tmp_path):

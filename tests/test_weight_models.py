@@ -37,7 +37,7 @@ def test_surface_area_rejects_bad_dimension():
 
 class TestEvalRadial:
     def test_constant(self):
-        spec = WeightSpec.constant()
+        spec = WeightSpec()
         r = np.linspace(0.0, 5.0, 11)
         assert np.all(eval_radial(spec, r) == 1.0)
 
@@ -52,7 +52,7 @@ def test_ball_mass_constant_weight(n):
     # mass of B_rho with omega = 1 is S_n rho^n / n
     rho = 1.7
     expected = surface_area(n) * rho**n / n
-    assert ball_mass(WeightSpec.constant(), rho, n) == pytest.approx(expected, rel=1e-10)
+    assert ball_mass(WeightSpec(), rho, n) == pytest.approx(expected, rel=1e-10)
 
 
 def test_ball_mass_power_weight():
@@ -70,7 +70,7 @@ def test_ball_mass_divergent_power():
 
 def test_ball_mass_rejects_nonpositive_radius():
     with pytest.raises(ConfigError):
-        ball_mass(WeightSpec.constant(), 0.0, 2)
+        ball_mass(WeightSpec(), 0.0, 2)
 
 
 def test_extreme_power_underflows_and_overflows_without_raising():
@@ -95,7 +95,7 @@ def test_muckenhoupt_constant_weight():
     """Constant weight: the product constant equals (S_n/n)^theta_mk at
     every radius, so the check passes with that exact worst constant."""
     n = 2
-    rep = check_muckenhoupt(WeightSpec.constant(theta_mk=2.0), n)
+    rep = check_muckenhoupt(WeightSpec(theta_mk=2.0), n)
     assert rep.passes
     expected = (surface_area(n) / n) ** 2.0
     assert rep.worst_constant == pytest.approx(expected, rel=1e-8)
@@ -145,9 +145,9 @@ def test_doubling_fails_below_natural_mu():
 
 def test_doubling_rejects_bad_pairs():
     with pytest.raises(ConfigError):
-        check_doubling(WeightSpec.constant(), 2, 1.0, [(1.0, 2.0)])
+        check_doubling(WeightSpec(), 2, 1.0, [(1.0, 2.0)])
     with pytest.raises(ConfigError):
-        check_doubling(WeightSpec.constant(), 2, 1.0, [])
+        check_doubling(WeightSpec(), 2, 1.0, [])
 
 
 

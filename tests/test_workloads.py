@@ -1,11 +1,12 @@
 """The benchmark workloads' solver counts, pinned.
 
 Each config under perfbench/workloads runs through the CLI into a temporary
-directory.  A change that moves the iteration path of a workload (an
-accepted or rejected step, a factorization, an eigensolver iteration or
-quotient evaluation) fails here, in about 1.5 s, and not only in the
-benchmark.  Runs take one factorization per attempt and no Newton
-iteration.
+directory, and so does scan-1d's with its unit weight spelled as the power
+weight at theta_w = 0, which runs the weight = none path.  A change that
+moves the iteration path of a workload (an accepted or rejected step, a
+factorization, an eigensolver iteration or quotient evaluation) fails here,
+in about 1.5 s, and not only in the benchmark.  Runs take one factorization
+per attempt and no Newton iteration.
 """
 
 import json
@@ -34,10 +35,9 @@ SCAN_PROBES = {
 }
 
 
-def _run(tmp_path, name):
-    config = WORKLOADS / f"{name}.ini"
+def _run(tmp_path, config):
     command = parse_config(config.read_text()).command
-    out = tmp_path / name
+    out = tmp_path / config.stem
     assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
     return out
 
@@ -51,16 +51,23 @@ def _load(path):
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("name", ["tensor2d-p3", "eigen-2d-p3", "scan-1d"])
+@pytest.mark.parametrize("name", ["tensor2d-p3", "eigen-2d-p3", "scan-1d", "scan-1d-theta_w-0"])
 def test_workload_solver_counts_pinned(tmp_path, name):
-    out = _run(tmp_path, name)
+    config = WORKLOADS / f"{name}.ini"
+    if name == "scan-1d-theta_w-0":
+        config = tmp_path / f"{name}.ini"
+        config.write_text((WORKLOADS / "scan-1d.ini").read_text().replace(
+            "[problem]\n", "[problem]\nweight = power\ntheta_w = 0.0\n"))
+    out = _run(tmp_path, config)
     if name == "tensor2d-p3":
         assert _counts(_load(out / "outcome.json")) == (12, 12, 0)
     elif name == "eigen-2d-p3":
         pair = _load(out / "eigenpair.json")
         assert (pair["iterations"], pair["quotient_evals"]) == (24, 52)
     else:
-        amplitudes = [run["amplitude"] for run in _load(out / "summary.json")["runs"]]
+        summary = _load(out / "summary.json")
+        assert "a_lin" in summary
+        amplitudes = [run["amplitude"] for run in summary["runs"]]
         assert amplitudes == sorted(SCAN_PROBES)
         for a in amplitudes:
             probe = _load(out / "runs" / f"A_{a:.17g}" / "outcome.json")
@@ -75,7 +82,7 @@ def test_scan_prediction_lies_in_the_reference_bracket(tmp_path):
     reference critical amplitude."""
     reference = _load(WORKLOADS.parent / "reference.json")["scan-1d"]
     ref_lo, ref_hi = reference["a_crit_run"]["bracket"]
-    summary = _load(_run(tmp_path, "scan-1d") / "summary.json")
+    summary = _load(_run(tmp_path, WORKLOADS / "scan-1d.ini") / "summary.json")
     assert ref_lo < summary["a_lin"] < ref_hi
     assert summary["nu1"] == pytest.approx(-9.97443, rel=1e-6)
     assert len(summary["runs"]) == 4
