@@ -8,13 +8,12 @@ body; run_command alone writes summary.json.  Artifacts are reproducible:
 JSON is written with sorted keys, floats use repr-faithful formatting,
 iteration orders are fixed, and nothing embeds a timestamp.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 undecided
-scan.
+Exit codes: 0 success, 2 config or usage error, 3 numerical failure,
+4 undecided scan.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -395,9 +394,10 @@ def _csv_header(cfg):
 
 
 def _build_weight(cfg):
-    """None, the unit weight, for weight = none and the power weight at theta_w = 0."""
+    """None, the unit weight, for weight = none and the power weight at
+    theta_w = 0; _reads rejects weight = none with another theta_w."""
     prob = cfg.sections["problem"]
-    if prob["weight"] == "none" or prob["theta_w"] == 0.0:
+    if prob["theta_w"] == 0.0:
         return None
     return WeightSpec.power(prob["theta_w"])
 
@@ -734,32 +734,84 @@ def run_command(cfg):
     return code
 
 
+# what -h and --help print; its first line heads every usage error
+USAGE = f"""\
+usage: degenflow <command> --config FILE [--out DIR] [--jobs 1]
+
+Numerical lab for degenerate weighted p-Laplacian diffusion.
+
+commands: {", ".join(COMMANDS)}
+
+options, each also written --name=value, before or after the command:
+  --config FILE  the config file (required)
+  --out DIR      output directory, in place of the config's output_dir
+  --jobs N       must be 1: runs are sequential
+  -h, --help     print this text and exit
+"""
+
+
+def _parse_argv(argv):
+    """The command, --config, --out (None when absent) and --jobs (1 when
+    absent) of argv.  ValueError names the misuse: an unknown token, a
+    missing value, an option or command given twice, no command, no
+    --config, or a --jobs that is not an integer."""
+    args = {}
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name in ("--config", "--out", "--jobs"):
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("--"):
+                    raise ValueError(f"{name} needs a value")
+        elif token in COMMANDS:
+            name, value = "command", token
+        elif token.startswith("-"):
+            raise ValueError(f"unknown option {token!r}")
+        else:
+            raise ValueError(f"unknown command {token!r}; expected one of {', '.join(COMMANDS)}")
+        if name in args:
+            raise ValueError(f"{name} given twice")
+        args[name] = value
+    for name in ("command", "--config"):
+        if name not in args:
+            raise ValueError(f"no {name} given")
+    jobs = args.get("--jobs", "1")
+    try:
+        jobs = int(jobs)
+    except ValueError:
+        raise ValueError(f"--jobs needs an integer, got {jobs!r}") from None
+    return args["command"], args["--config"], args.get("--out"), jobs
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="degenflow",
-        description="Numerical lab for degenerate weighted p-Laplacian diffusion",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to config file")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="must be 1: runs are sequential")
-    parser.add_argument("--out", default=None, help="output directory override")
-    args = parser.parse_args(argv)
+    """Run the command line argv (sys.argv's arguments when None); returns the
+    exit code.  -h or --help prints USAGE; a misused command line prints the
+    usage line and the reason to stderr, writes nothing and returns 2."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return EXIT_OK
+    try:
+        command, config, out, jobs = _parse_argv(argv)
+    except ValueError as exc:
+        print(f"{USAGE.splitlines()[0]}\ndegenflow: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
-        text = Path(args.config).read_text()
+        text = Path(config).read_text()
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    effective_out = args.out
+    effective_out = out
     try:
-        cfg = parse_config(text, command_override=args.command)
-        if args.out is not None:
-            cfg.output_dir = args.out
+        cfg = parse_config(text, command_override=command)
+        if out is not None:
+            cfg.output_dir = out
         effective_out = cfg.output_dir
-        if args.jobs != 1:
-            raise ConfigError(f"--jobs must be 1 (runs are sequential), got {args.jobs}")
+        if jobs != 1:
+            raise ConfigError(f"--jobs must be 1 (runs are sequential), got {jobs}")
         return run_command(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from degenflow.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNDECIDED,
+    USAGE,
     main,
     parse_config,
     resolved_config_text,
@@ -364,6 +365,66 @@ class TestReadme:
         assert out.kind == "BlowUp"
         assert np.isfinite(out.t_est)
         assert capsys.readouterr().out == f"BlowUp {out.t_est}\n"
+
+
+class TestCommandLine:
+    """main's own pass over argv: one command, --config FILE (required),
+    --out DIR and --jobs N, each option also as --name=value and on either
+    side of the command."""
+
+    @pytest.mark.parametrize("argv, out", [
+        (["weights-check", "--config", "CFG"], "o"),
+        (["weights-check", "--config=CFG"], "o"),
+        (["--config", "CFG", "weights-check"], "o"),
+        (["--out", "chosen", "--config", "CFG", "weights-check"], "chosen"),
+        (["weights-check", "--config", "CFG", "--out=chosen", "--jobs=1"], "chosen"),
+    ], ids=["config", "config-equals", "options-first", "out-first", "out-equals"])
+    def test_accepted_forms(self, tmp_path, monkeypatch, argv, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(WEIGHTS_CFG.format(out="o"))
+        assert main([a.replace("CFG", "c.cfg") for a in argv]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path)) == sorted(["c.cfg", out])
+        assert (tmp_path / out / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["weights-check", "--conf", "CFG"], "unknown option '--conf'"),
+        (["weights-check", "--config", "CFG", "extra"], "unknown command 'extra'"),
+        (["weights-check", "--config"], "--config needs a value"),
+        (["weights-check", "--config", "--out", "x"], "--config needs a value"),
+        (["weights-check", "--config", "CFG", "--out"], "--out needs a value"),
+        (["weights-check", "--config", "CFG", "--out", "a", "--out=b"], "--out given twice"),
+        (["weights-check", "weights-check", "--config", "CFG"], "command given twice"),
+        (["--config", "CFG"], "no command given"),
+        ([], "no command given"),
+        (["weights-check", "--out", "x"], "no --config given"),
+        (["weights-check", "--config", "CFG", "--jobs", "one"], "--jobs needs an integer"),
+        (["weights-check", "--config", "CFG", "--jobs=1.0"], "--jobs needs an integer"),
+    ], ids=["unknown-option", "unknown-token", "missing-value-at-end",
+            "missing-value-before-option", "missing-out", "repeated-option",
+            "repeated-command", "no-command", "empty", "no-config", "jobs-word",
+            "jobs-float"])
+    def test_misuse_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
+        """A misused command line prints the usage line and the reason to
+        stderr, writes nothing, not even error.json, and exits 2."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(WEIGHTS_CFG.format(out="o"))
+        assert main([a.replace("CFG", "c.cfg") for a in argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: degenflow <command> --config FILE")
+        assert reason in captured.err
+        assert os.listdir(tmp_path) == ["c.cfg"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "--config", "c.cfg", "-h"]],
+                             ids=["h", "help", "h-after-options"])
+    def test_help_prints_usage(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == USAGE
+        assert captured.out.startswith("usage: degenflow <command> --config FILE")
+        assert captured.err == ""
+        assert os.listdir(tmp_path) == []
 
 
 class TestMain:
@@ -1553,6 +1614,19 @@ def test_no_scipy_python_layer_in_any_command(tmp_path, command):
     path = tmp_path / "c.cfg"
     path.write_text(SMALL_CFGS[command].format(out=tmp_path / "out"))
     assert not _loaded_by_cli_import("scipy.sparse", "scipy.linalg", "scipy._lib",
+                                     command=command, config=path)
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_no_argparse_gettext_or_locale_in_any_run(tmp_path, command):
+    """main reads its four options itself, so neither importing the CLI
+    (command None) nor running any command imports argparse, or the
+    gettext and locale that building its parser pulls in: about 2 ms of
+    each run."""
+    path = tmp_path / "c.cfg"
+    if command is not None:
+        path.write_text(SMALL_CFGS[command].format(out=tmp_path / "out"))
+    assert not _loaded_by_cli_import("argparse", "gettext", "locale",
                                      command=command, config=path)
 
 

@@ -22,14 +22,33 @@ def _section_of(node):
 
 def _keys_read(tree):
     """(section, key) of every string subscript of a section dict, read
-    directly (`cfg.sections["eigen"]["tol"]`) or through a name bound to it
-    (`prob = cfg.sections["problem"]`, then `prob["p"]`)."""
+    directly (`cfg.sections["eigen"]["tol"]`), through a name bound to it
+    (`prob = cfg.sections["problem"]`, then `prob["p"]`), or through the
+    parameter of a function of the module that it is passed to
+    (`_reads(cfg.command, cfg.sections["problem"])`, then `problem["weight"]`
+    in `def _reads(command, problem)`)."""
+    params = {node.name: [arg.arg for arg in node.args.args]
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     aliases = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and _section_of(node.value) is not None:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    aliases[target.id] = _section_of(node.value)
+
+    def section_of(node):
+        return aliases.get(node.id) if isinstance(node, ast.Name) else _section_of(node)
+
+    bound = None
+    while bound != aliases:  # until a pass binds no new name
+        bound = dict(aliases)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and section_of(node.value) is not None:
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        aliases[target.id] = section_of(node.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = params.get(node.func.id, ())
+                passed = [*zip(names, node.args),
+                          *((kw.arg, kw.value) for kw in node.keywords if kw.arg in names)]
+                for name, value in passed:
+                    if section_of(value) is not None:
+                        aliases[name] = section_of(value)
     read = set()
     for node in ast.walk(tree):
         if not (
@@ -38,8 +57,7 @@ def _keys_read(tree):
             and isinstance(node.slice, ast.Constant)
         ):
             continue
-        base = node.value
-        section = aliases.get(base.id) if isinstance(base, ast.Name) else _section_of(base)
+        section = section_of(node.value)
         if section is not None:
             read.add((section, node.slice.value))
     return read
@@ -60,14 +78,22 @@ def test_every_schema_key_is_read():
 
 
 def test_key_scan_sees_reads_not_writes():
-    """The scan sees a key read through an alias and directly, and misses
-    one that is only written."""
+    """The scan sees a key read through an alias, directly, and through the
+    parameters a section is passed to, by position, by keyword or as an
+    alias, and misses one that is only written."""
     tree = ast.parse(
         "prob = cfg.sections['problem']\n"
         "x = prob['p'] + cfg.sections['eigen']['tol']\n"
         "prob['amplitude'] = 1.0\n"
+        "def reads(command, problem, scan=None):\n"
+        "    return problem['weight'], scan['values']\n"
+        "reads(cfg.command, cfg.sections['problem'], scan=cfg.sections['scan'])\n"
+        "def forwards(problem_again):\n"
+        "    return problem_again['mode']\n"
+        "forwards(prob)\n"
     )
-    assert _keys_read(tree) == {("problem", "p"), ("eigen", "tol")}
+    assert _keys_read(tree) == {("problem", "p"), ("eigen", "tol"), ("problem", "weight"),
+                                ("scan", "values"), ("problem", "mode")}
 
 
 def test_command_table_names_schema_sections_and_keys():
