@@ -7,8 +7,8 @@ coefficient cw_F = c_F * omega_F (quadrature weight times face weight
 value) and a face gradient G_F = (M_1 u, ..., M_k u)_F given by sparse face
 matrices M_k, built once per (grid, weight) by face_operator and stored
 stacked, all k of them as one k*F x N matrix in scipy's CSR arrays (a Csr),
-built by numpy from 1-d stencils; its products run scipy's compiled CSR
-kernels (banded.sparsetools), with no scipy.sparse import:
+built by numpy from 1-d stencils; its products run scipy's compiled kernels
+(banded.sparsetools), with no scipy.sparse import:
 
 * interval and radial grids: k = 1, M_1 = A the normal difference on the
   half-nodes, so the energy is the midpoint-rule value of
@@ -28,6 +28,13 @@ apply_plaplacian is exactly that gradient divided by the node measures; no
 separately discretized divergence is involved.  The p = 2 Hessian is
 sum_k M_k^T diag(cw) M_k.  A FaceFlux holds one state's face gradient, from
 which its operator, energy and face conductances are all computed.
+
+No transpose is stored.  The stacked matrix's CSR arrays are the CSC arrays
+of its transpose, so the gradient's products with M_k^T are one csc_matvec
+on them.  Its bits equal those of csr_matvec on a stored transpose (the
+output of csr_tocsc): both sum each node's terms from zero in increasing
+face order.  The transpose is built, on each access, only for the p = 2
+Hessian.
 """
 
 from __future__ import annotations
@@ -168,16 +175,23 @@ class Csr(NamedTuple):
 
 
 def _stack(stencils, columns, n):
-    """The Csr of the rows of stencils stacked, over n columns restricted to
-    the sorted ones listed in columns, renumbered in that order."""
-    widths = np.concatenate([np.full(len(c), c.shape[1]) for c, _ in stencils])
+    """The Csr of the rows of the stencils, an iterable, stacked, over n
+    columns restricted to the sorted ones listed in columns, renumbered in
+    that order.  Each stencil's int64 columns are renumbered to int32 as it
+    arrives, by map, as a loop variable would keep the last ones alive
+    while the next are built."""
     new = np.full(n, -1, dtype=np.int32)
     new[columns] = np.arange(len(columns))
-    cols = new[np.concatenate([c.ravel() for c, _ in stencils])]
+    cols, vals = zip(*map(lambda stencil: (new[stencil[0]], stencil[1]), stencils))
+    rows = np.concatenate([np.count_nonzero(c >= 0, axis=1).astype(np.int32) for c in cols])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(rows, out=indptr[1:])
+    # concatenated, then masked: a two-pass fill into preallocated arrays cost 30x eigensolve faults
+    cols = np.concatenate([c.ravel() for c in cols])
     keep = cols >= 0
-    indptr = np.cumsum(np.r_[0, keep])[np.r_[0, np.cumsum(widths)]].astype(np.int32)
-    vals = np.concatenate([v.ravel() for _, v in stencils])
-    return Csr(len(widths), len(columns), indptr, cols[keep], vals[keep])
+    cols = cols[keep]
+    vals = np.concatenate([v.ravel() for v in vals])
+    return Csr(len(rows), len(columns), indptr, cols, vals[keep])
 
 
 def _matmat(a, b):
@@ -196,20 +210,32 @@ class FaceOperator:
 
     cw holds c_F * omega_F per face (times 1/2 on tensor grids).  matrix is
     the k*F x N Csr of all k face matrices M_k stacked, the normal
-    difference A in the first F rows, and transpose its transpose, stored so
-    that no call transposes.  Faces are ordered axis by axis, each axis
-    raveled in C order; columns are the raveled nodes.  vol holds the cell
-    volumes of the grid, in its shape.  The interior operator restricts
-    matrix to the columns of the interior nodes, transpose to their rows and
-    vol to their entries, as a vector: it describes the states that vanish
-    on the Dirichlet nodes by their interior values, and a FaceFlux works on
-    it unchanged.
+    difference A in the first F rows, and the only matrix stored: its CSR
+    arrays are the CSC arrays of its transpose, whose product
+    FaceFlux.divergence takes by scipy's csc_matvec, with the bits of
+    csr_matvec on the transpose, as both sum each node's terms from zero in
+    increasing face order.  transpose, the Csr of that transpose, is built
+    on each access, only for the p = 2 Hessian.  Faces are ordered axis by
+    axis, each axis raveled in C order; columns are the raveled nodes.  vol
+    holds the cell volumes of the grid, in its shape.  The interior operator
+    restricts matrix to the columns of the interior nodes and vol to their
+    entries, as a vector: it describes the states that vanish on the
+    Dirichlet nodes by their interior values, and a FaceFlux works on it
+    unchanged.
     """
 
     cw: np.ndarray
     matrix: Csr
-    transpose: Csr
     vol: np.ndarray
+
+    @property
+    def transpose(self):
+        """The Csr of matrix's transpose, by scipy's csr_tocsc."""
+        m = self.matrix
+        t = Csr(m.cols, m.rows, np.empty(m.cols + 1, dtype=np.int32), np.empty_like(m.indices),
+                np.empty_like(m.data))
+        sparsetools.csr_tocsc(*m, *t[2:])
+        return t
 
 
 def face_operator(grid, weight, interior=False):
@@ -248,22 +274,20 @@ def _face_operator(grid, weight, interior):
         ])
         nx, ny = len(x), len(y)
         eye_x, eye_y = ((np.arange(m)[:, None], np.ones((m, 1))) for m in (nx, ny))
-        stencils = [_kron(_two_point(nx, -1.0 / hx, 1.0 / hx), eye_y),
-                    _kron(eye_x, _two_point(ny, -1.0 / hy, 1.0 / hy)),
-                    _kron(_two_point(nx, 0.5, 0.5), _centered(ny, hy)),
-                    _kron(_centered(nx, hx), _two_point(ny, 0.5, 0.5))]
+        stencils = (_kron(a, b) for a, b in (
+            (_two_point(nx, -1.0 / hx, 1.0 / hx), eye_y),
+            (eye_x, _two_point(ny, -1.0 / hy, 1.0 / hy)),
+            (_two_point(nx, 0.5, 0.5), _centered(ny, hy)),
+            (_centered(nx, hx), _two_point(ny, 0.5, 0.5))))
     cw = c if weight is None else c * eval_radial(weight, rad)
     vol = cell_volumes(grid)
     matrix = _stack(stencils, grid.interior if interior else np.arange(vol.size), vol.size)
     if interior:
         vol = vol.ravel()[grid.interior]
-    transpose = Csr(matrix.cols, matrix.rows, np.empty(matrix.cols + 1, dtype=np.int32),
-                    np.empty_like(matrix.indices), np.empty_like(matrix.data))
-    sparsetools.csr_tocsc(*matrix, *transpose[2:])
     # every caller of the cache gets these same arrays
-    for values in (cw, vol, matrix.data, transpose.data):
+    for values in (cw, vol, matrix.data):
         values.flags.writeable = False
-    return FaceOperator(cw, matrix, transpose, vol)
+    return FaceOperator(cw, matrix, vol)
 
 
 def _s_pow(s, expo):
@@ -308,8 +332,12 @@ class FaceFlux:
 
     def divergence(self):
         """sum_k M_k^T (cw * s**((p-2)/2) * g_k) divided by minus the cell
-        volumes, in the shape of op.vol; Dirichlet nodes are not zeroed."""
-        grad = self.op.transpose @ (self._flux_coefficient() * self.g).ravel()
+        volumes, in the shape of op.vol; Dirichlet nodes are not zeroed.  The
+        sum is the transpose's product, by csc_matvec on matrix's arrays."""
+        m = self.op.matrix
+        grad = np.zeros(m.cols)
+        flux = (self._flux_coefficient() * self.g).ravel()
+        sparsetools.csc_matvec(m.cols, m.rows, *m[2:], flux, grad)
         return -grad.reshape(self.op.vol.shape) / self.op.vol
 
     def energy(self):

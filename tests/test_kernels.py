@@ -17,13 +17,13 @@ import degenflow
 
 ROOT = Path(degenflow.__file__).resolve().parents[2]
 
-# the factor and solve of a Newton matrix and the CSR products of the face
-# operator, its transpose, the conductance map and the p = 2 Hessian, on one
-# interval and one tensor system, and a 31 x 31 type-I sine transform, saved
-# to argv[2]; with argv[1] "fallback" the path load is refused, so the
-# kernels come from the normal import.  Prints the scipy modules imported,
-# then whether pocketfft was loaded after an interval and after a tensor
-# eigensolve
+# the factor and solve of a Newton matrix, the CSR products of the face
+# operator, its transpose, the conductance map and the p = 2 Hessian, and the
+# CSC product of the p = 3 divergence, on one interval and one tensor system,
+# and a 31 x 31 type-I sine transform, saved to argv[2]; with argv[1]
+# "fallback" the path load is refused, so the kernels come from the normal
+# import.  Prints the scipy modules imported, then whether pocketfft was
+# loaded after an interval and after a tensor eigensolve
 KERNELS = """
 import importlib.util, sys
 import numpy as np
@@ -33,6 +33,7 @@ if sys.argv[1] == "fallback":
     importlib.util.spec_from_file_location = refuse
 from degenflow import WeightSpec, build_grid, energy_hessian_matrix, smallest_eigenpair
 from degenflow.eigensolver import _pocketfft
+from degenflow.plap_operator import FaceFlux
 from degenflow.timestepper import _NewtonSystem
 arrays, loaded = {}, []
 for mode in ("interval", "tensor2d"):
@@ -44,6 +45,7 @@ for mode in ("interval", "tensor2d"):
     face = op.matrix @ x
     arrays.update({f"{mode}_factor": factor, f"{mode}_solve": system.solve(factor, x),
                    f"{mode}_face": face, f"{mode}_transpose": op.transpose @ face,
+                   f"{mode}_divergence": FaceFlux(op, x, 3.0).divergence(),
                    f"{mode}_hessian": energy_hessian_matrix(grid, weight, interior=True)[0]})
     smallest_eigenpair(grid, weight, 3.0)
     loaded.append(_pocketfft.cache_info().currsize)
@@ -69,13 +71,14 @@ def _kernel_run(tmp_path, how):
 
 def test_path_load_and_fallback_give_the_same_bits(tmp_path):
     """dpbtrf and dpbtrs of an interval and a tensor Newton matrix, the CSR
-    products of their face operators and a 31 x 31 type-I sine transform
-    are byte-identical whether the extension modules are loaded by file
-    path or, with that refused, by the normal import of scipy.linalg,
-    scipy.sparse and scipy.fft.  pocketfft is loaded by neither an import
-    of the package nor an interval eigensolve, only by a tensor one, and by
-    path without scipy.fft.  Whether the import system lists pocketfft
-    itself depends on how scipy built it, so that entry is not compared."""
+    and CSC products of their face operators and a 31 x 31 type-I sine
+    transform are byte-identical whether the extension modules are loaded
+    by file path or, with that refused, by the normal import of
+    scipy.linalg, scipy.sparse and scipy.fft.  pocketfft is loaded by
+    neither an import of the package nor an interval eigensolve, only by a
+    tensor one, and by path without scipy.fft.  Whether the import system
+    lists pocketfft itself depends on how scipy built it, so that entry is
+    not compared."""
     by_path, path_modules, path_loads = _kernel_run(tmp_path, "path")
     fallback, fallback_modules, fallback_loads = _kernel_run(tmp_path, "fallback")
     assert [m for m in path_modules if m != "scipy.fft._pocketfft.pypocketfft"] == [
