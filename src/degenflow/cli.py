@@ -753,17 +753,17 @@ options, each also written --name=value, before or after the command:
 def _parse_argv(argv):
     """The command, --config, --out (None when absent) and --jobs (1 when
     absent) of argv.  ValueError names the misuse: an unknown token, a
-    missing value, an option or command given twice, no command, no
-    --config, or a --jobs that is not an integer."""
+    missing or empty value, an option or command given twice, no command,
+    no --config, or a --jobs that is not an integer."""
     args = {}
     tokens = iter(argv)
     for token in tokens:
         name, eq, value = token.partition("=")
         if name in ("--config", "--out", "--jobs"):
             if not eq:
-                value = next(tokens, None)
-                if value is None or value.startswith("--"):
-                    raise ValueError(f"{name} needs a value")
+                value = next(tokens, "")
+            if not value or not eq and value.startswith("--"):
+                raise ValueError(f"{name} needs a value")
         elif token in COMMANDS:
             name, value = "command", token
         elif token.startswith("-"):

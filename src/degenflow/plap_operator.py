@@ -25,16 +25,18 @@ With s = sum_k (M_k u)**2 the energy is
 which is convex for p >= 2, so implicit steps inherit the energy-decay
 inequality.  Its gradient is sum_k M_k^T (cw * s**((p-2)/2) * M_k u) and
 apply_plaplacian is exactly that gradient divided by the node measures; no
-separately discretized divergence is involved.  The p = 2 Hessian is
-sum_k M_k^T diag(cw) M_k.  A FaceFlux holds one state's face gradient, from
-which its operator, energy and face conductances are all computed.
+separately discretized divergence is involved.  A FaceFlux holds one
+state's face gradient, from which its operator, energy and face
+conductances are all computed.
 
 No transpose is stored.  The stacked matrix's CSR arrays are the CSC arrays
 of its transpose, so the gradient's products with M_k^T are one csc_matvec
-on them.  Its bits equal those of csr_matvec on a stored transpose (the
-output of csr_tocsc): both sum each node's terms from zero in increasing
-face order.  The transpose is built, on each access, only for the p = 2
-Hessian.
+on them, which sums each node's terms from zero in increasing face order.
+Every Hessian is sum_r M[r]^T kappa_r M[r] over some of the stacked rows r:
+over all of them with kappa = cw for the p = 2 energy, over the F rows of
+the normal difference with the face conductances for the p > 2 Newton
+matrix.  hessian_map gives both as one sparse map from kappa to the lower
+entries, built once per operator.
 """
 
 from __future__ import annotations
@@ -173,6 +175,17 @@ class Csr(NamedTuple):
         sparsetools.csr_matvec(*self, x, y)
         return y
 
+    @classmethod
+    def symmetric(cls, data, row, col, n):
+        """The Csr of the symmetric n x n matrix whose entries on and below
+        the diagonal are data at (row, col), each row's columns sorted."""
+        upper = row > col
+        key = np.concatenate([row * n + col, col[upper] * n + row[upper]])
+        order = np.argsort(key)
+        rows, cols = np.divmod(key[order], n)
+        return cls(n, n, np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
+                   cols.astype(np.int32), np.concatenate([data, data[upper]])[order])
+
 
 def _stack(stencils, columns, n):
     """The Csr of the rows of the stencils, an iterable, stacked, over n
@@ -194,16 +207,6 @@ def _stack(stencils, columns, n):
     return Csr(len(rows), len(columns), indptr, cols, vals[keep])
 
 
-def _matmat(a, b):
-    """The Csr product a @ b by scipy's compiled kernel, as scipy.sparse
-    computes it: entries that sum to zero are dropped, columns unsorted."""
-    nnz = sparsetools.csr_matmat_maxnnz(a.rows, b.cols, a.indptr, a.indices, b.indptr, b.indices)
-    c = Csr(a.rows, b.cols, np.empty(a.rows + 1, dtype=np.int32), np.empty(nnz, dtype=np.int32),
-            np.empty(nnz))
-    sparsetools.csr_matmat(a.rows, b.cols, *a[2:], *b[2:], *c[2:])
-    return c
-
-
 @dataclass(frozen=True, eq=False)
 class FaceOperator:
     """Face coefficients and the stacked face matrix of one (grid, weight).
@@ -212,30 +215,18 @@ class FaceOperator:
     the k*F x N Csr of all k face matrices M_k stacked, the normal
     difference A in the first F rows, and the only matrix stored: its CSR
     arrays are the CSC arrays of its transpose, whose product
-    FaceFlux.divergence takes by scipy's csc_matvec, with the bits of
-    csr_matvec on the transpose, as both sum each node's terms from zero in
-    increasing face order.  transpose, the Csr of that transpose, is built
-    on each access, only for the p = 2 Hessian.  Faces are ordered axis by
-    axis, each axis raveled in C order; columns are the raveled nodes.  vol
-    holds the cell volumes of the grid, in its shape.  The interior operator
-    restricts matrix to the columns of the interior nodes and vol to their
-    entries, as a vector: it describes the states that vanish on the
-    Dirichlet nodes by their interior values, and a FaceFlux works on it
-    unchanged.
+    FaceFlux.divergence takes by scipy's csc_matvec.  Faces are ordered
+    axis by axis, each axis raveled in C order; columns are the raveled
+    nodes.  vol holds the cell volumes of the grid, in its shape.  The
+    interior operator restricts matrix to the columns of the interior nodes
+    and vol to their entries, as a vector: it describes the states that
+    vanish on the Dirichlet nodes by their interior values, and a FaceFlux
+    works on it unchanged.
     """
 
     cw: np.ndarray
     matrix: Csr
     vol: np.ndarray
-
-    @property
-    def transpose(self):
-        """The Csr of matrix's transpose, by scipy's csr_tocsc."""
-        m = self.matrix
-        t = Csr(m.cols, m.rows, np.empty(m.cols + 1, dtype=np.int32), np.empty_like(m.indices),
-                np.empty_like(m.data))
-        sparsetools.csr_tocsc(*m, *t[2:])
-        return t
 
 
 def face_operator(grid, weight, interior=False):
@@ -380,19 +371,36 @@ def variational_dot(grid, a, b):
     return float(np.sum(cell_volumes(grid) * a * b))
 
 
-def _hessian(grid, weight, interior):
-    """energy_hessian_matrix's Hessian as a Csr, each row's columns sorted,
-    and that function's result."""
-    op = face_operator(grid, weight, interior)
-    n = op.matrix.rows
-    index = np.arange(n + 1, dtype=np.int32)
-    cw = Csr(n, n, index, index[:-1], np.tile(op.cw, n // op.cw.size))
-    hessian = _matmat(_matmat(op.transpose, cw), op.matrix)
-    row = np.repeat(np.arange(hessian.rows), np.diff(hessian.indptr))
-    order = np.lexsort((hessian.indices[: len(row)], row))
-    hessian = hessian._replace(indices=hessian.indices[order], data=hessian.data[order])
-    lower = row >= hessian.indices
-    return hessian, (hessian.data[lower], row[lower], hessian.indices[lower].astype(np.intp))
+@functools.lru_cache(maxsize=8)
+def hessian_map(op, rows):
+    """The lower entries of sum_r M[r]^T kappa_r M[r] over the first rows
+    rows r of op's stacked face matrix M, as their positions (row, col),
+    sorted by row and then column, and the Csr map from kappa to their
+    values, each the sum of M[r, i] * M[r, j] * kappa_r in increasing r.
+    Built once per (op, rows), op compared by identity; the cache keeps at
+    most eight maps."""
+    m = op.matrix
+    ptr = m.indptr[: rows + 1]
+    idx, val = m.indices[: ptr[-1]].astype(np.intp), m.data[: ptr[-1]]
+    # each entry a of a row pairs with the entries b <= a of that row, whose
+    # columns are sorted, so a's column is the larger; the pairs come in
+    # increasing r and a stable sort keeps that order within an entry
+    start = np.repeat(ptr[:-1], np.diff(ptr))
+    pairs = np.arange(len(idx)) - start + 1
+    a = np.repeat(np.arange(len(idx)), pairs)
+    b = start[a] + np.arange(len(a)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    key = idx[a] * m.cols + idx[b]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    row, col = np.divmod(key[first], m.cols)
+    face = np.repeat(np.arange(rows, dtype=np.int32), np.diff(ptr))
+    terms = Csr(len(first), rows, np.append(first, len(key)).astype(np.int32), face[a][order],
+                (val[a] * val[b])[order])
+    # every caller of the cache gets these same arrays
+    for values in (row, col, *terms[2:]):
+        values.flags.writeable = False
+    return row, col, terms
 
 
 def energy_hessian_matrix(grid, weight, interior=False):
@@ -401,7 +409,9 @@ def energy_hessian_matrix(grid, weight, interior=False):
     below the diagonal (data, row, col), sorted by row and then column.
 
     This is the stiffness matrix of the weighted linear diffusion; it serves
-    as the p=2 operator matrix and, over the interior, as the Newton matrix
-    at p=2 and the 1d eigensolver preconditioner.  It is the product
-    (transpose @ diag(cw)) @ matrix, summed as scipy.sparse sums it."""
-    return _hessian(grid, weight, interior)[1]
+    as the p=2 operator matrix and, over the interior, as the 1d eigensolver
+    preconditioner.  Its values are hessian_map's map over all k*F stacked
+    rows applied to cw repeated k times."""
+    op = face_operator(grid, weight, interior)
+    row, col, terms = hessian_map(op, op.matrix.rows)
+    return terms @ np.tile(op.cw, op.matrix.rows // op.cw.size), row, col

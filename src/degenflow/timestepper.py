@@ -81,9 +81,9 @@ from .plap_operator import (
     Csr,
     FaceFlux,
     ReactionSpec,
-    _hessian,
     face_operator,
     face_squares,
+    hessian_map,
     reaction_derivative,
     reaction_eval,
 )
@@ -308,12 +308,14 @@ class _NewtonSystem(BandPattern):
     interior=True), so a FaceFlux of an interior vector is the flux of the
     state that is zero on the Dirichlet nodes, and its divergence is the
     operator at the interior nodes.  The lower-triangle pattern is the
-    Jacobian's own and fixed for the run: the face-difference pattern for
-    p > 2, whose entries are P @ kappa for face conductances kappa through
-    the precomputed sparse map P, and the pattern of the constant interior
-    energy Hessian for p = 2.  K = sum A^T diag(kappa) A with kappa >= 0 is
-    positive semidefinite and V is positive, so the matrix is positive
-    definite whenever dt f' < 1 at every interior node; it is always
+    Jacobian's own and fixed for the run, and K's entries there are
+    P @ kappa through the sparse map P = conductance_map of
+    plap_operator.hessian_map, shared by every system on one operator and
+    p: over the F rows of A with the face conductances kappa at p > 2, over
+    all stacked rows with kappa = cw, the constant interior energy Hessian,
+    at p = 2.  K = sum_r M[r]^T kappa_r M[r] with kappa >= 0 is positive
+    semidefinite and V is positive, so the matrix is positive definite
+    whenever dt f' < 1 at every interior node; it is always
     factored by band Cholesky, and one that is not positive definite
     raises FactorError.  The matrix is the Jacobian of the residual on
     interval and radial grids and at p = 2; on tensor grids at p > 2 it
@@ -333,31 +335,16 @@ class _NewtonSystem(BandPattern):
         self.op = op = face_operator(grid, weight, interior=True)
         self.vol = op.vol
         self.last_flux = None
-        if p == 2.0:
-            self.stiffness, (k_data, row, col) = _hessian(grid, weight, True)
-        else:
-            # entry (i, j), i >= j, of A^T diag(kappa) A is the sum over the
-            # faces f of both nodes of A[f, i] A[f, j] kappa_f, in the order
-            # of f; a row of A holds at most two nodes, in increasing order,
-            # and a stable sort of the entries keeps their faces in order
-            faces, n = op.cw.size, len(self.vol)
-            ptr = op.matrix.indptr[: faces + 1]
-            idx, val = op.matrix.indices[: ptr[-1]].astype(np.intp), op.matrix.data[: ptr[-1]]
-            face = np.repeat(np.arange(faces, dtype=np.int32), np.diff(ptr))
-            first = ptr[np.flatnonzero(np.diff(ptr) == 2)]
-            key = np.concatenate([idx * (n + 1), idx[first + 1] * n + idx[first]])
-            order = np.argsort(key, kind="stable")
-            start = np.flatnonzero(np.diff(key[order], prepend=-1))
-            row, col = np.divmod(key[order][start], n)
-            ptr = np.append(start, len(key)).astype(np.int32)
-            terms = np.concatenate([val * val, val[first + 1] * val[first]])
-            self.conductance_map = Csr(len(start), faces, ptr,
-                                       np.concatenate([face, face[first]])[order], terms[order])
+        # all stacked rows at p = 2, whose kappa is cw; the rows of A at p > 2
+        row, col, self.conductance_map = hessian_map(
+            op, op.matrix.rows if p == 2.0 else op.cw.size)
         super().__init__(row, col, len(self.vol))
         if p == 2.0:
             # the constant stiffness, kept whole as the Csr that rate()
             # applies and filled once as the band that matrix() scales a copy of
+            k_data = self.conductance_map @ np.tile(op.cw, op.matrix.rows // op.cw.size)
             self.k_band = self.fill(k_data, 0.0)
+            self.stiffness = Csr.symmetric(k_data, row, col, len(self.vol))
 
     def flux(self, x):
         """The FaceFlux of the interior vector x, kept until another vector

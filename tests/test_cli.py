@@ -399,10 +399,12 @@ class TestCommandLine:
         (["weights-check", "--out", "x"], "no --config given"),
         (["weights-check", "--config", "CFG", "--jobs", "one"], "--jobs needs an integer"),
         (["weights-check", "--config", "CFG", "--jobs=1.0"], "--jobs needs an integer"),
+        (["weights-check", "--config", "CFG", "--out="], "--out needs a value"),
+        (["weights-check", "--config="], "--config needs a value"),
     ], ids=["unknown-option", "unknown-token", "missing-value-at-end",
             "missing-value-before-option", "missing-out", "repeated-option",
             "repeated-command", "no-command", "empty", "no-config", "jobs-word",
-            "jobs-float"])
+            "jobs-float", "out-empty", "config-empty"])
     def test_misuse_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         """A misused command line prints the usage line and the reason to
         stderr, writes nothing, not even error.json, and exits 2."""

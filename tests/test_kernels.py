@@ -18,7 +18,7 @@ import degenflow
 ROOT = Path(degenflow.__file__).resolve().parents[2]
 
 # the factor and solve of a Newton matrix, the CSR products of the face
-# operator, its transpose, the conductance map and the p = 2 Hessian, and the
+# operator, the conductance map and the p = 2 Hessian, and the
 # CSC product of the p = 3 divergence, on one interval and one tensor system,
 # and a 31 x 31 type-I sine transform, saved to argv[2]; with argv[1]
 # "fallback" the path load is refused, so the kernels come from the normal
@@ -44,7 +44,7 @@ for mode in ("interval", "tensor2d"):
     factor = system.factor(system.matrix(x, 1e-2, 0.0))
     face = op.matrix @ x
     arrays.update({f"{mode}_factor": factor, f"{mode}_solve": system.solve(factor, x),
-                   f"{mode}_face": face, f"{mode}_transpose": op.transpose @ face,
+                   f"{mode}_face": face,
                    f"{mode}_divergence": FaceFlux(op, x, 3.0).divergence(),
                    f"{mode}_hessian": energy_hessian_matrix(grid, weight, interior=True)[0]})
     smallest_eigenpair(grid, weight, 3.0)

@@ -168,17 +168,16 @@ def test_hessian_matrix_matches_operator_p2():
 @pytest.mark.parametrize("weight", [None, WeightSpec.power(1.0)], ids=["unit", "power"])
 @pytest.mark.parametrize("mode", [mode for mode, _ in GRIDS])
 def test_interior_operator_is_the_full_one_restricted(monkeypatch, mode, weight):
-    """The interior face operator is the full one's interior columns,
-    transpose rows and cell volumes, and the interior p = 2 Hessian the full
-    Hessian's interior block, both exactly.  The Newton system and the
-    eigensolver evaluate on that one cached operator."""
+    """The interior face operator is the full one's interior columns and
+    cell volumes, and the interior p = 2 Hessian the full Hessian's interior
+    block, both exactly.  The Newton system and the eigensolver evaluate on
+    that one cached operator."""
     g = dict(GRIDS)[mode]
     idx = g.interior
     full, op = face_operator(g, weight), face_operator(g, weight, interior=True)
     assert np.array_equal(op.cw, full.cw)
-    matrix, transpose = _scipy(full.matrix), _scipy(full.transpose)
+    matrix = _scipy(full.matrix)
     assert np.array_equal(_scipy(op.matrix).toarray(), matrix[:, idx].toarray())
-    assert np.array_equal(_scipy(op.transpose).toarray(), transpose[idx].toarray())
     assert np.array_equal(op.vol, full.vol.ravel()[idx])
     hessian = _hessian(g, weight, interior=True)
     assert np.array_equal(hessian, _hessian(g, weight)[idx][:, idx])
@@ -199,13 +198,16 @@ def test_interior_operator_is_the_full_one_restricted(monkeypatch, mode, weight)
 def test_hessian_matrix_symmetric_psd():
     g = build_grid("tensor2d", 1.0, 8)
     weight = WeightSpec.power(0.5)
-    # the lower entries are those of M^T diag(cw) M, which is symmetric
+    # the lower entries are those of M^T diag(cw) M, which is symmetric,
+    # summed as hessian_map sums them
     op = face_operator(g, weight)
-    full = (_scipy(op.transpose) @ sp.diags_array(np.tile(op.cw, 2))
-            @ _scipy(op.matrix)).toarray()
+    matrix = _scipy(op.matrix)
+    full = (matrix.T @ sp.diags_array(np.tile(op.cw, 2)) @ matrix).toarray()
     assert np.max(np.abs(full - full.T)) < 1e-12
     k = _hessian(g, weight)
-    assert np.array_equal(np.tril(k), np.tril(full))
+    data, row, col = _scipy_map_build(matrix, op.cw)
+    assert np.array_equal(k[row, col], data)
+    assert np.abs(np.tril(k) - np.tril(full)).max() <= 1e-15 * np.abs(full).max()
     eigs = np.linalg.eigvalsh(k)
     assert eigs.min() > -1e-10
 
@@ -358,12 +360,13 @@ def test_flux_energy_and_divergence_match_closed_forms(mode, p):
     (1/p) * sum cw * s**(p/2) to 1e-13 relative, and divergence, the product
     by csc_matvec with the face matrix read as its transpose's CSC arrays,
     is bit for bit -sum_k M_k^T (cw * s**((p-2)/2) * g_k) / vol taken with
-    the transpose's CSR product, with a power weight, on the full and the
-    interior operator, on a rough state, on one with faces where s = 0 and
-    on the zero state."""
+    the CSR product of scipy's transpose, with a power weight, on the full
+    and the interior operator, on a rough state, on one with faces where
+    s = 0 and on the zero state."""
     g = dict(GRIDS)[mode]
     for interior in (False, True):
         op = face_operator(g, WeightSpec.power(1.0), interior=interior)
+        transpose = _scipy(op.matrix).T.tocsr()
         for name, u in _states_with_flat_faces(g).items():
             u = u.ravel()[g.interior] if interior else u
             flux = FaceFlux(op, u, p)
@@ -372,7 +375,7 @@ def test_flux_energy_and_divergence_match_closed_forms(mode, p):
             assert (name == "rough") == (s > 0.0).all()
             energy_ref = float(np.sum(op.cw * s ** (p / 2.0)) / p)
             coefficient = op.cw * s ** ((p - 2.0) / 2.0)
-            div_ref = -(op.transpose @ (coefficient * rows).ravel()).reshape(op.vol.shape)
+            div_ref = -(transpose @ (coefficient * rows).ravel()).reshape(op.vol.shape)
             div_ref /= op.vol
             assert abs(flux.energy() - energy_ref) <= 1e-13 * energy_ref
             assert np.array_equal(flux.divergence(), div_ref)
@@ -422,6 +425,21 @@ def _lower_entries(matrix):
     return coo.data[lower], coo.row[lower].astype(np.intp), coo.col[lower].astype(np.intp)
 
 
+def _scipy_map_build(matrix, cw):
+    """The lower entries (data, row, col) of the p = 2 Hessian of the scipy
+    CSR array matrix with face coefficients cw, built by scipy.sparse as
+    hessian_map builds them: the pattern of |M|^T |M|, and each entry
+    M[r, i] * M[r, j] * cw_r summed in increasing r, the CSR product of
+    M[:, row] * M[:, col] transposed with cw repeated over the stack."""
+    pattern = sp.coo_array(abs(matrix).T @ abs(matrix))
+    pattern.sum_duplicates()
+    lower = pattern.row >= pattern.col
+    row, col = pattern.row[lower].astype(np.intp), pattern.col[lower].astype(np.intp)
+    csc = matrix.tocsc()
+    terms = csc[:, row].multiply(csc[:, col]).T.tocsr()
+    return terms @ np.tile(cw, matrix.shape[0] // cw.size), row, col
+
+
 def _same_arrays(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -430,39 +448,39 @@ def _same_arrays(got, want):
 @pytest.mark.parametrize("interior", [False, True], ids=["full", "interior"])
 @pytest.mark.parametrize("mode", [mode for mode, _ in GRIDS])
 def test_face_matrices_match_the_coo_build(mode, interior):
-    """The face matrix and its transpose store the same data, indices and
-    indptr, of the same dtypes, as the stack built through COO, over all
-    nodes and over the interior columns."""
+    """The face matrix stores the same data, indices and indptr, of the same
+    dtypes, as the stack built through COO, over all nodes and over the
+    interior columns."""
     g = dict(GRIDS)[mode]
     op = face_operator(g, WeightSpec.power(1.0), interior=interior)
     ref = _scipy_face_matrix(g, fmt=None)
     if interior:
         ref = ref[:, g.interior]
-    for got, want in ((op.matrix, ref), (op.transpose, ref.T.tocsr())):
-        _same_arrays(got[2:], (want.indptr, want.indices, want.data))
+    _same_arrays(op.matrix[2:], (ref.indptr, ref.indices, ref.data))
 
 
 @pytest.mark.parametrize("weight", [None, WeightSpec.power(1.0)], ids=["unit", "power"])
 @pytest.mark.parametrize("interior", [False, True], ids=["full", "interior"])
 @pytest.mark.parametrize("mode", [mode for mode, _ in GRIDS])
 def test_face_csr_matches_the_scipy_build(mode, interior, weight):
-    """The numpy-built face matrix and its transpose from csr_tocsc are
-    byte-equal to scipy.sparse's CSR build, restricted and transposed by
-    scipy, and the p = 2 Hessian's lower entries to those of scipy's
-    transpose @ diags(cw) @ matrix, in all three grid modes, over all nodes
-    and the interior, with and without a weight."""
+    """The numpy-built face matrix is byte-equal to scipy.sparse's CSR
+    build, restricted by scipy, and the p = 2 Hessian's lower entries to
+    scipy's build of hessian_map's sums and within 1e-15 of the largest
+    entry of scipy's transpose @ diags(cw) @ matrix, in all three grid
+    modes, over all nodes and the interior, with and without a weight."""
     g = dict(GRIDS)[mode]
     op = face_operator(g, weight, interior=interior)
     ref = _scipy_face_matrix(g)
     if interior:
         ref = ref[:, g.interior]
-    transpose = ref.T.tocsr()
-    for got, want in ((op.matrix, ref), (op.transpose, transpose)):
-        _same_arrays(got[2:], (want.indptr, want.indices, want.data))
-        assert (got.rows, got.cols) == want.shape
+    _same_arrays(op.matrix[2:], (ref.indptr, ref.indices, ref.data))
+    assert (op.matrix.rows, op.matrix.cols) == ref.shape
+    got = energy_hessian_matrix(g, weight, interior)
+    _same_arrays(got, _scipy_map_build(ref, op.cw))
     cw = sp.diags_array(np.tile(op.cw, ref.shape[0] // op.cw.size))
-    hessian = _lower_entries((transpose @ cw @ ref).tocsr())
-    _same_arrays(energy_hessian_matrix(g, weight, interior), hessian)
+    product = _lower_entries((ref.T @ cw @ ref).tocsr())
+    _same_arrays(got[1:], product[1:])
+    assert np.abs(got[0] - product[0]).max() <= 1e-15 * np.abs(product[0]).max()
 
 
 def test_face_operator_memory():

@@ -155,26 +155,35 @@ def test_newton_system_matches_jacobian_form(mode, p):
     assert np.abs(got - full).max() > 1e-3 * np.abs(full).max()
 
 
-@pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
-def test_conductance_map_matches_the_scipy_build(mode):
-    """At p > 2 the band pattern and the map from face conductances to the
-    Newton matrix's lower entries are byte-equal to their scipy.sparse
-    build: the lower entries of |A|^T |A| and A[:, row] * A[:, col] per
-    face, so the entries are summed over the faces in the same order."""
+@pytest.mark.parametrize("mode, p", [
+    pytest.param(mode, p, id=mode if p == 3.0 else f"{mode}-p2")
+    for p in (3.0, 2.0) for mode in ("interval", "radial", "tensor2d")])
+def test_conductance_map_matches_the_scipy_build(mode, p):
+    """The band pattern and the map from face conductances to the Newton
+    matrix's lower entries are byte-equal to their scipy.sparse build: the
+    lower entries of |M|^T |M| and M[:, row] * M[:, col] per face, so the
+    entries are summed over the faces in the same order, with M the face
+    difference A at p > 2 and all stacked face rows at p = 2.  Two systems
+    of one (grid, weight, p) share one map."""
     g = build_grid(mode, 1.0, 10, n=2)
-    system = _NewtonSystem(g, WeightSpec.power(1.0), 3.0)
-    a = _scipy(system.op.matrix)[: system.op.cw.size].tocsc()
-    pattern = sp.coo_array(abs(a).T @ abs(a))
+    weight = WeightSpec.power(1.0)
+    system = _NewtonSystem(g, weight, p)
+    m = _scipy(system.op.matrix)
+    if p != 2.0:
+        m = m[: system.op.cw.size]
+    m = m.tocsc()
+    pattern = sp.coo_array(abs(m).T @ abs(m))
     pattern.sum_duplicates()
     lower = pattern.row >= pattern.col
     row, col = pattern.row[lower].astype(np.intp), pattern.col[lower].astype(np.intp)
-    want = a[:, row].multiply(a[:, col]).T.tocsr()
+    want = m[:, row].multiply(m[:, col]).T.tocsr()
     assert np.array_equal(system.row, row) and np.array_equal(system.col, col)
     got = system.conductance_map
     assert (got.rows, got.cols) == want.shape
     for name in ("indptr", "indices", "data"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert _NewtonSystem(g, weight, p).conductance_map is got
 
 
 @pytest.mark.parametrize("mode", ["interval", "radial", "tensor2d"])
