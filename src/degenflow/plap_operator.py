@@ -282,11 +282,8 @@ def _face_operator(grid, weight, interior):
 
 
 def _s_pow(s, expo):
-    """s**expo with the convention 0**negative = 0 (flux vanishes there),
-    and the scalar 1 for expo = 0."""
-    if expo == 0.0:
-        return 1.0
-    if expo > 0.0:
+    """s**expo with the convention 0**negative = 0 (flux vanishes there)."""
+    if expo >= 0.0:
         return s**expo
     out = np.zeros_like(s)
     mask = s > 0.0

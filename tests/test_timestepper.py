@@ -765,7 +765,8 @@ def test_step_keeps_comparison_order(mode, resolution, p, theta_frac, alpha0, si
     v0 = u0 + gap * amplitude * np.abs(_drawn_state(g, 1.0, rough, seed + 1))
     dt = 10.0**log_dt
     if mode == "tensor2d":
-        assert (_NewtonSystem(g, weight, p).k_band[:-1] <= 0.0).all()
+        system = _NewtonSystem(g, weight, p)
+        assert (system.fill(system.k_data, 0.0)[:-1] <= 0.0).all()
     lower = _converged_step(g, weight, p, u0, dt, reaction)
     upper = _converged_step(g, weight, p, v0, dt, reaction)
     if lower is None or upper is None:
@@ -1573,6 +1574,25 @@ def test_run_without_reaction_coefficient_keeps_no_bracket():
     assert (out.kind, out.bounds) == ("Completed", None)
     assert out.trajectory.sup_abs_u[-1] == pytest.approx(heat.trajectory.sup_abs_u[-1],
                                                          rel=1e-12)
+
+
+def test_power_weight_at_zero_is_the_unit_weight():
+    """ProblemSpec stores the power weight at theta_w = 0 as None, the unit
+    weight, so that spelling keeps the proven bracket too: on the blow-up
+    of amplitude 20 (interval 64, sigma = 2, dt_max 2e-2), given the
+    eigenpair, both spellings take the same steps to the same closed
+    bracket and T_est."""
+    spec = _sin_problem(amplitude=20.0, t_end=3.0, dt_max=2e-2,
+                        reaction=ReactionSpec.power(1.0, 2.0))
+    pair = smallest_eigenpair(spec.grid, None, 2.0)
+    unit = run_simulation(spec, eigenpair=pair)
+    power = replace(spec, weight=WeightSpec.power(0.0))
+    got = run_simulation(power, eigenpair=pair)
+    assert unit.kind == "BlowUp" and unit.bounds is not None
+    assert (got.kind, got.steps, got.t_est, got.t_lo, got.t_hi) == (
+        unit.kind, unit.steps, unit.t_est, unit.t_lo, unit.t_hi)
+    assert got.payload()["bounds_gap"] == unit.payload()["bounds_gap"]
+    assert power.weight is None
 
 
 @settings(max_examples=25, deadline=None)
